@@ -5,10 +5,11 @@ module Mvcc = Stm_mvcc.Mvcc
    per-site profiler's column sums reproduce the global counters exactly
    (checked by the test suite). *)
 let emit_barrier op path =
-  Trace.emit ~level:Trace.Debug
-    (lazy
-      (Trace.Barrier
-         { tid = Sched.self (); site = Site.current (); op; path }))
+  if Trace.enabled_at Trace.Debug then
+    Trace.emit ~level:Trace.Debug
+      (lazy
+        (Trace.Barrier
+           { tid = Sched.self (); site = Site.current (); op; path }))
 
 (* Same convention as [Txn.observe_blocked]: the first blocked record
    observation in a retry loop is a plain read, later ones are futile
@@ -17,118 +18,123 @@ let emit_barrier op path =
 let observe_blocked ~attempt oid =
   if attempt > 0 then Footprint.spin_read oid else Footprint.read oid
 
+(* The barrier retry loops are top-level functions rather than local
+   closures: a closure over the barrier's arguments would be allocated on
+   every access. *)
+let rec read_loop (cfg : Config.t) (stats : Stats.t) (obj : Heap.obj) fld
+    attempt =
+  let cost = cfg.cost in
+  (* mov ecx, [TxRec] — whether this iteration will block is a
+     function of [w1] alone, so the observation is classified here,
+     in its own segment (the branch point is two yields away) *)
+  let w1 = Heap.txrec_peek obj in
+  let blocked =
+    (not (cfg.dea && cfg.read_privacy_check && Txrec.is_private w1))
+    && (not (Txrec.readable_bit w1)
+       || (cfg.detect_nontxn_races && not (Txrec.btr_acquirable w1)))
+  in
+  if blocked then observe_blocked ~attempt obj.Heap.oid
+  else Footprint.read obj.Heap.oid;
+  Sched.tick cost.Cost.plain_load;
+  Sched.yield ();
+  (* mov eax, [addr] *)
+  let v = Heap.get obj fld in
+  Sched.tick cost.Cost.plain_load;
+  Sched.yield ();
+  (* cmp ecx, -1 ; jeq readDone   (optional DEA fast path) *)
+  if cfg.dea && cfg.read_privacy_check && Txrec.is_private w1 then begin
+    stats.Stats.barrier_private_hits <- stats.Stats.barrier_private_hits + 1;
+    emit_barrier Trace.Op_read Trace.Path_private;
+    v
+  end
+  else if not (Txrec.readable_bit w1) then begin
+    (* test ecx, 2 ; jz readConflict *)
+    Conflict.handle cfg stats ~attempt ~writer:false obj;
+    read_loop cfg stats obj fld (attempt + 1)
+  end
+  else if cfg.detect_nontxn_races && not (Txrec.btr_acquirable w1) then begin
+    (* footnote 2: bit 0 clear means some writer - transactional or
+       not - holds the record; report the race between two
+       non-transactional threads too *)
+    Conflict.handle cfg stats ~attempt ~writer:false obj;
+    read_loop cfg stats obj fld (attempt + 1)
+  end
+  else begin
+    (* cmp ecx, [TxRec] ; jne readConflict *)
+    let w2 = Heap.txrec_get obj in
+    Sched.tick cost.Cost.plain_load;
+    if w2 <> w1 then begin
+      Conflict.handle cfg stats ~attempt ~writer:false obj;
+      read_loop cfg stats obj fld (attempt + 1)
+    end
+    else v
+  end
+
 (* Figure 9a / 10a. *)
 let read (cfg : Config.t) (stats : Stats.t) (obj : Heap.obj) fld =
-  let cost = cfg.cost in
   stats.Stats.barrier_reads <- stats.Stats.barrier_reads + 1;
   emit_barrier Trace.Op_read Trace.Path_fired;
-  Sched.tick cost.Cost.barrier_entry;
-  let rec loop attempt =
-    (* mov ecx, [TxRec] — whether this iteration will block is a
-       function of [w1] alone, so the observation is classified here,
-       in its own segment (the branch point is two yields away) *)
-    let w1 = Heap.txrec_peek obj in
-    let blocked =
-      (not (cfg.dea && cfg.read_privacy_check && Txrec.is_private w1))
-      && (not (Txrec.readable_bit w1)
-         || (cfg.detect_nontxn_races && not (Txrec.btr_acquirable w1)))
-    in
-    if blocked then observe_blocked ~attempt obj.Heap.oid
-    else Footprint.read obj.Heap.oid;
-    Sched.tick cost.Cost.plain_load;
+  Sched.tick cfg.cost.Cost.barrier_entry;
+  read_loop cfg stats obj fld 0
+
+let rec read_ordering_loop (cfg : Config.t) (stats : Stats.t)
+    (obj : Heap.obj) fld attempt =
+  let cost = cfg.cost in
+  let w = Heap.txrec_peek obj in
+  Sched.tick cost.Cost.plain_load;
+  if not (Txrec.readable_bit w) then begin
+    observe_blocked ~attempt obj.Heap.oid;
+    Conflict.handle cfg stats ~attempt ~writer:false obj;
+    read_ordering_loop cfg stats obj fld (attempt + 1)
+  end
+  else begin
+    Footprint.read obj.Heap.oid;
     Sched.yield ();
-    (* mov eax, [addr] *)
     let v = Heap.get obj fld in
     Sched.tick cost.Cost.plain_load;
-    Sched.yield ();
-    (* cmp ecx, -1 ; jeq readDone   (optional DEA fast path) *)
-    if cfg.dea && cfg.read_privacy_check && Txrec.is_private w1 then begin
-      stats.Stats.barrier_private_hits <- stats.Stats.barrier_private_hits + 1;
-      emit_barrier Trace.Op_read Trace.Path_private;
-      v
-    end
-    else if not (Txrec.readable_bit w1) then begin
-      (* test ecx, 2 ; jz readConflict *)
-      Conflict.handle cfg stats ~attempt ~writer:false obj;
-      loop (attempt + 1)
-    end
-    else if cfg.detect_nontxn_races && not (Txrec.btr_acquirable w1) then begin
-      (* footnote 2: bit 0 clear means some writer - transactional or
-         not - holds the record; report the race between two
-         non-transactional threads too *)
-      Conflict.handle cfg stats ~attempt ~writer:false obj;
-      loop (attempt + 1)
-    end
-    else begin
-      (* cmp ecx, [TxRec] ; jne readConflict *)
-      let w2 = Heap.txrec_get obj in
-      Sched.tick cost.Cost.plain_load;
-      if w2 <> w1 then begin
-        Conflict.handle cfg stats ~attempt ~writer:false obj;
-        loop (attempt + 1)
-      end
-      else v
-    end
-  in
-  loop 0
+    v
+  end
 
 (* Section 3.3: test [TxRec], 2 ; jz readConflict ; mov eax, [addr]. *)
 let read_ordering (cfg : Config.t) (stats : Stats.t) (obj : Heap.obj) fld =
-  let cost = cfg.cost in
   stats.Stats.barrier_reads <- stats.Stats.barrier_reads + 1;
   emit_barrier Trace.Op_read_ordering Trace.Path_fired;
-  Sched.tick cost.Cost.barrier_entry;
-  let rec loop attempt =
-    let w = Heap.txrec_peek obj in
-    Sched.tick cost.Cost.plain_load;
-    if not (Txrec.readable_bit w) then begin
-      observe_blocked ~attempt obj.Heap.oid;
-      Conflict.handle cfg stats ~attempt ~writer:false obj;
-      loop (attempt + 1)
-    end
-    else begin
-      Footprint.read obj.Heap.oid;
-      Sched.yield ();
-      let v = Heap.get obj fld in
-      Sched.tick cost.Cost.plain_load;
-      v
-    end
-  in
-  loop 0
+  Sched.tick cfg.cost.Cost.barrier_entry;
+  read_ordering_loop cfg stats obj fld 0
 
 (* The BTR acquire loop shared by the write barrier and by aggregated
    barriers. Returns the word that was current when ownership was taken
    (the private word if the DEA fast path hit). *)
-let acquire_anon ?(op = Trace.Op_write) (cfg : Config.t) (stats : Stats.t)
-    (obj : Heap.obj) =
+let rec acquire_loop op (cfg : Config.t) (stats : Stats.t) (obj : Heap.obj)
+    attempt =
   let cost = cfg.cost in
-  let rec loop attempt =
-    let w = Heap.txrec_peek obj in
-    Sched.tick cost.Cost.plain_load;
-    (* cmp [TxRec], -1 ; jeq privateWrite *)
-    if cfg.dea && Txrec.is_private w then begin
-      Footprint.read obj.Heap.oid;
-      stats.Stats.barrier_private_hits <- stats.Stats.barrier_private_hits + 1;
-      emit_barrier op Trace.Path_private;
-      w
-    end
-    else if Txrec.btr_acquirable w then begin
-      Footprint.read obj.Heap.oid;
-      (* lock btr [TxRec], 0 *)
-      stats.Stats.atomic_ops <- stats.Stats.atomic_ops + 1;
-      Sched.tick cost.Cost.atomic_rmw;
-      Sched.yield ();
-      if Heap.txrec_cas obj w (w - 1) then w - 1
-      else loop attempt
-    end
-    else begin
-      (* jnc writeConflict *)
-      observe_blocked ~attempt obj.Heap.oid;
-      Conflict.handle cfg stats ~attempt ~writer:true obj;
-      loop (attempt + 1)
-    end
-  in
-  loop 0
+  let w = Heap.txrec_peek obj in
+  Sched.tick cost.Cost.plain_load;
+  (* cmp [TxRec], -1 ; jeq privateWrite *)
+  if cfg.dea && Txrec.is_private w then begin
+    Footprint.read obj.Heap.oid;
+    stats.Stats.barrier_private_hits <- stats.Stats.barrier_private_hits + 1;
+    emit_barrier op Trace.Path_private;
+    w
+  end
+  else if Txrec.btr_acquirable w then begin
+    Footprint.read obj.Heap.oid;
+    (* lock btr [TxRec], 0 *)
+    stats.Stats.atomic_ops <- stats.Stats.atomic_ops + 1;
+    Sched.tick cost.Cost.atomic_rmw;
+    Sched.yield ();
+    if Heap.txrec_cas obj w (w - 1) then w - 1
+    else acquire_loop op cfg stats obj attempt
+  end
+  else begin
+    (* jnc writeConflict *)
+    observe_blocked ~attempt obj.Heap.oid;
+    Conflict.handle cfg stats ~attempt ~writer:true obj;
+    acquire_loop op cfg stats obj (attempt + 1)
+  end
+
+let acquire_anon ?(op = Trace.Op_write) cfg stats obj =
+  acquire_loop op cfg stats obj 0
 
 let release_anon (cfg : Config.t) (obj : Heap.obj) w =
   if not (Txrec.is_private w) then begin
@@ -138,7 +144,7 @@ let release_anon (cfg : Config.t) (obj : Heap.obj) w =
   end
 
 (* Figure 9b / 10b. *)
-let write ?gvc (cfg : Config.t) (stats : Stats.t) (obj : Heap.obj) fld v =
+let write ~gvc (cfg : Config.t) (stats : Stats.t) (obj : Heap.obj) fld v =
   let cost = cfg.cost in
   stats.Stats.barrier_writes <- stats.Stats.barrier_writes + 1;
   emit_barrier Trace.Op_write Trace.Path_fired;
@@ -163,10 +169,8 @@ let write ?gvc (cfg : Config.t) (stats : Stats.t) (obj : Heap.obj) fld v =
        atomically with the release, which is what makes the new value
        visible to validation — so timestamp-mode readers walk (or
        extend) instead of fast-passing over it *)
-    (match gvc with
-    | Some g when cfg.validation = Config.Timestamp ->
-        Heap.set_version_ts obj (Gvc.advance g)
-    | Some _ | None -> ());
+    if cfg.validation = Config.Timestamp then
+      Heap.set_version_ts obj (Gvc.advance gvc);
     release_anon cfg obj w
   end
 

@@ -31,9 +31,9 @@ val read_ordering : Config.t -> Stats.t -> Heap.obj -> int -> Heap.value
 (** Ordering-only read barrier (Section 3.3). *)
 
 val write :
-  ?gvc:Gvc.t -> Config.t -> Stats.t -> Heap.obj -> int -> Heap.value -> unit
-(** Isolation write barrier. Under [Config.Timestamp] validation, pass
-    the system's global commit clock: the barrier bumps it and stamps
+  gvc:Gvc.t -> Config.t -> Stats.t -> Heap.obj -> int -> Heap.value -> unit
+(** Isolation write barrier. [gvc] is the system's global commit clock:
+    under [Config.Timestamp] validation the barrier bumps it and stamps
     the granule at release, so transactional readers cannot fast-pass a
     validation over the non-transactional store. *)
 

@@ -15,16 +15,17 @@ let jittered_delay cost ~attempt =
 let handle ?delay (cfg : Config.t) (stats : Stats.t) ~attempt ~writer
     (obj : Heap.obj) =
   stats.Stats.conflicts <- stats.Stats.conflicts + 1;
-  Trace.emit
-    (lazy
-      (Trace.Conflict
-         {
-           tid = (if Sched.running () then Sched.self () else -1);
-           oid = obj.Heap.oid;
-           cls = obj.Heap.cls;
-           writer;
-           site = Site.current ();
-         }));
+  if Trace.enabled () then
+    Trace.emit
+      (lazy
+        (Trace.Conflict
+           {
+             tid = (if Sched.running () then Sched.self () else -1);
+             oid = obj.Heap.oid;
+             cls = obj.Heap.cls;
+             writer;
+             site = Site.current ();
+           }));
   match cfg.conflict with
   | Config.Raise_error ->
       raise (Isolation_violation { cls = obj.Heap.cls; oid = obj.Heap.oid; writer })
@@ -35,12 +36,13 @@ let handle ?delay (cfg : Config.t) (stats : Stats.t) ~attempt ~writer
         | None -> jittered_delay cfg.cost ~attempt
       in
       stats.Stats.backoff_cycles <- stats.Stats.backoff_cycles + delay;
-      Trace.emit ~level:Trace.Debug
-        (lazy
-          (Trace.Backoff
-             {
-               tid = (if Sched.running () then Sched.self () else -1);
-               attempt;
-               delay;
-             }));
+      if Trace.enabled_at Trace.Debug then
+        Trace.emit ~level:Trace.Debug
+          (lazy
+            (Trace.Backoff
+               {
+                 tid = (if Sched.running () then Sched.self () else -1);
+                 attempt;
+                 delay;
+               }));
       Sched.pause delay

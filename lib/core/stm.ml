@@ -6,7 +6,8 @@ exception Starved of { attempts : int }
 
 type system = {
   ctx : Txn.ctx;
-  current : (int, Txn.t) Hashtbl.t;  (* simulated tid -> active txn *)
+  mutable current : Txn.t option array;
+      (* simulated tid -> active txn; grows with the highest tid seen *)
 }
 
 let system : system option ref = ref None
@@ -17,7 +18,7 @@ let install (cfg : Config.t) =
   if cfg.dea && not cfg.strong then
     invalid_arg "Stm.install: DEA requires strong atomicity";
   if cfg.granule < 1 then invalid_arg "Stm.install: granule must be >= 1";
-  system := Some { ctx = Txn.make_ctx cfg; current = Hashtbl.create 32 }
+  system := Some { ctx = Txn.make_ctx cfg; current = Array.make 32 None }
 
 let uninstall () = system := None
 let installed () = !system <> None
@@ -25,8 +26,19 @@ let config () = Txn.cfg (get ()).ctx
 let stats () = Txn.stats (get ()).ctx
 
 let current_txn sys =
-  if Sched.running () then Hashtbl.find_opt sys.current (Sched.self ())
+  if Sched.running () then
+    let tid = Sched.self () in
+    if tid < Array.length sys.current then sys.current.(tid) else None
   else None
+
+let set_current sys tid txn =
+  let n = Array.length sys.current in
+  if tid >= n then begin
+    let a = Array.make (max (2 * n) (tid + 1)) None in
+    Array.blit sys.current 0 a 0 n;
+    sys.current <- a
+  end;
+  sys.current.(tid) <- txn
 
 let in_txn () = current_txn (get ()) <> None
 
@@ -67,17 +79,18 @@ let publish obj =
    [Access] events is the memory-visibility order the serializability
    oracle reconstructs. *)
 let emit_nontxn_access (obj : Heap.obj) fld value ~write =
-  Trace.emit ~level:Trace.Debug
-    (lazy
-      (Trace.Access
-         {
-           tid = Sched.self ();
-           txid = -1;
-           oid = obj.Heap.oid;
-           fld;
-           value;
-           write;
-         }))
+  if Trace.enabled_at Trace.Debug then
+    Trace.emit ~level:Trace.Debug
+      (lazy
+        (Trace.Access
+           {
+             tid = Sched.self ();
+             txid = -1;
+             oid = obj.Heap.oid;
+             fld;
+             value;
+             write;
+           }))
 
 let nontxn_read sys (obj : Heap.obj) fld =
   let cfg = Txn.cfg sys.ctx in
@@ -130,15 +143,16 @@ let write obj fld v =
   | None -> nontxn_write sys obj fld v
 
 let emit_elided op =
-  Trace.emit ~level:Trace.Debug
-    (lazy
-      (Trace.Barrier
-         {
-           tid = Sched.self ();
-           site = Site.current ();
-           op;
-           path = Trace.Path_elided;
-         }))
+  if Trace.enabled_at Trace.Debug then
+    Trace.emit ~level:Trace.Debug
+      (lazy
+        (Trace.Barrier
+           {
+             tid = Sched.self ();
+             site = Site.current ();
+             op;
+             path = Trace.Path_elided;
+           }))
 
 let read_nobarrier obj fld =
   let sys = get () in
@@ -181,8 +195,9 @@ let backoff_wait sys attempt =
   let delay = Stm_cm.Cm.restart_delay (Txn.cm sys.ctx) ~tid ~attempt in
   (Txn.stats sys.ctx).Stats.backoff_cycles <-
     (Txn.stats sys.ctx).Stats.backoff_cycles + delay;
-  Trace.emit ~level:Trace.Debug
-    (lazy (Trace.Backoff { tid; attempt; delay }));
+  if Trace.enabled_at Trace.Debug then
+    Trace.emit ~level:Trace.Debug
+      (lazy (Trace.Backoff { tid; attempt; delay }));
   Sched.pause delay
 
 (* Has this block burned through its whole restart budget? [n] is the
@@ -238,8 +253,8 @@ let atomic f =
       let tid = Sched.self () in
       let rec attempt n =
         let txn = Txn.begin_txn sys.ctx in
-        Hashtbl.replace sys.current tid txn;
-        let cleanup () = Hashtbl.remove sys.current tid in
+        set_current sys tid (Some txn);
+        let cleanup () = set_current sys tid None in
         let aborted () =
           let give_up = starved_out cfg n in
           Txn.abort ~restart:(not give_up) sys.ctx txn;
@@ -281,8 +296,8 @@ let atomic_open f =
   | Some parent ->
       let rec attempt n =
         let txn = Txn.begin_txn ~parent sys.ctx in
-        Hashtbl.replace sys.current tid txn;
-        let restore () = Hashtbl.replace sys.current tid parent in
+        set_current sys tid (Some txn);
+        let restore () = set_current sys tid (Some parent) in
         let aborted () =
           let give_up = starved_out cfg n in
           Txn.abort ~restart:(not give_up) sys.ctx txn;

@@ -3,10 +3,17 @@
     A single optional sink receives structured STM events: transaction
     lifecycle, conflicts, publications, quiescence waits, and — at
     [Debug] level — per-access barrier, backoff, and validation events.
-    With no sink installed the emit path is a branch on [None], cheap
-    enough to leave compiled into the hot paths; with a sink installed at
-    [Info] the per-access [Debug] payloads are never forced either, so a
-    coarse trace costs nothing on the access fast paths.
+
+    {b Guard before building the payload.} Every emitter in the library
+    is written [if Trace.enabled_at lvl then Trace.emit ~level:lvl (lazy
+    ...)] ({!enabled} for [Info] events). The [lazy] alone is not enough
+    on a hot path: an unforced [lazy] still allocates its thunk and the
+    closure over the payload's fields, about seven words per event.
+    Behind the guard, an access with no
+    sink installed - or with a sink at [Info], for the [Debug] events -
+    costs one load and one branch and allocates nothing; the test suite
+    checks that a barrier or transactional access allocates less than one
+    word with tracing off.
 
     The [stm_run --trace] CLI installs a printing sink; [--trace-out] and
     [--profile-barriers] install the {!Stm_obs} recorder and per-site
@@ -123,9 +130,10 @@ val set_sink : ?level:level -> (event -> unit) option -> unit
 
 val emit : ?level:level -> event Lazy.t -> unit
 (** Deliver the event to the sink if one is installed and accepts
-    [level] (default [Info]); the payload is lazy so that argument
-    construction costs nothing when the event is filtered out. Emitters
-    must pass the same level {!event_level} assigns to the payload. *)
+    [level] (default [Info]). Emitters must pass the same level
+    {!event_level} assigns to the payload, and guard the call with
+    {!enabled_at} so that the payload is not even allocated when the
+    event would be filtered out. *)
 
 val enabled : unit -> bool
 

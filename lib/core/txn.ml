@@ -340,7 +340,9 @@ let begin_txn ?parent ctx =
   Hashtbl.replace ctx.registry ctx.next_id t.flag;
   Stm_cm.Cm.on_begin ctx.cm ~tid:(Sched.self ()) ~txid:ctx.next_id
     ~now:(Sched.time ());
-  Trace.emit (lazy (Trace.Txn_begin { txid = ctx.next_id; tid = Sched.self () }));
+  if Trace.enabled () then
+    Trace.emit
+      (lazy (Trace.Txn_begin { txid = ctx.next_id; tid = Sched.self () }));
   t
 
 let id t = t.txid
@@ -517,8 +519,9 @@ let validate ctx t =
           sv_entries_ok ctx t
         end
   in
-  Trace.emit ~level:Trace.Debug
-    (lazy (Trace.Validation { txid = t.txid; tid = Sched.self (); ok }));
+  if Trace.enabled_at Trace.Debug then
+    Trace.emit ~level:Trace.Debug
+      (lazy (Trace.Validation { txid = t.txid; tid = Sched.self (); ok }));
   ok
 
 (* Timestamp extension: a read observed a granule stamped newer than
@@ -555,7 +558,8 @@ let wound ctx ~victim ~by =
       flag.killed_by <- by;
       flag.killed_by_tid <- Sched.self ();
       ctx.stats.Stats.wounds <- ctx.stats.Stats.wounds + 1;
-      Trace.emit (lazy (Trace.Txn_wound { victim; by }))
+      if Trace.enabled () then
+        Trace.emit (lazy (Trace.Txn_wound { victim; by }))
   | Some _ | None -> ()
 
 (* A transaction pausing on a conflict revalidates (when quiescence is on)
@@ -609,20 +613,21 @@ let cm_resolve ctx t ~attempt ~writer obj =
         now = Sched.time ();
       }
   in
-  Trace.emit ~level:Trace.Debug
-    (lazy
-      (Trace.Cm_decision
-         {
-           tid = Sched.self ();
-           txid = t.txid;
-           policy = Stm_cm.Cm.name ctx.cm;
-           decision = Stm_cm.Cm.string_of_decision decision;
-           owner = Option.value ~default:(-1) owner;
-           delay =
-             (match decision with
-             | Stm_cm.Cm.Wait d | Stm_cm.Cm.Wound { delay = d; _ } -> d
-             | Stm_cm.Cm.Abort_self -> 0);
-         }));
+  if Trace.enabled_at Trace.Debug then
+    Trace.emit ~level:Trace.Debug
+      (lazy
+        (Trace.Cm_decision
+           {
+             tid = Sched.self ();
+             txid = t.txid;
+             policy = Stm_cm.Cm.name ctx.cm;
+             decision = Stm_cm.Cm.string_of_decision decision;
+             owner = Option.value ~default:(-1) owner;
+             delay =
+               (match decision with
+               | Stm_cm.Cm.Wait d | Stm_cm.Cm.Wound { delay = d; _ } -> d
+               | Stm_cm.Cm.Abort_self -> 0);
+           }));
   match decision with
   | Stm_cm.Cm.Abort_self ->
       t.abort_cause <- Trace.Cause_conflict;
@@ -663,58 +668,62 @@ let save_undo ctx t (obj : Heap.obj) fld =
     Sched.tick (ctx.cfg.cost.Cost.plain_load * len)
   end
 
+(* The per-access retry loops ([acquire_loop], [eager_read_loop]) are
+   top-level functions classifying the record with [Txrec.tag]: a local
+   closure over the arguments, or a decoded [Txrec.state], would be
+   allocated on every access. *)
+let rec acquire_loop ctx t expect (obj : Heap.obj) attempt =
+  let cost = ctx.cfg.cost in
+  let w = Heap.txrec_peek obj in
+  Sched.tick cost.Cost.plain_load;
+  match Txrec.tag w with
+  | Txrec.Tag_exclusive when Txrec.owner w = t.txid ->
+      Footprint.read obj.Heap.oid;
+      t.owned_prior.(Hashtbl.find t.owned obj.Heap.oid)
+  | Txrec.Tag_shared -> (
+      let ver = Txrec.version w in
+      Footprint.read obj.Heap.oid;
+      (match expect with
+      | Some e when e <> ver ->
+          (* a lazily buffered record changed version before commit-time
+             acquisition: the read that seeded the buffer is stale *)
+          t.last_oid <- obj.Heap.oid;
+          t.last_aggr <- -1;
+          t.last_aggr_tid <- -1;
+          t.abort_cause <- Trace.Cause_stale_lock;
+          raise Abort_txn
+      | Some _ | None -> ());
+      ctx.stats.Stats.atomic_ops <- ctx.stats.Stats.atomic_ops + 1;
+      Sched.tick cost.Cost.atomic_rmw;
+      Sched.yield ();
+      if Heap.txrec_cas obj w (Txrec.exclusive t.txid)
+      then begin
+        ensure_owned_capacity t;
+        Hashtbl.replace t.owned obj.Heap.oid t.nowned;
+        t.owned_obj.(t.nowned) <- obj;
+        t.owned_prior.(t.nowned) <- ver;
+        t.nowned <- t.nowned + 1;
+        Sched.yield ();
+        ver
+      end
+      else acquire_loop ctx t expect obj attempt)
+  | Txrec.Tag_exclusive when ancestor_owns t w ->
+      Footprint.read obj.Heap.oid;
+      raise Open_nest_conflict
+  | Txrec.Tag_exclusive | Txrec.Tag_exclusive_anon ->
+      observe_blocked ~attempt obj.Heap.oid;
+      cm_resolve ctx t ~attempt ~writer:true obj;
+      acquire_loop ctx t expect obj (attempt + 1)
+  | Txrec.Tag_private ->
+      (* The object was private when the caller checked and is being
+         published concurrently - retry the whole access. *)
+      Footprint.read obj.Heap.oid;
+      acquire_loop ctx t expect obj attempt
+
 (* Acquire exclusive ownership of [obj]'s record for this transaction
    (eager open-for-write, or lazy commit-time acquire with an expected
    version). Returns the prior version. *)
-let acquire ctx t ?expect (obj : Heap.obj) =
-  let cost = ctx.cfg.cost in
-  let rec go attempt =
-    let w = Heap.txrec_peek obj in
-    Sched.tick cost.Cost.plain_load;
-    match Txrec.decode w with
-    | Txrec.Exclusive o when o = t.txid ->
-        Footprint.read obj.Heap.oid;
-        t.owned_prior.(Hashtbl.find t.owned obj.Heap.oid)
-    | Txrec.Shared ver -> (
-        Footprint.read obj.Heap.oid;
-        (match expect with
-        | Some e when e <> ver ->
-            (* a lazily buffered record changed version before commit-time
-               acquisition: the read that seeded the buffer is stale *)
-            t.last_oid <- obj.Heap.oid;
-            t.last_aggr <- -1;
-            t.last_aggr_tid <- -1;
-            t.abort_cause <- Trace.Cause_stale_lock;
-            raise Abort_txn
-        | Some _ | None -> ());
-        ctx.stats.Stats.atomic_ops <- ctx.stats.Stats.atomic_ops + 1;
-        Sched.tick cost.Cost.atomic_rmw;
-        Sched.yield ();
-        if Heap.txrec_cas obj w (Txrec.exclusive t.txid)
-        then begin
-          ensure_owned_capacity t;
-          Hashtbl.replace t.owned obj.Heap.oid t.nowned;
-          t.owned_obj.(t.nowned) <- obj;
-          t.owned_prior.(t.nowned) <- ver;
-          t.nowned <- t.nowned + 1;
-          Sched.yield ();
-          ver
-        end
-        else go attempt)
-    | Txrec.Exclusive _ when ancestor_owns t w ->
-        Footprint.read obj.Heap.oid;
-        raise Open_nest_conflict
-    | Txrec.Exclusive _ | Txrec.Exclusive_anon _ ->
-        observe_blocked ~attempt obj.Heap.oid;
-        cm_resolve ctx t ~attempt ~writer:true obj;
-        go (attempt + 1)
-    | Txrec.Private ->
-        (* The object was private when the caller checked and is being
-           published concurrently - retry the whole access. *)
-        Footprint.read obj.Heap.oid;
-        go attempt
-  in
-  go 0
+let acquire ctx t ?expect obj = acquire_loop ctx t expect obj 0
 
 (* Publication duty inside transactions (Section 4, last paragraph): in an
    eager system a write of a reference into a public object immediately
@@ -744,50 +753,50 @@ let eager_write ctx t (obj : Heap.obj) fld v =
     Sched.yield ()
   end
 
-let eager_read ctx t (obj : Heap.obj) fld =
+let rec eager_read_loop ctx t (obj : Heap.obj) fld attempt =
   let cost = ctx.cfg.cost in
-  let rec go attempt =
-    let w = Heap.txrec_peek obj in
-    Sched.tick cost.Cost.plain_load;
-    match Txrec.decode w with
-    | Txrec.Private ->
-        Footprint.read obj.Heap.oid;
-        let v = Heap.get obj fld in
-        Sched.tick cost.Cost.plain_load;
-        v
-    | Txrec.Exclusive o when o = t.txid ->
-        Footprint.read obj.Heap.oid;
-        let v = Heap.get obj fld in
-        Sched.tick cost.Cost.plain_load;
-        v
-    | Txrec.Shared ver ->
-        Footprint.read obj.Heap.oid;
-        note_read t obj ver;
-        if timestamped ctx && Heap.version_ts obj > t.rv then
-          (* stamped by a commit newer than our read timestamp: extend
-             [rv] (or abort) before using the value *)
-          extend_rv ctx t;
-        Sched.yield ();
-        let v = Heap.get obj fld in
-        Sched.tick cost.Cost.plain_load;
-        if timestamped ctx && Heap.txrec_get obj <> Txrec.shared ver
-        then
-          (* the record moved across the preemption point inside the read:
-             the value may be newer than [rv] without rv-consistency —
-             retake the whole read (TL2's post-read recheck). Read-only
-             transactions skip commit validation, so each read must be
-             individually proven consistent at [rv]. *)
-          go attempt
-        else v
-    | Txrec.Exclusive _ when ancestor_owns t w ->
-        Footprint.read obj.Heap.oid;
-        raise Open_nest_conflict
-    | Txrec.Exclusive _ | Txrec.Exclusive_anon _ ->
-        observe_blocked ~attempt obj.Heap.oid;
-        cm_resolve ctx t ~attempt ~writer:false obj;
-        go (attempt + 1)
-  in
-  go 0
+  let w = Heap.txrec_peek obj in
+  Sched.tick cost.Cost.plain_load;
+  match Txrec.tag w with
+  | Txrec.Tag_private ->
+      Footprint.read obj.Heap.oid;
+      let v = Heap.get obj fld in
+      Sched.tick cost.Cost.plain_load;
+      v
+  | Txrec.Tag_exclusive when Txrec.owner w = t.txid ->
+      Footprint.read obj.Heap.oid;
+      let v = Heap.get obj fld in
+      Sched.tick cost.Cost.plain_load;
+      v
+  | Txrec.Tag_shared ->
+      let ver = Txrec.version w in
+      Footprint.read obj.Heap.oid;
+      note_read t obj ver;
+      if timestamped ctx && Heap.version_ts obj > t.rv then
+        (* stamped by a commit newer than our read timestamp: extend
+           [rv] (or abort) before using the value *)
+        extend_rv ctx t;
+      Sched.yield ();
+      let v = Heap.get obj fld in
+      Sched.tick cost.Cost.plain_load;
+      if timestamped ctx && Heap.txrec_get obj <> Txrec.shared ver
+      then
+        (* the record moved across the preemption point inside the read:
+           the value may be newer than [rv] without rv-consistency —
+           retake the whole read (TL2's post-read recheck). Read-only
+           transactions skip commit validation, so each read must be
+           individually proven consistent at [rv]. *)
+        eager_read_loop ctx t obj fld attempt
+      else v
+  | Txrec.Tag_exclusive when ancestor_owns t w ->
+      Footprint.read obj.Heap.oid;
+      raise Open_nest_conflict
+  | Txrec.Tag_exclusive | Txrec.Tag_exclusive_anon ->
+      observe_blocked ~attempt obj.Heap.oid;
+      cm_resolve ctx t ~attempt ~writer:false obj;
+      eager_read_loop ctx t obj fld (attempt + 1)
+
+let eager_read ctx t obj fld = eager_read_loop ctx t obj fld 0
 
 (* ------------------------------------------------------------------ *)
 (* Lazy versioning                                                     *)
@@ -949,21 +958,23 @@ let mvcc_end_snapshot ctx t =
 (* ------------------------------------------------------------------ *)
 
 let emit_txn_access op =
-  Trace.emit ~level:Trace.Debug
-    (lazy
-      (Trace.Barrier
-         {
-           tid = Sched.self ();
-           site = Site.current ();
-           op;
-           path = Trace.Path_fired;
-         }))
+  if Trace.enabled_at Trace.Debug then
+    Trace.emit ~level:Trace.Debug
+      (lazy
+        (Trace.Barrier
+           {
+             tid = Sched.self ();
+             site = Site.current ();
+             op;
+             path = Trace.Path_fired;
+           }))
 
 let emit_access ~txid (obj : Heap.obj) fld value ~write =
-  Trace.emit ~level:Trace.Debug
-    (lazy
-      (Trace.Access
-         { tid = Sched.self (); txid; oid = obj.Heap.oid; fld; value; write }))
+  if Trace.enabled_at Trace.Debug then
+    Trace.emit ~level:Trace.Debug
+      (lazy
+        (Trace.Access
+           { tid = Sched.self (); txid; oid = obj.Heap.oid; fld; value; write }))
 
 let txn_read ctx t obj fld =
   ctx.stats.Stats.txn_reads <- ctx.stats.Stats.txn_reads + 1;
@@ -1004,8 +1015,9 @@ let release_all ctx t =
   Hashtbl.clear t.owned
 
 let emit_serialized t =
-  Trace.emit ~level:Trace.Debug
-    (lazy (Trace.Txn_serialized { txid = t.txid; tid = Sched.self () }))
+  if Trace.enabled_at Trace.Debug then
+    Trace.emit ~level:Trace.Debug
+      (lazy (Trace.Txn_serialized { txid = t.txid; tid = Sched.self () }))
 
 let commit ctx t =
   check_wounded t;
@@ -1028,7 +1040,8 @@ let commit ctx t =
         match t.part with
         | Some p ->
             ctx.stats.Stats.quiesce_waits <- ctx.stats.Stats.quiesce_waits + 1;
-            Trace.emit (lazy (Trace.Quiesce_wait { txid = t.txid }));
+            if Trace.enabled () then
+              Trace.emit (lazy (Trace.Quiesce_wait { txid = t.txid }));
             Quiesce.mark_consistent ctx.q p;
             Quiesce.commit_epoch_wait ctx.q p
         | None -> ()
@@ -1156,16 +1169,17 @@ let commit ctx t =
   Footprint.write (Footprint.flag_oid t.txid);
   Hashtbl.remove ctx.registry t.txid;
   Stm_cm.Cm.on_commit ctx.cm ~txid:t.txid;
-  Trace.emit
-    (lazy
-      (Trace.Txn_commit
-         {
-           txid = t.txid;
-           tid = Sched.self ();
-           reads = t.nreads;
-           writes = t.naccesses;
-           latency = latency t;
-         }));
+  if Trace.enabled () then
+    Trace.emit
+      (lazy
+        (Trace.Txn_commit
+           {
+             txid = t.txid;
+             tid = Sched.self ();
+             reads = t.nreads;
+             writes = t.naccesses;
+             latency = latency t;
+           }));
   ctx.stats.Stats.commits <- ctx.stats.Stats.commits + 1;
   recycle ctx t
 
@@ -1208,18 +1222,19 @@ let abort ?(restart = true) ctx t =
         (t.last_aggr, t.last_aggr_tid, t.last_oid)
     | Trace.Cause_retry | Trace.Cause_exn -> (-1, -1, -1)
   in
-  Trace.emit
-    (lazy
-      (Trace.Txn_abort
-         {
-           txid = t.txid;
-           tid = Sched.self ();
-           wounded = t.flag.killed;
-           cause;
-           latency = latency t;
-           by;
-           by_tid;
-           oid;
-         }));
+  if Trace.enabled () then
+    Trace.emit
+      (lazy
+        (Trace.Txn_abort
+           {
+             txid = t.txid;
+             tid = Sched.self ();
+             wounded = t.flag.killed;
+             cause;
+             latency = latency t;
+             by;
+             by_tid;
+             oid;
+           }));
   ctx.stats.Stats.aborts <- ctx.stats.Stats.aborts + 1;
   recycle ctx t

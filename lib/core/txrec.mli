@@ -39,6 +39,13 @@ val private_word : int
 
 val decode : int -> state
 
+(** The state of a word without its payload: what {!decode} returns,
+    minus the allocation of the [state] block, for the per-access paths.
+    Read the payload with {!version} or {!owner}. *)
+type tag = Tag_shared | Tag_exclusive | Tag_exclusive_anon | Tag_private
+
+val tag : int -> tag
+
 val version : int -> int
 (** Version field of a Shared or Exclusive-anonymous word. *)
 

@@ -39,6 +39,10 @@ type exec = {
   mutable plans : site_plan array;  (* site id -> plan, per current cfg *)
   mutable plans_key : (bool * bool * Config.versioning) option;
       (* (strong, strong_writes, versioning) the plans were computed for *)
+  defaults : (string, Heap.value array) Hashtbl.t;
+      (* class -> typed default value of each instance field, for [New] *)
+  methods : (string, (string, Ir.meth) Hashtbl.t) Hashtbl.t;
+      (* class -> method name -> resolved method, for [Call] *)
 }
 
 (* Aggregated-barrier state: ownership of one object's record held across
@@ -99,9 +103,14 @@ let monitor_of ex (o : Heap.obj) =
       Hashtbl.replace ex.monitors o.Heap.oid m;
       m
 
+(* Shared boolean values: comparisons and [not] allocate nothing. *)
+let vtrue = Heap.Vbool true
+let vfalse = Heap.Vbool false
+let vbool b = if b then vtrue else vfalse
+
 let value_of_const = function
   | Ir.Cint n -> Heap.Vint n
-  | Ir.Cbool b -> Heap.Vbool b
+  | Ir.Cbool b -> vbool b
   | Ir.Cstr s -> Heap.Vstr s
   | Ir.Cnull -> Heap.Vnull
   | Ir.Reg _ -> assert false
@@ -109,6 +118,58 @@ let value_of_const = function
 let eval frame = function
   | Ir.Reg r -> frame.regs.(r)
   | c -> value_of_const c
+
+let default_value = function
+  | Ir.Tint -> Heap.Vint 0
+  | Ir.Tbool -> vfalse
+  | Ir.Tstr -> Heap.Vstr ""
+  | Ir.Tvoid | Ir.Tref _ | Ir.Tarr _ -> Heap.Vnull
+
+let new_frame (m : Ir.meth) =
+  { regs = Array.make (max m.Ir.nregs 1) Heap.Vnull; agg = None }
+
+(* Evaluate call arguments straight into the callee's registers, from
+   register [i] on. *)
+let rec store_args frame regs i = function
+  | [] -> ()
+  | a :: rest ->
+      regs.(i) <- eval frame a;
+      store_args frame regs (i + 1) rest
+
+(* Typed default value of every instance field of [cls], in layout
+   order; computed once per class. *)
+let class_defaults ex cls =
+  match Hashtbl.find ex.defaults cls with
+  | d -> d
+  | exception Not_found ->
+      let d =
+        Array.of_list
+          (List.map
+             (fun (f : Ir.field) -> default_value f.Ir.fty)
+             (Ir.instance_fields ex.prog cls))
+      in
+      Hashtbl.replace ex.defaults cls d;
+      d
+
+(* [Ir.find_method] resolved once per (class, method name). Raises
+   [Not_found] when the class has no such method. *)
+let find_method ex cls mname =
+  let by_name =
+    match Hashtbl.find ex.methods cls with
+    | t -> t
+    | exception Not_found ->
+        let t = Hashtbl.create 8 in
+        Hashtbl.replace ex.methods cls t;
+        t
+  in
+  match Hashtbl.find by_name mname with
+  | m -> m
+  | exception Not_found -> (
+      match Ir.find_method ex.prog cls mname with
+      | Some m ->
+          Hashtbl.replace by_name mname m;
+          m
+      | None -> raise Not_found)
 
 let as_int what = function
   | Heap.Vint n -> n
@@ -135,11 +196,6 @@ let agg_step frame (a : agg) =
     frame.agg <- None
   end
 
-let agg_active frame (o : Heap.obj) =
-  match frame.agg with
-  | Some a when a.a_obj == o -> Some a
-  | Some _ | None -> None
-
 (* A load from [o.(fld)] at a site annotated [note]. The barrier
    decision was precomputed into [ex.plans] at run start (see
    {!build_plans}); per access only the dynamic facts remain: are we in
@@ -159,14 +215,14 @@ let load ex frame (note : Ir.note) o fld =
     end
     else Stm.read o fld
   else
-    match agg_active frame o with
-    | Some a ->
+    match frame.agg with
+    | Some a when a.a_obj == o ->
         (* covered by an aggregated acquire: plain load *)
         Sched.tick cfg.cost.Cost.plain_load;
         let v = Heap.get o fld in
         agg_step frame a;
         v
-    | None -> (
+    | Some _ | None -> (
         match plan.p_nontxn with
         | P_removed -> Stm.read_nobarrier o fld
         | P_agg n ->
@@ -184,14 +240,14 @@ let store ex frame (note : Ir.note) o fld v =
   let cfg = ex.cfg in
   if Stm.in_txn () then Stm.write o fld v
   else
-    match agg_active frame o with
-    | Some a ->
+    match frame.agg with
+    | Some a when a.a_obj == o ->
         if cfg.dea && not (Txrec.is_private a.a_word) then
           Dea.publish_value (Stm.stats ()) cfg.cost v;
         Sched.tick cfg.cost.Cost.plain_store;
         Heap.set o fld v;
         agg_step frame a
-    | None -> (
+    | Some _ | None -> (
         match ex.plans.(note.Ir.site).p_nontxn with
         | P_removed -> Stm.write_nobarrier o fld v
         | P_agg n ->
@@ -273,26 +329,30 @@ and builtin ex name (args : Heap.value list) : Heap.value =
 (* ------------------------------------------------------------------ *)
 
 and exec_binop op a b =
-  let ib f = Heap.Vint (f (as_int "binop" a) (as_int "binop" b)) in
-  let cmp f = Heap.Vbool (f (as_int "binop" a) (as_int "binop" b)) in
   match op with
-  | Ir.Add -> ib ( + )
-  | Ir.Sub -> ib ( - )
-  | Ir.Mul -> ib ( * )
+  | Ir.Add | Ir.Sub | Ir.Mul | Ir.Lt | Ir.Le | Ir.Gt | Ir.Ge -> (
+      (* right operand first: a type error reports the same operand it
+         always did *)
+      let y = as_int "binop" b in
+      let x = as_int "binop" a in
+      match op with
+      | Ir.Add -> Heap.Vint (x + y)
+      | Ir.Sub -> Heap.Vint (x - y)
+      | Ir.Mul -> Heap.Vint (x * y)
+      | Ir.Lt -> vbool (x < y)
+      | Ir.Le -> vbool (x <= y)
+      | Ir.Gt -> vbool (x > y)
+      | _ -> vbool (x >= y))
   | Ir.Div ->
       let d = as_int "div" b in
       if d = 0 then err "division by zero" else Heap.Vint (as_int "div" a / d)
   | Ir.Mod ->
       let d = as_int "mod" b in
       if d = 0 then err "modulo by zero" else Heap.Vint (as_int "mod" a mod d)
-  | Ir.Lt -> cmp ( < )
-  | Ir.Le -> cmp ( <= )
-  | Ir.Gt -> cmp ( > )
-  | Ir.Ge -> cmp ( >= )
-  | Ir.Eq -> Heap.Vbool (Heap.value_equal a b)
-  | Ir.Ne -> Heap.Vbool (not (Heap.value_equal a b))
-  | Ir.And -> Heap.Vbool (as_bool "&&" a && as_bool "&&" b)
-  | Ir.Or -> Heap.Vbool (as_bool "||" a || as_bool "||" b)
+  | Ir.Eq -> vbool (Heap.value_equal a b)
+  | Ir.Ne -> vbool (not (Heap.value_equal a b))
+  | Ir.And -> vbool (as_bool "&&" a && as_bool "&&" b)
+  | Ir.Or -> vbool (as_bool "||" a || as_bool "||" b)
 
 (* Execute instructions from [pc] until [Ret] (returns its value) or until
    [stop_at] (exclusive; returns None). *)
@@ -314,41 +374,37 @@ and exec_range ex (m : Ir.meth) frame ~pc ~stop_at : Heap.value option option =
       | Ir.Unop (d, Ir.Neg, s) ->
           frame.regs.(d) <- Heap.Vint (-as_int "neg" (eval frame s))
       | Ir.Unop (d, Ir.Not, s) ->
-          frame.regs.(d) <- Heap.Vbool (not (as_bool "not" (eval frame s)))
+          frame.regs.(d) <- vbool (not (as_bool "not" (eval frame s)))
       | Ir.Binop (d, op, a, b) ->
           frame.regs.(d) <- exec_binop op (eval frame a) (eval frame b)
       | Ir.New { dst; cls; site = _ } ->
           ensure_initialized ex cls;
-          let fields = Ir.instance_fields ex.prog cls in
-          let o = Stm.alloc ~cls (List.length fields) in
+          let defaults = class_defaults ex cls in
+          let o = Stm.alloc ~cls (Array.length defaults) in
           (* typed default values; the object is thread-local at birth so
              raw stores are race-free *)
-          List.iteri
-            (fun i (f : Ir.field) ->
-              Heap.set o i
-                (match f.Ir.fty with
-                | Ir.Tint -> Heap.Vint 0
-                | Ir.Tbool -> Heap.Vbool false
-                | Ir.Tstr -> Heap.Vstr ""
-                | Ir.Tvoid | Ir.Tref _ | Ir.Tarr _ -> Heap.Vnull))
-            fields;
+          for i = 0 to Array.length defaults - 1 do
+            Heap.set o i defaults.(i)
+          done;
           frame.regs.(dst) <- Heap.Vref o
       | Ir.NewArr { dst; elt; len; site = _ } ->
           let n = as_int "new[]" (eval frame len) in
           if n < 0 then err "negative array length";
-          let init =
-            match elt with
-            | Ir.Tint -> Heap.Vint 0
-            | Ir.Tbool -> Heap.Vbool false
-            | Ir.Tstr -> Heap.Vstr ""
-            | Ir.Tvoid | Ir.Tref _ | Ir.Tarr _ -> Heap.Vnull
-          in
-          frame.regs.(dst) <- Heap.Vref (Stm.alloc_array n init)
+          frame.regs.(dst) <- Heap.Vref (Stm.alloc_array n (default_value elt))
       | Ir.Load { dst; obj; fld; fidx; note; _ } ->
-          let o = as_obj ("load ." ^ fld) (eval frame obj) in
+          (* the error message is built only on the error path *)
+          let o =
+            match eval frame obj with
+            | Heap.Vref o -> o
+            | v -> as_obj ("load ." ^ fld) v
+          in
           frame.regs.(dst) <- load ex frame note o fidx
       | Ir.Store { obj; fld; fidx; src; note; _ } ->
-          let o = as_obj ("store ." ^ fld) (eval frame obj) in
+          let o =
+            match eval frame obj with
+            | Heap.Vref o -> o
+            | v -> as_obj ("store ." ^ fld) v
+          in
           store ex frame note o fidx (eval frame src)
       | Ir.LoadS { dst; cls; fidx; note; _ } ->
           ensure_initialized ex cls;
@@ -375,19 +431,32 @@ and exec_range ex (m : Ir.meth) frame ~pc ~stop_at : Heap.value option option =
           frame.regs.(d) <- Heap.Vint (Heap.nfields o)
       | Ir.Call { dst; target; this; args } ->
           Sched.tick cost.Cost.call;
-          let thisv = Option.map (eval frame) this in
-          let argv = List.map (eval frame) args in
           let meth =
             match target with
             | Ir.Static (c, mname) -> (
-                match Ir.find_method ex.prog c mname with
-                | Some mm -> mm
-                | None -> err "unknown method %s::%s" c mname)
-            | Ir.Virtual (_, mname) ->
-                let o = as_obj ("call " ^ mname) (Option.get thisv) in
-                Ir.resolve_virtual ex.prog o.Heap.cls mname
+                match find_method ex c mname with
+                | mm -> mm
+                | exception Not_found -> err "unknown method %s::%s" c mname)
+            | Ir.Virtual (_, mname) -> (
+                let cls =
+                  match eval frame (Option.get this) with
+                  | Heap.Vref o -> o.Heap.cls
+                  | v -> (as_obj ("call " ^ mname) v).Heap.cls
+                in
+                match find_method ex cls mname with
+                | mm -> mm
+                | exception Not_found -> Ir.resolve_virtual ex.prog cls mname)
           in
-          let rv = call ex meth thisv argv in
+          let callee = new_frame meth in
+          let base =
+            match this with
+            | Some r ->
+                callee.regs.(0) <- eval frame r;
+                1
+            | None -> 0
+          in
+          store_args frame callee.regs base args;
+          let rv = run_frame ex meth callee in
           (match (dst, rv) with
           | Some d, Some v -> frame.regs.(d) <- v
           | Some d, None -> frame.regs.(d) <- Heap.Vnull
@@ -400,7 +469,7 @@ and exec_range ex (m : Ir.meth) frame ~pc ~stop_at : Heap.value option option =
           if as_bool "if" (eval frame c) then pc := target
       | Ir.Goto target -> pc := target
       | Ir.Ret v ->
-          result := Some (Option.map (eval frame) v);
+          result := Some (match v with Some r -> Some (eval frame r) | None -> None);
           finished := true
       | Ir.AtomicBegin end_pc ->
           let body_start = !pc in
@@ -429,9 +498,12 @@ and exec_range ex (m : Ir.meth) frame ~pc ~stop_at : Heap.value option option =
   !result
 
 and call ex (m : Ir.meth) this args : Heap.value option =
-  let frame = { regs = Array.make (max m.Ir.nregs 1) Heap.Vnull; agg = None } in
+  let frame = new_frame m in
   let base = match this with Some v -> frame.regs.(0) <- v; 1 | None -> 0 in
   List.iteri (fun i v -> frame.regs.(base + i) <- v) args;
+  run_frame ex m frame
+
+and run_frame ex (m : Ir.meth) frame =
   match exec_range ex m frame ~pc:0 ~stop_at:(-1) with
   | Some rv -> rv
   | None -> err "method %s::%s fell off the end" m.Ir.mcls m.Ir.mname
@@ -450,13 +522,7 @@ let init_statics ex =
           (fun i (f : Ir.field) ->
             match f.Ir.f_init with
             | Some c -> Heap.set o i (value_of_const c)
-            | None ->
-                Heap.set o i
-                  (match f.Ir.fty with
-                  | Ir.Tint -> Heap.Vint 0
-                  | Ir.Tbool -> Heap.Vbool false
-                  | Ir.Tstr -> Heap.Vstr ""
-                  | Ir.Tvoid | Ir.Tref _ | Ir.Tarr _ -> Heap.Vnull))
+            | None -> Heap.set o i (default_value f.Ir.fty))
           sfields;
         Hashtbl.replace ex.statics cname o
       end)
@@ -476,6 +542,8 @@ let make_exec ?(params = []) ?(profile = false) ~cfg prog =
     profile = (if profile then Some (Hashtbl.create 64) else None);
     plans = [||];
     plans_key = None;
+    defaults = Hashtbl.create 16;
+    methods = Hashtbl.create 16;
   }
 
 let exec_main ex =

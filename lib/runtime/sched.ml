@@ -348,8 +348,26 @@ let spawn ?(name = "thread") body =
   let e = get_engine () in
   (new_thread e name body).tid
 
+(* Under [Min_clock] a yield whose pick would be the yielding thread
+   itself - nothing runnable, or its (clock, tid) strictly below the heap
+   top - is decided here without the effect round trip: the step is still
+   counted (and fuel still spent), exactly as the loop would count its
+   pop of the thread it just pushed. Both functions are inlined: the
+   other policies, which always perform [Yield], then pay one tag test
+   for the check (out of line, the calls cost the explorer's [Controlled]
+   runs several percent). *)
+let[@inline] keeps_processor e =
+  match e.policy with
+  | Min_clock ->
+      e.steps < e.max_steps
+      && (e.heap_len = 0 || heap_less e.current e.heap.(0))
+  | Round_robin | Random _ | Controlled _ -> false
+
+let[@inline] yield_engine e =
+  if keeps_processor e then e.steps <- e.steps + 1 else perform Yield
+
 let yield () =
-  match !engine with None -> raise Not_in_simulation | Some _ -> perform Yield
+  match !engine with None -> raise Not_in_simulation | Some e -> yield_engine e
 
 let self () = (get_engine ()).current.tid
 
@@ -381,7 +399,7 @@ let pause n =
       if n <= 0 then perform Yield else go n
   | Round_robin | Min_clock | Controlled _ ->
       e.current.clock <- e.current.clock + max n 0;
-      perform Yield
+      yield_engine e
 
 let rebase () =
   let e = get_engine () in

@@ -58,7 +58,13 @@ val join : tid -> unit
 
 val yield : unit -> unit
 (** Preemption point. Under {!Min_clock} the scheduler switches only if
-    another runnable thread has a strictly smaller clock. *)
+    another runnable thread has a strictly smaller clock.
+
+    A yield that resumes the same thread still counts as a scheduling
+    decision: it adds one to [switches] and uses one step of [max_steps]
+    fuel, under every policy. Under {!Min_clock} such a yield returns
+    directly, without suspending the thread; the pick, the step count and
+    every clock are the same as if it had gone through the scheduler. *)
 
 val self : unit -> tid
 

@@ -112,10 +112,21 @@ let wr t o f v =
 
 (* Run [f] atomically with respect to the given shards: an atomic block
    under the STM modes, the shard mutexes in ascending order under the
-   lock baseline (total order on locks = no simulated deadlock). *)
+   lock baseline (total order on locks = no simulated deadlock).
+
+   Under the STM modes a doomed transaction can read a half-built entry
+   (a concurrent insert's null value) and fault in [Stm.to_int] before
+   any validation runs. As the interpreter does for its own faults, the
+   block validates on a fault (Section 3.4): a transaction that is no
+   longer valid aborts and retries; a valid one re-raises. *)
 let atomically t shs f =
   match t.mode with
-  | Strong | Weak | Mvcc -> Stm.atomic f
+  | Strong | Weak | Mvcc ->
+      Stm.atomic (fun () ->
+          match f () with
+          | v -> v
+          | exception Invalid_argument _ when not (Stm.valid ()) ->
+              Stm.abort_and_retry ())
   | Lock ->
       let shs = List.sort_uniq compare shs in
       let rec go = function

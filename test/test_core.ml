@@ -902,6 +902,48 @@ let trace_off_is_silent () =
        Trace.Txn_begin { txid = 0; tid = 0 }));
   check_bool "payload not forced" false !forced
 
+(* With no sink installed, the per-access path allocates nothing: no
+   trace payload, no retry-loop closure, no transaction-table lookup
+   result, no scheduler round trip for a lone thread. [Gc.minor_words]
+   counts exactly, so the bound is deterministic; the measurement itself
+   allocates a few boxed floats, well under the one word per access the
+   test allows. *)
+let accesses = 10_000
+
+let words_per_access f =
+  let before = Gc.minor_words () in
+  for _ = 1 to accesses do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int accesses
+
+let trace_off_allocation_free () =
+  Trace.set_sink None;
+  List.iter
+    (fun (name, cfg) ->
+      with_stm ~cfg (fun () ->
+          let o = Stm.alloc_public ~cls:"C" 2 in
+          let v = vi 7 in
+          let read () = ignore (Stm.read o 0 : Heap.value) in
+          let write () = Stm.write o 1 v in
+          let check what f =
+            (* one untimed access first, so that one-time set-up (the
+               transaction's read-set and undo-log entry) is not counted *)
+            f ();
+            let w = words_per_access f in
+            if w >= 1.0 then
+              Alcotest.failf "%s %s: %.2f words per access" name what w
+          in
+          check "barrier read" read;
+          check "barrier write" write;
+          Stm.atomic (fun () ->
+              check "txn read" read;
+              check "txn write" write)))
+    [
+      ("strong-eager", Config.eager_strong);
+      ("strong-eager-dea", Config.(with_dea eager_strong));
+    ]
+
 let suite =
   suite
   @ [
@@ -909,6 +951,7 @@ let suite =
         [
           case "events emitted" trace_events_emitted;
           case "off is silent and free" trace_off_is_silent;
+          case "off allocates nothing per access" trace_off_allocation_free;
         ] );
     ]
 

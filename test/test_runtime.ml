@@ -406,17 +406,32 @@ let suite =
 (* Reference model: workers indexed 1..n, each a list of tick amounts.
    A worker is picked len+1 times (start, then once per yield); pick k
    executes tick k. The model is the old linear scan: min (clock, tid)
-   over the unfinished workers. Main (tid 0) spawns then joins; its own
-   picks never reorder the workers (it only suspends and bumps its own
-   clock), so the workers' resume sequence is exactly the model's. *)
+   over the runnable threads. Main (tid 0) is picked first, spawns every
+   worker at its clock 0, then joins them in order: each join of a live
+   worker suspends main until that worker finishes, which makes main
+   runnable again at the finisher's clock. Main's picks never reorder the
+   workers (it only suspends and bumps its own clock), so the workers'
+   resume sequence is exactly the model's; the model also counts main's
+   picks, so its total is the run's [switches]. Returns the worker
+   resume order and the total pick count. *)
 let model_min_clock_order workss =
   let clocks = Array.of_list (List.map (fun _ -> 0) workss) in
   let rest = Array.of_list workss in
   let alive = Array.map (fun _ -> true) clocks in
   let n = Array.length clocks in
-  let order = ref [] in
-  let any_alive () = Array.exists (fun a -> a) alive in
-  while any_alive () do
+  let order = ref [] and picks = ref 1 in
+  (* main: its clock, whether it is runnable, and the next worker it
+     joins; the first pick (main spawning) is counted above *)
+  let main_clock = ref 0 and main_runnable = ref false and joining = ref 0 in
+  let main_joins () =
+    while !joining < n && not alive.(!joining) do
+      main_clock := max !main_clock clocks.(!joining);
+      incr joining
+    done
+  in
+  main_joins ();
+  let any_runnable () = !main_runnable || Array.exists (fun a -> a) alive in
+  while any_runnable () do
     let best = ref (-1) in
     for i = n - 1 downto 0 do
       if
@@ -426,15 +441,27 @@ let model_min_clock_order workss =
            || (clocks.(i) = clocks.(!best) && i < !best))
       then best := i
     done;
-    let i = !best in
-    order := (i + 1) :: !order;
-    (match rest.(i) with
-    | c :: tl ->
-        clocks.(i) <- clocks.(i) + c;
-        rest.(i) <- tl
-    | [] -> alive.(i) <- false)
+    incr picks;
+    if !main_runnable && (!best = -1 || !main_clock <= clocks.(!best)) then begin
+      main_runnable := false;
+      main_joins ()
+    end
+    else begin
+      let i = !best in
+      order := (i + 1) :: !order;
+      match rest.(i) with
+      | c :: tl ->
+          clocks.(i) <- clocks.(i) + c;
+          rest.(i) <- tl
+      | [] ->
+          alive.(i) <- false;
+          if !joining = i then begin
+            main_clock := max !main_clock clocks.(i);
+            main_runnable := true
+          end
+    end
   done;
-  List.rev !order
+  (List.rev !order, !picks)
 
 let run_min_clock_order workss =
   let order = ref [] in
@@ -456,13 +483,15 @@ let run_min_clock_order workss =
         List.iter Sched.join ts)
   in
   Alcotest.(check bool) "completed" true (r.Sched.status = Sched.Completed);
-  List.rev !order
+  (List.rev !order, r.Sched.switches)
 
 let sched_heap_qcheck =
   let open QCheck in
   [
     (* heap pick order = linear-scan model, with tick 0 forcing clock
-       ties so the (clock, tid) tie-break is exercised *)
+       ties so the (clock, tid) tie-break is exercised; the switch count
+       must match the model's pick count, so a yield that keeps its
+       thread running is still one scheduling decision *)
     Test.make ~name:"sched: heap picks = linear min-scan model" ~count:300
       (list_of_size (Gen.int_range 1 7)
          (list_of_size (Gen.int_range 0 9) (int_range 0 3)))
@@ -565,6 +594,43 @@ let sched_runnable_count () =
   |> fun r ->
   Alcotest.(check bool) "completed" true (r.Sched.status = Sched.Completed)
 
+(* A yield that resumes the thread that made it is still a scheduling
+   decision: it counts in [switches] and spends fuel. A lone thread
+   yielding 2k times, with [max_steps = k], must stop after exactly k
+   picks - its first start plus k - 1 yields that kept it running. *)
+let fuel = 1000
+
+let yield_loop () =
+  for _ = 1 to 2 * fuel do
+    Sched.tick 1;
+    Sched.yield ()
+  done
+
+let check_fuel_out (r : Sched.result) =
+  Alcotest.(check bool) "fuel exhausted" true
+    (r.Sched.status = Sched.Fuel_exhausted);
+  check_int "switches = max_steps" fuel r.Sched.switches
+
+let sched_lone_yield_spends_fuel () =
+  check_fuel_out (Sched.run ~max_steps:fuel yield_loop)
+
+(* The same with a second runnable thread whose clock stays higher: main
+   keeps the processor on every yield, and each one still costs a step. *)
+let sched_yield_below_peer_spends_fuel () =
+  let peer_runs = ref 0 in
+  check_fuel_out
+    (Sched.run ~max_steps:fuel (fun () ->
+         ignore
+           (Sched.spawn (fun () ->
+                incr peer_runs;
+                Sched.tick 1_000_000_000;
+                Sched.yield ();
+                incr peer_runs)
+             : Sched.tid);
+         yield_loop ()));
+  (* the peer ran once, at clock 0, and then never again *)
+  check_int "peer resumed once" 1 !peer_runs
+
 let suite =
   suite
   @ [
@@ -573,5 +639,8 @@ let suite =
         @ [
             case "wake order follows (clock, tid)" sched_heap_wake_order;
             case "O(1) runnable count" sched_runnable_count;
+            case "lone yield spends fuel" sched_lone_yield_spends_fuel;
+            case "yield below a peer spends fuel"
+              sched_yield_below_peer_spends_fuel;
           ] );
     ]

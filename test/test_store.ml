@@ -327,6 +327,19 @@ let record_rejects_structural () =
              record = true;
            }))
 
+(* A doomed rmw transaction can read a concurrent insert's half-built
+   entry and fault with [Invalid_argument "Stm.to_int: null"].
+   [Kv.atomically] must validate on the fault and retry, not let the
+   fault kill the client. The stock write-heavy profile hits it at
+   seed 3. *)
+let doomed_txn_fault_retries () =
+  let r =
+    Engine.run
+      { Engine.default with Engine.profile = Profile.write_heavy; seed = 3 }
+  in
+  check_bool "completed" true r.Engine.r_completed;
+  Alcotest.(check (list string)) "invariants" [] r.Engine.r_invariants
+
 let suite =
   [
     ( "store",
@@ -352,5 +365,7 @@ let suite =
         case "oracle: rejects weak mixed traffic" oracle_rejects_weak;
         case "oracle: structural profiles are not recordable"
           record_rejects_structural;
+        case "engine: doomed transaction fault retries (write-heavy, seed 3)"
+          doomed_txn_fault_retries;
       ] );
   ]
