@@ -31,9 +31,33 @@ let record_outcome tbl outcome =
   Hashtbl.replace tbl outcome
     (1 + Option.value ~default:0 (Hashtbl.find_opt tbl outcome))
 
+(* The default scheduling policy of one run: stay on the current thread
+   while it is runnable, and rotate to the next runnable thread (wrapping)
+   once one thread has taken [window] consecutive decisions. [last] and
+   [streak] track the thread actually chosen, whatever picked it. *)
+type fairness = { window : int; mutable last : Sched.tid; mutable streak : int }
+
+let fairness window = { window; last = -1; streak = 0 }
+
+let default_pick f current runnables =
+  if List.mem current runnables then
+    if f.last = current && f.streak >= f.window then
+      match List.find_opt (fun t -> t > current) runnables with
+      | Some t -> t
+      | None -> List.hd runnables
+    else current
+  else List.hd runnables
+
+let note_chosen f chosen =
+  if chosen = f.last then f.streak <- f.streak + 1
+  else begin
+    f.last <- chosen;
+    f.streak <- 1
+  end
+
 (* Execute one schedule. [prefix] forces the first choices; afterwards the
-   default policy applies (stay on the current thread, rotate after the
-   fairness window). Returns the decision trace and the outcome string. *)
+   default policy applies. Returns the decision trace and the outcome
+   string. *)
 let execute st ~max_steps ~fairness_window ~cfg ~make prefix =
   if st.runs >= st.max_runs then begin
     st.truncated <- true;
@@ -43,30 +67,15 @@ let execute st ~max_steps ~fairness_window ~cfg ~make prefix =
   let inst = make () in
   let trace = ref [] in
   let ndecisions = ref 0 in
-  let consecutive = ref 0 in
-  let last_default = ref (-1) in
+  let fair = fairness fairness_window in
   let choose current runnables =
     let i = !ndecisions in
     incr ndecisions;
-    let default =
-      if List.mem current runnables then
-        if !last_default = current && !consecutive >= fairness_window then
-          (* rotate: next runnable after current, wrapping *)
-          match List.filter (fun t -> t > current) runnables with
-          | t :: _ -> t
-          | [] -> List.hd runnables
-        else current
-      else List.hd runnables
-    in
     let chosen =
-      if i < Array.length prefix then prefix.(i) else default
+      if i < Array.length prefix then prefix.(i)
+      else default_pick fair current runnables
     in
-    (* keep fairness bookkeeping against actually-chosen thread *)
-    if chosen = !last_default then incr consecutive
-    else begin
-      last_default := chosen;
-      consecutive := 1
-    end;
+    note_chosen fair chosen;
     let alts = List.filter (fun t -> t <> chosen) runnables in
     trace := { chosen; alts } :: !trace;
     chosen
@@ -120,17 +129,17 @@ let explore ?(preemption_bound = 2) ?(max_runs = 40_000) ?(max_steps = 60_000)
      [npre] counts injected (non-default) choices in the prefix. *)
   let rec dfs prefix npre =
     let trace, _outcome = execute prefix in
-    if npre < preemption_bound then
-      let start = Array.length prefix in
-      for i = start to Array.length trace - 1 do
+    if npre < preemption_bound then begin
+      let chosen = Array.map (fun d -> d.chosen) trace in
+      for i = Array.length prefix to Array.length trace - 1 do
         List.iter
           (fun alt ->
-            let prefix' = Array.make (i + 1) 0 in
-            Array.blit (Array.map (fun d -> d.chosen) trace) 0 prefix' 0 i;
+            let prefix' = Array.sub chosen 0 (i + 1) in
             prefix'.(i) <- alt;
             dfs prefix' (npre + 1))
           trace.(i).alts
       done
+    end
   in
   (try dfs [||] 0 with Search_done -> ());
   let outcomes =
@@ -207,6 +216,146 @@ let fp_conflicts (a : fp) (b : fp) =
     false
   with Exit -> true
 
+(* Per-granule race index: for each thread, its latest segment that
+   accessed the granule (with that segment's level on it) and its latest
+   segment that wrote it; -1 = none. *)
+type granule = { acc : int array; acc_lv : int array; wr : int array }
+
+(* Vector-clock pass over one run's segments. Dependent = same thread
+   (program order), enabledness edge, or footprint conflict; each
+   conflicting pair not already ordered is an immediate race. Races are
+   reported only for [j >= start]: earlier pairs were analyzed when their
+   segments first executed.
+
+   A segment's conflict candidates come from the granule index, one per
+   other thread and shared granule: the thread's latest accessor if the
+   segment writes the granule, its latest writer otherwise. That is
+   exact, not an approximation: candidates are tested nearest first, and
+   a thread's earlier conflicting segment precedes the latest one in
+   program order, so by the time it is reached the latest one's clock
+   has been joined and already orders it; the join it would add is a
+   no-op. Same-thread candidates are dropped for the same reason: the
+   program-order join already orders them. *)
+let races ~chosen ~runnables ~(footprints : fp array) ~start =
+  let m = Array.length chosen in
+  if m = 0 then []
+  else begin
+    let nt =
+      1
+      + Array.fold_left
+          (fun acc rs -> List.fold_left max acc rs)
+          (Array.fold_left max 0 chosen)
+          runnables
+    in
+    (* enabledness edges: a thread runnable at decision [i+1] but not at
+       [i] was enabled by segment [i]; the edge targets that thread's
+       next segment, the head of its [cursor] list once the scan has
+       passed [i] *)
+    let cursor = Array.make nt [] in
+    for j = m - 1 downto 0 do
+      cursor.(chosen.(j)) <- j :: cursor.(chosen.(j))
+    done;
+    let edges_into = Array.make m [] in
+    for i = 0 to m - 2 do
+      List.iter
+        (fun t ->
+          if not (List.mem t runnables.(i)) then begin
+            let rec adv = function s :: rest when s <= i -> adv rest | l -> l in
+            cursor.(t) <- adv cursor.(t);
+            match cursor.(t) with
+            | s :: _ -> edges_into.(s) <- i :: edges_into.(s)
+            | [] -> ()
+          end)
+        runnables.(i + 1)
+    done;
+    (* per-segment local index within its thread (1-based) *)
+    let local = Array.make m 0 in
+    let tindex = Array.make nt 0 in
+    for j = 0 to m - 1 do
+      let t = chosen.(j) in
+      tindex.(t) <- tindex.(t) + 1;
+      local.(j) <- tindex.(t)
+    done;
+    let index : (int, granule) Hashtbl.t = Hashtbl.create 64 in
+    let clocks = Array.make m [||] in
+    let last_seg = Array.make nt (-1) in
+    (* candidate -> is the pair a reversible race (write/write or
+       write/read on some shared granule) rather than merely
+       ordering-relevant (write/spin-read)? *)
+    let cands : (int, bool) Hashtbl.t = Hashtbl.create 8 in
+    let add_cand i race =
+      match Hashtbl.find_opt cands i with
+      | Some true -> ()
+      | Some false -> if race then Hashtbl.replace cands i true
+      | None -> Hashtbl.add cands i race
+    in
+    let found = ref [] in
+    for j = 0 to m - 1 do
+      let t = chosen.(j) in
+      let c = Array.make nt 0 in
+      let join src =
+        Array.iteri (fun u v -> if v > c.(u) then c.(u) <- v) clocks.(src)
+      in
+      if last_seg.(t) >= 0 then join last_seg.(t);
+      List.iter join edges_into.(j);
+      Hashtbl.clear cands;
+      Hashtbl.iter
+        (fun oid lv ->
+          match Hashtbl.find_opt index oid with
+          | None -> ()
+          | Some g ->
+              for u = 0 to nt - 1 do
+                if u <> t then
+                  if lv = 2 then begin
+                    let i = g.acc.(u) in
+                    if i >= 0 then add_cand i (g.acc_lv.(u) >= 1)
+                  end
+                  else
+                    let i = g.wr.(u) in
+                    if i >= 0 then add_cand i (lv = 1)
+              done)
+        footprints.(j);
+      (* nearest first, so that a chain through a later conflict orders
+         the earlier ones before they are tested (only immediate races
+         get reversed) *)
+      let sorted =
+        Hashtbl.fold (fun i race acc -> (i, race) :: acc) cands []
+        |> List.sort (fun (a, _) (b, _) -> compare b a)
+      in
+      List.iter
+        (fun (i, race) ->
+          if race && c.(chosen.(i)) < local.(i) && j >= start then
+            (* unordered reversible pair: an immediate race *)
+            found := (i, j) :: !found;
+          join i)
+        sorted;
+      c.(t) <- local.(j);
+      clocks.(j) <- c;
+      last_seg.(t) <- j;
+      Hashtbl.iter
+        (fun oid lv ->
+          let g =
+            match Hashtbl.find_opt index oid with
+            | Some g -> g
+            | None ->
+                let g =
+                  {
+                    acc = Array.make nt (-1);
+                    acc_lv = Array.make nt 0;
+                    wr = Array.make nt (-1);
+                  }
+                in
+                Hashtbl.add index oid g;
+                g
+          in
+          g.acc.(t) <- j;
+          g.acc_lv.(t) <- lv;
+          if lv = 2 then g.wr.(t) <- j)
+        footprints.(j)
+    done;
+    List.rev !found
+  end
+
 (* One node of the schedule tree: the pre-state of segment [i], i.e.
    the state in which scheduling decision [i] is taken. Determinism of
    the simulation means the prefix of choices identifies the state, so
@@ -250,8 +399,7 @@ let execute_dpor st ~max_steps ~fairness_window ~cfg ~make ~use_sleep
   let decs = ref [] in
   let fps = ref [] in
   let ndecisions = ref 0 in
-  let consecutive = ref 0 in
-  let last_default = ref (-1) in
+  let fair = fairness fairness_window in
   let cur_fp = ref (Hashtbl.create 8 : fp) in
   let cur_sleep = ref [] in
   let recording = ref true in
@@ -268,20 +416,8 @@ let execute_dpor st ~max_steps ~fairness_window ~cfg ~make ~use_sleep
         fps := !cur_fp :: !fps;
         cur_sleep := []
       end;
-      let default =
-        if List.mem current runnables then
-          if !last_default = current && !consecutive >= fairness_window then
-            match List.filter (fun t -> t > current) runnables with
-            | t :: _ -> t
-            | [] -> List.hd runnables
-          else current
-        else List.hd runnables
-      in
-      if default = !last_default then incr consecutive
-      else begin
-        last_default := default;
-        consecutive := 1
-      end;
+      let default = default_pick fair current runnables in
+      note_chosen fair default;
       default
     end
     else begin
@@ -297,16 +433,7 @@ let execute_dpor st ~max_steps ~fairness_window ~cfg ~make ~use_sleep
           List.filter (fun (_, f) -> not (fp_conflicts f prev_fp)) !cur_sleep;
       let entry_sleep = !cur_sleep in
       let default =
-        let policy_default =
-          if List.mem current runnables then
-            if !last_default = current && !consecutive >= fairness_window
-            then
-              match List.filter (fun t -> t > current) runnables with
-              | t :: _ -> t
-              | [] -> List.hd runnables
-            else current
-          else List.hd runnables
-        in
+        let policy_default = default_pick fair current runnables in
         if use_sleep && List.mem_assoc policy_default entry_sleep then
           (* the policy default's next step is covered by an explored
              sibling: divert to a non-sleeping runnable. The divert is
@@ -322,11 +449,7 @@ let execute_dpor st ~max_steps ~fairness_window ~cfg ~make ~use_sleep
         else policy_default
       in
       let chosen = if i < Array.length prefix then prefix.(i) else default in
-      if chosen = !last_default then incr consecutive
-      else begin
-        last_default := chosen;
-        consecutive := 1
-      end;
+      note_chosen fair chosen;
       (* siblings explored earlier from this node go to sleep for the
          branch below [chosen] *)
       if use_sleep then begin
@@ -408,7 +531,7 @@ let explore_dpor ?preemption_bound ?(max_runs = 40_000) ?(max_steps = 60_000)
      cross-checks bounded-DPOR verdicts against the enumerative
      baseline (see Matrix.certify and the CI gate). *)
   let use_sleep = true in
-  let races = ref 0 in
+  let nraces = ref 0 in
   let complete = ref true in
   (* growable stack of schedule-tree nodes along the current branch *)
   let nodes = ref [||] in
@@ -442,117 +565,6 @@ let explore_dpor ?preemption_bound ?(max_runs = 40_000) ?(max_steps = 60_000)
     let tj = decs.(j).r_chosen in
     if List.mem tj nd.n_runnables then add tj
     else List.iter add nd.n_runnables
-  in
-  (* Vector-clock pass over one run's segments. Dependent = same thread
-     (program order), enabledness edge, or footprint conflict; each
-     conflicting pair not already ordered is an immediate race. Races
-     are counted and reversed only for [j >= start]: earlier pairs were
-     analyzed when their segments first executed. *)
-  let analyze (decs : rdec array) (fps : fp array) ~start =
-    let m = Array.length decs in
-    if m > 0 then begin
-      let nt =
-        1
-        + Array.fold_left
-            (fun acc d ->
-              List.fold_left (fun a t -> max a t) (max acc d.r_chosen)
-                d.r_runnables)
-            0 decs
-      in
-      (* enabledness edges: a thread runnable at decision [i+1] but not
-         at [i] was enabled by segment [i]; the edge targets that
-         thread's next segment *)
-      let segs_of = Array.make nt [] in
-      for j = m - 1 downto 0 do
-        segs_of.(decs.(j).r_chosen) <- j :: segs_of.(decs.(j).r_chosen)
-      done;
-      let cursor = Array.copy segs_of in
-      let edges_into = Array.make m [] in
-      for i = 0 to m - 2 do
-        List.iter
-          (fun t ->
-            if not (List.mem t decs.(i).r_runnables) then begin
-              let rec adv = function
-                | s :: rest when s <= i -> adv rest
-                | l -> l
-              in
-              cursor.(t) <- adv cursor.(t);
-              match cursor.(t) with
-              | s :: _ -> edges_into.(s) <- i :: edges_into.(s)
-              | [] -> ()
-            end)
-          decs.(i + 1).r_runnables
-      done;
-      (* per-segment local index within its thread (1-based) *)
-      let local = Array.make m 0 in
-      let tindex = Array.make nt 0 in
-      for j = 0 to m - 1 do
-        let t = decs.(j).r_chosen in
-        tindex.(t) <- tindex.(t) + 1;
-        local.(j) <- tindex.(t)
-      done;
-      (* conflict candidates via a per-granule access index *)
-      let by_oid : (int, (int * int) list ref) Hashtbl.t =
-        Hashtbl.create 64
-      in
-      let clocks = Array.make m [||] in
-      let last_seg = Array.make nt (-1) in
-      for j = 0 to m - 1 do
-        let t = decs.(j).r_chosen in
-        let c = Array.make nt 0 in
-        let join src =
-          Array.iteri (fun u v -> if v > c.(u) then c.(u) <- v) clocks.(src)
-        in
-        if last_seg.(t) >= 0 then join last_seg.(t);
-        List.iter join edges_into.(j);
-        (* conflicting earlier segments, nearest first so that a chain
-           through a later conflict orders the earlier ones before they
-           are tested (only immediate races get reversed) *)
-        (* candidate -> is the pair a reversible race (write/write or
-           write/read on some shared granule) rather than merely
-           ordering-relevant (write/spin-read)? *)
-        let cands = Hashtbl.create 8 in
-        Hashtbl.iter
-          (fun oid lv ->
-            match Hashtbl.find_opt by_oid oid with
-            | None -> ()
-            | Some l ->
-                List.iter
-                  (fun (i, lvi) ->
-                    if lv = 2 || lvi = 2 then
-                      let race = lv + lvi >= 3 in
-                      match Hashtbl.find_opt cands i with
-                      | Some true -> ()
-                      | Some false ->
-                          if race then Hashtbl.replace cands i true
-                      | None -> Hashtbl.add cands i race)
-                  !l)
-          fps.(j);
-        let sorted =
-          Hashtbl.fold (fun i race acc -> (i, race) :: acc) cands []
-          |> List.sort (fun (a, _) (b, _) -> compare b a)
-        in
-        List.iter
-          (fun (i, race) ->
-            if race && c.(decs.(i).r_chosen) < local.(i) && j >= start
-            then begin
-              (* unordered reversible pair: an immediate race *)
-              incr races;
-              insert_backtrack decs i j
-            end;
-            join i)
-          sorted;
-        c.(t) <- local.(j);
-        clocks.(j) <- c;
-        last_seg.(t) <- j;
-        Hashtbl.iter
-          (fun oid lv ->
-            match Hashtbl.find_opt by_oid oid with
-            | Some l -> l := (j, lv) :: !l
-            | None -> Hashtbl.add by_oid oid (ref [ (j, lv) ]))
-          fps.(j)
-      done
-    end
   in
   let run_branch prefix =
     let decs, fps, status, ndec, outcome =
@@ -592,7 +604,18 @@ let explore_dpor ?preemption_bound ?(max_runs = 40_000) ?(max_steps = 60_000)
           n_preemptions = preempt;
         }
     done;
-    analyze decs fps ~start:(max 0 (base - 1));
+    (* only races whose later segment is new in this run, from the
+       flipped decision [base - 1] on: earlier pairs were analyzed by the
+       run that first executed them *)
+    List.iter
+      (fun (i, j) ->
+        incr nraces;
+        insert_backtrack decs i j)
+      (races
+         ~chosen:(Array.map (fun d -> d.r_chosen) decs)
+         ~runnables:(Array.map (fun d -> d.r_runnables) decs)
+         ~footprints:fps
+         ~start:(max 0 (base - 1)));
     match stop_when with
     | Some pred when pred outcome ->
         complete := false;
@@ -654,7 +677,7 @@ let explore_dpor ?preemption_bound ?(max_runs = 40_000) ?(max_steps = 60_000)
         deadlocks = st.deadlocks;
       };
     complete = !complete && not st.truncated;
-    races = !races;
+    races = !nraces;
   }
 
 (* ------------------------------------------------------------------ *)

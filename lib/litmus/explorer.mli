@@ -123,8 +123,37 @@ val explore_dpor :
       granule and the txid counter, whose orders cannot change their
       decisions.
 
+    Per executed schedule of [m] recorded segments with [F] footprint
+    entries in all, over [n] threads, the race analysis ({!races}) costs
+    O((m + F)·n²), plus sorting each segment's candidates (at most
+    [n - 1] per granule it touches): linear in [m] for a fixed thread
+    count. The rest of the per-schedule bookkeeping is linear in [m] too.
+
     Defaults as {!explore} otherwise: [max_runs = 40_000],
     [max_steps = 60_000], [fairness_window = 64]. *)
+
+val races :
+  chosen:Stm_runtime.Sched.tid array ->
+  runnables:Stm_runtime.Sched.tid list array ->
+  footprints:(int, int) Hashtbl.t array ->
+  start:int ->
+  (int * int) list
+(** The race analysis {!explore_dpor} runs on each executed schedule.
+    Segment [j] is what thread [chosen.(j)] ran after decision [j], taken
+    among the ascending [runnables.(j)]; [footprints.(j)] maps each
+    granule it touched to its strongest access level (2 = write,
+    1 = read, 0 = futile spin-wait re-read). Returns the immediate races
+    [(i, j)], [i < j], with [j >= start], in the order the search inserts
+    their reversals into its backtrack sets: by ascending [j], then by
+    descending [i]. Two segments conflict when they are on different
+    threads, share a granule and one of them writes it; the pair is
+    reversible unless the other access is a spin re-read; it is a race
+    when nothing orders it through program order, enabledness (a thread
+    becoming runnable after a segment) or an earlier conflict.
+
+    Linear in the number of segments: each granule keeps, per thread,
+    its latest accessor and its latest writer, so a segment is tested
+    against at most one segment per other thread and shared granule. *)
 
 val explore_pct :
   ?runs:int ->

@@ -36,16 +36,19 @@ type stats = {
    direct-mapped ring keyed by the low bits of the timestamp. Entries for
    old timestamps are evicted by newer installs that alias the slot;
    lookups then return nothing, which degrades to the unattributed abort
-   the layer produced before the ring existed. *)
+   the layer produced before the ring existed. The ring is allocated by
+   the first install: every [Stm.run] creates a layer, and only the mvcc
+   backend installs versions. *)
 let installer_ring = 256
 
 type t = {
   gvc : Gvc.t;  (* the commit clock — shared with the rest of the system *)
   max_versions : int;  (* chain bound, current version included *)
   active : (int, int) Hashtbl.t;  (* snapshot ts -> live-transaction count *)
-  inst_ts : int array;  (* ring slot -> timestamp, -1 = empty *)
-  inst_txid : int array;  (* installing txid, -1 = non-transactional *)
-  inst_tid : int array;  (* installing thread *)
+  mutable inst_ts : int array;
+      (* ring slot -> timestamp, -1 = empty; [||] until the first install *)
+  mutable inst_txid : int array;  (* installing txid, -1 = non-transactional *)
+  mutable inst_tid : int array;  (* installing thread *)
   stats : stats;
 }
 
@@ -57,9 +60,9 @@ let create ?gvc ?(max_versions = default_max_versions) () =
     gvc = (match gvc with Some g -> g | None -> Gvc.create ());
     max_versions;
     active = Hashtbl.create 32;
-    inst_ts = Array.make installer_ring (-1);
-    inst_txid = Array.make installer_ring (-1);
-    inst_tid = Array.make installer_ring (-1);
+    inst_ts = [||];
+    inst_txid = [||];
+    inst_tid = [||];
     stats = { installs = 0; pruned = 0; snapshot_reads = 0; too_old = 0; ro_commits = 0 };
   }
 
@@ -131,6 +134,11 @@ let install ?(txid = -1) ?(tid = -1) t (obj : Heap.obj) ~ts =
   Footprint.write Footprint.oid_mvcc;
   Heap.push_version obj;
   Heap.set_version_ts obj ts;
+  if Array.length t.inst_ts = 0 then begin
+    t.inst_ts <- Array.make installer_ring (-1);
+    t.inst_txid <- Array.make installer_ring (-1);
+    t.inst_tid <- Array.make installer_ring (-1)
+  end;
   let slot = ts land (installer_ring - 1) in
   t.inst_ts.(slot) <- ts;
   t.inst_txid.(slot) <- txid;
@@ -146,7 +154,7 @@ let install ?(txid = -1) ?(tid = -1) t (obj : Heap.obj) ~ts =
 let installer_of t ~ts =
   Footprint.read Footprint.oid_mvcc;
   let slot = ts land (installer_ring - 1) in
-  if ts >= 0 && t.inst_ts.(slot) = ts then
+  if ts >= 0 && Array.length t.inst_ts > 0 && t.inst_ts.(slot) = ts then
     Some (t.inst_txid.(slot), t.inst_tid.(slot))
   else None
 

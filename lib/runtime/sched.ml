@@ -58,6 +58,14 @@ type engine = {
   max_steps : int;
   mutable exns : (tid * exn) list;
   mutable fuel_out : bool;
+  mutable pending : int;
+      (* >= 0: the loop's next pick was taken at a yield (see
+         [yield_pick]); it is this tid unless [pending_exn] is set. Only
+         the [Controlled] and [Random] picks look at it, so the
+         [Min_clock] loop pays nothing for it. *)
+  mutable pending_exn : (exn * Printexc.raw_backtrace) option;
+      (* what that pick raised, re-raised by [pick] so that it escapes
+         [run] rather than the yielding thread's body *)
 }
 
 type _ Effect.t +=
@@ -213,27 +221,49 @@ let start_body e t body =
           | _ -> None);
     }
 
-(* Ascending list of runnable tids (the [Controlled] callback contract). *)
+(* Every thread the loop may pick: the Runnable ones, plus the Running
+   one when the pick is taken at its yield (in the loop nothing is
+   Running, and a yielding thread is Runnable again). *)
+let ready t = match t.state with Runnable | Running -> true | Suspended | Done -> false
+
+(* Ascending list of ready tids (the [Controlled] callback contract). *)
 let runnables e =
   let acc = ref [] in
   for tid = e.nthreads - 1 downto 0 do
-    if e.by_tid.(tid).state = Runnable then acc := tid :: !acc
+    if ready e.by_tid.(tid) then acc := tid :: !acc
   done;
   !acc
 
-(* The k-th runnable thread in tid order: [Random]'s pick, replacing the
+(* The k-th ready thread in tid order: [Random]'s pick, replacing the
    old [List.nth ready k] without building the list. *)
 let kth_runnable e k =
   let i = ref 0 and seen = ref (-1) and found = ref None in
   while !found = None do
     let t = e.by_tid.(!i) in
-    if t.state = Runnable then begin
+    if ready t then begin
       incr seen;
       if !seen = k then found := Some t
     end;
     incr i
   done;
   Option.get !found
+
+let choose_checked choose current ready =
+  let tid = choose current ready in
+  if not (List.mem tid ready) then
+    invalid_arg "Sched.Controlled: chose a non-runnable thread";
+  tid
+
+(* The pick [yield_pick] took for the loop: a thread, or what the pick
+   raised. *)
+let take_pending e =
+  let t = e.by_tid.(e.pending) in
+  e.pending <- -1;
+  match e.pending_exn with
+  | Some (ex, bt) ->
+      e.pending_exn <- None;
+      Printexc.raise_with_backtrace ex bt
+  | None -> Some t
 
 let pick e =
   if e.nrunnable = 0 then None
@@ -257,15 +287,15 @@ let pick e =
         e.rr_cursor <- chosen;
         Some (thread_of e chosen)
     | Random _ ->
-        let rng = Option.get e.rng in
-        Some (kth_runnable e (Det_rng.int rng e.nrunnable))
+        if e.pending >= 0 then take_pending e
+        else
+          let rng = Option.get e.rng in
+          Some (kth_runnable e (Det_rng.int rng e.nrunnable))
     | Min_clock -> Some (heap_pop e)
     | Controlled choose ->
-        let ready = runnables e in
-        let tid = choose e.current.tid ready in
-        if not (List.mem tid ready) then
-          invalid_arg "Sched.Controlled: chose a non-runnable thread";
-        Some (thread_of e tid)
+        if e.pending >= 0 then take_pending e
+        else
+          Some (thread_of e (choose_checked choose e.current.tid (runnables e)))
 
 let rec loop e =
   if e.steps >= e.max_steps then e.fuel_out <- true
@@ -318,6 +348,8 @@ let run ?(max_steps = 10_000_000) ?(policy = Min_clock) main =
       max_steps;
       exns = [];
       fuel_out = false;
+      pending = -1;
+      pending_exn = None;
     }
   in
   engine := Some e;
@@ -353,8 +385,8 @@ let spawn ?(name = "thread") body =
    top - is decided here without the effect round trip: the step is still
    counted (and fuel still spent), exactly as the loop would count its
    pop of the thread it just pushed. Both functions are inlined: the
-   other policies, which always perform [Yield], then pay one tag test
-   for the check (out of line, the calls cost the explorer's [Controlled]
+   other policies then pay one tag test for the check before the call to
+   [yield_pick] (out of line, the check costs the explorer's [Controlled]
    runs several percent). *)
 let[@inline] keeps_processor e =
   match e.policy with
@@ -363,8 +395,38 @@ let[@inline] keeps_processor e =
       && (e.heap_len = 0 || heap_less e.current e.heap.(0))
   | Round_robin | Random _ | Controlled _ -> false
 
+(* Under [Controlled] and [Random] the loop's pick is taken at the yield
+   itself, on the same inputs: the yielding thread counts as ready, as
+   it would once the effect handler re-queued it, and fuel is checked
+   first, as the loop checks it. A pick of the yielding thread only
+   counts the step; any other pick (or whatever the pick raised) is left
+   in [pending] for the loop, which the yield then enters. *)
+let[@inline never] yield_pick e =
+  if e.steps >= e.max_steps then perform Yield
+  else
+    match e.policy with
+    | Controlled choose -> (
+        let cur = e.current.tid in
+        match choose_checked choose cur (runnables e) with
+        | tid when tid = cur -> e.steps <- e.steps + 1
+        | tid ->
+            e.pending <- tid;
+            perform Yield
+        | exception ex ->
+            e.pending <- cur;
+            e.pending_exn <- Some (ex, Printexc.get_raw_backtrace ());
+            perform Yield)
+    | Random _ ->
+        let t = kth_runnable e (Det_rng.int (Option.get e.rng) (e.nrunnable + 1)) in
+        if t == e.current then e.steps <- e.steps + 1
+        else begin
+          e.pending <- t.tid;
+          perform Yield
+        end
+    | Min_clock | Round_robin -> perform Yield
+
 let[@inline] yield_engine e =
-  if keeps_processor e then e.steps <- e.steps + 1 else perform Yield
+  if keeps_processor e then e.steps <- e.steps + 1 else yield_pick e
 
 let yield () =
   match !engine with None -> raise Not_in_simulation | Some e -> yield_engine e
@@ -393,10 +455,10 @@ let pause n =
         if remaining <= 0 then ()
         else (
           e.current.clock <- e.current.clock + min quantum remaining;
-          perform Yield;
+          yield_pick e;
           go (remaining - quantum))
       in
-      if n <= 0 then perform Yield else go n
+      if n <= 0 then yield_pick e else go n
   | Round_robin | Min_clock | Controlled _ ->
       e.current.clock <- e.current.clock + max n 0;
       yield_engine e

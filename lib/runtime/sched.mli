@@ -28,7 +28,10 @@ type policy =
   | Controlled of (tid -> tid list -> tid)
       (** [choose current runnables] picks the next thread to run;
           [runnables] is sorted and non-empty, [current] is the thread that
-          just yielded (it may or may not be in [runnables]). *)
+          just yielded (it may or may not be in [runnables]). An exception
+          raised by [choose], or the [Invalid_argument] for a pick outside
+          [runnables], escapes {!run}, also when the pick is taken at a
+          {!yield}. *)
 
 type status = Completed | Deadlock of tid list | Fuel_exhausted
 
@@ -62,9 +65,14 @@ val yield : unit -> unit
 
     A yield that resumes the same thread still counts as a scheduling
     decision: it adds one to [switches] and uses one step of [max_steps]
-    fuel, under every policy. Under {!Min_clock} such a yield returns
-    directly, without suspending the thread; the pick, the step count and
-    every clock are the same as if it had gone through the scheduler. *)
+    fuel, under every policy. Under {!Min_clock}, {!Controlled} and
+    {!Random} such a yield returns directly, without suspending the
+    thread; the pick, the step count and every clock are the same as if
+    it had gone through the scheduler. {!Controlled} and {!Random} take
+    the pick at the yield itself (with the yielding thread among the
+    runnables, fuel permitting): the [choose] callback receives the same
+    arguments in the same order, and the [Random] stream is drawn the
+    same way. Only {!Round_robin} always suspends. *)
 
 val self : unit -> tid
 

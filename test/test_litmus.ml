@@ -510,6 +510,190 @@ let dpor_equiv_qcheck =
            && d.Explorer.complete);
   ]
 
+(* Reference for [Explorer.races]: the original race pass, which tests a
+   segment against every earlier access to each granule it touches
+   (O(m^2) per run). The index-based pass must report the same races in
+   the same order. *)
+let races_reference ~chosen ~runnables ~(footprints : (int, int) Hashtbl.t array)
+    ~start =
+  let m = Array.length chosen in
+  if m = 0 then []
+  else begin
+    let nt =
+      1
+      + Array.fold_left
+          (fun acc rs -> List.fold_left max acc rs)
+          (Array.fold_left max 0 chosen)
+          runnables
+    in
+    let segs_of = Array.make nt [] in
+    for j = m - 1 downto 0 do
+      segs_of.(chosen.(j)) <- j :: segs_of.(chosen.(j))
+    done;
+    let cursor = Array.copy segs_of in
+    let edges_into = Array.make m [] in
+    for i = 0 to m - 2 do
+      List.iter
+        (fun t ->
+          if not (List.mem t runnables.(i)) then begin
+            let rec adv = function s :: rest when s <= i -> adv rest | l -> l in
+            cursor.(t) <- adv cursor.(t);
+            match cursor.(t) with
+            | s :: _ -> edges_into.(s) <- i :: edges_into.(s)
+            | [] -> ()
+          end)
+        runnables.(i + 1)
+    done;
+    let local = Array.make m 0 in
+    let tindex = Array.make nt 0 in
+    for j = 0 to m - 1 do
+      let t = chosen.(j) in
+      tindex.(t) <- tindex.(t) + 1;
+      local.(j) <- tindex.(t)
+    done;
+    let by_oid : (int, (int * int) list ref) Hashtbl.t = Hashtbl.create 64 in
+    let clocks = Array.make m [||] in
+    let last_seg = Array.make nt (-1) in
+    let found = ref [] in
+    for j = 0 to m - 1 do
+      let t = chosen.(j) in
+      let c = Array.make nt 0 in
+      let join src =
+        Array.iteri (fun u v -> if v > c.(u) then c.(u) <- v) clocks.(src)
+      in
+      if last_seg.(t) >= 0 then join last_seg.(t);
+      List.iter join edges_into.(j);
+      let cands = Hashtbl.create 8 in
+      Hashtbl.iter
+        (fun oid lv ->
+          match Hashtbl.find_opt by_oid oid with
+          | None -> ()
+          | Some l ->
+              List.iter
+                (fun (i, lvi) ->
+                  if lv = 2 || lvi = 2 then
+                    let race = lv + lvi >= 3 in
+                    match Hashtbl.find_opt cands i with
+                    | Some true -> ()
+                    | Some false -> if race then Hashtbl.replace cands i true
+                    | None -> Hashtbl.add cands i race)
+                !l)
+        footprints.(j);
+      let sorted =
+        Hashtbl.fold (fun i race acc -> (i, race) :: acc) cands []
+        |> List.sort (fun (a, _) (b, _) -> compare b a)
+      in
+      List.iter
+        (fun (i, race) ->
+          if race && c.(chosen.(i)) < local.(i) && j >= start then
+            found := (i, j) :: !found;
+          join i)
+        sorted;
+      c.(t) <- local.(j);
+      clocks.(j) <- c;
+      last_seg.(t) <- j;
+      Hashtbl.iter
+        (fun oid lv ->
+          match Hashtbl.find_opt by_oid oid with
+          | Some l -> l := (j, lv) :: !l
+          | None -> Hashtbl.add by_oid oid (ref [ (j, lv) ]))
+        footprints.(j)
+    done;
+    List.rev !found
+  end
+
+(* One recorded run for the race pass: per segment, the chosen thread,
+   the runnable set it was chosen from, and its footprint as
+   (granule, level) pairs; plus the analysis start. *)
+type race_run = {
+  segs : (int * int list * (int * int) list) array;
+  start : int;
+}
+
+let footprint pairs =
+  let h = Hashtbl.create 8 in
+  List.iter
+    (fun (oid, lv) ->
+      match Hashtbl.find_opt h oid with
+      | Some l when l >= lv -> ()
+      | Some _ | None -> Hashtbl.replace h oid lv)
+    pairs;
+  h
+
+let races_of run f =
+  f
+    ~chosen:(Array.map (fun (t, _, _) -> t) run.segs)
+    ~runnables:(Array.map (fun (_, rs, _) -> rs) run.segs)
+    ~footprints:(Array.map (fun (_, _, fp) -> footprint fp) run.segs)
+    ~start:run.start
+
+(* 2-4 threads, up to 300 segments. Each runnable set holds the chosen
+   thread plus a random subset of the others, so threads drop out and
+   come back (enabledness edges). A footprint touches up to four
+   granules at any of the three levels, mostly among four hot granules
+   every thread shares. *)
+let race_run_gen =
+  let open QCheck.Gen in
+  int_range 2 4 >>= fun nt ->
+  let granule = frequency [ (4, int_bound 3); (1, int_bound 24) ] in
+  let seg =
+    int_bound (nt - 1) >>= fun t ->
+    list_repeat nt bool >>= fun on ->
+    list_size (int_range 0 4) (pair granule (int_bound 2)) >|= fun fp ->
+    (t, List.filter (fun u -> u = t || List.nth on u) (List.init nt Fun.id), fp)
+  in
+  int_range 0 300 >>= fun m ->
+  array_repeat m seg >>= fun segs ->
+  int_range 0 m >|= fun start -> { segs; start }
+
+let race_run_print run =
+  Printf.sprintf "start=%d [%s]" run.start
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (fun (t, rs, fp) ->
+               Printf.sprintf "%d/{%s}:%s" t
+                 (String.concat "," (List.map string_of_int rs))
+                 (String.concat ","
+                    (List.map (fun (o, l) -> Printf.sprintf "g%d=%d" o l) fp)))
+             run.segs)))
+
+let races_qcheck =
+  let open QCheck in
+  [
+    Test.make ~name:"races: granule index = all-pairs reference" ~count:300
+      (make ~print:race_run_print race_run_gen) (fun run ->
+        races_of run Explorer.races = races_of run races_reference);
+  ]
+
+(* Hand-checked cases: a write/write pair races; a read/read pair does
+   not; a write against a spin re-read orders but never races; a race
+   hidden behind a nearer conflict of the same thread is not immediate. *)
+let races_small () =
+  let run segs = races_of { segs = Array.of_list segs; start = 0 } Explorer.races in
+  let both = [ 0; 1 ] in
+  let pairs = Alcotest.(list (pair int int)) in
+  Alcotest.check pairs "w/w" [ (0, 1) ]
+    (run [ (0, both, [ (7, 2) ]); (1, both, [ (7, 2) ]) ]);
+  Alcotest.check pairs "r/r" [] (run [ (0, both, [ (7, 1) ]); (1, both, [ (7, 1) ]) ]);
+  Alcotest.check pairs "w/spin" []
+    (run [ (0, both, [ (7, 2) ]); (1, both, [ (7, 0) ]) ]);
+  Alcotest.check pairs "nearest first" [ (1, 2) ]
+    (run
+       [
+         (0, both, [ (7, 2) ]); (0, both, [ (7, 2) ]); (1, both, [ (7, 2) ]);
+       ]);
+  Alcotest.check pairs "start" [ (1, 2) ]
+    (races_of
+       {
+         segs =
+           [|
+             (0, both, [ (7, 2) ]); (1, both, [ (7, 2) ]); (0, both, [ (7, 2) ]);
+           |];
+         start = 2;
+       }
+       Explorer.races)
+
 let dpor_cases =
   [
     case "fig6 certified with >= 5x fewer runs" dpor_certifies_fig6;
@@ -517,8 +701,9 @@ let dpor_cases =
     case "explore: runs = livelocks + outcomes" explore_accounts_livelocks;
     case "explore_dpor: runs = livelocks + outcomes"
       explore_dpor_accounts_livelocks;
+    case "races: hand-checked cases" races_small;
   ]
-  @ List.map QCheck_alcotest.to_alcotest dpor_equiv_qcheck
+  @ List.map QCheck_alcotest.to_alcotest (dpor_equiv_qcheck @ races_qcheck)
 
 (* quiescence orders write-backs but does not close the 4a read window *)
 let quiesce_does_not_fix_mi_rw () =

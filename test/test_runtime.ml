@@ -631,6 +631,207 @@ let sched_yield_below_peer_spends_fuel () =
   (* the peer ran once, at clock 0, and then never again *)
   check_int "peer resumed once" 1 !peer_runs
 
+(* ------------------------------------------------------------------ *)
+(* Picks taken at the yield: [Controlled] and [Random] must behave as  *)
+(* if every yield went through the scheduler loop                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A program: main (tid 0) spawns one worker per action list, runs its
+   own actions, then joins the workers in order. Action [0] is a yield,
+   [n > 0] a [pause n]. Every thread notes its tid when it starts and
+   after each action. *)
+type yprog = { main_acts : int list; workers : int list list }
+
+let yield_act a = if a = 0 then Sched.yield () else Sched.pause a
+
+let run_yprog ~max_steps policy p =
+  let notes = ref [] in
+  let note () = notes := Sched.self () :: !notes in
+  let body acts () =
+    note ();
+    List.iter
+      (fun a ->
+        yield_act a;
+        note ())
+      acts
+  in
+  let r =
+    Sched.run ~max_steps ~policy (fun () ->
+        let ts = List.map (fun w -> Sched.spawn (body w)) p.workers in
+        body p.main_acts ();
+        List.iter Sched.join ts)
+  in
+  (List.rev !notes, r.Sched.switches, r.Sched.status)
+
+(* Reference model of the effect path: a yielding thread re-enters the
+   runnable set, then the loop checks fuel and picks among the ascending
+   runnable tids; a thread that suspends or finishes does not re-enter.
+   An action is one yield, except a [pause n] under [Random], which is
+   ceil(n / 16) yields; only the resume after an action's last yield is
+   noted. [pick current ready] stands for the policy's choice. *)
+let model_yprog ~max_steps ~random p pick =
+  let nyields a = if a > 0 && random then (a + 15) / 16 else 1 in
+  let expand acts =
+    List.concat_map
+      (fun a -> List.init (nyields a) (fun k -> k = nyields a - 1))
+      acts
+  in
+  let n = List.length p.workers in
+  (* per thread (tid 0 is main): its pending yields, each flagged with
+     whether the resume after it is noted *)
+  let yields = Array.of_list (expand p.main_acts :: List.map expand p.workers) in
+  let started = Array.make (n + 1) false in
+  let done_ = Array.make (n + 1) false in
+  let resume_noted = Array.make (n + 1) false in
+  let runnable = Array.make (n + 1) false in
+  runnable.(0) <- true;
+  (* main's join phase: [joining] workers are joined; [waiting] = main
+     is suspended in the join of the next one *)
+  let joining = ref 0 and waiting = ref false in
+  let notes = ref [] and steps = ref 0 and current = ref 0 in
+  let main_joins () =
+    while !joining < n && done_.(!joining + 1) do
+      incr joining
+    done;
+    if !joining = n then done_.(0) <- true else waiting := true
+  in
+  let run_thread t =
+    if not started.(t) then begin
+      started.(t) <- true;
+      notes := t :: !notes;
+      if t = 0 then for w = 1 to n do runnable.(w) <- true done
+    end
+    else if resume_noted.(t) then notes := t :: !notes;
+    match yields.(t) with
+    | noted :: rest ->
+        yields.(t) <- rest;
+        resume_noted.(t) <- noted;
+        runnable.(t) <- true
+    | [] ->
+        resume_noted.(t) <- false;
+        if t = 0 then main_joins ()
+        else begin
+          done_.(t) <- true;
+          if !waiting && !joining = t - 1 then begin
+            waiting := false;
+            runnable.(0) <- true
+          end
+        end
+  in
+  let status = ref Sched.Completed in
+  (try
+     while true do
+       if !steps >= max_steps then begin
+         status := Sched.Fuel_exhausted;
+         raise Exit
+       end;
+       let ready = List.filter (fun t -> runnable.(t)) (List.init (n + 1) Fun.id) in
+       if ready = [] then raise Exit;
+       let c = pick !current ready in
+       incr steps;
+       runnable.(c) <- false;
+       current := c;
+       run_thread c
+     done
+   with Exit -> ());
+  (List.rev !notes, !steps, !status)
+
+let yprog_gen =
+  let open QCheck.Gen in
+  let acts = list_size (int_range 0 6) (frequency [ (3, return 0); (1, int_range 1 70) ]) in
+  pair
+    (pair (int_range 1 60) (int_range 0 9999))
+    (pair acts (list_size (int_range 0 4) acts))
+
+let yprog_print ((max_steps, seed), (main_acts, workers)) =
+  let acts l = "[" ^ String.concat ";" (List.map string_of_int l) ^ "]" in
+  Printf.sprintf "max_steps=%d seed=%d main=%s workers=%s" max_steps seed
+    (acts main_acts)
+    (String.concat " " (List.map acts workers))
+
+(* A scripted [choose]: stays on the current thread half the time when
+   it can, otherwise picks uniformly; logs every call's arguments. *)
+let scripted_choose seed =
+  let st = Random.State.make [| seed |] in
+  let log = ref [] in
+  let choose current ready =
+    log := (current, ready) :: !log;
+    if List.mem current ready && Random.State.bool st then current
+    else List.nth ready (Random.State.int st (List.length ready))
+  in
+  (choose, log)
+
+let yield_pick_qcheck =
+  let open QCheck in
+  let arb = make ~print:yprog_print yprog_gen in
+  [
+    Test.make ~name:"sched: Controlled yield-time picks = effect-path model"
+      ~count:300 arb (fun ((max_steps, seed), (main_acts, workers)) ->
+        let p = { main_acts; workers } in
+        let choose, log = scripted_choose seed in
+        let real = run_yprog ~max_steps (Sched.Controlled choose) p in
+        let choose', log' = scripted_choose seed in
+        let model = model_yprog ~max_steps ~random:false p choose' in
+        real = model && List.rev !log = List.rev !log');
+    Test.make ~name:"sched: Random yield-time picks = effect-path model"
+      ~count:300 arb (fun ((max_steps, seed), (main_acts, workers)) ->
+        let p = { main_acts; workers } in
+        let real = run_yprog ~max_steps (Sched.Random seed) p in
+        let rng = Det_rng.create seed in
+        let pick _ ready = List.nth ready (Det_rng.int rng (List.length ready)) in
+        real = model_yprog ~max_steps ~random:true p pick);
+  ]
+
+(* Whatever [choose] raises escapes [Sched.run], also when the pick is
+   taken at a yield: it must not turn into an exception of the yielding
+   thread. *)
+exception Choose_failed
+
+let two_yielders () =
+  let w = Sched.spawn (fun () -> Sched.yield ()) in
+  Sched.yield ();
+  Sched.yield ();
+  Sched.join w
+
+(* [choose] that applies [f] on call [k + 1] only and otherwise keeps
+   the lowest ready tid; in [two_yielders] calls 2 and 3 are taken at
+   main's yields, so only an exception that escapes [run] from there
+   ends the run with it. *)
+let choose_at k f =
+  let calls = ref 0 in
+  fun current ready ->
+    incr calls;
+    if !calls = k + 1 then f current ready else List.hd ready
+
+let sched_choose_raises () =
+  List.iter
+    (fun k ->
+      Alcotest.check_raises
+        (Printf.sprintf "raise at call %d" (k + 1))
+        Choose_failed
+        (fun () ->
+          ignore
+            (Sched.run
+               ~policy:
+                 (Sched.Controlled (choose_at k (fun _ _ -> raise Choose_failed)))
+               two_yielders));
+      check_bool "engine released" false (Sched.running ()))
+    [ 0; 1; 2 ]
+
+let sched_choose_non_runnable () =
+  List.iter
+    (fun k ->
+      Alcotest.check_raises
+        (Printf.sprintf "bad pick at call %d" (k + 1))
+        (Invalid_argument "Sched.Controlled: chose a non-runnable thread")
+        (fun () ->
+          ignore
+            (Sched.run
+               ~policy:(Sched.Controlled (choose_at k (fun _ _ -> 7)))
+               two_yielders));
+      check_bool "engine released" false (Sched.running ()))
+    [ 0; 1; 2 ]
+
 let suite =
   suite
   @ [
@@ -642,5 +843,11 @@ let suite =
             case "lone yield spends fuel" sched_lone_yield_spends_fuel;
             case "yield below a peer spends fuel"
               sched_yield_below_peer_spends_fuel;
+          ] );
+      ( "runtime:sched-yield-pick",
+        List.map QCheck_alcotest.to_alcotest yield_pick_qcheck
+        @ [
+            case "an exception from choose escapes run" sched_choose_raises;
+            case "a non-runnable choice escapes run" sched_choose_non_runnable;
           ] );
     ]
