@@ -753,12 +753,16 @@ let run_list () =
    nothing, so missed "yes" cells are reported, not fatal). *)
 
 let explore_cells ~bound rows =
+  let all = Stm_litmus.Matrix.full_matrix ~bound () in
   match rows with
   | "fig6" ->
-      List.concat_map
-        (fun p -> List.map (fun m -> (p, m, bound)) Stm_litmus.Modes.all_fig6)
-        Stm_litmus.Programs.fig6_rows
-  | "all" -> Stm_litmus.Matrix.full_matrix ~bound ()
+      List.filter
+        (fun (p, m, _) ->
+          List.mem_assoc p.Stm_litmus.Programs.name
+            Stm_litmus.Matrix.expected_fig6
+          && List.mem m Stm_litmus.Modes.all_fig6)
+        all
+  | "all" -> all
   | other ->
       Fmt.failwith "unknown --explore-rows %s (expected fig6 or all)" other
 

@@ -16,32 +16,55 @@ type decision = {
   alts : Sched.tid list;  (* runnable alternatives not chosen *)
 }
 
+(* Scheduling constants shared by every engine: the default policy
+   rotates after [fairness_window] consecutive decisions of one thread,
+   and DPOR analyzes at most [analysis_horizon] decisions of a run. *)
+let fairness_window = 64
+let analysis_horizon = 2_000
+
+(* One search: its budget, the run parameters, and the books every
+   engine keeps the same way. *)
 type state = {
-  mutable outcome_tbl : (string, int) Hashtbl.t;
+  cfg : Stm_core.Config.t;
+  make : unit -> instance;
+  max_steps : int;
+  max_runs : int;
+  stop_when : string -> bool;
+  outcome_tbl : (string, int) Hashtbl.t;
   mutable runs : int;
   mutable livelocks : int;
   mutable deadlocks : int;
-  max_runs : int;
   mutable truncated : bool;
+  mutable stopped : bool;
 }
 
 exception Search_done
 
-let record_outcome tbl outcome =
-  Hashtbl.replace tbl outcome
-    (1 + Option.value ~default:0 (Hashtbl.find_opt tbl outcome))
+let start ~max_runs ~max_steps ?(stop_when = fun _ -> false) ~cfg ~make () =
+  {
+    cfg;
+    make;
+    max_steps;
+    max_runs;
+    stop_when;
+    outcome_tbl = Hashtbl.create 16;
+    runs = 0;
+    livelocks = 0;
+    deadlocks = 0;
+    truncated = false;
+    stopped = false;
+  }
 
 (* The default scheduling policy of one run: stay on the current thread
    while it is runnable, and rotate to the next runnable thread (wrapping)
-   once one thread has taken [window] consecutive decisions. [last] and
-   [streak] track the thread actually chosen, whatever picked it. *)
-type fairness = { window : int; mutable last : Sched.tid; mutable streak : int }
-
-let fairness window = { window; last = -1; streak = 0 }
+   once one thread has taken [fairness_window] consecutive decisions.
+   [last] and [streak] track the thread actually chosen, whatever picked
+   it. *)
+type fairness = { mutable last : Sched.tid; mutable streak : int }
 
 let default_pick f current runnables =
   if List.mem current runnables then
-    if f.last = current && f.streak >= f.window then
+    if f.last = current && f.streak >= fairness_window then
       match List.find_opt (fun t -> t > current) runnables with
       | Some t -> t
       | None -> List.hd runnables
@@ -55,80 +78,111 @@ let note_chosen f chosen =
     f.streak <- 1
   end
 
-(* Execute one schedule. [prefix] forces the first choices; afterwards the
-   default policy applies. Returns the decision trace and the outcome
-   string. *)
-let execute st ~max_steps ~fairness_window ~cfg ~make prefix =
+(* The one schedule executor. Runs a fresh instance under [pick], which
+   every engine supplies: [pick fair i current runnables] takes decision
+   [i] and must [note_chosen fair] its choice. [sink], if given, receives
+   the run's footprint reports. Charges the run against [max_runs] and
+   books its outcome: a fuel-exhausted schedule is accounted in
+   [livelocks] only (it has no final state, so recording "<livelock>"
+   would break [runs = livelocks + sum of outcome counts]); a deadlock
+   reaches a final (stuck) state and stays in the outcome table. Returns
+   the scheduler status, the outcome and the number of decisions. *)
+let execute ?sink st pick =
   if st.runs >= st.max_runs then begin
     st.truncated <- true;
     raise Search_done
   end;
   st.runs <- st.runs + 1;
-  let inst = make () in
-  let trace = ref [] in
+  Sim_mutex.reset_ids ();
+  let inst = st.make () in
+  let fair = { last = -1; streak = 0 } in
   let ndecisions = ref 0 in
-  let fair = fairness fairness_window in
   let choose current runnables =
     let i = !ndecisions in
-    incr ndecisions;
-    let chosen =
-      if i < Array.length prefix then prefix.(i)
-      else default_pick fair current runnables
-    in
-    note_chosen fair chosen;
-    let alts = List.filter (fun t -> t <> chosen) runnables in
-    trace := { chosen; alts } :: !trace;
-    chosen
+    ndecisions := i + 1;
+    pick fair i current runnables
   in
-  let result =
-    Stm_core.Stm.run ~policy:(Sched.Controlled choose) ~max_steps ~cfg
-      inst.main
+  (* cleared on every exit by hand: [Fun.protect]'s closures would cost
+     every run an allocation *)
+  Footprint.set_sink sink;
+  let result, _ =
+    match
+      Stm_core.Stm.run ~policy:(Sched.Controlled choose)
+        ~max_steps:st.max_steps ~cfg:st.cfg inst.main
+    with
+    | r ->
+        Footprint.set_sink None;
+        r
+    | exception e ->
+        Footprint.set_sink None;
+        raise e
   in
-  let sched_result = fst result in
+  let status = result.Sched.status in
   let outcome =
-    match sched_result.Sched.status with
+    match status with
     | Sched.Completed -> (
-        match sched_result.Sched.exns with
+        match result.Sched.exns with
         | [] -> inst.observe ()
         | (_, ex) :: _ -> "<exn:" ^ Printexc.to_string ex ^ ">")
-    | Sched.Deadlock _ -> "<deadlock>"
-    | Sched.Fuel_exhausted -> "<livelock>"
+    | Sched.Deadlock _ ->
+        st.deadlocks <- st.deadlocks + 1;
+        "<deadlock>"
+    | Sched.Fuel_exhausted ->
+        st.livelocks <- st.livelocks + 1;
+        "<livelock>"
   in
-  (* A fuel-exhausted schedule is accounted in [livelocks] only: it has
-     no final state, so recording "<livelock>" as an outcome would break
-     [runs = livelocks + sum of outcome counts]. Deadlocks do reach a
-     final (stuck) state and stay in the outcome table. *)
-  (match sched_result.Sched.status with
-  | Sched.Deadlock _ ->
-      st.deadlocks <- st.deadlocks + 1;
-      record_outcome st.outcome_tbl outcome
-  | Sched.Fuel_exhausted -> st.livelocks <- st.livelocks + 1
-  | Sched.Completed -> record_outcome st.outcome_tbl outcome);
-  (Array.of_list (List.rev !trace), outcome)
+  if status <> Sched.Fuel_exhausted then
+    Hashtbl.replace st.outcome_tbl outcome
+      (1 + Option.value ~default:0 (Hashtbl.find_opt st.outcome_tbl outcome));
+  (status, outcome, !ndecisions)
+
+(* Ends the search once a run produced the outcome [stop_when] asks for;
+   called by each engine after it has taken what it needs from the run. *)
+let stop st outcome =
+  if st.stop_when outcome then begin
+    st.stopped <- true;
+    raise Search_done
+  end
+
+(* Runs an engine's walk until it ends or [Search_done] cuts it short,
+   and reports what the search saw. *)
+let search st walk =
+  (try walk () with Search_done -> ());
+  {
+    outcomes =
+      Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.outcome_tbl []
+      |> List.sort compare;
+    runs = st.runs;
+    truncated = st.truncated;
+    livelocks = st.livelocks;
+    deadlocks = st.deadlocks;
+  }
 
 let explore ?(preemption_bound = 2) ?(max_runs = 40_000) ?(max_steps = 60_000)
-    ?(fairness_window = 64) ?stop_when ~cfg ~make () =
-  let st =
-    {
-      outcome_tbl = Hashtbl.create 16;
-      runs = 0;
-      livelocks = 0;
-      deadlocks = 0;
-      max_runs;
-      truncated = false;
-    }
-  in
+    ?stop_when ~cfg ~make () =
+  let st = start ~max_runs ~max_steps ?stop_when ~cfg ~make () in
+  (* Run one schedule: [prefix] forces the first choices, the default
+     policy takes the rest. Returns the decision trace. *)
   let execute prefix =
-    let trace, outcome = execute st ~max_steps ~fairness_window ~cfg ~make prefix in
-    (match stop_when with
-    | Some pred when pred outcome -> raise Search_done
-    | Some _ | None -> ());
-    (trace, outcome)
+    let trace = ref [] in
+    let pick fair i current runnables =
+      let chosen =
+        if i < Array.length prefix then prefix.(i)
+        else default_pick fair current runnables
+      in
+      note_chosen fair chosen;
+      let alts = List.filter (fun t -> t <> chosen) runnables in
+      trace := { chosen; alts } :: !trace;
+      chosen
+    in
+    let _, outcome, _ = execute st pick in
+    stop st outcome;
+    Array.of_list (List.rev !trace)
   in
   (* DFS over the scheduling tree. [prefix] replays forced choices;
      [npre] counts injected (non-default) choices in the prefix. *)
   let rec dfs prefix npre =
-    let trace, _outcome = execute prefix in
+    let trace = execute prefix in
     if npre < preemption_bound then begin
       let chosen = Array.map (fun d -> d.chosen) trace in
       for i = Array.length prefix to Array.length trace - 1 do
@@ -141,18 +195,7 @@ let explore ?(preemption_bound = 2) ?(max_runs = 40_000) ?(max_steps = 60_000)
       done
     end
   in
-  (try dfs [||] 0 with Search_done -> ());
-  let outcomes =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.outcome_tbl []
-    |> List.sort compare
-  in
-  {
-    outcomes;
-    runs = st.runs;
-    truncated = st.truncated;
-    livelocks = st.livelocks;
-    deadlocks = st.deadlocks;
-  }
+  search st (fun () -> dfs [||] 0)
 
 let observed e pred = List.exists (fun (o, _) -> pred o) e.outcomes
 
@@ -381,60 +424,47 @@ type rdec = {
   r_sleep : (Sched.tid * fp) list;  (* entry sleep set at this decision *)
 }
 
-(* Execute one schedule under the footprint sink. [prefix] replays the
-   current branch; free decisions follow the same default policy as
-   [execute] (stay, rotate after the fairness window), except that with
-   sleep sets on, a default whose next step is asleep is swapped for a
-   non-sleeping runnable. Returns the decisions (capped at [horizon]),
-   their footprints, the scheduler status and the outcome. *)
-let execute_dpor st ~max_steps ~fairness_window ~cfg ~make ~use_sleep
-    ~(nodes : node array) ~nnodes ~horizon prefix =
-  if st.runs >= st.max_runs then begin
-    st.truncated <- true;
-    raise Search_done
-  end;
-  st.runs <- st.runs + 1;
-  Sim_mutex.reset_ids ();
-  let inst = make () in
+(* Run one schedule under the footprint sink. [prefix] replays the
+   current branch; free decisions follow the default policy, except that
+   a default whose next step is asleep is swapped for a non-sleeping
+   runnable. Returns the decisions (capped at [analysis_horizon]), their
+   footprints, the scheduler status, the number of decisions and the
+   outcome. *)
+let execute_dpor st ~(nodes : node array) ~nnodes prefix =
   let decs = ref [] in
   let fps = ref [] in
-  let ndecisions = ref 0 in
-  let fair = fairness fairness_window in
   let cur_fp = ref (Hashtbl.create 8 : fp) in
   let cur_sleep = ref [] in
   let recording = ref true in
-  let choose current runnables =
-    let i = !ndecisions in
-    incr ndecisions;
-    if i >= horizon then begin
+  let pick fair i current runnables =
+    if i >= analysis_horizon then begin
       (* beyond the analysis horizon: stop recording (and sleeping) and
          let the plain default policy finish or burn out the run *)
       if !recording then begin
         recording := false;
         (* close the last recorded segment so decisions and footprints
            stay in lockstep *)
-        fps := !cur_fp :: !fps;
-        cur_sleep := []
+        fps := !cur_fp :: !fps
       end;
       let default = default_pick fair current runnables in
       note_chosen fair default;
       default
     end
     else begin
-      (* close the previous segment; the pre-first-decision preamble is
-         discarded (it is a fixed prefix of every schedule) *)
+      (* close the previous segment (the pre-first-decision preamble is
+         discarded: it is a fixed prefix of every schedule) and wake
+         sleepers whose pending step conflicts with it *)
       let prev_fp = !cur_fp in
-      if i > 0 then fps := prev_fp :: !fps;
-      cur_fp := Hashtbl.create 8;
-      (* wake sleepers whose pending step conflicts with the segment
-         that just ran *)
-      if use_sleep && i > 0 then
+      if i > 0 then begin
+        fps := prev_fp :: !fps;
         cur_sleep :=
-          List.filter (fun (_, f) -> not (fp_conflicts f prev_fp)) !cur_sleep;
+          List.filter (fun (_, f) -> not (fp_conflicts f prev_fp)) !cur_sleep
+      end;
+      cur_fp := Hashtbl.create 8;
       let entry_sleep = !cur_sleep in
       let default =
         let policy_default = default_pick fair current runnables in
-        if use_sleep && List.mem_assoc policy_default entry_sleep then
+        if List.mem_assoc policy_default entry_sleep then
           (* the policy default's next step is covered by an explored
              sibling: divert to a non-sleeping runnable. The divert is
              the effective default — it is not a preemption the search
@@ -452,20 +482,17 @@ let execute_dpor st ~max_steps ~fairness_window ~cfg ~make ~use_sleep
       note_chosen fair chosen;
       (* siblings explored earlier from this node go to sleep for the
          branch below [chosen] *)
-      if use_sleep then begin
-        let fresh =
-          if i < nnodes then
-            Hashtbl.fold
-              (fun t f acc ->
-                if t <> chosen && not (List.mem_assoc t entry_sleep) then
-                  (t, f) :: acc
-                else acc)
-              nodes.(i).n_done []
-          else []
-        in
-        cur_sleep :=
-          fresh @ List.filter (fun (t, _) -> t <> chosen) entry_sleep
-      end;
+      let fresh =
+        if i < nnodes then
+          Hashtbl.fold
+            (fun t f acc ->
+              if t <> chosen && not (List.mem_assoc t entry_sleep) then
+                (t, f) :: acc
+              else acc)
+            nodes.(i).n_done []
+        else []
+      in
+      cur_sleep := fresh @ List.filter (fun (t, _) -> t <> chosen) entry_sleep;
       decs :=
         {
           r_chosen = chosen;
@@ -477,52 +504,19 @@ let execute_dpor st ~max_steps ~fairness_window ~cfg ~make ~use_sleep
       chosen
     end
   in
-  Footprint.set_sink
-    (Some (fun oid k -> if !recording then fp_add !cur_fp oid (level k)));
-  let result =
-    Fun.protect
-      ~finally:(fun () -> Footprint.set_sink None)
-      (fun () ->
-        Stm_core.Stm.run ~policy:(Sched.Controlled choose) ~max_steps ~cfg
-          inst.main)
-  in
+  let sink oid k = if !recording then fp_add !cur_fp oid (level k) in
+  let status, outcome, ndecisions = execute ~sink st pick in
   (* close the final segment *)
-  if !ndecisions > 0 && !recording then fps := !cur_fp :: !fps;
-  let sched_result = fst result in
-  let outcome =
-    match sched_result.Sched.status with
-    | Sched.Completed -> (
-        match sched_result.Sched.exns with
-        | [] -> inst.observe ()
-        | (_, ex) :: _ -> "<exn:" ^ Printexc.to_string ex ^ ">")
-    | Sched.Deadlock _ -> "<deadlock>"
-    | Sched.Fuel_exhausted -> "<livelock>"
-  in
-  (match sched_result.Sched.status with
-  | Sched.Deadlock _ ->
-      st.deadlocks <- st.deadlocks + 1;
-      record_outcome st.outcome_tbl outcome
-  | Sched.Fuel_exhausted -> st.livelocks <- st.livelocks + 1
-  | Sched.Completed -> record_outcome st.outcome_tbl outcome);
+  if ndecisions > 0 && !recording then fps := !cur_fp :: !fps;
   ( Array.of_list (List.rev !decs),
     Array.of_list (List.rev !fps),
-    sched_result.Sched.status,
-    !ndecisions,
+    status,
+    ndecisions,
     outcome )
 
 let explore_dpor ?preemption_bound ?(max_runs = 40_000) ?(max_steps = 60_000)
-    ?(fairness_window = 64) ?(analysis_horizon = 2_000) ?stop_when ~cfg ~make
-    () =
-  let st =
-    {
-      outcome_tbl = Hashtbl.create 16;
-      runs = 0;
-      livelocks = 0;
-      deadlocks = 0;
-      max_runs;
-      truncated = false;
-    }
-  in
+    ?stop_when ~cfg ~make () =
+  let st = start ~max_runs ~max_steps ?stop_when ~cfg ~make () in
   (* Sleep sets prune the sibling redundancy that race-directed
      backtracking still generates. Combining any partial-order pruning
      with a preemption bound can in principle drop a behavior whose
@@ -530,7 +524,6 @@ let explore_dpor ?preemption_bound ?(max_runs = 40_000) ?(max_steps = 60_000)
      Coons et al., OOPSLA 2013) — which is why certification always
      cross-checks bounded-DPOR verdicts against the enumerative
      baseline (see Matrix.certify and the CI gate). *)
-  let use_sleep = true in
   let nraces = ref 0 in
   let complete = ref true in
   (* growable stack of schedule-tree nodes along the current branch *)
@@ -568,14 +561,14 @@ let explore_dpor ?preemption_bound ?(max_runs = 40_000) ?(max_steps = 60_000)
   in
   let run_branch prefix =
     let decs, fps, status, ndec, outcome =
-      execute_dpor st ~max_steps ~fairness_window ~cfg ~make ~use_sleep
-        ~nodes:!nodes ~nnodes:!nnodes ~horizon:analysis_horizon prefix
+      execute_dpor st ~nodes:!nodes ~nnodes:!nnodes prefix
     in
     let m = Array.length decs in
-    (* a completed run outrunning the horizon leaves races unanalyzed;
-       a fuel-exhausted one is an unfair spin whose suffix adds no new
-       final state (documented caveat) *)
-    if status = Sched.Completed && ndec > m then complete := false;
+    (* a run that reached a final state (completed or deadlocked) and
+       outran the horizon leaves races unanalyzed; a fuel-exhausted one
+       is an unfair spin whose suffix adds no new final state
+       (documented caveat) *)
+    if status <> Sched.Fuel_exhausted && ndec > m then complete := false;
     let base = !nnodes in
     (* the flipped node's new branch enters its done set *)
     if base > 0 && m >= base then begin
@@ -616,11 +609,7 @@ let explore_dpor ?preemption_bound ?(max_runs = 40_000) ?(max_steps = 60_000)
          ~runnables:(Array.map (fun d -> d.r_runnables) decs)
          ~footprints:fps
          ~start:(max 0 (base - 1)));
-    match stop_when with
-    | Some pred when pred outcome ->
-        complete := false;
-        raise Search_done
-    | Some _ | None -> ()
+    stop st outcome
   in
   (* pick the deepest node with a usable pending reversal; covered or
      over-budget candidates are dropped for good (they can never become
@@ -649,34 +638,24 @@ let explore_dpor ?preemption_bound ?(max_runs = 40_000) ?(max_steps = 60_000)
       | Some t -> Some (i, t)
       | None -> select (i - 1)
   in
-  (try
-     run_branch [||];
-     let rec loop () =
-       match select (!nnodes - 1) with
-       | None -> ()
-       | Some (i, c) ->
-           nnodes := i + 1;
-           !nodes.(i).n_chosen <- c;
-           let prefix = Array.init (i + 1) (fun j -> !nodes.(j).n_chosen) in
-           run_branch prefix;
-           loop ()
-     in
-     loop ()
-   with Search_done -> ());
-  let outcomes =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.outcome_tbl []
-    |> List.sort compare
+  let exploration =
+    search st (fun () ->
+        run_branch [||];
+        let rec loop () =
+          match select (!nnodes - 1) with
+          | None -> ()
+          | Some (i, c) ->
+              nnodes := i + 1;
+              !nodes.(i).n_chosen <- c;
+              let prefix = Array.init (i + 1) (fun j -> !nodes.(j).n_chosen) in
+              run_branch prefix;
+              loop ()
+        in
+        loop ())
   in
   {
-    exploration =
-      {
-        outcomes;
-        runs = st.runs;
-        truncated = st.truncated;
-        livelocks = st.livelocks;
-        deadlocks = st.deadlocks;
-      };
-    complete = !complete && not st.truncated;
+    exploration;
+    complete = !complete && not (st.truncated || st.stopped);
     races = !nraces;
   }
 
@@ -686,113 +665,69 @@ let explore_dpor ?preemption_bound ?(max_runs = 40_000) ?(max_steps = 60_000)
 
 let explore_pct ?(runs = 2000) ?(depth = 3) ?(max_steps = 60_000) ?(seed = 1)
     ?stop_when ~cfg ~make () =
-  let rng = Stm_runtime.Det_rng.create seed in
-  let outcome_tbl = Hashtbl.create 16 in
-  let livelocks = ref 0 in
-  let deadlocks = ref 0 in
-  let performed = ref 0 in
-  let stopped = ref false in
-  (let max_threads = 16 in
-   (* adaptive horizon: change points are sampled within the length of
-      the runs actually observed, so demotions land inside the program *)
-   let horizon = ref 256 in
-   let run_once () =
-     incr performed;
-     let inst = make () in
-     (* random distinct base priorities per thread; higher runs first *)
-     let prio = Array.init max_threads (fun i -> 100 + ((i * 7919) mod 97)) in
-     Array.iteri
-       (fun i _ ->
-         let j = i + Stm_runtime.Det_rng.int rng (max_threads - i) in
-         let t = prio.(i) in
-         prio.(i) <- prio.(j);
-         prio.(j) <- t)
-       prio;
-     (* choose depth-1 demotion points over the adaptive horizon *)
-     let change_points =
-       List.init (max 0 (depth - 1)) (fun i ->
-           (1 + Stm_runtime.Det_rng.int rng !horizon, i + 1))
-     in
-     let step = ref 0 in
-     let last = ref (-1) in
-     let streak = ref 0 in
-     let floor_prio = ref (-1000) in
-     let choose current runnables =
-       incr step;
-       (match List.assoc_opt !step change_points with
-       | Some demotion when current < max_threads ->
-           (* demote the running thread below everything else *)
-           prio.(current) <- -demotion
-       | _ -> ());
-       let pick =
-         List.fold_left
-           (fun best t ->
-             let p tid = if tid < max_threads then prio.(tid) else 0 in
-             if p t > p best then t else best)
-           (List.hd runnables) runnables
-       in
-       (* livelock avoidance (deviation from pure PCT): a thread that
-          spins through many consecutive steps while others are runnable
-          is waiting on a lower-priority thread - demote it so the owner
-          can make progress *)
-       if pick = !last then incr streak else streak := 1;
-       last := pick;
-       if !streak > 64 && List.length runnables > 1 && pick < max_threads
-       then begin
-         decr floor_prio;
-         prio.(pick) <- !floor_prio;
-         streak := 0
-       end;
-       pick
-     in
-     let result, _ =
-       Stm_core.Stm.run
-         ~policy:(Stm_runtime.Sched.Controlled choose)
-         ~max_steps ~cfg inst.main
-     in
-     let outcome =
-       match result.Stm_runtime.Sched.status with
-       | Stm_runtime.Sched.Completed -> (
-           match result.Stm_runtime.Sched.exns with
-           | [] -> inst.observe ()
-           | (_, ex) :: _ -> "<exn:" ^ Printexc.to_string ex ^ ">")
-       | Stm_runtime.Sched.Deadlock _ ->
-           incr deadlocks;
-           "<deadlock>"
-       | Stm_runtime.Sched.Fuel_exhausted ->
-           incr livelocks;
-           "<livelock>"
-     in
-     (* fuel exhaustion is not a final state: livelocks count separately
-        from outcomes (same accounting as [explore]) *)
-     if result.Stm_runtime.Sched.status <> Stm_runtime.Sched.Fuel_exhausted
-     then record_outcome outcome_tbl outcome;
-     (* steady-state estimate of the run length in scheduling steps *)
-     if result.Stm_runtime.Sched.status = Stm_runtime.Sched.Completed then
-       horizon := max 32 (min !step 4096);
-     outcome
-   in
-   try
-     for _ = 1 to runs do
-       let o = run_once () in
-       match stop_when with
-       | Some pred when pred o ->
-           stopped := true;
-           raise Exit
-       | _ -> ()
-     done
-   with Exit -> ());
-  {
-    outcomes =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) outcome_tbl []
-      |> List.sort compare;
-    runs = !performed;
-    (* A sampler's quota is its definition of the search, not a budget
-       that cut an exhaustive walk short: completing [runs] samples
-       without hitting [stop_when] is the search finishing, so it never
-       reports [truncated]. (Cf. [explore], where [truncated] means
-       [max_runs] stopped the DFS before the bounded tree was done.) *)
-    truncated = false;
-    livelocks = !livelocks;
-    deadlocks = !deadlocks;
-  }
+  (* the quota is the budget, so the executor never truncates *)
+  let st = start ~max_runs:runs ~max_steps ?stop_when ~cfg ~make () in
+  let rng = Det_rng.create seed in
+  let max_threads = 16 in
+  (* adaptive horizon: change points are sampled within the length of
+     the runs actually observed, so demotions land inside the program *)
+  let horizon = ref 256 in
+  let run_once () =
+    (* random distinct base priorities per thread; higher runs first *)
+    let prio = Array.init max_threads (fun i -> 100 + ((i * 7919) mod 97)) in
+    Array.iteri
+      (fun i _ ->
+        let j = i + Det_rng.int rng (max_threads - i) in
+        let t = prio.(i) in
+        prio.(i) <- prio.(j);
+        prio.(j) <- t)
+      prio;
+    (* choose depth-1 demotion points over the adaptive horizon *)
+    let change_points =
+      List.init (max 0 (depth - 1)) (fun i ->
+          (1 + Det_rng.int rng !horizon, i + 1))
+    in
+    let floor_prio = ref (-1000) in
+    let pick fair i current runnables =
+      (match List.assoc_opt (i + 1) change_points with
+      | Some demotion when current < max_threads ->
+          (* demote the running thread below everything else *)
+          prio.(current) <- -demotion
+      | _ -> ());
+      let pick =
+        List.fold_left
+          (fun best t ->
+            let p tid = if tid < max_threads then prio.(tid) else 0 in
+            if p t > p best then t else best)
+          (List.hd runnables) runnables
+      in
+      (* livelock avoidance (deviation from pure PCT): a thread that
+         spins through more than [fairness_window] consecutive steps
+         while others are runnable is waiting on a lower-priority
+         thread - demote it so the owner can make progress *)
+      note_chosen fair pick;
+      if
+        fair.streak > fairness_window
+        && List.length runnables > 1
+        && pick < max_threads
+      then begin
+        decr floor_prio;
+        prio.(pick) <- !floor_prio;
+        fair.streak <- 0
+      end;
+      pick
+    in
+    let status, outcome, ndecisions = execute st pick in
+    (* steady-state estimate of the run length in scheduling steps *)
+    if status = Sched.Completed then horizon := max 32 (min ndecisions 4096);
+    stop st outcome
+  in
+  (* A sampler's quota is its definition of the search, not a budget
+     that cut an exhaustive walk short: completing [runs] samples
+     without hitting [stop_when] is the search finishing, so it never
+     reports [truncated]. (Cf. [explore], where [truncated] means
+     [max_runs] stopped the DFS before the bounded tree was done.) *)
+  search st (fun () ->
+      for _ = 1 to runs do
+        run_once ()
+      done)

@@ -10,9 +10,17 @@
     finds them all, while keeping the search tractable.
 
     The default schedule continues the current thread while it is
-    runnable, rotating round-robin after a fairness window so that spin
-    loops (barrier back-off, quiescence waits) cannot livelock the default
-    execution. Rotations do not count against the preemption bound. *)
+    runnable, rotating round-robin once one thread has taken 64
+    consecutive decisions (the fairness window) so that spin loops
+    (barrier back-off, quiescence waits) cannot livelock the default
+    execution. Rotations do not count against the preemption bound.
+
+    All three engines ({!explore}, {!explore_dpor}, {!explore_pct}) run
+    their schedules through one executor: it charges each run against the
+    budget, resets the simulated mutex ids, builds a fresh instance, runs
+    it under the engine's next-thread choice and books the outcome, so
+    the three report runs, outcomes, livelocks and deadlocks the same
+    way. *)
 
 type exploration = {
   outcomes : (string * int) list;
@@ -41,7 +49,6 @@ val explore :
   ?preemption_bound:int ->
   ?max_runs:int ->
   ?max_steps:int ->
-  ?fairness_window:int ->
   ?stop_when:(string -> bool) ->
   cfg:Stm_core.Config.t ->
   make:(unit -> instance) ->
@@ -50,9 +57,9 @@ val explore :
 (** [explore ~cfg ~make ()] repeatedly calls [make] to get a fresh
     instance and runs it under systematically varied schedules.
     Defaults: [preemption_bound = 2], [max_runs = 40_000],
-    [max_steps = 60_000], [fairness_window = 64]. If [stop_when] is given,
-    the search stops as soon as a matching outcome is observed (used for
-    "anomaly possible?" queries, where one witness suffices). *)
+    [max_steps = 60_000]. If [stop_when] is given, the search stops as
+    soon as a matching outcome is observed (used for "anomaly possible?"
+    queries, where one witness suffices). *)
 
 val observed : exploration -> (string -> bool) -> bool
 (** Did any schedule produce an outcome satisfying the predicate? *)
@@ -62,7 +69,8 @@ type dpor = {
   complete : bool;
       (** The race-reduced schedule space was walked to the end: no
           [max_runs] truncation, no [stop_when] early exit, and no
-          completed run outgrew [analysis_horizon]. With no
+          run that reached a final state (completed or deadlocked)
+          outgrew the 2,000-decision analysis horizon. With no
           [preemption_bound] this certifies that {e every} schedule is
           outcome-equivalent to an explored one — subject to the
           caveats below. *)
@@ -75,8 +83,6 @@ val explore_dpor :
   ?preemption_bound:int ->
   ?max_runs:int ->
   ?max_steps:int ->
-  ?fairness_window:int ->
-  ?analysis_horizon:int ->
   ?stop_when:(string -> bool) ->
   cfg:Stm_core.Config.t ->
   make:(unit -> instance) ->
@@ -112,10 +118,11 @@ val explore_dpor :
     - programs must confine cross-thread communication to the simulated
       heap and runtime primitives; plain shared OCaml refs are
       invisible to the dependency analysis;
-    - fuel-exhausted (livelocked) runs are analyzed only up to
-      [analysis_horizon] segments ([2_000] by default) on the premise
-      that an unfair spin's suffix reaches no new final state; a
-      {e completed} run outgrowing the horizon clears [complete];
+    - each run is analyzed only up to its first 2,000 decisions (the
+      analysis horizon). A fuel-exhausted (livelocked) run may outgrow
+      it, on the premise that an unfair spin's suffix reaches no new
+      final state; any run that reached a final state (completed or
+      deadlocked) and outgrew the horizon clears [complete];
     - stateful contention managers fold all policy state into one
       pseudo-granule, which is exact for the stateless default
       policies and conservative (more runs, never fewer behaviors)
@@ -130,7 +137,7 @@ val explore_dpor :
     count. The rest of the per-schedule bookkeeping is linear in [m] too.
 
     Defaults as {!explore} otherwise: [max_runs = 40_000],
-    [max_steps = 60_000], [fairness_window = 64]. *)
+    [max_steps = 60_000]. *)
 
 val races :
   chosen:Stm_runtime.Sched.tid array ->
@@ -172,6 +179,9 @@ val explore_pct :
     For a bug of depth [d] (number of ordering constraints), each run
     finds it with probability at least [1/(n * k^(d-1))] — an independent
     method of deciding the Figure 6 cells, complementing the
-    preemption-bounded DFS. Defaults: [runs = 2000], [depth = 3],
+    preemption-bounded DFS. A thread that takes more than 64 consecutive
+    decisions (the fairness window) while others are runnable is demoted
+    below every other thread, so a spin-waiter cannot starve the thread
+    it waits on. Defaults: [runs = 2000], [depth = 3],
     [seed = 1]. The result's [truncated] is always [false]: the quota
     defines the search rather than cutting an exhaustive one short. *)

@@ -105,13 +105,11 @@ let expectation program mode =
           | Modes.Strong_ts _ ->
               false))
 
-let run_cell ?(preemption_bound = 2) ?(max_runs = 6000) ?granule_override ?cm
-    program mode =
-  let granule =
-    match granule_override with
-    | Some g -> g
-    | None -> program.Programs.needs_granule
-  in
+(* Decide one cell: [engine] explores the mode's configuration at the
+   program's granularity (or [granule]) with a fresh instance per run,
+   and [cell] reads the verdict off an exploration. *)
+let decide ?granule ?cm program mode engine =
+  let granule = Option.value granule ~default:program.Programs.needs_granule in
   let cfg = Modes.config ~granule mode in
   (* contention management must not change which anomalies are
      expressible, so a policy override reuses every expectation *)
@@ -119,95 +117,53 @@ let run_cell ?(preemption_bound = 2) ?(max_runs = 6000) ?granule_override ?cm
     match cm with None -> cfg | Some p -> Stm_core.Config.with_cm p cfg
   in
   let make () = program.Programs.build (Modes.harness mode cfg) in
-  let e =
-    Explorer.explore ~preemption_bound ~max_runs
-      ~stop_when:program.Programs.is_anomalous ~cfg ~make ()
+  let cell (e : Explorer.exploration) =
+    {
+      program;
+      mode;
+      expected = expectation program mode;
+      observed = Explorer.observed e program.Programs.is_anomalous;
+      runs = e.Explorer.runs;
+      truncated = e.Explorer.truncated;
+    }
   in
-  {
-    program;
-    mode;
-    expected = expectation program mode;
-    observed = Explorer.observed e program.Programs.is_anomalous;
-    runs = e.Explorer.runs;
-    truncated = e.Explorer.truncated;
-  }
+  engine ~cfg ~make ~stop_when:program.Programs.is_anomalous cell
+
+let run_cell ?(preemption_bound = 2) ?(max_runs = 6000) ?granule_override ?cm
+    program mode =
+  decide ?granule:granule_override ?cm program mode
+    (fun ~cfg ~make ~stop_when cell ->
+      cell
+        (Explorer.explore ~preemption_bound ~max_runs ~stop_when ~cfg ~make ()))
+
+let grid ?preemption_bound ?max_runs ?cm programs modes =
+  List.concat_map
+    (fun program ->
+      List.map
+        (fun mode -> run_cell ?preemption_bound ?max_runs ?cm program mode)
+        modes)
+    programs
 
 let fig6 ?preemption_bound ?max_runs ?cm () =
-  List.concat_map
-    (fun program ->
-      List.map
-        (fun mode -> run_cell ?preemption_bound ?max_runs ?cm program mode)
-        Modes.all_fig6)
-    Programs.fig6_rows
+  grid ?preemption_bound ?max_runs ?cm Programs.fig6_rows Modes.all_fig6
 
 let extras_rows ?preemption_bound ?max_runs ?cm () =
-  List.concat_map
-    (fun program ->
-      List.map
-        (fun mode -> run_cell ?preemption_bound ?max_runs ?cm program mode)
-        Modes.all_fig6)
-    Programs.extras
+  grid ?preemption_bound ?max_runs ?cm Programs.extras Modes.all_fig6
 
-let si_rows ?preemption_bound ?max_runs ?cm () =
-  List.concat_map
-    (fun program ->
-      List.map
-        (fun mode -> run_cell ?preemption_bound ?max_runs ?cm program mode)
-        (Modes.all_fig6 @ Modes.all_mvcc))
-    Programs.si_rows
-
-let mvcc_rows ?preemption_bound ?max_runs ?cm ?(programs = Programs.all) () =
-  List.concat_map
-    (fun program ->
-      List.map
-        (fun mode -> run_cell ?preemption_bound ?max_runs ?cm program mode)
-        Modes.all_mvcc)
-    programs
-
-let timestamp_rows ?preemption_bound ?max_runs ?cm
-    ?(programs = Programs.fig6_rows) () =
-  List.concat_map
-    (fun program ->
-      List.map
-        (fun mode -> run_cell ?preemption_bound ?max_runs ?cm program mode)
-        Modes.all_timestamp)
-    programs
+let privatization_modes =
+  Modes.all_fig6
+  @ [
+      Modes.Weak_quiesce Stm_core.Config.Eager;
+      Modes.Weak_quiesce Stm_core.Config.Lazy;
+    ]
 
 let privatization_row ?preemption_bound ?max_runs ?cm () =
-  let modes =
-    Modes.all_fig6
-    @ [ Modes.Weak_quiesce Stm_core.Config.Eager;
-        Modes.Weak_quiesce Stm_core.Config.Lazy ]
-  in
-  List.map
-    (fun mode ->
-      run_cell ?preemption_bound ?max_runs ?cm Programs.privatization mode)
-    modes
+  grid ?preemption_bound ?max_runs ?cm [ Programs.privatization ]
+    privatization_modes
 
-let run_cell_pct ?(runs = 2000) ?(depth = 3) ?(seed = 1) ?granule_override ?cm
-    program mode =
-  let granule =
-    match granule_override with
-    | Some g -> g
-    | None -> program.Programs.needs_granule
-  in
-  let cfg = Modes.config ~granule mode in
-  let cfg =
-    match cm with None -> cfg | Some p -> Stm_core.Config.with_cm p cfg
-  in
-  let make () = program.Programs.build (Modes.harness mode cfg) in
-  let e =
-    Explorer.explore_pct ~runs ~depth ~seed
-      ~stop_when:program.Programs.is_anomalous ~cfg ~make ()
-  in
-  {
-    program;
-    mode;
-    expected = expectation program mode;
-    observed = Explorer.observed e program.Programs.is_anomalous;
-    runs = e.Explorer.runs;
-    truncated = e.Explorer.truncated;
-  }
+let run_cell_pct ?(runs = 2000) program mode =
+  decide program mode (fun ~cfg ~make ~stop_when cell ->
+      cell (Explorer.explore_pct ~runs ~stop_when ~cfg ~make ()))
 
 let all_match cells = List.for_all (fun c -> c.expected = c.observed) cells
 
@@ -222,42 +178,23 @@ type certified = {
   races : int;
 }
 
-let certify_cell ?(preemption_bound = 2) ?(max_runs = 40_000) ?granule_override
-    ?cm program mode =
-  let granule =
-    match granule_override with
-    | Some g -> g
-    | None -> program.Programs.needs_granule
-  in
-  let cfg = Modes.config ~granule mode in
-  let cfg =
-    match cm with None -> cfg | Some p -> Stm_core.Config.with_cm p cfg
-  in
-  let make () = program.Programs.build (Modes.harness mode cfg) in
-  let mk (e : Explorer.exploration) =
-    {
-      program;
-      mode;
-      expected = expectation program mode;
-      observed = Explorer.observed e program.Programs.is_anomalous;
-      runs = e.Explorer.runs;
-      truncated = e.Explorer.truncated;
-    }
-  in
-  let enum_e =
-    Explorer.explore ~preemption_bound ~max_runs
-      ~stop_when:program.Programs.is_anomalous ~cfg ~make ()
-  in
-  let d =
-    Explorer.explore_dpor ~preemption_bound ~max_runs
-      ~stop_when:program.Programs.is_anomalous ~cfg ~make ()
-  in
-  {
-    enum = mk enum_e;
-    dpor = mk d.Explorer.exploration;
-    complete = d.Explorer.complete;
-    races = d.Explorer.races;
-  }
+let certify_cell ?(preemption_bound = 2) ?(max_runs = 40_000) program mode =
+  decide program mode (fun ~cfg ~make ~stop_when cell ->
+      let enum =
+        cell
+          (Explorer.explore ~preemption_bound ~max_runs ~stop_when ~cfg ~make
+             ())
+      in
+      let d =
+        Explorer.explore_dpor ~preemption_bound ~max_runs ~stop_when ~cfg ~make
+          ()
+      in
+      {
+        enum;
+        dpor = cell d.Explorer.exploration;
+        complete = d.Explorer.complete;
+        races = d.Explorer.races;
+      })
 
 (* A cell certifies when the two engines agree on the verdict and the
    certification is as strong as the enumerative baseline's: a "yes" is
@@ -288,13 +225,7 @@ let full_matrix ?(bound = 2) () =
   let mvcc_bound = max bound 3 in
   pairs bound Programs.fig6_rows Modes.all_fig6
   @ pairs bound Programs.extras Modes.all_fig6
-  @ pairs bound
-      [ Programs.privatization ]
-      (Modes.all_fig6
-      @ [
-          Modes.Weak_quiesce Stm_core.Config.Eager;
-          Modes.Weak_quiesce Stm_core.Config.Lazy;
-        ])
+  @ pairs bound [ Programs.privatization ] privatization_modes
   @ pairs bound Programs.si_rows Modes.all_fig6
   @ pairs mvcc_bound Programs.si_rows Modes.all_mvcc
   @ pairs mvcc_bound Programs.all Modes.all_mvcc

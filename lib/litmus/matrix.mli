@@ -30,20 +30,13 @@ val run_cell :
     configuration; the expectation is unchanged, because contention
     management must not affect which anomalies are expressible. *)
 
-val run_cell_pct :
-  ?runs:int ->
-  ?depth:int ->
-  ?seed:int ->
-  ?granule_override:int ->
-  ?cm:Stm_cm.Policy.t ->
-  Programs.t ->
-  Modes.t ->
-  cell
+val run_cell_pct : ?runs:int -> Programs.t -> Modes.t -> cell
 (** Decide a cell by probabilistic sampling ({!Explorer.explore_pct})
     instead of the bounded DFS: an independent check of the "yes" cells.
     A sampled "no" is never a certificate — a quiet cell may just have
     been missed, so only an anomaly on an expected-"no" cell is
-    conclusive. Defaults: [runs = 2000], [depth = 3], [seed = 1]. *)
+    conclusive. Defaults: [runs = 2000], and {!Explorer.explore_pct}'s
+    [depth = 3] and [seed = 1]. *)
 
 val fig6 :
   ?preemption_bound:int -> ?max_runs:int -> ?cm:Stm_cm.Policy.t -> unit ->
@@ -70,35 +63,6 @@ val expected_mvcc : (string * bool list) list
     strong-mvcc-si. Covers every litmus program including privatization
     and the SI rows. *)
 
-val si_rows :
-  ?preemption_bound:int -> ?max_runs:int -> ?cm:Stm_cm.Policy.t -> unit ->
-  cell list
-(** The snapshot-isolation litmus programs (write skew, long fork,
-    read-only snapshot) under all nine columns: write skew must appear
-    exactly in the two snapshot-isolation columns. *)
-
-val mvcc_rows :
-  ?preemption_bound:int ->
-  ?max_runs:int ->
-  ?cm:Stm_cm.Policy.t ->
-  ?programs:Programs.t list ->
-  unit ->
-  cell list
-(** Every litmus program (or [programs]) under the four multi-version
-    columns. *)
-
-val timestamp_rows :
-  ?preemption_bound:int ->
-  ?max_runs:int ->
-  ?cm:Stm_cm.Policy.t ->
-  ?programs:Programs.t list ->
-  unit ->
-  cell list
-(** The Figure 6 rows (or [programs]) under the four timestamp-validation
-    columns ({!Modes.all_timestamp}). Expectations are the corresponding
-    base columns' — global-commit-clock validation must never change a
-    litmus verdict. *)
-
 val all_match : cell list -> bool
 val pp_table : Format.formatter -> cell list -> unit
 
@@ -122,8 +86,6 @@ type certified = {
 val certify_cell :
   ?preemption_bound:int ->
   ?max_runs:int ->
-  ?granule_override:int ->
-  ?cm:Stm_cm.Policy.t ->
   Programs.t ->
   Modes.t ->
   certified

@@ -12,9 +12,9 @@ type t
 val create : ?name:string -> Cost.t -> t
 
 val reset_ids : unit -> unit
-(** Reset the deterministic mutex-id counter. Controlled explorers call
-    this before each run's setup so that a given mutex reports the same
-    {!Footprint.mutex_oid} in every replay. *)
+(** Reset the deterministic mutex-id counter. The litmus explorer calls
+    this before each run's setup, whatever its engine, so that a given
+    mutex reports the same {!Footprint.mutex_oid} in every replay. *)
 
 val lock : t -> unit
 (** Blocks until the lock is available. Reentrant acquisition by the

@@ -399,6 +399,123 @@ let explore_dpor_accounts_livelocks () =
   check_int "runs = livelocks + outcome counts" e.Explorer.runs
     (e.Explorer.livelocks + outcome_total e)
 
+(* A deadlocked run reaches a final state just as a completed one does,
+   so outgrowing the 2,000-decision analysis horizon must clear
+   [complete] for it too. H exits holding [m]; A and B each yield [n]
+   times, then A writes x := 1 and B reads x and, on seeing 1, blocks on
+   [m]. The race between A's write and B's read lies past the horizon
+   once [n] is large, so only the first schedule (the deadlock) is run. *)
+let deadlock_make n () =
+  let xr = ref None in
+  let main () =
+    let m = Stm_runtime.Sim_mutex.create Stm_runtime.Cost.free in
+    let x = Stm_core.Stm.alloc_public ~cls:"X" 1 in
+    Stm_runtime.Heap.set x 0 (Stm_runtime.Heap.Vint 0);
+    xr := Some x;
+    Stm_runtime.Sched.join
+      (Stm_runtime.Sched.spawn (fun () -> Stm_runtime.Sim_mutex.lock m));
+    let waiter body =
+      Stm_runtime.Sched.spawn (fun () ->
+          for _ = 1 to n do
+            Stm_runtime.Sched.yield ()
+          done;
+          body ())
+    in
+    let a = waiter (fun () -> Stm_core.Stm.write x 0 (Stm_core.Stm.vint 1)) in
+    let b =
+      waiter (fun () ->
+          if Stm_core.Stm.to_int (Stm_core.Stm.read x 0) = 1 then
+            Stm_runtime.Sim_mutex.lock m)
+    in
+    Stm_runtime.Sched.join a;
+    Stm_runtime.Sched.join b
+  in
+  let observe () =
+    match Stm_runtime.Heap.get (Option.get !xr) 0 with
+    | Stm_runtime.Heap.Vint v -> "x=" ^ string_of_int v
+    | _ -> "x=?"
+  in
+  { Explorer.main; observe }
+
+let dpor_deadlock_past_horizon () =
+  let dpor n =
+    Explorer.explore_dpor ~cfg:Stm_core.Config.eager_weak
+      ~make:(deadlock_make n) ()
+  in
+  let outcomes (d : Explorer.dpor) =
+    List.map fst d.Explorer.exploration.Explorer.outcomes
+  in
+  let within = dpor 900 in
+  Alcotest.(check (list string))
+    "within the horizon: both final states" [ "<deadlock>"; "x=1" ]
+    (outcomes within);
+  check_bool "within the horizon: complete" true within.Explorer.complete;
+  let past = dpor 1100 in
+  Alcotest.(check (list string))
+    "past the horizon: the first run only" [ "<deadlock>" ] (outcomes past);
+  check_bool "past the horizon: not complete" false past.Explorer.complete
+
+(* Whole exploration records, pinned: every engine must keep returning
+   exactly these books (outcome counts, livelocks, deadlocks,
+   truncation, and DPOR's completeness and races) for a program that
+   spins out and for Figure 1 under a weak and a strong mode. *)
+let exploration_t =
+  let pp ppf (e : Explorer.exploration) =
+    Fmt.pf ppf
+      "{outcomes=%a; runs=%d; truncated=%b; livelocks=%d; deadlocks=%d}"
+      Fmt.(Dump.list (Dump.pair string int))
+      e.Explorer.outcomes e.Explorer.runs e.Explorer.truncated
+      e.Explorer.livelocks e.Explorer.deadlocks
+  in
+  Alcotest.testable pp ( = )
+
+let ex outcomes runs truncated livelocks deadlocks =
+  { Explorer.outcomes; runs; truncated; livelocks; deadlocks }
+
+let check_records name ~enum ~dpor:(dpor, complete, races) ~pct
+    ?(max_steps = 60_000) ~cfg make =
+  Alcotest.check exploration_t (name ^ " enum") enum
+    (Explorer.explore ~max_steps ~cfg ~make ());
+  let d = Explorer.explore_dpor ~preemption_bound:2 ~max_steps ~cfg ~make () in
+  Alcotest.check exploration_t (name ^ " dpor") dpor d.Explorer.exploration;
+  check_bool (name ^ " dpor complete") complete d.Explorer.complete;
+  check_int (name ^ " dpor races") races d.Explorer.races;
+  Alcotest.check exploration_t (name ^ " pct") pct
+    (Explorer.explore_pct ~runs:300 ~max_steps ~cfg ~make ())
+
+let pinned_records () =
+  check_records "spin" ~max_steps:200 ~cfg:Stm_core.Config.eager_weak
+    spin_make
+    ~enum:(ex [ ("x=1", 5) ] 136 false 131 0)
+    ~dpor:(ex [ ("x=1", 1) ] 2 false 1 0, true, 2)
+    ~pct:(ex [ ("x=1", 144) ] 300 false 156 0);
+  let privatization mode =
+    let program = Programs.privatization in
+    let cfg = Modes.config ~granule:program.Programs.needs_granule mode in
+    (cfg, fun () -> program.Programs.build (Modes.harness mode cfg))
+  in
+  let cfg, make = privatization (Modes.Weak Stm_core.Config.Eager) in
+  check_records "privatization weak-eager" ~cfg make
+    ~enum:
+      (ex
+         [ ("r1=0 r2=0", 156); ("r1=1 r2=0", 3); ("r1=1 r2=1", 6) ]
+         165 false 0 0)
+    ~dpor:
+      ( ex
+          [ ("r1=0 r2=0", 11); ("r1=1 r2=0", 1); ("r1=1 r2=1", 2) ]
+          14 false 0 0,
+        true,
+        26 )
+    ~pct:
+      (ex
+         [ ("r1=0 r2=0", 163); ("r1=1 r2=0", 4); ("r1=1 r2=1", 133) ]
+         300 false 0 0);
+  let cfg, make = privatization (Modes.Strong Stm_core.Config.Eager) in
+  check_records "privatization strong-eager" ~cfg make
+    ~enum:(ex [ ("r1=0 r2=0", 170); ("r1=1 r2=1", 3) ] 173 false 0 0)
+    ~dpor:(ex [ ("r1=0 r2=0", 13); ("r1=1 r2=1", 1) ] 14 false 0 0, true, 29)
+    ~pct:(ex [ ("r1=0 r2=0", 178); ("r1=1 r2=1", 122) ] 300 false 0 0)
+
 (* Random micro-programs: 2-3 threads of reads/writes (at most one
    wrapped in a transaction) over two shared fields. At preemption
    bound 8 — effectively unbounded for programs this small, every
@@ -702,6 +819,8 @@ let dpor_cases =
     case "explore_dpor: runs = livelocks + outcomes"
       explore_dpor_accounts_livelocks;
     case "races: hand-checked cases" races_small;
+    case "deadlock past the horizon is not complete" dpor_deadlock_past_horizon;
+    case "pinned exploration records" pinned_records;
   ]
   @ List.map QCheck_alcotest.to_alcotest (dpor_equiv_qcheck @ races_qcheck)
 
