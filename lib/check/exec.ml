@@ -29,8 +29,12 @@ type frame = {
   f_tag : History.tag option;
   f_begin : int;  (* arrival stamp of Txn_begin = snapshot point under mvcc *)
   mutable f_accs : (History.loc * History.value * bool) list;  (* reversed *)
-  mutable f_serial : int option;
+  mutable f_serial : int;  (* arrival stamp of Txn_serialized, -1 before *)
 }
+
+(* fills the unused tail of [collector.nodes] *)
+let no_node =
+  { History.id = -1; tid = -1; txn = false; stamp = -1; tag = None; reads = []; writes = [] }
 
 type collector = {
   mutable enabled : bool;
@@ -38,12 +42,13 @@ type collector = {
   mutable stamp : int;
   mutable cells_oid : int;
   mutable roots_oid : int;
-  box_ids : (int, History.box_id) Hashtbl.t;  (* oid -> box *)
   mutable box_objs : (History.box_id * Heap.obj) list;  (* reversed *)
-  tags : (int, History.tag) Hashtbl.t;  (* sched tid -> current tag *)
-  tids : (int, int) Hashtbl.t;  (* sched tid -> logical thread index *)
-  frames : (int, frame list) Hashtbl.t;  (* sched tid -> open txn stack *)
-  mutable raw_nodes : History.node list;  (* reversed, commit order *)
+  (* Indexed by simulated tid; the three arrays grow together. *)
+  mutable tags : History.tag option array;  (* current tag *)
+  mutable tids : int array;  (* logical thread index, -1 if none *)
+  mutable frames : frame list array;  (* open txn stack *)
+  mutable nodes : History.node array;  (* commit order, first [nnodes] *)
+  mutable nnodes : int;
   mutable init : (History.loc * History.value) list;
   mutable final : (History.loc * History.value) list option;
 }
@@ -55,21 +60,46 @@ let create_collector () =
     stamp = 0;
     cells_oid = -1;
     roots_oid = -1;
-    box_ids = Hashtbl.create 16;
     box_objs = [];
-    tags = Hashtbl.create 8;
-    tids = Hashtbl.create 8;
-    frames = Hashtbl.create 8;
-    raw_nodes = [];
+    tags = Array.make 8 None;
+    tids = Array.make 8 (-1);
+    frames = Array.make 8 [];
+    nodes = Array.make 16 no_node;
+    nnodes = 0;
     init = [];
     final = None;
   }
+
+let grow arr len fill =
+  let a = Array.make len fill in
+  Array.blit arr 0 a 0 (Array.length arr);
+  a
+
+(* Make [tid] a valid index of the per-thread arrays. *)
+let reserve col tid =
+  let n = Array.length col.tids in
+  if tid >= n then begin
+    let len = max (tid + 1) (2 * n) in
+    col.tags <- grow col.tags len None;
+    col.tids <- grow col.tids len (-1);
+    col.frames <- grow col.frames len []
+  end
+
+let tag_of col tid = if tid < Array.length col.tags then col.tags.(tid) else None
+
+let logical_tid col tid = if tid < Array.length col.tids then col.tids.(tid) else -1
+
+let frames_of col tid = if tid < Array.length col.frames then col.frames.(tid) else []
+
+let rec box_of oid = function
+  | [] -> None
+  | (b, (o : Heap.obj)) :: rest -> if o.Heap.oid = oid then Some b else box_of oid rest
 
 let loc_of col ~oid ~fld =
   if oid = col.cells_oid then Some (History.Cell fld)
   else if oid = col.roots_oid then Some (History.Root fld)
   else
-    match Hashtbl.find_opt col.box_ids oid with
+    match box_of oid col.box_objs with
     | Some b -> Some (History.Box_field b)
     | None -> None
 
@@ -77,61 +107,32 @@ let value_of col (v : Heap.value) : History.value option =
   match v with
   | Heap.Vint n -> Some (History.Vi n)
   | Heap.Vref o -> (
-      match Hashtbl.find_opt col.box_ids o.Heap.oid with
+      match box_of o.Heap.oid col.box_objs with
       | Some b -> Some (History.Vr b)
       | None -> None)
   | _ -> None
 
-let logical_tid col tid = Option.value (Hashtbl.find_opt col.tids tid) ~default:(-1)
-
 let push_frame col tid f =
-  let stack = Option.value (Hashtbl.find_opt col.frames tid) ~default:[] in
-  Hashtbl.replace col.frames tid (f :: stack)
+  reserve col tid;
+  col.frames.(tid) <- f :: col.frames.(tid)
 
-let find_frame col tid txid =
-  match Hashtbl.find_opt col.frames tid with
-  | None -> None
-  | Some stack -> List.find_opt (fun f -> f.f_txid = txid) stack
+(* The open frame of [txid] in a stack, or [Not_found]: no option is
+   allocated on the per-access path. *)
+let rec frame_of txid = function
+  | [] -> raise Not_found
+  | f :: rest -> if f.f_txid = txid then f else frame_of txid rest
 
 let pop_frame col tid txid =
-  match Hashtbl.find_opt col.frames tid with
-  | None -> None
-  | Some stack ->
-      let popped = List.find_opt (fun f -> f.f_txid = txid) stack in
-      Hashtbl.replace col.frames tid (List.filter (fun f -> f.f_txid <> txid) stack);
-      popped
+  let stack = frames_of col tid in
+  let f = frame_of txid stack in
+  col.frames.(tid) <- List.filter (fun g -> g.f_txid <> txid) stack;
+  f
 
-let add_raw col node = col.raw_nodes <- node :: col.raw_nodes
-
-(* Split a reversed access list into reads (program order, duplicates
-   kept) and last-write-per-location. Reads of a location the node has
-   already written observe the node's own pending write (undo-log or
-   write-buffer semantics), not another node's version - they impose no
-   inter-node dependency and are dropped. *)
-let split_accs accs_rev =
-  let own = Hashtbl.create 8 in
-  let reads =
-    List.rev accs_rev
-    |> List.filter_map (fun (l, v, w) ->
-           if w then begin
-             Hashtbl.replace own l ();
-             None
-           end
-           else if Hashtbl.mem own l then None
-           else Some (l, v))
-  in
-  let seen = Hashtbl.create 8 in
-  let writes =
-    List.fold_left
-      (fun acc (l, v, w) ->
-        if w && not (Hashtbl.mem seen l) then begin
-          Hashtbl.add seen l ();
-          (l, v) :: acc
-        end
-        else acc)
-      [] accs_rev
-  in
-  (reads, writes)
+let add_node col node =
+  if col.nnodes = Array.length col.nodes then
+    col.nodes <- grow col.nodes (2 * col.nnodes) no_node;
+  col.nodes.(col.nnodes) <- node;
+  col.nnodes <- col.nnodes + 1
 
 let on_event col (ev : Trace.event) =
   col.stamp <- col.stamp + 1;
@@ -142,17 +143,17 @@ let on_event col (ev : Trace.event) =
         match (loc_of col ~oid ~fld, value_of col value) with
         | Some l, Some v ->
             if txid >= 0 then (
-              match find_frame col tid txid with
-              | Some f -> f.f_accs <- (l, v, write) :: f.f_accs
-              | None -> ())
+              match frame_of txid (frames_of col tid) with
+              | f -> f.f_accs <- (l, v, write) :: f.f_accs
+              | exception Not_found -> ())
             else
-              add_raw col
+              add_node col
                 {
                   History.id = 0;
                   tid = logical_tid col tid;
                   txn = false;
                   stamp = now;
-                  tag = Hashtbl.find_opt col.tags tid;
+                  tag = tag_of col tid;
                   reads = (if write then [] else [ (l, v) ]);
                   writes = (if write then [ (l, v) ] else []);
                 }
@@ -163,20 +164,20 @@ let on_event col (ev : Trace.event) =
         push_frame col tid
           {
             f_txid = txid;
-            f_tag = Hashtbl.find_opt col.tags tid;
+            f_tag = tag_of col tid;
             f_begin = now;
             f_accs = [];
-            f_serial = None;
+            f_serial = -1;
           }
     | Trace.Txn_serialized { txid; tid } -> (
-        match find_frame col tid txid with
-        | Some f -> f.f_serial <- Some now
-        | None -> ())
+        match frame_of txid (frames_of col tid) with
+        | f -> f.f_serial <- now
+        | exception Not_found -> ())
     | Trace.Txn_commit { txid; tid; _ } -> (
         match pop_frame col tid txid with
-        | None -> ()
-        | Some f ->
-            let reads, writes = split_accs f.f_accs in
+        | exception Not_found -> ()
+        | f ->
+            let reads, writes = History.split_accs f.f_accs in
             (* A multi-version read-only transaction serializes at its
                snapshot, not at commit: it reads the versions current at
                begin and skips validation, so a commit that lands between
@@ -185,9 +186,10 @@ let on_event col (ev : Trace.event) =
                stamp - their writes install at the commit clock. *)
             let stamp =
               if col.mv && writes = [] then f.f_begin
-              else Option.value f.f_serial ~default:now
+              else if f.f_serial >= 0 then f.f_serial
+              else now
             in
-            add_raw col
+            add_node col
               {
                 History.id = 0;
                 tid = logical_tid col tid;
@@ -197,19 +199,22 @@ let on_event col (ev : Trace.event) =
                 reads;
                 writes;
               })
-    | Trace.Txn_abort { txid; tid; _ } -> ignore (pop_frame col tid txid)
+    | Trace.Txn_abort { txid; tid; _ } -> (
+        try ignore (pop_frame col tid txid) with Not_found -> ())
     | _ -> ()
 
+(* Sort the nodes by stamp once (stably, as they arrived in commit
+   order) and number them densely. *)
 let finalize_history col =
-  let nodes =
-    List.sort
-      (fun (a : History.node) b -> compare a.stamp b.stamp)
-      (List.rev col.raw_nodes)
-  in
-  let nodes = List.mapi (fun i (n : History.node) -> { n with History.id = i }) nodes in
+  let raw = Array.sub col.nodes 0 col.nnodes in
+  Array.stable_sort (fun (a : History.node) b -> Int.compare a.stamp b.stamp) raw;
+  let nodes = ref [] in
+  for i = col.nnodes - 1 downto 0 do
+    nodes := { (raw.(i)) with History.id = i } :: !nodes
+  done;
   {
     History.init = col.init;
-    nodes;
+    nodes = !nodes;
     final = Option.value col.final ~default:[];
   }
 
@@ -235,7 +240,9 @@ let check_level (cfg : Config.t) =
   | Config.Eager | Config.Lazy -> Config.Serializable
 
 let set_tag ctx ~thread ~step part =
-  Hashtbl.replace ctx.col.tags (Sched.self ()) { History.thread; step; part }
+  let tid = Sched.self () in
+  reserve ctx.col tid;
+  ctx.col.tags.(tid) <- Some { History.thread; step; part }
 
 let as_int (v : Heap.value) = match v with Heap.Vint n -> n | _ -> 0
 
@@ -273,7 +280,6 @@ let exec_step ctx ~thread acc step_idx (step : Prog.step) =
   | Prog.Publish s ->
       let b = Stm.alloc ~cls:"fuzz-box" 1 in
       let bid = History.New_box { thread; step = step_idx } in
-      Hashtbl.replace ctx.col.box_ids b.Heap.oid bid;
       ctx.col.box_objs <- (bid, b) :: ctx.col.box_objs;
       set_tag ctx ~thread ~step:step_idx History.Pub_init;
       Stm.write b 0
@@ -352,7 +358,6 @@ let main ctx () =
   for s = 0 to prog.Prog.nslots - 1 do
     let b = Stm.alloc_public ~cls:"fuzz-box" 1 in
     let bid = History.Slot_box s in
-    Hashtbl.replace col.box_ids b.Heap.oid bid;
     col.box_objs <- (bid, b) :: col.box_objs;
     Stm.write b 0
       (Stm.vint (Prog.init_box_token ~slot:s * Prog.token_scale));
@@ -374,7 +379,8 @@ let main ctx () =
     List.mapi
       (fun i steps ->
         let t = Sched.spawn ~name:(Printf.sprintf "T%d" i) (thread_body ctx i steps) in
-        Hashtbl.replace col.tids t i;
+        reserve col t;
+        col.tids.(t) <- i;
         t)
       prog.Prog.threads
   in
@@ -408,7 +414,7 @@ let verdict_of_run ctx (result : Sched.result) =
           | Some a -> (History.Anomalous a, Some h)
           | None -> (History.check_at ctx.level ctx.prog h, Some h)))
 
-let run ?policy ?(max_steps = default_fuel) ?tee ~cfg prog =
+let run ?policy ?(max_steps = default_fuel) ~cfg prog =
   let ctx =
     {
       col = create_collector ();
@@ -420,12 +426,7 @@ let run ?policy ?(max_steps = default_fuel) ?tee ~cfg prog =
     }
   in
   ctx.col.mv <- cfg.Config.versioning = Config.Mvcc;
-  let sink =
-    match tee with
-    | None -> on_event ctx.col
-    | Some f -> fun ev -> on_event ctx.col ev; f ev
-  in
-  Trace.set_sink ~level:Trace.Debug (Some sink);
+  Trace.set_sink ~level:Trace.Debug (Some (on_event ctx.col));
   Fun.protect
     ~finally:(fun () -> Trace.set_sink None)
     (fun () ->

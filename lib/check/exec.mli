@@ -16,15 +16,13 @@ val default_fuel : int
 val run :
   ?policy:Stm_runtime.Sched.policy ->
   ?max_steps:int ->
-  ?tee:(Stm_core.Trace.event -> unit) ->
   cfg:Stm_core.Config.t ->
   Prog.t ->
   History.verdict * History.history option
 (** Run the program once under the given scheduling policy and check the
     resulting history. The verdict is [Inconclusive] when the run hit the
     step budget or deadlocked (no history to judge), [Anomalous
-    (Exec_failure _)] when a thread body raised. [tee] additionally
-    receives every trace event (for chaining an observability recorder). *)
+    (Exec_failure _)] when a thread body raised. *)
 
 val explore :
   ?preemption_bound:int ->

@@ -13,7 +13,9 @@
    - [check_graph]: build the conflict graph (wr, ww, rw edges from the
      per-location version order, plus program-order edges) and demand
      acyclicity; also demand that every location's final value is its
-     last committed version.
+     last committed version. A one-pass stamp-order certificate
+     ([certified]) settles most clean histories first, without building
+     the graph.
 
    - [differential]: replay the committed nodes, in stamp order, against
      a sequential reference interpreter of the original program, and
@@ -317,6 +319,148 @@ let verdict_equal a b =
 let is_anomalous = function Anomalous _ -> true | _ -> false
 
 (* ------------------------------------------------------------------ *)
+(* Monomorphic location map                                            *)
+(* ------------------------------------------------------------------ *)
+
+let box_equal a b =
+  match (a, b) with
+  | Slot_box s, Slot_box s' -> s = s'
+  | New_box a, New_box b -> a.thread = b.thread && a.step = b.step
+  | Slot_box _, New_box _ | New_box _, Slot_box _ -> false
+
+let loc_equal a b =
+  match (a, b) with
+  | Cell i, Cell j | Root i, Root j -> i = j
+  | Box_field a, Box_field b -> box_equal a b
+  | (Cell _ | Root _ | Box_field _), _ -> false
+
+let value_equal a b =
+  match (a, b) with
+  | Vi m, Vi n -> m = n
+  | Vr a, Vr b -> box_equal a b
+  | (Vi _ | Vr _), _ -> false
+
+(* Per-location state of the one-pass checks below is an association
+   list scanned with [loc_equal], which costs less than hashing on the
+   small histories they run on: [certified] refuses any history larger
+   than [certify_limit], and [differential] replays a fuzz program, whose
+   locations are its few cells, slots and boxes. *)
+let rec find_loc l = function
+  | [] -> None
+  | (l', x) :: rest -> if loc_equal l l' then Some x else find_loc l rest
+
+let rec written l = function
+  | [] -> false
+  | (l', _) :: rest -> loc_equal l l' || written l rest
+
+let rec writes_to l = function
+  | [] -> false
+  | (l', _, w) :: rest -> (w && loc_equal l l') || writes_to l rest
+
+(* Split a node's access list, most recent first, into its reads and
+   writes. Writes: the newest write per location, found by walking the
+   list and skipping locations already kept. Reads: program order,
+   duplicates kept, except that a read of a location an older access
+   wrote observes the node's own pending write (undo-log or write-buffer
+   semantics), not another node's version, and imposes no inter-node
+   dependency. Only reads of written locations scan the older accesses,
+   so a node that writes a few locations splits in linear time. Walking
+   the list and consing yields program order. *)
+let split_accs accs_rev =
+  let rec last_writes ws = function
+    | [] -> ws
+    | (l, v, w) :: older ->
+        last_writes (if w && not (written l ws) then (l, v) :: ws else ws) older
+  in
+  let rec foreign_reads writes rs = function
+    | [] -> rs
+    | (l, v, w) :: older ->
+        let own = w || (written l writes && writes_to l older) in
+        foreign_reads writes (if own then rs else (l, v) :: rs) older
+  in
+  let writes = last_writes [] accs_rev in
+  (foreign_reads writes [] accs_rev, writes)
+
+(* ------------------------------------------------------------------ *)
+(* Stamp-order certificate                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* One pass that proves most histories clean before any graph is built.
+   It replays the nodes in stamp order and holds, per location, the
+   current value and the earlier ones. Suppose that every read returns
+   the value the replay holds when its node runs, that stamps strictly
+   ascend, that every written value is new to its location and no node
+   writes a location twice, and that the final state agrees with the
+   replay. Then each location's version order is the replay order, so
+   every ww, wr, rw and po edge points forward in stamp order: the
+   conflict graph is acyclic, no read is dirty or fractured, every
+   read-modify-write installs the version right after the one it read,
+   and each location ends on its last version. [check_graph] and
+   [check_si_graph] would both return [None]. Anything else - an anomaly,
+   a write skew, or a history that breaks the invariants the exact
+   checks assume - falls through to them. *)
+
+(* The replay's scans cost up to the square of the history's size: its
+   init and final entries plus every recorded read and write. Larger
+   histories skip the certificate and take the graph check directly.
+   A fuzz history has fewer than 64; a store history lists every
+   preloaded key in [init] and [final]. *)
+let certify_limit = 128
+
+let small (h : history) =
+  let rec left budget = function
+    | [] -> budget
+    | nd :: rest ->
+        if budget < 0 then budget
+        else left (budget - List.length nd.reads - List.length nd.writes) rest
+  in
+  left (certify_limit - List.length h.init - List.length h.final) h.nodes >= 0
+
+type replay_slot = {
+  mutable cur : value;
+  mutable older : value list;
+  mutable writer : int;  (* id of the node that wrote [cur]; -1 for init *)
+}
+
+let certified (h : history) =
+  small h
+  &&
+  let slots = ref [] in
+  let add l v writer = slots := (l, { cur = v; older = []; writer }) :: !slots in
+  List.iter
+    (fun (l, v) -> if Option.is_none (find_loc l !slots) then add l v (-1))
+    h.init;
+  let holds ~absent (l, v) =
+    match find_loc l !slots with Some s -> value_equal s.cur v | None -> absent
+  in
+  let install id (l, v) =
+    match find_loc l !slots with
+    | None ->
+        add l v id;
+        true
+    | Some s ->
+        s.writer <> id
+        && (not (value_equal v s.cur || List.exists (value_equal v) s.older))
+        && begin
+             s.older <- s.cur :: s.older;
+             s.cur <- v;
+             s.writer <- id;
+             true
+           end
+  in
+  let rec replay i prev_stamp = function
+    | [] -> true
+    | nd :: rest ->
+        assert (nd.id = i);
+        nd.stamp > prev_stamp
+        && List.for_all (holds ~absent:false) nd.reads
+        && List.for_all (install nd.id) nd.writes
+        && replay (i + 1) nd.stamp rest
+  in
+  (* a location nothing wrote and [init] lacks has no version to check *)
+  replay 0 min_int h.nodes && List.for_all (holds ~absent:true) h.final
+
+(* ------------------------------------------------------------------ *)
 (* Conflict-graph check                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -385,7 +529,7 @@ let check_final (h : history) versions =
                     { floc = l; expected = Some expected; actual = Some actual })))
     versions
 
-let check_graph (h : history) : anomaly option =
+let conflict_graph (h : history) : anomaly option =
   let nodes = Array.of_list h.nodes in
   let n = Array.length nodes in
   Array.iteri (fun i nd -> assert (nd.id = i)) nodes;
@@ -458,6 +602,8 @@ let check_graph (h : history) : anomaly option =
     None
   with Found a -> Some a
 
+let check_graph h = if certified h then None else conflict_graph h
+
 (* ------------------------------------------------------------------ *)
 (* Differential replay                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -469,21 +615,23 @@ let check_graph (h : history) : anomaly option =
    flowing through accumulators). *)
 
 let differential (prog : Prog.t) (h : history) : anomaly option =
-  let heap : (loc, value) Hashtbl.t = Hashtbl.create 64 in
-  List.iter (fun (l, v) -> Hashtbl.replace heap l v) h.init;
+  let heap = ref [] in
+  let store l v =
+    match find_loc l !heap with Some r -> r := v | None -> heap := (l, ref v) :: !heap
+  in
+  List.iter (fun (l, v) -> store l v) h.init;
   let nthreads = Prog.nthreads prog in
   let accs = Array.make (max 1 nthreads) 0 in
   let priv = Array.make (max 1 nthreads) None in
   let as_int = function Vi n -> n | Vr _ -> 0 in
-  let load l = Option.value (Hashtbl.find_opt heap l) ~default:(Vi 0) in
+  let load l = match find_loc l !heap with Some r -> !r | None -> Vi 0 in
   let exception Diverged of anomaly in
   let apply_op thread step idx op =
     match (op : Prog.op) with
     | Prog.Read c -> accs.(thread) <- Prog.combine accs.(thread) (as_int (load (Cell c)))
     | Prog.Write (c, e) ->
         let token = Prog.op_token ~thread ~step ~op:idx in
-        Hashtbl.replace heap (Cell c)
-          (Vi (Prog.value_of e ~token ~acc:accs.(thread)))
+        store (Cell c) (Vi (Prog.value_of e ~token ~acc:accs.(thread)))
     | Prog.Box_read s -> (
         match load (Root s) with
         | Vr b -> accs.(thread) <- Prog.combine accs.(thread) (as_int (load (Box_field b)))
@@ -492,7 +640,7 @@ let differential (prog : Prog.t) (h : history) : anomaly option =
         match load (Root s) with
         | Vr b ->
             let token = Prog.op_token ~thread ~step ~op:idx in
-            Hashtbl.replace heap (Box_field b)
+            store (Box_field b)
               (Vi (Prog.value_of Prog.Tok_acc ~token ~acc:accs.(thread)))
         | _ -> ())
   in
@@ -508,23 +656,22 @@ let differential (prog : Prog.t) (h : history) : anomaly option =
         match (part, step_of thread step) with
         | Body, Some (Prog.Atomic ops) -> List.iteri (apply_op thread step) ops
         | Body, Some (Prog.Plain op) -> apply_op thread step 0 op
-        | Body, Some (Prog.Publish s) ->
-            Hashtbl.replace heap (Root s) (Vr (New_box { thread; step }))
+        | Body, Some (Prog.Publish s) -> store (Root s) (Vr (New_box { thread; step }))
         | Pub_init, Some (Prog.Publish _) ->
-            Hashtbl.replace heap
+            store
               (Box_field (New_box { thread; step }))
               (Vi (Prog.pub_token ~thread ~step * Prog.token_scale))
         | Body, Some (Prog.Privatize s) -> (
             match load (Root s) with
             | Vr b ->
-                Hashtbl.replace heap (Root s)
+                store (Root s)
                   (Vi (Prog.tomb_token ~thread ~step * Prog.token_scale));
                 priv.(thread) <- Some b
             | _ -> priv.(thread) <- None)
         | Priv_write, Some (Prog.Privatize _) -> (
             match priv.(thread) with
             | Some b ->
-                Hashtbl.replace heap (Box_field b)
+                store (Box_field b)
                   (Vi (Prog.priv_token ~thread ~step * Prog.token_scale))
             | None ->
                 raise
@@ -557,7 +704,7 @@ let differential (prog : Prog.t) (h : history) : anomaly option =
     List.iter replay_node h.nodes;
     List.iter
       (fun (l, actual) ->
-        let replayed = Hashtbl.find_opt heap l in
+        let replayed = Option.map ( ! ) (find_loc l !heap) in
         let same =
           match replayed with Some r -> r = actual | None -> actual = Vi 0
         in
@@ -586,8 +733,8 @@ let check prog h =
    are not checked (write skew and long fork are admitted), and there is
    no sequential differential replay (an SI execution need not have
    one). Reads already exclude a node's own-write observations (see
-   Exec.split_accs), so every recorded read names a foreign version. *)
-let check_si_graph (h : history) : anomaly option =
+   split_accs), so every recorded read names a foreign version. *)
+let si_graph (h : history) : anomaly option =
   let nodes = Array.of_list h.nodes in
   Array.iteri (fun i nd -> assert (nd.id = i)) nodes;
   let versions, vindex = build_versions h nodes in
@@ -627,6 +774,8 @@ let check_si_graph (h : history) : anomaly option =
     check_final h versions;
     None
   with Found a -> Some a
+
+let check_si_graph h = if certified h then None else si_graph h
 
 let check_si h =
   match check_si_graph h with Some a -> Anomalous a | None -> Serializable

@@ -71,6 +71,29 @@ type anomaly =
 
 type verdict = Serializable | Inconclusive of string | Anomalous of anomaly
 
+val loc_equal : loc -> loc -> bool
+(** Structural equality on locations, without the polymorphic compare. *)
+
+val split_accs : (loc * value * bool) list -> (loc * value) list * (loc * value) list
+(** [split_accs accs_rev] turns a node's accesses, most recent first
+    ([true] marks a write), into its [reads] and [writes]: reads in
+    program order with duplicates kept, except reads of a location the
+    node has already written (they observe its own pending store, not
+    another node's version); writes hold the last value per location,
+    in the program order of those last writes. The history collectors
+    all build nodes with it. *)
+
+val certified : history -> bool
+(** The stamp-order certificate: replaying the nodes in stamp order, every
+    read returns the value the replay holds and the final state agrees
+    with the replay (stamps strictly ascending, written values new to
+    their location, one write per location per node). When it holds,
+    every conflict edge points forward in stamp order, so
+    {!check_graph} and {!check_si_graph} both return [None]; both try it
+    before building any graph. Its scans are quadratic in the history's
+    size, so a history with more than 128 init, final, read and write
+    entries in all is not certified. [false] decides nothing. *)
+
 val check_graph : history -> anomaly option
 (** Conflict-graph acyclicity plus final-state agreement. [None] means
     the history is conflict serializable. *)

@@ -60,35 +60,6 @@ let pop_frame t tid txid =
         (List.filter (fun f -> f.f_txid <> txid) stack);
       popped
 
-(* Same read/write-set discipline as Stm_check.Exec: reads in program
-   order with duplicates kept, but reads of a location the transaction
-   has already written observe its own pending store and impose no
-   inter-node dependency; writes keep the last value per location. *)
-let split_accs accs_rev =
-  let own = Hashtbl.create 8 in
-  let reads =
-    List.rev accs_rev
-    |> List.filter_map (fun (l, v, w) ->
-           if w then begin
-             Hashtbl.replace own l ();
-             None
-           end
-           else if Hashtbl.mem own l then None
-           else Some (l, v))
-  in
-  let seen = Hashtbl.create 8 in
-  let writes =
-    List.fold_left
-      (fun acc (l, v, w) ->
-        if w && not (Hashtbl.mem seen l) then begin
-          Hashtbl.add seen l ();
-          (l, v) :: acc
-        end
-        else acc)
-      [] accs_rev
-  in
-  (reads, writes)
-
 let add_raw t node = t.raw_nodes <- node :: t.raw_nodes
 
 let on_event t (ev : Trace.event) =
@@ -126,7 +97,7 @@ let on_event t (ev : Trace.event) =
         match pop_frame t tid txid with
         | None -> ()
         | Some f ->
-            let reads, writes = split_accs f.f_accs in
+            let reads, writes = History.split_accs f.f_accs in
             add_raw t
               {
                 History.id = 0;

@@ -851,3 +851,109 @@ let suite =
             case "a non-runnable choice escapes run" sched_choose_non_runnable;
           ] );
     ]
+
+(* ------------------------------------------------------------------ *)
+(* Det_rng against the boxed-state generator it replaced               *)
+(* ------------------------------------------------------------------ *)
+
+(* The original implementation, kept as the reference: its state was a
+   boxed [int64] field, so every draw allocated. The unboxed generator
+   must produce the same streams bit for bit. *)
+module Boxed_rng = struct
+  type t = { mutable state : int64 }
+
+  let golden_gamma = 0x9E3779B97F4A7C15L
+  let create seed = { state = Int64.of_int seed }
+  let copy t = { state = t.state }
+
+  let mix z =
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let next64 t =
+    t.state <- Int64.add t.state golden_gamma;
+    mix t.state
+
+  let next t = Int64.to_int (Int64.shift_right_logical (next64 t) 2)
+
+  let int t bound =
+    assert (bound > 0);
+    next t mod bound
+
+  let bool t = Int64.logand (next64 t) 1L = 1L
+
+  let float t bound =
+    let x = Int64.to_float (Int64.shift_right_logical (next64 t) 11) in
+    bound *. (x /. 9007199254740992.0)
+
+  let split t = { state = next64 t }
+
+  let range t lo hi =
+    assert (hi >= lo);
+    lo + int t (hi - lo + 1)
+
+  let pick t arr =
+    assert (Array.length arr > 0);
+    arr.(int t (Array.length arr))
+
+  let weighted t choices =
+    let total = List.fold_left (fun acc (w, _) -> acc + max 0 w) 0 choices in
+    assert (total > 0);
+    let n = int t total in
+    let rec go n = function
+      | [] -> assert false
+      | (w, x) :: rest -> if n < max 0 w then x else go (n - max 0 w) rest
+    in
+    go n choices
+end
+
+(* Every drawing function in turn, with bounds that vary per round, then
+   the same again on a split-off and a copied generator. *)
+let rng_same_streams seed =
+  let arr = Array.init 37 (fun i -> i * i) in
+  let choices = [ (3, 'a'); (0, 'b'); (5, 'c'); (-2, 'd'); (1, 'e') ] in
+  let rec rounds n a b =
+    n = 0
+    || Det_rng.next a = Boxed_rng.next b
+       && (let bound = 1 + (n * 7919 mod 1_000_003) in
+           Det_rng.int a bound = Boxed_rng.int b bound)
+       && Det_rng.bool a = Boxed_rng.bool b
+       && Int64.bits_of_float (Det_rng.float a 2.5)
+          = Int64.bits_of_float (Boxed_rng.float b 2.5)
+       && Det_rng.range a (-n) n = Boxed_rng.range b (-n) n
+       && Det_rng.pick a arr = Boxed_rng.pick b arr
+       && Det_rng.weighted a choices = Boxed_rng.weighted b choices
+       && rounds (n - 1) a b
+  in
+  let a = Det_rng.create seed and b = Boxed_rng.create seed in
+  rounds 40 a b
+  && rounds 40 (Det_rng.split a) (Boxed_rng.split b)
+  && rounds 40 (Det_rng.copy a) (Boxed_rng.copy b)
+  && rounds 40 a b
+
+let rng_reference_qcheck =
+  let open QCheck in
+  [
+    Test.make ~name:"rng: streams = boxed-state reference" ~count:300 int
+      rng_same_streams;
+  ]
+
+let rng_int_allocation_free () =
+  let r = Det_rng.create 17 in
+  ignore (Det_rng.int r 10 : int);
+  let draws = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to draws do
+    ignore (Det_rng.int r 1_000 : int)
+  done;
+  let w = (Gc.minor_words () -. before) /. float_of_int draws in
+  if w >= 1.0 then Alcotest.failf "Det_rng.int: %.2f words per draw" w
+
+let suite =
+  suite
+  @ [
+      ( "runtime:rng-reference",
+        List.map QCheck_alcotest.to_alcotest rng_reference_qcheck
+        @ [ case "int allocates nothing per draw" rng_int_allocation_free ] );
+    ]
