@@ -177,25 +177,22 @@ let () =
         parse rest
   in
   parse (List.tl argv);
-  let metrics =
-    Option.map
-      (fun _ ->
-        let m = Stm_obs.Metrics.create () in
-        Stm_obs.Metrics.install m;
-        m)
-      !metrics_out
-  in
+  let metrics = Option.map (fun _ -> Stm_obs.Metrics.create ()) !metrics_out in
   let what = match List.rev !words with [] -> "all" | w :: _ -> w in
-  (match what with
-  | "figures" -> figures ()
-  | "micro" -> micro ()
-  | "all" ->
-      figures ();
-      micro ()
-  | other ->
-      Printf.eprintf "unknown argument %S (use: figures | micro | all)\n" other;
-      exit 2);
-  Stm_core.Trace.set_sink None;
+  Stm_core.Trace.with_sinks
+    (Option.fold metrics ~none:[] ~some:(fun m ->
+         [ (Stm_core.Trace.Info, Stm_obs.Metrics.handle m) ]))
+    (fun () ->
+      match what with
+      | "figures" -> figures ()
+      | "micro" -> micro ()
+      | "all" ->
+          figures ();
+          micro ()
+      | other ->
+          Printf.eprintf "unknown argument %S (use: figures | micro | all)\n"
+            other;
+          exit 2);
   Option.iter
     (fun m ->
       let path = Option.get !metrics_out in

@@ -96,6 +96,23 @@ let stress_report_json (r : Stm_harness.Stress.report) =
           r.Stm_harness.Stress.metrics );
     ]
 
+(* --diag-out's subscribers: the live conflict-diagnosis pipeline, and a
+   recorder whose raw entries make the file a JSONL trace that `stm_diag`
+   replays to the same conclusions *)
+let diag_create diag_out =
+  Option.map
+    (fun _ -> (Stm_diag.Diag.create (), Stm_obs.Recorder.create ()))
+    diag_out
+
+let diag_sinks = function
+  | None -> []
+  | Some (d, rec_) ->
+      Stm_core.Trace.
+        [
+          (Debug, Stm_obs.Recorder.record rec_);
+          (Debug, Stm_diag.Diag.consumer d);
+        ]
+
 let run_stress which versioning isolation validation cm seed fuel metrics_out
     diag_out =
   let scenarios =
@@ -105,27 +122,14 @@ let run_stress which versioning isolation validation cm seed fuel metrics_out
       | Some s -> [ s ]
       | None -> Fmt.failwith "unknown stress scenario %s" which
   in
-  (* --diag-out: run the conflict-diagnosis pipeline live alongside the
-     scenarios and keep the raw entries, so the file is a JSONL trace
-     that `stm_diag` replays to the same conclusions *)
-  let diag =
-    Option.map
-      (fun _ -> (Stm_diag.Diag.create (), Stm_obs.Recorder.create ()))
-      diag_out
-  in
-  let consumer =
-    Option.map
-      (fun (d, rec_) ev ->
-        Stm_obs.Recorder.record rec_ ev;
-        Stm_diag.Diag.consumer d ev)
-      diag
-  in
+  let diag = diag_create diag_out in
   let reports =
     List.map
       (fun s ->
         let r =
-          Stm_harness.Stress.run ?seed ?fuel ?consumer ~versioning ~isolation
-            ~validation ~cm s
+          Stm_core.Trace.with_sinks (diag_sinks diag) (fun () ->
+              Stm_harness.Stress.run ?seed ?fuel ~versioning ~isolation
+                ~validation ~cm s)
         in
         Fmt.pr "%a@." Stm_harness.Stress.pp_report r;
         (match (diag, r.Stm_harness.Stress.starved) with
@@ -213,21 +217,24 @@ let run_fuzz ~programs ~seeds ~driver ~dir ~seed ~fuel ~validation ~metrics_out
   Option.iter
     (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755)
     dir;
-  (* The fuzzer's executor owns the trace sink (it rebuilds the access
-     history per run), so fuzz mode feeds the flight recorder through the
-     anomaly hook alone: each unexpected anomaly freezes an incident
-     naming the campaign, program seed and schedule seed. *)
+  (* Fuzz mode feeds the flight recorder through [on_anomaly] alone:
+     each unexpected anomaly freezes an incident naming the campaign,
+     program seed and schedule seed. *)
   let diag = Option.map (fun _ -> Stm_diag.Diag.create ()) diag_out in
-  Option.iter
-    (fun d ->
-      Fuzz.set_anomaly_hook
-        (Some (fun reason -> Stm_diag.Diag.force_incident d ~reason)))
-    diag;
+  let on_anomaly =
+    Option.map
+      (fun d c ~prog_seed ~sched_seed ->
+        Stm_diag.Diag.force_incident d
+          ~reason:
+            (Printf.sprintf "%s: unexpected anomaly on program %d schedule %d"
+               (Fuzz.campaign_name c) prog_seed sched_seed))
+      diag
+  in
   let log msg = Fmt.pr "    %s@." msg in
   let results =
     List.map
       (fun c ->
-        let r = Fuzz.run_campaign ~log budget c in
+        let r = Fuzz.run_campaign ~log ?on_anomaly budget c in
         Fmt.pr "%-40s %4d runs %3d anomalies %3d inconclusive  %s@."
           (Fuzz.campaign_name c) r.Fuzz.runs r.Fuzz.anomalies
           r.Fuzz.inconclusive
@@ -254,7 +261,6 @@ let run_fuzz ~programs ~seeds ~driver ~dir ~seed ~fuel ~validation ~metrics_out
   Option.iter (fun path -> write_json path summary) metrics_out;
   Option.iter
     (fun d ->
-      Fuzz.set_anomaly_hook None;
       let path = Option.get diag_out in
       write_json path (Stm_diag.Diag.to_json d);
       Fmt.pr "fuzz diag report written to %s@." path)
@@ -475,19 +481,11 @@ let run_store_profile so profile cm seed fuel metrics_out diag_out =
     store_params so profile ~record:so.so_check ~mode:so.so_mode
       ~shards:so.so_shards cm seed fuel
   in
-  let diag =
-    Option.map
-      (fun _ -> (Stm_diag.Diag.create (), Stm_obs.Recorder.create ()))
-      diag_out
+  let diag = diag_create diag_out in
+  let r =
+    Stm_core.Trace.with_sinks (diag_sinks diag) (fun () ->
+        Stm_store.Engine.run p)
   in
-  let consumer =
-    Option.map
-      (fun (d, rec_) ev ->
-        Stm_obs.Recorder.record rec_ ev;
-        Stm_diag.Diag.consumer d ev)
-      diag
-  in
-  let r = Stm_store.Engine.run ?consumer p in
   Fmt.pr "%a@." Stm_store.Engine.pp_report r;
   Option.iter
     (fun (d, rec_) ->
@@ -998,30 +996,27 @@ let main list store store_opts name scale threads backend isolation validation
             exit 2
       in
       (* Collect run metrics across every figure executed by this
-         invocation; an Info-level sink keeps the per-access Debug events
-         unforced, so figure timings are unaffected on the fast paths. *)
-      let metrics =
-        Option.map
-          (fun _ ->
-            let m = Stm_obs.Metrics.create () in
-            Stm_obs.Metrics.install m;
-            m)
-          metrics_out
-      in
+         invocation; an Info-level subscriber keeps the per-access Debug
+         events unforced, so figure timings are unaffected on the fast
+         paths. *)
+      let metrics = Option.map (fun _ -> Stm_obs.Metrics.create ()) metrics_out in
       let ok =
         try
-          if name = "all" then
-            List.fold_left
-              (fun acc f ->
-                Fmt.pr "== %s ==@." f;
-                run_figure f scale threads (Some cm) && acc)
-              true all_figures
-          else run_figure name scale threads (Some cm)
+          Stm_core.Trace.with_sinks
+            (Option.fold metrics ~none:[] ~some:(fun m ->
+                 [ (Stm_core.Trace.Info, Stm_obs.Metrics.handle m) ]))
+            (fun () ->
+              if name = "all" then
+                List.fold_left
+                  (fun acc f ->
+                    Fmt.pr "== %s ==@." f;
+                    run_figure f scale threads (Some cm) && acc)
+                  true all_figures
+              else run_figure name scale threads (Some cm))
         with Failure m ->
           Fmt.epr "%s@." m;
           exit 2
       in
-      Stm_core.Trace.set_sink None;
       Option.iter
         (fun m ->
           write_json (Option.get metrics_out) (Stm_obs.Metrics.to_json m))

@@ -201,51 +201,32 @@ let main repro file config opt nait params verbose detect_races granule cm seed
           let diagnoser =
             if diag then Some (Stm_diag.Diag.create ~resolve ()) else None
           in
-          let consumers =
-            List.concat
-              [
-                (if trace then
-                   [
-                     (fun ev ->
-                       (* print only the lifecycle events; per-access
-                          Debug events would flood stderr *)
-                       if Stm_core.Trace.event_level ev = Stm_core.Trace.Info
-                       then
-                         Fmt.epr "[%8d] %a@."
-                           (if Stm_runtime.Sched.running () then
-                              Stm_runtime.Sched.time ()
-                            else 0)
-                           Stm_core.Trace.pp_event ev);
-                   ]
-                 else []);
-                (match recorder with
-                | Some r -> [ Stm_obs.Recorder.record r ]
-                | None -> []);
-                (match profiler with
-                | Some p -> [ Stm_obs.Profiler.handle p ]
-                | None -> []);
-                (match metrics with
-                | Some m -> [ Stm_obs.Metrics.handle m ]
-                | None -> []);
-                (match diagnoser with
-                | Some d -> [ Stm_diag.Diag.consumer d ]
-                | None -> []);
-              ]
+          let print_event ev =
+            Fmt.epr "[%8d] %a@."
+              (if Stm_runtime.Sched.running () then Stm_runtime.Sched.time ()
+               else 0)
+              Stm_core.Trace.pp_event ev
           in
-          if consumers <> [] then begin
-            let level =
-              (* the diagnoser wants the Debug stream too: CM decisions
-                 and serialization points feed the causality graph and
-                 the post-mortems *)
-              if recorder <> None || profiler <> None || diagnoser <> None
-              then Stm_core.Trace.Debug
-              else Stm_core.Trace.Info
-            in
-            Stm_core.Trace.set_sink ~level
-              (Some (fun ev -> List.iter (fun f -> f ev) consumers))
-          end;
-          let out = Stm_ir.Interp.run ?policy ~cfg ~params ~profile prog in
-          Stm_core.Trace.set_sink None;
+          (* each consumer at its own level: the printer shows only the
+             lifecycle events (per-access Debug events would flood
+             stderr) and metrics count the same events whatever else is
+             on; the recorder, profiler and diagnoser take everything *)
+          let opt level f = function Some c -> [ (level, f c) ] | None -> [] in
+          let sinks =
+            List.concat
+              Stm_core.Trace.
+                [
+                  (if trace then [ (Info, print_event) ] else []);
+                  opt Debug Stm_obs.Recorder.record recorder;
+                  opt Debug Stm_obs.Profiler.handle profiler;
+                  opt Info Stm_obs.Metrics.handle metrics;
+                  opt Debug Stm_diag.Diag.consumer diagnoser;
+                ]
+          in
+          let out =
+            Stm_core.Trace.with_sinks sinks (fun () ->
+                Stm_ir.Interp.run ?policy ~cfg ~params ~profile prog)
+          in
           Option.iter
             (fun r ->
               write_trace_file (Option.get trace_out) ~resolve r)

@@ -414,22 +414,21 @@ let verdict_of_run ctx (result : Sched.result) =
           | Some a -> (History.Anomalous a, Some h)
           | None -> (History.check_at ctx.level ctx.prog h, Some h)))
 
+let new_ctx ~cfg prog =
+  let col = create_collector () in
+  col.mv <- cfg.Config.versioning = Config.Mvcc;
+  {
+    col;
+    prog;
+    level = check_level cfg;
+    cells = None;
+    roots = None;
+    clobbered = None;
+  }
+
 let run ?policy ?(max_steps = default_fuel) ~cfg prog =
-  let ctx =
-    {
-      col = create_collector ();
-      prog;
-      level = check_level cfg;
-      cells = None;
-      roots = None;
-      clobbered = None;
-    }
-  in
-  ctx.col.mv <- cfg.Config.versioning = Config.Mvcc;
-  Trace.set_sink ~level:Trace.Debug (Some (on_event ctx.col));
-  Fun.protect
-    ~finally:(fun () -> Trace.set_sink None)
-    (fun () ->
+  let ctx = new_ctx ~cfg prog in
+  Trace.with_sinks [ (Trace.Debug, on_event ctx.col) ] (fun () ->
       let result, _stats = Stm.run ?policy ~max_steps ~cfg (main ctx) in
       verdict_of_run ctx result)
 
@@ -444,19 +443,15 @@ let run ?policy ?(max_steps = default_fuel) ~cfg prog =
 
 let anomalous_outcome s = String.length s > 0 && s.[0] = 'A'
 
-let explore_make ~cfg ~first prog () =
-    let ctx =
-      {
-        col = create_collector ();
-        prog;
-        level = check_level cfg;
-        cells = None;
-        roots = None;
-        clobbered = None;
-      }
-    in
-    ctx.col.mv <- cfg.Config.versioning = Config.Mvcc;
-    Trace.set_sink ~level:Trace.Debug (Some (on_event ctx.col));
+(* One subscriber for the whole exploration feeds whichever schedule's
+   collector [current] holds: [make] swaps in a fresh one per schedule
+   instead of subscribing again. *)
+let explore_with ~cfg prog search =
+  let first = ref None in
+  let current = ref (create_collector ()) in
+  let make () =
+    let ctx = new_ctx ~cfg prog in
+    current := ctx.col;
     {
       Stm_litmus.Explorer.main = main ctx;
       observe =
@@ -479,28 +474,18 @@ let explore_make ~cfg ~first prog () =
               | History.Serializable -> "S:"
               | History.Inconclusive _ -> "I:")
               ^ Stm_obs.Json.to_string (History.verdict_to_json v));
-  }
+    }
+  in
+  Trace.with_sinks [ (Trace.Debug, fun ev -> on_event !current ev) ] (fun () ->
+      let r = search make in
+      (!first, r))
 
 let explore ?preemption_bound ?max_runs ?(max_steps = 60_000) ~cfg prog =
-  let first = ref None in
-  let make = explore_make ~cfg ~first prog in
-  Fun.protect
-    ~finally:(fun () -> Trace.set_sink None)
-    (fun () ->
-      let exploration =
-        Stm_litmus.Explorer.explore ?preemption_bound ?max_runs ~max_steps
-          ~stop_when:anomalous_outcome ~cfg ~make ()
-      in
-      (!first, exploration))
+  explore_with ~cfg prog (fun make ->
+      Stm_litmus.Explorer.explore ?preemption_bound ?max_runs ~max_steps
+        ~stop_when:anomalous_outcome ~cfg ~make ())
 
 let explore_dpor ?preemption_bound ?max_runs ?(max_steps = 60_000) ~cfg prog =
-  let first = ref None in
-  let make = explore_make ~cfg ~first prog in
-  Fun.protect
-    ~finally:(fun () -> Trace.set_sink None)
-    (fun () ->
-      let d =
-        Stm_litmus.Explorer.explore_dpor ?preemption_bound ?max_runs ~max_steps
-          ~stop_when:anomalous_outcome ~cfg ~make ()
-      in
-      (!first, d))
+  explore_with ~cfg prog (fun make ->
+      Stm_litmus.Explorer.explore_dpor ?preemption_bound ?max_runs ~max_steps
+        ~stop_when:anomalous_outcome ~cfg ~make ())

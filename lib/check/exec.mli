@@ -1,14 +1,17 @@
 (** Execute fuzz programs on the real STM and collect their histories.
 
-    A Debug-level trace sink turns the runtime's {!Stm_core.Trace.Access}
-    and {!Stm_core.Trace.Txn_serialized} events into a {!History.history}:
+    A Debug-level trace subscriber turns the runtime's
+    {!Stm_core.Trace.Access} and {!Stm_core.Trace.Txn_serialized} events
+    into a {!History.history}:
     one node per committed transaction (stamped at its serialization
     point) and per non-transactional unit access (stamped at its
     linearization point). Aborted attempts are dropped; values observed
     from them have no committed writer and surface as dirty reads.
 
-    Both entry points install the global trace sink for the duration of
-    the run and restore it to [None] afterwards. *)
+    Every entry point subscribes its collector with
+    {!Stm_core.Trace.with_sinks} for the duration of the call, alongside
+    whatever the caller has subscribed; an exploration subscribes once
+    and hands each schedule a fresh collector. *)
 
 val default_fuel : int
 (** Default scheduler step budget per execution. *)

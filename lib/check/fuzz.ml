@@ -169,19 +169,7 @@ let make_repro campaign budget ~kind ~prog_seed ~sched_seed prog verdict =
     verdict = History.verdict_to_json verdict;
   }
 
-(* External anomaly notification: lets an observer (the diagnosis
-   flight recorder) freeze its state at the moment the oracle flags an
-   unexpected history - before shrinking re-runs the program dozens of
-   times and scrolls the interesting window away. Only unexpected
-   anomalies (an [Expect_clean] campaign turning up Anomalous) fire the
-   hook; hunt campaigns find anomalies by design. *)
-let anomaly_hook : (string -> unit) option ref = ref None
-let set_anomaly_hook f = anomaly_hook := f
-
-let notify_anomaly msg =
-  match !anomaly_hook with Some f -> f msg | None -> ()
-
-let run_campaign ?(log = fun (_ : string) -> ()) budget campaign =
+let run_campaign ?(log = fun (_ : string) -> ()) ?on_anomaly budget campaign =
   let combo = campaign.combo in
   let kind =
     Option.value campaign.driver ~default:(budget : budget).driver
@@ -208,10 +196,10 @@ let run_campaign ?(log = fun (_ : string) -> ()) budget campaign =
          | History.Serializable -> ()
          | History.Anomalous _ ->
              incr anomalies;
+             (* before shrinking re-runs the program and scrolls an
+                observer's recent state away *)
              if campaign.expectation = Expect_clean then
-               notify_anomaly
-                 (Printf.sprintf "%s: unexpected anomaly on program %d schedule %d"
-                    (campaign_name campaign) prog_seed sched_seed);
+               Option.iter (fun f -> f campaign ~prog_seed ~sched_seed) on_anomaly;
              if !repro = None then begin
                log
                  (Printf.sprintf "%s: anomaly on program %d schedule %d, shrinking"

@@ -64,20 +64,23 @@ val timestamp_plan : campaign list
 
 val campaign_name : campaign -> string
 
-val set_anomaly_hook : (string -> unit) option -> unit
-(** Install (or clear) a callback fired the moment an [Expect_clean]
-    campaign observes an anomalous history — before shrinking re-runs
-    the program and scrolls recent state away. The argument names the
-    campaign, the program seed, and the schedule seed. The diagnosis
-    layer uses it to freeze a flight-recorder incident
-    ({!Stm_diag.Diag.force_incident}); hunt campaigns, which find
-    anomalies by design, never fire it. *)
-
-val run_campaign : ?log:(string -> unit) -> budget -> campaign -> campaign_result
+val run_campaign :
+  ?log:(string -> unit) ->
+  ?on_anomaly:(campaign -> prog_seed:int -> sched_seed:int -> unit) ->
+  budget ->
+  campaign ->
+  campaign_result
 (** Fuzz one campaign. On the first anomaly the failing program is
     shrunk to a fixpoint (re-running the same deterministic driver as
     the [keep] predicate) and packaged as a {!Repro.t}. Hunt campaigns
-    stop at the first witness. *)
+    stop at the first witness.
+
+    [on_anomaly] fires the moment an [Expect_clean] campaign observes an
+    anomalous history, with the program and schedule seeds that produced
+    it — before shrinking re-runs the program and scrolls recent state
+    away. The diagnosis layer uses it to freeze a flight-recorder
+    incident ({!Stm_diag.Diag.force_incident}); hunt campaigns, which
+    find anomalies by design, never fire it. *)
 
 val sweep : ?log:(string -> unit) -> ?plan:campaign list -> budget -> campaign_result list
 val passed : campaign_result list -> bool

@@ -1,11 +1,5 @@
 type level = Debug | Info
 
-let level_ge a b =
-  match (a, b) with
-  | Info, _ -> true
-  | Debug, Debug -> true
-  | Debug, Info -> false
-
 type barrier_op = Op_read | Op_read_ordering | Op_write | Op_txn_read | Op_txn_write
 type barrier_path = Path_fired | Path_private | Path_elided
 
@@ -66,28 +60,47 @@ let event_level = function
   | Publish _ | Quiesce_wait _ ->
       Info
 
-type sink = { min_level : level; deliver : event -> unit }
+(* The subscriber set, in subscription order. Levels compare as ranks,
+   [Debug] 0 and [Info] 1: a subscriber of rank [k] takes the events of
+   rank [k] and above. [eff] caches the minimum rank over the set
+   ([closed] when it is empty), so [enabled_at] is one load and one
+   compare on the access paths. *)
+type sub = { rank : int; deliver : event -> unit }
 
-let sink : sink option ref = ref None
+let rank = function Debug -> 0 | Info -> 1
+let closed = 2
+let subs : sub list ref = ref []
+let eff = ref closed
 
-let set_sink ?(level = Debug) s =
-  sink := Option.map (fun deliver -> { min_level = level; deliver }) s
+let install set =
+  subs := set;
+  eff := List.fold_left (fun m s -> min m s.rank) closed set
+
+let with_sinks sinks body =
+  let outer = !subs in
+  install
+    (outer @ List.map (fun (level, deliver) -> { rank = rank level; deliver }) sinks);
+  Fun.protect ~finally:(fun () -> install outer) body
+
+let set_sink ?(level = Debug) = function
+  | None -> install []
+  | Some deliver -> install [ { rank = rank level; deliver } ]
+
+let rec deliver r ev = function
+  | [] -> ()
+  | s :: rest ->
+      if r >= s.rank then s.deliver ev;
+      deliver r ev rest
 
 (* The level is passed alongside the lazy payload so that filtering never
-   forces it: a sink installed at [Info] pays nothing for the per-access
-   [Debug] events the hot paths emit. *)
+   forces it: with only [Info] subscribers the per-access [Debug] events
+   the hot paths emit cost nothing. *)
 let emit ?(level = Info) ev =
-  match !sink with
-  | Some { min_level; deliver } when level_ge level min_level ->
-      deliver (Lazy.force ev)
-  | Some _ | None -> ()
+  let r = rank level in
+  if r >= !eff then deliver r (Lazy.force ev) !subs
 
-let enabled () = !sink <> None
-
-let enabled_at level =
-  match !sink with
-  | Some { min_level; _ } -> level_ge level min_level
-  | None -> false
+let enabled () = !eff < closed
+let enabled_at level = rank level >= !eff
 
 let string_of_cause = function
   | Cause_conflict -> "conflict"

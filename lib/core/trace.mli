@@ -1,33 +1,38 @@
 (** Event tracing hooks for the STM.
 
-    A single optional sink receives structured STM events: transaction
-    lifecycle, conflicts, publications, quiescence waits, and — at
-    [Debug] level — per-access barrier, backoff, and validation events.
+    Structured STM events — transaction lifecycle, conflicts,
+    publications, quiescence waits, and at [Debug] level per-access
+    barrier, backoff and validation events — go to an ordered {b set of
+    subscribers}, each with its own minimum level. {!with_sinks} adds
+    subscribers for the extent of a call and restores the previous set
+    on return and on exception, so consumers compose instead of
+    overwriting each other: a metrics collector at [Info] and a recorder
+    at [Debug] see exactly what each would see alone.
 
     {b Guard before building the payload.} Every emitter in the library
     is written [if Trace.enabled_at lvl then Trace.emit ~level:lvl (lazy
     ...)] ({!enabled} for [Info] events). The [lazy] alone is not enough
     on a hot path: an unforced [lazy] still allocates its thunk and the
-    closure over the payload's fields, about seven words per event.
-    Behind the guard, an access with no
-    sink installed - or with a sink at [Info], for the [Debug] events -
-    costs one load and one branch and allocates nothing; the test suite
-    checks that a barrier or transactional access allocates less than one
-    word with tracing off.
+    closure over the payload's fields, about seven words per event. The
+    bus caches the minimum level over its subscribers, so the guard is
+    one load and one compare: an access with no subscriber - or with
+    only [Info] subscribers, for the [Debug] events - allocates nothing;
+    the test suite checks that a barrier or transactional access
+    allocates less than one word in both cases.
 
-    The [stm_run --trace] CLI installs a printing sink; [--trace-out] and
-    [--profile-barriers] install the {!Stm_obs} recorder and per-site
-    profiler; tests install collecting sinks. *)
+    The DPOR explorer's shared-access reports do not go through this
+    bus: {!Stm_runtime.Footprint} is its fast channel, below this
+    library and with the explorer as its one owner.
+
+    The [stm_run --trace] CLI subscribes a printer; [--trace-out],
+    [--profile-barriers] and [--metrics-out] subscribe the {!Stm_obs}
+    recorder, per-site profiler and metrics; tests subscribe collecting
+    functions. *)
 
 (** Event verbosity. [Debug] events fire on every memory access (barrier
     executions, backoffs, validations); [Info] events fire per
     transaction or per structural STM action. *)
 type level = Debug | Info
-
-val level_ge : level -> level -> bool
-(** [level_ge a b] is true when an event of level [a] passes a sink
-    filtering at minimum level [b] ([Info] passes everything, [Debug]
-    passes only a [Debug] sink). *)
 
 (** Which access path a {!Barrier} event describes. [Op_read] /
     [Op_read_ordering] / [Op_write] are the non-transactional isolation
@@ -122,27 +127,34 @@ type event =
 val event_level : event -> level
 (** Intrinsic level of an event kind (per-access events are [Debug]). *)
 
+val with_sinks : (level * (event -> unit)) list -> (unit -> 'a) -> 'a
+(** [with_sinks subs body] runs [body] with [subs] appended to the
+    current subscriber set, then restores the previous set — on return
+    and on exception alike. Each subscriber receives the events at or
+    above its own level; a set with only [Info] subscribers never forces
+    the per-access [Debug] payloads. *)
+
 val set_sink : ?level:level -> (event -> unit) option -> unit
-(** Install (or remove) the global sink. [level] (default [Debug]) is the
-    minimum level delivered: a sink installed at [Info] suppresses the
-    per-access events without being uninstalled — and without their lazy
-    payloads ever being forced. *)
+(** Replace the whole subscriber set with one subscriber at [level]
+    (default [Debug]), or with none. Unscoped: kept only for
+    [bench/e2e/stm_e2e.ml]; everything else uses {!with_sinks}. *)
 
 val emit : ?level:level -> event Lazy.t -> unit
-(** Deliver the event to the sink if one is installed and accepts
-    [level] (default [Info]). Emitters must pass the same level
-    {!event_level} assigns to the payload, and guard the call with
-    {!enabled_at} so that the payload is not even allocated when the
-    event would be filtered out. *)
+(** Deliver the event to each subscriber that accepts [level] (default
+    [Info]), in subscription order, forcing the payload once and only if
+    one does. Emitters must pass the same level {!event_level} assigns
+    to the payload, and guard the call with {!enabled_at} so that the
+    payload is not even allocated when the event would be filtered out. *)
 
 val enabled : unit -> bool
+(** Whether any subscriber is installed. *)
 
 val enabled_at : level -> bool
-(** Whether a sink is installed that accepts events of this level. *)
+(** Whether some subscriber accepts events of this level. *)
 
 val string_of_cause : abort_cause -> string
 val string_of_op : barrier_op -> string
 val string_of_path : barrier_path -> string
 
 val pp_event : Format.formatter -> event -> unit
-(** Render one event (used by the CLI's printing sink). *)
+(** Render one event (used by the CLI's printing subscriber). *)

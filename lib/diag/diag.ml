@@ -5,7 +5,7 @@ open Stm_obs
 (* The conflict-diagnosis pipeline: one object owning a contention
    heatmap, an abort-causality graph, a flight recorder, and an
    event-derived metrics block, all fed from a single event stream -
-   live (as a trace-sink consumer that stamps entries itself, exactly
+   live (as a trace subscriber that stamps entries itself, exactly
    like [Recorder.record]) or offline (replaying ingested entries).
    Report rendering pulls the pieces together: hottest granules mapped
    to sites, victim <- aggressor edges with kill chains, starvation

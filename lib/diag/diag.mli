@@ -3,7 +3,8 @@
     One object owning the three diagnosis pillars — {!Heatmap},
     {!Causality}, {!Flight} — plus an event-derived {!Stm_obs.Metrics}
     block, all fed from a single event stream. Feed it live by
-    installing {!consumer} as (part of) the trace sink, or offline by
+    subscribing {!consumer} at [Debug]
+    ([Trace.with_sinks [ (Trace.Debug, Diag.consumer d) ] run]), or offline by
     replaying {!Ingest}ed entries through {!feed_all}; the contents are
     identical either way, which is what lets the [stm_diag] CLI analyze
     a checked-in trace exactly as [stm_run --diag] analyzes a live run. *)

@@ -236,24 +236,11 @@ let body = function
 (* Runner                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let run ?(seed = 0) ?(fuel = 2_000_000) ?consumer ?versioning ?isolation
-    ?validation ~cm scenario =
+let run ?(seed = 0) ?(fuel = 2_000_000) ?versioning ?isolation ?validation
+    ~cm scenario =
   let cfg = config ?versioning ?isolation ?validation ~cm ~seed () in
   let metrics = Stm_obs.Metrics.create () in
-  (match consumer with
-  | None -> Stm_obs.Metrics.install ~level:Trace.Info metrics
-  | Some c ->
-      (* an extra consumer (the diagnosis pipeline) wants the Debug
-         stream; the report's own metrics keep their Info-level diet so
-         a run reports identical counters with or without it *)
-      Trace.set_sink ~level:Trace.Debug
-        (Some
-           (fun ev ->
-             if Trace.event_level ev = Trace.Info then
-               Stm_obs.Metrics.handle metrics ev;
-             c ev)));
-  let finally () = Trace.set_sink None in
-  Fun.protect ~finally (fun () ->
+  Trace.with_sinks [ (Trace.Info, Stm_obs.Metrics.handle metrics) ] (fun () ->
       let result, stats =
         Stm.run ~policy:(Sched.Random seed) ~max_steps:fuel ~cfg
           (body scenario)

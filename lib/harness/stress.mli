@@ -41,7 +41,6 @@ type report = {
 val run :
   ?seed:int ->
   ?fuel:int ->
-  ?consumer:(Stm_core.Trace.event -> unit) ->
   ?versioning:Stm_core.Config.versioning ->
   ?isolation:Stm_core.Config.isolation ->
   ?validation:Stm_core.Config.validation ->
@@ -50,11 +49,12 @@ val run :
   report
 (** Execute one scenario under one policy. [fuel] bounds scheduler steps
     (default 2M); a run that exhausts it reports
-    [status = Fuel_exhausted] and [completed = false]. Installs (and
-    removes) its own trace sink. [consumer] additionally receives the
-    full Debug-level event stream (e.g. {!Stm_diag.Diag.consumer});
-    the report's own metrics still count only Info events, so a run
-    reports identical counters with or without it. [versioning]
+    [status = Fuel_exhausted] and [completed = false]. The report's
+    metrics are an [Info] {!Stm_core.Trace} subscriber for the run; a
+    caller that wants the Debug stream too (e.g.
+    {!Stm_diag.Diag.consumer}) wraps the call in
+    {!Stm_core.Trace.with_sinks}, and the report's counters are the
+    same with or without it. [versioning]
     (default eager) and [isolation] (default serializable) select the
     backend; under mvcc the {!Read_heavy} scanners must commit
     abort-free. [validation] (default incremental) selects the read-set

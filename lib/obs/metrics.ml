@@ -104,7 +104,7 @@ let handle t (ev : Trace.event) =
   | Trace.Cm_decision _ -> t.cm_decisions <- t.cm_decisions + 1
   | Trace.Barrier _ | Trace.Access _ | Trace.Txn_serialized _ -> ()
 
-let install ?(level = Trace.Info) t = Trace.set_sink ~level (Some (handle t))
+let install t = Trace.set_sink ~level:Trace.Info (Some (handle t))
 
 let snapshot t =
   {

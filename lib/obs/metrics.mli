@@ -1,10 +1,18 @@
 (** Event-derived run metrics with snapshot/diff.
 
-    A {!t} consumes {!Stm_core.Trace} events (an [Info]-level sink
-    suffices) and accumulates transaction lifecycle counters, per-cause
-    abort counts, and commit/abort latency histograms on the simulated
-    cost clock. {!snapshot} and {!diff} scope the metrics to any window
-    of a run — e.g. per benchmark iteration. *)
+    A {!t} consumes {!Stm_core.Trace} events and accumulates transaction
+    lifecycle counters, per-cause abort counts, and commit/abort latency
+    histograms on the simulated cost clock. {!snapshot} and {!diff}
+    scope the metrics to any window of a run — e.g. per benchmark
+    iteration.
+
+    Every caller in this tree subscribes it at [Info], which keeps the
+    access fast paths cheap and makes its counters independent of
+    whatever else is subscribed. At [Info] the [backoffs],
+    [cm_decisions], [validations] and [validation_failures] counters stay
+    [0]: they count [Debug] events and need a [Debug] subscription. The
+    always-on counts of those actions are in the run's
+    {!Stm_core.Stats}. *)
 
 open Stm_core
 
@@ -13,16 +21,12 @@ type t
 val create : unit -> t
 
 val handle : t -> Trace.event -> unit
-(** The sink function; compose with other consumers or use {!install}. *)
+(** The subscriber function: [Trace.with_sinks [ (Trace.Info, handle m) ]]. *)
 
-val install : ?level:Trace.level -> t -> unit
-(** Install as the global trace sink. Default level [Info] — metrics
-    need no per-access events, so the [Debug] payloads stay unforced.
-    This deliberately differs from {!Recorder.install}'s [Debug]
-    default: installing a metrics sink keeps the access fast paths
-    cheap, installing a recorder captures everything. A sink that feeds
-    both (as [stm_run --diag] does) must be installed at [Debug] and
-    filter Info events to the metrics side itself. *)
+val install : t -> unit
+(** Replace the whole subscriber set with this collector at [Info]
+    ({!Trace.set_sink}). Unscoped; kept only for
+    [bench/e2e/stm_e2e.ml]. *)
 
 val snapshot : t -> t
 (** Immutable copy of the current totals. *)

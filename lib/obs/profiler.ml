@@ -78,8 +78,6 @@ let handle t (ev : Trace.event) =
   | Trace.Access _ | Trace.Txn_serialized _ ->
       ()
 
-let install ?(level = Trace.Debug) t = Trace.set_sink ~level (Some (handle t))
-
 let sites t =
   Hashtbl.fold (fun site c acc -> (site, c) :: acc) t.sites []
   |> List.sort (fun (sa, a) (sb, b) ->

@@ -25,11 +25,8 @@ type t
 val create : unit -> t
 
 val handle : t -> Trace.event -> unit
-(** The sink function; compose with other consumers or use {!install}. *)
-
-val install : ?level:Trace.level -> t -> unit
-(** Install as the global trace sink (default [Debug] — the profiler
-    needs the per-access events). *)
+(** The subscriber function; subscribe it at [Debug] (see
+    {!Trace.with_sinks}) — the profiler needs the per-access events. *)
 
 val sites : t -> (int * counters) list
 (** Most active site first. *)

@@ -24,6 +24,3 @@ let entries t = Ring.to_list t.ring
 let length t = Ring.length t.ring
 let dropped t = Ring.dropped t.ring
 let clear t = Ring.clear t.ring
-
-let install ?(level = Trace.Debug) t = Trace.set_sink ~level (Some (record t))
-let uninstall () = Trace.set_sink None

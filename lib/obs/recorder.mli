@@ -21,18 +21,9 @@ val create : ?capacity:int -> unit -> t
 (** Default capacity: 65536 events. *)
 
 val record : t -> Trace.event -> unit
-(** The sink function; normally installed via {!install}. *)
-
-val install : ?level:Trace.level -> t -> unit
-(** Install this recorder as the global trace sink (default [Debug]:
-    record everything). Note the deliberate asymmetry with
-    {!Metrics.install}, which defaults to [Info]: a recorder exists to
-    capture the full stream for offline analysis, while metrics only
-    need the per-transaction lifecycle events — so swapping one for the
-    other changes which events are delivered. Pass [~level] explicitly
-    when composing both into one sink. *)
-
-val uninstall : unit -> unit
+(** The subscriber function. A recorder exists to capture the full
+    stream, so subscribe it at [Debug]:
+    [Trace.with_sinks [ (Trace.Debug, Recorder.record r) ] body]. *)
 
 val entries : t -> entry list
 (** Oldest first. *)

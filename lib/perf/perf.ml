@@ -192,9 +192,8 @@ let diag_churn cfg () =
 
 let diag_churn_on cfg () =
   let d = Stm_diag.Diag.create () in
-  Stm_core.Trace.set_sink ~level:Stm_core.Trace.Debug
-    (Some (Stm_diag.Diag.consumer d));
-  Fun.protect ~finally:(fun () -> Stm_core.Trace.set_sink None)
+  Stm_core.Trace.with_sinks
+    [ (Stm_core.Trace.Debug, Stm_diag.Diag.consumer d) ]
     (diag_churn cfg)
 
 (* End-to-end store engine runs (KV shards + YCSB-style clients + full

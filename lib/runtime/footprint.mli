@@ -28,7 +28,10 @@ type kind = Spin_read | Read | Write
 
 val set_sink : (int -> kind -> unit) option -> unit
 (** [set_sink (Some f)] routes every access to [f oid kind];
-    [set_sink None] uninstalls. Not nested: the explorer owns it. *)
+    [set_sink None] uninstalls. Not nested and not a subscriber set:
+    this is the fast channel beside the [Stm_core.Trace] event bus, one
+    dereference per heap access with a single owner, the explorer, which
+    installs it around each schedule and clears it on every exit. *)
 
 val read : int -> unit
 (** Report a read of [oid] by the running thread. *)

@@ -266,7 +266,7 @@ let main ctx oracle () =
 (* Runner                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let run ?consumer p =
+let run p =
   validate p;
   let metrics = Stm_obs.Metrics.create () in
   let shard_aborts = Array.make p.shards 0 in
@@ -295,27 +295,18 @@ let run ?consumer p =
            ())
     else None
   in
-  let info_handle ev =
-    Stm_obs.Metrics.handle metrics ev;
-    match ev with
+  let count_shard_abort = function
     | Trace.Txn_abort { oid; _ } when oid >= 0 -> (
         match Option.bind ctx.store (fun s -> Kv.shard_of_oid s oid) with
         | Some sh -> shard_aborts.(sh) <- shard_aborts.(sh) + 1
         | None -> ())
     | _ -> ()
   in
-  let need_debug = p.record || consumer <> None in
-  let sink ev =
-    if Trace.event_level ev = Trace.Info then info_handle ev;
-    Option.iter (fun o -> Oracle.on_event o ev) oracle;
-    Option.iter (fun c -> c ev) consumer
-  in
-  let level = if need_debug then Trace.Debug else Trace.Info in
-  (* At Info level the sink only ever receives Info events, so the two
-     installation levels feed [metrics] identically. *)
-  Trace.set_sink ~level (Some sink);
-  Fun.protect
-    ~finally:(fun () -> Trace.set_sink None)
+  Trace.with_sinks
+    ((Trace.Info, Stm_obs.Metrics.handle metrics)
+    :: (Trace.Info, count_shard_abort)
+    :: Option.fold oracle ~none:[] ~some:(fun o ->
+           [ (Trace.Debug, Oracle.on_event o) ]))
     (fun () ->
       let result, stats =
         Stm.run ~policy:Sched.Min_clock ~max_steps:p.fuel ~cfg:(config p)

@@ -80,11 +80,13 @@ type report = {
           diag heatmap's hot granules back to hot keys *)
 }
 
-val run : ?consumer:(Stm_core.Trace.event -> unit) -> params -> report
-(** Execute one run. [consumer] additionally receives the full
-    Debug-level event stream (the diag pipeline / trace recorder hook);
-    the report's own metrics are fed Info events either way, so a run
-    reports identical counters with or without it. *)
+val run : params -> report
+(** Execute one run. The report's metrics and per-shard abort counts are
+    {!Stm_core.Trace} subscribers at [Info], and the [record] oracle one
+    at [Debug]; a caller that wants the event stream too (the diag
+    pipeline, a trace recorder) wraps the call in
+    {!Stm_core.Trace.with_sinks}, and the report's counters are the
+    same with or without it. *)
 
 val nontxn_mean_latency : report -> float
 (** Mean simulated cycles per non-transactional operation

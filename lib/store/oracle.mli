@@ -20,9 +20,9 @@ type t
 
 val create : lookup:(int -> int option) -> unit -> t
 (** [lookup oid] maps a heap object id to the store key whose entry it
-    is ([None] for non-entry objects). Install {!on_event} as (part of)
-    a [Debug]-level trace sink for the duration of the measured
-    window. *)
+    is ([None] for non-entry objects). Subscribe {!on_event} at
+    [Debug] ({!Stm_core.Trace.with_sinks}) for the duration of the
+    measured window. *)
 
 val on_event : t -> Trace.event -> unit
 

@@ -1110,6 +1110,72 @@ let test_publish_safe_configs () =
       (Stm_core.Config.Lazy, Combo.Quiesce);
     ]
 
+(* ------------------------------------------------------------------ *)
+(* The trace bus around the executor and the explorer                  *)
+(* ------------------------------------------------------------------ *)
+
+module Trace = Stm_core.Trace
+
+(* [Exec.run] subscribes its collector beside an outer subscriber: the
+   outer one keeps receiving events during the run and stays afterwards. *)
+let test_exec_keeps_outer_subscriber () =
+  let seen = ref 0 in
+  Trace.with_sinks [ (Trace.Info, fun _ -> incr seen) ] (fun () ->
+      let cfg = Combo.to_config (combo Stm_core.Config.Eager Combo.Strong) in
+      let v, _ = Exec.run ~cfg priv_race_prog in
+      Alcotest.(check bool) "run judged" true (v = History.Serializable);
+      Alcotest.(check bool) "outer saw the run's events" true (!seen > 0);
+      let during = !seen in
+      Trace.emit (lazy (Trace.Txn_begin { txid = 0; tid = 0 }));
+      Alcotest.(check int) "outer still subscribed" (during + 1) !seen;
+      Alcotest.(check bool) "collector gone" false
+        (Trace.enabled_at Trace.Debug))
+
+(* An exploration that stops early - at its first anomaly, or on its
+   [max_runs] budget - leaves neither the bus nor the footprint channel
+   installed. *)
+let test_explorer_stops_leave_no_sink () =
+  let clean () =
+    Alcotest.(check bool) "no trace subscriber" false (Trace.enabled ());
+    Alcotest.(check bool) "no footprint sink" false
+      (Stm_runtime.Footprint.active ())
+  in
+  (match explore_verdict (combo Stm_core.Config.Eager Combo.Weak) with
+  | Some v when History.is_anomalous v -> ()
+  | _ -> Alcotest.fail "weak run found no anomaly");
+  clean ();
+  let cfg = Combo.to_config (combo Stm_core.Config.Eager Combo.Strong) in
+  let _, d =
+    Exec.explore_dpor ~preemption_bound:2 ~max_runs:1 ~cfg priv_race_prog
+  in
+  Alcotest.(check bool) "budget stop" true
+    d.Stm_litmus.Explorer.exploration.Stm_litmus.Explorer.truncated;
+  clean ()
+
+(* [on_anomaly] fires for an anomaly an expect-clean campaign did not
+   expect, naming the program and schedule seeds; the same campaign run
+   as a hunt finds the anomaly by design and never fires it. On this
+   budget the eager-weak mixed hunt's second schedule is anomalous. *)
+let test_on_anomaly () =
+  let hunt = List.hd Fuzz.hunt_campaigns in
+  let budget = { Fuzz.default_budget with Fuzz.programs = 1; seeds = 2 } in
+  let run campaign =
+    let fired = ref [] in
+    let on_anomaly c ~prog_seed ~sched_seed =
+      fired := (Fuzz.campaign_name c, prog_seed, sched_seed) :: !fired
+    in
+    let r = Fuzz.run_campaign ~on_anomaly budget campaign in
+    Alcotest.(check int) "one anomaly" 1 r.Fuzz.anomalies;
+    !fired
+  in
+  let clean = { hunt with Fuzz.expectation = Fuzz.Expect_clean } in
+  Alcotest.(check (list (triple string int int)))
+    "fires for an unexpected anomaly"
+    [ (Fuzz.campaign_name clean, 1, 8192) ]
+    (run clean);
+  Alcotest.(check (list (triple string int int)))
+    "silent on a hunt" [] (run hunt)
+
 let suite =
   [
     ( "check-oracle",
@@ -1171,5 +1237,14 @@ let suite =
         Alcotest.test_case "weak exhibits race" `Quick test_priv_race_weak;
         Alcotest.test_case "strong/dea/quiesce clean" `Quick test_priv_race_safe_configs;
         Alcotest.test_case "publish clean" `Quick test_publish_safe_configs;
+      ] );
+    ( "check-trace-bus",
+      [
+        Alcotest.test_case "exec keeps outer subscriber" `Quick
+          test_exec_keeps_outer_subscriber;
+        Alcotest.test_case "explorer stops leave no sink" `Quick
+          test_explorer_stops_leave_no_sink;
+        Alcotest.test_case "on_anomaly fires for expect-clean only" `Quick
+          test_on_anomaly;
       ] );
   ]

@@ -872,8 +872,7 @@ let suite =
 
 let trace_events_emitted () =
   let events = ref [] in
-  Trace.set_sink (Some (fun e -> events := e :: !events));
-  Fun.protect ~finally:(fun () -> Trace.set_sink None) (fun () ->
+  Trace.with_sinks [ (Trace.Debug, fun e -> events := e :: !events) ] (fun () ->
       with_stm ~cfg:Config.eager_weak (fun () ->
           let o = Stm.alloc_public ~cls:"C" 1 in
           Stm.write o 0 (vi 0);
@@ -892,7 +891,6 @@ let trace_events_emitted () =
     (have (function Trace.Txn_abort _ -> true | _ -> false))
 
 let trace_off_is_silent () =
-  Trace.set_sink None;
   check_bool "disabled" false (Trace.enabled ());
   (* emitting with no sink must not force the payload *)
   let forced = ref false in
@@ -918,31 +916,127 @@ let words_per_access f =
   (Gc.minor_words () -. before) /. float_of_int accesses
 
 let trace_off_allocation_free () =
-  Trace.set_sink None;
-  List.iter
-    (fun (name, cfg) ->
-      with_stm ~cfg (fun () ->
-          let o = Stm.alloc_public ~cls:"C" 2 in
-          let v = vi 7 in
-          let read () = ignore (Stm.read o 0 : Heap.value) in
-          let write () = Stm.write o 1 v in
-          let check what f =
-            (* one untimed access first, so that one-time set-up (the
-               transaction's read-set and undo-log entry) is not counted *)
-            f ();
-            let w = words_per_access f in
-            if w >= 1.0 then
-              Alcotest.failf "%s %s: %.2f words per access" name what w
-          in
-          check "barrier read" read;
-          check "barrier write" write;
-          Stm.atomic (fun () ->
-              check "txn read" read;
-              check "txn write" write)))
-    [
-      ("strong-eager", Config.eager_strong);
-      ("strong-eager-dea", Config.(with_dea eager_strong));
-    ]
+  let pass subscribed =
+    List.iter
+      (fun (name, cfg) ->
+        with_stm ~cfg (fun () ->
+            let o = Stm.alloc_public ~cls:"C" 2 in
+            let v = vi 7 in
+            let read () = ignore (Stm.read o 0 : Heap.value) in
+            let write () = Stm.write o 1 v in
+            let check what f =
+              (* one untimed access first, so that one-time set-up (the
+                 transaction's read-set and undo-log entry) is not counted *)
+              f ();
+              let w = words_per_access f in
+              if w >= 1.0 then
+                Alcotest.failf "%s %s (%s): %.2f words per access" name what
+                  subscribed w
+            in
+            check "barrier read" read;
+            check "barrier write" write;
+            Stm.atomic (fun () ->
+                check "txn read" read;
+                check "txn write" write)))
+      [
+        ("strong-eager", Config.eager_strong);
+        ("strong-eager-dea", Config.(with_dea eager_strong));
+      ]
+  in
+  pass "no subscriber";
+  (* an Info subscriber must leave the Debug payloads unbuilt *)
+  Trace.with_sinks [ (Trace.Info, ignore) ] (fun () -> pass "Info subscriber")
+
+(* A deterministic two-thread run that emits both Info events (begin,
+   commit, conflict) and Debug events (barriers, accesses, validations). *)
+let contended_run () =
+  with_stm ~cfg:Config.eager_strong (fun () ->
+      let o = Stm.alloc_public ~cls:"C" 1 in
+      Stm.write o 0 (vi 0);
+      let worker () =
+        for _ = 1 to 10 do
+          Stm.atomic (fun () -> Stm.write o 0 (vi (geti o 0 + 1)));
+          ignore (Stm.read o 0)
+        done
+      in
+      let t1 = Sched.spawn worker and t2 = Sched.spawn worker in
+      Sched.join t1;
+      Sched.join t2)
+
+let collect level =
+  let seen = ref [] in
+  ((level, fun ev -> seen := Fmt.str "%a" Trace.pp_event ev :: !seen), seen)
+
+(* Each subscriber receives exactly the events it receives alone, in the
+   same order, whatever else is subscribed beside it. *)
+let subscribers_compose () =
+  let alone level =
+    let sub, seen = collect level in
+    Trace.with_sinks [ sub ] contended_run;
+    List.rev !seen
+  in
+  let info = alone Trace.Info and debug = alone Trace.Debug in
+  let info_sub, info_seen = collect Trace.Info in
+  let debug_sub, debug_seen = collect Trace.Debug in
+  Trace.with_sinks [ info_sub; debug_sub ] contended_run;
+  check_bool "Debug stream is the larger" true
+    (List.length debug > List.length info && info <> []);
+  Alcotest.(check (list string)) "Info subscriber" info (List.rev !info_seen);
+  Alcotest.(check (list string)) "Debug subscriber" debug (List.rev !debug_seen)
+
+(* A nested [with_sinks] gives the outer set back however its body ends:
+   normally, by an exception out of [Stm.atomic] or out of [Stm.run], or
+   by a run that exhausts its fuel. *)
+let with_sinks_restores () =
+  let outer, outer_seen = collect Trace.Info in
+  let inner_hits = ref 0 in
+  let inner = [ (Trace.Debug, fun _ -> incr inner_hits) ] in
+  let probe () =
+    Trace.emit (lazy (Trace.Txn_begin { txid = 0; tid = 0 }));
+    Trace.emit ~level:Trace.Debug
+      (lazy (Trace.Backoff { tid = 0; attempt = 0; delay = 0 }))
+  in
+  let outer_only what =
+    let before = List.length !outer_seen and inner_before = !inner_hits in
+    probe ();
+    check_int (what ^ ": outer takes the Info event") (before + 1)
+      (List.length !outer_seen);
+    check_int (what ^ ": inner gone") inner_before !inner_hits;
+    check_bool (what ^ ": Debug off") false (Trace.enabled_at Trace.Debug)
+  in
+  Trace.with_sinks [ outer ] (fun () ->
+      Trace.with_sinks inner probe;
+      check_int "inner took both" 2 !inner_hits;
+      outer_only "normal exit";
+      with_stm (fun () ->
+          let o = Stm.alloc_public ~cls:"C" 1 in
+          (try
+             Trace.with_sinks inner (fun () ->
+                 Stm.atomic (fun () ->
+                     Stm.write o 0 (vi 1);
+                     failwith "bail"))
+           with Failure _ -> ());
+          outer_only "exception out of Stm.atomic");
+      (match
+         Trace.with_sinks inner (fun () ->
+             Stm.run
+               ~policy:(Sched.Controlled (fun _ _ -> raise Exit))
+               ~cfg:Config.eager_weak
+               (fun () -> Sched.join (Sched.spawn ignore)))
+       with
+      | _ -> Alcotest.fail "expected the policy's exception"
+      | exception Exit -> ());
+      outer_only "exception out of Stm.run";
+      let r, _ =
+        Trace.with_sinks inner (fun () ->
+            Stm.run ~max_steps:50 ~cfg:Config.eager_weak (fun () ->
+                while true do
+                  Sched.yield ()
+                done))
+      in
+      check_bool "fuel exhausted" true (r.Sched.status = Sched.Fuel_exhausted);
+      outer_only "fuel-exhausted run");
+  check_bool "no subscriber left" false (Trace.enabled ())
 
 let suite =
   suite
@@ -952,6 +1046,8 @@ let suite =
           case "events emitted" trace_events_emitted;
           case "off is silent and free" trace_off_is_silent;
           case "off allocates nothing per access" trace_off_allocation_free;
+          case "subscribers compose" subscribers_compose;
+          case "with_sinks restores the outer set" with_sinks_restores;
         ] );
     ]
 
@@ -1071,12 +1167,11 @@ let suite =
    observations (the old cons-list appended one entry per observation). *)
 let reread_commit_reads_distinct () =
   let commits = ref [] in
-  Trace.set_sink
-    (Some
-       (function
-       | Trace.Txn_commit { reads; _ } -> commits := reads :: !commits
-       | _ -> ()));
-  Fun.protect ~finally:(fun () -> Trace.set_sink None) (fun () ->
+  let on_commit = function
+    | Trace.Txn_commit { reads; _ } -> commits := reads :: !commits
+    | _ -> ()
+  in
+  Trace.with_sinks [ (Trace.Debug, on_commit) ] (fun () ->
       with_stm ~cfg:Config.eager_weak (fun () ->
           let o = Stm.alloc_public ~cls:"C" 1 in
           let others = List.init 3 (fun _ -> Stm.alloc_public ~cls:"C" 1) in
@@ -1114,13 +1209,12 @@ let reread_makespan_golden () =
    would let an inconsistent first read slip through. *)
 let reread_keeps_first_version () =
   let causes = ref [] in
-  Trace.set_sink
-    (Some
-       (function
-       | Trace.Txn_abort { cause; _ } -> causes := cause :: !causes
-       | _ -> ()));
+  let on_abort = function
+    | Trace.Txn_abort { cause; _ } -> causes := cause :: !causes
+    | _ -> ()
+  in
   let attempts = ref 0 in
-  Fun.protect ~finally:(fun () -> Trace.set_sink None) (fun () ->
+  Trace.with_sinks [ (Trace.Debug, on_abort) ] (fun () ->
       (* strong atomicity so the non-transactional write fires the
          isolation barrier and bumps the record version *)
       with_stm ~cfg:Config.eager_strong (fun () ->

@@ -94,36 +94,33 @@ let every_cause_counted () =
     Metrics.all_causes
 
 (* ------------------------------------------------------------------ *)
-(* Sink default levels (satellite 2)                                   *)
+(* Subscriber levels                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Recorder.install defaults to Debug (record everything) while
-   Metrics.install defaults to Info; a Conflict (Info) event reaches
-   both, a Cm_decision (Debug) event reaches only the recorder. *)
-let recorder_installs_at_debug () =
+(* A subscriber's level is its own: a Conflict (Info) event reaches a
+   recorder at either level, a Cm_decision (Debug) event only one
+   subscribed at Debug. *)
+let recorder_level_filters () =
   in_sim (fun () ->
+      let emit_both () =
+        Trace.emit (lazy (conflict ()));
+        Trace.emit ~level:Trace.Debug (lazy (decision ()))
+      in
       let r = Recorder.create () in
-      Recorder.install r;
-      Trace.emit (lazy (conflict ()));
-      Trace.emit ~level:Trace.Debug (lazy (decision ()));
-      Recorder.uninstall ();
+      Trace.with_sinks [ (Trace.Debug, Recorder.record r) ] emit_both;
       check_int "recorder saw Info and Debug" 2 (Recorder.length r);
       Recorder.clear r;
-      Recorder.install ~level:Trace.Info r;
-      Trace.emit (lazy (conflict ()));
-      Trace.emit ~level:Trace.Debug (lazy (decision ()));
-      Recorder.uninstall ();
+      Trace.with_sinks [ (Trace.Info, Recorder.record r) ] emit_both;
       check_int "Info-level recorder filters Debug" 1 (Recorder.length r))
 
-let metrics_installs_at_info () =
+let metrics_at_info_never_forces () =
   in_sim (fun () ->
       let m = Metrics.create () in
-      Metrics.install m;
-      Trace.emit (lazy (abort ()));
-      (* an Info sink must never force a Debug payload *)
-      Trace.emit ~level:Trace.Debug
-        (lazy (Alcotest.fail "Debug payload forced through an Info sink"));
-      Trace.set_sink None;
+      Trace.with_sinks [ (Trace.Info, Metrics.handle m) ] (fun () ->
+          Trace.emit (lazy (abort ()));
+          (* an Info subscriber must never force a Debug payload *)
+          Trace.emit ~level:Trace.Debug
+            (lazy (Alcotest.fail "Debug payload forced through an Info sink")));
       check_int "Info event counted" 1 (Metrics.aborts m))
 
 let level_sanity () =
@@ -404,8 +401,9 @@ let flight_postmortem () =
 let livelock_pair_diagnosis () =
   let d = Diag.create () in
   let r =
-    Stm_harness.Stress.run ~seed:0 ~consumer:(Diag.consumer d)
-      ~cm:Stm_cm.Policy.Suicide Stm_harness.Stress.Livelock_pair
+    Trace.with_sinks [ (Trace.Debug, Diag.consumer d) ] (fun () ->
+        Stm_harness.Stress.run ~seed:0 ~cm:Stm_cm.Policy.Suicide
+          Stm_harness.Stress.Livelock_pair)
   in
   check_bool "scenario completed" true r.Stm_harness.Stress.completed;
   (* the diag metrics pillar (fed the Debug stream) agrees with the
@@ -452,8 +450,9 @@ let stress_report_unperturbed () =
   in
   let d = Diag.create () in
   let diag =
-    Stm_harness.Stress.run ~seed:0 ~consumer:(Diag.consumer d)
-      ~cm:Stm_cm.Policy.Suicide Stm_harness.Stress.Livelock_pair
+    Trace.with_sinks [ (Trace.Debug, Diag.consumer d) ] (fun () ->
+        Stm_harness.Stress.run ~seed:0 ~cm:Stm_cm.Policy.Suicide
+          Stm_harness.Stress.Livelock_pair)
   in
   check_string "stress report byte-identical under diagnosis" (show bare)
     (show diag)
@@ -467,11 +466,11 @@ let offline_matches_live () =
   let live = Diag.create () in
   let rec_ = Recorder.create () in
   ignore
-    (Stm_harness.Stress.run ~seed:0
-       ~consumer:(fun ev ->
-         Recorder.record rec_ ev;
-         Diag.consumer live ev)
-       ~cm:Stm_cm.Policy.Suicide Stm_harness.Stress.Livelock_pair);
+    (Trace.with_sinks
+       [ (Trace.Debug, Recorder.record rec_); (Trace.Debug, Diag.consumer live) ]
+       (fun () ->
+         Stm_harness.Stress.run ~seed:0 ~cm:Stm_cm.Policy.Suicide
+           Stm_harness.Stress.Livelock_pair));
   let buf = Buffer.create 4096 in
   Export.to_jsonl buf (Recorder.entries rec_);
   let ingested = Ingest.of_string (Buffer.contents buf) in
@@ -508,8 +507,8 @@ let suite =
       [
         case "all_causes is exhaustive" all_causes_exhaustive;
         case "every cause is counted" every_cause_counted;
-        case "recorder default level is Debug" recorder_installs_at_debug;
-        case "metrics default level is Info" metrics_installs_at_info;
+        case "recorder level filters Debug" recorder_level_filters;
+        case "metrics at Info never forces Debug" metrics_at_info_never_forces;
         case "event levels" level_sanity;
         case "recorder ring wraparound" recorder_wraparound;
         case "jsonl round trip keeps attribution" jsonl_roundtrip;

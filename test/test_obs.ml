@@ -170,8 +170,7 @@ let hist_sub () =
 
 let level_filter_no_force () =
   let seen = ref 0 in
-  Trace.set_sink ~level:Trace.Info (Some (fun _ -> incr seen));
-  Fun.protect ~finally:(fun () -> Trace.set_sink None) (fun () ->
+  Trace.with_sinks [ (Trace.Info, fun _ -> incr seen) ] (fun () ->
       let forced = ref false in
       Trace.emit ~level:Trace.Debug
         (lazy
@@ -227,8 +226,7 @@ let run_two_thread_workload () =
 
 let recorder_balanced_events () =
   let r = Recorder.create () in
-  Recorder.install r;
-  Fun.protect ~finally:Recorder.uninstall run_two_thread_workload;
+  Trace.with_sinks [ (Trace.Debug, Recorder.record r) ] run_two_thread_workload;
   let entries = Recorder.entries r in
   check_int "nothing dropped" 0 (Recorder.dropped r);
   check_bool "captured events" true (List.length entries > 0);
@@ -244,8 +242,7 @@ let recorder_balanced_events () =
 
 let recorder_monotone_timestamps () =
   let r = Recorder.create () in
-  Recorder.install r;
-  Fun.protect ~finally:Recorder.uninstall run_two_thread_workload;
+  Trace.with_sinks [ (Trace.Debug, Recorder.record r) ] run_two_thread_workload;
   let entries = Recorder.entries r in
   (* scheduler step is globally monotone across the stream *)
   let steps_ok =
@@ -270,8 +267,7 @@ let recorder_monotone_timestamps () =
 
 let recorder_ring_bounded () =
   let r = Recorder.create ~capacity:16 () in
-  Recorder.install r;
-  Fun.protect ~finally:Recorder.uninstall run_two_thread_workload;
+  Trace.with_sinks [ (Trace.Debug, Recorder.record r) ] run_two_thread_workload;
   check_int "bounded" 16 (Recorder.length r);
   check_bool "counted drops" true (Recorder.dropped r > 0)
 
@@ -285,28 +281,24 @@ let profiler_matches_stats () =
   let p2 = Profiler.create () in
   Heap.reset ();
   Stm.install Config.eager_strong;
-  Profiler.install p2;
   let stats = Stm.stats () in
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.set_sink None;
-      Stm.uninstall ())
-    (fun () ->
-      in_sim (fun () ->
-          let o = Stm.alloc_public ~cls:"C" 1 in
-          Stm.write o 0 (vi 0);
-          let worker () =
-            for _ = 1 to 20 do
-              Stm.atomic (fun () ->
-                  let v = Stm.to_int (Stm.read o 0) in
-                  Stm.write o 0 (vi (v + 1)));
-              ignore (Stm.read o 0)
-            done
-          in
-          let t1 = Sched.spawn worker in
-          let t2 = Sched.spawn worker in
-          Sched.join t1;
-          Sched.join t2));
+  Fun.protect ~finally:Stm.uninstall (fun () ->
+      Trace.with_sinks [ (Trace.Debug, Profiler.handle p2) ] (fun () ->
+          in_sim (fun () ->
+              let o = Stm.alloc_public ~cls:"C" 1 in
+              Stm.write o 0 (vi 0);
+              let worker () =
+                for _ = 1 to 20 do
+                  Stm.atomic (fun () ->
+                      let v = Stm.to_int (Stm.read o 0) in
+                      Stm.write o 0 (vi (v + 1)));
+                  ignore (Stm.read o 0)
+                done
+              in
+              let t1 = Sched.spawn worker in
+              let t2 = Sched.spawn worker in
+              Sched.join t1;
+              Sched.join t2)));
   (match Profiler.check_against_stats p2 stats with
   | [] -> ()
   | ms ->
@@ -348,11 +340,9 @@ let profiler_jt_sites () =
   in
   let prog = Stm_jtlang.Jt.compile ~name:"two.jt" src in
   let p = Profiler.create () in
-  Profiler.install p;
   let out =
-    Fun.protect
-      ~finally:(fun () -> Trace.set_sink None)
-      (fun () -> Stm_ir.Interp.run ~cfg:Config.eager_strong prog)
+    Trace.with_sinks [ (Trace.Debug, Profiler.handle p) ] (fun () ->
+        Stm_ir.Interp.run ~cfg:Config.eager_strong prog)
   in
   check_bool "program printed 20" true (out.Stm_ir.Interp.prints = [ "20" ]);
   (match Profiler.check_against_stats p out.Stm_ir.Interp.stats with
@@ -384,8 +374,7 @@ let profiler_jt_sites () =
 
 let metrics_counts_and_histograms () =
   let m = Metrics.create () in
-  Metrics.install m;
-  Fun.protect ~finally:(fun () -> Trace.set_sink None) run_two_thread_workload;
+  Trace.with_sinks [ (Trace.Info, Metrics.handle m) ] run_two_thread_workload;
   check_int "commits" 40 (Metrics.commits m);
   check_int "begins = commits + aborts" (Metrics.begins m)
     (Metrics.commits m + Metrics.aborts m);
@@ -407,8 +396,7 @@ let metrics_counts_and_histograms () =
 
 let metrics_snapshot_diff () =
   let m = Metrics.create () in
-  Metrics.install m;
-  Fun.protect ~finally:(fun () -> Trace.set_sink None) (fun () ->
+  Trace.with_sinks [ (Trace.Info, Metrics.handle m) ] (fun () ->
       run_two_thread_workload ();
       let snap = Metrics.snapshot m in
       run_two_thread_workload ();
@@ -419,14 +407,36 @@ let metrics_snapshot_diff () =
       check_int "snapshot unchanged" 40 (Metrics.commits snap);
       check_int "running total" 80 (Metrics.commits m))
 
+(* The metrics snapshot does not depend on what else is subscribed: a
+   Debug subscriber beside it (a recorder, as stm_run --trace-out adds)
+   leaves every counter, histogram and fairness figure unchanged. *)
+let metrics_independent_of_debug_subscribers () =
+  let snapshot extra =
+    let m = Metrics.create () in
+    Trace.with_sinks (extra @ [ (Trace.Info, Metrics.handle m) ])
+      run_two_thread_workload;
+    match Metrics.to_json m with
+    | Json.Obj fields ->
+        Json.to_string
+          (Json.Obj (List.remove_assoc "host_alloc_words" fields))
+    | _ -> Alcotest.fail "metrics JSON is not an object"
+  in
+  let debug_events = ref 0 in
+  let count_debug ev =
+    if Trace.event_level ev = Trace.Debug then incr debug_events
+  in
+  let alone = snapshot [] in
+  let beside = snapshot [ (Trace.Debug, count_debug) ] in
+  check_bool "the Debug subscriber saw Debug events" true (!debug_events > 0);
+  check_string "snapshot identical" alone beside
+
 (* ------------------------------------------------------------------ *)
 (* Exporters                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let export_chrome_shape () =
   let r = Recorder.create () in
-  Recorder.install r;
-  Fun.protect ~finally:Recorder.uninstall run_two_thread_workload;
+  Trace.with_sinks [ (Trace.Debug, Recorder.record r) ] run_two_thread_workload;
   let entries = Recorder.entries r in
   let doc = Export.to_chrome entries in
   (match doc with
@@ -465,8 +475,7 @@ let export_chrome_shape () =
 
 let export_jsonl_shape () =
   let r = Recorder.create () in
-  Recorder.install r;
-  Fun.protect ~finally:Recorder.uninstall run_two_thread_workload;
+  Trace.with_sinks [ (Trace.Debug, Recorder.record r) ] run_two_thread_workload;
   let buf = Buffer.create 1024 in
   Export.to_jsonl buf (Recorder.entries r);
   let lines =
@@ -518,6 +527,8 @@ let suite =
       [
         case "counts + histograms" metrics_counts_and_histograms;
         case "snapshot/diff windows" metrics_snapshot_diff;
+        case "independent of Debug subscribers"
+          metrics_independent_of_debug_subscribers;
       ] );
     ( "obs:export",
       [
