@@ -10,16 +10,6 @@
 open Cmdliner
 open Stm_litmus
 
-let mode_of_string = function
-  | "weak-eager" -> Ok (Modes.Weak Stm_core.Config.Eager)
-  | "weak-lazy" -> Ok (Modes.Weak Stm_core.Config.Lazy)
-  | "locks" -> Ok Modes.Locks
-  | "strong-eager" -> Ok (Modes.Strong Stm_core.Config.Eager)
-  | "strong-lazy" -> Ok (Modes.Strong Stm_core.Config.Lazy)
-  | "quiesce-eager" -> Ok (Modes.Weak_quiesce Stm_core.Config.Eager)
-  | "quiesce-lazy" -> Ok (Modes.Weak_quiesce Stm_core.Config.Lazy)
-  | s -> Error (`Msg ("unknown mode " ^ s))
-
 let run_one program mode bound max_runs granule =
   let cfg =
     Modes.config
@@ -49,32 +39,9 @@ let run_one program mode bound max_runs granule =
 
 let main program mode privatization bound max_runs granule =
   match (program, mode) with
-  | Some pname, Some mname -> (
-      match
-        ( List.find_opt (fun p -> p.Programs.name = pname) Programs.all,
-          mode_of_string mname )
-      with
-      | Some p, Ok m ->
-          run_one p m bound max_runs granule;
-          0
-      | None, _ ->
-          Fmt.epr "unknown program %s; known: %s@." pname
-            (String.concat ", "
-               (List.map (fun p -> p.Programs.name) Programs.all));
-          2
-      | _, Error (`Msg m) ->
-          Fmt.epr "%s@." m;
-          2)
-  | Some pname, None ->
-      (match List.find_opt (fun p -> p.Programs.name = pname) Programs.all with
-      | Some p ->
-          List.iter
-            (fun m -> run_one p m bound max_runs granule)
-            Modes.all_fig6;
-          0
-      | None ->
-          Fmt.epr "unknown program %s@." pname;
-          2)
+  | Some p, Some m -> run_one p m bound max_runs granule
+  | Some p, None ->
+      List.iter (fun m -> run_one p m bound max_runs granule) Modes.all_fig6
   | None, _ ->
       if privatization then begin
         let cells =
@@ -87,23 +54,31 @@ let main program mode privatization bound max_runs granule =
         let cells = Matrix.fig6 ~preemption_bound:bound ~max_runs () in
         Fmt.pr "%a" Matrix.pp_table cells;
         Fmt.pr "matches the paper's Figure 6: %b@." (Matrix.all_match cells)
-      end;
-      0
+      end
 
 let program_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt
+        (some (enum (List.map (fun p -> (p.Programs.name, p)) Programs.all)))
+        None
     & info [ "p"; "program" ] ~docv:"NAME"
-        ~doc:"Litmus program to explore (nr, gir, ilu, slu, glu, mi-ww, idr, sdr, mi-rw, privatization).")
+        ~doc:
+          "Litmus program to explore (nr, gir, ilu, slu, glu, mi-ww, idr, \
+           sdr, mi-rw, privatization, ...).")
 
 let mode_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt
+        (some
+           (enum
+              (List.map (fun m -> (Modes.name m, m)) Matrix.privatization_modes)))
+        None
     & info [ "m"; "mode" ] ~docv:"MODE"
         ~doc:
-          "Execution mode: weak-eager, weak-lazy, locks, strong-eager, strong-lazy, quiesce-eager, quiesce-lazy.")
+          "Execution mode: weak-eager, weak-lazy, locks, strong-eager, \
+           strong-lazy, quiesce-eager, quiesce-lazy.")
 
 let privatization_arg =
   Arg.(
@@ -136,4 +111,4 @@ let cmd =
       const main $ program_arg $ mode_arg $ privatization_arg $ bound_arg
       $ max_runs_arg $ granule_arg)
 
-let () = exit (Cmd.eval' cmd)
+let () = exit (Cmd.eval cmd)

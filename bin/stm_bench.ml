@@ -1,78 +1,228 @@
-(* CLI: regenerate individual evaluation figures and run contention
-   stress scenarios.
+(* CLI: regenerate the evaluation figures, run contention stress
+   scenarios and store workloads, fuzz the STM against a serializability
+   oracle, certify the litmus matrix and time the hot paths. Each mode is
+   a subcommand and takes only the flags it reads.
 
    Examples:
      stm_bench fig6
      stm_bench fig15 --scale 0.5
      stm_bench fig18 --threads 1,2,4,8,16
      stm_bench all
-     stm_bench --stress all --cm timestamp --seed 7 --metrics-out m.json *)
+     stm_bench stress all --cm timestamp --seed 7 --metrics-out m.json
+     stm_bench list *)
 
 open Cmdliner
 
-let parse_threads s =
-  String.split_on_char ',' s |> List.map int_of_string
+(* ------------------------------------------------------------------ *)
+(* Figures                                                             *)
+(* ------------------------------------------------------------------ *)
 
-(* Returns false when a figure's built-in check fails (only fig6 has
-   one); the caller turns any failure into a non-zero exit. *)
-let run_figure name scale threads cm =
-  let threads = Option.map parse_threads threads in
-  match name with
-  | "fig6" ->
-      let cells = Stm_harness.Figures.fig6 ?cm () in
-      Fmt.pr "%a" Stm_harness.Figures.pp_fig6 cells;
-      let ok = Stm_litmus.Matrix.all_match cells in
-      Fmt.pr "matches the paper: %b@." ok;
-      ok
-  | "privatization" ->
-      let cells = Stm_litmus.Matrix.privatization_row () in
-      Fmt.pr "%a" Stm_litmus.Matrix.pp_table cells;
-      true
-  | "fig13" ->
-      Fmt.pr "%a" Stm_analysis.Barrier_stats.pp_table
-        (Stm_harness.Figures.fig13 ());
-      true
-  | "fig15" ->
-      Fmt.pr "%a" Stm_harness.Figures.pp_overhead
-        (Stm_harness.Figures.fig15 ?scale ());
-      true
-  | "fig16" ->
-      Fmt.pr "%a" Stm_harness.Figures.pp_overhead
-        (Stm_harness.Figures.fig16 ?scale ());
-      true
-  | "fig17" ->
-      Fmt.pr "%a" Stm_harness.Figures.pp_overhead
-        (Stm_harness.Figures.fig17 ?scale ());
-      true
-  | "fig18" ->
-      Fmt.pr "%a" Stm_harness.Figures.pp_scaling
-        (Stm_harness.Figures.fig18 ?threads ?scale ());
-      true
-  | "fig19" ->
-      Fmt.pr "%a" Stm_harness.Figures.pp_scaling
-        (Stm_harness.Figures.fig19 ?threads ?scale ());
-      true
-  | "fig20" ->
-      Fmt.pr "%a" Stm_harness.Figures.pp_scaling
-        (Stm_harness.Figures.fig20 ?threads ?scale ());
-      true
-  | other -> Fmt.failwith "unknown figure %s" other
+type knobs = {
+  cm : Stm_cm.Policy.t;
+  scale : float option;
+  threads : int list option;
+}
 
-let all_figures =
-  [ "fig6"; "privatization"; "fig13"; "fig15"; "fig16"; "fig17"; "fig18";
-    "fig19"; "fig20" ]
+let overhead (f : ?scale:float -> unit -> _) k =
+  Fmt.pr "%a" Stm_harness.Figures.pp_overhead (f ?scale:k.scale ());
+  true
 
-let write_json path json =
-  try
-    Out_channel.with_open_text path (fun oc ->
-        output_string oc (Stm_obs.Json.to_string json);
-        output_char oc '\n')
-  with Sys_error msg ->
-    Fmt.epr "cannot write %s: %s@." path msg;
-    exit 2
+let scaling (f : ?threads:int list -> ?scale:float -> unit -> _) k =
+  Fmt.pr "%a" Stm_harness.Figures.pp_scaling
+    (f ?threads:k.threads ?scale:k.scale ());
+  true
+
+(* Each figure with the knobs it reads, a one-line description, and its
+   run, which returns false when the figure's built-in check fails (only
+   fig6 has one). *)
+let figures =
+  [
+    ( "fig6",
+      `Cm,
+      "Figure 6: the weak-atomicity anomaly matrix of the Figures 1-5 \
+       litmus programs; non-zero exit unless it matches the paper.",
+      fun k ->
+        let cells = Stm_harness.Figures.fig6 ~cm:k.cm () in
+        Fmt.pr "%a" Stm_harness.Figures.pp_fig6 cells;
+        let ok = Stm_litmus.Matrix.all_match cells in
+        Fmt.pr "matches the paper: %b@." ok;
+        ok );
+    ( "privatization",
+      `None,
+      "The Figure 1 privatization row, including the Section 3.4 \
+       quiescence modes.",
+      fun _ ->
+        Fmt.pr "%a" Stm_litmus.Matrix.pp_table
+          (Stm_litmus.Matrix.privatization_row ());
+        true );
+    ( "fig13",
+      `None,
+      "Figure 13: static barrier removal, NAIT vs thread-local analysis.",
+      fun _ ->
+        Fmt.pr "%a" Stm_analysis.Barrier_stats.pp_table
+          (Stm_harness.Figures.fig13 ());
+        true );
+    ( "fig15",
+      `Scale,
+      "Figure 15: strong-atomicity overhead with read and write barriers \
+       (JVM98 kernels).",
+      overhead Stm_harness.Figures.fig15 );
+    ( "fig16",
+      `Scale,
+      "Figure 16: strong-atomicity overhead with read barriers only.",
+      overhead Stm_harness.Figures.fig16 );
+    ( "fig17",
+      `Scale,
+      "Figure 17: strong-atomicity overhead with write barriers only.",
+      overhead Stm_harness.Figures.fig17 );
+    ( "fig18",
+      `Scaling,
+      "Figure 18: Tsp execution time by simulated processor count.",
+      scaling Stm_harness.Figures.fig18 );
+    ( "fig19",
+      `Scaling,
+      "Figure 19: OO7 execution time by simulated processor count.",
+      scaling Stm_harness.Figures.fig19 );
+    ( "fig20",
+      `Scaling,
+      "Figure 20: JBB execution time by simulated processor count.",
+      scaling Stm_harness.Figures.fig20 );
+  ]
+
+let scale_arg =
+  Arg.(
+    value
+    & opt (some float) None
+    & info [ "scale" ] ~docv:"F" ~doc:"Workload scale factor (default 1.0).")
+
+let threads_arg =
+  Arg.(
+    value
+    & opt (some (list int)) None
+    & info [ "threads" ] ~docv:"LIST"
+        ~doc:
+          "Comma-separated simulated processor counts for the scaling \
+           figures (default 1,2,4,8,16).")
+
+let knobs_term =
+  let k cm scale threads = { cm; scale; threads } in
+  function
+  | `None -> Term.const (k Stm_cm.Policy.Suicide None None)
+  | `Cm -> Term.(const (fun cm -> k cm None None) $ Cli.cm)
+  | `Scale -> Term.(const (k Stm_cm.Policy.Suicide) $ scale_arg $ const None)
+  | `Scaling -> Term.(const (k Stm_cm.Policy.Suicide) $ scale_arg $ threads_arg)
+  | `All -> Term.(const k $ Cli.cm $ scale_arg $ threads_arg)
+
+(* Collect run metrics across every figure executed by this invocation;
+   an Info-level subscriber keeps the per-access Debug events unforced,
+   so figure timings are unaffected on the fast paths. *)
+let with_metrics metrics_out run =
+  let metrics = Option.map (fun _ -> Stm_obs.Metrics.create ()) metrics_out in
+  let ok =
+    Stm_core.Trace.with_sinks
+      (Option.fold metrics ~none:[] ~some:(fun m ->
+           [ (Stm_core.Trace.Info, Stm_obs.Metrics.handle m) ]))
+      run
+  in
+  Option.iter
+    (fun m -> Cli.write_json (Option.get metrics_out) (Stm_obs.Metrics.to_json m))
+    metrics;
+  if ok then 0 else 1
+
+let figure_metrics_arg =
+  Cli.metrics_out
+    ~doc:
+      "Write aggregate STM metrics (transaction counters, abort causes, \
+       latency histograms, per-thread fairness incl. the Jain index) over \
+       every figure run as JSON to $(docv)."
+
+let figure_cmds =
+  let cmd name knobs doc run =
+    Cmd.v (Cmd.info name ~doc)
+      Term.(
+        const (fun k metrics_out -> with_metrics metrics_out (fun () -> run k))
+        $ knobs_term knobs $ figure_metrics_arg)
+  in
+  List.map (fun (name, knobs, doc, run) -> cmd name knobs doc run) figures
+  @ [
+      cmd "all" `All
+        "Every figure (fig6, privatization, fig13, fig15 to fig20), in \
+         order, each under an == NAME == header."
+        (fun k ->
+          List.fold_left
+            (fun acc (name, _, _, run) ->
+              Fmt.pr "== %s ==@." name;
+              run k && acc)
+            true figures);
+    ]
+
+(* The litmus rows and ablation tables beyond the paper's figures. *)
+
+let extras_cmd =
+  let run () =
+    let cells = Stm_litmus.Matrix.extras_rows () in
+    Fmt.pr "%a" Stm_litmus.Matrix.pp_table cells;
+    let ok = Stm_litmus.Matrix.all_match cells in
+    Fmt.pr "matches expectations: %b@." ok;
+    if ok then 0 else 1
+  in
+  Cmd.v
+    (Cmd.info "extras"
+       ~doc:
+         "Extra litmus rows: the Section 2.1 write-then-read variant and \
+          transaction-vs-transaction dirty reads; non-zero exit on a \
+          mismatch.")
+    Term.(const run $ const ())
+
+let ablations_cmd =
+  let open Stm_harness.Ablations in
+  let tables =
+    [
+      ( "DEA read-barrier privacy check (Figure 10a, optional instructions)",
+        fun () -> dea_read_privacy () );
+      ( "quiescence commit protocol cost (Section 3.4), OO7 @ 8 threads",
+        quiescence_cost );
+      ( "Section 5.2 transactional open-for-read removal, Tsp @ 4 threads \
+         (weak)",
+        txn_read_removal );
+      ( "versioning granularity (Section 2.4), JBB, 4 threads",
+        fun () -> versioning_granularity () );
+      ("contention management: suicide vs wound-wait", contention_management);
+    ]
+  in
+  let run () =
+    List.iter
+      (fun (title, rows) -> Fmt.pr "== %s ==@.%a" title pp (rows ()))
+      tables;
+    0
+  in
+  Cmd.v
+    (Cmd.info "ablations"
+       ~doc:
+         "The five ablation tables: DEA read privacy, quiescence cost, \
+          transactional read-barrier removal, versioning granularity and \
+          contention management.")
+    Term.(const run $ const ())
 
 (* ------------------------------------------------------------------ *)
-(* Stress mode                                                         *)
+(* Backends                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* The backends stress and perf can run, named as the fuzz combos name
+   them: eager, lazy, mvcc, mvcc-si, eager-ts, lazy-ts. *)
+let backends =
+  List.map
+    (fun c -> (Stm_check.Combo.backend_string c, c))
+    Stm_check.Fuzz.timestamp_backend_grid
+
+let backend_arg choices ~doc =
+  Arg.(
+    value
+    & opt (enum choices) (List.assoc "eager" choices)
+    & info [ "backend" ] ~docv:"BACKEND" ~doc)
+
+(* ------------------------------------------------------------------ *)
+(* Stress                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let stress_report_json (r : Stm_harness.Stress.report) =
@@ -96,86 +246,54 @@ let stress_report_json (r : Stm_harness.Stress.report) =
           r.Stm_harness.Stress.metrics );
     ]
 
-(* --diag-out's subscribers: the live conflict-diagnosis pipeline, and a
-   recorder whose raw entries make the file a JSONL trace that `stm_diag`
-   replays to the same conclusions *)
-let diag_create diag_out =
-  Option.map
-    (fun _ -> (Stm_diag.Diag.create (), Stm_obs.Recorder.create ()))
-    diag_out
-
-let diag_sinks = function
-  | None -> []
-  | Some (d, rec_) ->
-      Stm_core.Trace.
-        [
-          (Debug, Stm_obs.Recorder.record rec_);
-          (Debug, Stm_diag.Diag.consumer d);
-        ]
-
-let run_stress which versioning isolation validation cm seed fuel metrics_out
-    diag_out =
+let run_stress scenarios (backend : Stm_check.Combo.t) cm seed fuel
+    metrics_out diag_out =
   let scenarios =
-    if which = "all" then Stm_harness.Stress.all_scenarios
-    else
-      match Stm_harness.Stress.scenario_of_string which with
-      | Some s -> [ s ]
-      | None -> Fmt.failwith "unknown stress scenario %s" which
+    Option.fold scenarios ~none:Stm_harness.Stress.all_scenarios
+      ~some:(fun s -> [ s ])
   in
-  let diag = diag_create diag_out in
   let reports =
-    List.map
-      (fun s ->
-        let r =
-          Stm_core.Trace.with_sinks (diag_sinks diag) (fun () ->
-              Stm_harness.Stress.run ?seed ?fuel ~versioning ~isolation
-                ~validation ~cm s)
-        in
-        Fmt.pr "%a@." Stm_harness.Stress.pp_report r;
-        (match (diag, r.Stm_harness.Stress.starved) with
-        | Some (d, _), (_ :: _ as tids) ->
-            Stm_diag.Diag.force_incident d
-              ~reason:
-                (Fmt.str "starvation verdict: %s under %s starved threads [%s]"
-                   (Stm_harness.Stress.scenario_name s)
-                   (Stm_cm.Policy.to_string cm)
-                   (String.concat "; " (List.map string_of_int tids)))
-        | _ -> ());
-        r)
-      scenarios
+    Cli.with_diag diag_out (fun diag ->
+        List.map
+          (fun s ->
+            let r =
+              Stm_harness.Stress.run ?seed ?fuel
+                ~versioning:backend.Stm_check.Combo.versioning
+                ~isolation:backend.Stm_check.Combo.isolation
+                ~validation:backend.Stm_check.Combo.validation ~cm s
+            in
+            Fmt.pr "%a@." Stm_harness.Stress.pp_report r;
+            (match (diag, r.Stm_harness.Stress.starved) with
+            | Some d, (_ :: _ as tids) ->
+                Stm_diag.Diag.force_incident d
+                  ~reason:
+                    (Fmt.str
+                       "starvation verdict: %s under %s starved threads [%s]"
+                       (Stm_harness.Stress.scenario_name s)
+                       (Stm_cm.Policy.to_string cm)
+                       (String.concat "; " (List.map string_of_int tids)))
+            | _ -> ());
+            r)
+          scenarios)
   in
-  Option.iter
-    (fun (d, rec_) ->
-      let path = Option.get diag_out in
-      (try
-         Out_channel.with_open_text path (fun oc ->
-             Stm_obs.Export.write_jsonl oc (Stm_obs.Recorder.entries rec_))
-       with Sys_error msg ->
-         Fmt.epr "cannot write %s: %s@." path msg;
-         exit 2);
-      if Stm_obs.Recorder.dropped rec_ > 0 then
-        Fmt.epr "diag trace: ring full, dropped %d oldest events@."
-          (Stm_obs.Recorder.dropped rec_);
-      Fmt.pr "@.=== conflict diagnosis ===@.%a"
-        (fun ppf -> Stm_diag.Diag.report ppf)
-        d;
-      Fmt.pr "diag trace written to %s (replay with stm_diag)@." path)
-    diag;
   Option.iter
     (fun path ->
-      write_json path
+      Cli.write_json path
         (Stm_obs.Json.Obj
            [
              ("policy", Stm_obs.Json.Str (Stm_cm.Policy.to_string cm));
              ( "backend",
                Stm_obs.Json.Str
-                 (Stm_core.Config.versioning_to_string versioning) );
+                 (Stm_core.Config.versioning_to_string
+                    backend.Stm_check.Combo.versioning) );
              ( "isolation",
                Stm_obs.Json.Str
-                 (Stm_core.Config.isolation_to_string isolation) );
+                 (Stm_core.Config.isolation_to_string
+                    backend.Stm_check.Combo.isolation) );
              ( "validation",
                Stm_obs.Json.Str
-                 (Stm_core.Config.validation_to_string validation) );
+                 (Stm_core.Config.validation_to_string
+                    backend.Stm_check.Combo.validation) );
              ("seed", Stm_obs.Json.Int (Option.value ~default:0 seed));
              ( "threshold",
                Stm_obs.Json.Int Stm_harness.Stress.starvation_threshold );
@@ -192,8 +310,63 @@ let run_stress which versioning isolation validation cm seed fuel metrics_out
   if List.for_all (fun r -> r.Stm_harness.Stress.completed) reports then 0
   else 1
 
+let stress_cmd =
+  let scenario =
+    Arg.(
+      required
+      & pos 0
+          (some
+             (enum
+                (("all", None)
+                :: List.map
+                     (fun s -> (Stm_harness.Stress.scenario_name s, Some s))
+                     Stm_harness.Stress.all_scenarios)))
+          None
+      & info [] ~docv:"SCENARIO"
+          ~doc:
+            "$(b,long-vs-short), $(b,livelock-pair), $(b,inversion-chain), \
+             $(b,read-heavy), or $(b,all).")
+  in
+  let backend =
+    backend_arg backends
+      ~doc:
+        "Versioning backend: $(b,eager) (in-place + undo log), $(b,lazy) \
+         (write buffer), $(b,mvcc) (bounded per-granule version chains; \
+         read-only transactions run abort-free against consistent \
+         snapshots), $(b,mvcc-si) (mvcc at snapshot isolation: \
+         first-committer-wins only), or $(b,eager-ts)/$(b,lazy-ts) (the \
+         single-version backends under global-commit-clock validation)."
+  in
+  Cmd.v
+    (Cmd.info "stress"
+       ~doc:
+         "Run a contention stress scenario; non-zero exit unless every run \
+          completes.")
+    Term.(
+      const run_stress $ scenario $ backend $ Cli.cm
+      $ Cli.seed
+          ~doc:
+            "Random-scheduler seed (also seeds randomized backoff); runs \
+             are reproducible per seed. Default 0."
+      $ Cli.fuel
+          ~doc:
+            "Scheduler step bound (default 2000000); exceeding it reports \
+             fuel-exhausted."
+      $ Cli.metrics_out
+          ~doc:
+            "Write the per-scenario reports (status, starved threads, \
+             metrics incl. the Jain index) as JSON to $(docv)."
+      $ Cli.diag_out
+          ~doc:
+            "Attach the conflict-diagnosis pipeline (contention heatmap, \
+             abort-causality graph, flight recorder) live, print its report \
+             after the scenario reports, and write the full Debug-level \
+             event stream as a JSONL trace to $(docv) for offline replay \
+             with $(b,stm_diag). A starvation verdict forces a \
+             flight-recorder incident.")
+
 (* ------------------------------------------------------------------ *)
-(* Fuzz mode                                                           *)
+(* Fuzz                                                                *)
 (* ------------------------------------------------------------------ *)
 
 let sanitize_name s =
@@ -201,22 +374,44 @@ let sanitize_name s =
     (function ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '.') as c -> c | _ -> '_')
     s
 
-let run_fuzz ~programs ~seeds ~driver ~dir ~seed ~fuel ~validation ~metrics_out
-    ~diag_out =
+(* The budget and repro directory both fuzz sweeps take. *)
+let fuzz_budget =
   let open Stm_check in
-  let budget =
-    {
-      Fuzz.default_budget with
-      Fuzz.programs;
-      seeds;
-      base_seed = Option.value seed ~default:Fuzz.default_budget.Fuzz.base_seed;
-      max_steps = Option.value fuel ~default:Fuzz.default_budget.Fuzz.max_steps;
-      driver;
-    }
+  let mk programs seeds seed fuel dir =
+    Option.iter (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755) dir;
+    ( {
+        Fuzz.default_budget with
+        Fuzz.programs;
+        seeds;
+        base_seed =
+          Option.value seed ~default:Fuzz.default_budget.Fuzz.base_seed;
+        max_steps = Option.value fuel ~default:Fuzz.default_budget.Fuzz.max_steps;
+      },
+      dir )
   in
-  Option.iter
-    (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755)
-    dir;
+  Term.(
+    const mk
+    $ Arg.(
+        value & opt int Fuzz.default_budget.Fuzz.programs
+        & info [ "programs" ] ~docv:"N" ~doc:"Generated programs per campaign.")
+    $ Arg.(
+        value & opt int Fuzz.default_budget.Fuzz.seeds
+        & info [ "seeds" ] ~docv:"N" ~doc:"Random schedules per program.")
+    $ Cli.seed ~doc:"Base seed for program generation and schedules."
+    $ Cli.fuel ~doc:"Per-run scheduler step bound."
+    $ Arg.(
+        value
+        & opt (some string) None
+        & info [ "dir" ] ~docv:"DIR"
+            ~doc:
+              "Write every minimized counterexample as a replayable repro \
+               JSON file into $(docv) (created if missing); replay with \
+               $(b,stm_run --repro FILE)."))
+
+let run_fuzz ((budget : Stm_check.Fuzz.budget), dir) driver validation
+    metrics_out diag_out =
+  let open Stm_check in
+  let budget = { budget with driver } in
   (* Fuzz mode feeds the flight recorder through [on_anomaly] alone:
      each unexpected anomaly freezes an incident naming the campaign,
      program seed and schedule seed. *)
@@ -258,11 +453,11 @@ let run_fuzz ~programs ~seeds ~driver ~dir ~seed ~fuel ~validation ~metrics_out
       | Stm_core.Config.Timestamp -> Fuzz.timestamp_plan)
   in
   let summary = Fuzz.summary_json budget results in
-  Option.iter (fun path -> write_json path summary) metrics_out;
+  Option.iter (fun path -> Cli.write_json path summary) metrics_out;
   Option.iter
     (fun d ->
       let path = Option.get diag_out in
-      write_json path (Stm_diag.Diag.to_json d);
+      Cli.write_json path (Stm_diag.Diag.to_json d);
       Fmt.pr "fuzz diag report written to %s@." path)
     diag;
   let ok = Fuzz.passed results in
@@ -271,26 +466,13 @@ let run_fuzz ~programs ~seeds ~driver ~dir ~seed ~fuel ~validation ~metrics_out
     (if ok then "all expectations met" else "EXPECTATIONS VIOLATED");
   if ok then 0 else 1
 
-(* --fuzz-differential: the same seeded programs and schedules run on
-   every backend in the grid (eager, lazy, mvcc-serializable, all
-   certified serializable, plus mvcc-snapshot certified at snapshot
-   isolation); any member certifying anomalous at its own level is a
-   cross-backend divergence, saved as a replayable repro. *)
-let run_fuzz_differential ~programs ~seeds ~dir ~seed ~fuel ~validation
-    ~metrics_out =
+(* The same seeded programs and schedules run on every backend in the
+   grid (eager, lazy, mvcc-serializable, all certified serializable, plus
+   mvcc-snapshot certified at snapshot isolation); any member certifying
+   anomalous at its own level is a cross-backend divergence, saved as a
+   replayable repro. *)
+let run_differential (budget, dir) validation metrics_out =
   let open Stm_check in
-  let budget =
-    {
-      Fuzz.default_budget with
-      Fuzz.programs;
-      seeds;
-      base_seed = Option.value seed ~default:Fuzz.default_budget.Fuzz.base_seed;
-      max_steps = Option.value fuel ~default:Fuzz.default_budget.Fuzz.max_steps;
-    }
-  in
-  Option.iter
-    (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755)
-    dir;
   let log msg = Fmt.pr "    %s@." msg in
   (* --validation timestamp widens the grid with eager-ts and lazy-ts:
      the same programs and schedules under both validation schemes *)
@@ -327,7 +509,7 @@ let run_fuzz_differential ~programs ~seeds ~dir ~seed ~fuel ~validation
         d.Fuzz.div_repros)
     r.Fuzz.divergences;
   Option.iter
-    (fun path -> write_json path (Fuzz.differential_to_json r))
+    (fun path -> Cli.write_json path (Fuzz.differential_to_json r))
     metrics_out;
   let ok = Fuzz.differential_passed r in
   Fmt.pr
@@ -339,8 +521,70 @@ let run_fuzz_differential ~programs ~seeds ~dir ~seed ~fuel ~validation
     (if ok then "backends agree" else "BACKENDS DIVERGED");
   if ok then 0 else 1
 
+let fuzz_summary_arg =
+  Cli.metrics_out ~doc:"Write the sweep's JSON summary to $(docv)."
+
+let fuzz_cmd =
+  Cmd.v
+    (Cmd.info "fuzz"
+       ~doc:
+         "Property-based fuzz sweep: random programs per (configuration \
+          combo, profile) campaign, checked against the serializability \
+          oracle; counterexamples are shrunk and printed (or saved with \
+          $(b,--dir)) as replayable JSON. Non-zero exit when any campaign \
+          misses its expectation.")
+    Term.(
+      const run_fuzz $ fuzz_budget
+      $ Arg.(
+          value
+          & opt
+              (enum
+                 Stm_check.Fuzz.
+                   [
+                     ("random", Drv_random);
+                     ("explore", Drv_explore);
+                     ("dpor", Drv_dpor);
+                   ])
+              Stm_check.Fuzz.default_budget.Stm_check.Fuzz.driver
+          & info [ "driver" ] ~docv:"DRIVER"
+              ~doc:
+                "Schedule source: $(b,random) (seeded random scheduler), \
+                 $(b,explore) (the litmus explorer's preemption-bounded DFS, \
+                 one search per program), or $(b,dpor) (the race-reduced \
+                 DPOR walk, same bound, far fewer runs).")
+      $ Cli.validation
+          ~doc:
+            "$(b,incremental) runs the default plan; $(b,timestamp) runs \
+             the timestamp certification plan instead (expect-clean \
+             campaigns over the 24-combo global-commit-clock grid)."
+      $ fuzz_summary_arg
+      $ Cli.diag_out
+          ~doc:
+            "Feed each unexpected anomaly to the flight recorder as an \
+             incident and write the diagnosis report as JSON to $(docv).")
+
+let differential_cmd =
+  Cmd.v
+    (Cmd.info "differential"
+       ~doc:
+         "Cross-backend differential fuzz sweep: the same seeded \
+          transaction-only programs under the same schedule seeds on every \
+          backend in the grid (eager, lazy, mvcc at serializable — all \
+          certified serializable — plus mvcc at snapshot isolation, \
+          certified at snapshot level). Any member certifying anomalous at \
+          its own level is a divergence: its verdicts are printed, a \
+          replayable repro per anomalous member is saved with $(b,--dir), \
+          and the exit status is non-zero.")
+    Term.(
+      const run_differential $ fuzz_budget
+      $ Cli.validation
+          ~doc:
+            "$(b,timestamp) widens the grid with the eager-ts and lazy-ts \
+             members."
+      $ fuzz_summary_arg)
+
 (* ------------------------------------------------------------------ *)
-(* Perf mode: host wall-clock microbenchmarks                          *)
+(* Perf: host wall-clock microbenchmarks                               *)
 (* ------------------------------------------------------------------ *)
 
 (* --diag-gate: the diagnosis layer must be free when disabled. The STM
@@ -357,10 +601,9 @@ let diag_gated c =
   pre "txn/" || pre "fig6/"
 
 (* Each backend (and validation scheme) ratchets against its own
-   checked-in baseline; an explicit --perf-baseline overrides the
-   choice. *)
-let default_baseline backend validation =
-  match (backend, validation) with
+   checked-in baseline; an explicit --baseline overrides the choice. *)
+let default_baseline (backend : Stm_check.Combo.t) =
+  match (backend.Stm_check.Combo.versioning, backend.Stm_check.Combo.validation) with
   | Stm_core.Config.Mvcc, _ -> "bench/baseline-mvcc.json"
   | ( (Stm_core.Config.Eager | Stm_core.Config.Lazy),
       Stm_core.Config.Timestamp ) ->
@@ -369,16 +612,17 @@ let default_baseline backend validation =
       Stm_core.Config.Incremental ) ->
       "bench/baseline.json"
 
-let run_perf ~quick ~backend ~validation ~out ~baseline ~threshold ~diag_gate =
-  let baseline =
-    Option.value baseline ~default:(default_baseline backend validation)
-  in
+let run_perf quick (backend : Stm_check.Combo.t) out baseline threshold
+    diag_gate =
+  let baseline = Option.value baseline ~default:(default_baseline backend) in
+  let validation = backend.Stm_check.Combo.validation in
+  let backend = backend.Stm_check.Combo.versioning in
   let report = Stm_perf.Perf.suite ~quick ~backend ~validation () in
   Fmt.pr "backend: %s (%s validation)@."
     (Stm_core.Config.versioning_to_string backend)
     (Stm_core.Config.validation_to_string validation);
   Fmt.pr "%a" Stm_perf.Perf.pp_report report;
-  write_json out (Stm_perf.Perf.to_json report);
+  Cli.write_json out (Stm_perf.Perf.to_json report);
   Fmt.pr "perf results written to %s@." out;
   if not (Sys.file_exists baseline) then begin
     Fmt.pr "no baseline at %s; skipping regression check@." baseline;
@@ -429,29 +673,77 @@ let run_perf ~quick ~backend ~validation ~out ~baseline ~threshold ~diag_gate =
           1
         end
 
+let perf_cmd =
+  (* Perf.suite has no isolation knob: every member but mvcc-si *)
+  let backend =
+    backend_arg
+      (List.filter
+         (fun (_, c) ->
+           c.Stm_check.Combo.isolation = Stm_core.Config.Serializable)
+         backends)
+      ~doc:
+        "Backend the txn/*, diag/* and store/* benches run under: \
+         $(b,eager), $(b,lazy), $(b,mvcc), $(b,eager-ts) or $(b,lazy-ts). \
+         It also picks the default $(b,--baseline)."
+  in
+  Cmd.v
+    (Cmd.info "perf"
+       ~doc:
+         "Host wall-clock performance suite (Bechamel): txn \
+          read/write/commit/abort microbenches, the fig6 explorer cell, the \
+          fig18 Tsp end-to-end unit and a fuzz-campaign throughput unit. \
+          Writes JSON to $(b,--out) and, when $(b,--baseline) exists, fails \
+          with non-zero exit if any bench regresses more than \
+          $(b,--threshold) percent.")
+    Term.(
+      const run_perf
+      $ Arg.(
+          value & flag
+          & info [ "quick" ]
+              ~doc:
+                "Shrink the Bechamel sampling quota for CI smoke runs (same \
+                 operations, fewer samples).")
+      $ backend
+      $ Arg.(
+          value & opt string "BENCH_PR4.json"
+          & info [ "out" ] ~docv:"FILE" ~doc:"Where the JSON report goes.")
+      $ Arg.(
+          value
+          & opt (some string) None
+          & info [ "baseline" ] ~docv:"FILE"
+              ~doc:
+                "Baseline report to ratchet against (same schema as \
+                 $(b,--out); refresh it by pointing $(b,--out) here). \
+                 Defaults to $(b,bench/baseline.json), \
+                 $(b,bench/baseline-mvcc.json) under $(b,--backend mvcc), or \
+                 $(b,bench/baseline-timestamp.json) under $(b,--backend \
+                 eager-ts) and $(b,lazy-ts). Missing file skips the check.")
+      $ Arg.(
+          value & opt float 25.0
+          & info [ "threshold" ] ~docv:"PCT"
+              ~doc:"Allowed per-bench slowdown vs the baseline, in percent.")
+      $ Arg.(
+          value & flag
+          & info [ "diag-gate" ]
+              ~doc:
+                "Additionally hold the txn/* and fig6/* benches (which run \
+                 with no trace sink, i.e. diagnosis disabled) to a 5% budget \
+                 vs the baseline — the conflict-diagnosis layer must be free \
+                 when off."))
+
 (* ------------------------------------------------------------------ *)
-(* Store mode: KV workload engine                                      *)
+(* Store: KV workload engine                                           *)
 (* ------------------------------------------------------------------ *)
 
 type store_opts = {
-  so_mode : Stm_store.Kv.mode;
   so_shards : int;
   so_clients : int;
   so_keys : int;
   so_ops : int;
   so_batch : int;
   so_value_size : int;
-  so_dist : string;
-  so_theta : float;
-  so_check : bool;
+  so_dist : Stm_store.Keydist.dist;
 }
-
-let store_dist so =
-  match Stm_store.Keydist.dist_of_string ~theta:so.so_theta so.so_dist with
-  | Some d -> d
-  | None ->
-      Fmt.failwith "unknown key distribution %s (expected zipfian or uniform)"
-        so.so_dist
 
 let store_params so profile ~record ~mode ~shards cm seed fuel =
   {
@@ -463,7 +755,7 @@ let store_params so profile ~record ~mode ~shards cm seed fuel =
     value_size = so.so_value_size;
     batch = so.so_batch;
     ops_per_client = so.so_ops;
-    dist = store_dist so;
+    dist = so.so_dist;
     profile;
     seed = Option.value seed ~default:0;
     cm;
@@ -474,47 +766,36 @@ let store_params so profile ~record ~mode ~shards cm seed fuel =
   }
 
 (* One profile run, with the optional diagnosis pipeline attached the
-   same way --stress attaches it; the heatmap's hot granules are joined
+   same way stress attaches it; the heatmap's hot granules are joined
    back to store keys through the report's oid resolver. *)
-let run_store_profile so profile cm seed fuel metrics_out diag_out =
+let run_store_profile so profile mode check cm seed fuel metrics_out
+    diag_out =
   let p =
-    store_params so profile ~record:so.so_check ~mode:so.so_mode
-      ~shards:so.so_shards cm seed fuel
+    store_params so profile ~record:check ~mode ~shards:so.so_shards cm seed
+      fuel
   in
-  let diag = diag_create diag_out in
+  let hot_keys d r =
+    Fmt.pr "hot keys (heatmap granules resolved to store keys):@.";
+    List.iter
+      (fun (c : Stm_diag.Heatmap.cell) ->
+        match r.Stm_store.Engine.r_resolve_oid c.Stm_diag.Heatmap.oid with
+        | Some (k, sh) ->
+            Fmt.pr "  key %-6d shard %-3d heat %d@." k sh
+              (Stm_diag.Heatmap.heat c)
+        | None ->
+            Fmt.pr "  oid %-6d (store structure)  heat %d@."
+              c.Stm_diag.Heatmap.oid
+              (Stm_diag.Heatmap.heat c))
+      (Stm_diag.Heatmap.top (Stm_diag.Diag.heatmap d) ~k:10)
+  in
   let r =
-    Stm_core.Trace.with_sinks (diag_sinks diag) (fun () ->
-        Stm_store.Engine.run p)
+    Cli.with_diag ~after:hot_keys diag_out (fun _ ->
+        let r = Stm_store.Engine.run p in
+        Fmt.pr "%a@." Stm_store.Engine.pp_report r;
+        r)
   in
-  Fmt.pr "%a@." Stm_store.Engine.pp_report r;
   Option.iter
-    (fun (d, rec_) ->
-      let path = Option.get diag_out in
-      (try
-         Out_channel.with_open_text path (fun oc ->
-             Stm_obs.Export.write_jsonl oc (Stm_obs.Recorder.entries rec_))
-       with Sys_error msg ->
-         Fmt.epr "cannot write %s: %s@." path msg;
-         exit 2);
-      Fmt.pr "@.=== conflict diagnosis ===@.%a"
-        (fun ppf -> Stm_diag.Diag.report ppf)
-        d;
-      Fmt.pr "hot keys (heatmap granules resolved to store keys):@.";
-      List.iter
-        (fun (c : Stm_diag.Heatmap.cell) ->
-          match r.Stm_store.Engine.r_resolve_oid c.Stm_diag.Heatmap.oid with
-          | Some (k, sh) ->
-              Fmt.pr "  key %-6d shard %-3d heat %d@." k sh
-                (Stm_diag.Heatmap.heat c)
-          | None ->
-              Fmt.pr "  oid %-6d (store structure)  heat %d@."
-                c.Stm_diag.Heatmap.oid
-                (Stm_diag.Heatmap.heat c))
-        (Stm_diag.Heatmap.top (Stm_diag.Diag.heatmap d) ~k:10);
-      Fmt.pr "diag trace written to %s (replay with stm_diag)@." path)
-    diag;
-  Option.iter
-    (fun path -> write_json path (Stm_store.Engine.to_json r))
+    (fun path -> Cli.write_json path (Stm_store.Engine.to_json r))
     metrics_out;
   let failures = ref [] in
   let fail fmt = Fmt.kstr (fun s -> failures := s :: !failures) fmt in
@@ -523,21 +804,21 @@ let run_store_profile so profile cm seed fuel metrics_out diag_out =
     r.Stm_store.Engine.r_invariants;
   (* Weak mode is *expected* to misbehave on mixed traffic — its verdict
      and deviation are findings, not failures. *)
-  (match (so.so_mode, r.Stm_store.Engine.r_verdict) with
+  (match (mode, r.Stm_store.Engine.r_verdict) with
   | (Stm_store.Kv.Strong | Stm_store.Kv.Lock | Stm_store.Kv.Mvcc), Some verdict
     -> (
       match verdict with
       | Stm_check.History.Serializable -> ()
       | v ->
           fail "oracle rejected a %s-mode run: %a"
-            (Stm_store.Kv.mode_to_string so.so_mode)
+            (Stm_store.Kv.mode_to_string mode)
             Stm_check.History.pp_verdict v)
   | _ -> ());
-  (match (so.so_mode, r.Stm_store.Engine.r_deviation) with
+  (match (mode, r.Stm_store.Engine.r_deviation) with
   | (Stm_store.Kv.Strong | Stm_store.Kv.Lock | Stm_store.Kv.Mvcc), Some d
     when d <> 0 ->
       fail "update deviation %d in %s mode" d
-        (Stm_store.Kv.mode_to_string so.so_mode)
+        (Stm_store.Kv.mode_to_string mode)
   | _ -> ());
   match !failures with
   | [] -> 0
@@ -556,7 +837,7 @@ let run_store_sweep so cm seed fuel metrics_out =
   in
   Fmt.pr "== shard scaling: %s, %s, %d clients ==@."
     profile.Stm_store.Profile.pname
-    (Stm_store.Keydist.dist_to_string (store_dist so))
+    (Stm_store.Keydist.dist_to_string so.so_dist)
     so.so_clients;
   let points =
     List.map
@@ -599,7 +880,7 @@ let run_store_sweep so cm seed fuel metrics_out =
   Option.iter
     (fun path ->
       let open Stm_obs in
-      write_json path
+      Cli.write_json path
         (Json.Obj
            [
              ("schema", Json.Str "stm-store/1");
@@ -609,8 +890,7 @@ let run_store_sweep so cm seed fuel metrics_out =
                  [
                    ("profile", Json.Str profile.Stm_store.Profile.pname);
                    ( "dist",
-                     Json.Str (Stm_store.Keydist.dist_to_string (store_dist so))
-                   );
+                     Json.Str (Stm_store.Keydist.dist_to_string so.so_dist) );
                    ("clients", Json.Int so.so_clients);
                    ( "points",
                      Json.List
@@ -657,90 +937,143 @@ let run_store_sweep so cm seed fuel metrics_out =
     1
   end
 
-let run_store which so cm seed fuel metrics_out diag_out =
-  match which with
-  | "sweep" -> run_store_sweep so cm seed fuel metrics_out
-  | name -> (
-      match Stm_store.Profile.of_string name with
-      | Some profile ->
-          run_store_profile so profile cm seed fuel metrics_out diag_out
-      | None ->
-          Fmt.failwith
-            "unknown store profile %s (try --list; or --store sweep)" name)
+(* The sweep fixes its own modes and records nothing, so --mode, --check
+   and --diag-out are usage errors there. Parameter checks the engine
+   makes (shard and key counts, theta range) are usage errors too. *)
+let run_store target mode check so cm seed fuel metrics_out diag_out =
+  try
+    match target with
+    | `Sweep when mode <> None || check || diag_out <> None ->
+        `Error (true, "store sweep reads none of --mode, --check, --diag-out")
+    | `Sweep -> `Ok (run_store_sweep so cm seed fuel metrics_out)
+    | `Profile p ->
+        `Ok
+          (run_store_profile so p
+             (Option.value mode ~default:Stm_store.Kv.Strong)
+             check cm seed fuel metrics_out diag_out)
+  with Invalid_argument m -> `Error (false, m)
+
+let store_cmd =
+  let int_opt names default doc =
+    Arg.(value & opt int default & info names ~docv:"N" ~doc)
+  in
+  let target =
+    let parse = function
+      | "sweep" -> Ok `Sweep
+      | s -> (
+          match Stm_store.Profile.of_string s with
+          | Some p -> Ok (`Profile p)
+          | None ->
+              Error
+                (`Msg
+                  (Fmt.str "unknown store profile %s (expected sweep or one of %s)"
+                     s
+                     (String.concat ", "
+                        (List.map
+                           (fun p -> p.Stm_store.Profile.pname)
+                           Stm_store.Profile.all)))))
+    in
+    let print ppf = function
+      | `Sweep -> Fmt.string ppf "sweep"
+      | `Profile p -> Fmt.string ppf p.Stm_store.Profile.pname
+    in
+    Arg.(
+      required
+      & pos 0 (some (conv (parse, print))) None
+      & info [] ~docv:"PROFILE"
+          ~doc:
+            "An operation-mix profile (see $(b,stm_bench list); YCSB letter \
+             aliases accepted), or $(b,sweep) for the acceptance sweep: \
+             shard scaling on read-heavy Zipfian traffic plus \
+             strong-vs-weak barrier overhead on the same traffic.")
+  in
+  let mode =
+    Arg.(
+      value
+      & opt
+          (some
+             (enum
+                (List.map
+                   (fun m -> (Stm_store.Kv.mode_to_string m, m))
+                   Stm_store.Kv.[ Strong; Weak; Lock; Mvcc ])))
+          None
+      & info [ "mode" ] ~docv:"MODE"
+          ~doc:
+            "Concurrency discipline: $(b,strong) (STM, strong atomicity \
+             barriers, the default), $(b,weak) (STM, weak atomicity — mixed \
+             traffic may exhibit Figure-6 anomalies), $(b,lock) (shard \
+             mutexes, no barriers), or $(b,mvcc) (multi-version STM with \
+             strong barriers; held to the same zero-deviation bar as strong \
+             and lock).")
+  in
+  let check =
+    Arg.(
+      value & flag
+      & info [ "check" ]
+          ~doc:
+            "Rewrite stored values to globally-unique tokens, record the \
+             value-access history, and check it against the serializability \
+             oracle. Non-zero exit if a strong-, lock- or mvcc-mode run is \
+             rejected (a weak-mode anomaly is reported, not fatal). Only \
+             non-structural profiles (no insert/delete) can be checked.")
+  in
+  let opts =
+    let mk so_shards so_clients so_keys so_ops so_batch so_value_size dist
+        theta =
+      let so_dist =
+        match dist with
+        | Stm_store.Keydist.Zipfian _ -> Stm_store.Keydist.Zipfian theta
+        | Stm_store.Keydist.Uniform -> Stm_store.Keydist.Uniform
+      in
+      { so_shards; so_clients; so_keys; so_ops; so_batch; so_value_size; so_dist }
+    in
+    Term.(
+      const mk
+      $ int_opt [ "shards" ] 4 "Store shard count."
+      $ int_opt [ "clients" ] 8 "Closed-loop client threads."
+      $ int_opt [ "keys" ] 1024 "Preloaded key-space size."
+      $ int_opt [ "ops" ] 128 "Operations per client."
+      $ int_opt [ "batch" ] 8 "Keys per multi-get (and per scan)."
+      $ Arg.(
+          value & opt int 4
+          & info [ "value-size" ] ~docv:"WORDS"
+              ~doc:"Heap words per store value; writes touch all of them.")
+      $ Arg.(
+          value
+          & opt
+              (enum
+                 Stm_store.Keydist.
+                   [ ("zipfian", Zipfian 0.99); ("uniform", Uniform) ])
+              (Stm_store.Keydist.Zipfian 0.99)
+          & info [ "dist" ] ~docv:"DIST"
+              ~doc:"Key distribution: $(b,zipfian) or $(b,uniform).")
+      $ Arg.(
+          value & opt float 0.99
+          & info [ "theta" ] ~docv:"F"
+              ~doc:"Zipfian skew exponent in (0, 1) for $(b,--dist zipfian)."))
+  in
+  Cmd.v
+    (Cmd.info "store"
+       ~doc:
+         "Run the KV-store workload engine on one profile, or its \
+          acceptance sweep.")
+    Term.(
+      ret
+        (const run_store $ target $ mode $ check $ opts $ Cli.cm
+        $ Cli.seed ~doc:"Random-scheduler seed (default 0)."
+        $ Cli.fuel ~doc:"Scheduler step bound per run."
+        $ Cli.metrics_out ~doc:"Write the run's JSON report to $(docv)."
+        $ Cli.diag_out
+            ~doc:
+              "Attach the conflict-diagnosis pipeline as $(b,stress) does, \
+               print its report with the hot store keys, and write the \
+               JSONL trace to $(docv)."))
 
 (* ------------------------------------------------------------------ *)
-(* List mode                                                           *)
+(* Exploration-engine certification                                    *)
 (* ------------------------------------------------------------------ *)
 
-let run_list () =
-  Fmt.pr "figures (positional FIGURE argument):@.";
-  List.iter (fun f -> Fmt.pr "  %s@." f) all_figures;
-  Fmt.pr "@.workloads (Jt programs behind the figures):@.";
-  List.iter
-    (fun fam ->
-      Fmt.pr "  %-8s %s@." fam.Stm_workloads.Catalog.fam_name
-        fam.Stm_workloads.Catalog.fam_descr;
-      List.iter
-        (fun (w : Stm_workloads.Workload.t) ->
-          Fmt.pr "    %-12s %s@." w.Stm_workloads.Workload.name
-            w.Stm_workloads.Workload.descr)
-        fam.Stm_workloads.Catalog.members)
-    Stm_workloads.Catalog.families;
-  Fmt.pr "@.store profiles (--store PROFILE, or --store sweep):@.";
-  List.iter
-    (fun (p : Stm_store.Profile.t) ->
-      Fmt.pr "  %-12s %-10s %s@." p.Stm_store.Profile.pname
-        (match p.Stm_store.Profile.aliases with
-        | [] -> ""
-        | a -> "(" ^ String.concat ", " a ^ ")")
-        p.Stm_store.Profile.pdescr)
-    Stm_store.Profile.all;
-  Fmt.pr "@.stress scenarios (--stress SCENARIO):@.";
-  List.iter
-    (fun s -> Fmt.pr "  %s@." (Stm_harness.Stress.scenario_name s))
-    Stm_harness.Stress.all_scenarios;
-  Fmt.pr "@.fuzz campaigns (--fuzz):@.";
-  List.iter
-    (fun c -> Fmt.pr "  %s@." (Stm_check.Fuzz.campaign_name c))
-    Stm_check.Fuzz.default_plan;
-  Fmt.pr
-    "@.validation modes (--validation; selects the fuzz plan, the \
-     differential grid, stress/perf configs and the perf baseline):@.";
-  List.iter
-    (fun (v, descr) ->
-      Fmt.pr "  %-12s %s@." (Stm_core.Config.validation_to_string v) descr)
-    [
-      ( Stm_core.Config.Incremental,
-        "per-checkpoint read-set walk (the default)" );
-      ( Stm_core.Config.Timestamp,
-        "global commit clock: O(1) revalidation, timestamp extension, \
-         read-only fast-path commits" );
-    ];
-  Fmt.pr "@.timestamp fuzz campaigns (--fuzz --validation timestamp):@.";
-  List.iter
-    (fun c -> Fmt.pr "  %s@." (Stm_check.Fuzz.campaign_name c))
-    Stm_check.Fuzz.timestamp_plan;
-  Fmt.pr "@.exploration engines (--explore; re-derive the litmus matrix):@.";
-  List.iter
-    (fun (e, descr) -> Fmt.pr "  %-6s %s@." e descr)
-    [
-      ( "dpor",
-        "certification: race-reduced DPOR walk cross-checked against the \
-         enumerative DFS at the same preemption bound; verdict flips and \
-         incomplete \"no\" cells are fatal" );
-      ("enum", "enumerative preemption-bounded DFS, held to the paper");
-      ( "pct",
-        "probabilistic sampling; conclusive only for unexpected anomalies" );
-    ];
-  Fmt.pr "@.perf benches (--perf):@.";
-  List.iter (fun n -> Fmt.pr "  %s@." n) Stm_perf.Perf.bench_names;
-  0
-
-(* ------------------------------------------------------------------ *)
-(* Exploration-engine certification mode                               *)
-(* ------------------------------------------------------------------ *)
-
-(* --explore ENGINE: re-derive the litmus matrix with a chosen schedule
+(* explore ENGINE: re-derive the litmus matrix with a chosen schedule
    engine. "dpor" is the certification mode: every cell is decided by
    both the enumerative DFS and the race-reduced DPOR walk at the same
    preemption bound, and a verdict flip — or a DPOR walk that fails to
@@ -753,16 +1086,14 @@ let run_list () =
 let explore_cells ~bound rows =
   let all = Stm_litmus.Matrix.full_matrix ~bound () in
   match rows with
-  | "fig6" ->
+  | `Fig6 ->
       List.filter
         (fun (p, m, _) ->
           List.mem_assoc p.Stm_litmus.Programs.name
             Stm_litmus.Matrix.expected_fig6
           && List.mem m Stm_litmus.Modes.all_fig6)
         all
-  | "all" -> all
-  | other ->
-      Fmt.failwith "unknown --explore-rows %s (expected fig6 or all)" other
+  | `All -> all
 
 let cell_json (c : Stm_litmus.Matrix.cell) =
   let open Stm_obs in
@@ -826,7 +1157,7 @@ let run_explore_dpor ~bound ~max_runs ~rows ~cells_out =
   let ok = incomplete = [] && mismatches = [] in
   Option.iter
     (fun path ->
-      write_json path
+      Cli.write_json path
         (Json.Obj
            [
              ("engine", Json.Str "dpor");
@@ -861,7 +1192,9 @@ let run_explore_dpor ~bound ~max_runs ~rows ~cells_out =
     cells_out;
   if ok then 0 else 1
 
-let run_explore_cells ~engine ~bound ~runner ~rows ~cells_out =
+(* [sampled]: the engine samples schedules rather than enumerating them,
+   so it is only held to the one-sided check. *)
+let run_explore_cells ~engine ~sampled ~bound ~runner ~rows ~cells_out =
   let open Stm_obs in
   let cells = explore_cells ~bound rows in
   Fmt.pr "re-deriving %d cells with the %s engine@." (List.length cells) engine;
@@ -892,20 +1225,20 @@ let run_explore_cells ~engine ~bound ~runner ~rows ~cells_out =
   (* The enumerative DFS at the standard bound must reproduce the paper
      exactly; a sampler is only held to the one-sided check. *)
   let ok =
-    match engine with
-    | "pct" ->
-        if missed <> [] then
-          Fmt.pr "note: %d expected-yes cells not reached by sampling@."
-            (List.length missed);
-        false_yes = []
-    | _ -> false_yes = [] && missed = []
+    if sampled then begin
+      if missed <> [] then
+        Fmt.pr "note: %d expected-yes cells not reached by sampling@."
+          (List.length missed);
+      false_yes = []
+    end
+    else false_yes = [] && missed = []
   in
   Fmt.pr "%d cells, %d unexpected anomalies, %d missed witnesses: %s@."
     (List.length results) (List.length false_yes) (List.length missed)
     (if ok then "ok" else "FAIL");
   Option.iter
     (fun path ->
-      write_json path
+      Cli.write_json path
         (Json.Obj
            [
              ("engine", Json.Str engine);
@@ -917,578 +1250,176 @@ let run_explore_cells ~engine ~bound ~runner ~rows ~cells_out =
     cells_out;
   if ok then 0 else 1
 
-let run_explore ~engine ~bound ~max_runs ~rows ~cells_out =
-  match engine with
-  | "dpor" -> run_explore_dpor ~bound ~max_runs ~rows ~cells_out
-  | "enum" ->
-      run_explore_cells ~engine ~bound ~rows ~cells_out
-        ~runner:(fun ~bound p m ->
-          Stm_litmus.Matrix.run_cell ~preemption_bound:bound ?max_runs p m)
-  | "pct" ->
-      run_explore_cells ~engine ~bound ~rows ~cells_out
-        ~runner:(fun ~bound:_ p m ->
-          Stm_litmus.Matrix.run_cell_pct ?runs:max_runs p m)
-  | other ->
-      Fmt.failwith "unknown --explore engine %s (expected dpor, enum, or pct)"
-        other
+(* The sampler ignores the preemption bound, so --bound is a usage error
+   with pct. *)
+let run_explore engine bound max_runs rows cells_out =
+  match (engine, bound) with
+  | `Pct, Some _ -> `Error (true, "the pct engine takes no --bound")
+  | `Pct, None ->
+      `Ok
+        (run_explore_cells ~engine:"pct" ~sampled:true ~bound:2 ~rows
+           ~cells_out ~runner:(fun ~bound:_ p m ->
+             Stm_litmus.Matrix.run_cell_pct ?runs:max_runs p m))
+  | `Enum, _ ->
+      `Ok
+        (run_explore_cells ~engine:"enum" ~sampled:false
+           ~bound:(Option.value bound ~default:2) ~rows ~cells_out
+           ~runner:(fun ~bound p m ->
+             Stm_litmus.Matrix.run_cell ~preemption_bound:bound ?max_runs p m))
+  | `Dpor, _ ->
+      `Ok
+        (run_explore_dpor ~bound:(Option.value bound ~default:2) ~max_runs
+           ~rows ~cells_out)
+
+let explore_cmd =
+  Cmd.v
+    (Cmd.info "explore"
+       ~doc:"Re-derive the litmus behaviour matrix with a schedule engine.")
+    Term.(
+      ret
+        (const run_explore
+        $ Arg.(
+            required
+            & pos 0
+                (some (enum [ ("dpor", `Dpor); ("enum", `Enum); ("pct", `Pct) ]))
+                None
+            & info [] ~docv:"ENGINE"
+                ~doc:
+                  "$(b,dpor) (certification mode — every cell decided by \
+                   both the race-reduced DPOR walk and the enumerative DFS \
+                   at the same preemption bound; any verdict flip, or a DPOR \
+                   walk less complete than a finished enumerative baseline, \
+                   is a non-zero exit), $(b,enum) (enumerative DFS alone, \
+                   held to the paper's expectations), or $(b,pct) \
+                   (probabilistic sampling; only an anomaly on an \
+                   expected-\"no\" cell is fatal).")
+        $ Arg.(
+            value
+            & opt (some int) None
+            & info [ "bound" ] ~docv:"N"
+                ~doc:"Preemption bound for dpor and enum (default 2).")
+        $ Arg.(
+            value
+            & opt (some int) None
+            & info [ "runs" ] ~docv:"N"
+                ~doc:
+                  "Run budget per cell: max explored schedules for \
+                   $(b,dpor)/$(b,enum) (default 40000 resp. 6000), sampling \
+                   quota for $(b,pct) (default 2000).")
+        $ Arg.(
+            value
+            & opt (enum [ ("all", `All); ("fig6", `Fig6) ]) `All
+            & info [ "rows" ] ~docv:"ROWS"
+                ~doc:
+                  "Cell set: $(b,all) (every matrix cell — Figure 6, extras, \
+                   privatization, SI, mvcc and timestamp columns) or \
+                   $(b,fig6) (the 45 Figure 6 cells, the CI smoke set).")
+        $ Arg.(
+            value
+            & opt (some string) None
+            & info [ "cells-out" ] ~docv:"FILE"
+                ~doc:
+                  "Write the per-cell results (verdicts, run counts, \
+                   completeness, races) as JSON to $(docv).")))
 
 (* ------------------------------------------------------------------ *)
-(* Entry                                                               *)
+(* List                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let main list store store_opts name scale threads backend isolation validation
-    cm stress seed fuel metrics_out diag_out fuzz fuzz_differential
-    fuzz_programs fuzz_seeds fuzz_driver fuzz_dir explore explore_bound
-    explore_runs explore_rows cells_out perf quick perf_out perf_baseline
-    perf_threshold diag_gate =
-  if list then run_list ()
-  else
-  match store with
-  | Some which -> (
-      try run_store which store_opts cm seed fuel metrics_out diag_out
-      with Failure m | Invalid_argument m ->
-        Fmt.epr "%s@." m;
-        exit 2)
-  | None ->
-  match explore with
-  | Some engine -> (
-      try
-        run_explore ~engine ~bound:explore_bound ~max_runs:explore_runs
-          ~rows:explore_rows ~cells_out
-      with Failure m ->
-        Fmt.epr "%s@." m;
-        exit 2)
-  | None ->
-  if perf then
-    run_perf ~quick ~backend ~validation ~out:perf_out
-      ~baseline:perf_baseline ~threshold:perf_threshold ~diag_gate
-  else if fuzz_differential then
-    run_fuzz_differential ~programs:fuzz_programs ~seeds:fuzz_seeds
-      ~dir:fuzz_dir ~seed ~fuel ~validation ~metrics_out
-  else if fuzz then
-    let driver =
-      match fuzz_driver with
-      | "random" -> Stm_check.Fuzz.Drv_random
-      | "explore" -> Stm_check.Fuzz.Drv_explore
-      | "dpor" -> Stm_check.Fuzz.Drv_dpor
-      | other ->
-          Fmt.epr "unknown fuzz driver %s (expected random, explore, or dpor)@."
-            other;
-          exit 2
-    in
-    run_fuzz ~programs:fuzz_programs ~seeds:fuzz_seeds ~driver ~dir:fuzz_dir
-      ~seed ~fuel ~validation ~metrics_out ~diag_out
-  else
-  match stress with
-  | Some which -> (
-      try
-        run_stress which backend isolation validation cm seed fuel metrics_out
-          diag_out
-      with Failure m ->
-        Fmt.epr "%s@." m;
-        exit 2)
-  | None ->
-      let name =
-        match name with
-        | Some n -> n
-        | None ->
-            Fmt.epr "a FIGURE argument or --stress is required@.";
-            exit 2
-      in
-      (* Collect run metrics across every figure executed by this
-         invocation; an Info-level subscriber keeps the per-access Debug
-         events unforced, so figure timings are unaffected on the fast
-         paths. *)
-      let metrics = Option.map (fun _ -> Stm_obs.Metrics.create ()) metrics_out in
-      let ok =
-        try
-          Stm_core.Trace.with_sinks
-            (Option.fold metrics ~none:[] ~some:(fun m ->
-                 [ (Stm_core.Trace.Info, Stm_obs.Metrics.handle m) ]))
-            (fun () ->
-              if name = "all" then
-                List.fold_left
-                  (fun acc f ->
-                    Fmt.pr "== %s ==@." f;
-                    run_figure f scale threads (Some cm) && acc)
-                  true all_figures
-              else run_figure name scale threads (Some cm))
-        with Failure m ->
-          Fmt.epr "%s@." m;
-          exit 2
-      in
-      Option.iter
-        (fun m ->
-          write_json (Option.get metrics_out) (Stm_obs.Metrics.to_json m))
-        metrics;
-      if ok then 0 else 1
+let run_list () =
+  Fmt.pr "figures (one subcommand each; all runs them in order):@.";
+  List.iter (fun (f, _, _, _) -> Fmt.pr "  %s@." f) figures;
+  Fmt.pr "@.beyond the figures: extras, ablations@.";
+  Fmt.pr "@.workloads (Jt programs behind the figures):@.";
+  List.iter
+    (fun fam ->
+      Fmt.pr "  %-8s %s@." fam.Stm_workloads.Catalog.fam_name
+        fam.Stm_workloads.Catalog.fam_descr;
+      List.iter
+        (fun (w : Stm_workloads.Workload.t) ->
+          Fmt.pr "    %-12s %s@." w.Stm_workloads.Workload.name
+            w.Stm_workloads.Workload.descr)
+        fam.Stm_workloads.Catalog.members)
+    Stm_workloads.Catalog.families;
+  Fmt.pr "@.store profiles (store PROFILE, or store sweep):@.";
+  List.iter
+    (fun (p : Stm_store.Profile.t) ->
+      Fmt.pr "  %-12s %-10s %s@." p.Stm_store.Profile.pname
+        (match p.Stm_store.Profile.aliases with
+        | [] -> ""
+        | a -> "(" ^ String.concat ", " a ^ ")")
+        p.Stm_store.Profile.pdescr)
+    Stm_store.Profile.all;
+  Fmt.pr "@.stress scenarios (stress SCENARIO):@.";
+  List.iter
+    (fun s -> Fmt.pr "  %s@." (Stm_harness.Stress.scenario_name s))
+    Stm_harness.Stress.all_scenarios;
+  Fmt.pr "@.backends (stress and perf --backend; perf takes all but mvcc-si):@.";
+  List.iter (fun (b, _) -> Fmt.pr "  %s@." b) backends;
+  Fmt.pr "@.fuzz campaigns (fuzz):@.";
+  List.iter
+    (fun c -> Fmt.pr "  %s@." (Stm_check.Fuzz.campaign_name c))
+    Stm_check.Fuzz.default_plan;
+  Fmt.pr
+    "@.validation modes (fuzz and differential --validation; selects the \
+     fuzz plan and the differential grid):@.";
+  List.iter
+    (fun (v, descr) ->
+      Fmt.pr "  %-12s %s@." (Stm_core.Config.validation_to_string v) descr)
+    [
+      ( Stm_core.Config.Incremental,
+        "per-checkpoint read-set walk (the default)" );
+      ( Stm_core.Config.Timestamp,
+        "global commit clock: O(1) revalidation, timestamp extension, \
+         read-only fast-path commits" );
+    ];
+  Fmt.pr "@.timestamp fuzz campaigns (fuzz --validation timestamp):@.";
+  List.iter
+    (fun c -> Fmt.pr "  %s@." (Stm_check.Fuzz.campaign_name c))
+    Stm_check.Fuzz.timestamp_plan;
+  Fmt.pr "@.exploration engines (explore ENGINE; re-derive the litmus matrix):@.";
+  List.iter
+    (fun (e, descr) -> Fmt.pr "  %-6s %s@." e descr)
+    [
+      ( "dpor",
+        "certification: race-reduced DPOR walk cross-checked against the \
+         enumerative DFS at the same preemption bound; verdict flips and \
+         incomplete \"no\" cells are fatal" );
+      ("enum", "enumerative preemption-bounded DFS, held to the paper");
+      ( "pct",
+        "probabilistic sampling; conclusive only for unexpected anomalies" );
+    ];
+  Fmt.pr "@.perf benches (perf):@.";
+  List.iter (fun n -> Fmt.pr "  %s@." n) Stm_perf.Perf.bench_names;
+  0
 
-let cm_conv =
-  let parse s =
-    match Stm_cm.Policy.of_string s with
-    | Some p -> Ok p
-    | None ->
-        Error
-          (`Msg
-            (Fmt.str "unknown contention-management policy %s (expected %s)" s
-               (String.concat ", "
-                  (List.map Stm_cm.Policy.to_string Stm_cm.Policy.all))))
-  in
-  Arg.conv (parse, Stm_cm.Policy.pp)
-
-let name_arg =
-  Arg.(
-    value
-    & pos 0 (some string) None
-    & info [] ~docv:"FIGURE"
-        ~doc:"One of fig6, privatization, fig13, fig15, fig16, fig17, fig18, fig19, fig20, all. Optional when $(b,--stress) or $(b,--fuzz) is given.")
-
-let scale_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "scale" ] ~docv:"F" ~doc:"Workload scale factor (default 1.0).")
-
-let threads_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "threads" ] ~docv:"LIST"
-        ~doc:"Comma-separated simulated processor counts for fig18-20.")
-
-let backend_conv =
-  let parse s =
-    match Stm_core.Config.versioning_of_string s with
-    | Some v -> Ok v
-    | None ->
-        Error
-          (`Msg (Fmt.str "unknown backend %s (expected eager, lazy, or mvcc)" s))
-  in
-  Arg.conv
-    ( parse,
-      fun ppf v -> Fmt.string ppf (Stm_core.Config.versioning_to_string v) )
-
-let backend_arg =
-  Arg.(
-    value
-    & opt backend_conv Stm_core.Config.Eager
-    & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:
-          "Versioning backend: $(b,eager) (in-place + undo log, the \
-           default), $(b,lazy) (write buffer), or $(b,mvcc) (bounded \
-           per-granule version chains; read-only transactions run \
-           abort-free against consistent snapshots). Applies to \
-           $(b,--stress) runs and selects which benches/baseline \
-           $(b,--perf) uses; $(b,--store) has its own $(b,--store-mode \
-           mvcc).")
-
-let isolation_conv =
-  let parse s =
-    match Stm_core.Config.isolation_of_string s with
-    | Some i -> Ok i
-    | None ->
-        Error
-          (`Msg
-            (Fmt.str "unknown isolation level %s (expected serializable or \
-                      snapshot)" s))
-  in
-  Arg.conv
-    (parse, fun ppf i -> Fmt.string ppf (Stm_core.Config.isolation_to_string i))
-
-let isolation_arg =
-  Arg.(
-    value
-    & opt isolation_conv Stm_core.Config.Serializable
-    & info [ "isolation" ] ~docv:"LEVEL"
-        ~doc:
-          "Isolation level for $(b,--backend mvcc): $(b,serializable) \
-           (commit-time read revalidation, the default) or $(b,snapshot) \
-           (first-committer-wins only — write skew and long fork are \
-           admitted). The single-version backends ignore it.")
-
-let validation_conv =
-  let parse s =
-    match Stm_core.Config.validation_of_string s with
-    | Some v -> Ok v
-    | None ->
-        Error
-          (`Msg
-            (Fmt.str "unknown validation scheme %s (expected incremental or \
-                      timestamp)" s))
-  in
-  Arg.conv
-    ( parse,
-      fun ppf v -> Fmt.string ppf (Stm_core.Config.validation_to_string v) )
-
-let validation_arg =
-  Arg.(
-    value
-    & opt validation_conv Stm_core.Config.Incremental
-    & info [ "validation" ] ~docv:"SCHEME"
-        ~doc:
-          "Read-set validation scheme for the single-version backends: \
-           $(b,incremental) (walk the read set at every checkpoint, the \
-           default) or $(b,timestamp) (global commit clock: O(1) \
-           revalidation while the clock is unchanged, timestamp extension \
-           on reads past the snapshot, read-only fast-path commits). \
-           Applies to $(b,--stress) and $(b,--perf) configurations, swaps \
-           the $(b,--fuzz) plan for the timestamp certification grid, and \
-           widens $(b,--fuzz-differential) with the eager-ts/lazy-ts \
-           members. mvcc has its own commit clock and ignores it.")
-
-let cm_arg =
-  Arg.(
-    value
-    & opt cm_conv Stm_cm.Policy.Suicide
-    & info [ "cm" ] ~docv:"POLICY"
-        ~doc:
-          "Contention-management policy: suicide, wound-wait, exp-backoff, karma, or timestamp. Applies to --stress runs and to fig6.")
-
-let stress_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "stress" ] ~docv:"SCENARIO"
-        ~doc:
-          "Run a contention stress scenario instead of a figure: long-vs-short, livelock-pair, inversion-chain, or all.")
-
-let seed_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "seed" ] ~docv:"N"
-        ~doc:
-          "Random-scheduler seed for --stress runs (also seeds randomized backoff); runs are reproducible per seed. Default 0.")
-
-let fuel_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "fuel" ] ~docv:"STEPS"
-        ~doc:
-          "Scheduler step bound for --stress runs (default 2000000); exceeding it reports fuel-exhausted.")
-
-let metrics_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics-out" ] ~docv:"FILE"
-        ~doc:
-          "Write aggregate STM metrics (transaction counters, abort causes, latency histograms, per-thread fairness incl. the Jain index) as JSON to $(docv).")
-
-let diag_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "diag-out" ] ~docv:"FILE"
-        ~doc:
-          "For --stress runs: attach the conflict-diagnosis pipeline (contention heatmap, abort-causality graph, flight recorder) live, print its report after the scenario reports, and write the full Debug-level event stream as a JSONL trace to $(docv) for offline replay with $(b,stm_diag). A starvation verdict forces a flight-recorder incident.")
-
-let fuzz_arg =
-  Arg.(
-    value & flag
-    & info [ "fuzz" ]
-        ~doc:
-          "Run the property-based differential fuzz sweep: random programs per (configuration combo, profile) campaign, checked against the serializability oracle; counterexamples are shrunk and printed (or saved with $(b,--fuzz-dir)) as replayable JSON. Non-zero exit when any campaign misses its expectation. $(b,--seed) sets the base seed, $(b,--fuel) the per-run scheduler budget, $(b,--metrics-out) the JSON summary path.")
-
-let fuzz_differential_arg =
-  Arg.(
-    value & flag
-    & info [ "fuzz-differential" ]
-        ~doc:
-          "Run the cross-backend differential fuzz sweep: the same seeded \
-           transaction-only programs under the same schedule seeds on every \
-           backend in the grid (eager, lazy, mvcc at serializable — all \
-           certified serializable — plus mvcc at snapshot isolation, \
-           certified at snapshot level). Any member certifying anomalous at \
-           its own level is a divergence: its verdicts are printed, a \
-           replayable repro per anomalous member is saved with \
-           $(b,--fuzz-dir), and the exit status is non-zero. \
-           $(b,--fuzz-programs), $(b,--fuzz-seeds), $(b,--seed), $(b,--fuel) \
-           and $(b,--metrics-out) apply as for $(b,--fuzz).")
-
-let fuzz_programs_arg =
-  Arg.(
-    value & opt int Stm_check.Fuzz.default_budget.Stm_check.Fuzz.programs
-    & info [ "fuzz-programs" ] ~docv:"N"
-        ~doc:"Generated programs per fuzz campaign.")
-
-let fuzz_seeds_arg =
-  Arg.(
-    value & opt int Stm_check.Fuzz.default_budget.Stm_check.Fuzz.seeds
-    & info [ "fuzz-seeds" ] ~docv:"N"
-        ~doc:"Random schedules per generated program.")
-
-let fuzz_driver_arg =
-  Arg.(
-    value & opt string "random"
-    & info [ "fuzz-driver" ] ~docv:"DRIVER"
-        ~doc:
-          "Schedule source: $(b,random) (seeded random scheduler), \
-           $(b,explore) (the litmus explorer's preemption-bounded DFS, one \
-           search per program), or $(b,dpor) (the race-reduced DPOR walk, \
-           same bound, far fewer runs).")
-
-let explore_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "explore" ] ~docv:"ENGINE"
-        ~doc:
-          "Re-derive the litmus behaviour matrix with a schedule engine: \
-           $(b,dpor) (certification mode — every cell decided by both the \
-           race-reduced DPOR walk and the enumerative DFS at the same \
-           preemption bound; any verdict flip, or a DPOR walk less complete \
-           than a finished enumerative baseline, is a non-zero exit), \
-           $(b,enum) (enumerative DFS alone, held to the paper's \
-           expectations), or $(b,pct) (probabilistic sampling; only an \
-           anomaly on an expected-\"no\" cell is fatal). See also \
-           $(b,--explore-bound), $(b,--explore-runs), $(b,--explore-rows), \
-           $(b,--cells-out).")
-
-let explore_bound_arg =
-  Arg.(
-    value & opt int 2
-    & info [ "explore-bound" ] ~docv:"N"
-        ~doc:"Preemption bound for --explore dpor and enum (default 2).")
-
-let explore_runs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "explore-runs" ] ~docv:"N"
-        ~doc:
-          "Run budget per cell: max explored schedules for $(b,dpor)/\
-           $(b,enum) (default 40000 resp. 6000), sampling quota for \
-           $(b,pct) (default 2000).")
-
-let explore_rows_arg =
-  Arg.(
-    value & opt string "all"
-    & info [ "explore-rows" ] ~docv:"ROWS"
-        ~doc:
-          "Cell set for --explore: $(b,all) (every matrix cell — Figure 6, \
-           extras, privatization, SI, mvcc and timestamp columns) or \
-           $(b,fig6) (the 45 Figure 6 cells, the CI smoke set).")
-
-let cells_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "cells-out" ] ~docv:"FILE"
-        ~doc:
-          "Write the per-cell --explore results (verdicts, run counts, \
-           completeness, races) as JSON to $(docv) — the nightly CI \
-           artifact.")
-
-let perf_arg =
-  Arg.(
-    value & flag
-    & info [ "perf" ]
-        ~doc:
-          "Run the host wall-clock performance suite (Bechamel): txn \
-           read/write/commit/abort microbenches, the fig6 explorer cell, \
-           the fig18 Tsp end-to-end unit and a fuzz-campaign throughput \
-           unit. Writes JSON to $(b,--perf-out) and, when \
-           $(b,--perf-baseline) exists, fails with non-zero exit if any \
-           bench regresses more than $(b,--perf-threshold) percent.")
-
-let quick_arg =
-  Arg.(
-    value & flag
-    & info [ "quick" ]
-        ~doc:
-          "Shrink the Bechamel sampling quota for CI smoke runs of \
-           $(b,--perf) (same operations, fewer samples).")
-
-let perf_out_arg =
-  Arg.(
-    value & opt string "BENCH_PR4.json"
-    & info [ "perf-out" ] ~docv:"FILE"
-        ~doc:"Where $(b,--perf) writes its JSON report.")
-
-let perf_baseline_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "perf-baseline" ] ~docv:"FILE"
-        ~doc:
-          "Baseline report to ratchet against (same schema as \
-           $(b,--perf-out); refresh it by pointing $(b,--perf-out) here). \
-           Defaults to $(b,bench/baseline.json), \
-           $(b,bench/baseline-mvcc.json) under $(b,--backend mvcc), or \
-           $(b,bench/baseline-timestamp.json) under $(b,--validation \
-           timestamp). Missing file skips the check.")
-
-let perf_threshold_arg =
-  Arg.(
-    value & opt float 25.0
-    & info [ "perf-threshold" ] ~docv:"PCT"
-        ~doc:"Allowed per-bench slowdown vs the baseline, in percent.")
-
-let diag_gate_arg =
-  Arg.(
-    value & flag
-    & info [ "diag-gate" ]
-        ~doc:
-          "With $(b,--perf): additionally hold the txn/* and fig6/* benches \
-           (which run with no trace sink, i.e. diagnosis disabled) to a 5% \
-           budget vs the baseline — the conflict-diagnosis layer must be \
-           free when off.")
-
-let list_arg =
-  Arg.(
-    value & flag
-    & info [ "list" ]
-        ~doc:
-          "List everything this binary can run — figures, workloads, store \
-           profiles, stress scenarios, fuzz campaigns, and perf benches — \
-           then exit.")
-
-let store_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "store" ] ~docv:"PROFILE"
-        ~doc:
-          "Run the KV-store workload engine with the given operation-mix \
-           profile (see $(b,--list); YCSB letter aliases accepted), or \
-           $(b,sweep) for the acceptance sweep: shard scaling on read-heavy \
-           Zipfian traffic plus strong-vs-weak barrier overhead on the same \
-           traffic. Knobs: $(b,--store-mode), $(b,--shards), $(b,--clients), \
-           $(b,--keys), $(b,--store-ops), $(b,--batch), $(b,--value-size), \
-           $(b,--dist), $(b,--theta); $(b,--seed), $(b,--cm), $(b,--fuel), \
-           $(b,--metrics-out) and $(b,--diag-out) apply as for --stress. \
-           $(b,--store-check) records the run and audits it against the \
-           serializability oracle.")
-
-let store_mode_conv =
-  let parse s =
-    match Stm_store.Kv.mode_of_string s with
-    | Some m -> Ok m
-    | None ->
-        Error
-          (`Msg
-            (Fmt.str
-               "unknown store mode %s (expected strong, weak, lock, or mvcc)"
-               s))
-  in
-  Arg.conv (parse, fun ppf m -> Fmt.string ppf (Stm_store.Kv.mode_to_string m))
-
-let store_mode_arg =
-  Arg.(
-    value
-    & opt store_mode_conv Stm_store.Kv.Strong
-    & info [ "store-mode" ] ~docv:"MODE"
-        ~doc:
-          "Concurrency discipline for --store: $(b,strong) (STM, strong \
-           atomicity barriers), $(b,weak) (STM, weak atomicity — mixed \
-           traffic may exhibit Figure-6 anomalies), $(b,lock) (shard \
-           mutexes, no barriers), or $(b,mvcc) (multi-version STM with \
-           strong barriers; held to the same zero-deviation bar as strong \
-           and lock).")
-
-let shards_arg =
-  Arg.(
-    value & opt int 4
-    & info [ "shards" ] ~docv:"N" ~doc:"Store shard count for --store.")
-
-let clients_arg =
-  Arg.(
-    value & opt int 8
-    & info [ "clients" ] ~docv:"N"
-        ~doc:"Closed-loop client threads for --store.")
-
-let keys_arg =
-  Arg.(
-    value & opt int 1024
-    & info [ "keys" ] ~docv:"N" ~doc:"Preloaded key-space size for --store.")
-
-let store_ops_arg =
-  Arg.(
-    value & opt int 128
-    & info [ "store-ops" ] ~docv:"N"
-        ~doc:"Operations per client for --store.")
-
-let batch_arg =
-  Arg.(
-    value & opt int 8
-    & info [ "batch" ] ~docv:"N"
-        ~doc:"Keys per multi-get (and per scan) for --store.")
-
-let value_size_arg =
-  Arg.(
-    value & opt int 4
-    & info [ "value-size" ] ~docv:"WORDS"
-        ~doc:"Heap words per store value; writes touch all of them.")
-
-let dist_arg =
-  Arg.(
-    value & opt string "zipfian"
-    & info [ "dist" ] ~docv:"DIST"
-        ~doc:"Key distribution for --store: $(b,zipfian) or $(b,uniform).")
-
-let theta_arg =
-  Arg.(
-    value & opt float 0.99
-    & info [ "theta" ] ~docv:"F"
-        ~doc:"Zipfian skew exponent in (0, 1) for --dist zipfian.")
-
-let store_check_arg =
-  Arg.(
-    value & flag
-    & info [ "store-check" ]
-        ~doc:
-          "With --store: rewrite stored values to globally-unique tokens, \
-           record the value-access history, and check it against the \
-           serializability oracle. Non-zero exit if a strong- or lock-mode \
-           run is rejected (a weak-mode anomaly is reported, not fatal). \
-           Only non-structural profiles (no insert/delete) can be checked.")
-
-let store_opts_term =
-  let mk so_mode so_shards so_clients so_keys so_ops so_batch so_value_size
-      so_dist so_theta so_check =
-    {
-      so_mode;
-      so_shards;
-      so_clients;
-      so_keys;
-      so_ops;
-      so_batch;
-      so_value_size;
-      so_dist;
-      so_theta;
-      so_check;
-    }
-  in
-  Term.(
-    const mk $ store_mode_arg $ shards_arg $ clients_arg $ keys_arg
-    $ store_ops_arg $ batch_arg $ value_size_arg $ dist_arg $ theta_arg
-    $ store_check_arg)
-
-let fuzz_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "fuzz-dir" ] ~docv:"DIR"
-        ~doc:
-          "Write every minimized counterexample as a replayable repro JSON file into $(docv) (created if missing); replay with $(b,stm_run --repro FILE).")
+let list_cmd =
+  Cmd.v
+    (Cmd.info "list"
+       ~doc:
+         "List everything this binary can run — figures, workloads, store \
+          profiles, stress scenarios, backends, fuzz campaigns, exploration \
+          engines and perf benches.")
+    Term.(const run_list $ const ())
 
 let cmd =
-  let doc =
-    "regenerate the PLDI 2007 evaluation figures, run contention stress \
-     scenarios, and fuzz the STM against a serializability oracle"
-  in
-  Cmd.v
-    (Cmd.info "stm_bench" ~doc)
-    Term.(
-      const main $ list_arg $ store_arg $ store_opts_term $ name_arg
-      $ scale_arg $ threads_arg $ backend_arg $ isolation_arg $ validation_arg
-      $ cm_arg $ stress_arg $ seed_arg $ fuel_arg $ metrics_arg $ diag_out_arg
-      $ fuzz_arg $ fuzz_differential_arg $ fuzz_programs_arg $ fuzz_seeds_arg
-      $ fuzz_driver_arg $ fuzz_dir_arg $ explore_arg $ explore_bound_arg
-      $ explore_runs_arg $ explore_rows_arg $ cells_out_arg $ perf_arg
-      $ quick_arg $ perf_out_arg $ perf_baseline_arg $ perf_threshold_arg
-      $ diag_gate_arg)
+  Cmd.group
+    (Cmd.info "stm_bench"
+       ~doc:
+         "regenerate the PLDI 2007 evaluation figures, run contention \
+          stress scenarios and store workloads, and fuzz the STM against a \
+          serializability oracle")
+    (figure_cmds
+    @ [
+        extras_cmd;
+        ablations_cmd;
+        stress_cmd;
+        store_cmd;
+        fuzz_cmd;
+        differential_cmd;
+        explore_cmd;
+        perf_cmd;
+        list_cmd;
+      ])
 
 let () = exit (Cmd.eval' cmd)

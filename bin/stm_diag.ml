@@ -1,7 +1,7 @@
 (* CLI: offline conflict diagnosis over a recorded JSONL trace.
 
    Replays a trace written by `stm_run --trace-out t.jsonl` or
-   `stm_bench --stress ... --diag-out t.jsonl` through the same
+   `stm_bench stress ... --diag-out t.jsonl` through the same
    heatmap / causality / flight-recorder pipeline that runs live, and
    renders the result as text, JSON, or a Perfetto-annotated Chrome
    trace.
@@ -68,7 +68,7 @@ let file_arg =
     & pos 0 (some file) None
     & info [] ~docv:"TRACE.jsonl"
         ~doc:
-          "JSONL trace to analyze (written by $(b,stm_run --trace-out) or $(b,stm_bench --stress ... --diag-out)). Traces recorded before the abort-attribution fields existed degrade to unattributed aborts.")
+          "JSONL trace to analyze (written by $(b,stm_run --trace-out) or $(b,stm_bench stress ... --diag-out)). Traces recorded before the abort-attribution fields existed degrade to unattributed aborts.")
 
 let json_arg =
   Arg.(

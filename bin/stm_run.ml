@@ -101,21 +101,14 @@ let run_repro path =
         1
       end
 
-let try_write path f =
-  try f ()
-  with Sys_error m ->
-    Fmt.epr "cannot write %s: %s@." path m;
-    exit 2
-
 (* .jsonl extension selects the flat line-per-event format; anything
    else gets the Chrome trace_event document for Perfetto. *)
 let write_trace_file path ~resolve recorder =
   let entries = Stm_obs.Recorder.entries recorder in
-  try_write path (fun () ->
-      Out_channel.with_open_text path (fun oc ->
-          if Filename.check_suffix path ".jsonl" then
-            Stm_obs.Export.write_jsonl ~resolve oc entries
-          else Stm_obs.Export.write_chrome ~resolve oc entries));
+  Cli.with_out path (fun oc ->
+      if Filename.check_suffix path ".jsonl" then
+        Stm_obs.Export.write_jsonl ~resolve oc entries
+      else Stm_obs.Export.write_chrome ~resolve oc entries);
   if Stm_obs.Recorder.dropped recorder > 0 then
     Fmt.epr "trace: ring full, dropped %d oldest events@."
       (Stm_obs.Recorder.dropped recorder)
@@ -138,20 +131,13 @@ let main repro file config opt nait params verbose detect_races granule cm seed
       Fmt.epr "%s@." m;
       2
   | Ok cfg -> (
-      let cfg = { cfg with Stm_core.Config.granule } in
       let cfg =
-        match cm with
-        | Some p -> Stm_core.Config.with_cm p cfg
-        | None -> cfg
+        Stm_core.Config.(
+          with_validation validation (with_cm cm { cfg with granule }))
       in
       let cfg =
         match seed with
         | Some s -> { cfg with Stm_core.Config.cm_seed = s }
-        | None -> cfg
-      in
-      let cfg =
-        match validation with
-        | Some v -> Stm_core.Config.with_validation v cfg
         | None -> cfg
       in
       let policy = Option.map (fun s -> Stm_runtime.Sched.Random s) seed in
@@ -245,14 +231,8 @@ let main repro file config opt nait params verbose detect_races granule cm seed
             diagnoser;
           Option.iter
             (fun m ->
-              let path = Option.get metrics_out in
-              try_write path (fun () ->
-                  Out_channel.with_open_text path (fun oc ->
-                      output_string oc
-                        (Stm_obs.Json.to_string
-                           (Stm_obs.Metrics.to_json
-                              ~stats:out.Stm_ir.Interp.stats m));
-                      output_char oc '\n')))
+              Cli.write_json (Option.get metrics_out)
+                (Stm_obs.Metrics.to_json ~stats:out.Stm_ir.Interp.stats m))
             metrics;
           List.iter print_endline out.Stm_ir.Interp.prints;
           let r = out.Stm_ir.Interp.result in
@@ -316,7 +296,7 @@ let repro_arg =
     & opt (some file) None
     & info [ "repro" ] ~docv:"FILE"
         ~doc:
-          "Replay a fuzzer counterexample (JSON written by $(b,stm_bench --fuzz)) instead of running a Jt program: re-executes the recorded program under the recorded configuration and schedule driver, prints the verdict, and exits 0 iff it matches the recorded one.")
+          "Replay a fuzzer counterexample (JSON written by $(b,stm_bench fuzz) or $(b,stm_bench differential)) instead of running a Jt program: re-executes the recorded program under the recorded configuration and schedule driver, prints the verdict, and exits 0 iff it matches the recorded one.")
 
 let config_arg =
   Arg.(
@@ -360,64 +340,10 @@ let trace_arg =
     value & flag
     & info [ "trace" ] ~doc:"Print STM events (txn lifecycle, conflicts, publications) to stderr.")
 
-let cm_conv =
-  let parse s =
-    match Stm_cm.Policy.of_string s with
-    | Some p -> Ok p
-    | None ->
-        Error
-          (`Msg
-            (Fmt.str "unknown contention-management policy %s (expected %s)" s
-               (String.concat ", "
-                  (List.map Stm_cm.Policy.to_string Stm_cm.Policy.all))))
-  in
-  Arg.conv (parse, Stm_cm.Policy.pp)
-
-let cm_arg =
-  Arg.(
-    value
-    & opt (some cm_conv) None
-    & info [ "cm" ] ~docv:"POLICY"
-        ~doc:
-          "Contention-management policy: suicide (default), wound-wait, exp-backoff, karma, or timestamp.")
-
-let seed_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "seed" ] ~docv:"N"
-        ~doc:
-          "Run under the seeded random scheduler instead of the deterministic min-clock one (also seeds the contention manager's randomized backoff). Runs are reproducible per seed.")
-
 let granule_arg =
   Arg.(
     value & opt int 1
     & info [ "granule" ] ~docv:"N" ~doc:"Versioning granularity (fields per granule).")
-
-let validation_conv =
-  let parse s =
-    match Stm_core.Config.validation_of_string s with
-    | Some v -> Ok v
-    | None ->
-        Error
-          (`Msg
-            (Fmt.str "unknown validation scheme %s (expected incremental or \
-                      timestamp)" s))
-  in
-  Arg.conv
-    ( parse,
-      fun ppf v -> Fmt.string ppf (Stm_core.Config.validation_to_string v) )
-
-let validation_arg =
-  Arg.(
-    value
-    & opt (some validation_conv) None
-    & info [ "validation" ] ~docv:"SCHEME"
-        ~doc:
-          "Read-set validation scheme for the single-version configurations: \
-           $(b,incremental) (default) or $(b,timestamp) (global commit \
-           clock: O(1) revalidation, timestamp extension, read-only \
-           fast-path commits). The mvcc configurations ignore it.")
 
 let trace_out_arg =
   Arg.(
@@ -433,14 +359,6 @@ let profile_barriers_arg =
     & info [ "profile-barriers" ]
         ~doc:
           "Accumulate per-site barrier counters (fired / private / elided / conflicts, with file:line site names) and print the table to stderr.")
-
-let metrics_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics-out" ] ~docv:"FILE"
-        ~doc:
-          "Write run metrics (transaction counters, abort causes, commit/abort latency histograms, global stats) as JSON to $(docv).")
 
 let diag_arg =
   Arg.(
@@ -467,9 +385,25 @@ let cmd =
   Cmd.v (Cmd.info "stm_run" ~doc)
     Term.(
       const main $ repro_arg $ file_arg $ config_arg $ opt_arg $ nait_arg $ params_arg
-      $ verbose_arg $ races_arg $ granule_arg $ cm_arg $ seed_arg
-      $ validation_arg $ trace_arg
-      $ profile_arg $ trace_out_arg $ profile_barriers_arg $ metrics_out_arg
+      $ verbose_arg $ races_arg $ granule_arg $ Cli.cm
+      $ Cli.seed
+          ~doc:
+            "Run under the seeded random scheduler instead of the \
+             deterministic min-clock one (also seeds the contention \
+             manager's randomized backoff). Runs are reproducible per seed."
+      $ Cli.validation
+          ~doc:
+            "Read-set validation scheme for the single-version \
+             configurations: $(b,incremental) or $(b,timestamp) (global \
+             commit clock: O(1) revalidation, timestamp extension, \
+             read-only fast-path commits). The mvcc configurations ignore \
+             it."
+      $ trace_arg $ profile_arg $ trace_out_arg $ profile_barriers_arg
+      $ Cli.metrics_out
+          ~doc:
+            "Write run metrics (transaction counters, abort causes, \
+             commit/abort latency histograms, global stats) as JSON to \
+             $(docv)."
       $ diag_arg $ explore_arg $ pct_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -20,6 +20,11 @@ type t = {
   cm : Stm_cm.Policy.t;
 }
 
+val backend_string : t -> string
+(** The backend part of {!name}: ["eager"], ["lazy"], ["mvcc"],
+    ["mvcc-si"] (snapshot isolation), with ["-ts"] appended under
+    timestamp validation. *)
+
 val name : t -> string
 (** E.g. ["eager-weak/suicide"], ["mvcc-si-weak/suicide"],
     ["eager-ts-weak/suicide"] (timestamp validation). *)

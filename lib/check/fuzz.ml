@@ -116,7 +116,7 @@ let default_plan = clean_campaigns @ hunt_campaigns
 
 (* Expect-clean campaigns over the timestamp-validation grid: every
    combo point under every program profile its atomicity flavor admits.
-   A separate plan (selected by `stm_bench --fuzz --validation
+   A separate plan (selected by `stm_bench fuzz --validation
    timestamp`) so the default plan's artifacts stay byte-identical. *)
 let timestamp_campaigns =
   List.concat_map

@@ -60,7 +60,7 @@ val timestamp_campaigns : campaign list
     the flavor admits — the timestamp-validation certification sweep). *)
 
 val timestamp_plan : campaign list
-(** The plan behind [stm_bench --fuzz --validation timestamp]. *)
+(** The plan behind [stm_bench fuzz --validation timestamp]. *)
 
 val campaign_name : campaign -> string
 

@@ -99,7 +99,8 @@ let describe t =
   Buffer.add_string b (if t.strong then "+strong" else "+weak");
   if t.versioning = Mvcc && t.isolation = Snapshot then
     Buffer.add_string b "+si";
-  if t.validation = Timestamp then Buffer.add_string b "+ts";
+  if t.versioning <> Mvcc && t.validation = Timestamp then
+    Buffer.add_string b "+ts";
   if t.strong && not t.strong_reads then Buffer.add_string b "(writes-only)";
   if t.strong && not t.strong_writes then Buffer.add_string b "(reads-only)";
   if t.dea then Buffer.add_string b "+dea";

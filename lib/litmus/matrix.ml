@@ -214,7 +214,7 @@ let all_certified cs = List.for_all cell_certified cs
    privatization race takes three preemptions (park the racing committer
    mid-transaction, run the privatizer through its first plain read, let
    the commit land between the two reads). The full certification sweep
-   of [stm_bench --explore dpor] and the nightly CI job re-derive each
+   of [stm_bench explore dpor] and the nightly CI job re-derive each
    cell with both engines at its listed bound. *)
 let full_matrix ?(bound = 2) () =
   let pairs b programs modes =

@@ -50,6 +50,9 @@ val extras_rows :
     the Section 4 transaction-vs-transaction dirty-read check (expected
     all-"no": transactional isolation holds even under weak atomicity). *)
 
+val privatization_modes : Modes.t list
+(** The five Figure 6 modes plus the two quiescence modes. *)
+
 val privatization_row :
   ?preemption_bound:int -> ?max_runs:int -> ?cm:Stm_cm.Policy.t -> unit ->
   cell list

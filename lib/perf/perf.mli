@@ -8,7 +8,7 @@
     maintenance, validation, descriptor churn, scheduler picks, and
     interpreter dispatch.
 
-    The suite is run by [stm_bench --perf]; results are written as JSON
+    The suite is run by [stm_bench perf]; results are written as JSON
     ([BENCH_PR4.json] by default) and compared against the checked-in
     [bench/baseline.json]. See [docs/PERFORMANCE.md]. *)
 
@@ -26,7 +26,7 @@ type report = {
 }
 
 val bench_names : string list
-(** Every bench the suite runs, in definition order ([stm_bench --list]). *)
+(** Every bench the suite runs, in definition order ([stm_bench list]). *)
 
 val suite :
   ?quick:bool ->

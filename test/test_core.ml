@@ -98,7 +98,14 @@ let config_describe () =
   Alcotest.(check string) "weak" "eager+weak" (Config.describe Config.eager_weak);
   Alcotest.(check string)
     "strong dea" "lazy+strong+dea"
-    (Config.describe Config.(with_dea lazy_strong))
+    (Config.describe Config.(with_dea lazy_strong));
+  Alcotest.(check string)
+    "timestamp" "lazy+weak+ts"
+    (Config.describe Config.(with_timestamp_validation lazy_weak));
+  (* mvcc has its own commit clock: the validation knob is not named *)
+  Alcotest.(check string)
+    "mvcc ignores validation" "mvcc+weak"
+    (Config.describe Config.(with_timestamp_validation mvcc_weak))
 
 let config_install_validation () =
   (match Stm.install { Config.eager_weak with dea = true } with

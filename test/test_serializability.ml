@@ -46,7 +46,7 @@ let is_atomicity a (c : Fuzz.campaign) = c.Fuzz.combo.Combo.atomicity = a
 
 (* The timestamp-validation sweep: the same clean expectations over
    {!Combo.timestamp_grid}, on a reduced budget (24 combos). A fuller
-   pass runs in CI via [stm_bench --fuzz --validation timestamp]. *)
+   pass runs in CI via [stm_bench fuzz --validation timestamp]. *)
 let ts_budget =
   { Fuzz.default_budget with Fuzz.programs = 8; seeds = 1; base_seed = 1 }
 
