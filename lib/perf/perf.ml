@@ -135,6 +135,63 @@ let abort_retry cfg () =
                if !tries < 8 then Stm_core.Stm.abort_and_retry ())
          done))
 
+(* Eight threads that tick one cycle and yield, in lockstep: each tick
+   lifts the yielder's clock above its peers', so every yield switches
+   to another thread under Min_clock. The effect round trip, the fused
+   heap push-pop and the bookkeeping around them are all there is, so
+   this is the scheduler's own cost per context switch; it is reported
+   per switching yield. *)
+let switch_threads = 8
+let switch_yields = 1_000
+
+let sched_switch () =
+  ignore
+    (Stm_runtime.Sched.run ~policy:Stm_runtime.Sched.Min_clock (fun () ->
+         let ts =
+           List.init switch_threads (fun _ ->
+               Stm_runtime.Sched.spawn (fun () ->
+                   for _ = 1 to switch_yields do
+                     Stm_runtime.Sched.tick 1;
+                     Stm_runtime.Sched.yield ()
+                   done))
+         in
+         List.iter Stm_runtime.Sched.join ts))
+
+(* The floor under [sched/switch]: bare perform/continue round trips
+   through one handler with preallocated closures, the continuation kept
+   in a mutable slot - what any effect-based scheduler pays per switch.
+   Reported per round trip. *)
+type _ Effect.t += Floor_yield : unit Effect.t
+
+let floor_yields = 8_000
+
+let effect_floor () =
+  let open Effect.Deep in
+  let slot = ref Stm_runtime.Cont.none and parked = ref false in
+  let on_yield =
+    Some
+      (fun k ->
+        slot := k;
+        parked := true)
+  in
+  match_with
+    (fun () ->
+      for _ = 1 to floor_yields do
+        Effect.perform Floor_yield
+      done)
+    ()
+    {
+      retc = ignore;
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
+          match eff with Floor_yield -> on_yield | _ -> None);
+    };
+  while !parked do
+    parked := false;
+    continue !slot ()
+  done
+
 (* One systematic-explorer cell of the Figure 6 matrix: scheduler pick
    rate under the Controlled policy. *)
 let fig6_explorer () =
@@ -230,6 +287,8 @@ let bodies ?(validation = Stm_core.Config.Incremental) backend :
     ("txn/write-commit", write_commit cfg);
     ("txn/lazy-write-commit", lazy_write_commit);
     ("txn/abort-retry", abort_retry cfg);
+    ("sched/switch", sched_switch);
+    ("sched/effect-floor", effect_floor);
     ("fig6/explorer-cell", fig6_explorer);
     ("fig18/tsp-4t", fig18_tsp);
     ("fuzz/clean-campaign", fuzz_campaign);
@@ -242,18 +301,28 @@ let bodies ?(validation = Stm_core.Config.Incremental) backend :
 
 let bench_names = List.map fst (bodies Stm_core.Config.Eager)
 
+(* Operations per invocation, for the benches reported per operation
+   rather than per call. *)
+let ops_per_call = function
+  | "sched/switch" -> float_of_int (switch_threads * switch_yields)
+  | "sched/effect-floor" -> float_of_int floor_yields
+  | _ -> 1.
+
 (* ------------------------------------------------------------------ *)
 (* Measurement                                                         *)
 (* ------------------------------------------------------------------ *)
 
 (* Words allocated by one invocation, after one warm-up call so one-time
-   setup is excluded. [Gc.allocated_bytes] reads the young pointer, so
-   allocations still sitting in the current minor chunk are counted
-   (unlike [Gc.quick_stat]). *)
+   setup is excluded. Under OCaml 5 the counters behind
+   [Gc.allocated_bytes] miss what is still in the minor heap (a lockstep
+   [sched/switch] call read 2,044 words of its 16,353), so each reading
+   follows a minor collection, which makes it exact. *)
 let alloc_words_of f =
   f ();
+  Gc.minor ();
   let b0 = Gc.allocated_bytes () in
   f ();
+  Gc.minor ();
   let b1 = Gc.allocated_bytes () in
   (b1 -. b0) /. float_of_int (Sys.word_size / 8)
 
@@ -288,8 +357,8 @@ let suite ?(quick = false) ?(backend = Stm_core.Config.Eager)
       (fun (name, f) ->
         {
           name;
-          ns_per_op = ns_of name;
-          alloc_words_per_op = alloc_words_of f;
+          ns_per_op = ns_of name /. ops_per_call name;
+          alloc_words_per_op = alloc_words_of f /. ops_per_call name;
         })
       bodies
     |> List.sort (fun a b -> compare a.name b.name)

@@ -12,6 +12,9 @@
     ([BENCH_PR4.json] by default) and compared against the checked-in
     [bench/baseline.json]. See [docs/PERFORMANCE.md]. *)
 
+(** An operation is one call of the bench's body, except for
+    [sched/switch], where it is one switching yield, and
+    [sched/effect-floor], where it is one bare effect round trip. *)
 type sample = {
   name : string;
   ns_per_op : float;  (** OLS wall-clock estimate per operation *)

@@ -29,26 +29,38 @@ type thread = {
   mutable state : tstate;
   mutable starter : (unit -> unit) option;
       (* body not yet started; scheduler starts it under its own handler *)
-  mutable cont : (unit, unit) continuation option;
+  mutable cont : Cont.t;
+      (* where a started thread resumes; [Cont.none] while it runs *)
   mutable joiners : tid list;
 }
 
 (* The engine keeps every thread in [by_tid] (tid-indexed, grow-only) and
    the runnable set in two forms: an O(1) [nrunnable] count, and - under
-   [Min_clock] - a binary min-heap on the key (clock, tid).
+   [Min_clock] - a binary min-heap of the runnable threads' keys
+   (clock, tid), kept in two int arrays so that moving an entry is two
+   stores without a write barrier.
 
-   The heap needs no lazy deletion because a runnable thread's key is
-   immutable: [tick] charges only the Running thread (never enqueued),
-   and [wake]/[finish] bump only Suspended threads, before re-enqueueing
-   them. The single exception is [rebase], which rewrites every clock and
-   therefore rebuilds the heap. Since tids are unique the pop order is a
+   The heap can hold copies of the keys, and needs no lazy deletion,
+   because a runnable thread's key is immutable: [tick] charges only the
+   Running thread (never enqueued), and [wake]/[finish] bump only
+   Suspended threads, before re-enqueueing them. The single exception is
+   [rebase], which rewrites every clock and therefore rebuilds the
+   heap. Since tids are unique the pop order is a
    total order on (clock, tid) - bit-for-bit the pick sequence of the
-   linear min-scan it replaces, independent of heap internals. *)
+   linear min-scan it replaces, independent of heap internals.
+
+   A thread that yields is not pushed: it is marked Runnable and stays
+   [current], and the next [Min_clock] pick pushes it and pops the
+   minimum in one sift-down ([heap_push_pop]). The popped thread is the
+   minimum of the same set either way, so the pick sequence is the
+   same. Outside that window the current thread is never Runnable. *)
 type engine = {
   mutable by_tid : thread array;  (* grows; index = tid *)
   mutable nthreads : int;
   mutable nrunnable : int;
-  mutable heap : thread array;  (* Min_clock only; live prefix [heap_len] *)
+  mutable heap_clock : int array;
+  mutable heap_tid : int array;
+      (* Min_clock only: the heap's keys, live prefix [heap_len] *)
   mutable heap_len : int;
   mutable current : thread;
   policy : policy;
@@ -85,56 +97,77 @@ let thread_of e tid =
 (* Runnable-set maintenance                                            *)
 (* ------------------------------------------------------------------ *)
 
-let heap_less a b = a.clock < b.clock || (a.clock = b.clock && a.tid < b.tid)
+(* The heap order on (clock, tid) keys. *)
+let[@inline] key_less (c1 : int) (t1 : int) c2 t2 = c1 < c2 || (c1 = c2 && t1 < t2)
 
 let heap_push e t =
-  let n = Array.length e.heap in
+  let n = Array.length e.heap_tid in
   if e.heap_len >= n then begin
-    let a = Array.make (max 8 (2 * n)) t in
-    Array.blit e.heap 0 a 0 n;
-    e.heap <- a
+    let grow a =
+      let a' = Array.make (max 8 (2 * n)) 0 in
+      Array.blit a 0 a' 0 n;
+      a'
+    in
+    e.heap_clock <- grow e.heap_clock;
+    e.heap_tid <- grow e.heap_tid
   end;
-  let h = e.heap in
+  let hc = e.heap_clock and ht = e.heap_tid in
+  let c = t.clock and id = t.tid in
+  (* sift up: move the hole from the end towards the root *)
   let i = ref e.heap_len in
   e.heap_len <- e.heap_len + 1;
-  h.(!i) <- t;
-  (* sift up *)
-  let continue_ = ref true in
-  while !continue_ && !i > 0 do
+  while !i > 0 && key_less c id hc.((!i - 1) / 2) ht.((!i - 1) / 2) do
     let p = (!i - 1) / 2 in
-    if heap_less h.(!i) h.(p) then begin
-      let tmp = h.(p) in
-      h.(p) <- h.(!i);
-      h.(!i) <- tmp;
-      i := p
+    hc.(!i) <- hc.(p);
+    ht.(!i) <- ht.(p);
+    i := p
+  done;
+  hc.(!i) <- c;
+  ht.(!i) <- id
+
+(* Put the key (c, id) into the hole at the root of the live prefix
+   [len] and sift it down to its place. *)
+let sift_down e len c id =
+  let hc = e.heap_clock and ht = e.heap_tid in
+  let i = ref 0 and placed = ref false in
+  while not !placed do
+    let l = (2 * !i) + 1 in
+    if l >= len then placed := true
+    else begin
+      let m =
+        if l + 1 < len && key_less hc.(l + 1) ht.(l + 1) hc.(l) ht.(l) then l + 1
+        else l
+      in
+      if key_less hc.(m) ht.(m) c id then begin
+        hc.(!i) <- hc.(m);
+        ht.(!i) <- ht.(m);
+        i := m
+      end
+      else placed := true
     end
-    else continue_ := false
-  done
+  done;
+  hc.(!i) <- c;
+  ht.(!i) <- id
 
 let heap_pop e =
-  let h = e.heap in
-  let root = h.(0) in
-  e.heap_len <- e.heap_len - 1;
-  if e.heap_len > 0 then begin
-    h.(0) <- h.(e.heap_len);
-    (* sift down *)
-    let i = ref 0 in
-    let continue_ = ref true in
-    while !continue_ do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let s = ref !i in
-      if l < e.heap_len && heap_less h.(l) h.(!s) then s := l;
-      if r < e.heap_len && heap_less h.(r) h.(!s) then s := r;
-      if !s <> !i then begin
-        let tmp = h.(!s) in
-        h.(!s) <- h.(!i);
-        h.(!i) <- tmp;
-        i := !s
-      end
-      else continue_ := false
-    done
-  end;
+  let root = e.by_tid.(e.heap_tid.(0)) in
+  let n = e.heap_len - 1 in
+  e.heap_len <- n;
+  if n > 0 then sift_down e n e.heap_clock.(n) e.heap_tid.(n);
   root
+
+(* [t] is below the heap top, by the heap order *)
+let[@inline] below_top e t =
+  e.heap_len = 0 || key_less t.clock t.tid e.heap_clock.(0) e.heap_tid.(0)
+
+(* [heap_push e t] followed by [heap_pop e], with one sift-down. *)
+let heap_push_pop e t =
+  if below_top e t then t
+  else begin
+    let root = e.by_tid.(e.heap_tid.(0)) in
+    sift_down e e.heap_len t.clock t.tid;
+    root
+  end
 
 (* Transition [t] to Runnable. The caller must have finished updating
    [t.clock]: under Min_clock the (clock, tid) key is frozen on entry. *)
@@ -172,7 +205,7 @@ let new_thread e name body =
       clock = e.current.clock;
       state = Suspended;  (* transitioned by make_runnable below *)
       starter = Some body;
-      cont = None;
+      cont = Cont.none;
       joiners = [];
     }
   in
@@ -195,31 +228,36 @@ let finish e t =
     t.joiners;
   t.joiners <- []
 
-(* Run a fresh thread body under the scheduler's effect handler. Returns
-   when the thread yields, suspends, or finishes. *)
-let start_body e t body =
-  match_with body ()
-    {
-      retc = (fun () -> finish e t);
-      exnc =
-        (fun ex ->
-          e.exns <- (t.tid, ex) :: e.exns;
-          finish e t);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Yield ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  t.cont <- Some k;
-                  make_runnable e t)
-          | Suspend ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  t.state <- Suspended;
-                  t.cont <- Some k)
-          | _ -> None);
-    }
+(* The engine's one effect handler, under which every thread body runs.
+   The thread that performs, returns or raises is always [e.current],
+   and [effc] hands out the same two closures on every perform, so a
+   context switch allocates only the runtime's continuation. A yielding
+   thread is marked Runnable without a heap push (see [engine]). *)
+let handler e =
+  let on_yield =
+    Some
+      (fun k ->
+        let t = e.current in
+        t.cont <- k;
+        t.state <- Runnable;
+        e.nrunnable <- e.nrunnable + 1)
+  and on_suspend =
+    Some
+      (fun k ->
+        let t = e.current in
+        t.cont <- k;
+        t.state <- Suspended)
+  in
+  {
+    retc = (fun () -> finish e e.current);
+    exnc =
+      (fun ex ->
+        e.exns <- (e.current.tid, ex) :: e.exns;
+        finish e e.current);
+    effc =
+      (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
+        match eff with Yield -> on_yield | Suspend -> on_suspend | _ -> None);
+  }
 
 (* Every thread the loop may pick: the Runnable ones, plus the Running
    one when the pick is taken at its yield (in the loop nothing is
@@ -237,16 +275,12 @@ let runnables e =
 (* The k-th ready thread in tid order: [Random]'s pick, replacing the
    old [List.nth ready k] without building the list. *)
 let kth_runnable e k =
-  let i = ref 0 and seen = ref (-1) and found = ref None in
-  while !found = None do
-    let t = e.by_tid.(!i) in
-    if ready t then begin
-      incr seen;
-      if !seen = k then found := Some t
-    end;
+  let i = ref 0 and seen = ref (-1) in
+  while !seen < k do
+    if ready e.by_tid.(!i) then incr seen;
     incr i
   done;
-  Option.get !found
+  e.by_tid.(!i - 1)
 
 let choose_checked choose current ready =
   let tid = choose current ready in
@@ -263,61 +297,56 @@ let take_pending e =
   | Some (ex, bt) ->
       e.pending_exn <- None;
       Printexc.raise_with_backtrace ex bt
-  | None -> Some t
+  | None -> t
 
+(* The next thread to run; the caller has checked that one is runnable. *)
 let pick e =
-  if e.nrunnable = 0 then None
-  else
-    match e.policy with
-    | Round_robin ->
-        (* first runnable tid strictly greater than the cursor, else the
-           smallest *)
-        let chosen = ref None in
-        let tid = ref (e.rr_cursor + 1) in
-        while !chosen = None && !tid < e.nthreads do
-          if e.by_tid.(!tid).state = Runnable then chosen := Some !tid;
-          incr tid
-        done;
-        let tid = ref 0 in
-        while !chosen = None do
-          if e.by_tid.(!tid).state = Runnable then chosen := Some !tid;
-          incr tid
-        done;
-        let chosen = Option.get !chosen in
-        e.rr_cursor <- chosen;
-        Some (thread_of e chosen)
-    | Random _ ->
-        if e.pending >= 0 then take_pending e
-        else
-          let rng = Option.get e.rng in
-          Some (kth_runnable e (Det_rng.int rng e.nrunnable))
-    | Min_clock -> Some (heap_pop e)
-    | Controlled choose ->
-        if e.pending >= 0 then take_pending e
-        else
-          Some (thread_of e (choose_checked choose e.current.tid (runnables e)))
+  match e.policy with
+  | Round_robin ->
+      (* first runnable tid strictly greater than the cursor, else the
+         smallest *)
+      let chosen = ref (-1) in
+      let tid = ref (e.rr_cursor + 1) in
+      while !chosen < 0 && !tid < e.nthreads do
+        if e.by_tid.(!tid).state = Runnable then chosen := !tid;
+        incr tid
+      done;
+      tid := 0;
+      while !chosen < 0 do
+        if e.by_tid.(!tid).state = Runnable then chosen := !tid;
+        incr tid
+      done;
+      e.rr_cursor <- !chosen;
+      e.by_tid.(!chosen)
+  | Random _ ->
+      if e.pending >= 0 then take_pending e
+      else kth_runnable e (Det_rng.int (Option.get e.rng) e.nrunnable)
+  | Min_clock ->
+      let t = e.current in
+      if t.state = Runnable then heap_push_pop e t else heap_pop e
+  | Controlled choose ->
+      if e.pending >= 0 then take_pending e
+      else thread_of e (choose_checked choose e.current.tid (runnables e))
 
-let rec loop e =
+let rec loop e h =
   if e.steps >= e.max_steps then e.fuel_out <- true
-  else
-    match pick e with
-    | None -> ()
-    | Some t ->
-        e.steps <- e.steps + 1;
-        e.current <- t;
-        t.state <- Running;
-        e.nrunnable <- e.nrunnable - 1;
-        (match t.starter with
-        | Some body ->
-            t.starter <- None;
-            start_body e t body
-        | None -> (
-            match t.cont with
-            | Some k ->
-                t.cont <- None;
-                continue k ()
-            | None -> assert false));
-        loop e
+  else if e.nrunnable > 0 then begin
+    let t = pick e in
+    e.steps <- e.steps + 1;
+    e.current <- t;
+    t.state <- Running;
+    e.nrunnable <- e.nrunnable - 1;
+    (match t.starter with
+    | Some body ->
+        t.starter <- None;
+        match_with body () h
+    | None ->
+        (* an empty slot raises Continuation_already_resumed here *)
+        let k = t.cont in
+        t.cont <- Cont.none;
+        continue k ());
+    loop e h
+  end
 
 let run ?(max_steps = 10_000_000) ?(policy = Min_clock) main =
   if !engine <> None then invalid_arg "Sched.run: simulations cannot nest";
@@ -329,7 +358,7 @@ let run ?(max_steps = 10_000_000) ?(policy = Min_clock) main =
       clock = 0;
       state = Runnable;
       starter = Some main;
-      cont = None;
+      cont = Cont.none;
       joiners = [];
     }
   in
@@ -338,8 +367,9 @@ let run ?(max_steps = 10_000_000) ?(policy = Min_clock) main =
       by_tid = Array.make 8 t0;
       nthreads = 1;
       nrunnable = 1;
-      heap = Array.make 8 t0;
-      heap_len = (match policy with Min_clock -> 1 | _ -> 0);
+      heap_clock = Array.make 8 0;
+      heap_tid = Array.make 8 0;
+      heap_len = 0;  (* [t0] is current and Runnable: see [engine] *)
       current = t0;
       policy;
       rng;
@@ -354,7 +384,7 @@ let run ?(max_steps = 10_000_000) ?(policy = Min_clock) main =
   in
   engine := Some e;
   let finalize () = engine := None in
-  (try loop e
+  (try loop e (handler e)
    with ex ->
      finalize ();
      raise ex);
@@ -392,7 +422,7 @@ let[@inline] keeps_processor e =
   match e.policy with
   | Min_clock ->
       e.steps < e.max_steps
-      && (e.heap_len = 0 || heap_less e.current e.heap.(0))
+      && below_top e e.current
   | Round_robin | Random _ | Controlled _ -> false
 
 (* Under [Controlled] and [Random] the loop's pick is taken at the yield

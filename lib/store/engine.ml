@@ -91,6 +91,7 @@ type class_acc = {
 
 type ctx = {
   p : params;
+  keyspace : Keydist.space;  (** shared by every client's sampler *)
   mutable store : Kv.t option;
   accs : (Profile.op * class_acc) list;
   shard_commits : int array;
@@ -208,7 +209,7 @@ let run_op ctx c ~sampler ~rng ~next_insert ~inserted op =
 
 let client_body ctx c ~op_rng ~key_rng () =
   let p = ctx.p in
-  let sampler = Keydist.create ~keys:p.keys ~dist:p.dist key_rng in
+  let sampler = Keydist.sampler ctx.keyspace key_rng in
   let next_insert = ref (p.keys + (c * p.ops_per_client)) in
   let inserted = ref [] in
   for _ = 1 to p.ops_per_client do
@@ -259,8 +260,9 @@ let main ctx oracle () =
   Option.iter (fun o -> Oracle.set_enabled o false) oracle;
   ctx.invariants <- Kv.check_invariants store;
   ctx.final_sum <- Kv.fold store ~init:0 ~f:(fun acc _ v -> acc + v);
-  ctx.final_kvs <-
-    List.rev (Kv.fold store ~init:[] ~f:(fun acc k v -> (k, v) :: acc))
+  if Option.is_some oracle then
+    ctx.final_kvs <-
+      List.rev (Kv.fold store ~init:[] ~f:(fun acc k v -> (k, v) :: acc))
 
 (* ------------------------------------------------------------------ *)
 (* Runner                                                              *)
@@ -273,6 +275,7 @@ let run p =
   let ctx =
     {
       p;
+      keyspace = Keydist.space ~keys:p.keys ~dist:p.dist;
       store = None;
       accs =
         List.map

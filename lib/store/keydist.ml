@@ -11,9 +11,9 @@ let dist_of_string ?(theta = 0.99) = function
   | "zipfian" -> Some (Zipfian theta)
   | _ -> None
 
-(* Zeta partial sum: sum_{i=1..n} 1/i^theta. Computed once per sampler;
-   key spaces here are at most a few hundred thousand, so a direct sum
-   is fine and keeps the constant bit-for-bit reproducible. *)
+(* Zeta partial sum: sum_{i=1..n} 1/i^theta. Computed once per key
+   space; key spaces here are at most a few hundred thousand, so a
+   direct sum is fine and keeps the constant bit-for-bit reproducible. *)
 let zeta n theta =
   let acc = ref 0.0 in
   for i = 1 to n do
@@ -31,6 +31,7 @@ type kind =
       half_pow : float;  (** 1 + 0.5^theta *)
     }
 
+type space = { s_keys : int; s_kind : kind }
 type t = { keys : int; kind : kind; rng : Det_rng.t }
 
 (* splitmix-style avalanche, constants truncated to OCaml's 63-bit
@@ -45,14 +46,14 @@ let mix k =
 
 let scramble ~keys r = mix r mod keys
 
-let create ~keys ~dist rng =
-  if keys <= 0 then invalid_arg "Keydist.create: keys must be positive";
+let space ~keys ~dist =
+  if keys <= 0 then invalid_arg "Keydist.space: keys must be positive";
   let kind =
     match dist with
     | Uniform -> K_uniform
     | Zipfian theta ->
         if theta <= 0.0 || theta >= 1.0 then
-          invalid_arg "Keydist.create: zipfian theta must be in (0, 1)";
+          invalid_arg "Keydist.space: zipfian theta must be in (0, 1)";
         let zetan = zeta keys theta in
         let zeta2 = zeta 2 theta in
         let sub = 1.0 -. theta in
@@ -67,7 +68,10 @@ let create ~keys ~dist rng =
             half_pow = 1.0 +. (0.5 ** theta);
           }
   in
-  { keys; kind; rng }
+  { s_keys = keys; s_kind = kind }
+
+let sampler s rng = { keys = s.s_keys; kind = s.s_kind; rng }
+let create ~keys ~dist rng = sampler (space ~keys ~dist) rng
 
 (* Gray et al. "Quickly generating billion-record synthetic databases",
    as popularized by YCSB's ZipfianGenerator. *)

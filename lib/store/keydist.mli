@@ -22,12 +22,26 @@ val dist_of_string : ?theta:float -> string -> dist option
 (** ["uniform"] or ["zipfian"]; [theta] (default [0.99]) parameterizes
     the latter. *)
 
+type space
+(** A key space: the number of keys and the distribution over them,
+    with the Zipfian normalization constants already computed. Those
+    constants (a zeta sum over every key) are the costly part of setting
+    up a sampler, so samplers over the same keys share one space. *)
+
+val space : keys:int -> dist:dist -> space
+(** [space ~keys ~dist] prepares a key space over [keys] keys
+    (positive).
+    @raise Invalid_argument on a bad [keys] or Zipfian [theta]. *)
+
 type t
 
+val sampler : space -> Stm_runtime.Det_rng.t -> t
+(** [sampler s rng] draws from [s]. The sampler owns [rng] from this
+    point on; its draws are those of [create] on the same keys,
+    distribution and seed. *)
+
 val create : keys:int -> dist:dist -> Stm_runtime.Det_rng.t -> t
-(** [create ~keys ~dist rng] prepares a sampler over [keys] keys
-    (positive). The Zipfian normalization constants are computed once
-    here. The sampler owns [rng] from this point on. *)
+(** [create ~keys ~dist rng] is [sampler (space ~keys ~dist) rng]. *)
 
 val next_rank : t -> int
 (** Next draw as a popularity rank in [[0, keys)]: rank 0 most popular

@@ -39,9 +39,15 @@ type t = {
   tables : Heap.obj array;  (** per shard: fields are the chain heads *)
   headers : Heap.obj array;
   locks : Sim_mutex.t array;  (** empty unless [Lock] *)
-  oid_shard : (int, int) Hashtbl.t;
-  oid_key : (int, int) Hashtbl.t;
+  mutable oid_shard : int array;
+  mutable oid_key : int array;
+  mutable entries : int;  (** entries ever linked, aborted inserts too *)
 }
+(* [oid_shard] and [oid_key] are a dense index on object ids, grown on
+   demand; oids restart at 1 in every [Stm.run], so the index is as long
+   as the run's object count. [oid_shard.(oid)] is the shard of a
+   store-owned table or header, the shard plus [shards] for an entry
+   (whose key is then [oid_key.(oid)]), and -1 for any other object. *)
 
 let mode t = t.mode
 let shards t = t.shards
@@ -57,23 +63,32 @@ let mix k =
 let shard_of_key t k = mix k mod t.shards
 let bucket_of_key t k = mix k / t.shards mod t.buckets
 
+let register t oid code =
+  let n = Array.length t.oid_shard in
+  if oid >= n then begin
+    let n' = max 1024 (max (oid + 1) (2 * n)) in
+    let grow a fill =
+      let a' = Array.make n' fill in
+      Array.blit a 0 a' 0 n;
+      a'
+    in
+    t.oid_shard <- grow t.oid_shard (-1);
+    t.oid_key <- grow t.oid_key 0
+  end;
+  t.oid_shard.(oid) <- code
+
 let create ?(buckets = 64) ?(value_size = 4) ~mode ~shards ~cost () =
   if shards <= 0 then invalid_arg "Kv.create: shards must be positive";
   if buckets <= 0 then invalid_arg "Kv.create: buckets must be positive";
   if value_size <= 0 then invalid_arg "Kv.create: value_size must be positive";
-  let oid_shard = Hashtbl.create 1024 in
   let tables =
-    Array.init shards (fun s ->
-        let o = Stm.alloc_public ~cls:"StoreTable" buckets in
-        Hashtbl.replace oid_shard o.Heap.oid s;
-        o)
+    Array.init shards (fun _ -> Stm.alloc_public ~cls:"StoreTable" buckets)
   in
   let headers =
-    Array.init shards (fun s ->
+    Array.init shards (fun _ ->
         let o = Stm.alloc_public ~cls:"StoreHeader" 2 in
         Heap.set o fld_seqno (Heap.Vint 0);
         Heap.set o fld_count (Heap.Vint 0);
-        Hashtbl.replace oid_shard o.Heap.oid s;
         o)
   in
   let locks =
@@ -83,17 +98,23 @@ let create ?(buckets = 64) ?(value_size = 4) ~mode ~shards ~cost () =
             Sim_mutex.create ~name:(Printf.sprintf "shard-%d" s) cost)
     | Strong | Weak | Mvcc -> [||]
   in
-  {
-    mode;
-    shards;
-    buckets;
-    value_size;
-    tables;
-    headers;
-    locks;
-    oid_shard;
-    oid_key = Hashtbl.create 4096;
-  }
+  let t =
+    {
+      mode;
+      shards;
+      buckets;
+      value_size;
+      tables;
+      headers;
+      locks;
+      oid_shard = [||];
+      oid_key = [||];
+      entries = 0;
+    }
+  in
+  Array.iteri (fun s o -> register t o.Heap.oid s) tables;
+  Array.iteri (fun s o -> register t o.Heap.oid s) headers;
+  t
 
 (* Mode-sensitive access path: the lock baseline runs on the
    barrier-elided accesses (the paper's "Synch" series has no STM
@@ -143,8 +164,9 @@ let nontxn t sh f =
   | Lock -> Sim_mutex.with_lock t.locks.(sh) f
 
 let register_entry t e k sh =
-  Hashtbl.replace t.oid_shard e.Heap.oid sh;
-  Hashtbl.replace t.oid_key e.Heap.oid k
+  register t e.Heap.oid (t.shards + sh);
+  t.oid_key.(e.Heap.oid) <- k;
+  t.entries <- t.entries + 1
 
 let find t k =
   let sh = shard_of_key t k and b = bucket_of_key t k in
@@ -346,7 +368,7 @@ let check_invariants t =
   let viols = ref [] in
   let viol fmt = Printf.ksprintf (fun s -> viols := s :: !viols) fmt in
   (* a chain longer than every entry ever linked must be a cycle *)
-  let chain_bound = 1 + Hashtbl.length t.oid_key in
+  let chain_bound = 1 + t.entries in
   for s = 0 to t.shards - 1 do
     let seen = Hashtbl.create 64 in
     let count = ref 0 in
@@ -377,5 +399,12 @@ let check_invariants t =
   done;
   List.rev !viols
 
-let key_of_oid t oid = Hashtbl.find_opt t.oid_key oid
-let shard_of_oid t oid = Hashtbl.find_opt t.oid_shard oid
+let code_of_oid t oid =
+  if oid >= 0 && oid < Array.length t.oid_shard then t.oid_shard.(oid) else -1
+
+let key_of_oid t oid =
+  if code_of_oid t oid >= t.shards then Some t.oid_key.(oid) else None
+
+let shard_of_oid t oid =
+  let c = code_of_oid t oid in
+  if c < 0 then None else Some (c mod t.shards)

@@ -832,6 +832,288 @@ let sched_choose_non_runnable () =
       check_bool "engine released" false (Sched.running ()))
     [ 0; 1; 2 ]
 
+(* ------------------------------------------------------------------ *)
+(* Min_clock against an effect-path model: switching yields, clock     *)
+(* ties, pause, fuel and exceptions from thread bodies                 *)
+(* ------------------------------------------------------------------ *)
+
+(* [Tick_yield c] is [tick c; yield ()] and [Pause n] is [pause n]. Main
+   spawns one worker per entry of [m_workers], runs [m_main], then joins
+   the workers in order; a worker whose flag is set ends by raising.
+   Every thread notes its tid when it starts and after each step. *)
+type step = Tick_yield of int | Pause of int
+type mprog = { m_main : step list; m_workers : (step list * bool) list }
+
+exception Worker_failed of int
+
+let run_mprog ~max_steps p =
+  let notes = ref [] in
+  let note () = notes := Sched.self () :: !notes in
+  let steps =
+    List.iter (fun s ->
+        (match s with
+        | Tick_yield c ->
+            Sched.tick c;
+            Sched.yield ()
+        | Pause n -> Sched.pause n);
+        note ())
+  in
+  let r =
+    Sched.run ~max_steps ~policy:Sched.Min_clock (fun () ->
+        note ();
+        let ts =
+          List.map
+            (fun (l, raises) ->
+              Sched.spawn (fun () ->
+                  note ();
+                  steps l;
+                  if raises then raise (Worker_failed (Sched.self ()))))
+            p.m_workers
+        in
+        steps p.m_main;
+        List.iter Sched.join ts)
+  in
+  (List.rev !notes, r.Sched.switches, r.Sched.makespan, r.Sched.status, r.Sched.exns)
+
+(* The model sends every yield through the scheduler: the yielding
+   thread rejoins the runnable set, fuel is checked, and the runnable
+   thread with the least (clock, tid) runs. It has none of the engine's
+   shortcuts: no direct return from a yield that keeps the processor, no
+   heap, no fused push-pop. *)
+let model_mprog ~max_steps p =
+  let n = List.length p.m_workers in
+  let acts = Array.of_list (p.m_main :: List.map fst p.m_workers) in
+  let raises = Array.of_list (false :: List.map snd p.m_workers) in
+  let clock = Array.make (n + 1) 0 in
+  let runnable = Array.make (n + 1) false in
+  let started = Array.make (n + 1) false in
+  let finished = Array.make (n + 1) false in
+  (* main joins workers [joining..n]; [waiting]: suspended in a join,
+     [woken]: made runnable again by the finish of the one it joins *)
+  let joining = ref 1 and waiting = ref false and woken = ref false in
+  let notes = ref [] and exns = ref [] and steps = ref 0 in
+  let finish t =
+    finished.(t) <- true;
+    if !waiting && !joining = t then begin
+      waiting := false;
+      woken := true;
+      clock.(0) <- max clock.(0) clock.(t);
+      runnable.(0) <- true
+    end
+  in
+  let main_joins () =
+    while !joining <= n && finished.(!joining) do
+      clock.(0) <- max clock.(0) clock.(!joining);
+      incr joining
+    done;
+    if !joining > n then finished.(0) <- true else waiting := true
+  in
+  (* run [t] up to its next yield, suspension or end *)
+  let run_on t =
+    match acts.(t) with
+    | s :: rest ->
+        acts.(t) <- rest;
+        (clock.(t) <-
+           clock.(t) + match s with Tick_yield c -> c | Pause n -> max n 0);
+        runnable.(t) <- true
+    | [] when t = 0 -> main_joins ()
+    | [] ->
+        if raises.(t) then exns := (t, Worker_failed t) :: !exns;
+        finish t
+  in
+  let resume t =
+    if not started.(t) then begin
+      started.(t) <- true;
+      notes := t :: !notes;
+      if t = 0 then Array.fill runnable 1 n true;
+      run_on t
+    end
+    else if t = 0 && !woken then begin
+      woken := false;
+      main_joins ()
+    end
+    else begin
+      notes := t :: !notes;
+      run_on t
+    end
+  in
+  runnable.(0) <- true;
+  let status = ref Sched.Completed in
+  (try
+     while true do
+       if !steps >= max_steps then begin
+         status := Sched.Fuel_exhausted;
+         raise Exit
+       end;
+       let best = ref (-1) in
+       for t = n downto 0 do
+         if runnable.(t) && (!best < 0 || clock.(t) <= clock.(!best)) then best := t
+       done;
+       if !best < 0 then raise Exit;
+       incr steps;
+       runnable.(!best) <- false;
+       resume !best
+     done
+   with Exit -> ());
+  ( List.rev !notes,
+    !steps,
+    Array.fold_left max 0 clock,
+    !status,
+    List.rev !exns )
+
+let mprog_gen =
+  let open QCheck.Gen in
+  let step =
+    frequency
+      [
+        (3, map (fun c -> Tick_yield c) (int_range 0 3));
+        (1, map (fun n -> Pause n) (int_range (-2) 4));
+      ]
+  in
+  let steps = list_size (int_range 0 6) step in
+  pair (int_range 1 80)
+    (map2
+       (fun m_main m_workers -> { m_main; m_workers })
+       (list_size (int_range 0 3) step)
+       (list_size (int_range 1 6)
+          (pair steps (frequency [ (3, return false); (1, return true) ]))))
+
+let mprog_print (max_steps, p) =
+  let step = function
+    | Tick_yield c -> Printf.sprintf "y%d" c
+    | Pause n -> Printf.sprintf "p%d" n
+  in
+  let steps l = "[" ^ String.concat ";" (List.map step l) ^ "]" in
+  Printf.sprintf "max_steps=%d main=%s workers=%s" max_steps (steps p.m_main)
+    (String.concat " "
+       (List.map (fun (l, r) -> steps l ^ if r then "!" else "") p.m_workers))
+
+let sched_model_qcheck =
+  QCheck.(
+    Test.make ~name:"sched: Min_clock = effect-path model (fuel, ties, pause, exns)"
+      ~count:500 (make ~print:mprog_print mprog_gen)
+      (fun (max_steps, p) -> run_mprog ~max_steps p = model_mprog ~max_steps p))
+
+(* [threads] workers that each tick one cycle and yield [yields] times:
+   every tick puts the yielder's clock above its peers', so every yield
+   switches. *)
+let lockstep ~threads ~yields () =
+  let ts =
+    List.init threads (fun _ ->
+        Sched.spawn (fun () ->
+            for _ = 1 to yields do
+              Sched.tick 1;
+              Sched.yield ()
+            done))
+  in
+  List.iter Sched.join ts
+
+(* A switching yield allocates the runtime's continuation block (2 words)
+   and nothing else: the handler is the engine's, its closures are
+   preallocated, and neither the slot nor the pick is boxed. Counted
+   exactly with [Gc.minor_words] over a whole lockstep run, spawns and
+   joins included. *)
+let switch_yields = 2_000
+
+let sched_switch_allocation () =
+  let threads = 8 in
+  let last = ref (-1) and kept = ref 0 in
+  let run () =
+    Sched.run ~policy:Sched.Min_clock (fun () ->
+        let ts =
+          List.init threads (fun _ ->
+              Sched.spawn (fun () ->
+                  for _ = 1 to switch_yields do
+                    last := Sched.self ();
+                    Sched.tick 1;
+                    Sched.yield ();
+                    if !last = Sched.self () then incr kept
+                  done;
+                  last := Sched.self ()))
+        in
+        List.iter Sched.join ts)
+  in
+  ignore (run ());
+  kept := 0;
+  let before = Gc.minor_words () in
+  let r = run () in
+  let words = Gc.minor_words () -. before in
+  check_bool "completed" true (r.Sched.status = Sched.Completed);
+  check_int "yields that kept the processor" 0 !kept;
+  let w = words /. float_of_int (threads * switch_yields) in
+  if w >= 3.0 then Alcotest.failf "%.2f words per switching yield" w
+
+(* A run that ends badly leaves no engine behind, and the same program
+   run again gives the same result, under every policy the loop picks
+   differently for. *)
+let rerun_identical what policy ?max_steps prog =
+  let a = Sched.run ?max_steps ~policy prog in
+  check_bool (what ^ ": engine released") false (Sched.running ());
+  let b = Sched.run ?max_steps ~policy prog in
+  check_bool (what ^ ": rerun identical") true (a = b);
+  a
+
+let failure_policies = [ Sched.Min_clock; Sched.Round_robin; Sched.Random 7 ]
+
+(* Fuel runs out at a switching yield: the yielder is Runnable but not
+   on the heap when the loop stops. *)
+let sched_fuel_at_switch () =
+  List.iter
+    (fun policy ->
+      let r =
+        rerun_identical "fuel" policy ~max_steps:50 (lockstep ~threads:8 ~yields:100)
+      in
+      check_bool "fuel exhausted" true (r.Sched.status = Sched.Fuel_exhausted);
+      check_int "switches = max_steps" 50 r.Sched.switches)
+    failure_policies
+
+let sched_deadlock_suspended () =
+  List.iter
+    (fun policy ->
+      let r =
+        rerun_identical "deadlock" policy (fun () ->
+            let ts =
+              List.init 3 (fun _ ->
+                  Sched.spawn (fun () ->
+                      Sched.tick 1;
+                      Sched.yield ();
+                      Sched.suspend ()))
+            in
+            List.iter Sched.join ts)
+      in
+      match r.Sched.status with
+      | Sched.Deadlock [ 0; 1; 2; 3 ] -> ()
+      | _ -> Alcotest.fail "expected every thread stuck")
+    failure_policies
+
+let sched_body_exception () =
+  List.iter
+    (fun policy ->
+      let r =
+        rerun_identical "exception" policy (fun () ->
+            let ts =
+              List.init 3 (fun i ->
+                  Sched.spawn (fun () ->
+                      Sched.tick i;
+                      Sched.yield ();
+                      if i = 1 then failwith "boom"))
+            in
+            List.iter Sched.join ts)
+      in
+      check_bool "completed" true (r.Sched.status = Sched.Completed);
+      check_bool "one exception, from tid 2" true
+        (r.Sched.exns = [ (2, Failure "boom") ]))
+    failure_policies
+
+(* The slot of a thread that holds no continuation can never run a
+   fiber: resuming it fails at once. *)
+let sched_empty_slot () =
+  for _ = 1 to 2 do
+    Alcotest.check_raises "resume the empty slot"
+      Effect.Continuation_already_resumed (fun () ->
+        Effect.Deep.continue Cont.none ())
+  done
+
 let suite =
   suite
   @ [
@@ -843,6 +1125,12 @@ let suite =
             case "lone yield spends fuel" sched_lone_yield_spends_fuel;
             case "yield below a peer spends fuel"
               sched_yield_below_peer_spends_fuel;
+            QCheck_alcotest.to_alcotest sched_model_qcheck;
+            case "a switching yield allocates < 3 words" sched_switch_allocation;
+            case "fuel out at a switching yield" sched_fuel_at_switch;
+            case "deadlock with suspended threads" sched_deadlock_suspended;
+            case "exception from a thread body" sched_body_exception;
+            case "an empty continuation slot never resumes" sched_empty_slot;
           ] );
       ( "runtime:sched-yield-pick",
         List.map QCheck_alcotest.to_alcotest yield_pick_qcheck

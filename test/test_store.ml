@@ -114,6 +114,49 @@ let scramble_spreads () =
   check_bool "hot ranks map to distinct keys" true (List.length distinct >= 12);
   List.iter (fun k -> check_bool "in range" true (0 <= k && k < keys)) hot
 
+(* An engine run prepares its key space once and gives every client a
+   sampler over it. Those samplers draw exactly what [create] draws for
+   the same seed, also while their draws interleave; the first draws are
+   pinned to the values of the samplers that computed their own Zipf
+   constants. *)
+let keydist_shared_space () =
+  let first12 ~keys ~dist ~seed next =
+    let s = Keydist.create ~keys ~dist (Det_rng.create seed) in
+    List.init 12 (fun _ -> next s)
+  in
+  Alcotest.(check (list int)) "zipfian 0.99 keys, pinned"
+    [ 7; 866; 326; 715; 571; 536; 321; 164; 715; 1016; 321; 375 ]
+    (first12 ~keys:1024 ~dist:(Keydist.Zipfian 0.99) ~seed:42 Keydist.next);
+  Alcotest.(check (list int)) "zipfian 0.5 ranks, pinned"
+    [ 160; 1; 814; 348; 213; 68; 227; 115; 22; 179; 14; 922 ]
+    (first12 ~keys:1000 ~dist:(Keydist.Zipfian 0.5) ~seed:7 Keydist.next_rank);
+  Alcotest.(check (list int)) "uniform keys, pinned"
+    [ 853; 72; 964; 941; 812; 265; 231; 977; 501; 243; 551; 911 ]
+    (first12 ~keys:1000 ~dist:Keydist.Uniform ~seed:42 Keydist.next);
+  List.iter
+    (fun (keys, dist) ->
+      let space = Keydist.space ~keys ~dist in
+      let seed c = 100 + c in
+      let shared =
+        Array.init 8 (fun c -> Keydist.sampler space (Det_rng.create (seed c)))
+      in
+      let own =
+        Array.init 8 (fun c -> Keydist.create ~keys ~dist (Det_rng.create (seed c)))
+      in
+      for i = 1 to 400 do
+        let c = i * 5 mod 8 in
+        check_int
+          (Printf.sprintf "%s over %d keys, client %d, draw %d"
+             (Keydist.dist_to_string dist) keys c i)
+          (Keydist.next own.(c)) (Keydist.next shared.(c))
+      done)
+    [
+      (1024, Keydist.Zipfian 0.99);
+      (1000, Keydist.Zipfian 0.5);
+      (257, Keydist.Uniform);
+      (1, Keydist.Zipfian 0.99);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Kv semantics (single simulated thread)                              *)
 (* ------------------------------------------------------------------ *)
@@ -165,6 +208,54 @@ let kv_semantics mode () =
       let sum = Kv.fold t ~init:0 ~f:(fun acc _ _ -> acc + 1) in
       check_int "fold visits every entry" 51 sum)
 
+(* The dense oid index answers as the two oid hashtables it replaced
+   did: a shard table or header maps to its shard and to no key, an
+   entry - preloaded, inserted, or deleted since - to its key and shard,
+   and every other oid to nothing. The expected map is built here from
+   allocation order: oids count up from 1 in every run, the store's
+   tables and headers come first, and a probe object allocated on each
+   side of an insert brackets the oids the insert took. *)
+let oid_index_matches_reference () =
+  let shards = 4 and keys = 40 in
+  with_store ~mode:Kv.Strong (fun t ->
+      let expect = Hashtbl.create 64 in
+      for s = 0 to shards - 1 do
+        Hashtbl.replace expect (1 + s) (None, Some s);
+        Hashtbl.replace expect (1 + shards + s) (None, Some s)
+      done;
+      let probe () = (Heap.alloc ~cls:"Probe" 0).Heap.oid in
+      let p0 = probe () in
+      check_int "tables and headers take the first oids" ((2 * shards) + 1) p0;
+      Kv.preload t ~keys ~value:Fun.id;
+      for k = 0 to keys - 1 do
+        Hashtbl.replace expect (p0 + 1 + k) (Some k, Some (Kv.shard_of_key t k))
+      done;
+      let inserting k f =
+        let a = probe () in
+        f ();
+        let b = probe () in
+        check_int "an insert allocates one entry" (a + 2) b;
+        Hashtbl.replace expect (a + 1) (Some k, Some (Kv.shard_of_key t k))
+      in
+      List.iter
+        (fun k -> inserting k (fun () -> check_bool "insert" true (Kv.insert t k k)))
+        [ 100; 101; 102; 5000 ];
+      List.iter (fun k -> check_bool "delete" true (Kv.delete t k)) [ 101; 3; 17 ];
+      inserting 101 (fun () -> check_bool "reinsert" true (Kv.insert t 101 1));
+      inserting 200 (fun () -> check_bool "put inserts" true (Kv.put t 200 2));
+      let last = probe () in
+      for oid = -2 to last + 2048 do
+        let key, shard =
+          Option.value (Hashtbl.find_opt expect oid) ~default:(None, None)
+        in
+        Alcotest.(check (option int))
+          (Printf.sprintf "key of oid %d" oid)
+          key (Kv.key_of_oid t oid);
+        Alcotest.(check (option int))
+          (Printf.sprintf "shard of oid %d" oid)
+          shard (Kv.shard_of_oid t oid)
+      done)
+
 (* ------------------------------------------------------------------ *)
 (* Engine: determinism, invariants across profiles                     *)
 (* ------------------------------------------------------------------ *)
@@ -196,6 +287,56 @@ let deterministic_facets r =
           c.Engine.cs_misses,
           Stm_obs.Json.to_string (Stm_obs.Hist.to_json c.Engine.cs_hist) ))
       r.Engine.r_classes )
+
+(* The dense oid index under concurrent churn, aborted insert attempts
+   included. After the preload every allocation is an insert's entry,
+   and the first integer written to an entry's field 0 is its key, so a
+   Debug subscriber learns the key of every entry that got that far. *)
+let oid_index_under_churn () =
+  let p =
+    small { Engine.default with Engine.profile = Profile.churn; seed = 9 }
+  in
+  let key_writes = Hashtbl.create 256 in
+  let on_event = function
+    | Stm_core.Trace.Access { oid; fld = 0; value = Heap.Vint k; write = true; _ }
+      when not (Hashtbl.mem key_writes oid) ->
+        Hashtbl.replace key_writes oid k
+    | _ -> ()
+  in
+  let r =
+    Stm_core.Trace.with_sinks [ (Stm_core.Trace.Debug, on_event) ] (fun () ->
+        Engine.run p)
+  in
+  check_bool "completed" true r.Engine.r_completed;
+  let first_entry = (2 * p.Engine.shards) + 1 in
+  let first_insert = first_entry + p.Engine.keys in
+  let shard_of =
+    let shards = ref [||] in
+    with_store ~mode:Kv.Strong (fun t ->
+        shards := Array.init (first_insert * 4) (Kv.shard_of_key t));
+    fun k -> !shards.(k)
+  in
+  let resolve = Alcotest.(check (option (pair int int))) in
+  List.iter
+    (fun oid ->
+      resolve (Printf.sprintf "oid %d" oid) None (r.Engine.r_resolve_oid oid))
+    [ -1; 0; 1; first_entry - 1; max_int ];
+  for k = 0 to p.Engine.keys - 1 do
+    resolve (Printf.sprintf "preloaded key %d" k)
+      (Some (k, shard_of k))
+      (r.Engine.r_resolve_oid (first_entry + k))
+  done;
+  let inserted = ref 0 in
+  Hashtbl.iter
+    (fun oid k ->
+      if oid >= first_insert then begin
+        incr inserted;
+        resolve (Printf.sprintf "inserted key %d (oid %d)" k oid)
+          (Some (k, shard_of k))
+          (r.Engine.r_resolve_oid oid)
+      end)
+    key_writes;
+  check_bool "churn inserted keys" true (!inserted > 10)
 
 let engine_deterministic () =
   let p = small { Engine.default with Engine.seed = 5 } in
@@ -349,10 +490,14 @@ let suite =
         case "keydist: zipfian fails uniform chi-square" zipfian_not_uniform;
         case "keydist: zipfian skew shape" zipfian_skew_shape;
         case "keydist: scramble spreads hot ranks" scramble_spreads;
+        case "keydist: samplers sharing a key space draw as create does"
+          keydist_shared_space;
         case "kv: semantics (strong)" (kv_semantics Kv.Strong);
         case "kv: semantics (weak)" (kv_semantics Kv.Weak);
         case "kv: semantics (lock)" (kv_semantics Kv.Lock);
         case "kv: semantics (mvcc)" (kv_semantics Kv.Mvcc);
+        case "kv: dense oid index = reference map" oid_index_matches_reference;
+        case "kv: dense oid index under concurrent churn" oid_index_under_churn;
         case "engine: deterministic per seed" engine_deterministic;
         case "engine: invariants across all profiles and modes"
           invariants_all_profiles;
