@@ -16,14 +16,36 @@ type outcome = {
 (* Precomputed barrier decision for one access site under the current
    configuration: what the non-transactional path does ([p_nontxn]) and
    whether the transactional path may elide logging ([p_unlogged]).
-   Folding the config tests in ahead of time turns the per-access
-   decision into one array read. *)
+   Folding the config tests in ahead of time lets the compiled code of
+   each access site hold its decision. *)
 type nontxn_plan =
   | P_auto  (* full barrier (Stm.read / Stm.write) *)
   | P_removed  (* compiler-removed: raw access *)
   | P_agg of int  (* aggregated anonymous acquire covering n accesses *)
 
 type site_plan = { p_unlogged : bool; p_nontxn : nontxn_plan }
+
+(* Aggregated-barrier state: ownership of one object's record held across
+   a group of accesses in a basic block. *)
+type agg = { a_obj : Heap.obj; a_word : int; mutable a_left : int }
+
+type frame = {
+  regs : Heap.value array;
+  mutable agg : agg option;
+  mutable rv : Heap.value;  (* the value the method's [Ret] returned *)
+}
+
+(* A method compiled for one [exec]: one closure per instruction, which
+   performs the instruction and returns the next pc, or -1 after [Ret].
+   The closures hold everything that is fixed for the run - register
+   indices, boxed constants, barrier plans, cost constants - and cache
+   what is fixed after its first execution (call targets, class
+   defaults, statics objects). *)
+type code = {
+  meth : Ir.meth;
+  nregs : int;  (* frame size *)
+  mutable ops : (frame -> int) array;  (* one per instruction of [meth] *)
+}
 
 type exec = {
   prog : Ir.program;
@@ -41,15 +63,13 @@ type exec = {
       (* (strong, strong_writes, versioning) the plans were computed for *)
   defaults : (string, Heap.value array) Hashtbl.t;
       (* class -> typed default value of each instance field, for [New] *)
-  methods : (string, (string, Ir.meth) Hashtbl.t) Hashtbl.t;
-      (* class -> method name -> resolved method, for [Call] *)
+  methods : (string, (string, code) Hashtbl.t) Hashtbl.t;
+      (* class -> method name -> code of the method it resolves to *)
+  compiled : (string, code) Hashtbl.t;
+      (* method name -> code of every method of that name compiled in
+         this run; emptied with [methods] when a run starts, since the
+         code folds in the run's configuration and plans *)
 }
-
-(* Aggregated-barrier state: ownership of one object's record held across
-   a group of accesses in a basic block. *)
-type agg = { a_obj : Heap.obj; a_word : int; mutable a_left : int }
-
-type frame = { regs : Heap.value array; mutable agg : agg option }
 
 let err fmt = Fmt.kstr (fun s -> raise (Interp_error s)) fmt
 
@@ -88,13 +108,6 @@ let statics_obj ex cls =
   | Some o -> o
   | None -> err "no statics for class %s" cls
 
-let profile_hit ex (note : Ir.note) =
-  match ex.profile with
-  | Some tbl ->
-      Hashtbl.replace tbl note.Ir.site
-        (1 + Option.value ~default:0 (Hashtbl.find_opt tbl note.Ir.site))
-  | None -> ()
-
 let monitor_of ex (o : Heap.obj) =
   match Hashtbl.find_opt ex.monitors o.Heap.oid with
   | Some m -> m
@@ -106,7 +119,7 @@ let monitor_of ex (o : Heap.obj) =
 (* Shared boolean values: comparisons and [not] allocate nothing. *)
 let vtrue = Heap.Vbool true
 let vfalse = Heap.Vbool false
-let vbool b = if b then vtrue else vfalse
+let[@inline] vbool b = if b then vtrue else vfalse
 
 let value_of_const = function
   | Ir.Cint n -> Heap.Vint n
@@ -115,9 +128,12 @@ let value_of_const = function
   | Ir.Cnull -> Heap.Vnull
   | Ir.Reg _ -> assert false
 
-let eval frame = function
-  | Ir.Reg r -> frame.regs.(r)
-  | c -> value_of_const c
+(* A resolved operand: a register index, or a constant boxed once when
+   the method is compiled. *)
+type opnd = R of int | K of Heap.value
+
+let opnd = function Ir.Reg r -> R r | c -> K (value_of_const c)
+let[@inline] get frame = function R r -> frame.regs.(r) | K v -> v
 
 let default_value = function
   | Ir.Tint -> Heap.Vint 0
@@ -125,16 +141,7 @@ let default_value = function
   | Ir.Tstr -> Heap.Vstr ""
   | Ir.Tvoid | Ir.Tref _ | Ir.Tarr _ -> Heap.Vnull
 
-let new_frame (m : Ir.meth) =
-  { regs = Array.make (max m.Ir.nregs 1) Heap.Vnull; agg = None }
-
-(* Evaluate call arguments straight into the callee's registers, from
-   register [i] on. *)
-let rec store_args frame regs i = function
-  | [] -> ()
-  | a :: rest ->
-      regs.(i) <- eval frame a;
-      store_args frame regs (i + 1) rest
+let new_frame k = { regs = Array.make k.nregs Heap.Vnull; agg = None; rv = Heap.Vnull }
 
 (* Typed default value of every instance field of [cls], in layout
    order; computed once per class. *)
@@ -151,26 +158,6 @@ let class_defaults ex cls =
       Hashtbl.replace ex.defaults cls d;
       d
 
-(* [Ir.find_method] resolved once per (class, method name). Raises
-   [Not_found] when the class has no such method. *)
-let find_method ex cls mname =
-  let by_name =
-    match Hashtbl.find ex.methods cls with
-    | t -> t
-    | exception Not_found ->
-        let t = Hashtbl.create 8 in
-        Hashtbl.replace ex.methods cls t;
-        t
-  in
-  match Hashtbl.find by_name mname with
-  | m -> m
-  | exception Not_found -> (
-      match Ir.find_method ex.prog cls mname with
-      | Some m ->
-          Hashtbl.replace by_name mname m;
-          m
-      | None -> raise Not_found)
-
 let as_int what = function
   | Heap.Vint n -> n
   | v -> err "%s: expected int, got %s" what (Heap.show_value v)
@@ -184,9 +171,48 @@ let as_obj what = function
   | Heap.Vnull -> err "%s: null dereference" what
   | v -> err "%s: expected object, got %s" what (Heap.show_value v)
 
+(* The checks above with their common case inlined into the caller. *)
+let[@inline] int_of what = function Heap.Vint n -> n | v -> as_int what v
+let[@inline] bool_of what = function Heap.Vbool b -> b | v -> as_bool what v
+let[@inline] obj_of what = function Heap.Vref o -> o | v -> as_obj what v
+
 (* ------------------------------------------------------------------ *)
 (* Barrier-annotated memory access                                     *)
 (* ------------------------------------------------------------------ *)
+
+(* What an access does when no aggregated acquire is open: call the full
+   barrier ([Stm.read]/[Stm.write]) or the raw access
+   ([read_nobarrier]/[write_nobarrier]) - both test for a transaction
+   themselves - or take the general path below. *)
+type fast = F_barrier | F_raw | F_general
+
+(* One access site, resolved when its method is compiled. *)
+type access = {
+  site : int;
+  plan : site_plan;
+  fast : fast;
+  acfg : Config.t;
+  prof : (int, int) Hashtbl.t option;  (* [ex.profile] *)
+}
+
+let access ex (note : Ir.note) ~load =
+  let plan = ex.plans.(note.Ir.site) in
+  let fast =
+    match plan.p_nontxn with
+    | _ when load && plan.p_unlogged -> F_general
+    | P_auto -> F_barrier
+    | P_removed -> F_raw
+    | P_agg _ -> F_general
+  in
+  { site = note.Ir.site; plan; fast; acfg = ex.cfg; prof = ex.profile }
+
+let enter_site a =
+  (match a.prof with
+  | Some tbl ->
+      Hashtbl.replace tbl a.site
+        (1 + Option.value ~default:0 (Hashtbl.find_opt tbl a.site))
+  | None -> ());
+  if Trace.enabled () then Site.set a.site
 
 (* Release the aggregation hold if the group is exhausted. *)
 let agg_step frame (a : agg) =
@@ -196,17 +222,13 @@ let agg_step frame (a : agg) =
     frame.agg <- None
   end
 
-(* A load from [o.(fld)] at a site annotated [note]. The barrier
-   decision was precomputed into [ex.plans] at run start (see
-   {!build_plans}); per access only the dynamic facts remain: are we in
-   a transaction, and is an aggregated acquire covering this object. *)
-let load ex frame (note : Ir.note) o fld =
-  profile_hit ex note;
-  if Trace.enabled () then Site.set note.Ir.site;
-  let cfg = ex.cfg in
-  let plan = ex.plans.(note.Ir.site) in
+(* A load from [o.(fld)] at site [a]. Per access only the dynamic facts
+   remain: are we in a transaction, and is an aggregated acquire covering
+   this object. *)
+let load_general a frame o fld =
+  let cfg = a.acfg in
   if Stm.in_txn () then
-    if plan.p_unlogged then begin
+    if a.plan.p_unlogged then begin
       (* Section 5.2 extension: no transaction ever writes this object,
          so the open-for-read barrier (version log + validation entry)
          can be elided - but only under weak atomicity *)
@@ -223,7 +245,7 @@ let load ex frame (note : Ir.note) o fld =
         agg_step frame a;
         v
     | Some _ | None -> (
-        match plan.p_nontxn with
+        match a.plan.p_nontxn with
         | P_removed -> Stm.read_nobarrier o fld
         | P_agg n ->
             let w = Barriers.acquire_anon ~op:Trace.Op_read cfg (Stm.stats ()) o in
@@ -234,10 +256,15 @@ let load ex frame (note : Ir.note) o fld =
             v
         | P_auto -> Stm.read o fld)
 
-let store ex frame (note : Ir.note) o fld v =
-  profile_hit ex note;
-  if Trace.enabled () then Site.set note.Ir.site;
-  let cfg = ex.cfg in
+let load a frame o fld =
+  enter_site a;
+  match (frame.agg, a.fast) with
+  | None, F_barrier -> Stm.read o fld
+  | None, F_raw -> Stm.read_nobarrier o fld
+  | _ -> load_general a frame o fld
+
+let store_general a frame o fld v =
+  let cfg = a.acfg in
   if Stm.in_txn () then Stm.write o fld v
   else
     match frame.agg with
@@ -248,7 +275,7 @@ let store ex frame (note : Ir.note) o fld v =
         Heap.set o fld v;
         agg_step frame a
     | Some _ | None -> (
-        match ex.plans.(note.Ir.site).p_nontxn with
+        match a.plan.p_nontxn with
         | P_removed -> Stm.write_nobarrier o fld v
         | P_agg n ->
             let w = Barriers.acquire_anon ~op:Trace.Op_write cfg (Stm.stats ()) o in
@@ -260,9 +287,18 @@ let store ex frame (note : Ir.note) o fld v =
             else Barriers.release_anon cfg o w
         | P_auto -> Stm.write o fld v)
 
+let store a frame o fld v =
+  enter_site a;
+  match (frame.agg, a.fast) with
+  | None, F_barrier -> Stm.write o fld v
+  | None, F_raw -> Stm.write_nobarrier o fld v
+  | _ -> store_general a frame o fld v
+
 (* ------------------------------------------------------------------ *)
-(* Builtins                                                            *)
+(* Compilation and execution                                           *)
 (* ------------------------------------------------------------------ *)
+
+let bad_builtin name = err "builtin %s: bad arguments" name
 
 (* Lazy class initialization (Java semantics, paper Section 5.3): the
    first static access or instantiation of a class runs its [clinit]
@@ -274,239 +310,443 @@ let rec ensure_initialized ex cls =
   if not (Hashtbl.mem ex.initialized cls) then begin
     Hashtbl.replace ex.initialized cls ();
     match Ir.find_method ex.prog cls "clinit" with
-    | Some m when m.Ir.m_static && m.Ir.params = [] ->
-        ignore (call ex m None [] : Heap.value option)
+    | Some m when m.Ir.m_static && m.Ir.params = [] -> call ex m None
     | Some _ | None -> ()
   end
 
-and builtin ex name (args : Heap.value list) : Heap.value =
+(* A builtin call, resolved by name and arity when the method is
+   compiled. Argument errors are raised when the call executes. *)
+and builtin ex name args : frame -> Heap.value =
   match (name, args) with
   | "spawn", [ v ] ->
-      let o = as_obj "spawn" v in
-      Stm.publish o;
-      let m = Ir.resolve_virtual ex.prog o.Heap.cls "run" in
-      let tid =
-        Sched.spawn ~name:(o.Heap.cls ^ ".run") (fun () ->
-            ignore (call ex m (Some (Heap.Vref o)) [] : Heap.value option))
-      in
-      Heap.Vint tid
+      fun fr ->
+        let o = as_obj "spawn" (get fr v) in
+        Stm.publish o;
+        let m = Ir.resolve_virtual ex.prog o.Heap.cls "run" in
+        let tid =
+          Sched.spawn ~name:(o.Heap.cls ^ ".run") (fun () ->
+              call ex m (Some (Heap.Vref o)))
+        in
+        Heap.Vint tid
   | "join", [ v ] ->
-      Sched.join (as_int "join" v);
-      Heap.Vnull
+      fun fr ->
+        Sched.join (as_int "join" (get fr v));
+        Heap.Vnull
   | "rand", [ v ] ->
-      let n = as_int "rand" v in
-      if n <= 0 then err "rand: bound must be positive";
-      Heap.Vint (Det_rng.int ex.rng n)
-  | "param", [ Heap.Vstr key ] -> (
-      match List.assoc_opt key ex.params with
-      | Some v -> Heap.Vint v
-      | None -> err "param: no value supplied for %S" key)
-  | "param", [ Heap.Vstr key; Heap.Vint default ] ->
-      Heap.Vint
-        (match List.assoc_opt key ex.params with
-        | Some v -> v
-        | None -> default)
+      fun fr ->
+        let n = as_int "rand" (get fr v) in
+        if n <= 0 then err "rand: bound must be positive";
+        Heap.Vint (Det_rng.int ex.rng n)
+  | "param", [ k ] -> (
+      fun fr ->
+        match get fr k with
+        | Heap.Vstr key -> (
+            match List.assoc_opt key ex.params with
+            | Some v -> Heap.Vint v
+            | None -> err "param: no value supplied for %S" key)
+        | _ -> bad_builtin name)
+  | "param", [ k; d ] -> (
+      fun fr ->
+        match (get fr k, get fr d) with
+        | Heap.Vstr key, Heap.Vint default ->
+            Heap.Vint
+              (match List.assoc_opt key ex.params with
+              | Some v -> v
+              | None -> default)
+        | _ -> bad_builtin name)
   | "tick", [ v ] ->
-      Sched.tick (as_int "tick" v);
-      Heap.Vnull
+      fun fr ->
+        Sched.tick (as_int "tick" (get fr v));
+        Heap.Vnull
   | "rebase_clock", [] ->
-      Sched.rebase ();
-      Heap.Vnull
+      fun _ ->
+        Sched.rebase ();
+        Heap.Vnull
   | "assert", [ v ] ->
-      if not (as_bool "assert" v) then err "assertion failed";
-      Heap.Vnull
-  | "abs", [ v ] -> Heap.Vint (abs (as_int "abs" v))
-  | "min", [ a; b ] -> Heap.Vint (min (as_int "min" a) (as_int "min" b))
-  | "max", [ a; b ] -> Heap.Vint (max (as_int "max" a) (as_int "max" b))
+      fun fr ->
+        if not (as_bool "assert" (get fr v)) then err "assertion failed";
+        Heap.Vnull
+  | "abs", [ v ] -> fun fr -> Heap.Vint (abs (as_int "abs" (get fr v)))
+  | "min", [ a; b ] ->
+      fun fr ->
+        let a = get fr a and b = get fr b in
+        Heap.Vint (min (as_int "min" a) (as_int "min" b))
+  | "max", [ a; b ] ->
+      fun fr ->
+        let a = get fr a and b = get fr b in
+        Heap.Vint (max (as_int "max" a) (as_int "max" b))
   | "hash", [ v ] ->
-      let x = as_int "hash" v in
-      let h = (x * 0x9E3779B1) land max_int in
-      Heap.Vint (h lxor (h lsr 16))
-  | _ -> err "builtin %s: bad arguments" name
+      fun fr ->
+        let x = as_int "hash" (get fr v) in
+        let h = (x * 0x9E3779B1) land max_int in
+        Heap.Vint (h lxor (h lsr 16))
+  | _ -> fun _ -> bad_builtin name
 
-(* ------------------------------------------------------------------ *)
-(* Instruction execution                                               *)
-(* ------------------------------------------------------------------ *)
+(* The code of [m], compiled at most once per run. *)
+and code_of ex (m : Ir.meth) =
+  match List.find (fun k -> k.meth == m) (Hashtbl.find_all ex.compiled m.Ir.mname) with
+  | k -> k
+  | exception Not_found ->
+      let k = { meth = m; nregs = max m.Ir.nregs 1; ops = [||] } in
+      Hashtbl.add ex.compiled m.Ir.mname k;
+      k.ops <- Array.mapi (compile ex k) m.Ir.body;
+      k
 
-and exec_binop op a b =
-  match op with
-  | Ir.Add | Ir.Sub | Ir.Mul | Ir.Lt | Ir.Le | Ir.Gt | Ir.Ge -> (
-      (* right operand first: a type error reports the same operand it
-         always did *)
-      let y = as_int "binop" b in
-      let x = as_int "binop" a in
-      match op with
-      | Ir.Add -> Heap.Vint (x + y)
-      | Ir.Sub -> Heap.Vint (x - y)
-      | Ir.Mul -> Heap.Vint (x * y)
-      | Ir.Lt -> vbool (x < y)
-      | Ir.Le -> vbool (x <= y)
-      | Ir.Gt -> vbool (x > y)
-      | _ -> vbool (x >= y))
-  | Ir.Div ->
-      let d = as_int "div" b in
-      if d = 0 then err "division by zero" else Heap.Vint (as_int "div" a / d)
-  | Ir.Mod ->
-      let d = as_int "mod" b in
-      if d = 0 then err "modulo by zero" else Heap.Vint (as_int "mod" a mod d)
-  | Ir.Eq -> vbool (Heap.value_equal a b)
-  | Ir.Ne -> vbool (not (Heap.value_equal a b))
-  | Ir.And -> vbool (as_bool "&&" a && as_bool "&&" b)
-  | Ir.Or -> vbool (as_bool "||" a || as_bool "||" b)
+(* The code that method [mname] resolves to on class [cls]. Raises
+   [Not_found] when the class has no such method. *)
+and find_code ex cls mname =
+  let by_name =
+    match Hashtbl.find ex.methods cls with
+    | t -> t
+    | exception Not_found ->
+        let t = Hashtbl.create 8 in
+        Hashtbl.replace ex.methods cls t;
+        t
+  in
+  match Hashtbl.find by_name mname with
+  | k -> k
+  | exception Not_found -> (
+      match Ir.find_method ex.prog cls mname with
+      | Some m ->
+          let k = code_of ex m in
+          Hashtbl.replace by_name mname k;
+          k
+      | None -> raise Not_found)
 
-(* Execute instructions from [pc] until [Ret] (returns its value) or until
-   [stop_at] (exclusive; returns None). *)
-and exec_range ex (m : Ir.meth) frame ~pc ~stop_at : Heap.value option option =
+(* Translate instruction [ins] at [pc] of [k]. Compiling never raises:
+   every error is raised by the closure when it runs, with the message
+   and at the point the instruction's semantics give it. *)
+and compile ex k pc (ins : Ir.instr) : frame -> int =
+  let next = pc + 1 in
   let cost = ex.cfg.cost in
+  match ins with
+  | Ir.Nop -> fun _ -> next
+  | Ir.Move (d, s) -> (
+      match opnd s with
+      | R r ->
+          fun fr ->
+            fr.regs.(d) <- fr.regs.(r);
+            next
+      | K v ->
+          fun fr ->
+            fr.regs.(d) <- v;
+            next)
+  | Ir.Unop (d, Ir.Neg, s) ->
+      let s = opnd s in
+      fun fr ->
+        fr.regs.(d) <- Heap.Vint (-int_of "neg" (get fr s));
+        next
+  | Ir.Unop (d, Ir.Not, s) ->
+      let s = opnd s in
+      fun fr ->
+        fr.regs.(d) <- vbool (not (bool_of "not" (get fr s)));
+        next
+  | Ir.Binop (d, op, a, b) -> compile_binop d op (opnd a) (opnd b) next
+  | Ir.New { dst; cls; site = _ } ->
+      let defaults = ref None in
+      fun fr ->
+        let defaults =
+          match !defaults with
+          | Some d -> d
+          | None ->
+              ensure_initialized ex cls;
+              let d = class_defaults ex cls in
+              defaults := Some d;
+              d
+        in
+        let o = Stm.alloc ~cls (Array.length defaults) in
+        (* typed default values; the object is thread-local at birth so
+           raw stores are race-free *)
+        for i = 0 to Array.length defaults - 1 do
+          Heap.set o i defaults.(i)
+        done;
+        fr.regs.(dst) <- Heap.Vref o;
+        next
+  | Ir.NewArr { dst; elt; len; site = _ } ->
+      let len = opnd len and init = default_value elt in
+      fun fr ->
+        let n = int_of "new[]" (get fr len) in
+        if n < 0 then err "negative array length";
+        fr.regs.(dst) <- Heap.Vref (Stm.alloc_array n init);
+        next
+  | Ir.Load { dst; obj; fld; fidx; note; _ } ->
+      let obj = opnd obj and a = access ex note ~load:true in
+      fun fr ->
+        (* the error message is built only on the error path *)
+        let o =
+          match get fr obj with Heap.Vref o -> o | v -> as_obj ("load ." ^ fld) v
+        in
+        fr.regs.(dst) <- load a fr o fidx;
+        next
+  | Ir.Store { obj; fld; fidx; src; note; _ } ->
+      let obj = opnd obj and src = opnd src and a = access ex note ~load:false in
+      fun fr ->
+        let o =
+          match get fr obj with Heap.Vref o -> o | v -> as_obj ("store ." ^ fld) v
+        in
+        store a fr o fidx (get fr src);
+        next
+  | Ir.LoadS { dst; cls; fidx; note; _ } ->
+      let a = access ex note ~load:true and holder = statics_of ex cls in
+      fun fr ->
+        fr.regs.(dst) <- load a fr (holder ()) fidx;
+        next
+  | Ir.StoreS { cls; fidx; src; note; _ } ->
+      let src = opnd src and a = access ex note ~load:false in
+      let holder = statics_of ex cls in
+      fun fr ->
+        let o = holder () in
+        store a fr o fidx (get fr src);
+        next
+  | Ir.ALoad { dst; arr; idx; note } ->
+      let arr = opnd arr and idx = opnd idx and a = access ex note ~load:true in
+      fun fr ->
+        let o = obj_of "aload" (get fr arr) in
+        let i = int_of "aload idx" (get fr idx) in
+        if i < 0 || i >= Heap.nfields o then
+          err "array index %d out of bounds (len %d)" i (Heap.nfields o);
+        fr.regs.(dst) <- load a fr o i;
+        next
+  | Ir.AStore { arr; idx; src; note } ->
+      let arr = opnd arr and idx = opnd idx and src = opnd src in
+      let a = access ex note ~load:false in
+      fun fr ->
+        let o = obj_of "astore" (get fr arr) in
+        let i = int_of "astore idx" (get fr idx) in
+        if i < 0 || i >= Heap.nfields o then
+          err "array index %d out of bounds (len %d)" i (Heap.nfields o);
+        store a fr o i (get fr src);
+        next
+  | Ir.ALen (d, a) ->
+      (* the length field is immutable: no barrier, ever *)
+      let a = opnd a in
+      fun fr ->
+        let o = obj_of "length" (get fr a) in
+        Sched.tick cost.Cost.plain_load;
+        fr.regs.(d) <- Heap.Vint (Heap.nfields o);
+        next
+  | Ir.Call { dst; target; this; args } -> (
+      let this = Option.map opnd this and args = Array.of_list (List.map opnd args) in
+      let invoke fr callee =
+        let cf = new_frame callee in
+        let base =
+          match this with
+          | Some r ->
+              cf.regs.(0) <- get fr r;
+              1
+          | None -> 0
+        in
+        for i = 0 to Array.length args - 1 do
+          cf.regs.(base + i) <- get fr args.(i)
+        done;
+        run_code ex callee cf;
+        match dst with Some d -> fr.regs.(d) <- cf.rv | None -> ()
+      in
+      match (target, this) with
+      | Ir.Static (c, mname), _ ->
+          let target = ref None in
+          fun fr ->
+            Sched.tick cost.Cost.call;
+            let callee =
+              match !target with
+              | Some callee -> callee
+              | None -> (
+                  match find_code ex c mname with
+                  | callee ->
+                      target := Some callee;
+                      callee
+                  | exception Not_found -> err "unknown method %s::%s" c mname)
+            in
+            invoke fr callee;
+            next
+      | Ir.Virtual (_, mname), Some recv ->
+          (* one-entry cache keyed by the receiver's class *)
+          let last = ref None in
+          fun fr ->
+            Sched.tick cost.Cost.call;
+            let cls =
+              match get fr recv with
+              | Heap.Vref o -> o.Heap.cls
+              | v -> (as_obj ("call " ^ mname) v).Heap.cls
+            in
+            let callee =
+              match !last with
+              | Some (c, callee) when c == cls || String.equal c cls -> callee
+              | Some _ | None ->
+                  let callee =
+                    match find_code ex cls mname with
+                    | callee -> callee
+                    | exception Not_found ->
+                        code_of ex (Ir.resolve_virtual ex.prog cls mname)
+                  in
+                  last := Some (cls, callee);
+                  callee
+            in
+            invoke fr callee;
+            next
+      | Ir.Virtual _, None ->
+          fun _ ->
+            Sched.tick cost.Cost.call;
+            invalid_arg "option is None")
+  | Ir.Builtin { dst; name; args } -> (
+      let f = builtin ex name (List.map opnd args) in
+      match dst with
+      | Some d ->
+          fun fr ->
+            fr.regs.(d) <- f fr;
+            next
+      | None ->
+          fun fr ->
+            ignore (f fr : Heap.value);
+            next)
+  | Ir.If (c, target) ->
+      let c = opnd c in
+      fun fr -> if bool_of "if" (get fr c) then target else next
+  | Ir.Goto target -> fun _ -> target
+  | Ir.Ret None -> fun _ -> -1
+  | Ir.Ret (Some v) ->
+      let v = opnd v in
+      fun fr ->
+        fr.rv <- get fr v;
+        -1
+  | Ir.AtomicBegin end_pc ->
+      fun fr ->
+        let saved = Array.copy fr.regs in
+        Stm.atomic (fun () ->
+            Array.blit saved 0 fr.regs 0 (Array.length saved);
+            match run_range ex k fr next end_pc with
+            | -1 -> err "return out of atomic block"
+            | _ -> ()
+            | exception Interp_error _ when not (Stm.valid ()) ->
+                (* a doomed transaction read inconsistent state and
+                   faulted; the managed runtime validates on faults and
+                   aborts instead of failing (Section 3.4 discussion) *)
+                Stm.abort_and_retry ());
+        end_pc + 1
+  | Ir.AtomicEnd -> fun _ -> err "stray atomic-end"
+  | Ir.MonitorEnter o ->
+      let o = opnd o in
+      fun fr ->
+        Sim_mutex.lock (monitor_of ex (obj_of "monitor" (get fr o)));
+        next
+  | Ir.MonitorExit o ->
+      let o = opnd o in
+      fun fr ->
+        Sim_mutex.unlock (monitor_of ex (obj_of "monitor" (get fr o)));
+        next
+  | Ir.Print v ->
+      let v = opnd v in
+      fun fr ->
+        ex.prints <- Heap.show_value (get fr v) :: ex.prints;
+        next
+  | Ir.Retry -> fun _ -> Stm.retry ()
+
+(* The statics object of [cls], initializing the class on first use; the
+   returned function caches the object after its first call. *)
+and statics_of ex cls =
+  let holder = ref None in
+  fun () ->
+    match !holder with
+    | Some o -> o
+    | None ->
+        ensure_initialized ex cls;
+        let o = statics_obj ex cls in
+        holder := Some o;
+        o
+
+(* Execute [k] from [pc] until [Ret] (returns -1) or until [stop]
+   (exclusive; returns [stop]). Each instruction charges one ALU tick
+   before it runs, exactly as the instruction-matching interpreter did. *)
+and run_range ex k frame pc stop =
+  let ops = k.ops in
+  let n = Array.length ops in
+  let alu = ex.cfg.cost.Cost.alu in
   let pc = ref pc in
-  let result = ref None in
-  let finished = ref false in
-  while not !finished do
-    if !pc = stop_at then finished := true
-    else begin
-      let ins = m.Ir.body.(!pc) in
-      Sched.tick cost.Cost.alu;
-      ex.instrs <- ex.instrs + 1;
-      incr pc;
-      match ins with
-      | Ir.Nop -> ()
-      | Ir.Move (d, s) -> frame.regs.(d) <- eval frame s
-      | Ir.Unop (d, Ir.Neg, s) ->
-          frame.regs.(d) <- Heap.Vint (-as_int "neg" (eval frame s))
-      | Ir.Unop (d, Ir.Not, s) ->
-          frame.regs.(d) <- vbool (not (as_bool "not" (eval frame s)))
-      | Ir.Binop (d, op, a, b) ->
-          frame.regs.(d) <- exec_binop op (eval frame a) (eval frame b)
-      | Ir.New { dst; cls; site = _ } ->
-          ensure_initialized ex cls;
-          let defaults = class_defaults ex cls in
-          let o = Stm.alloc ~cls (Array.length defaults) in
-          (* typed default values; the object is thread-local at birth so
-             raw stores are race-free *)
-          for i = 0 to Array.length defaults - 1 do
-            Heap.set o i defaults.(i)
-          done;
-          frame.regs.(dst) <- Heap.Vref o
-      | Ir.NewArr { dst; elt; len; site = _ } ->
-          let n = as_int "new[]" (eval frame len) in
-          if n < 0 then err "negative array length";
-          frame.regs.(dst) <- Heap.Vref (Stm.alloc_array n (default_value elt))
-      | Ir.Load { dst; obj; fld; fidx; note; _ } ->
-          (* the error message is built only on the error path *)
-          let o =
-            match eval frame obj with
-            | Heap.Vref o -> o
-            | v -> as_obj ("load ." ^ fld) v
-          in
-          frame.regs.(dst) <- load ex frame note o fidx
-      | Ir.Store { obj; fld; fidx; src; note; _ } ->
-          let o =
-            match eval frame obj with
-            | Heap.Vref o -> o
-            | v -> as_obj ("store ." ^ fld) v
-          in
-          store ex frame note o fidx (eval frame src)
-      | Ir.LoadS { dst; cls; fidx; note; _ } ->
-          ensure_initialized ex cls;
-          frame.regs.(dst) <- load ex frame note (statics_obj ex cls) fidx
-      | Ir.StoreS { cls; fidx; src; note; _ } ->
-          ensure_initialized ex cls;
-          store ex frame note (statics_obj ex cls) fidx (eval frame src)
-      | Ir.ALoad { dst; arr; idx; note } ->
-          let a = as_obj "aload" (eval frame arr) in
-          let i = as_int "aload idx" (eval frame idx) in
-          if i < 0 || i >= Heap.nfields a then
-            err "array index %d out of bounds (len %d)" i (Heap.nfields a);
-          frame.regs.(dst) <- load ex frame note a i
-      | Ir.AStore { arr; idx; src; note } ->
-          let a = as_obj "astore" (eval frame arr) in
-          let i = as_int "astore idx" (eval frame idx) in
-          if i < 0 || i >= Heap.nfields a then
-            err "array index %d out of bounds (len %d)" i (Heap.nfields a);
-          store ex frame note a i (eval frame src)
-      | Ir.ALen (d, a) ->
-          (* the length field is immutable: no barrier, ever *)
-          let o = as_obj "length" (eval frame a) in
-          Sched.tick cost.Cost.plain_load;
-          frame.regs.(d) <- Heap.Vint (Heap.nfields o)
-      | Ir.Call { dst; target; this; args } ->
-          Sched.tick cost.Cost.call;
-          let meth =
-            match target with
-            | Ir.Static (c, mname) -> (
-                match find_method ex c mname with
-                | mm -> mm
-                | exception Not_found -> err "unknown method %s::%s" c mname)
-            | Ir.Virtual (_, mname) -> (
-                let cls =
-                  match eval frame (Option.get this) with
-                  | Heap.Vref o -> o.Heap.cls
-                  | v -> (as_obj ("call " ^ mname) v).Heap.cls
-                in
-                match find_method ex cls mname with
-                | mm -> mm
-                | exception Not_found -> Ir.resolve_virtual ex.prog cls mname)
-          in
-          let callee = new_frame meth in
-          let base =
-            match this with
-            | Some r ->
-                callee.regs.(0) <- eval frame r;
-                1
-            | None -> 0
-          in
-          store_args frame callee.regs base args;
-          let rv = run_frame ex meth callee in
-          (match (dst, rv) with
-          | Some d, Some v -> frame.regs.(d) <- v
-          | Some d, None -> frame.regs.(d) <- Heap.Vnull
-          | None, _ -> ())
-      | Ir.Builtin { dst; name; args } ->
-          let argv = List.map (eval frame) args in
-          let v = builtin ex name argv in
-          Option.iter (fun d -> frame.regs.(d) <- v) dst
-      | Ir.If (c, target) ->
-          if as_bool "if" (eval frame c) then pc := target
-      | Ir.Goto target -> pc := target
-      | Ir.Ret v ->
-          result := Some (match v with Some r -> Some (eval frame r) | None -> None);
-          finished := true
-      | Ir.AtomicBegin end_pc ->
-          let body_start = !pc in
-          let saved = Array.copy frame.regs in
-          Stm.atomic (fun () ->
-              Array.blit saved 0 frame.regs 0 (Array.length saved);
-              match exec_range ex m frame ~pc:body_start ~stop_at:end_pc with
-              | None -> ()
-              | Some _ -> err "return out of atomic block"
-              | exception Interp_error _ when not (Stm.valid ()) ->
-                  (* a doomed transaction read inconsistent state and
-                     faulted; the managed runtime validates on faults and
-                     aborts instead of failing (Section 3.4 discussion) *)
-                  Stm.abort_and_retry ());
-          pc := end_pc + 1
-      | Ir.AtomicEnd -> err "stray atomic-end"
-      | Ir.MonitorEnter o ->
-          Sim_mutex.lock (monitor_of ex (as_obj "monitor" (eval frame o)))
-      | Ir.MonitorExit o ->
-          Sim_mutex.unlock (monitor_of ex (as_obj "monitor" (eval frame o)))
-      | Ir.Print v ->
-          ex.prints <- Heap.show_value (eval frame v) :: ex.prints
-      | Ir.Retry -> Stm.retry ()
-    end
+  while !pc <> stop && !pc <> -1 do
+    if !pc = n then err "method %s::%s fell off the end" k.meth.Ir.mcls k.meth.Ir.mname;
+    Sched.tick alu;
+    ex.instrs <- ex.instrs + 1;
+    pc := ops.(!pc) frame
   done;
-  !result
+  !pc
 
-and call ex (m : Ir.meth) this args : Heap.value option =
-  let frame = new_frame m in
-  let base = match this with Some v -> frame.regs.(0) <- v; 1 | None -> 0 in
-  List.iteri (fun i v -> frame.regs.(base + i) <- v) args;
-  run_frame ex m frame
+and run_code ex k frame = ignore (run_range ex k frame 0 (-1) : int)
 
-and run_frame ex (m : Ir.meth) frame =
-  match exec_range ex m frame ~pc:0 ~stop_at:(-1) with
-  | Some rv -> rv
-  | None -> err "method %s::%s fell off the end" m.Ir.mcls m.Ir.mname
+(* Run [m] with no arguments: [main], a [clinit], or a thread's [run] on
+   its receiver [this]. *)
+and call ex (m : Ir.meth) this =
+  let k = code_of ex m in
+  let frame = new_frame k in
+  Option.iter (fun v -> frame.regs.(0) <- v) this;
+  run_code ex k frame
+
+and compile_binop d op a b next : frame -> int =
+  (* right operand first: a type error reports the same operand it always
+     did *)
+  match op with
+  | Ir.Add ->
+      fun fr ->
+        let y = int_of "binop" (get fr b) in
+        fr.regs.(d) <- Heap.Vint (int_of "binop" (get fr a) + y);
+        next
+  | Ir.Sub ->
+      fun fr ->
+        let y = int_of "binop" (get fr b) in
+        fr.regs.(d) <- Heap.Vint (int_of "binop" (get fr a) - y);
+        next
+  | Ir.Mul ->
+      fun fr ->
+        let y = int_of "binop" (get fr b) in
+        fr.regs.(d) <- Heap.Vint (int_of "binop" (get fr a) * y);
+        next
+  | Ir.Lt ->
+      fun fr ->
+        let y = int_of "binop" (get fr b) in
+        fr.regs.(d) <- vbool (int_of "binop" (get fr a) < y);
+        next
+  | Ir.Le ->
+      fun fr ->
+        let y = int_of "binop" (get fr b) in
+        fr.regs.(d) <- vbool (int_of "binop" (get fr a) <= y);
+        next
+  | Ir.Gt ->
+      fun fr ->
+        let y = int_of "binop" (get fr b) in
+        fr.regs.(d) <- vbool (int_of "binop" (get fr a) > y);
+        next
+  | Ir.Ge ->
+      fun fr ->
+        let y = int_of "binop" (get fr b) in
+        fr.regs.(d) <- vbool (int_of "binop" (get fr a) >= y);
+        next
+  | Ir.Div ->
+      fun fr ->
+        let dv = int_of "div" (get fr b) in
+        if dv = 0 then err "division by zero";
+        fr.regs.(d) <- Heap.Vint (int_of "div" (get fr a) / dv);
+        next
+  | Ir.Mod ->
+      fun fr ->
+        let dv = int_of "mod" (get fr b) in
+        if dv = 0 then err "modulo by zero";
+        fr.regs.(d) <- Heap.Vint (int_of "mod" (get fr a) mod dv);
+        next
+  | Ir.Eq ->
+      fun fr ->
+        fr.regs.(d) <- vbool (Heap.value_equal (get fr a) (get fr b));
+        next
+  | Ir.Ne ->
+      fun fr ->
+        fr.regs.(d) <- vbool (not (Heap.value_equal (get fr a) (get fr b)));
+        next
+  | Ir.And ->
+      fun fr ->
+        fr.regs.(d) <- vbool (bool_of "&&" (get fr a) && bool_of "&&" (get fr b));
+        next
+  | Ir.Or ->
+      fun fr ->
+        fr.regs.(d) <- vbool (bool_of "||" (get fr a) || bool_of "||" (get fr b));
+        next
 
 (* ------------------------------------------------------------------ *)
 (* Program startup                                                     *)
@@ -544,10 +784,14 @@ let make_exec ?(params = []) ?(profile = false) ~cfg prog =
     plans_key = None;
     defaults = Hashtbl.create 16;
     methods = Hashtbl.create 16;
+    compiled = Hashtbl.create 16;
   }
 
 let exec_main ex =
   build_plans ex;
+  (* compiled code folds in [ex.cfg] and the plans: start afresh *)
+  Hashtbl.reset ex.methods;
+  Hashtbl.reset ex.compiled;
   init_statics ex;
   let m =
     match Ir.find_method ex.prog ex.prog.Ir.main_class "main" with
@@ -556,7 +800,7 @@ let exec_main ex =
   in
   (* the main class initializes first, as if the VM loaded it *)
   ensure_initialized ex ex.prog.Ir.main_class;
-  ignore (call ex m None [] : Heap.value option)
+  call ex m None
 
 let explorer_instance ?params prog =
   let ex = make_exec ?params ~cfg:Config.base prog in

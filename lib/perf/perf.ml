@@ -212,6 +212,38 @@ let fig18_tsp =
     ignore
       (Stm_ir.Interp.run ~cfg:Stm_core.Config.eager_strong ~params prog)
 
+(* The interpreter on its own: one thread, so no switch runs and every
+   access is to a thread-local object. [ir/alu-loop] is arithmetic,
+   compares and branches over registers; [ir/call-loop] adds a static
+   and a virtual call per iteration, each with a field load. Both are
+   reported per interpreted instruction. *)
+let ir_alu_src =
+  {|class Main { static void main() {
+  int s = 0;
+  for (int i = 0; i < 2000; i++) { s = (s + i * 3) % 1000003; if (s > 500000) { s = s - 1; } }
+  print(s);
+} }|}
+
+let ir_call_src =
+  {|class Acc { int k; int add(int x) { return x + k; } }
+class Main {
+  static int twice(int x) { return x * 2; }
+  static void main() {
+    Acc a = new Acc(); a.k = 3;
+    int s = 0;
+    for (int i = 0; i < 500; i++) { s = a.add(s) % 1000003; s = twice(s) % 1000003; }
+    print(s);
+  }
+}|}
+
+let ir_bench src =
+  let prog = Stm_jtlang.Jt.compile src in
+  let run () = Stm_ir.Interp.run ~cfg:Stm_core.Config.eager_strong prog in
+  ((fun () -> ignore (run ())), lazy (run ()).Stm_ir.Interp.instrs)
+
+let ir_alu_loop, ir_alu_instrs = ir_bench ir_alu_src
+let ir_call_loop, ir_call_instrs = ir_bench ir_call_src
+
 (* One small expect-clean fuzz campaign: generation + random-schedule
    execution + serializability oracle. *)
 let fuzz_campaign =
@@ -291,6 +323,8 @@ let bodies ?(validation = Stm_core.Config.Incremental) backend :
     ("sched/effect-floor", effect_floor);
     ("fig6/explorer-cell", fig6_explorer);
     ("fig18/tsp-4t", fig18_tsp);
+    ("ir/alu-loop", ir_alu_loop);
+    ("ir/call-loop", ir_call_loop);
     ("fuzz/clean-campaign", fuzz_campaign);
     ("diag/churn-off", diag_churn cfg);
     ("diag/churn-on", diag_churn_on cfg);
@@ -306,6 +340,8 @@ let bench_names = List.map fst (bodies Stm_core.Config.Eager)
 let ops_per_call = function
   | "sched/switch" -> float_of_int (switch_threads * switch_yields)
   | "sched/effect-floor" -> float_of_int floor_yields
+  | "ir/alu-loop" -> float_of_int (Lazy.force ir_alu_instrs)
+  | "ir/call-loop" -> float_of_int (Lazy.force ir_call_instrs)
   | _ -> 1.
 
 (* ------------------------------------------------------------------ *)

@@ -13,8 +13,10 @@
     [bench/baseline.json]. See [docs/PERFORMANCE.md]. *)
 
 (** An operation is one call of the bench's body, except for
-    [sched/switch], where it is one switching yield, and
-    [sched/effect-floor], where it is one bare effect round trip. *)
+    [sched/switch], where it is one switching yield,
+    [sched/effect-floor], where it is one bare effect round trip, and
+    [ir/alu-loop] and [ir/call-loop], where it is one interpreted
+    instruction. *)
 type sample = {
   name : string;
   ns_per_op : float;  (** OLS wall-clock estimate per operation *)

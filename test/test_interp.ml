@@ -57,7 +57,132 @@ let interp_assert_failure () =
 
 let interp_instr_count () =
   let out = run "class Main { static void main() { int s = 0; for (int i = 0; i < 10; i++) { s += i; } print(s); } }" in
-  check_bool "instructions counted" true (out.Interp.instrs > 30)
+  (* 2 before the loop, 11 tests, 10 bodies of 4 (add, three for i++ and
+     the back edge), 3 for the exit and the print: every instruction
+     counts once, ticks one ALU cycle, and nothing else does *)
+  check_int "instructions counted" 87 out.Interp.instrs;
+  check_int "one cycle each" 87 out.Interp.result.Stm_runtime.Sched.makespan
+
+(* One call site whose receiver alternates between three classes, one of
+   which inherits the method: the call target cache misses on most
+   calls and must resolve each receiver afresh. *)
+let interp_polymorphic_call_site () =
+  let src =
+    {|
+class Shape { int area() { return 0; } }
+class Sq extends Shape { int s; int area() { return s * s; } }
+class Rect extends Shape { int w; int h; int area() { return w * h; } }
+class Cube extends Sq { }
+class Main { static void main() {
+  Sq a = new Sq(); a.s = 3;
+  Rect b = new Rect(); b.w = 2; b.h = 5;
+  Cube c = new Cube(); c.s = 4;
+  int total = 0;
+  for (int i = 0; i < 12; i++) {
+    Shape x = a;
+    if (i % 2 == 1) { x = b; }
+    if (i % 3 == 2) { x = c; }
+    total = total + x.area();
+  }
+  print(total);
+} }|}
+  in
+  let out = run src in
+  (* a, b, c, b, a, b, c, b, a, b, c, b: 3 * 9 + 6 * 10 + 3 * 16 *)
+  Alcotest.(check (list string)) "each receiver's method" [ "140" ] out.Interp.prints;
+  check_int "instructions" 291 out.Interp.instrs;
+  check_int "cycles" 409 out.Interp.result.Stm_runtime.Sched.makespan
+
+(* Methods built directly in IR, as a JIT pass could leave them. *)
+let hand_built_main body =
+  let prog = Ir.create_program () in
+  Ir.add_class prog
+    {
+      Ir.cname = "Main";
+      super = None;
+      fields = [];
+      meths =
+        [
+          {
+            Ir.mcls = "Main";
+            mname = "main";
+            m_static = true;
+            params = [];
+            ret = Ir.Tvoid;
+            nregs = 1;
+            body;
+            reg_names = [| "x" |];
+          };
+        ];
+    };
+  Interp.run ~cfg:Stm_core.Config.eager_weak prog
+
+let expect_error (out : Interp.outcome) msg =
+  match out.Interp.result.Stm_runtime.Sched.exns with
+  | [ (_, Interp.Interp_error m) ] -> Alcotest.(check string) "error" msg m
+  | (_, e) :: _ -> Alcotest.failf "unexpected exn %s" (Printexc.to_string e)
+  | [] -> Alcotest.fail "expected a runtime error"
+
+let interp_fell_off_the_end () =
+  let out = hand_built_main [| Ir.Move (0, Ir.Cint 7); Ir.Print (Ir.Reg 0) |] in
+  expect_error out "method Main::main fell off the end";
+  Alcotest.(check (list string)) "body ran" [ "7" ] out.Interp.prints;
+  check_int "two instructions" 2 out.Interp.instrs
+
+let interp_unknown_static_method () =
+  let out =
+    hand_built_main
+      [|
+        Ir.Call { dst = None; target = Ir.Static ("Main", "nope"); this = None; args = [] };
+        Ir.Ret None;
+      |]
+  in
+  expect_error out "unknown method Main::nope"
+
+let interp_return_in_atomic () =
+  let out =
+    hand_built_main
+      [| Ir.AtomicBegin 2; Ir.Ret None; Ir.AtomicEnd; Ir.Ret None |]
+  in
+  expect_error out "return out of atomic block"
+
+(* The same explorer instance run under strong, weak and strong again:
+   each run compiles for the configuration the explorer installed, so
+   its counters equal those of a fresh instance. The aggregation pass
+   makes the difference visible: its acquires apply under strong
+   atomicity only. *)
+let interp_explorer_instance_reconfigured () =
+  let prog =
+    Stm_jtlang.Jt.compile
+      {|
+class C { int a; int b; }
+class G { static C shared; }
+class W extends Thread {
+  void run() {
+    C c = G.shared;
+    for (int i = 0; i < 3; i++) { c.a = c.a + 1; c.b = c.b + c.a; }
+    atomic { c.a = c.a + 10; }
+  }
+}
+class Main { static void main() {
+  G.shared = new C();
+  int t = spawn(new W());
+  C c = G.shared;
+  for (int i = 0; i < 3; i++) { c.b = c.b + c.a; c.a = c.a + 2; }
+  join(t);
+  print(c.a);
+} }|}
+  in
+  check_bool "something aggregated" true (Stm_jit.Aggregate.run prog > 0);
+  let counters cfg main = Stm_core.Stats.to_assoc (snd (Stm_core.Stm.run ~cfg main)) in
+  let main, observe = Interp.explorer_instance prog in
+  List.iter
+    (fun cfg ->
+      let fresh, _ = Interp.explorer_instance prog in
+      Alcotest.(check (list (pair string int)))
+        "counters of a fresh instance" (counters cfg fresh) (counters cfg main))
+    Stm_core.Config.[ eager_strong; eager_weak; eager_strong ];
+  Alcotest.(check string) "three runs" "19|19|19" (observe ())
 
 let interp_makespan_positive () =
   let out = run "class Main { static void main() { print(1); } }" in
@@ -238,10 +363,15 @@ let suite =
         case "negative array length" interp_negative_length;
         case "missing param" interp_missing_param;
         case "assert failure" interp_assert_failure;
+        case "fell off the end" interp_fell_off_the_end;
+        case "return in atomic block" interp_return_in_atomic;
+        case "unknown static method" interp_unknown_static_method;
       ] );
     ( "interp:execution",
       [
         case "instruction counting" interp_instr_count;
+        case "polymorphic call site" interp_polymorphic_call_site;
+        case "explorer instance reconfigured" interp_explorer_instance_reconfigured;
         case "makespan positive" interp_makespan_positive;
         case "strong costs more" interp_strong_costs_more;
         case "doomed txn fault recovery" interp_doomed_fault_recovers;
@@ -332,6 +462,35 @@ class Main { static void main() {
   in
   Alcotest.(check (list string)) "clinit in txn" [ "9" ] out.Interp.prints
 
+let clinit_once_across_retry () =
+  (* the first [new C] and the first read of [D.k] run in a transaction
+     that retries until the setter's write: each initializer runs on the
+     first attempt only *)
+  let out =
+    run ~cfg:Stm_core.Config.eager_strong
+      {|
+class C { int v; static void clinit() { print("clinit C"); } }
+class D { static int k; static void clinit() { print("clinit D"); D.k = 7; } }
+class G { static int flag; }
+class Setter extends Thread { void run() { tick(5000); G.flag = 1; } }
+class Main { static void main() {
+  int t = spawn(new Setter());
+  int seen = 0;
+  atomic {
+    C c = new C();
+    seen = D.k;
+    if (G.flag == 0) { retry(); }
+  }
+  join(t);
+  print(G.flag);
+} }|}
+  in
+  check_int "the transaction retried" 1 out.Interp.stats.Stm_core.Stats.retries;
+  Alcotest.(check (list string))
+    "each clinit once"
+    [ {|"clinit C"|}; {|"clinit D"|}; "1" ]
+    out.Interp.prints
+
 let profile_counts_sites () =
   let prog =
     Stm_jtlang.Jt.compile
@@ -366,6 +525,7 @@ let suite =
           case "runs once" clinit_runs_once;
           case "triggered by new" clinit_triggered_by_new;
           case "inside transaction" clinit_inside_transaction;
+          case "once across a retry" clinit_once_across_retry;
         ] );
       ("interp:profile", [ case "counts sites" profile_counts_sites ]);
     ]
