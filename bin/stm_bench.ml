@@ -114,8 +114,8 @@ let knobs_term =
   | `All -> Term.(const k $ Cli.cm $ scale_arg $ threads_arg)
 
 (* Collect run metrics across every figure executed by this invocation;
-   an Info-level subscriber keeps the per-access Debug events unforced,
-   so figure timings are unaffected on the fast paths. *)
+   an Info-level subscriber leaves the per-access History and Debug
+   events unbuilt, so figure timings are unaffected on the fast paths. *)
 let with_metrics metrics_out run =
   let metrics = Option.map (fun _ -> Stm_obs.Metrics.create ()) metrics_out in
   let ok =

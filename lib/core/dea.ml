@@ -13,7 +13,7 @@ let publish (stats : Stats.t) (cost : Cost.t) (root : Heap.obj) =
       Heap.txrec_set o (Txrec.shared 0);
       stats.Stats.publishes <- stats.Stats.publishes + 1;
       if Trace.enabled () then
-        Trace.emit (lazy (Trace.Publish { oid = o.Heap.oid; cls = o.Heap.cls }));
+        Trace.emit (Trace.Publish { oid = o.Heap.oid; cls = o.Heap.cls });
       Sched.tick cost.Cost.publish_per_obj;
       mark_stack := o :: !mark_stack
     in

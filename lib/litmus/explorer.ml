@@ -162,8 +162,10 @@ let explore ?(preemption_bound = 2) ?(max_runs = 40_000) ?(max_steps = 60_000)
     ?stop_when ~cfg ~make () =
   let st = start ~max_runs ~max_steps ?stop_when ~cfg ~make () in
   (* Run one schedule: [prefix] forces the first choices, the default
-     policy takes the rest. Returns the decision trace. *)
-  let execute prefix =
+     policy takes the rest. Returns the decision trace when [branching],
+     and [||] for a run that has used up its preemptions: nothing
+     branches below it, so it records no alternatives. *)
+  let execute ~branching prefix =
     let trace = ref [] in
     let pick fair i current runnables =
       let chosen =
@@ -171,19 +173,22 @@ let explore ?(preemption_bound = 2) ?(max_runs = 40_000) ?(max_steps = 60_000)
         else default_pick fair current runnables
       in
       note_chosen fair chosen;
-      let alts = List.filter (fun t -> t <> chosen) runnables in
-      trace := { chosen; alts } :: !trace;
+      if branching then begin
+        let alts = List.filter (fun t -> t <> chosen) runnables in
+        trace := { chosen; alts } :: !trace
+      end;
       chosen
     in
     let _, outcome, _ = execute st pick in
     stop st outcome;
-    Array.of_list (List.rev !trace)
+    if branching then Array.of_list (List.rev !trace) else [||]
   in
   (* DFS over the scheduling tree. [prefix] replays forced choices;
      [npre] counts injected (non-default) choices in the prefix. *)
   let rec dfs prefix npre =
-    let trace = execute prefix in
-    if npre < preemption_bound then begin
+    let branching = npre < preemption_bound in
+    let trace = execute ~branching prefix in
+    if branching then begin
       let chosen = Array.map (fun d -> d.chosen) trace in
       for i = Array.length prefix to Array.length trace - 1 do
         List.iter

@@ -176,7 +176,7 @@ let chrome_events ?(resolve = no_resolve) entries =
         | _ ->
             let cat =
               match Trace.event_level e.Recorder.ev with
-              | Trace.Debug -> "access"
+              | Trace.Debug | Trace.History -> "access"
               | Trace.Info -> "stm"
             in
             Json.Obj

@@ -258,6 +258,16 @@ let fuzz_campaign =
   let campaign = List.hd Stm_check.Fuzz.clean_campaigns in
   fun () -> ignore (Stm_check.Fuzz.run_campaign budget campaign)
 
+(* One fuzz execution, the [fuzz] workload's unit: a fixed mixed-profile
+   program (plain accesses racing transactions) run once on a random
+   schedule under the backend's strong configuration, its history
+   collected at the History trace level and certified by the oracle. *)
+let check_exec_prog = Stm_check.Gen.generate (Stm_check.Gen.default Stm_check.Gen.Mixed) ~seed:1
+
+let check_exec cfg () =
+  ignore
+    (Stm_check.Exec.run ~policy:(Stm_runtime.Sched.Random 8191) ~cfg check_exec_prog)
+
 (* Two threads incrementing one public counter: the conflict/abort event
    shape the diagnosis layer exists for. Measured once bare and once with
    the full pipeline (heatmap + causality + flight recorder) attached as
@@ -306,6 +316,13 @@ let store_bench mode profile =
 let bodies ?(validation = Stm_core.Config.Incremental) backend :
     (string * (unit -> unit)) list =
   let cfg = Stm_core.Config.with_validation validation (cfg_of_backend backend) in
+  let strong_cfg =
+    Stm_core.Config.with_validation validation
+      (match backend with
+      | Stm_core.Config.Eager -> Stm_core.Config.eager_strong
+      | Stm_core.Config.Lazy -> Stm_core.Config.lazy_strong
+      | Stm_core.Config.Mvcc -> Stm_core.Config.mvcc_strong)
+  in
   let store_mode =
     match backend with
     | Stm_core.Config.Mvcc -> Stm_store.Kv.Mvcc
@@ -326,6 +343,7 @@ let bodies ?(validation = Stm_core.Config.Incremental) backend :
     ("ir/alu-loop", ir_alu_loop);
     ("ir/call-loop", ir_call_loop);
     ("fuzz/clean-campaign", fuzz_campaign);
+    ("check/exec", check_exec strong_cfg);
     ("diag/churn-off", diag_churn cfg);
     ("diag/churn-on", diag_churn_on cfg);
     ("store/read-heavy", store_bench store_mode Stm_store.Profile.read_heavy);

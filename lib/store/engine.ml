@@ -309,7 +309,7 @@ let run p =
     ((Trace.Info, Stm_obs.Metrics.handle metrics)
     :: (Trace.Info, count_shard_abort)
     :: Option.fold oracle ~none:[] ~some:(fun o ->
-           [ (Trace.Debug, Oracle.on_event o) ]))
+           [ (Trace.History, Oracle.on_event o) ]))
     (fun () ->
       let result, stats =
         Stm.run ~policy:Sched.Min_clock ~max_steps:p.fuel ~cfg:(config p)

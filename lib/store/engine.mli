@@ -83,7 +83,7 @@ type report = {
 val run : params -> report
 (** Execute one run. The report's metrics and per-shard abort counts are
     {!Stm_core.Trace} subscribers at [Info], and the [record] oracle one
-    at [Debug]; a caller that wants the event stream too (the diag
+    at [History]; a caller that wants the event stream too (the diag
     pipeline, a trace recorder) wraps the call in
     {!Stm_core.Trace.with_sinks}, and the report's counters are the
     same with or without it. *)

@@ -1,6 +1,6 @@
 (** Serializability audit of recorded store traffic.
 
-    A Debug-level trace collector (the {!Stm_check.Exec} idiom) rebuilds
+    A History-level trace collector (the {!Stm_check.Exec} idiom) rebuilds
     a {!Stm_check.History.history} from the store's value-word accesses:
     one node per committed transaction, stamped at its
     [Txn_serialized] point, and one node per non-transactional value
@@ -21,7 +21,7 @@ type t
 val create : lookup:(int -> int option) -> unit -> t
 (** [lookup oid] maps a heap object id to the store key whose entry it
     is ([None] for non-entry objects). Subscribe {!on_event} at
-    [Debug] ({!Stm_core.Trace.with_sinks}) for the duration of the
+    [History] ({!Stm_core.Trace.with_sinks}) for the duration of the
     measured window. *)
 
 val on_event : t -> Trace.event -> unit
