@@ -466,6 +466,15 @@ let certified (h : history) =
 
 exception Found of anomaly
 
+(* Per-location lookups in [h.init] / [h.final]: a store history lists
+   every preloaded key, where a [List.assoc_opt] per location would be
+   quadratic, so each list is indexed once. The first binding wins, as
+   with [List.assoc_opt]. *)
+let index_assoc (l : (loc * value) list) =
+  let tbl = Hashtbl.create (List.length l) in
+  List.iter (fun (k, v) -> if not (Hashtbl.mem tbl k) then Hashtbl.add tbl k v) l;
+  tbl
+
 (* Version order per location: committed writes sorted by stamp, preceded
    by the initial value when the location has one. Writer id -1 stands
    for "initial state". Also returns the (loc, value) -> version-index
@@ -491,11 +500,12 @@ let build_versions (h : history) nodes =
         nd.writes)
     nodes;
   let versions : (loc, (int * value) array) Hashtbl.t = Hashtbl.create 64 in
+  let init = index_assoc h.init in
   let add_versions l ws =
     let ws = List.sort (fun (s1, _, _) (s2, _, _) -> compare s1 s2) ws in
     let ws = List.map (fun (_, id, v) -> (id, v)) ws in
     let ws =
-      match List.assoc_opt l h.init with
+      match Hashtbl.find_opt init l with
       | Some iv -> (-1, iv) :: ws
       | None -> ws
     in
@@ -516,9 +526,10 @@ let build_versions (h : history) nodes =
    version (shared by the serializable and snapshot-isolation checks).
    Raises [Found]. *)
 let check_final (h : history) versions =
+  let final = index_assoc h.final in
   Hashtbl.iter
     (fun l vs ->
-      match List.assoc_opt l h.final with
+      match Hashtbl.find_opt final l with
       | None -> ()  (* location not snapshotted; nothing to check *)
       | Some actual ->
           let expected = snd vs.(Array.length vs - 1) in

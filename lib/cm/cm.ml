@@ -44,18 +44,33 @@ type t = {
   policy : Policy.t;
   max_retries : int;
   cost : Cost.t;
-  by_txid : (int, slot) Hashtbl.t;
-  stacks : (int, slot list) Hashtbl.t;  (* tid -> active blocks, innermost first *)
+  by_txid : slot Int_index.t;  (* live incarnation -> its block's slot *)
+  stacks : slot list Int_index.t;  (* tid -> active blocks, innermost first *)
   rng : Det_rng.t;  (* seeds per-slot generators deterministically *)
 }
+
+(* [by_txid]'s miss value, never bound: it stands for an unknown
+   transaction (or an anonymous owner) wherever a slot is expected. *)
+let no_slot =
+  {
+    s_tid = -1;
+    s_txid = -1;
+    s_first_txid = -1;
+    s_birth = 0;
+    s_karma = 0;
+    s_work = 0;
+    s_active = false;
+    s_wounded = false;
+    s_rng = Det_rng.create 0;
+  }
 
 let create ?(seed = 0) ~max_retries ~cost policy =
   {
     policy;
     max_retries;
     cost;
-    by_txid = Hashtbl.create 32;
-    stacks = Hashtbl.create 8;
+    by_txid = Int_index.create no_slot;
+    stacks = Int_index.create [];
     rng = Det_rng.create seed;
   }
 
@@ -89,7 +104,7 @@ let randomized_delay t (slot : slot) ~attempt =
 (* Lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let stack t tid = Option.value ~default:[] (Hashtbl.find_opt t.stacks tid)
+let stack t tid = Int_index.find t.stacks tid
 
 let fresh_slot t ~tid ~txid ~now =
   {
@@ -105,44 +120,41 @@ let fresh_slot t ~tid ~txid ~now =
   }
 
 let on_begin t ~tid ~txid ~now =
-  let push slot rest =
-    Hashtbl.replace t.stacks tid (slot :: rest);
-    Hashtbl.replace t.by_txid txid slot
-  in
   match stack t tid with
   | top :: _ when not top.s_active ->
       (* restart of the same atomic block: keep age, karma, rng *)
       top.s_txid <- txid;
       top.s_work <- 0;
       top.s_active <- true;
-      Hashtbl.replace t.by_txid txid top
-  | rest -> push (fresh_slot t ~tid ~txid ~now) rest
+      Int_index.replace t.by_txid txid top
+  | rest ->
+      let slot = fresh_slot t ~tid ~txid ~now in
+      Int_index.replace t.stacks tid (slot :: rest);
+      Int_index.replace t.by_txid txid slot
 
 let drop_slot t slot =
-  Hashtbl.remove t.by_txid slot.s_txid;
-  let rest = List.filter (fun s -> s != slot) (stack t slot.s_tid) in
-  if rest = [] then Hashtbl.remove t.stacks slot.s_tid
-  else Hashtbl.replace t.stacks slot.s_tid rest
+  Int_index.remove t.by_txid slot.s_txid;
+  match List.filter (fun s -> s != slot) (stack t slot.s_tid) with
+  | [] -> Int_index.remove t.stacks slot.s_tid
+  | rest -> Int_index.replace t.stacks slot.s_tid rest
 
 let on_commit t ~txid =
-  match Hashtbl.find_opt t.by_txid txid with
-  | None -> ()
-  | Some slot -> drop_slot t slot
+  let slot = Int_index.find t.by_txid txid in
+  if slot != no_slot then drop_slot t slot
 
-let tid_of t ~txid =
-  Option.map (fun s -> s.s_tid) (Hashtbl.find_opt t.by_txid txid)
+let tid_of t ~txid = (Int_index.find t.by_txid txid).s_tid
 
 (* [restart] is false when the enclosing atomic block is being torn down
    for good (an exception is propagating, or the runner gave up): the
    slot must not leak its age into the thread's next, unrelated block. *)
 let on_abort t ~txid ~restart ~wounded ~work =
-  match Hashtbl.find_opt t.by_txid txid with
-  | None -> ()
-  | Some slot ->
-      slot.s_karma <- slot.s_karma + max work slot.s_work;
-      slot.s_active <- false;
-      slot.s_wounded <- wounded;
-      if restart then Hashtbl.remove t.by_txid txid else drop_slot t slot
+  let slot = Int_index.find t.by_txid txid in
+  if slot != no_slot then begin
+    slot.s_karma <- slot.s_karma + max work slot.s_work;
+    slot.s_active <- false;
+    slot.s_wounded <- wounded;
+    if restart then Int_index.remove t.by_txid txid else drop_slot t slot
+  end
 
 (* ------------------------------------------------------------------ *)
 (* The decision procedure                                              *)
@@ -156,9 +168,12 @@ let older a b =
   a.s_birth < b.s_birth || (a.s_birth = b.s_birth && a.s_first_txid < b.s_first_txid)
 
 let on_conflict t (c : conflict) =
-  let self = Hashtbl.find_opt t.by_txid c.txid in
-  Option.iter (fun s -> s.s_work <- max s.s_work c.work) self;
-  let owner_slot = Option.bind c.owner (Hashtbl.find_opt t.by_txid) in
+  let self = Int_index.find t.by_txid c.txid in
+  if self != no_slot then self.s_work <- max self.s_work c.work;
+  let owner_slot =
+    match c.owner with Some o -> Int_index.find t.by_txid o | None -> no_slot
+  in
+  let both_known = self != no_slot && owner_slot != no_slot in
   let budget_exhausted = c.attempt >= t.max_retries in
   let jitter () = jittered_delay t.cost ~tid:c.tid ~attempt:c.attempt in
   match t.policy with
@@ -172,42 +187,37 @@ let on_conflict t (c : conflict) =
         | Some _ | None -> Wait (jitter ()))
   | Policy.Exp_backoff ->
       if budget_exhausted then Abort_self
-      else
-        let delay =
-          match self with
-          | Some slot -> randomized_delay t slot ~attempt:c.attempt
-          | None -> jitter ()
-        in
-        Wait delay
-  | Policy.Karma -> (
+      else if self != no_slot then
+        Wait (randomized_delay t self ~attempt:c.attempt)
+      else Wait (jitter ())
+  | Policy.Karma ->
+      let s = self and o = owner_slot in
       if budget_exhausted then Abort_self
-      else
-        match (self, owner_slot) with
-        | Some s, Some o
-          when priority s > priority o
-               || (priority s = priority o && s.s_first_txid < o.s_first_txid)
-          ->
-            Wound { victim = o.s_txid; delay = jitter () }
-        | _ -> Wait (jitter ()))
-  | Policy.Timestamp -> (
-      match (self, owner_slot) with
-      | Some s, Some o when older s o ->
-          (* the oldest transaction never loses - and never gives up,
-             even past the retry budget, because its victim may need a
-             few more pauses to notice the wound *)
-          Wound { victim = o.s_txid; delay = jitter () }
-      | Some _, Some _ ->
-          (* younger waits for older without burning retry budget: waits
-             only ever point from younger to older (a younger owner would
-             be wounded instead), so the wait graph follows a total age
-             order and cannot cycle. Aborting here would restart-churn
-             the young side into exactly the starvation streaks the
-             policy exists to prevent. *)
-          Wait (jitter ())
-      | _ ->
-          (* anonymous or unknown owner: no age to order against, so fall
-             back to bounded retries like everyone else *)
-          if budget_exhausted then Abort_self else Wait (jitter ()))
+      else if
+        both_known
+        && (priority s > priority o
+           || (priority s = priority o && s.s_first_txid < o.s_first_txid))
+      then Wound { victim = o.s_txid; delay = jitter () }
+      else Wait (jitter ())
+  | Policy.Timestamp ->
+      if both_known && older self owner_slot then
+        (* the oldest transaction never loses - and never gives up,
+           even past the retry budget, because its victim may need a
+           few more pauses to notice the wound *)
+        Wound { victim = owner_slot.s_txid; delay = jitter () }
+      else if both_known then
+        (* younger waits for older without burning retry budget: waits
+           only ever point from younger to older (a younger owner would
+           be wounded instead), so the wait graph follows a total age
+           order and cannot cycle. Aborting here would restart-churn
+           the young side into exactly the starvation streaks the
+           policy exists to prevent. *)
+        Wait (jitter ())
+      else if budget_exhausted then
+        (* anonymous or unknown owner: no age to order against, so fall
+           back to bounded retries like everyone else *)
+        Abort_self
+      else Wait (jitter ())
 
 (* Delay charged between a conflict-driven abort and the block's next
    incarnation. Same schedule the policy uses inside the transaction,

@@ -63,10 +63,10 @@ val on_abort : t -> txid:int -> restart:bool -> wounded:bool -> work:int -> unit
 
 val on_commit : t -> txid:int -> unit
 
-val tid_of : t -> txid:int -> int option
+val tid_of : t -> txid:int -> int
 (** The scheduler thread running [txid]'s atomic block, while the block
     is live (between its [on_begin] and its [on_commit] / final
-    [on_abort]). The core uses it to stamp abort events with the
+    [on_abort]); -1 otherwise. The core uses it to stamp abort events with the
     aggressor's thread for the {!Stm_diag} causality graph. *)
 
 val restart_delay : t -> tid:int -> attempt:int -> int

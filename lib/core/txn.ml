@@ -24,12 +24,14 @@ type killed_flag = {
   mutable killed_by_tid : int;  (* wounding thread, -1 unknown *)
 }
 
-(* A transaction descriptor. Descriptors and their tables/logs are pooled
+(* A transaction descriptor. Descriptors and their indexes/logs are pooled
    per context and recycled across attempts (clear-don't-reallocate): an
-   abort/retry storm reuses the same hash tables and grow-only arenas
-   instead of re-running [Hashtbl.create] per incarnation.
+   abort/retry storm reuses the same indexes and grow-only arenas. Every
+   set is an {!Int_index}: a set of keys, or a map from a key to its
+   arena slot (-1 on a miss); indexes and arenas are both sized on first
+   use.
 
-   The read set is dedup-on-insert: [read_index] keys distinct objects by
+   The read set is dedup-on-insert: [rset] keys distinct objects by
    oid, [read_objs]/[read_vers] keep the distinct entries in insertion
    order (first-observed version wins), and [reads_obs] counts every
    open-for-read observation - including re-reads - exactly as the old
@@ -38,31 +40,25 @@ type killed_flag = {
 type t = {
   mutable txid : int;
   mutable parent : t option;
-  (* read set; membership is an open-addressed int set keyed by oid
-     (linear probing, power-of-two capacity). A slot is live iff its
-     stamp equals [ridx_gen], so clearing the set on recycle is a
-     generation bump, not an array sweep. *)
-  mutable ridx_keys : int array;
-  mutable ridx_stamp : int array;
-  mutable ridx_gen : int;
+  rset : unit Int_index.t;  (* oids in the read set *)
   mutable read_objs : Heap.obj array;  (* insertion order *)
   mutable read_vers : int array;  (* first-observed versions *)
   mutable nreads : int;  (* distinct entries *)
   mutable reads_obs : int;  (* monotone observation count, incl. re-reads *)
   (* ownership (eager open-for-write / lazy commit-time acquire) *)
-  owned : (int, int) Hashtbl.t;  (* oid -> arena slot *)
+  owned : int Int_index.t;  (* oid -> arena slot *)
   mutable owned_obj : Heap.obj array;
   mutable owned_prior : int array;  (* prior record versions *)
   mutable nowned : int;
   (* undo log (eager versioning); grow-only arena, buffers reused *)
-  undo_saved : (int, unit) Hashtbl.t;  (* packed (oid, granule) saved? *)
+  undo_saved : unit Int_index.t;  (* packed (oid, granule) saved *)
   mutable undo_obj : Heap.obj array;
   mutable undo_base : int array;
   mutable undo_buf : Heap.value array array;  (* slot buffers, len >= live *)
   mutable undo_len : int array;  (* live prefix of each buffer *)
   mutable nundo : int;
   (* write buffer (lazy versioning); same arena discipline *)
-  wbuf : (int, int) Hashtbl.t;  (* packed (oid, granule) -> arena slot *)
+  wbuf : int Int_index.t;  (* packed (oid, granule) -> arena slot *)
   mutable wbuf_obj : Heap.obj array;
   mutable wbuf_base : int array;
   mutable wbuf_prior : int array;  (* version at copy; -1 = private obj *)
@@ -101,10 +97,13 @@ type ctx = {
   gvc : Gvc.t;  (* the global commit clock, shared with [mv] *)
   mv : Mvcc.t;  (* snapshot registry (mvcc versioning) *)
   mutable next_id : int;
-  registry : (int, killed_flag) Hashtbl.t;
+  registry : killed_flag Int_index.t;
       (* live transaction ids -> wound flag, for contention management *)
   mutable pool : t list;  (* recycled descriptors *)
 }
+
+(* The registry's miss value, never bound. *)
+let no_flag = { killed = false; killed_by = -1; killed_by_tid = -1 }
 
 let make_ctx (cfg : Config.t) =
   let gvc = Gvc.create () in
@@ -119,7 +118,7 @@ let make_ctx (cfg : Config.t) =
     gvc;
     mv = Mvcc.create ~gvc ~max_versions:cfg.Config.mvcc_max_versions ();
     next_id = 0;
-    registry = Hashtbl.create 32;
+    registry = Int_index.create no_flag;
     pool = [];
   }
 
@@ -145,27 +144,25 @@ let fresh_descriptor () =
   {
     txid = 0;
     parent = None;
-    ridx_keys = Array.make 32 0;
-    ridx_stamp = Array.make 32 0;
-    ridx_gen = 1;
-    read_objs = Array.make 16 Heap.dummy;
-    read_vers = Array.make 16 0;
+    (* Indexes and arenas start empty and get their first slots on first
+       use: a read-only descriptor, and every eager descriptor's write
+       buffer, never pays for the write side. *)
+    rset = Int_index.create ();
+    read_objs = [||];
+    read_vers = [||];
     nreads = 0;
     reads_obs = 0;
-    (* The write arenas start empty and get their first 8 slots on the
-       first write: a read-only descriptor, and every eager descriptor's
-       write buffer, never pays for them. *)
-    owned = Hashtbl.create 16;
+    owned = Int_index.create (-1);
     owned_obj = [||];
     owned_prior = [||];
     nowned = 0;
-    undo_saved = Hashtbl.create 16;
+    undo_saved = Int_index.create ();
     undo_obj = [||];
     undo_base = [||];
     undo_buf = [||];
     undo_len = [||];
     nundo = 0;
-    wbuf = Hashtbl.create 16;
+    wbuf = Int_index.create (-1);
     wbuf_obj = [||];
     wbuf_base = [||];
     wbuf_prior = [||];
@@ -204,41 +201,6 @@ let grow_buf_array a n =
   let a' = Array.make (grown_length a) [||] in
   Array.blit a 0 a' 0 n;
   a'
-
-(* Fibonacci-hash an oid into the probe table. The multiply may wrap
-   negative; masking with a positive power-of-two-minus-one keeps the
-   low bits, which is all we want. *)
-let ridx_hash oid mask = (oid * 0x9E3779B1) land mask
-
-(* Add [oid] to the membership set; true iff it was not yet present. *)
-let ridx_add t oid =
-  let keys = t.ridx_keys and stamps = t.ridx_stamp and gen = t.ridx_gen in
-  let mask = Array.length keys - 1 in
-  let i = ref (ridx_hash oid mask) in
-  let result = ref None in
-  while !result = None do
-    if stamps.(!i) <> gen then begin
-      keys.(!i) <- oid;
-      stamps.(!i) <- gen;
-      result := Some true
-    end
-    else if keys.(!i) = oid then result := Some false
-    else i := (!i + 1) land mask
-  done;
-  Option.get !result
-
-(* Keep the probe table at most half full; the distinct oids to re-insert
-   are exactly the live prefix of [read_objs]. *)
-let ridx_grow_if_needed t =
-  if 2 * (t.nreads + 1) > Array.length t.ridx_keys then begin
-    let cap = 2 * Array.length t.ridx_keys in
-    t.ridx_keys <- Array.make cap 0;
-    t.ridx_stamp <- Array.make cap 0;
-    t.ridx_gen <- 1;
-    for j = 0 to t.nreads - 1 do
-      ignore (ridx_add t t.read_objs.(j).Heap.oid)
-    done
-  end
 
 let ensure_read_capacity t =
   if t.nreads >= Array.length t.read_objs then begin
@@ -279,19 +241,19 @@ let slot_buffer bufs i len =
     b
   end
 
-(* Return a finished descriptor to the context pool. Tables are cleared,
+(* Return a finished descriptor to the context pool. Indexes are cleared,
    not re-created; arenas keep their capacity. Stale object references
    beyond the live prefixes are harmless - heap objects live for the
    whole simulated run - and are overwritten by the next user. *)
 let recycle ctx t =
-  t.ridx_gen <- t.ridx_gen + 1;
+  Int_index.clear t.rset;
   t.nreads <- 0;
   t.reads_obs <- 0;
-  Hashtbl.clear t.owned;
+  Int_index.clear t.owned;
   t.nowned <- 0;
-  Hashtbl.clear t.undo_saved;
+  Int_index.clear t.undo_saved;
   t.nundo <- 0;
-  Hashtbl.clear t.wbuf;
+  Int_index.clear t.wbuf;
   t.nwbuf <- 0;
   t.naccesses <- 0;
   t.nest_depth <- 0;
@@ -343,7 +305,7 @@ let begin_txn ?parent ctx =
   t.last_aggr <- -1;
   t.last_aggr_tid <- -1;
   Footprint.write (Footprint.flag_oid ctx.next_id);
-  Hashtbl.replace ctx.registry ctx.next_id t.flag;
+  Int_index.replace ctx.registry ctx.next_id t.flag;
   Stm_cm.Cm.on_begin ctx.cm ~tid:(Sched.self ()) ~txid:ctx.next_id
     ~now:(Sched.time ());
   if Trace.enabled () then
@@ -375,8 +337,7 @@ let has_writes t = t.nowned > 0 || t.nwbuf > 0 || t.nundo > 0
    fails exactly as it did when both entries were kept. *)
 let note_read t (obj : Heap.obj) ver =
   t.reads_obs <- t.reads_obs + 1;
-  ridx_grow_if_needed t;
-  if ridx_add t obj.Heap.oid then begin
+  if Int_index.add t.rset obj.Heap.oid then begin
     ensure_read_capacity t;
     t.read_objs.(t.nreads) <- obj;
     t.read_vers.(t.nreads) <- ver;
@@ -402,9 +363,10 @@ let rec ancestor_owns t w =
 
 (* Does the write buffer touch any public (shared) granule? Private-only
    writers commit like read-only transactions: nothing to certify. *)
-let mvcc_has_public t =
-  let rec go i = i < t.nwbuf && (t.wbuf_prior.(i) >= 0 || go (i + 1)) in
-  go 0
+let rec mvcc_public_from t i =
+  i < t.nwbuf && (t.wbuf_prior.(i) >= 0 || mvcc_public_from t (i + 1))
+
+let mvcc_has_public t = mvcc_public_from t 0
 
 (* mvcc read currency: every granule in the read set is still at the
    version the snapshot saw, i.e. no commit has installed a newer version
@@ -413,63 +375,59 @@ let mvcc_has_public t =
    attributed to the commit that installed the newer version (the same
    aggressor edge [sv_entries_ok] reports for a live owner), as far as
    the installer ring still remembers it. *)
-let mvcc_entries_ok ctx t =
-  let rec go i =
-    i >= t.nreads
-    ||
-    let obj = t.read_objs.(i) in
-    let ok = Heap.version_ts obj <= t.snap in
-    if not ok then begin
-      t.last_oid <- obj.Heap.oid;
-      match Mvcc.installer_of ctx.mv ~ts:(Heap.version_ts obj) with
-      | Some (txid, tid) ->
-          t.last_aggr <- txid;
-          t.last_aggr_tid <- tid
-      | None ->
-          t.last_aggr <- -1;
-          t.last_aggr_tid <- -1
-    end;
-    ok && go (i + 1)
-  in
-  go 0
+let rec mvcc_entries_from ctx t i =
+  i >= t.nreads
+  ||
+  let obj = t.read_objs.(i) in
+  let ok = Heap.version_ts obj <= t.snap in
+  if not ok then begin
+    t.last_oid <- obj.Heap.oid;
+    match Mvcc.installer_of ctx.mv ~ts:(Heap.version_ts obj) with
+    | Some (txid, tid) ->
+        t.last_aggr <- txid;
+        t.last_aggr_tid <- tid
+    | None ->
+        t.last_aggr <- -1;
+        t.last_aggr_tid <- -1
+  end;
+  ok && mvcc_entries_from ctx t (i + 1)
+
+let mvcc_entries_ok ctx t = mvcc_entries_from ctx t 0
 
 (* The single-version read-currency walk: every granule in the read set
    is still at its first-observed version (or is owned by this very
    transaction at that prior version). Shared by commit/periodic
    validation and by timestamp extension. *)
-let sv_entries_ok ctx t =
-  let rec entries_ok i =
-    i >= t.nreads
-    ||
-    let obj = t.read_objs.(i) in
-    let ver = t.read_vers.(i) in
-    let w = Heap.txrec_get obj in
-    let dec = Txrec.decode w in
-    let entry_ok =
-      match dec with
-      | Txrec.Shared v -> v = ver
-      | Txrec.Exclusive o when o = t.txid -> (
-          match Hashtbl.find_opt t.owned obj.Heap.oid with
-          | Some slot -> t.owned_prior.(slot) = ver
-          | None -> false)
-      | Txrec.Exclusive _ | Txrec.Exclusive_anon _ | Txrec.Private -> false
-    in
-    if not entry_ok then begin
-      (* attribute the failure: the granule whose version moved, and its
-         current owner when a live transaction still holds it *)
-      t.last_oid <- obj.Heap.oid;
-      match dec with
-      | Txrec.Exclusive o when o <> t.txid ->
-          t.last_aggr <- o;
-          t.last_aggr_tid <-
-            Option.value ~default:(-1) (Stm_cm.Cm.tid_of ctx.cm ~txid:o)
-      | _ ->
-          t.last_aggr <- -1;
-          t.last_aggr_tid <- -1
-    end;
-    entry_ok && entries_ok (i + 1)
+let rec sv_entries_from ctx t i =
+  i >= t.nreads
+  ||
+  let obj = t.read_objs.(i) in
+  let ver = t.read_vers.(i) in
+  let w = Heap.txrec_get obj in
+  let entry_ok =
+    match Txrec.tag w with
+    | Txrec.Tag_shared -> Txrec.version w = ver
+    | Txrec.Tag_exclusive when Txrec.owner w = t.txid ->
+        let slot = Int_index.find t.owned obj.Heap.oid in
+        slot >= 0 && t.owned_prior.(slot) = ver
+    | Txrec.Tag_exclusive | Txrec.Tag_exclusive_anon | Txrec.Tag_private ->
+        false
   in
-  entries_ok 0
+  if not entry_ok then begin
+    (* attribute the failure: the granule whose version moved, and its
+       current owner when a live transaction still holds it *)
+    t.last_oid <- obj.Heap.oid;
+    match Txrec.tag w with
+    | Txrec.Tag_exclusive when Txrec.owner w <> t.txid ->
+        t.last_aggr <- Txrec.owner w;
+        t.last_aggr_tid <- Stm_cm.Cm.tid_of ctx.cm ~txid:(Txrec.owner w)
+    | _ ->
+        t.last_aggr <- -1;
+        t.last_aggr_tid <- -1
+  end;
+  entry_ok && sv_entries_from ctx t (i + 1)
+
+let sv_entries_ok ctx t = sv_entries_from ctx t 0
 
 (* The walk's cycle charge, billed next to the walk it models — paths
    that skip the walk (mvcc snapshot commits, the timestamp fast path)
@@ -557,15 +515,15 @@ let check_wounded t =
    at its next pause or validation point and aborts. Idempotent. *)
 let wound ctx ~victim ~by =
   Footprint.write (Footprint.flag_oid victim);
-  match Hashtbl.find_opt ctx.registry victim with
-  | Some flag when not flag.killed ->
-      flag.killed <- true;
-      flag.killed_by <- by;
-      flag.killed_by_tid <- Sched.self ();
-      ctx.stats.Stats.wounds <- ctx.stats.Stats.wounds + 1;
-      if Trace.enabled () then
-        Trace.emit (Trace.Txn_wound { victim; by })
-  | Some _ | None -> ()
+  let flag = Int_index.find ctx.registry victim in
+  if flag != no_flag && not flag.killed then begin
+    flag.killed <- true;
+    flag.killed_by <- by;
+    flag.killed_by_tid <- Sched.self ();
+    ctx.stats.Stats.wounds <- ctx.stats.Stats.wounds + 1;
+    if Trace.enabled () then
+      Trace.emit (Trace.Txn_wound { victim; by })
+  end
 
 (* A transaction pausing on a conflict revalidates (when quiescence is on)
    so that committers waiting in [Quiesce.commit_epoch_wait] observe it as
@@ -601,8 +559,7 @@ let cm_resolve ctx t ~attempt ~writer obj =
   (match owner with
   | Some o ->
       t.last_aggr <- o;
-      t.last_aggr_tid <-
-        Option.value ~default:(-1) (Stm_cm.Cm.tid_of ctx.cm ~txid:o)
+      t.last_aggr_tid <- Stm_cm.Cm.tid_of ctx.cm ~txid:o
   | None ->
       t.last_aggr <- -1;
       t.last_aggr_tid <- -1);
@@ -655,9 +612,7 @@ let periodic_validate ctx t =
 (* Save the granule containing [fld] in the undo log (eager). *)
 let save_undo ctx t (obj : Heap.obj) fld =
   let base = granule_base ctx.cfg fld in
-  let key = gkey obj base in
-  if not (Hashtbl.mem t.undo_saved key) then begin
-    Hashtbl.replace t.undo_saved key ();
+  if Int_index.add t.undo_saved (gkey obj base) then begin
     let len = granule_len ctx.cfg obj base in
     ensure_undo_capacity t;
     let i = t.nundo in
@@ -683,7 +638,7 @@ let rec acquire_loop ctx t expect (obj : Heap.obj) attempt =
   match Txrec.tag w with
   | Txrec.Tag_exclusive when Txrec.owner w = t.txid ->
       Footprint.read obj.Heap.oid;
-      t.owned_prior.(Hashtbl.find t.owned obj.Heap.oid)
+      t.owned_prior.(Int_index.find t.owned obj.Heap.oid)
   | Txrec.Tag_shared -> (
       let ver = Txrec.version w in
       Footprint.read obj.Heap.oid;
@@ -703,7 +658,7 @@ let rec acquire_loop ctx t expect (obj : Heap.obj) attempt =
       if Heap.txrec_cas obj w (Txrec.exclusive t.txid)
       then begin
         ensure_owned_capacity t;
-        Hashtbl.replace t.owned obj.Heap.oid t.nowned;
+        Int_index.replace t.owned obj.Heap.oid t.nowned;
         t.owned_obj.(t.nowned) <- obj;
         t.owned_prior.(t.nowned) <- ver;
         t.nowned <- t.nowned + 1;
@@ -806,58 +761,60 @@ let eager_read ctx t obj fld = eager_read_loop ctx t obj fld 0
 (* Lazy versioning                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* The version a new write-buffer slot of [obj] is seeded at (-1 for a
+   private object), entered in the read set. A top-level retry loop like
+   [eager_read_loop], so opening a slot allocates no closure. *)
+let rec lazy_observe ctx t (obj : Heap.obj) attempt =
+  let w = Heap.txrec_peek obj in
+  Sched.tick ctx.cfg.cost.Cost.plain_load;
+  match Txrec.tag w with
+  | Txrec.Tag_shared ->
+      let ver = Txrec.version w in
+      Footprint.read obj.Heap.oid;
+      note_read t obj ver;
+      if timestamped ctx && Heap.version_ts obj > t.rv then extend_rv ctx t;
+      ver
+  | Txrec.Tag_private ->
+      Footprint.read obj.Heap.oid;
+      -1
+  | Txrec.Tag_exclusive when ancestor_owns t w ->
+      Footprint.read obj.Heap.oid;
+      raise Open_nest_conflict
+  | Txrec.Tag_exclusive | Txrec.Tag_exclusive_anon ->
+      observe_blocked ~attempt obj.Heap.oid;
+      cm_resolve ctx t ~attempt ~writer:true obj;
+      lazy_observe ctx t obj (attempt + 1)
+
 (* Create (or find) the write-buffer slot covering [fld]; returns its
    arena index. The private copy spans the whole granule - the source of
    the Section 2.4 anomalies when granule > 1. *)
 let lazy_slot ctx t (obj : Heap.obj) fld =
   let base = granule_base ctx.cfg fld in
   let key = gkey obj base in
-  match Hashtbl.find_opt t.wbuf key with
-  | Some i -> i
-  | None ->
-      let cost = ctx.cfg.cost in
-      let len = granule_len ctx.cfg obj base in
-      let prior =
-        if ctx.cfg.dea && Dea.is_private obj then -1
-        else begin
-          let rec observe attempt =
-            let w = Heap.txrec_peek obj in
-            Sched.tick cost.Cost.plain_load;
-            match Txrec.decode w with
-            | Txrec.Shared ver ->
-                Footprint.read obj.Heap.oid;
-                note_read t obj ver;
-                if timestamped ctx && Heap.version_ts obj > t.rv then
-                  extend_rv ctx t;
-                ver
-            | Txrec.Private ->
-                Footprint.read obj.Heap.oid;
-                -1
-            | Txrec.Exclusive _ when ancestor_owns t w ->
-                Footprint.read obj.Heap.oid;
-                raise Open_nest_conflict
-            | Txrec.Exclusive _ | Txrec.Exclusive_anon _ ->
-                observe_blocked ~attempt obj.Heap.oid;
-                cm_resolve ctx t ~attempt ~writer:true obj;
-                observe (attempt + 1)
-          in
-          observe 0
-        end
-      in
-      ensure_wbuf_capacity t;
-      let i = t.nwbuf in
-      let buf = slot_buffer t.wbuf_buf i len in
-      for j = 0 to len - 1 do
-        buf.(j) <- Heap.get obj (base + j)
-      done;
-      Sched.tick (cost.Cost.plain_load * len);
-      t.wbuf_obj.(i) <- obj;
-      t.wbuf_base.(i) <- base;
-      t.wbuf_prior.(i) <- prior;
-      t.wbuf_len.(i) <- len;
-      Hashtbl.replace t.wbuf key i;
-      t.nwbuf <- i + 1;
-      i
+  let i = Int_index.find t.wbuf key in
+  if i >= 0 then i
+  else begin
+    let cost = ctx.cfg.cost in
+    let len = granule_len ctx.cfg obj base in
+    let prior =
+      if ctx.cfg.dea && Dea.is_private obj then -1
+      else lazy_observe ctx t obj 0
+    in
+    ensure_wbuf_capacity t;
+    let i = t.nwbuf in
+    let buf = slot_buffer t.wbuf_buf i len in
+    for j = 0 to len - 1 do
+      buf.(j) <- Heap.get obj (base + j)
+    done;
+    Sched.tick (cost.Cost.plain_load * len);
+    t.wbuf_obj.(i) <- obj;
+    t.wbuf_base.(i) <- base;
+    t.wbuf_prior.(i) <- prior;
+    t.wbuf_len.(i) <- len;
+    Int_index.replace t.wbuf key i;
+    t.nwbuf <- i + 1;
+    i
+  end
 
 let lazy_write ctx t obj fld v =
   let i = lazy_slot ctx t obj fld in
@@ -866,29 +823,33 @@ let lazy_write ctx t obj fld v =
 
 let lazy_read ctx t (obj : Heap.obj) fld =
   let base = granule_base ctx.cfg fld in
-  match Hashtbl.find_opt t.wbuf (gkey obj base) with
-  | Some i ->
-      Sched.tick ctx.cfg.cost.Cost.plain_load;
-      t.wbuf_buf.(i).(fld - base)
-  | None -> eager_read ctx t obj fld
+  let i = Int_index.find t.wbuf (gkey obj base) in
+  if i >= 0 then begin
+    Sched.tick ctx.cfg.cost.Cost.plain_load;
+    t.wbuf_buf.(i).(fld - base)
+  end
+  else eager_read ctx t obj fld
 (* lazy open-for-read is the same protocol as eager: version + log *)
 
 (* ------------------------------------------------------------------ *)
 (* Multi-version (mvcc)                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Read [fld] as of this transaction's snapshot. [None] from the version
-   chain means the bounded chain no longer retains a version old enough:
+(* Read [fld] as of this transaction's snapshot, from the field itself
+   when it is current (no option built); [None] from the version chain
+   means the bounded chain no longer retains a version old enough:
    abort snapshot-too-old (the only way an mvcc reader aborts). *)
 let mvcc_read_field ctx t (obj : Heap.obj) fld =
-  match Mvcc.read ctx.mv obj fld ~snap:t.snap with
-  | Some v -> v
-  | None ->
-      t.last_oid <- obj.Heap.oid;
-      t.last_aggr <- -1;
-      t.last_aggr_tid <- -1;
-      t.abort_cause <- Trace.Cause_snapshot;
-      raise Abort_txn
+  if Heap.version_ts obj <= t.snap then Heap.get obj fld
+  else
+    match Mvcc.read ctx.mv obj fld ~snap:t.snap with
+    | Some v -> v
+    | None ->
+        t.last_oid <- obj.Heap.oid;
+        t.last_aggr <- -1;
+        t.last_aggr_tid <- -1;
+        t.abort_cause <- Trace.Cause_snapshot;
+        raise Abort_txn
 
 (* mvcc open-for-read takes no ownership and never waits on a writer:
    the read set records the current version stamp only so a serializable
@@ -896,23 +857,23 @@ let mvcc_read_field ctx t (obj : Heap.obj) fld =
 let mvcc_read ctx t (obj : Heap.obj) fld =
   let cost = ctx.cfg.cost in
   let base = granule_base ctx.cfg fld in
-  match Hashtbl.find_opt t.wbuf (gkey obj base) with
-  | Some i ->
-      Sched.tick cost.Cost.plain_load;
-      t.wbuf_buf.(i).(fld - base)
-  | None ->
-      if ctx.cfg.dea && Dea.is_private obj then begin
-        let v = Heap.get obj fld in
-        Sched.tick cost.Cost.plain_load;
-        v
-      end
-      else begin
-        note_read t obj (Heap.version_ts obj);
-        Sched.yield ();
-        let v = mvcc_read_field ctx t obj fld in
-        Sched.tick cost.Cost.plain_load;
-        v
-      end
+  let i = Int_index.find t.wbuf (gkey obj base) in
+  if i >= 0 then begin
+    Sched.tick cost.Cost.plain_load;
+    t.wbuf_buf.(i).(fld - base)
+  end
+  else if ctx.cfg.dea && Dea.is_private obj then begin
+    let v = Heap.get obj fld in
+    Sched.tick cost.Cost.plain_load;
+    v
+  end
+  else begin
+    note_read t obj (Heap.version_ts obj);
+    Sched.yield ();
+    let v = mvcc_read_field ctx t obj fld in
+    Sched.tick cost.Cost.plain_load;
+    v
+  end
 
 (* Write-buffer slot seeded from the snapshot image, not the current
    fields: commit write-back must not resurrect a concurrent committer's
@@ -923,28 +884,29 @@ let mvcc_read ctx t (obj : Heap.obj) fld =
 let mvcc_slot ctx t (obj : Heap.obj) fld =
   let base = granule_base ctx.cfg fld in
   let key = gkey obj base in
-  match Hashtbl.find_opt t.wbuf key with
-  | Some i -> i
-  | None ->
-      let cost = ctx.cfg.cost in
-      let len = granule_len ctx.cfg obj base in
-      let priv = ctx.cfg.dea && Dea.is_private obj in
-      ensure_wbuf_capacity t;
-      let i = t.nwbuf in
-      let buf = slot_buffer t.wbuf_buf i len in
-      for j = 0 to len - 1 do
-        buf.(j) <-
-          (if priv then Heap.get obj (base + j)
-           else mvcc_read_field ctx t obj (base + j))
-      done;
-      Sched.tick (cost.Cost.plain_load * len);
-      t.wbuf_obj.(i) <- obj;
-      t.wbuf_base.(i) <- base;
-      t.wbuf_prior.(i) <- (if priv then -1 else 0);
-      t.wbuf_len.(i) <- len;
-      Hashtbl.replace t.wbuf key i;
-      t.nwbuf <- i + 1;
-      i
+  let i = Int_index.find t.wbuf key in
+  if i >= 0 then i
+  else begin
+    let cost = ctx.cfg.cost in
+    let len = granule_len ctx.cfg obj base in
+    let priv = ctx.cfg.dea && Dea.is_private obj in
+    ensure_wbuf_capacity t;
+    let i = t.nwbuf in
+    let buf = slot_buffer t.wbuf_buf i len in
+    for j = 0 to len - 1 do
+      buf.(j) <-
+        (if priv then Heap.get obj (base + j)
+         else mvcc_read_field ctx t obj (base + j))
+    done;
+    Sched.tick (cost.Cost.plain_load * len);
+    t.wbuf_obj.(i) <- obj;
+    t.wbuf_base.(i) <- base;
+    t.wbuf_prior.(i) <- (if priv then -1 else 0);
+    t.wbuf_len.(i) <- len;
+    Int_index.replace t.wbuf key i;
+    t.nwbuf <- i + 1;
+    i
+  end
 
 let mvcc_write ctx t obj fld v =
   let i = mvcc_slot ctx t obj fld in
@@ -1014,7 +976,7 @@ let release_all ctx t =
     Sched.tick cost.Cost.txn_per_write
   done;
   t.nowned <- 0;
-  Hashtbl.clear t.owned
+  Int_index.clear t.owned
 
 let emit_serialized t =
   if Trace.enabled_at Trace.History then
@@ -1168,7 +1130,7 @@ let commit ctx t =
       mvcc_end_snapshot ctx t);
   Option.iter (Quiesce.deregister ctx.q) t.part;
   Footprint.write (Footprint.flag_oid t.txid);
-  Hashtbl.remove ctx.registry t.txid;
+  Int_index.remove ctx.registry t.txid;
   Stm_cm.Cm.on_commit ctx.cm ~txid:t.txid;
   if Trace.enabled () then
     Trace.emit
@@ -1200,13 +1162,13 @@ let abort ?(restart = true) ctx t =
     done
   done;
   t.nundo <- 0;
-  Hashtbl.clear t.undo_saved;
-  Hashtbl.clear t.wbuf;
+  Int_index.clear t.undo_saved;
+  Int_index.clear t.wbuf;
   t.nwbuf <- 0;
   release_all ctx t;
   Option.iter (Quiesce.deregister ctx.q) t.part;
   Footprint.write (Footprint.flag_oid t.txid);
-  Hashtbl.remove ctx.registry t.txid;
+  Int_index.remove ctx.registry t.txid;
   Stm_cm.Cm.on_abort ctx.cm ~txid:t.txid ~restart ~wounded:t.flag.killed
     ~work:t.naccesses;
   let cause = if t.flag.killed then Trace.Cause_wounded else t.abort_cause in

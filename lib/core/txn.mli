@@ -74,6 +74,11 @@ exception Open_nest_conflict
     its ancestors (unsupported, as in most open-nesting designs). *)
 
 val begin_txn : ?parent:t -> ctx -> t
+
+val fresh_descriptor : unit -> t
+(** A descriptor as {!begin_txn} builds one when the context's pool is
+    empty; exposed so tests can count its words. *)
+
 val id : t -> int
 
 (** [set_abort_cause t c] records why the upcoming {!abort} happens (the

@@ -44,7 +44,7 @@ let installer_ring = 256
 type t = {
   gvc : Gvc.t;  (* the commit clock — shared with the rest of the system *)
   max_versions : int;  (* chain bound, current version included *)
-  active : (int, int) Hashtbl.t;  (* snapshot ts -> live-transaction count *)
+  active : int Int_index.t;  (* snapshot ts -> live-transaction count, 0 = none *)
   mutable inst_ts : int array;
       (* ring slot -> timestamp, -1 = empty; [||] until the first install *)
   mutable inst_txid : int array;  (* installing txid, -1 = non-transactional *)
@@ -59,7 +59,7 @@ let create ?gvc ?(max_versions = default_max_versions) () =
   {
     gvc = (match gvc with Some g -> g | None -> Gvc.create ());
     max_versions;
-    active = Hashtbl.create 32;
+    active = Int_index.create 0;
     inst_ts = [||];
     inst_txid = [||];
     inst_tid = [||];
@@ -79,16 +79,15 @@ let advance t = Gvc.advance t.gvc
 let begin_snapshot t =
   Footprint.write Footprint.oid_mvcc;
   let ts = Gvc.now t.gvc in
-  Hashtbl.replace t.active ts
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.active ts));
+  Int_index.replace t.active ts (1 + Int_index.find t.active ts);
   ts
 
 let end_snapshot t ts =
   Footprint.write Footprint.oid_mvcc;
-  match Hashtbl.find_opt t.active ts with
-  | Some 1 -> Hashtbl.remove t.active ts
-  | Some n -> Hashtbl.replace t.active ts (n - 1)
-  | None -> ()
+  match Int_index.find t.active ts with
+  | 0 -> ()
+  | 1 -> Int_index.remove t.active ts
+  | n -> Int_index.replace t.active ts (n - 1)
 
 (* The oldest snapshot any live transaction still reads at; when no
    transaction is live, the clock itself - every retired version is then
@@ -96,25 +95,24 @@ let end_snapshot t ts =
    thread), so the fold is cheap. *)
 let oldest_active t =
   Footprint.read Footprint.oid_mvcc;
-  Hashtbl.fold (fun ts _ acc -> min ts acc) t.active (Gvc.now t.gvc)
+  Int_index.fold (fun ts _ acc -> min ts acc) t.active (Gvc.now t.gvc)
 
 (* ------------------------------------------------------------------ *)
 (* Reads                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Read [obj.(fld)] as of snapshot [snap]. [None] = the version was
-   pruned (snapshot too old); the caller turns that into an abort. *)
+(* Read [obj.(fld)] as of snapshot [snap] from its version chain, for an
+   object stamped newer than [snap] (a current field is read directly).
+   [None] = the version was pruned (snapshot too old); the caller turns
+   that into an abort. *)
 let read t (obj : Heap.obj) fld ~snap =
-  if Heap.version_ts obj <= snap then Some (Heap.get obj fld)
-  else begin
-    match Heap.read_at obj fld ~ts:snap with
-    | Some _ as v ->
-        t.stats.snapshot_reads <- t.stats.snapshot_reads + 1;
-        v
-    | None ->
-        t.stats.too_old <- t.stats.too_old + 1;
-        None
-  end
+  match Heap.read_at obj fld ~ts:snap with
+  | Some _ as v ->
+      t.stats.snapshot_reads <- t.stats.snapshot_reads + 1;
+      v
+  | None ->
+      t.stats.too_old <- t.stats.too_old + 1;
+      None
 
 (* ------------------------------------------------------------------ *)
 (* Installation + GC                                                   *)

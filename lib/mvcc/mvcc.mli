@@ -54,8 +54,11 @@ val oldest_active : t -> int
 (** The oldest registered snapshot, or the clock when none is live. *)
 
 val read : t -> Heap.obj -> int -> snap:int -> Heap.value option
-(** The value of the field as of snapshot [snap]; [None] when the needed
-    version was pruned (snapshot too old — the caller aborts). *)
+(** The value of the field as of snapshot [snap], from the version chain
+    of an object stamped newer than [snap]; [None] when the needed version
+    was pruned (snapshot too old — the caller aborts). A transaction reads
+    a current field directly and comes here only otherwise, so its common
+    read builds no option. *)
 
 val fcw_ok : Heap.obj -> snap:int -> bool
 (** First-committer-wins: true iff no version newer than [snap] has been

@@ -121,6 +121,23 @@ let lazy_write_commit () =
                  objs)
          done))
 
+(* What every [Stm.run] pays before its descriptors are warm: a fresh
+   context, then eight threads whose transactions overlap (each yields
+   inside its read), so each takes a fresh descriptor and sizes its read,
+   ownership and undo sets on first use. *)
+let fresh_descriptor cfg () =
+  ignore
+    (Stm_core.Stm.run ~cfg (fun () ->
+         let threads =
+           List.init 8 (fun _ ->
+               let o = Stm_core.Stm.alloc ~cls:cell 2 in
+               Stm_runtime.Sched.spawn (fun () ->
+                   Stm_core.Stm.atomic (fun () ->
+                       ignore (Stm_core.Stm.read o 0);
+                       Stm_core.Stm.write o 1 (Stm_core.Stm.vint 1))))
+         in
+         List.iter Stm_runtime.Sched.join threads))
+
 (* Deliberate abort/retry churn: descriptor, table and log turnover. *)
 let abort_retry cfg () =
   ignore
@@ -336,6 +353,7 @@ let bodies ?(validation = Stm_core.Config.Incremental) backend :
     ("txn/write-commit", write_commit cfg);
     ("txn/lazy-write-commit", lazy_write_commit);
     ("txn/abort-retry", abort_retry cfg);
+    ("txn/fresh-descriptor", fresh_descriptor cfg);
     ("sched/switch", sched_switch);
     ("sched/effect-floor", effect_floor);
     ("fig6/explorer-cell", fig6_explorer);

@@ -205,8 +205,9 @@ let preload t ~keys ~value =
     register_entry t e k sh;
     Heap.set e fld_key (Heap.Vint k);
     Heap.set e fld_next (Heap.get t.tables.(sh) b);
+    let v = Heap.Vint (value k) in
     for i = 0 to t.value_size - 1 do
-      Heap.set e (fld_val + i) (Heap.Vint (value k))
+      Heap.set e (fld_val + i) v
     done;
     Heap.set t.tables.(sh) b (Heap.Vref e);
     counts.(sh) <- counts.(sh) + 1
@@ -369,8 +370,9 @@ let check_invariants t =
   let viol fmt = Printf.ksprintf (fun s -> viols := s :: !viols) fmt in
   (* a chain longer than every entry ever linked must be a cycle *)
   let chain_bound = 1 + t.entries in
+  let seen = Int_index.create () in
   for s = 0 to t.shards - 1 do
-    let seen = Hashtbl.create 64 in
+    Int_index.clear seen;
     let count = ref 0 in
     for b = 0 to t.buckets - 1 do
       let steps = ref 0 in
@@ -384,8 +386,8 @@ let check_invariants t =
               let k = raw_int e fld_key in
               if shard_of_key t k <> s || bucket_of_key t k <> b then
                 viol "key %d misplaced in shard %d bucket %d" k s b;
-              if Hashtbl.mem seen k then viol "key %d duplicated in shard %d" k s
-              else Hashtbl.replace seen k ();
+              if not (Int_index.add seen k) then
+                viol "key %d duplicated in shard %d" k s;
               incr count;
               walk (Heap.get e fld_next)
             end

@@ -955,6 +955,65 @@ let trace_off_allocation_free () =
   (* an Info subscriber must leave the Debug payloads unbuilt *)
   Trace.with_sinks [ (Trace.Info, ignore) ] (fun () -> pass "Info subscriber")
 
+(* Words allocated by [f], less what the measurement itself boxes. *)
+let words_of f =
+  let floor =
+    let b = Gc.minor_words () in
+    Gc.minor_words () -. b
+  in
+  let b = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. b -. floor
+
+(* A descriptor's read, ownership, undo and write-buffer sets are
+   {!Int_index} tables and grow-only arenas, sized on first use and
+   cleared by a generation bump. Once a recycled descriptor has run a
+   transaction of a given size, running it again allocates nothing in
+   the sets: the accesses of an N-write, M-read transaction, measured
+   inside the block (commit-time version installs are the mvcc backend's
+   own), allocate 0 words under every versioning backend. The first run
+   of a fresh descriptor pays for the sizing. *)
+let descriptor_sets_reuse () =
+  let n = 40 and m = 60 in
+  List.iter
+    (fun (name, cfg) ->
+      with_stm ~cfg (fun () ->
+          let objs = Array.init (n + m) (fun _ -> Stm.alloc_public ~cls:"C" 2) in
+          let v = vi 7 in
+          let accesses () =
+            for i = 0 to n - 1 do
+              Stm.write objs.(i) 0 v
+            done;
+            for i = n to n + m - 1 do
+              ignore (Stm.read objs.(i) 1 : Heap.value)
+            done
+          in
+          let measured () =
+            let w = ref nan in
+            Stm.atomic (fun () -> w := words_of accesses);
+            !w
+          in
+          let first = measured () in
+          if first <= 0. then
+            Alcotest.failf "%s: a fresh descriptor sized its sets in %.0f words"
+              name first;
+          let again = measured () in
+          if again <> 0. then
+            Alcotest.failf "%s: recycled descriptor's sets allocated %.0f words"
+              name again))
+    [
+      ("eager", Config.eager_weak);
+      ("lazy", Config.lazy_weak);
+      ("mvcc", Config.mvcc_weak);
+    ]
+
+(* A descriptor nothing has used yet is its record, its wound flag and
+   four empty indexes: no arena, and no index array, until the first
+   access needs one. *)
+let fresh_descriptor_words () =
+  let w = words_of (fun () -> ignore (Sys.opaque_identity (Txn.fresh_descriptor ()))) in
+  check_int "words per fresh descriptor" 74 (int_of_float w)
+
 (* A deterministic two-thread run that emits both Info events (begin,
    commit, conflict) and Debug events (barriers, accesses, validations). *)
 let contended_run () =
@@ -1053,6 +1112,9 @@ let suite =
           case "events emitted" trace_events_emitted;
           case "off is silent and free" trace_off_is_silent;
           case "off allocates nothing per access" trace_off_allocation_free;
+          case "recycled descriptor's sets allocate nothing"
+            descriptor_sets_reuse;
+          case "fresh descriptor words" fresh_descriptor_words;
           case "subscribers compose" subscribers_compose;
           case "with_sinks restores the outer set" with_sinks_restores;
         ] );

@@ -1245,3 +1245,224 @@ let suite =
         List.map QCheck_alcotest.to_alcotest rng_reference_qcheck
         @ [ case "int allocates nothing per draw" rng_int_allocation_free ] );
     ]
+
+(* ------------------------------------------------------------------ *)
+(* Int_index                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The undo-log / write-buffer key shape: an oid above bit 26. *)
+let gkey oid base = (oid lsl 26) lor base
+
+type index_op =
+  | Add of int  (* to the set *)
+  | Replace of int * int  (* in the map *)
+  | Find of int
+  | Mem of int
+  | Remove of int
+  | Clear
+
+let pp_index_op = function
+  | Add k -> Printf.sprintf "add %d" k
+  | Replace (k, v) -> Printf.sprintf "replace %d %d" k v
+  | Find k -> Printf.sprintf "find %d" k
+  | Mem k -> Printf.sprintf "mem %d" k
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Clear -> "clear"
+
+(* Few distinct keys, so tables stay small, clusters collide and wrap, and
+   removals land inside them: gkey-shaped keys sharing a base (they differ
+   only above bit 26), dense small ints, and the extremes. *)
+let index_key_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map2 gkey (int_range 0 11) (int_range 0 3));
+        (3, int_range 0 15);
+        (1, oneofl [ -1; max_int; min_int; 1 lsl 61 ]);
+      ])
+
+let index_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun k -> Add k) index_key_gen);
+        (5, map2 (fun k v -> Replace (k, v)) index_key_gen (int_range 0 99));
+        (4, map (fun k -> Find k) index_key_gen);
+        (2, map (fun k -> Mem k) index_key_gen);
+        (5, map (fun k -> Remove k) index_key_gen);
+        (1, return Clear);
+      ])
+
+(* One sequence drives a map (int values, -1 absent) and a set, each
+   beside a [Hashtbl] model: every answer, and the bindings after every
+   operation, agree. *)
+let index_agrees_with_model ops =
+  let map = Int_index.create (-1) and mmap = Hashtbl.create 16 in
+  let set = Int_index.create () and mset = Hashtbl.create 16 in
+  let sorted l = List.sort compare l in
+  let consistent () =
+    Int_index.length map = Hashtbl.length mmap
+    && Int_index.length set = Hashtbl.length mset
+    && sorted (Int_index.fold (fun k v acc -> (k, v) :: acc) map [])
+       = sorted (Hashtbl.fold (fun k v acc -> (k, v) :: acc) mmap [])
+    && sorted (Int_index.fold (fun k () acc -> k :: acc) set [])
+       = sorted (Hashtbl.fold (fun k () acc -> k :: acc) mset [])
+    && Hashtbl.fold (fun k v ok -> ok && Int_index.find map k = v) mmap true
+    && Hashtbl.fold (fun k () ok -> ok && Int_index.mem set k) mset true
+  in
+  List.for_all
+    (fun op ->
+      let answer_ok =
+        match op with
+        | Add k ->
+            let fresh = not (Hashtbl.mem mset k) in
+            Hashtbl.replace mset k ();
+            Int_index.add set k = fresh
+        | Replace (k, v) ->
+            Hashtbl.replace mmap k v;
+            Int_index.replace map k v;
+            true
+        | Find k ->
+            Int_index.find map k
+            = Option.value ~default:(-1) (Hashtbl.find_opt mmap k)
+        | Mem k ->
+            Int_index.mem map k = Hashtbl.mem mmap k
+            && Int_index.mem set k = Hashtbl.mem mset k
+        | Remove k ->
+            Hashtbl.remove mmap k;
+            Int_index.remove map k;
+            Hashtbl.remove mset k;
+            Int_index.remove set k;
+            true
+        | Clear ->
+            Hashtbl.reset mmap;
+            Int_index.clear map;
+            Hashtbl.reset mset;
+            Int_index.clear set;
+            true
+      in
+      answer_ok && consistent ())
+    ops
+
+let index_qcheck =
+  let open QCheck in
+  [
+    Test.make ~name:"int_index: agrees with a Hashtbl model" ~count:500
+      (make
+         ~print:(fun ops -> String.concat "; " (List.map pp_index_op ops))
+         Gen.(list_size (int_range 0 200) index_op_gen))
+      index_agrees_with_model;
+  ]
+
+(* The first key of [candidates] whose home is [slot]. *)
+let key_homed_at t slot candidates =
+  List.find (fun k -> Int_index.home t k = slot) candidates
+
+(* A cluster that wraps past the last slot: homes 14, 15, 15, 0, 15 in a
+   16-slot table fill slots 14, 15, 0, 1, 2. Removing the keys one at a
+   time, in every order, must leave each remaining key reachable: the
+   backward shift moves entries across the wrap into the hole. *)
+let index_wrapped_cluster_removal () =
+  let candidates = List.init 20_000 (fun oid -> gkey (oid + 1) 0) in
+  let t = Int_index.create (-1) in
+  (* five inserts grow the table to 16 slots; the clear keeps them *)
+  List.iteri (fun i k -> Int_index.replace t k i) (List.filteri (fun i _ -> i < 5) candidates);
+  Int_index.clear t;
+  let fresh = List.filteri (fun i _ -> i >= 5) candidates in
+  let a = key_homed_at t 14 fresh in
+  let b = key_homed_at t 15 fresh in
+  let c = key_homed_at t 15 (List.filter (fun k -> k <> b) fresh) in
+  let d = key_homed_at t 0 fresh in
+  let e = key_homed_at t 15 (List.filter (fun k -> k <> b && k <> c) fresh) in
+  let keys = [ a; b; c; d; e ] in
+  let rec perms = function
+    | [] -> [ [] ]
+    | l -> List.concat_map (fun x -> List.map (fun p -> x :: p) (perms (List.filter (( <> ) x) l))) l
+  in
+  List.iter
+    (fun order ->
+      Int_index.clear t;
+      List.iteri (fun i k -> Int_index.replace t k i) keys;
+      check_int "still 16 slots" 14 (Int_index.home t a);
+      let live = ref (List.mapi (fun i k -> (k, i)) keys) in
+      List.iter
+        (fun k ->
+          Int_index.remove t k;
+          live := List.remove_assoc k !live;
+          check_int "removed" (-1) (Int_index.find t k);
+          check_int "length" (List.length !live) (Int_index.length t);
+          List.iter (fun (k', v) -> check_int "reachable" v (Int_index.find t k')) !live)
+        order)
+    (perms keys)
+
+(* Growth right after a clear re-inserts only the live entries: the
+   cleared ones stay gone, and every new one is found. *)
+let index_growth_after_clear () =
+  let t = Int_index.create (-1) in
+  for oid = 1 to 8 do
+    Int_index.replace t (gkey oid 1) oid
+  done;
+  Int_index.clear t;
+  (* nine keys need 32 slots; the last insert grows the table *)
+  for oid = 100 to 108 do
+    check_bool "new" false (Int_index.mem t (gkey oid 1));
+    Int_index.replace t (gkey oid 1) oid
+  done;
+  check_int "length" 9 (Int_index.length t);
+  for oid = 1 to 8 do
+    check_bool "cleared key gone" false (Int_index.mem t (gkey oid 1))
+  done;
+  for oid = 100 to 108 do
+    check_int "found" oid (Int_index.find t (gkey oid 1))
+  done
+
+(* Keys that differ only above bit 26 must not share a home: the hash
+   mixes the key's high bits into the slot. 2048 such keys in a
+   4096-slot table take well over half as many distinct homes. *)
+let index_high_bits_spread () =
+  let t = Int_index.create (-1) in
+  for oid = 1 to 2048 do
+    Int_index.replace t (gkey oid 0) oid
+  done;
+  let homes = Hashtbl.create 2048 in
+  for oid = 1 to 2048 do
+    Hashtbl.replace homes (Int_index.home t (gkey oid 0)) ()
+  done;
+  let distinct = Hashtbl.length homes in
+  if distinct < 1024 then
+    Alcotest.failf "2048 gkeys share %d home slots" distinct
+
+let index_allocation_free () =
+  let t = Int_index.create (-1) and set = Int_index.create () in
+  for k = 0 to 31 do
+    Int_index.replace t (gkey k 2) k;
+    ignore (Int_index.add set (gkey k 2) : bool)
+  done;
+  let rounds = 1_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    Int_index.clear t;
+    Int_index.clear set;
+    for k = 0 to 31 do
+      Int_index.replace t (gkey k 2) k;
+      ignore (Int_index.find t (gkey k 2) : int);
+      ignore (Int_index.add set (gkey k 2) : bool)
+    done;
+    Int_index.remove t (gkey 3 2);
+    Int_index.remove set (gkey 3 2)
+  done;
+  let w = (Gc.minor_words () -. before) /. float_of_int rounds in
+  if w >= 1.0 then Alcotest.failf "Int_index: %.2f words per round" w
+
+let suite =
+  suite
+  @ [
+      ( "runtime:int-index",
+        List.map QCheck_alcotest.to_alcotest index_qcheck
+        @ [
+            case "removal inside a wrapped cluster" index_wrapped_cluster_removal;
+            case "growth right after a clear" index_growth_after_clear;
+            case "high key bits spread" index_high_bits_spread;
+            case "sized tables allocate nothing" index_allocation_free;
+          ] );
+    ]
