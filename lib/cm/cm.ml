@@ -1,11 +1,11 @@
 open Stm_runtime
 
-(* The contention manager proper: per-transaction priority state plus the
+(* The contention manager proper: per-block priority state plus the
    decision procedure each policy applies at a conflict. The manager is
-   deliberately independent of the STM core - it sees transactions only
-   as (tid, txid, clock) triples plus the work counters the core feeds
-   it - so the core can depend on it without a cycle, and policies can be
-   unit-tested without a heap or a scheduler. *)
+   deliberately independent of the STM core - it sees a transaction only
+   as its block's slot plus the (tid, txid, clock) and work counters the
+   core feeds it - so the core can depend on it without a cycle, and
+   policies can be unit-tested without a heap or a scheduler. *)
 
 type decision =
   | Wait of int  (* back off this many cycles, then retry the access *)
@@ -23,11 +23,11 @@ type conflict = {
   now : int;  (* asking thread's cost clock *)
 }
 
-(* One atomic block's contention state. A slot is created at the first
-   [on_begin] of a block and survives aborts until the block commits (or
-   its thread gives up), so age and banked work persist across restarts -
-   the property that makes Timestamp starvation-free and Karma
-   work-conserving. *)
+(* One atomic block's contention state. The block's attempt loop gets
+   its slot from [on_begin] at the first incarnation and hands the same
+   slot to every later one, so age and banked work persist across
+   restarts - the property that makes Timestamp starvation-free and
+   Karma work-conserving. *)
 type slot = {
   s_tid : int;
   mutable s_txid : int;  (* current incarnation *)
@@ -35,7 +35,6 @@ type slot = {
   s_birth : int;  (* cost clock at the first incarnation *)
   mutable s_karma : int;  (* work banked from aborted incarnations *)
   mutable s_work : int;  (* footprint of the current incarnation *)
-  mutable s_active : bool;
   mutable s_wounded : bool;  (* last incarnation died of a wound *)
   s_rng : Det_rng.t;
 }
@@ -44,13 +43,11 @@ type t = {
   policy : Policy.t;
   max_retries : int;
   cost : Cost.t;
-  by_txid : slot Int_index.t;  (* live incarnation -> its block's slot *)
-  stacks : slot list Int_index.t;  (* tid -> active blocks, innermost first *)
   rng : Det_rng.t;  (* seeds per-slot generators deterministically *)
 }
 
-(* [by_txid]'s miss value, never bound: it stands for an unknown
-   transaction (or an anonymous owner) wherever a slot is expected. *)
+(* Never handed to a live block: it stands for a block not begun yet and
+   for an anonymous or unknown owner. *)
 let no_slot =
   {
     s_tid = -1;
@@ -59,23 +56,18 @@ let no_slot =
     s_birth = 0;
     s_karma = 0;
     s_work = 0;
-    s_active = false;
     s_wounded = false;
     s_rng = Det_rng.create 0;
   }
 
 let create ?(seed = 0) ~max_retries ~cost policy =
-  {
-    policy;
-    max_retries;
-    cost;
-    by_txid = Int_index.create no_slot;
-    stacks = Int_index.create [];
-    rng = Det_rng.create seed;
-  }
+  { policy; max_retries; cost; rng = Det_rng.create seed }
 
 let policy t = t.policy
 let name t = Policy.to_string t.policy
+let tid_of slot = slot.s_tid
+let birth slot = slot.s_birth
+let karma slot = slot.s_karma
 
 (* ------------------------------------------------------------------ *)
 (* Backoff schedules                                                   *)
@@ -104,57 +96,28 @@ let randomized_delay t (slot : slot) ~attempt =
 (* Lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let stack t tid = Int_index.find t.stacks tid
-
-let fresh_slot t ~tid ~txid ~now =
-  {
-    s_tid = tid;
-    s_txid = txid;
-    s_first_txid = txid;
-    s_birth = now;
-    s_karma = 0;
-    s_work = 0;
-    s_active = true;
-    s_wounded = false;
-    s_rng = Det_rng.create (((tid + 1) * 0x9E3779B9) lxor Det_rng.next t.rng);
-  }
-
-let on_begin t ~tid ~txid ~now =
-  match stack t tid with
-  | top :: _ when not top.s_active ->
-      (* restart of the same atomic block: keep age, karma, rng *)
-      top.s_txid <- txid;
-      top.s_work <- 0;
-      top.s_active <- true;
-      Int_index.replace t.by_txid txid top
-  | rest ->
-      let slot = fresh_slot t ~tid ~txid ~now in
-      Int_index.replace t.stacks tid (slot :: rest);
-      Int_index.replace t.by_txid txid slot
-
-let drop_slot t slot =
-  Int_index.remove t.by_txid slot.s_txid;
-  match List.filter (fun s -> s != slot) (stack t slot.s_tid) with
-  | [] -> Int_index.remove t.stacks slot.s_tid
-  | rest -> Int_index.replace t.stacks slot.s_tid rest
-
-let on_commit t ~txid =
-  let slot = Int_index.find t.by_txid txid in
-  if slot != no_slot then drop_slot t slot
-
-let tid_of t ~txid = (Int_index.find t.by_txid txid).s_tid
-
-(* [restart] is false when the enclosing atomic block is being torn down
-   for good (an exception is propagating, or the runner gave up): the
-   slot must not leak its age into the thread's next, unrelated block. *)
-let on_abort t ~txid ~restart ~wounded ~work =
-  let slot = Int_index.find t.by_txid txid in
-  if slot != no_slot then begin
-    slot.s_karma <- slot.s_karma + max work slot.s_work;
-    slot.s_active <- false;
-    slot.s_wounded <- wounded;
-    if restart then Int_index.remove t.by_txid txid else drop_slot t slot
+let on_begin t slot ~tid ~txid ~now =
+  if slot == no_slot then
+    {
+      s_tid = tid;
+      s_txid = txid;
+      s_first_txid = txid;
+      s_birth = now;
+      s_karma = 0;
+      s_work = 0;
+      s_wounded = false;
+      s_rng = Det_rng.create (((tid + 1) * 0x9E3779B9) lxor Det_rng.next t.rng);
+    }
+  else begin
+    (* a restart of the same atomic block: keep age, karma, rng *)
+    slot.s_txid <- txid;
+    slot.s_work <- 0;
+    slot
   end
+
+let on_abort slot ~wounded ~work =
+  slot.s_karma <- slot.s_karma + max work slot.s_work;
+  slot.s_wounded <- wounded
 
 (* ------------------------------------------------------------------ *)
 (* The decision procedure                                              *)
@@ -167,13 +130,9 @@ let priority slot = slot.s_karma + slot.s_work
 let older a b =
   a.s_birth < b.s_birth || (a.s_birth = b.s_birth && a.s_first_txid < b.s_first_txid)
 
-let on_conflict t (c : conflict) =
-  let self = Int_index.find t.by_txid c.txid in
-  if self != no_slot then self.s_work <- max self.s_work c.work;
-  let owner_slot =
-    match c.owner with Some o -> Int_index.find t.by_txid o | None -> no_slot
-  in
-  let both_known = self != no_slot && owner_slot != no_slot in
+let on_conflict t self ~owner:owner_slot (c : conflict) =
+  self.s_work <- max self.s_work c.work;
+  let both_known = owner_slot != no_slot in
   let budget_exhausted = c.attempt >= t.max_retries in
   let jitter () = jittered_delay t.cost ~tid:c.tid ~attempt:c.attempt in
   match t.policy with
@@ -187,9 +146,7 @@ let on_conflict t (c : conflict) =
         | Some _ | None -> Wait (jitter ()))
   | Policy.Exp_backoff ->
       if budget_exhausted then Abort_self
-      else if self != no_slot then
-        Wait (randomized_delay t self ~attempt:c.attempt)
-      else Wait (jitter ())
+      else Wait (randomized_delay t self ~attempt:c.attempt)
   | Policy.Karma ->
       let s = self and o = owner_slot in
       if budget_exhausted then Abort_self
@@ -233,22 +190,15 @@ let step_aside t ~tid ~attempt =
   (4 * max t.cost.Cost.backoff_base t.cost.backoff_cap)
   + jittered_delay t.cost ~tid ~attempt
 
-let restart_delay t ~tid ~attempt =
-  let top = match stack t tid with slot :: _ -> Some slot | [] -> None in
-  let wounded =
-    match top with
-    | Some slot when slot.s_wounded ->
-        slot.s_wounded <- false;
-        true
-    | _ -> false
-  in
-  if wounded then step_aside t ~tid ~attempt
+let restart_delay t slot ~attempt =
+  let tid = slot.s_tid in
+  if slot.s_wounded then begin
+    slot.s_wounded <- false;
+    step_aside t ~tid ~attempt
+  end
   else
     match t.policy with
-    | Policy.Exp_backoff -> (
-        match top with
-        | Some slot -> randomized_delay t slot ~attempt
-        | None -> jittered_delay t.cost ~tid ~attempt)
+    | Policy.Exp_backoff -> randomized_delay t slot ~attempt
     | Policy.Suicide | Policy.Wound_wait | Policy.Karma | Policy.Timestamp ->
         jittered_delay t.cost ~tid ~attempt
 

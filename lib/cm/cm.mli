@@ -2,19 +2,32 @@
     procedure applied at every ownership conflict.
 
     The manager is independent of the STM core. It models a transaction as
-    an {e atomic block} that may run through several incarnations (txids):
-    the block's contention state — its birth timestamp, banked karma, and
-    its backoff generator — survives aborts and is only discarded when the
-    block commits or its thread gives up for good. This persistence is what
-    makes {!Policy.Timestamp} starvation-free and {!Policy.Karma}
+    an {e atomic block} that may run through several incarnations (txids).
+    The block's contention state — its birth timestamp, banked karma, and
+    its backoff generator — lives in a {!slot} that the block's attempt
+    loop owns: the loop gets the slot from {!on_begin} at the block's
+    first incarnation, hands it to every later one, and drops it when the
+    block commits or gives up for good. This persistence is what makes
+    {!Policy.Timestamp} starvation-free and {!Policy.Karma}
     work-conserving.
 
-    The core drives the manager through four hooks ([on_begin],
-    [on_conflict], [on_abort], [on_commit]) and acts on the returned
-    {!decision}; the manager never touches the heap, the scheduler, or the
-    trace stream itself. *)
+    The core drives the manager through three hooks ([on_begin],
+    [on_conflict], [on_abort]) plus {!restart_delay}, and acts on the
+    returned {!decision}; the manager never touches the heap, the
+    scheduler, or the trace stream itself. *)
 
 type t
+
+type slot
+(** One atomic block's contention state: its thread, the txid of its
+    first and of its current incarnation, birth, banked karma, the
+    current incarnation's footprint, a pending wound deferral and the
+    block's backoff generator. *)
+
+val no_slot : slot
+(** Stands for a block that has not begun (pass it to {!on_begin} at the
+    first incarnation) and for an anonymous or unknown owner (pass it to
+    {!on_conflict}). Never mutated. *)
 
 type decision =
   | Wait of int
@@ -45,36 +58,40 @@ val create : ?seed:int -> max_retries:int -> cost:Stm_runtime.Cost.t -> Policy.t
 val policy : t -> Policy.t
 val name : t -> string
 
-val on_begin : t -> tid:int -> txid:int -> now:int -> unit
-(** Called at transaction begin. If the thread's most recent block
-    aborted with [restart:true], the new incarnation inherits that
-    block's slot (birth, karma, rng); otherwise a fresh slot is
-    created with birth [now]. *)
+val on_begin : t -> slot -> tid:int -> txid:int -> now:int -> slot
+(** Called at every incarnation's begin. Given {!no_slot} (the block's
+    first incarnation) it returns a fresh slot born at [now], seeding the
+    slot's generator with one draw from the manager's stream. Given the
+    block's slot it starts incarnation [txid] in it and returns it: birth,
+    karma and generator are kept. *)
 
-val on_conflict : t -> conflict -> decision
+val on_conflict : t -> slot -> owner:slot -> conflict -> decision
+(** The asker's slot, the owner's slot ({!no_slot} for an anonymous or
+    unknown owner) and the conflict. Records the asker's footprint. *)
 
-val on_abort : t -> txid:int -> restart:bool -> wounded:bool -> work:int -> unit
-(** [restart] is true when the enclosing atomic block will be retried
-    (the slot survives); false when it is torn down for good (an escaping
-    exception or a starved runner) and the slot is discarded. [wounded]
-    records that this incarnation was killed by another transaction —
-    its next restart is deferred so the wounder wins the race for the
-    contested record. Lost [work] is banked as karma either way. *)
+val on_abort : slot -> wounded:bool -> work:int -> unit
+(** An incarnation of the slot's block aborted. Lost [work] is banked as
+    karma. [wounded] records that it was killed by another transaction —
+    the block's next {!restart_delay} then includes a step-aside
+    deferral so the wounder wins the race for the contested record. *)
 
-val on_commit : t -> txid:int -> unit
-
-val tid_of : t -> txid:int -> int
-(** The scheduler thread running [txid]'s atomic block, while the block
-    is live (between its [on_begin] and its [on_commit] / final
-    [on_abort]); -1 otherwise. The core uses it to stamp abort events with the
-    aggressor's thread for the {!Stm_diag} causality graph. *)
-
-val restart_delay : t -> tid:int -> attempt:int -> int
+val restart_delay : t -> slot -> attempt:int -> int
 (** Backoff charged between a conflict-driven abort and the block's next
     incarnation, on the same schedule the policy uses in-transaction.
     After a wound-caused abort the delay includes a step-aside deferral
     sized past the wounder's longest poll interval, so the victim cannot
     re-acquire the contested record first and thrash. *)
+
+val tid_of : slot -> int
+(** The scheduler thread running the slot's block; -1 for {!no_slot}.
+    The core uses it to stamp abort events with the aggressor's thread
+    for the {!Stm_diag} causality graph. *)
+
+val birth : slot -> int
+(** Cost clock at the block's first incarnation. *)
+
+val karma : slot -> int
+(** Work banked from the block's aborted incarnations. *)
 
 val backoff_delay : Stm_runtime.Cost.t -> attempt:int -> int
 (** Deterministic truncated-exponential schedule:

@@ -6,8 +6,9 @@ exception Starved of { attempts : int }
 
 type system = {
   ctx : Txn.ctx;
-  mutable current : Txn.t option array;
-      (* simulated tid -> active txn; grows with the highest tid seen *)
+  mutable current : Txn.t array;
+      (* simulated tid -> active txn, [Txn.none] if none; grows with the
+         highest tid seen *)
 }
 
 let system : system option ref = ref None
@@ -18,7 +19,7 @@ let install (cfg : Config.t) =
   if cfg.dea && not cfg.strong then
     invalid_arg "Stm.install: DEA requires strong atomicity";
   if cfg.granule < 1 then invalid_arg "Stm.install: granule must be >= 1";
-  system := Some { ctx = Txn.make_ctx cfg; current = Array.make 32 None }
+  system := Some { ctx = Txn.make_ctx cfg; current = Array.make 32 Txn.none }
 
 let uninstall () = system := None
 let installed () = !system <> None
@@ -28,19 +29,19 @@ let stats () = Txn.stats (get ()).ctx
 let current_txn sys =
   if Sched.running () then
     let tid = Sched.self () in
-    if tid < Array.length sys.current then sys.current.(tid) else None
-  else None
+    if tid < Array.length sys.current then sys.current.(tid) else Txn.none
+  else Txn.none
 
 let set_current sys tid txn =
   let n = Array.length sys.current in
   if tid >= n then begin
-    let a = Array.make (max (2 * n) (tid + 1)) None in
+    let a = Array.make (max (2 * n) (tid + 1)) Txn.none in
     Array.blit sys.current 0 a 0 n;
     sys.current <- a
   end;
   sys.current.(tid) <- txn
 
-let in_txn () = current_txn (get ()) <> None
+let in_txn () = current_txn (get ()) != Txn.none
 
 (* ------------------------------------------------------------------ *)
 (* Allocation                                                          *)
@@ -131,15 +132,15 @@ let nontxn_write sys (obj : Heap.obj) fld v =
 
 let read obj fld =
   let sys = get () in
-  match current_txn sys with
-  | Some t -> Txn.txn_read sys.ctx t obj fld
-  | None -> nontxn_read sys obj fld
+  let t = current_txn sys in
+  if t != Txn.none then Txn.txn_read sys.ctx t obj fld
+  else nontxn_read sys obj fld
 
 let write obj fld v =
   let sys = get () in
-  match current_txn sys with
-  | Some t -> Txn.txn_write sys.ctx t obj fld v
-  | None -> nontxn_write sys obj fld v
+  let t = current_txn sys in
+  if t != Txn.none then Txn.txn_write sys.ctx t obj fld v
+  else nontxn_write sys obj fld v
 
 let emit_elided op =
   if Trace.enabled_at Trace.Debug then
@@ -154,33 +155,35 @@ let emit_elided op =
 
 let read_nobarrier obj fld =
   let sys = get () in
-  match current_txn sys with
-  | Some t -> Txn.txn_read sys.ctx t obj fld
-  | None ->
-      emit_elided Trace.Op_read;
-      Sched.yield ();
-      Sched.tick (Txn.cfg sys.ctx).cost.Cost.plain_load;
-      let v = Heap.get obj fld in
-      emit_nontxn_access obj fld v ~write:false;
-      v
+  let t = current_txn sys in
+  if t != Txn.none then Txn.txn_read sys.ctx t obj fld
+  else begin
+    emit_elided Trace.Op_read;
+    Sched.yield ();
+    Sched.tick (Txn.cfg sys.ctx).cost.Cost.plain_load;
+    let v = Heap.get obj fld in
+    emit_nontxn_access obj fld v ~write:false;
+    v
+  end
 
 let write_nobarrier obj fld v =
   let sys = get () in
-  match current_txn sys with
-  | Some t -> Txn.txn_write sys.ctx t obj fld v
-  | None ->
-      let cfg = Txn.cfg sys.ctx in
-      emit_elided Trace.Op_write;
-      (* Publication is a correctness duty, not part of the isolation
-         barrier: even at sites whose barrier the compiler removed, a
-         reference store into a public object must publish the referenced
-         private graph. *)
-      if cfg.dea && not (Dea.is_private obj) then
-        Dea.publish_value (Txn.stats sys.ctx) cfg.cost v;
-      Sched.yield ();
-      Sched.tick cfg.cost.Cost.plain_store;
-      Heap.set obj fld v;
-      emit_nontxn_access obj fld v ~write:true
+  let t = current_txn sys in
+  if t != Txn.none then Txn.txn_write sys.ctx t obj fld v
+  else begin
+    let cfg = Txn.cfg sys.ctx in
+    emit_elided Trace.Op_write;
+    (* Publication is a correctness duty, not part of the isolation
+       barrier: even at sites whose barrier the compiler removed, a
+       reference store into a public object must publish the referenced
+       private graph. *)
+    if cfg.dea && not (Dea.is_private obj) then
+      Dea.publish_value (Txn.stats sys.ctx) cfg.cost v;
+    Sched.yield ();
+    Sched.tick cfg.cost.Cost.plain_store;
+    Heap.set obj fld v;
+    emit_nontxn_access obj fld v ~write:true
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Transactions                                                        *)
@@ -188,9 +191,9 @@ let write_nobarrier obj fld v =
 
 (* Inter-attempt backoff between an abort and the block's next
    incarnation; the delay schedule is the contention manager's. *)
-let backoff_wait sys attempt =
+let backoff_wait sys slot attempt =
   let tid = Sched.self () in
-  let delay = Stm_cm.Cm.restart_delay (Txn.cm sys.ctx) ~tid ~attempt in
+  let delay = Stm_cm.Cm.restart_delay (Txn.cm sys.ctx) slot ~attempt in
   (Txn.stats sys.ctx).Stats.backoff_cycles <-
     (Txn.stats sys.ctx).Stats.backoff_cycles + delay;
   if Trace.enabled_at Trace.Debug then
@@ -238,85 +241,60 @@ let wait_for_change cfg snap =
         Sched.yield ()
       done
 
+(* The attempt loop of one atomic block, top-level or open-nested under
+   [parent] ([Txn.none] at top level). Attempt [n] begins an incarnation
+   with the block's contention slot - [Stm_cm.Cm.no_slot] before the
+   first, which makes [Txn.begin_txn] take a fresh one - so every restart
+   and every [retry()] keeps the block's birth, karma and backoff stream,
+   and nothing outlives the block: a caught exception or [Starved] drops
+   the slot with the loop. Top-level functions, not local closures, so a
+   block allocates no closure per attempt. *)
+let rec attempt sys tid parent slot f n =
+  let txn = Txn.begin_txn sys.ctx ~parent ~slot in
+  let slot = Txn.slot txn in
+  set_current sys tid txn;
+  match f () with
+  | v -> (
+      match Txn.commit sys.ctx txn with
+      | () ->
+          set_current sys tid parent;
+          v
+      | exception Txn.Abort_txn -> restart sys tid parent slot f n txn)
+  | exception Txn.Abort_txn -> restart sys tid parent slot f n txn
+  | exception Txn.Retry_request when parent == Txn.none ->
+      (* top level only: in an open-nested block a retry takes the branch
+         below, which aborts the child and propagates to the parent *)
+      let snap = Txn.reads_snapshot txn in
+      (Txn.stats sys.ctx).Stats.retries <- (Txn.stats sys.ctx).Stats.retries + 1;
+      Txn.set_abort_cause txn Trace.Cause_retry;
+      Txn.abort sys.ctx txn;
+      set_current sys tid parent;
+      wait_for_change (Txn.cfg sys.ctx) snap;
+      attempt sys tid parent slot f n
+  | exception ex ->
+      Txn.abort sys.ctx txn;
+      set_current sys tid parent;
+      raise ex
+
+(* A conflict abort: give up with [Starved] once the restart budget is
+   spent, otherwise back off and run the next incarnation. *)
+and restart sys tid parent slot f n txn =
+  Txn.abort sys.ctx txn;
+  set_current sys tid parent;
+  if starved_out (Txn.cfg sys.ctx) n then raise (Starved { attempts = n + 1 });
+  backoff_wait sys slot n;
+  attempt sys tid parent slot f (n + 1)
+
 let atomic f =
   let sys = get () in
-  let cfg = Txn.cfg sys.ctx in
-  match current_txn sys with
-  | Some t ->
-      (* closed nesting by flattening *)
-      Txn.set_depth t (Txn.depth t + 1);
-      Fun.protect ~finally:(fun () -> Txn.set_depth t (Txn.depth t - 1)) f
-  | None ->
-      let tid = Sched.self () in
-      let rec attempt n =
-        let txn = Txn.begin_txn sys.ctx in
-        set_current sys tid (Some txn);
-        let cleanup () = set_current sys tid None in
-        let aborted () =
-          let give_up = starved_out cfg n in
-          Txn.abort ~restart:(not give_up) sys.ctx txn;
-          cleanup ();
-          if give_up then raise (Starved { attempts = n + 1 });
-          backoff_wait sys n;
-          attempt (n + 1)
-        in
-        match f () with
-        | v -> (
-            match Txn.commit sys.ctx txn with
-            | () ->
-                cleanup ();
-                v
-            | exception Txn.Abort_txn -> aborted ())
-        | exception Txn.Abort_txn -> aborted ()
-        | exception Txn.Retry_request ->
-            let snap = Txn.reads_snapshot txn in
-            (Txn.stats sys.ctx).Stats.retries <-
-              (Txn.stats sys.ctx).Stats.retries + 1;
-            Txn.set_abort_cause txn Trace.Cause_retry;
-            Txn.abort sys.ctx txn;
-            cleanup ();
-            wait_for_change cfg snap;
-            attempt n
-        | exception ex ->
-            Txn.abort ~restart:false sys.ctx txn;
-            cleanup ();
-            raise ex
-      in
-      attempt 0
+  if current_txn sys != Txn.none then f () (* closed nesting by flattening *)
+  else attempt sys (Sched.self ()) Txn.none Stm_cm.Cm.no_slot f 0
 
 let atomic_open f =
   let sys = get () in
-  let cfg = Txn.cfg sys.ctx in
-  let tid = Sched.self () in
-  match current_txn sys with
-  | None -> atomic f
-  | Some parent ->
-      let rec attempt n =
-        let txn = Txn.begin_txn ~parent sys.ctx in
-        set_current sys tid (Some txn);
-        let restore () = set_current sys tid (Some parent) in
-        let aborted () =
-          let give_up = starved_out cfg n in
-          Txn.abort ~restart:(not give_up) sys.ctx txn;
-          restore ();
-          if give_up then raise (Starved { attempts = n + 1 });
-          backoff_wait sys n;
-          attempt (n + 1)
-        in
-        match f () with
-        | v -> (
-            match Txn.commit sys.ctx txn with
-            | () ->
-                restore ();
-                v
-            | exception Txn.Abort_txn -> aborted ())
-        | exception Txn.Abort_txn -> aborted ()
-        | exception ex ->
-            Txn.abort ~restart:false sys.ctx txn;
-            restore ();
-            raise ex
-      in
-      attempt 0
+  attempt sys (Sched.self ()) (current_txn sys) Stm_cm.Cm.no_slot f 0
+
+let cm_slot () = Txn.slot (current_txn (get ()))
 
 let retry () =
   if in_txn () then raise Txn.Retry_request
@@ -324,9 +302,8 @@ let retry () =
 
 let valid () =
   let sys = get () in
-  match current_txn sys with
-  | Some t -> Txn.validate sys.ctx t
-  | None -> true
+  let t = current_txn sys in
+  t == Txn.none || Txn.validate sys.ctx t
 
 let abort_and_retry () =
   if in_txn () then raise Txn.Abort_txn

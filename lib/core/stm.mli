@@ -85,12 +85,24 @@ val atomic : (unit -> 'a) -> 'a
     inter-attempt backoff. Nested calls flatten (closed nesting by
     subsumption). An exception escaping the function aborts the
     transaction and is re-raised. Raises {!Starved} when a positive
-    {!Config.t.max_txn_restarts} budget is exhausted. *)
+    {!Config.t.max_txn_restarts} budget is exhausted.
+
+    The block owns one contention slot ({!cm_slot}) from its first
+    incarnation on: conflict restarts and {!retry} keep it, so the block
+    keeps its birth, karma and backoff stream; the thread's next block,
+    after a commit, an escaping exception or {!Starved}, gets a fresh
+    one. *)
 
 val atomic_open : (unit -> 'a) -> 'a
 (** Open-nested transaction: runs and commits independently while the
-    parent is paused. Accessing data owned by an ancestor raises
-    {!Txn.Open_nest_conflict}. *)
+    parent is paused, with its own contention slot; its restarts leave the
+    parent's slot alone. A {!retry} inside it aborts it and propagates to
+    the parent. Accessing data owned by an ancestor raises
+    {!Txn.Open_nest_conflict}. Outside a transaction it is {!atomic}. *)
+
+val cm_slot : unit -> Stm_cm.Cm.slot
+(** The contention slot of the running transaction's atomic block;
+    {!Stm_cm.Cm.no_slot} outside a transaction. *)
 
 val retry : unit -> 'a
 (** User-initiated retry: abort the current transaction and re-execute it

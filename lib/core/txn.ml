@@ -16,14 +16,6 @@ exception Open_nest_conflict
 let observe_blocked ~attempt oid =
   if attempt > 0 then Footprint.spin_read oid else Footprint.read oid
 
-type killed_flag = {
-  mutable killed : bool;
-  (* who wounded us, recorded by the aggressor at wound time so the
-     victim's abort event can name it (diag causality graph) *)
-  mutable killed_by : int;  (* wounding txid, -1 unknown *)
-  mutable killed_by_tid : int;  (* wounding thread, -1 unknown *)
-}
-
 (* A transaction descriptor. Descriptors and their indexes/logs are pooled
    per context and recycled across attempts (clear-don't-reallocate): an
    abort/retry storm reuses the same indexes and grow-only arenas. Every
@@ -66,9 +58,13 @@ type t = {
   mutable wbuf_len : int array;
   mutable nwbuf : int;
   mutable naccesses : int;
-  mutable nest_depth : int;
   mutable part : Quiesce.participant option;
-  flag : killed_flag;  (* set by a wounding (older) transaction *)
+  mutable slot : Stm_cm.Cm.slot;  (* the atomic block's contention state *)
+  mutable killed : bool;  (* set by a wounding (older) transaction *)
+  (* who wounded us, recorded by the aggressor at wound time so the
+     victim's abort event can name it (diag causality graph) *)
+  mutable killed_by : int;  (* wounding txid, -1 unknown *)
+  mutable killed_by_tid : int;  (* wounding thread, -1 unknown *)
   mutable snap : int;  (* mvcc snapshot timestamp; -1 outside mvcc *)
   (* timestamp validation (Config.Timestamp, eager/lazy only): the read
      timestamp this transaction's reads are proven consistent at, and the
@@ -97,30 +93,11 @@ type ctx = {
   gvc : Gvc.t;  (* the global commit clock, shared with [mv] *)
   mv : Mvcc.t;  (* snapshot registry (mvcc versioning) *)
   mutable next_id : int;
-  registry : killed_flag Int_index.t;
-      (* live transaction ids -> wound flag, for contention management *)
+  registry : t Int_index.t;
+      (* live transaction ids -> descriptor: wounds, owner slots, and
+         aggressor attribution all read it *)
   mutable pool : t list;  (* recycled descriptors *)
 }
-
-(* The registry's miss value, never bound. *)
-let no_flag = { killed = false; killed_by = -1; killed_by_tid = -1 }
-
-let make_ctx (cfg : Config.t) =
-  let gvc = Gvc.create () in
-  {
-    cfg;
-    stats = Stats.create ();
-    q = Quiesce.create ();
-    cm =
-      Stm_cm.Cm.create ~seed:cfg.Config.cm_seed
-        ~max_retries:cfg.Config.max_txn_retries ~cost:cfg.Config.cost
-        cfg.Config.cm;
-    gvc;
-    mv = Mvcc.create ~gvc ~max_versions:cfg.Config.mvcc_max_versions ();
-    next_id = 0;
-    registry = Int_index.create no_flag;
-    pool = [];
-  }
 
 let cfg ctx = ctx.cfg
 let stats ctx = ctx.stats
@@ -170,9 +147,11 @@ let fresh_descriptor () =
     wbuf_len = [||];
     nwbuf = 0;
     naccesses = 0;
-    nest_depth = 0;
     part = None;
-    flag = { killed = false; killed_by = -1; killed_by_tid = -1 };
+    slot = Stm_cm.Cm.no_slot;
+    killed = false;
+    killed_by = -1;
+    killed_by_tid = -1;
     snap = -1;
     rv = 0;
     lva = 0;
@@ -182,6 +161,27 @@ let fresh_descriptor () =
     last_oid = -1;
     last_aggr = -1;
     last_aggr_tid = -1;
+  }
+
+(* The one descriptor that never runs: the registry's miss value and
+   {!Stm}'s "no transaction" entry. Never mutated. *)
+let none = fresh_descriptor ()
+
+let make_ctx (cfg : Config.t) =
+  let gvc = Gvc.create () in
+  {
+    cfg;
+    stats = Stats.create ();
+    q = Quiesce.create ();
+    cm =
+      Stm_cm.Cm.create ~seed:cfg.Config.cm_seed
+        ~max_retries:cfg.Config.max_txn_retries ~cost:cfg.Config.cost
+        cfg.Config.cm;
+    gvc;
+    mv = Mvcc.create ~gvc ~max_versions:cfg.Config.mvcc_max_versions ();
+    next_id = 0;
+    registry = Int_index.create none;
+    pool = [];
   }
 
 (* Arenas double, from 8 slots when empty. *)
@@ -256,7 +256,6 @@ let recycle ctx t =
   Int_index.clear t.wbuf;
   t.nwbuf <- 0;
   t.naccesses <- 0;
-  t.nest_depth <- 0;
   t.parent <- None;
   t.part <- None;
   t.cts <- -1;
@@ -266,7 +265,7 @@ let recycle ctx t =
 (* Lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let begin_txn ?parent ctx =
+let begin_txn ctx ~parent ~slot =
   (* The txid counter orders transaction births. Under an
      order-insensitive policy txids are pure identifiers — swapping two
      begins renames them without changing any decision — so the counter
@@ -284,11 +283,11 @@ let begin_txn ?parent ctx =
     | [] -> fresh_descriptor ()
   in
   t.txid <- ctx.next_id;
-  t.parent <- parent;
+  t.parent <- (if parent == none then None else Some parent);
   t.part <- part;
-  t.flag.killed <- false;
-  t.flag.killed_by <- -1;
-  t.flag.killed_by_tid <- -1;
+  t.killed <- false;
+  t.killed_by <- -1;
+  t.killed_by_tid <- -1;
   t.snap <-
     (match ctx.cfg.versioning with
     | Config.Mvcc -> Mvcc.begin_snapshot ctx.mv
@@ -305,19 +304,19 @@ let begin_txn ?parent ctx =
   t.last_aggr <- -1;
   t.last_aggr_tid <- -1;
   Footprint.write (Footprint.flag_oid ctx.next_id);
-  Int_index.replace ctx.registry ctx.next_id t.flag;
-  Stm_cm.Cm.on_begin ctx.cm ~tid:(Sched.self ()) ~txid:ctx.next_id
-    ~now:(Sched.time ());
+  Int_index.replace ctx.registry ctx.next_id t;
+  t.slot <-
+    Stm_cm.Cm.on_begin ctx.cm slot ~tid:(Sched.self ()) ~txid:ctx.next_id
+      ~now:(Sched.time ());
   if Trace.enabled () then
     Trace.emit
       (Trace.Txn_begin { txid = ctx.next_id; tid = Sched.self () });
   t
 
 let id t = t.txid
+let slot t = t.slot
 let set_abort_cause t c = t.abort_cause <- c
 let latency t = Sched.time () - t.begin_ts
-let depth t = t.nest_depth
-let set_depth t d = t.nest_depth <- d
 
 let reads_snapshot t =
   let rec go i acc =
@@ -420,7 +419,8 @@ let rec sv_entries_from ctx t i =
     match Txrec.tag w with
     | Txrec.Tag_exclusive when Txrec.owner w <> t.txid ->
         t.last_aggr <- Txrec.owner w;
-        t.last_aggr_tid <- Stm_cm.Cm.tid_of ctx.cm ~txid:(Txrec.owner w)
+        t.last_aggr_tid <-
+          Stm_cm.Cm.tid_of (Int_index.find ctx.registry (Txrec.owner w)).slot
     | _ ->
         t.last_aggr <- -1;
         t.last_aggr_tid <- -1
@@ -506,7 +506,7 @@ let extend_rv ctx t =
 
 let check_wounded t =
   Footprint.read (Footprint.flag_oid t.txid);
-  if t.flag.killed then begin
+  if t.killed then begin
     t.abort_cause <- Trace.Cause_wounded;
     raise Abort_txn
   end
@@ -515,11 +515,11 @@ let check_wounded t =
    at its next pause or validation point and aborts. Idempotent. *)
 let wound ctx ~victim ~by =
   Footprint.write (Footprint.flag_oid victim);
-  let flag = Int_index.find ctx.registry victim in
-  if flag != no_flag && not flag.killed then begin
-    flag.killed <- true;
-    flag.killed_by <- by;
-    flag.killed_by_tid <- Sched.self ();
+  let d = Int_index.find ctx.registry victim in
+  if d != none && not d.killed then begin
+    d.killed <- true;
+    d.killed_by <- by;
+    d.killed_by_tid <- Sched.self ();
     ctx.stats.Stats.wounds <- ctx.stats.Stats.wounds + 1;
     if Trace.enabled () then
       Trace.emit (Trace.Txn_wound { victim; by })
@@ -555,16 +555,14 @@ let cm_resolve ctx t ~attempt ~writer obj =
   observe_blocked ~attempt obj.Heap.oid;
   let w = Heap.txrec_peek obj in
   let owner = if Txrec.is_exclusive w then Some (Txrec.owner w) else None in
+  let od =
+    match owner with Some o -> Int_index.find ctx.registry o | None -> none
+  in
   t.last_oid <- obj.Heap.oid;
-  (match owner with
-  | Some o ->
-      t.last_aggr <- o;
-      t.last_aggr_tid <- Stm_cm.Cm.tid_of ctx.cm ~txid:o
-  | None ->
-      t.last_aggr <- -1;
-      t.last_aggr_tid <- -1);
+  t.last_aggr <- Option.value ~default:(-1) owner;
+  t.last_aggr_tid <- Stm_cm.Cm.tid_of od.slot;
   let decision =
-    Stm_cm.Cm.on_conflict ctx.cm
+    Stm_cm.Cm.on_conflict ctx.cm t.slot ~owner:od.slot
       {
         Stm_cm.Cm.txid = t.txid;
         tid = Sched.self ();
@@ -1131,7 +1129,6 @@ let commit ctx t =
   Option.iter (Quiesce.deregister ctx.q) t.part;
   Footprint.write (Footprint.flag_oid t.txid);
   Int_index.remove ctx.registry t.txid;
-  Stm_cm.Cm.on_commit ctx.cm ~txid:t.txid;
   if Trace.enabled () then
     Trace.emit
       (Trace.Txn_commit
@@ -1145,7 +1142,7 @@ let commit ctx t =
   ctx.stats.Stats.commits <- ctx.stats.Stats.commits + 1;
   recycle ctx t
 
-let abort ?(restart = true) ctx t =
+let abort ctx t =
   let cost = ctx.cfg.cost in
   Sched.tick cost.Cost.txn_abort;
   mvcc_end_snapshot ctx t;
@@ -1169,16 +1166,15 @@ let abort ?(restart = true) ctx t =
   Option.iter (Quiesce.deregister ctx.q) t.part;
   Footprint.write (Footprint.flag_oid t.txid);
   Int_index.remove ctx.registry t.txid;
-  Stm_cm.Cm.on_abort ctx.cm ~txid:t.txid ~restart ~wounded:t.flag.killed
-    ~work:t.naccesses;
-  let cause = if t.flag.killed then Trace.Cause_wounded else t.abort_cause in
+  Stm_cm.Cm.on_abort t.slot ~wounded:t.killed ~work:t.naccesses;
+  let cause = if t.killed then Trace.Cause_wounded else t.abort_cause in
   (* [by]/[oid] attribution is only meaningful for contention-driven
      aborts; a user retry or an escaping exception has no aggressor, and
      any leftover conflict fields from earlier in the attempt would
      mislead the causality graph. *)
   let by, by_tid, oid =
     match cause with
-    | Trace.Cause_wounded -> (t.flag.killed_by, t.flag.killed_by_tid, t.last_oid)
+    | Trace.Cause_wounded -> (t.killed_by, t.killed_by_tid, t.last_oid)
     | Trace.Cause_conflict | Trace.Cause_validation | Trace.Cause_stale_lock
     | Trace.Cause_snapshot ->
         (t.last_aggr, t.last_aggr_tid, t.last_oid)
@@ -1190,7 +1186,7 @@ let abort ?(restart = true) ctx t =
          {
            txid = t.txid;
            tid = Sched.self ();
-           wounded = t.flag.killed;
+           wounded = t.killed;
            cause;
            latency = latency t;
            by;

@@ -44,7 +44,7 @@ val quiescer : ctx -> Quiesce.t
 
 val cm : ctx -> Stm_cm.Cm.t
 (** The run's contention manager (built from {!Config.t.cm}); the
-    {!Stm.atomic} runner consults it for inter-attempt backoff. *)
+    {!Stm.atomic} attempt loop consults it for inter-attempt backoff. *)
 
 val mvcc : ctx -> Stm_mvcc.Mvcc.t
 (** The run's snapshot registry (only used under {!Config.Mvcc}; the
@@ -73,7 +73,18 @@ exception Open_nest_conflict
 (** An open-nested transaction tried to acquire a record owned by one of
     its ancestors (unsupported, as in most open-nesting designs). *)
 
-val begin_txn : ?parent:t -> ctx -> t
+val none : t
+(** The descriptor that never runs: {!Stm}'s "no transaction" entry, and
+    what the context's txid registry answers for a txid that is not
+    live. Never pass it to the functions below except as [~parent]. *)
+
+val begin_txn : ctx -> parent:t -> slot:Stm_cm.Cm.slot -> t
+(** Begin an incarnation of an atomic block and register its txid.
+    [parent] is the open-nesting parent, or {!none} at top level. [slot]
+    is the block's contention slot, {!Stm_cm.Cm.no_slot} at the block's
+    first incarnation: the new descriptor then carries a fresh slot
+    ({!slot}), born at this begin, which the caller hands to every later
+    incarnation of the block. *)
 
 val fresh_descriptor : unit -> t
 (** A descriptor as {!begin_txn} builds one when the context's pool is
@@ -81,13 +92,14 @@ val fresh_descriptor : unit -> t
 
 val id : t -> int
 
+val slot : t -> Stm_cm.Cm.slot
+(** The contention slot of the transaction's atomic block. *)
+
 (** [set_abort_cause t c] records why the upcoming {!abort} happens (the
     abort sites inside this module set it themselves; {!Stm} sets it for
     user-level [retry] and for exceptions escaping the atomic block).
     Reported in the {!Trace.Txn_abort} event. *)
 val set_abort_cause : t -> Trace.abort_cause -> unit
-val depth : t -> int
-val set_depth : t -> int -> unit
 
 val txn_read : ctx -> t -> Heap.obj -> int -> Heap.value
 (** Transactional load (open-for-read + read). May raise {!Abort_txn}. *)
@@ -107,13 +119,11 @@ val commit : ctx -> t -> unit
     and release ownership. Raises {!Abort_txn} on validation failure
     {e without} cleaning up — the caller must then call {!abort}. *)
 
-val abort : ?restart:bool -> ctx -> t -> unit
+val abort : ctx -> t -> unit
 (** Roll back (eager) or discard the buffer (lazy), release ownership with
-    a version bump, update counters. [restart] (default [true]) tells the
-    contention manager whether the atomic block will be re-attempted —
-    pass [false] when the block is being torn down for good (an escaping
-    exception or a starved runner), so the block's priority state does not
-    leak into the thread's next transaction. *)
+    a version bump, update counters, and bank the lost work in the block's
+    slot. Whether the block runs again, and with which slot, is the
+    caller's decision. *)
 
 val reads_snapshot : t -> (Heap.obj * int) list
 (** Read set as (object, observed version) pairs; used by the [retry]

@@ -13,10 +13,6 @@ type t = {
   mutable conflicts : int;
   mutable publishes : int;
   mutable quiesce_waits : int;
-  mutable backoffs : int;
-  mutable validations : int;
-  mutable validation_failures : int;
-  mutable cm_decisions : int;
   abort_causes : int array;  (* indexed by cause_index *)
   commit_latency : Hist.t;
   abort_latency : Hist.t;
@@ -56,10 +52,6 @@ let create () =
     conflicts = 0;
     publishes = 0;
     quiesce_waits = 0;
-    backoffs = 0;
-    validations = 0;
-    validation_failures = 0;
-    cm_decisions = 0;
     abort_causes = Array.make ncauses 0;
     commit_latency = Hist.create ();
     abort_latency = Hist.create ();
@@ -97,12 +89,9 @@ let handle t (ev : Trace.event) =
   | Trace.Conflict _ -> t.conflicts <- t.conflicts + 1
   | Trace.Publish _ -> t.publishes <- t.publishes + 1
   | Trace.Quiesce_wait _ -> t.quiesce_waits <- t.quiesce_waits + 1
-  | Trace.Backoff _ -> t.backoffs <- t.backoffs + 1
-  | Trace.Validation { ok; _ } ->
-      t.validations <- t.validations + 1;
-      if not ok then t.validation_failures <- t.validation_failures + 1
-  | Trace.Cm_decision _ -> t.cm_decisions <- t.cm_decisions + 1
-  | Trace.Barrier _ | Trace.Access _ | Trace.Txn_serialized _ -> ()
+  | Trace.Backoff _ | Trace.Validation _ | Trace.Cm_decision _ | Trace.Barrier _
+  | Trace.Access _ | Trace.Txn_serialized _ ->
+      ()
 
 let install t = Trace.set_sink ~level:Trace.Info (Some (handle t))
 
@@ -125,10 +114,6 @@ let diff later earlier =
     conflicts = later.conflicts - earlier.conflicts;
     publishes = later.publishes - earlier.publishes;
     quiesce_waits = later.quiesce_waits - earlier.quiesce_waits;
-    backoffs = later.backoffs - earlier.backoffs;
-    validations = later.validations - earlier.validations;
-    validation_failures = later.validation_failures - earlier.validation_failures;
-    cm_decisions = later.cm_decisions - earlier.cm_decisions;
     abort_causes =
       Array.init ncauses (fun i ->
           later.abort_causes.(i) - earlier.abort_causes.(i));
@@ -156,10 +141,6 @@ let to_assoc t =
     ("conflicts", t.conflicts);
     ("publishes", t.publishes);
     ("quiesce_waits", t.quiesce_waits);
-    ("backoffs", t.backoffs);
-    ("validations", t.validations);
-    ("validation_failures", t.validation_failures);
-    ("cm_decisions", t.cm_decisions);
   ]
 
 let fairness_json t =
@@ -213,8 +194,8 @@ let pp ppf t =
            let n = t.abort_causes.(cause_index c) in
            if n > 0 then Some (Trace.string_of_cause c, n) else None)
          all_causes);
-  Fmt.pf ppf "conflicts=%d wounds=%d backoffs=%d quiesce_waits=%d@."
-    t.conflicts t.wounds t.backoffs t.quiesce_waits;
+  Fmt.pf ppf "conflicts=%d wounds=%d quiesce_waits=%d@." t.conflicts t.wounds
+    t.quiesce_waits;
   if t.begins > 0 then
     Fmt.pf ppf "fairness: jain=%.4f max_consec_aborts=%d@."
       (Stm_cm.Fairness.jain t.fairness)

@@ -8,11 +8,8 @@
 
     Every caller in this tree subscribes it at [Info], which keeps the
     access fast paths cheap and makes its counters independent of
-    whatever else is subscribed. At [Info] the [backoffs],
-    [cm_decisions], [validations] and [validation_failures] counters stay
-    [0]: they count [Debug] events and need a [Debug] subscription. The
-    always-on counts of those actions are in the run's
-    {!Stm_core.Stats}. *)
+    whatever else is subscribed. It counts only [Info] events; the counts
+    of backoffs and validations are in the run's {!Stm_core.Stats}. *)
 
 open Stm_core
 

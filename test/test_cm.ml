@@ -44,10 +44,12 @@ let retries = 4
 let manager ?(seed = 0) policy = Cm.create ~seed ~max_retries:retries ~cost:Cost.default policy
 
 (* Two contenders on one manager: txid 1 (thread 1, born at 0) and
-   txid 2 (thread 2, born at [birth2]). *)
+   txid 2 (thread 2, born at [birth2]), each the first incarnation of its
+   block. *)
 let two_txns ?(birth2 = 10) m =
-  Cm.on_begin m ~tid:1 ~txid:1 ~now:0;
-  Cm.on_begin m ~tid:2 ~txid:2 ~now:birth2
+  let s1 = Cm.on_begin m Cm.no_slot ~tid:1 ~txid:1 ~now:0 in
+  let s2 = Cm.on_begin m Cm.no_slot ~tid:2 ~txid:2 ~now:birth2 in
+  (s1, s2)
 
 let conflict ?(attempt = 0) ?(work = 1) ~txid ~tid ~owner () =
   { Cm.txid; tid; attempt; writer = true; work; owner; now = 50 }
@@ -61,89 +63,100 @@ let wound_victim = function
 
 let suicide_waits_then_aborts () =
   let m = manager Policy.Suicide in
-  two_txns m;
+  let s1, s2 = two_txns m in
   check_bool "waits below budget" true
-    (is_wait (Cm.on_conflict m (conflict ~txid:1 ~tid:1 ~owner:(Some 2) ())));
+    (is_wait (Cm.on_conflict m s1 ~owner:s2 (conflict ~txid:1 ~tid:1 ~owner:(Some 2) ())));
   check_bool "never wounds, aborts itself at budget" true
     (is_abort_self
-       (Cm.on_conflict m
+       (Cm.on_conflict m s1 ~owner:s2
           (conflict ~attempt:retries ~txid:1 ~tid:1 ~owner:(Some 2) ())))
 
 let wound_wait_by_txid () =
   let m = manager Policy.Wound_wait in
-  two_txns m;
+  let s1, s2 = two_txns m in
   Alcotest.(check (option int))
     "older txid wounds" (Some 2)
-    (wound_victim (Cm.on_conflict m (conflict ~txid:1 ~tid:1 ~owner:(Some 2) ())));
+    (wound_victim
+       (Cm.on_conflict m s1 ~owner:s2 (conflict ~txid:1 ~tid:1 ~owner:(Some 2) ())));
   check_bool "younger txid waits" true
-    (is_wait (Cm.on_conflict m (conflict ~txid:2 ~tid:2 ~owner:(Some 1) ())));
+    (is_wait (Cm.on_conflict m s2 ~owner:s1 (conflict ~txid:2 ~tid:2 ~owner:(Some 1) ())));
   check_bool "budget still bounds the younger side" true
     (is_abort_self
-       (Cm.on_conflict m
+       (Cm.on_conflict m s2 ~owner:s1
           (conflict ~attempt:retries ~txid:2 ~tid:2 ~owner:(Some 1) ())))
 
 let timestamp_oldest_never_loses () =
   let m = manager Policy.Timestamp in
-  two_txns m;
+  let s1, s2 = two_txns m in
   Alcotest.(check (option int))
     "oldest wounds even past the budget" (Some 2)
     (wound_victim
-       (Cm.on_conflict m
+       (Cm.on_conflict m s1 ~owner:s2
           (conflict ~attempt:(retries + 3) ~txid:1 ~tid:1 ~owner:(Some 2) ())));
   check_bool "younger waits without burning budget" true
     (is_wait
-       (Cm.on_conflict m
+       (Cm.on_conflict m s2 ~owner:s1
           (conflict ~attempt:(retries + 3) ~txid:2 ~tid:2 ~owner:(Some 1) ())));
   check_bool "anonymous owner falls back to bounded retries" true
     (is_abort_self
-       (Cm.on_conflict m
+       (Cm.on_conflict m s2 ~owner:Cm.no_slot
           (conflict ~attempt:retries ~txid:2 ~tid:2 ~owner:None ())))
 
 let timestamp_age_survives_restart () =
   let m = manager Policy.Timestamp in
-  two_txns m;
-  (* txn 1 aborts and restarts as txid 3: it keeps its birth, so it still
-     outranks txn 2 even though 3 > 2 *)
-  Cm.on_abort m ~txid:1 ~restart:true ~wounded:false ~work:5;
-  Cm.on_begin m ~tid:1 ~txid:3 ~now:90;
+  let s1, s2 = two_txns m in
+  (* txn 1 aborts and its block restarts as txid 3 in the same slot: it
+     keeps its birth, so it still outranks txn 2 even though 3 > 2 *)
+  Cm.on_abort s1 ~wounded:false ~work:5;
+  let s3 = Cm.on_begin m s1 ~tid:1 ~txid:3 ~now:90 in
+  check_bool "the restart keeps the slot" true (s3 == s1);
+  check_int "and its birth" 0 (Cm.birth s3);
   Alcotest.(check (option int))
     "restarted incarnation keeps its age" (Some 2)
-    (wound_victim (Cm.on_conflict m (conflict ~txid:3 ~tid:1 ~owner:(Some 2) ())))
+    (wound_victim
+       (Cm.on_conflict m s3 ~owner:s2 (conflict ~txid:3 ~tid:1 ~owner:(Some 2) ())))
 
 let timestamp_age_dropped_on_giveup () =
   let m = manager Policy.Timestamp in
-  two_txns m;
-  (* txn 1 is torn down for good; its thread's next block is younger than
-     txn 2 and must wait, not wound *)
-  Cm.on_abort m ~txid:1 ~restart:false ~wounded:false ~work:5;
-  Cm.on_begin m ~tid:1 ~txid:3 ~now:90;
+  let s1, s2 = two_txns m in
+  (* txn 1's block is torn down for good; its thread's next block starts
+     from no slot, is younger than txn 2 and must wait, not wound *)
+  Cm.on_abort s1 ~wounded:false ~work:5;
+  let s3 = Cm.on_begin m Cm.no_slot ~tid:1 ~txid:3 ~now:90 in
+  check_int "a fresh slot is born now" 90 (Cm.birth s3);
   check_bool "fresh block after give-up is younger" true
-    (is_wait (Cm.on_conflict m (conflict ~txid:3 ~tid:1 ~owner:(Some 2) ())))
+    (is_wait (Cm.on_conflict m s3 ~owner:s2 (conflict ~txid:3 ~tid:1 ~owner:(Some 2) ())))
 
 let karma_banks_lost_work () =
   let m = manager Policy.Karma in
-  two_txns m;
+  let s1, s2 = two_txns m in
   (* equal priority: txn 2 (larger first-txid) loses the tie-break and
      waits. [work] counts toward priority, so keep both sides at zero. *)
   check_bool "no karma yet: waits" true
     (is_wait
-       (Cm.on_conflict m (conflict ~work:0 ~txid:2 ~tid:2 ~owner:(Some 1) ())));
+       (Cm.on_conflict m s2 ~owner:s1
+          (conflict ~work:0 ~txid:2 ~tid:2 ~owner:(Some 1) ())));
   (* two aborted incarnations bank karma for the block *)
-  Cm.on_abort m ~txid:2 ~restart:true ~wounded:false ~work:10;
-  Cm.on_begin m ~tid:2 ~txid:4 ~now:60;
-  Cm.on_abort m ~txid:4 ~restart:true ~wounded:false ~work:10;
-  Cm.on_begin m ~tid:2 ~txid:5 ~now:70;
+  Cm.on_abort s2 ~wounded:false ~work:10;
+  let s4 = Cm.on_begin m s2 ~tid:2 ~txid:4 ~now:60 in
+  Cm.on_abort s4 ~wounded:false ~work:10;
+  let s5 = Cm.on_begin m s4 ~tid:2 ~txid:5 ~now:70 in
+  check_int "karma banked across incarnations" 20 (Cm.karma s5);
   Alcotest.(check (option int))
     "banked karma now outranks the owner" (Some 1)
     (wound_victim
-       (Cm.on_conflict m (conflict ~work:0 ~txid:5 ~tid:2 ~owner:(Some 1) ())))
+       (Cm.on_conflict m s5 ~owner:s1
+          (conflict ~work:0 ~txid:5 ~tid:2 ~owner:(Some 1) ())))
 
 let exp_backoff_seeded () =
   let delays seed =
     let m = manager ~seed Policy.Exp_backoff in
-    Cm.on_begin m ~tid:1 ~txid:1 ~now:0;
+    let s = Cm.on_begin m Cm.no_slot ~tid:1 ~txid:1 ~now:0 in
     List.init retries (fun attempt ->
-        match Cm.on_conflict m (conflict ~attempt ~txid:1 ~tid:1 ~owner:None ()) with
+        match
+          Cm.on_conflict m s ~owner:Cm.no_slot
+            (conflict ~attempt ~txid:1 ~tid:1 ~owner:None ())
+        with
         | Cm.Wait d -> d
         | _ -> Alcotest.fail "expected Wait")
   in
@@ -159,6 +172,131 @@ let backoff_schedule () =
   check_bool "jitter separates threads" true
     (Cm.jittered_delay cost ~tid:1 ~attempt:3
     <> Cm.jittered_delay cost ~tid:2 ~attempt:3)
+
+(* ------------------------------------------------------------------ *)
+(* The block's slot through Stm.atomic / atomic_open                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Run [body] as a simulated program and hand back what it recorded. *)
+let simulate ?(cfg = Config.eager_weak) body =
+  let out = ref None in
+  let result, _ = Stm.run ~cfg (fun () -> out := Some (body ())) in
+  check_bool "run completed" true (result.Sched.status = Sched.Completed);
+  check_int "no escaped exception" 0 (List.length result.Sched.exns);
+  Option.get !out
+
+(* Every incarnation of one block: its slot, birth and karma. Attempt 0
+   writes three fields (three accesses of work) and leaves through
+   [leave]; attempt 1 commits. *)
+let incarnations leave =
+  simulate (fun () ->
+      let o = Stm.alloc_public ~cls:"C" 3 in
+      let seen = ref [] in
+      Stm.atomic (fun () ->
+          let s = Stm.cm_slot () in
+          seen := (s, Cm.birth s, Cm.karma s) :: !seen;
+          if List.length !seen = 1 then begin
+            for f = 0 to 2 do
+              Stm.write o f (Stm.vint 1)
+            done;
+            leave ()
+          end);
+      List.rev !seen)
+
+let check_same_block what = function
+  | [ (s0, b0, k0); (s1, b1, k1) ] ->
+      check_bool (what ^ ": same slot, so same rng") true (s1 == s0);
+      check_int (what ^ ": birth kept") b0 b1;
+      check_int (what ^ ": lost work banked") (k0 + 3) k1
+  | l -> Alcotest.failf "%s: %d incarnations, expected 2" what (List.length l)
+
+let conflict_restart_keeps_slot () =
+  check_same_block "conflict restart" (incarnations Stm.abort_and_retry)
+
+(* A retried block keeps its slot too. Under timestamp and karma
+   [retry()] can livelock (five philosophers waiting for forks); a fix
+   that gives a retried block a new slot flips this test on purpose. *)
+let retry_keeps_slot () = check_same_block "retry" (incarnations Stm.retry)
+
+(* The first slot of the block that fails, and the slot of the thread's
+   next block. *)
+let slot_after ?cfg failing =
+  simulate ?cfg (fun () ->
+      let first = ref Cm.no_slot in
+      (try failing (fun () -> if !first == Cm.no_slot then first := Stm.cm_slot ())
+       with Failure _ | Stm.Starved _ -> ());
+      let next = Stm.atomic Stm.cm_slot in
+      (!first, next))
+
+let check_fresh what (first, next) =
+  check_bool (what ^ ": the failed block had a slot") true (first != Cm.no_slot);
+  check_bool (what ^ ": next block has its own slot") true (next != first);
+  check_bool (what ^ ": born later") true (Cm.birth next > Cm.birth first);
+  check_int (what ^ ": no karma carried over") 0 (Cm.karma next)
+
+let fresh_slot_after_exception () =
+  check_fresh "caught exception"
+    (slot_after (fun note ->
+         Stm.atomic (fun () ->
+             note ();
+             failwith "boom")))
+
+let fresh_slot_after_starved () =
+  let cfg = { Config.eager_weak with Config.max_txn_retries = 3; max_txn_restarts = 2 } in
+  check_fresh "Starved"
+    (slot_after ~cfg (fun note ->
+         let o = Stm.alloc_public ~cls:"C" 1 in
+         ignore (Barriers.acquire_anon (Stm.config ()) (Stm.stats ()) o : int);
+         Stm.atomic (fun () ->
+             note ();
+             Stm.write o 0 (Stm.vint 1))))
+
+(* The child restarts once; the parent runs once and its slot neither
+   changes nor banks the child's lost work. *)
+let open_child_has_own_slot () =
+  let parent, before, after, children =
+    simulate (fun () ->
+        let o = Stm.alloc_public ~cls:"C" 1 in
+        Stm.atomic (fun () ->
+            let p = Stm.cm_slot () in
+            let before = (Cm.birth p, Cm.karma p) in
+            let children = ref [] in
+            Stm.atomic_open (fun () ->
+                children := Stm.cm_slot () :: !children;
+                Stm.write o 0 (Stm.vint 1);
+                if List.length !children = 1 then Stm.abort_and_retry ());
+            check_bool "parent's slot is back" true (Stm.cm_slot () == p);
+            (p, before, (Cm.birth p, Cm.karma p), !children)))
+  in
+  match children with
+  | [ c1; c0 ] ->
+      check_bool "child has its own slot" true (c0 != parent);
+      check_bool "child's restart keeps the child's slot" true (c1 == c0);
+      check_int "child banked its lost work" 1 (Cm.karma c0);
+      Alcotest.(check (pair int int)) "parent's birth and karma untouched" before after
+  | l -> Alcotest.failf "%d child incarnations, expected 2" (List.length l)
+
+(* A retry inside an open-nested child aborts the child and retries the
+   top-level parent, which keeps its slot; the child's next run, in the
+   parent's next incarnation, gets a fresh one. *)
+let open_child_retry_propagates () =
+  let parents, children =
+    simulate (fun () ->
+        let parents = ref [] and children = ref [] in
+        Stm.atomic (fun () ->
+            parents := Stm.cm_slot () :: !parents;
+            Stm.atomic_open (fun () ->
+                children := Stm.cm_slot () :: !children;
+                if List.length !children = 1 then Stm.retry ()));
+        (!parents, !children))
+  in
+  match (parents, children) with
+  | [ p1; p0 ], [ c1; c0 ] ->
+      check_bool "parent retried in its own slot" true (p1 == p0);
+      check_bool "child's next run has a fresh slot" true (c1 != c0)
+  | _ ->
+      Alcotest.failf "%d parent and %d child incarnations, expected 2 and 2"
+        (List.length parents) (List.length children)
 
 (* ------------------------------------------------------------------ *)
 (* Fairness accounting                                                 *)
@@ -316,6 +454,15 @@ let suite =
         case "timestamp: age dropped on give-up" timestamp_age_dropped_on_giveup;
         case "karma banks lost work" karma_banks_lost_work;
         case "exp-backoff is seeded and reproducible" exp_backoff_seeded;
+      ] );
+    ( "cm:block-slot",
+      [
+        case "a conflict restart keeps birth, karma and rng" conflict_restart_keeps_slot;
+        case "retry() keeps birth, karma and rng" retry_keeps_slot;
+        case "a caught exception's next block is fresh" fresh_slot_after_exception;
+        case "a caught Starved's next block is fresh" fresh_slot_after_starved;
+        case "an open-nested child has its own slot" open_child_has_own_slot;
+        case "retry in an open-nested child retries the parent" open_child_retry_propagates;
       ] );
     ( "cm:fairness",
       [

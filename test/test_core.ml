@@ -1007,12 +1007,35 @@ let descriptor_sets_reuse () =
       ("mvcc", Config.mvcc_weak);
     ]
 
-(* A descriptor nothing has used yet is its record, its wound flag and
-   four empty indexes: no arena, and no index array, until the first
-   access needs one. *)
+(* A descriptor nothing has used yet is its record (wound fields and the
+   block's slot inline) and four empty indexes: no arena, and no index
+   array, until the first access needs one. *)
 let fresh_descriptor_words () =
   let w = words_of (fun () -> ignore (Sys.opaque_identity (Txn.fresh_descriptor ()))) in
-  check_int "words per fresh descriptor" 74 (int_of_float w)
+  check_int "words per fresh descriptor" 72 (int_of_float w)
+
+(* What one warm atomic block costs the host with no subscriber: an
+   empty block, and the same block flattened inside another. The
+   descriptor comes from the pool, so this is the attempt loop's own
+   cost plus the block's contention slot; a flattened nested block adds
+   nothing. *)
+let warm_block_words () =
+  let empty () = Stm.atomic (fun () -> ()) in
+  let nested () = Stm.atomic (fun () -> Stm.atomic (fun () -> ())) in
+  List.iter
+    (fun (name, cfg, expect) ->
+      with_stm ~cfg (fun () ->
+          empty ();
+          nested ();
+          let e = int_of_float (words_of empty) in
+          let n = int_of_float (words_of nested) in
+          Alcotest.(check (pair int int))
+            (name ^ ": words per empty / nested block") expect (e, n)))
+    [
+      ("eager", Config.eager_weak, (23, 23));
+      ("lazy", Config.lazy_weak, (28, 28));
+      ("mvcc", Config.mvcc_weak, (23, 23));
+    ]
 
 (* A deterministic two-thread run that emits both Info events (begin,
    commit, conflict) and Debug events (barriers, accesses, validations). *)
@@ -1115,6 +1138,7 @@ let suite =
           case "recycled descriptor's sets allocate nothing"
             descriptor_sets_reuse;
           case "fresh descriptor words" fresh_descriptor_words;
+          case "warm atomic block words" warm_block_words;
           case "subscribers compose" subscribers_compose;
           case "with_sinks restores the outer set" with_sinks_restores;
         ] );
@@ -1241,6 +1265,38 @@ let stm_failure_paths_explored () =
       nothing_left (what ^ " explored rerun"))
     failure_cases
 
+(* An exploration that its run budget stops: the walk ends with
+   schedules left, between runs rather than inside one. It leaves
+   nothing behind either, and a rerun stops at the same run with the
+   same outcome table. *)
+let explorer_budget_stop () =
+  let module E = Stm_litmus.Explorer in
+  let module P = Stm_litmus.Programs in
+  let module M = Stm_litmus.Modes in
+  let program = P.speculative_lost_update and mode = M.Strong Config.Eager in
+  let cfg = M.config ~granule:program.P.needs_granule mode in
+  let make () = program.P.build (M.harness mode cfg) in
+  let budget = 6 in
+  let books (e : E.exploration) = (e.E.runs, e.E.truncated, e.E.outcomes) in
+  List.iter
+    (fun (what, explore) ->
+      let ((runs, truncated, outcomes) as first) = explore () in
+      nothing_left what;
+      check_int (what ^ ": runs") budget runs;
+      check_bool (what ^ ": truncated") true truncated;
+      check_bool (what ^ ": outcomes booked") true (outcomes <> []);
+      check_bool (what ^ ": rerun repeats runs, truncation and outcomes") true
+        (explore () = first);
+      nothing_left (what ^ " rerun"))
+    [
+      ("explore", fun () -> books (E.explore ~max_runs:budget ~cfg ~make ()));
+      ( "explore_dpor",
+        fun () ->
+          let d = E.explore_dpor ~max_runs:budget ~cfg ~make () in
+          check_bool "explore_dpor: incomplete" false d.E.complete;
+          books d.E.exploration );
+    ]
+
 let suite =
   suite
   @ [
@@ -1248,6 +1304,7 @@ let suite =
         [
           case "exception and Starved leave nothing" stm_failure_paths;
           case "explored, they leave nothing" stm_failure_paths_explored;
+          case "an explorer budget stop leaves nothing" explorer_budget_stop;
         ] );
     ]
 

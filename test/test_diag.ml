@@ -126,8 +126,17 @@ let metrics_at_info_never_builds () =
             Alcotest.fail "History event built under an Info sink";
           Trace.emit (decision ()));
       check_int "Info event counted" 1 (Metrics.aborts m);
-      check_int "Debug event not counted" 0
-        (List.assoc "cm_decisions" (Metrics.to_assoc m)))
+      (* handed a Debug event directly, as the diag pipeline does, it
+         counts nothing *)
+      let before = Metrics.to_assoc m in
+      List.iter (Metrics.handle m)
+        [
+          decision ();
+          Trace.Backoff { tid = 1; attempt = 0; delay = 5 };
+          Trace.Validation { txid = 1; tid = 1; ok = false };
+        ];
+      Alcotest.(check (list (pair string int)))
+        "Debug events change no counter" before (Metrics.to_assoc m))
 
 let level_sanity () =
   check_bool "Conflict is Info" true
