@@ -682,7 +682,7 @@ let perf_cmd =
            c.Stm_check.Combo.isolation = Stm_core.Config.Serializable)
          backends)
       ~doc:
-        "Backend the txn/*, diag/* and store/* benches run under: \
+        "Backend the txn/*, barrier/*, diag/* and store/* benches run under: \
          $(b,eager), $(b,lazy), $(b,mvcc), $(b,eager-ts) or $(b,lazy-ts). \
          It also picks the default $(b,--baseline)."
   in

@@ -1,13 +1,17 @@
 open Stm_runtime
 module Mvcc = Stm_mvcc.Mvcc
 
+(* [Sched.tick] without the call or the in-simulation check: everything
+   here runs inside a simulation (see [Sched.reg]). *)
+let[@inline] tick n = Sched.(reg.clock <- reg.clock + n)
+
 (* Every emission sits next to the [Stats] increment it mirrors, so the
    per-site profiler's column sums reproduce the global counters exactly
    (checked by the test suite). *)
 let emit_barrier op path =
   if Trace.enabled_at Trace.Debug then
     Trace.emit
-      (Trace.Barrier { tid = Sched.self (); site = Site.current (); op; path })
+      (Trace.Barrier { tid = Sched.reg.tid; site = Site.current (); op; path })
 
 (* Same convention as [Txn.observe_blocked]: the first blocked record
    observation in a retry loop is a plain read, later ones are futile
@@ -33,11 +37,11 @@ let rec read_loop (cfg : Config.t) (stats : Stats.t) (obj : Heap.obj) fld
   in
   if blocked then observe_blocked ~attempt obj.Heap.oid
   else Footprint.read obj.Heap.oid;
-  Sched.tick cost.Cost.plain_load;
+  tick cost.Cost.plain_load;
   Sched.yield ();
   (* mov eax, [addr] *)
   let v = Heap.get obj fld in
-  Sched.tick cost.Cost.plain_load;
+  tick cost.Cost.plain_load;
   Sched.yield ();
   (* cmp ecx, -1 ; jeq readDone   (optional DEA fast path) *)
   if cfg.dea && cfg.read_privacy_check && Txrec.is_private w1 then begin
@@ -60,7 +64,7 @@ let rec read_loop (cfg : Config.t) (stats : Stats.t) (obj : Heap.obj) fld
   else begin
     (* cmp ecx, [TxRec] ; jne readConflict *)
     let w2 = Heap.txrec_get obj in
-    Sched.tick cost.Cost.plain_load;
+    tick cost.Cost.plain_load;
     if w2 <> w1 then begin
       Conflict.handle cfg stats ~attempt ~writer:false obj;
       read_loop cfg stats obj fld (attempt + 1)
@@ -72,14 +76,14 @@ let rec read_loop (cfg : Config.t) (stats : Stats.t) (obj : Heap.obj) fld
 let read (cfg : Config.t) (stats : Stats.t) (obj : Heap.obj) fld =
   stats.Stats.barrier_reads <- stats.Stats.barrier_reads + 1;
   emit_barrier Trace.Op_read Trace.Path_fired;
-  Sched.tick cfg.cost.Cost.barrier_entry;
+  tick cfg.cost.Cost.barrier_entry;
   read_loop cfg stats obj fld 0
 
 let rec read_ordering_loop (cfg : Config.t) (stats : Stats.t)
     (obj : Heap.obj) fld attempt =
   let cost = cfg.cost in
   let w = Heap.txrec_peek obj in
-  Sched.tick cost.Cost.plain_load;
+  tick cost.Cost.plain_load;
   if not (Txrec.readable_bit w) then begin
     observe_blocked ~attempt obj.Heap.oid;
     Conflict.handle cfg stats ~attempt ~writer:false obj;
@@ -89,7 +93,7 @@ let rec read_ordering_loop (cfg : Config.t) (stats : Stats.t)
     Footprint.read obj.Heap.oid;
     Sched.yield ();
     let v = Heap.get obj fld in
-    Sched.tick cost.Cost.plain_load;
+    tick cost.Cost.plain_load;
     v
   end
 
@@ -97,7 +101,7 @@ let rec read_ordering_loop (cfg : Config.t) (stats : Stats.t)
 let read_ordering (cfg : Config.t) (stats : Stats.t) (obj : Heap.obj) fld =
   stats.Stats.barrier_reads <- stats.Stats.barrier_reads + 1;
   emit_barrier Trace.Op_read_ordering Trace.Path_fired;
-  Sched.tick cfg.cost.Cost.barrier_entry;
+  tick cfg.cost.Cost.barrier_entry;
   read_ordering_loop cfg stats obj fld 0
 
 (* The BTR acquire loop shared by the write barrier and by aggregated
@@ -107,7 +111,7 @@ let rec acquire_loop op (cfg : Config.t) (stats : Stats.t) (obj : Heap.obj)
     attempt =
   let cost = cfg.cost in
   let w = Heap.txrec_peek obj in
-  Sched.tick cost.Cost.plain_load;
+  tick cost.Cost.plain_load;
   (* cmp [TxRec], -1 ; jeq privateWrite *)
   if cfg.dea && Txrec.is_private w then begin
     Footprint.read obj.Heap.oid;
@@ -119,7 +123,7 @@ let rec acquire_loop op (cfg : Config.t) (stats : Stats.t) (obj : Heap.obj)
     Footprint.read obj.Heap.oid;
     (* lock btr [TxRec], 0 *)
     stats.Stats.atomic_ops <- stats.Stats.atomic_ops + 1;
-    Sched.tick cost.Cost.atomic_rmw;
+    tick cost.Cost.atomic_rmw;
     Sched.yield ();
     if Heap.txrec_cas obj w (w - 1) then w - 1
     else acquire_loop op cfg stats obj attempt
@@ -138,7 +142,7 @@ let release_anon (cfg : Config.t) (obj : Heap.obj) w =
   if not (Txrec.is_private w) then begin
     (* add [TxRec], 9 *)
     Heap.txrec_set obj (w + Txrec.release_delta);
-    Sched.tick cfg.cost.Cost.plain_store
+    tick cfg.cost.Cost.plain_store
   end
 
 (* Figure 9b / 10b. *)
@@ -146,12 +150,12 @@ let write ~gvc (cfg : Config.t) (stats : Stats.t) (obj : Heap.obj) fld v =
   let cost = cfg.cost in
   stats.Stats.barrier_writes <- stats.Stats.barrier_writes + 1;
   emit_barrier Trace.Op_write Trace.Path_fired;
-  Sched.tick cost.Cost.barrier_entry;
+  tick cost.Cost.barrier_entry;
   let w = acquire_anon cfg stats obj in
   if Txrec.is_private w then begin
     (* privateWrite: mov [addr], val *)
     Heap.set obj fld v;
-    Sched.tick cost.Cost.plain_store
+    tick cost.Cost.plain_store
   end
   else begin
     (* publish the stored reference if it leads to private objects
@@ -160,7 +164,7 @@ let write ~gvc (cfg : Config.t) (stats : Stats.t) (obj : Heap.obj) fld v =
     Sched.yield ();
     (* mov [addr], val *)
     Heap.set obj fld v;
-    Sched.tick cost.Cost.plain_store;
+    tick cost.Cost.plain_store;
     Sched.yield ();
     (* under timestamp validation a strong non-transactional store is a
        one-word commit: bump the global clock and stamp the granule —
@@ -185,10 +189,10 @@ let read_latest (cfg : Config.t) (stats : Stats.t) (obj : Heap.obj) fld =
     emit_barrier Trace.Op_read Trace.Path_private
   end
   else emit_barrier Trace.Op_read Trace.Path_fired;
-  Sched.tick cost.Cost.barrier_entry;
+  tick cost.Cost.barrier_entry;
   Sched.yield ();
   let v = Heap.get obj fld in
-  Sched.tick cost.Cost.plain_load;
+  tick cost.Cost.plain_load;
   v
 
 (* mvcc strong-atomicity write barrier: a non-transactional store is a
@@ -201,17 +205,17 @@ let write_versioned (cfg : Config.t) (stats : Stats.t) mv (obj : Heap.obj) fld
   let cost = cfg.cost in
   stats.Stats.barrier_writes <- stats.Stats.barrier_writes + 1;
   emit_barrier Trace.Op_write Trace.Path_fired;
-  Sched.tick cost.Cost.barrier_entry;
+  tick cost.Cost.barrier_entry;
   if cfg.dea && Dea.is_private obj then begin
     stats.Stats.barrier_private_hits <- stats.Stats.barrier_private_hits + 1;
     emit_barrier Trace.Op_write Trace.Path_private;
     Heap.set obj fld v;
-    Sched.tick cost.Cost.plain_store
+    tick cost.Cost.plain_store
   end
   else begin
     if cfg.dea then Dea.publish_value stats cost v;
     Sched.yield ();
-    Mvcc.install ~tid:(Sched.self ()) mv obj ~ts:(Mvcc.advance mv);
+    Mvcc.install ~tid:Sched.reg.tid mv obj ~ts:(Mvcc.advance mv);
     Heap.set obj fld v;
-    Sched.tick cost.Cost.plain_store
+    tick cost.Cost.plain_store
   end

@@ -9,7 +9,7 @@ exception
 let backoff_delay cost ~attempt = Stm_cm.Cm.backoff_delay cost ~attempt
 
 let jittered_delay cost ~attempt =
-  let tid = if Sched.running () then Sched.self () else 0 in
+  let tid = max 0 Sched.reg.tid in
   Stm_cm.Cm.jittered_delay cost ~tid ~attempt
 
 let handle ?delay (cfg : Config.t) (stats : Stats.t) ~attempt ~writer
@@ -19,7 +19,7 @@ let handle ?delay (cfg : Config.t) (stats : Stats.t) ~attempt ~writer
     Trace.emit
       (Trace.Conflict
          {
-           tid = (if Sched.running () then Sched.self () else -1);
+           tid = Sched.reg.tid;
            oid = obj.Heap.oid;
            cls = obj.Heap.cls;
            writer;
@@ -39,7 +39,7 @@ let handle ?delay (cfg : Config.t) (stats : Stats.t) ~attempt ~writer
         Trace.emit
           (Trace.Backoff
              {
-               tid = (if Sched.running () then Sched.self () else -1);
+               tid = Sched.reg.tid;
                attempt;
                delay;
              });

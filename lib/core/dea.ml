@@ -1,5 +1,9 @@
 open Stm_runtime
 
+(* [Sched.tick] without the call or the in-simulation check: everything
+   here runs inside a simulation (see [Sched.reg]). *)
+let[@inline] tick n = Sched.(reg.clock <- reg.clock + n)
+
 let is_private (o : Heap.obj) = Txrec.is_private (Heap.txrec_get o)
 
 (* publishObject, Figure 11. Objects are marked public *when first
@@ -7,14 +11,14 @@ let is_private (o : Heap.obj) = Txrec.is_private (Heap.txrec_get o)
    objects cannot loop. *)
 let publish (stats : Stats.t) (cost : Cost.t) (root : Heap.obj) =
   if is_private root then begin
-    Sched.tick cost.Cost.publish_base;
+    tick cost.Cost.publish_base;
     let mark_stack = ref [] in
     let mark (o : Heap.obj) =
       Heap.txrec_set o (Txrec.shared 0);
       stats.Stats.publishes <- stats.Stats.publishes + 1;
       if Trace.enabled () then
         Trace.emit (Trace.Publish { oid = o.Heap.oid; cls = o.Heap.cls });
-      Sched.tick cost.Cost.publish_per_obj;
+      tick cost.Cost.publish_per_obj;
       mark_stack := o :: !mark_stack
     in
     mark root;

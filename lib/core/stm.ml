@@ -1,5 +1,10 @@
 open Stm_runtime
 
+(* [Sched.tick] without the call or the in-simulation check, for the
+   accesses, which run inside a simulation (see [Sched.reg]). Allocation
+   keeps [Sched.tick]: outside a run it raises [Not_in_simulation]. *)
+let[@inline] tick n = Sched.(reg.clock <- reg.clock + n)
+
 exception Not_installed
 exception Retry_outside_transaction
 exception Starved of { attempts : int }
@@ -26,10 +31,10 @@ let installed () = !system <> None
 let config () = Txn.cfg (get ()).ctx
 let stats () = Txn.stats (get ()).ctx
 
+(* [tid] is -1 outside a simulation, which no slot matches *)
 let current_txn sys =
-  if Sched.running () then
-    let tid = Sched.self () in
-    if tid < Array.length sys.current then sys.current.(tid) else Txn.none
+  let tid = Sched.reg.tid in
+  if tid >= 0 && tid < Array.length sys.current then sys.current.(tid)
   else Txn.none
 
 let set_current sys tid txn =
@@ -84,7 +89,7 @@ let emit_nontxn_access (obj : Heap.obj) fld value ~write =
     Trace.emit
       (Trace.Access
          {
-           tid = Sched.self ();
+           tid = Sched.reg.tid;
            txid = -1;
            oid = obj.Heap.oid;
            fld;
@@ -104,7 +109,7 @@ let nontxn_read sys (obj : Heap.obj) fld =
       (* direct access: any memory operation is a preemption point on a
          real multiprocessor *)
       Sched.yield ();
-      Sched.tick cfg.cost.Cost.plain_load;
+      tick cfg.cost.Cost.plain_load;
       Heap.get obj fld
     end
   in
@@ -125,7 +130,7 @@ let nontxn_write sys (obj : Heap.obj) fld v =
     (* Even under weak atomicity with DEA off, reference stores into the
        heap never publish: objects are born public in that mode. *)
     Sched.yield ();
-    Sched.tick cfg.cost.Cost.plain_store;
+    tick cfg.cost.Cost.plain_store;
     Heap.set obj fld v
   end;
   emit_nontxn_access obj fld v ~write:true
@@ -147,7 +152,7 @@ let emit_elided op =
     Trace.emit
       (Trace.Barrier
          {
-           tid = Sched.self ();
+           tid = Sched.reg.tid;
            site = Site.current ();
            op;
            path = Trace.Path_elided;
@@ -160,7 +165,7 @@ let read_nobarrier obj fld =
   else begin
     emit_elided Trace.Op_read;
     Sched.yield ();
-    Sched.tick (Txn.cfg sys.ctx).cost.Cost.plain_load;
+    tick (Txn.cfg sys.ctx).cost.Cost.plain_load;
     let v = Heap.get obj fld in
     emit_nontxn_access obj fld v ~write:false;
     v
@@ -180,7 +185,7 @@ let write_nobarrier obj fld v =
     if cfg.dea && not (Dea.is_private obj) then
       Dea.publish_value (Txn.stats sys.ctx) cfg.cost v;
     Sched.yield ();
-    Sched.tick cfg.cost.Cost.plain_store;
+    tick cfg.cost.Cost.plain_store;
     Heap.set obj fld v;
     emit_nontxn_access obj fld v ~write:true
   end
@@ -237,7 +242,7 @@ let wait_for_change cfg snap =
         hit
       in
       while not (changed ()) do
-        Sched.tick cfg.Config.cost.Cost.alu;
+        tick cfg.Config.cost.Cost.alu;
         Sched.yield ()
       done
 

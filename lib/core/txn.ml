@@ -1,6 +1,10 @@
 open Stm_runtime
 module Mvcc = Stm_mvcc.Mvcc
 
+(* [Sched.tick] without the call or the in-simulation check: everything
+   here runs inside a simulation (see [Sched.reg]). *)
+let[@inline] tick n = Sched.(reg.clock <- reg.clock + n)
+
 exception Abort_txn
 exception Retry_request
 exception Open_nest_conflict
@@ -96,7 +100,8 @@ type ctx = {
   registry : t Int_index.t;
       (* live transaction ids -> descriptor: wounds, owner slots, and
          aggressor attribution all read it *)
-  mutable pool : t list;  (* recycled descriptors *)
+  mutable pool : t array;  (* recycled descriptors, live prefix [npool] *)
+  mutable npool : int;
 }
 
 let cfg ctx = ctx.cfg
@@ -181,7 +186,8 @@ let make_ctx (cfg : Config.t) =
     mv = Mvcc.create ~gvc ~max_versions:cfg.Config.mvcc_max_versions ();
     next_id = 0;
     registry = Int_index.create none;
-    pool = [];
+    pool = [||];
+    npool = 0;
   }
 
 (* Arenas double, from 8 slots when empty. *)
@@ -259,7 +265,13 @@ let recycle ctx t =
   t.parent <- None;
   t.part <- None;
   t.cts <- -1;
-  ctx.pool <- t :: ctx.pool
+  if ctx.npool = Array.length ctx.pool then begin
+    let a = Array.make (grown_length ctx.pool) none in
+    Array.blit ctx.pool 0 a 0 ctx.npool;
+    ctx.pool <- a
+  end;
+  ctx.pool.(ctx.npool) <- t;
+  ctx.npool <- ctx.npool + 1
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
@@ -273,14 +285,14 @@ let begin_txn ctx ~parent ~slot =
   if Stm_cm.Policy.order_sensitive ctx.cfg.cm then
     Footprint.write Footprint.oid_txid;
   ctx.next_id <- ctx.next_id + 1;
-  Sched.tick ctx.cfg.cost.Cost.txn_begin;
+  tick ctx.cfg.cost.Cost.txn_begin;
   let part = if ctx.cfg.quiescence then Some (Quiesce.register ctx.q) else None in
   let t =
-    match ctx.pool with
-    | d :: rest ->
-        ctx.pool <- rest;
-        d
-    | [] -> fresh_descriptor ()
+    if ctx.npool > 0 then begin
+      ctx.npool <- ctx.npool - 1;
+      ctx.pool.(ctx.npool)
+    end
+    else fresh_descriptor ()
   in
   t.txid <- ctx.next_id;
   t.parent <- (if parent == none then None else Some parent);
@@ -298,7 +310,7 @@ let begin_txn ctx ~parent ~slot =
   t.rv <- Gvc.now ctx.gvc;
   t.lva <- t.rv;
   t.cts <- -1;
-  t.begin_ts <- Sched.time ();
+  t.begin_ts <- Sched.reg.clock;
   t.abort_cause <- Trace.Cause_exn;
   t.last_oid <- -1;
   t.last_aggr <- -1;
@@ -306,17 +318,17 @@ let begin_txn ctx ~parent ~slot =
   Footprint.write (Footprint.flag_oid ctx.next_id);
   Int_index.replace ctx.registry ctx.next_id t;
   t.slot <-
-    Stm_cm.Cm.on_begin ctx.cm slot ~tid:(Sched.self ()) ~txid:ctx.next_id
-      ~now:(Sched.time ());
+    Stm_cm.Cm.on_begin ctx.cm slot ~tid:Sched.reg.tid ~txid:ctx.next_id
+      ~now:Sched.reg.clock;
   if Trace.enabled () then
     Trace.emit
-      (Trace.Txn_begin { txid = ctx.next_id; tid = Sched.self () });
+      (Trace.Txn_begin { txid = ctx.next_id; tid = Sched.reg.tid });
   t
 
 let id t = t.txid
 let slot t = t.slot
 let set_abort_cause t c = t.abort_cause <- c
-let latency t = Sched.time () - t.begin_ts
+let latency t = Sched.reg.clock - t.begin_ts
 
 let reads_snapshot t =
   let rec go i acc =
@@ -434,7 +446,7 @@ let sv_entries_ok ctx t = sv_entries_from ctx t 0
    no longer pay it. Observations, not distinct entries: the virtual
    charge stays proportional to what the paper's cons-list walk cost. *)
 let charge_walk ctx t =
-  Sched.tick (ctx.cfg.cost.Cost.txn_per_read * max 1 t.reads_obs)
+  tick (ctx.cfg.cost.Cost.txn_per_read * max 1 t.reads_obs)
 
 let validate ctx t =
   ctx.stats.Stats.validations <- ctx.stats.Stats.validations + 1;
@@ -463,7 +475,7 @@ let validate ctx t =
                walk; the walk fails conservatively on Exclusive owners. *)
             ctx.stats.Stats.fast_validations <-
               ctx.stats.Stats.fast_validations + 1;
-            Sched.tick ctx.cfg.cost.Cost.txn_validate_fast;
+            tick ctx.cfg.cost.Cost.txn_validate_fast;
             true
           end
           else begin
@@ -484,7 +496,7 @@ let validate ctx t =
         end
   in
   if Trace.enabled_at Trace.Debug then
-    Trace.emit (Trace.Validation { txid = t.txid; tid = Sched.self (); ok });
+    Trace.emit (Trace.Validation { txid = t.txid; tid = Sched.reg.tid; ok });
   ok
 
 (* Timestamp extension: a read observed a granule stamped newer than
@@ -519,11 +531,19 @@ let wound ctx ~victim ~by =
   if d != none && not d.killed then begin
     d.killed <- true;
     d.killed_by <- by;
-    d.killed_by_tid <- Sched.self ();
+    d.killed_by_tid <- Sched.reg.tid;
     ctx.stats.Stats.wounds <- ctx.stats.Stats.wounds + 1;
     if Trace.enabled () then
       Trace.emit (Trace.Txn_wound { victim; by })
   end
+
+(* Matches, not [Option.iter] over a partial application, which would
+   allocate a closure per transaction even with quiescence off. *)
+let mark_consistent ctx t =
+  match t.part with Some p -> Quiesce.mark_consistent ctx.q p | None -> ()
+
+let deregister ctx t =
+  match t.part with Some p -> Quiesce.deregister ctx.q p | None -> ()
 
 (* A transaction pausing on a conflict revalidates (when quiescence is on)
    so that committers waiting in [Quiesce.commit_epoch_wait] observe it as
@@ -532,7 +552,7 @@ let wound ctx ~victim ~by =
 let conflict_pause ctx t ~attempt ~writer ~delay obj =
   Conflict.handle ~delay ctx.cfg ctx.stats ~attempt ~writer obj;
   if ctx.cfg.quiescence then
-    if validate ctx t then Option.iter (Quiesce.mark_consistent ctx.q) t.part
+    if validate ctx t then mark_consistent ctx t
     else begin
       t.abort_cause <- Trace.Cause_validation;
       raise Abort_txn
@@ -565,19 +585,19 @@ let cm_resolve ctx t ~attempt ~writer obj =
     Stm_cm.Cm.on_conflict ctx.cm t.slot ~owner:od.slot
       {
         Stm_cm.Cm.txid = t.txid;
-        tid = Sched.self ();
+        tid = Sched.reg.tid;
         attempt;
         writer;
         work = t.naccesses;
         owner;
-        now = Sched.time ();
+        now = Sched.reg.clock;
       }
   in
   if Trace.enabled_at Trace.Debug then
     Trace.emit
       (Trace.Cm_decision
          {
-           tid = Sched.self ();
+           tid = Sched.reg.tid;
            txid = t.txid;
            policy = Stm_cm.Cm.name ctx.cm;
            decision = Stm_cm.Cm.string_of_decision decision;
@@ -600,8 +620,7 @@ let periodic_validate ctx t =
   check_wounded t;
   t.naccesses <- t.naccesses + 1;
   if t.naccesses mod ctx.cfg.validate_every = 0 then
-    if validate ctx t then
-      Option.iter (Quiesce.mark_consistent ctx.q) t.part
+    if validate ctx t then mark_consistent ctx t
     else begin
       t.abort_cause <- Trace.Cause_validation;
       raise Abort_txn
@@ -622,7 +641,7 @@ let save_undo ctx t (obj : Heap.obj) fld =
     t.undo_base.(i) <- base;
     t.undo_len.(i) <- len;
     t.nundo <- i + 1;
-    Sched.tick (ctx.cfg.cost.Cost.plain_load * len)
+    tick (ctx.cfg.cost.Cost.plain_load * len)
   end
 
 (* The per-access retry loops ([acquire_loop], [eager_read_loop]) are
@@ -632,7 +651,7 @@ let save_undo ctx t (obj : Heap.obj) fld =
 let rec acquire_loop ctx t expect (obj : Heap.obj) attempt =
   let cost = ctx.cfg.cost in
   let w = Heap.txrec_peek obj in
-  Sched.tick cost.Cost.plain_load;
+  tick cost.Cost.plain_load;
   match Txrec.tag w with
   | Txrec.Tag_exclusive when Txrec.owner w = t.txid ->
       Footprint.read obj.Heap.oid;
@@ -651,7 +670,7 @@ let rec acquire_loop ctx t expect (obj : Heap.obj) attempt =
           raise Abort_txn
       | Some _ | None -> ());
       ctx.stats.Stats.atomic_ops <- ctx.stats.Stats.atomic_ops + 1;
-      Sched.tick cost.Cost.atomic_rmw;
+      tick cost.Cost.atomic_rmw;
       Sched.yield ();
       if Heap.txrec_cas obj w (Txrec.exclusive t.txid)
       then begin
@@ -699,31 +718,31 @@ let eager_write ctx t (obj : Heap.obj) fld v =
        old values so that an abort rolls them back *)
     save_undo ctx t obj fld;
     Heap.set obj fld v;
-    Sched.tick cost.Cost.plain_store
+    tick cost.Cost.plain_store
   end
   else begin
     ignore (acquire ctx t obj);
     save_undo ctx t obj fld;
     publish_on_store ctx v;
     Heap.set obj fld v;
-    Sched.tick cost.Cost.plain_store;
+    tick cost.Cost.plain_store;
     Sched.yield ()
   end
 
 let rec eager_read_loop ctx t (obj : Heap.obj) fld attempt =
   let cost = ctx.cfg.cost in
   let w = Heap.txrec_peek obj in
-  Sched.tick cost.Cost.plain_load;
+  tick cost.Cost.plain_load;
   match Txrec.tag w with
   | Txrec.Tag_private ->
       Footprint.read obj.Heap.oid;
       let v = Heap.get obj fld in
-      Sched.tick cost.Cost.plain_load;
+      tick cost.Cost.plain_load;
       v
   | Txrec.Tag_exclusive when Txrec.owner w = t.txid ->
       Footprint.read obj.Heap.oid;
       let v = Heap.get obj fld in
-      Sched.tick cost.Cost.plain_load;
+      tick cost.Cost.plain_load;
       v
   | Txrec.Tag_shared ->
       let ver = Txrec.version w in
@@ -735,7 +754,7 @@ let rec eager_read_loop ctx t (obj : Heap.obj) fld attempt =
         extend_rv ctx t;
       Sched.yield ();
       let v = Heap.get obj fld in
-      Sched.tick cost.Cost.plain_load;
+      tick cost.Cost.plain_load;
       if timestamped ctx && Heap.txrec_get obj <> Txrec.shared ver
       then
         (* the record moved across the preemption point inside the read:
@@ -764,7 +783,7 @@ let eager_read ctx t obj fld = eager_read_loop ctx t obj fld 0
    [eager_read_loop], so opening a slot allocates no closure. *)
 let rec lazy_observe ctx t (obj : Heap.obj) attempt =
   let w = Heap.txrec_peek obj in
-  Sched.tick ctx.cfg.cost.Cost.plain_load;
+  tick ctx.cfg.cost.Cost.plain_load;
   match Txrec.tag w with
   | Txrec.Tag_shared ->
       let ver = Txrec.version w in
@@ -804,7 +823,7 @@ let lazy_slot ctx t (obj : Heap.obj) fld =
     for j = 0 to len - 1 do
       buf.(j) <- Heap.get obj (base + j)
     done;
-    Sched.tick (cost.Cost.plain_load * len);
+    tick (cost.Cost.plain_load * len);
     t.wbuf_obj.(i) <- obj;
     t.wbuf_base.(i) <- base;
     t.wbuf_prior.(i) <- prior;
@@ -817,13 +836,13 @@ let lazy_slot ctx t (obj : Heap.obj) fld =
 let lazy_write ctx t obj fld v =
   let i = lazy_slot ctx t obj fld in
   t.wbuf_buf.(i).(fld - t.wbuf_base.(i)) <- v;
-  Sched.tick ctx.cfg.cost.Cost.plain_store
+  tick ctx.cfg.cost.Cost.plain_store
 
 let lazy_read ctx t (obj : Heap.obj) fld =
   let base = granule_base ctx.cfg fld in
   let i = Int_index.find t.wbuf (gkey obj base) in
   if i >= 0 then begin
-    Sched.tick ctx.cfg.cost.Cost.plain_load;
+    tick ctx.cfg.cost.Cost.plain_load;
     t.wbuf_buf.(i).(fld - base)
   end
   else eager_read ctx t obj fld
@@ -857,19 +876,19 @@ let mvcc_read ctx t (obj : Heap.obj) fld =
   let base = granule_base ctx.cfg fld in
   let i = Int_index.find t.wbuf (gkey obj base) in
   if i >= 0 then begin
-    Sched.tick cost.Cost.plain_load;
+    tick cost.Cost.plain_load;
     t.wbuf_buf.(i).(fld - base)
   end
   else if ctx.cfg.dea && Dea.is_private obj then begin
     let v = Heap.get obj fld in
-    Sched.tick cost.Cost.plain_load;
+    tick cost.Cost.plain_load;
     v
   end
   else begin
     note_read t obj (Heap.version_ts obj);
     Sched.yield ();
     let v = mvcc_read_field ctx t obj fld in
-    Sched.tick cost.Cost.plain_load;
+    tick cost.Cost.plain_load;
     v
   end
 
@@ -896,7 +915,7 @@ let mvcc_slot ctx t (obj : Heap.obj) fld =
         (if priv then Heap.get obj (base + j)
          else mvcc_read_field ctx t obj (base + j))
     done;
-    Sched.tick (cost.Cost.plain_load * len);
+    tick (cost.Cost.plain_load * len);
     t.wbuf_obj.(i) <- obj;
     t.wbuf_base.(i) <- base;
     t.wbuf_prior.(i) <- (if priv then -1 else 0);
@@ -909,7 +928,7 @@ let mvcc_slot ctx t (obj : Heap.obj) fld =
 let mvcc_write ctx t obj fld v =
   let i = mvcc_slot ctx t obj fld in
   t.wbuf_buf.(i).(fld - t.wbuf_base.(i)) <- v;
-  Sched.tick ctx.cfg.cost.Cost.plain_store
+  tick ctx.cfg.cost.Cost.plain_store
 
 let mvcc_end_snapshot ctx t =
   if t.snap >= 0 then begin
@@ -926,7 +945,7 @@ let emit_txn_access op =
     Trace.emit
       (Trace.Barrier
          {
-           tid = Sched.self ();
+           tid = Sched.reg.tid;
            site = Site.current ();
            op;
            path = Trace.Path_fired;
@@ -936,7 +955,7 @@ let emit_access ~txid (obj : Heap.obj) fld value ~write =
   if Trace.enabled_at Trace.History then
     Trace.emit
       (Trace.Access
-         { tid = Sched.self (); txid; oid = obj.Heap.oid; fld; value; write })
+         { tid = Sched.reg.tid; txid; oid = obj.Heap.oid; fld; value; write })
 
 let txn_read ctx t obj fld =
   ctx.stats.Stats.txn_reads <- ctx.stats.Stats.txn_reads + 1;
@@ -971,19 +990,19 @@ let release_all ctx t =
   for i = t.nowned - 1 downto 0 do
     if t.cts >= 0 then Heap.set_version_ts t.owned_obj.(i) t.cts;
     Heap.txrec_set t.owned_obj.(i) (Txrec.shared (t.owned_prior.(i) + 1));
-    Sched.tick cost.Cost.txn_per_write
+    tick cost.Cost.txn_per_write
   done;
   t.nowned <- 0;
   Int_index.clear t.owned
 
 let emit_serialized t =
   if Trace.enabled_at Trace.History then
-    Trace.emit (Trace.Txn_serialized { txid = t.txid; tid = Sched.self () })
+    Trace.emit (Trace.Txn_serialized { txid = t.txid; tid = Sched.reg.tid })
 
 let commit ctx t =
   check_wounded t;
   let cost = ctx.cfg.cost in
-  Sched.tick cost.Cost.txn_commit;
+  tick cost.Cost.txn_commit;
   (match ctx.cfg.versioning with
   | Config.Eager ->
       if timestamped ctx && not (has_writes t) then
@@ -1065,12 +1084,12 @@ let commit ctx t =
           Sched.yield ();
           publish_on_store ctx buf.(j);
           Heap.set obj (base + j) buf.(j);
-          Sched.tick cost.Cost.plain_store
+          tick cost.Cost.plain_store
         done
       done;
       release_all ctx t;
       t.cts <- -1;
-      Option.iter (Quiesce.retire_ticket ctx.q) ticket
+      (match ticket with Some n -> Quiesce.retire_ticket ctx.q n | None -> ())
   | Config.Mvcc ->
       let update = mvcc_has_public t in
       (* Commit does not happen in zero time after the last access: a
@@ -1118,15 +1137,15 @@ let commit ctx t =
         let base = t.wbuf_base.(i) in
         let buf = t.wbuf_buf.(i) in
         if t.wbuf_prior.(i) >= 0 && Heap.version_ts obj <> ts then
-          Mvcc.install ~txid:t.txid ~tid:(Sched.self ()) ctx.mv obj ~ts;
+          Mvcc.install ~txid:t.txid ~tid:Sched.reg.tid ctx.mv obj ~ts;
         for j = 0 to t.wbuf_len.(i) - 1 do
           publish_on_store ctx buf.(j);
           Heap.set obj (base + j) buf.(j);
-          Sched.tick cost.Cost.plain_store
+          tick cost.Cost.plain_store
         done
       done;
       mvcc_end_snapshot ctx t);
-  Option.iter (Quiesce.deregister ctx.q) t.part;
+  deregister ctx t;
   Footprint.write (Footprint.flag_oid t.txid);
   Int_index.remove ctx.registry t.txid;
   if Trace.enabled () then
@@ -1134,7 +1153,7 @@ let commit ctx t =
       (Trace.Txn_commit
          {
            txid = t.txid;
-           tid = Sched.self ();
+           tid = Sched.reg.tid;
            reads = t.nreads;
            writes = t.naccesses;
            latency = latency t;
@@ -1144,7 +1163,7 @@ let commit ctx t =
 
 let abort ctx t =
   let cost = ctx.cfg.cost in
-  Sched.tick cost.Cost.txn_abort;
+  tick cost.Cost.txn_abort;
   mvcc_end_snapshot ctx t;
   (* roll back the undo log, newest entry first; each store is visible to
      unsynchronized readers - the paper's "manufactured writes" *)
@@ -1154,7 +1173,7 @@ let abort ctx t =
     let buf = t.undo_buf.(i) in
     for j = 0 to t.undo_len.(i) - 1 do
       Heap.set obj (base + j) buf.(j);
-      Sched.tick cost.Cost.plain_store;
+      tick cost.Cost.plain_store;
       Sched.yield ()
     done
   done;
@@ -1163,7 +1182,7 @@ let abort ctx t =
   Int_index.clear t.wbuf;
   t.nwbuf <- 0;
   release_all ctx t;
-  Option.iter (Quiesce.deregister ctx.q) t.part;
+  deregister ctx t;
   Footprint.write (Footprint.flag_oid t.txid);
   Int_index.remove ctx.registry t.txid;
   Stm_cm.Cm.on_abort t.slot ~wounded:t.killed ~work:t.naccesses;
@@ -1185,7 +1204,7 @@ let abort ctx t =
       (Trace.Txn_abort
          {
            txid = t.txid;
-           tid = Sched.self ();
+           tid = Sched.reg.tid;
            wounded = t.killed;
            cause;
            latency = latency t;

@@ -1,6 +1,10 @@
 open Stm_runtime
 open Stm_core
 
+(* [Sched.tick] without the call or the in-simulation check: everything
+   here runs inside a simulation (see [Sched.reg]). *)
+let[@inline] tick n = Sched.(reg.clock <- reg.clock + n)
+
 exception Interp_error of string
 
 type outcome = {
@@ -235,7 +239,7 @@ let load_general a frame o fld =
       (* Section 5.2 extension: no transaction ever writes this object,
          so the open-for-read barrier (version log + validation entry)
          can be elided - but only under weak atomicity *)
-      Sched.tick cfg.cost.Cost.plain_load;
+      tick cfg.cost.Cost.plain_load;
       Heap.get o fld
     end
     else Stm.read o fld
@@ -243,7 +247,7 @@ let load_general a frame o fld =
     match frame.agg with
     | Some a when a.a_obj == o ->
         (* covered by an aggregated acquire: plain load *)
-        Sched.tick cfg.cost.Cost.plain_load;
+        tick cfg.cost.Cost.plain_load;
         let v = Heap.get o fld in
         agg_step frame a;
         v
@@ -252,7 +256,7 @@ let load_general a frame o fld =
         | P_removed -> Stm.read_nobarrier o fld
         | P_agg n ->
             let w = Barriers.acquire_anon ~op:Trace.Op_read cfg (Stm.stats ()) o in
-            Sched.tick cfg.cost.Cost.plain_load;
+            tick cfg.cost.Cost.plain_load;
             let v = Heap.get o fld in
             if n > 1 then frame.agg <- Some { a_obj = o; a_word = w; a_left = n - 1 }
             else Barriers.release_anon cfg o w;
@@ -274,7 +278,7 @@ let store_general a frame o fld v =
     | Some a when a.a_obj == o ->
         if cfg.dea && not (Txrec.is_private a.a_word) then
           Dea.publish_value (Stm.stats ()) cfg.cost v;
-        Sched.tick cfg.cost.Cost.plain_store;
+        tick cfg.cost.Cost.plain_store;
         Heap.set o fld v;
         agg_step frame a
     | Some _ | None -> (
@@ -284,7 +288,7 @@ let store_general a frame o fld v =
             let w = Barriers.acquire_anon ~op:Trace.Op_write cfg (Stm.stats ()) o in
             if cfg.dea && not (Txrec.is_private w) then
               Dea.publish_value (Stm.stats ()) cfg.cost v;
-            Sched.tick cfg.cost.Cost.plain_store;
+            tick cfg.cost.Cost.plain_store;
             Heap.set o fld v;
             if n > 1 then frame.agg <- Some { a_obj = o; a_word = w; a_left = n - 1 }
             else Barriers.release_anon cfg o w
@@ -546,7 +550,7 @@ and compile ex k pc (ins : Ir.instr) : frame -> int =
       let a = opnd a in
       fun fr ->
         let o = obj_of "length" (get fr a) in
-        Sched.tick cost.Cost.plain_load;
+        tick cost.Cost.plain_load;
         fr.regs.(d) <- Heap.Vint (Heap.nfields o);
         next
   | Ir.Call { dst; target; this; args } -> (
@@ -570,7 +574,7 @@ and compile ex k pc (ins : Ir.instr) : frame -> int =
       | Ir.Static (c, mname), _ ->
           let target = ref None in
           fun fr ->
-            Sched.tick cost.Cost.call;
+            tick cost.Cost.call;
             let callee =
               match !target with
               | Some callee -> callee
@@ -587,7 +591,7 @@ and compile ex k pc (ins : Ir.instr) : frame -> int =
           (* one-entry cache keyed by the receiver's class *)
           let last = ref None in
           fun fr ->
-            Sched.tick cost.Cost.call;
+            tick cost.Cost.call;
             let cls =
               match get fr recv with
               | Heap.Vref o -> o.Heap.cls
@@ -610,7 +614,7 @@ and compile ex k pc (ins : Ir.instr) : frame -> int =
             next
       | Ir.Virtual _, None ->
           fun _ ->
-            Sched.tick cost.Cost.call;
+            tick cost.Cost.call;
             invalid_arg "option is None")
   | Ir.Builtin { dst; name; args } -> (
       let f = builtin ex name (List.map opnd args) in
@@ -708,7 +712,7 @@ and run_range ex k frame pc stop =
   let pc = ref pc in
   while !pc <> stop && !pc <> -1 do
     if !pc = n then err "method %s::%s fell off the end" k.meth.Ir.mcls k.meth.Ir.mname;
-    Sched.tick alu;
+    tick alu;
     ex.instrs <- ex.instrs + 1;
     pc := ops.(!pc) frame
   done;

@@ -110,8 +110,3 @@ let to_json t =
       ("p99", Json.Int (quantile t 0.99));
       ("buckets", Json.List buckets);
     ]
-
-let pp ppf t =
-  Fmt.pf ppf "n=%d mean=%.1f min=%d p50=%d p90=%d p99=%d max=%d" t.count
-    (mean t) (min_value t) (quantile t 0.5) (quantile t 0.9) (quantile t 0.99)
-    (max_value t)

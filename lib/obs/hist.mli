@@ -30,4 +30,3 @@ val bucket_le : int -> int
 (** Inclusive upper bound of bucket [i]. *)
 
 val to_json : t -> Json.t
-val pp : Format.formatter -> t -> unit

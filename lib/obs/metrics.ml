@@ -182,25 +182,3 @@ let to_json ?stats t =
     | Some s -> base @ [ ("stats", Json.of_assoc (Stats.to_assoc s)) ]
   in
   Json.Obj base
-
-let pp ppf t =
-  Fmt.pf ppf "txns: %d begun, %d committed, %d aborted@." t.begins t.commits
-    t.aborts;
-  if t.aborts > 0 then
-    Fmt.pf ppf "abort causes: %a@."
-      Fmt.(list ~sep:comma (pair ~sep:(any "=") string int))
-      (List.filter_map
-         (fun c ->
-           let n = t.abort_causes.(cause_index c) in
-           if n > 0 then Some (Trace.string_of_cause c, n) else None)
-         all_causes);
-  Fmt.pf ppf "conflicts=%d wounds=%d quiesce_waits=%d@." t.conflicts t.wounds
-    t.quiesce_waits;
-  if t.begins > 0 then
-    Fmt.pf ppf "fairness: jain=%.4f max_consec_aborts=%d@."
-      (Stm_cm.Fairness.jain t.fairness)
-      (Stm_cm.Fairness.max_consec_aborts t.fairness);
-  if Hist.count t.commit_latency > 0 then
-    Fmt.pf ppf "commit latency (cycles): %a@." Hist.pp t.commit_latency;
-  if Hist.count t.abort_latency > 0 then
-    Fmt.pf ppf "abort latency (cycles): %a@." Hist.pp t.abort_latency

@@ -60,5 +60,3 @@ val to_json : ?stats:Stats.t -> t -> Json.t
     ["fairness"] block (Jain index, worst consecutive-abort streak,
     per-thread counters), and ["host_alloc_words"] ({!host_alloc_words});
     [stats] additionally embeds the run's global {!Stm_core.Stats}. *)
-
-val pp : Format.formatter -> t -> unit

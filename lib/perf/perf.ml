@@ -152,6 +152,22 @@ let abort_retry cfg () =
                if !tries < 8 then Stm_core.Stm.abort_and_retry ())
          done))
 
+(* One thread reading one public field outside any transaction, under
+   Min_clock. Under the backend's strong configuration each read is its
+   read barrier (Figure 9a under eager), under the weak one a plain load
+   after a preemption point. Each access charges its cycles and yields
+   without switching, so this is the per-access cost of the barrier
+   layer; it is reported per access. *)
+let barrier_reads = 4_096
+
+let barrier_read cfg () =
+  ignore
+    (Stm_core.Stm.run ~policy:Stm_runtime.Sched.Min_clock ~cfg (fun () ->
+         let o = Stm_core.Stm.alloc_public ~cls:cell 1 in
+         for _ = 1 to barrier_reads do
+           ignore (Stm_core.Stm.read o 0)
+         done))
+
 (* Eight threads that tick one cycle and yield, in lockstep: each tick
    lifts the yielder's clock above its peers', so every yield switches
    to another thread under Min_clock. The effect round trip, the fused
@@ -354,6 +370,8 @@ let bodies ?(validation = Stm_core.Config.Incremental) backend :
     ("txn/lazy-write-commit", lazy_write_commit);
     ("txn/abort-retry", abort_retry cfg);
     ("txn/fresh-descriptor", fresh_descriptor cfg);
+    ("barrier/strong-read", barrier_read strong_cfg);
+    ("barrier/weak-read", barrier_read cfg);
     ("sched/switch", sched_switch);
     ("sched/effect-floor", effect_floor);
     ("fig6/explorer-cell", fig6_explorer);
@@ -374,6 +392,7 @@ let bench_names = List.map fst (bodies Stm_core.Config.Eager)
 (* Operations per invocation, for the benches reported per operation
    rather than per call. *)
 let ops_per_call = function
+  | "barrier/strong-read" | "barrier/weak-read" -> float_of_int barrier_reads
   | "sched/switch" -> float_of_int (switch_threads * switch_yields)
   | "sched/effect-floor" -> float_of_int floor_yields
   | "ir/alu-loop" -> float_of_int (Lazy.force ir_alu_instrs)

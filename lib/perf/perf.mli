@@ -13,7 +13,9 @@
     [bench/baseline.json]. See [docs/PERFORMANCE.md]. *)
 
 (** An operation is one call of the bench's body, except for
-    [sched/switch], where it is one switching yield,
+    [barrier/strong-read] and [barrier/weak-read], where it is one
+    non-transactional read, [sched/switch], where it is one switching
+    yield,
     [sched/effect-floor], where it is one bare effect round trip, and
     [ir/alu-loop] and [ir/call-loop], where it is one interpreted
     instruction. *)

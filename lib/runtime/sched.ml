@@ -22,10 +22,21 @@ exception Not_in_simulation
 
 type tstate = Runnable | Running | Suspended | Done
 
+type register = { mutable clock : int; mutable tid : tid }
+
+(* The running thread's clock and tid. During a run it always describes
+   [e.current]: the loop loads it at switch-in, and the handlers store
+   the clock back into the thread record at switch-out (yield, suspend,
+   return, raise). So the Running thread's [clock] field is stale and
+   the register holds its clock; every other thread's clock is in its
+   record, which keeps the heap keys frozen. *)
+let reg = { clock = 0; tid = -1 }
+
 type thread = {
   tid : tid;
   name : string;
   mutable clock : int;
+      (* stale while the thread is Running: the register holds it *)
   mutable state : tstate;
   mutable starter : (unit -> unit) option;
       (* body not yet started; scheduler starts it under its own handler *)
@@ -83,6 +94,14 @@ type engine = {
 type _ Effect.t +=
   | Yield : unit Effect.t
   | Suspend : unit Effect.t
+
+(* Switch-in: the register takes over [t]'s clock. *)
+let[@inline] load_reg (t : thread) =
+  reg.clock <- t.clock;
+  reg.tid <- t.tid
+
+(* Switch-out: [t]'s record takes its clock back. *)
+let[@inline] save_reg (t : thread) = t.clock <- reg.clock
 
 let engine : engine option ref = ref None
 
@@ -156,13 +175,13 @@ let heap_pop e =
   if n > 0 then sift_down e n e.heap_clock.(n) e.heap_tid.(n);
   root
 
-(* [t] is below the heap top, by the heap order *)
-let[@inline] below_top e t =
-  e.heap_len = 0 || key_less t.clock t.tid e.heap_clock.(0) e.heap_tid.(0)
+(* The key (c, id) is below the heap top, by the heap order *)
+let[@inline] below_top e c id =
+  e.heap_len = 0 || key_less c id e.heap_clock.(0) e.heap_tid.(0)
 
 (* [heap_push e t] followed by [heap_pop e], with one sift-down. *)
 let heap_push_pop e t =
-  if below_top e t then t
+  if below_top e t.clock t.tid then t
   else begin
     let root = e.by_tid.(e.heap_tid.(0)) in
     sift_down e e.heap_len t.clock t.tid;
@@ -202,7 +221,7 @@ let new_thread e name body =
     {
       tid = e.nthreads;
       name;
-      clock = e.current.clock;
+      clock = reg.clock;
       state = Suspended;  (* transitioned by make_runnable below *)
       starter = Some body;
       cont = Cont.none;
@@ -238,6 +257,7 @@ let handler e =
     Some
       (fun k ->
         let t = e.current in
+        save_reg t;
         t.cont <- k;
         t.state <- Runnable;
         e.nrunnable <- e.nrunnable + 1)
@@ -245,13 +265,18 @@ let handler e =
     Some
       (fun k ->
         let t = e.current in
+        save_reg t;
         t.cont <- k;
         t.state <- Suspended)
   in
   {
-    retc = (fun () -> finish e e.current);
+    retc =
+      (fun () ->
+        save_reg e.current;
+        finish e e.current);
     exnc =
       (fun ex ->
+        save_reg e.current;
         e.exns <- (e.current.tid, ex) :: e.exns;
         finish e e.current);
     effc =
@@ -334,6 +359,7 @@ let rec loop e h =
     let t = pick e in
     e.steps <- e.steps + 1;
     e.current <- t;
+    load_reg t;
     t.state <- Running;
     e.nrunnable <- e.nrunnable - 1;
     (match t.starter with
@@ -383,7 +409,12 @@ let run ?(max_steps = 10_000_000) ?(policy = Min_clock) main =
     }
   in
   engine := Some e;
-  let finalize () = engine := None in
+  load_reg t0;
+  let finalize () =
+    engine := None;
+    reg.clock <- 0;
+    reg.tid <- -1
+  in
   (try loop e (handler e)
    with ex ->
      finalize ();
@@ -422,7 +453,7 @@ let[@inline] keeps_processor e =
   match e.policy with
   | Min_clock ->
       e.steps < e.max_steps
-      && below_top e e.current
+      && below_top e reg.clock reg.tid
   | Round_robin | Random _ | Controlled _ -> false
 
 (* Under [Controlled] and [Random] the loop's pick is taken at the yield
@@ -461,13 +492,13 @@ let[@inline] yield_engine e =
 let yield () =
   match !engine with None -> raise Not_in_simulation | Some e -> yield_engine e
 
-let self () = (get_engine ()).current.tid
+let self () = if reg.tid < 0 then raise Not_in_simulation else reg.tid
 
 let tick n =
-  let e = get_engine () in
-  e.current.clock <- e.current.clock + n
+  if reg.tid < 0 then raise Not_in_simulation;
+  reg.clock <- reg.clock + n
 
-let time () = (get_engine ()).current.clock
+let time () = if reg.tid < 0 then raise Not_in_simulation else reg.clock
 
 (* A delay that actually cedes the processor. Under the clock-driven
    policies one tick-then-yield suffices: Min_clock will not re-pick the
@@ -484,13 +515,13 @@ let pause n =
       let rec go remaining =
         if remaining <= 0 then ()
         else (
-          e.current.clock <- e.current.clock + min quantum remaining;
+          reg.clock <- reg.clock + min quantum remaining;
           yield_pick e;
           go (remaining - quantum))
       in
       if n <= 0 then yield_pick e else go n
   | Round_robin | Min_clock | Controlled _ ->
-      e.current.clock <- e.current.clock + max n 0;
+      reg.clock <- reg.clock + max n 0;
       yield_engine e
 
 let rebase () =
@@ -498,6 +529,7 @@ let rebase () =
   for tid = 0 to e.nthreads - 1 do
     e.by_tid.(tid).clock <- 0
   done;
+  reg.clock <- 0;
   heap_rebuild e
 
 let suspend () =
@@ -508,7 +540,7 @@ let wake tid =
   let t = thread_of e tid in
   match t.state with
   | Suspended ->
-      if t.clock < e.current.clock then t.clock <- e.current.clock;
+      if t.clock < reg.clock then t.clock <- reg.clock;
       make_runnable e t
   | _ -> ()
 
@@ -516,9 +548,9 @@ let join tid =
   let e = get_engine () in
   let t = thread_of e tid in
   match t.state with
-  | Done -> if e.current.clock < t.clock then e.current.clock <- t.clock
+  | Done -> if reg.clock < t.clock then reg.clock <- t.clock
   | Runnable | Running | Suspended ->
-      t.joiners <- e.current.tid :: t.joiners;
+      t.joiners <- reg.tid :: t.joiners;
       perform Suspend
 
 let thread_count () = (get_engine ()).nthreads
@@ -527,4 +559,4 @@ let runnable_count () = (get_engine ()).nrunnable
 
 let steps () = match !engine with Some e -> e.steps | None -> 0
 
-let running () = !engine <> None
+let running () = reg.tid >= 0

@@ -119,3 +119,25 @@ val steps : unit -> int
 
 val running : unit -> bool
 (** [true] iff called from inside a simulation. *)
+
+(** {1 The running-thread register} *)
+
+type register = { mutable clock : int; mutable tid : tid }
+
+val reg : register
+(** The running thread's virtual clock and tid, kept in one place so
+    that a hot path can charge cycles and find its thread without a
+    call: [Sched.(reg.clock <- reg.clock + n)] is {!tick} without the
+    check, and [reg.tid] is {!self}, or [-1] outside a simulation.
+
+    During a run the register describes the current thread: the
+    scheduler loads it at every switch-in and stores the clock back into
+    the thread at every switch-out (a switching {!yield}, {!suspend}, or
+    the end of the body by return or exception). {!tick}, {!time},
+    {!self}, {!pause}, {!spawn}, {!join}, {!wake} and {!rebase} read and
+    write it for the running thread. Every way out of {!run}, an
+    exception included, leaves [tid] at [-1].
+
+    Only add to [clock], and only while [tid >= 0] (an add outside a run
+    is harmless but lost: the next run loads its own). Never write
+    [tid]. *)

@@ -1032,9 +1032,9 @@ let warm_block_words () =
           Alcotest.(check (pair int int))
             (name ^ ": words per empty / nested block") expect (e, n)))
     [
-      ("eager", Config.eager_weak, (23, 23));
-      ("lazy", Config.lazy_weak, (28, 28));
-      ("mvcc", Config.mvcc_weak, (23, 23));
+      ("eager", Config.eager_weak, (15, 15));
+      ("lazy", Config.lazy_weak, (15, 15));
+      ("mvcc", Config.mvcc_weak, (15, 15));
     ]
 
 (* A deterministic two-thread run that emits both Info events (begin,

@@ -815,7 +815,8 @@ let sched_choose_raises () =
                ~policy:
                  (Sched.Controlled (choose_at k (fun _ _ -> raise Choose_failed)))
                two_yielders));
-      check_bool "engine released" false (Sched.running ()))
+      check_bool "engine released" false (Sched.running ());
+      check_int "register reads no thread" (-1) Sched.(reg.tid))
     [ 0; 1; 2 ]
 
 let sched_choose_non_runnable () =
@@ -829,7 +830,8 @@ let sched_choose_non_runnable () =
             (Sched.run
                ~policy:(Sched.Controlled (choose_at k (fun _ _ -> 7)))
                two_yielders));
-      check_bool "engine released" false (Sched.running ()))
+      check_bool "engine released" false (Sched.running ());
+      check_int "register reads no thread" (-1) Sched.(reg.tid))
     [ 0; 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
@@ -840,7 +842,8 @@ let sched_choose_non_runnable () =
 (* [Tick_yield c] is [tick c; yield ()] and [Pause n] is [pause n]. Main
    spawns one worker per entry of [m_workers], runs [m_main], then joins
    the workers in order; a worker whose flag is set ends by raising.
-   Every thread notes its tid when it starts and after each step. *)
+   Every thread notes [Sched.self ()] and [Sched.time ()] when it starts
+   and after each step. *)
 type step = Tick_yield of int | Pause of int
 type mprog = { m_main : step list; m_workers : (step list * bool) list }
 
@@ -848,7 +851,7 @@ exception Worker_failed of int
 
 let run_mprog ~max_steps p =
   let notes = ref [] in
-  let note () = notes := Sched.self () :: !notes in
+  let note () = notes := (Sched.self (), Sched.time ()) :: !notes in
   let steps =
     List.iter (fun s ->
         (match s with
@@ -924,7 +927,7 @@ let model_mprog ~max_steps p =
   let resume t =
     if not started.(t) then begin
       started.(t) <- true;
-      notes := t :: !notes;
+      notes := (t, clock.(t)) :: !notes;
       if t = 0 then Array.fill runnable 1 n true;
       run_on t
     end
@@ -933,7 +936,7 @@ let model_mprog ~max_steps p =
       main_joins ()
     end
     else begin
-      notes := t :: !notes;
+      notes := (t, clock.(t)) :: !notes;
       run_on t
     end
   in
@@ -994,6 +997,287 @@ let sched_model_qcheck =
       ~count:500 (make ~print:mprog_print mprog_gen)
       (fun (max_steps, p) -> run_mprog ~max_steps p = model_mprog ~max_steps p))
 
+(* ------------------------------------------------------------------ *)
+(* The running-thread register against a model with clocks, under     *)
+(* every policy: spawn, join, wake, suspend, pause and rebase          *)
+(* ------------------------------------------------------------------ *)
+
+(* One action of a thread. [R_tick c] is [tick c; yield ()]. *)
+type ract = R_tick of int | R_pause of int | R_suspend | R_wake of int | R_rebase
+
+(* Main (tid 0) runs [r_pre], spawns one worker per entry of [r_workers]
+   (tids 1..n, at main's clock), runs [r_post], then joins the workers in
+   order. A worker whose flag is set ends by raising. Only workers
+   suspend, and only workers are woken, so a join returns only when its
+   thread has finished. *)
+type rprog = { r_pre : ract list; r_post : ract list; r_workers : (ract list * bool) list }
+
+(* Every thread notes [Sched.self ()] and [Sched.time ()] when it starts,
+   after each action and after each join: an observation of the
+   register wherever the thread can run. *)
+let run_rprog ~max_steps policy p =
+  let notes = ref [] in
+  let note () = notes := (Sched.self (), Sched.time ()) :: !notes in
+  let acts =
+    List.iter (fun a ->
+        (match a with
+        | R_tick c ->
+            Sched.tick c;
+            Sched.yield ()
+        | R_pause n -> Sched.pause n
+        | R_suspend -> Sched.suspend ()
+        | R_wake k -> Sched.wake k
+        | R_rebase -> Sched.rebase ());
+        note ())
+  in
+  let r =
+    Sched.run ~max_steps ~policy (fun () ->
+        note ();
+        acts p.r_pre;
+        let ts =
+          List.map
+            (fun (l, raises) ->
+              Sched.spawn (fun () ->
+                  note ();
+                  acts l;
+                  if raises then raise (Worker_failed (Sched.self ()))))
+            p.r_workers
+        in
+        note ();
+        acts p.r_post;
+        List.iter
+          (fun t ->
+            Sched.join t;
+            note ())
+          ts)
+  in
+  (List.rev !notes, r.Sched.switches, r.Sched.makespan, r.Sched.status, r.Sched.exns)
+
+(* The model runs each thread as a list of micro-operations; [M_yield]
+   and [M_block] end a resume. A [pause n] is one yield after [n] cycles,
+   except under [Random], where it is a yield after each quantum of at
+   most 16 cycles (see [Sched.pause]). *)
+type mop =
+  | M_note
+  | M_add of int
+  | M_yield
+  | M_block
+  | M_wake of int
+  | M_rebase
+  | M_spawn
+  | M_join of int
+  | M_raise
+
+type mstate = Unspawned | Ready | Running | Blocked | Finished
+
+let model_rprog ~max_steps ~random p pick =
+  let n = List.length p.r_workers in
+  let expand a =
+    (match a with
+    | R_tick c -> [ M_add c; M_yield ]
+    | R_pause k when random ->
+        if k <= 0 then [ M_yield ]
+        else
+          let quantum q = [ M_add (min 16 (k - (16 * q))); M_yield ] in
+          List.concat (List.init ((k + 15) / 16) quantum)
+    | R_pause k -> [ M_add (max k 0); M_yield ]
+    | R_suspend -> [ M_block ]
+    | R_wake k -> [ M_wake k ]
+    | R_rebase -> [ M_rebase ])
+    @ [ M_note ]
+  in
+  let acts l = List.concat_map expand l in
+  let main =
+    (M_note :: acts p.r_pre)
+    @ (M_spawn :: M_note :: acts p.r_post)
+    @ List.concat (List.init n (fun i -> [ M_join (i + 1); M_note ]))
+  in
+  let ops =
+    Array.of_list
+      (main
+      :: List.map
+           (fun (l, raises) -> (M_note :: acts l) @ if raises then [ M_raise ] else [])
+           p.r_workers)
+  in
+  let clock = Array.make (n + 1) 0 in
+  let state = Array.make (n + 1) Unspawned in
+  let joiner = Array.make (n + 1) false in
+  let notes = ref [] and exns = ref [] in
+  let finish t =
+    state.(t) <- Finished;
+    if joiner.(t) then begin
+      joiner.(t) <- false;
+      clock.(0) <- max clock.(0) clock.(t);
+      state.(0) <- Ready
+    end
+  in
+  let rec exec t =
+    match ops.(t) with
+    | [] -> finish t
+    | op :: rest -> (
+        ops.(t) <- rest;
+        match op with
+        | M_note ->
+            notes := (t, clock.(t)) :: !notes;
+            exec t
+        | M_add c ->
+            clock.(t) <- clock.(t) + c;
+            exec t
+        | M_yield -> state.(t) <- Ready
+        | M_block -> state.(t) <- Blocked
+        | M_wake k ->
+            if state.(k) = Blocked then begin
+              clock.(k) <- max clock.(k) clock.(t);
+              state.(k) <- Ready
+            end;
+            exec t
+        | M_rebase ->
+            Array.fill clock 0 (n + 1) 0;
+            exec t
+        | M_spawn ->
+            for w = 1 to n do
+              clock.(w) <- clock.(t);
+              state.(w) <- Ready
+            done;
+            exec t
+        | M_join k ->
+            if state.(k) = Finished then begin
+              clock.(t) <- max clock.(t) clock.(k);
+              exec t
+            end
+            else begin
+              joiner.(k) <- true;
+              state.(t) <- Blocked
+            end
+        | M_raise ->
+            exns := (t, Worker_failed t) :: !exns;
+            finish t)
+  in
+  state.(0) <- Ready;
+  let tids = List.init (n + 1) Fun.id in
+  let steps = ref 0 and current = ref 0 and status = ref Sched.Completed in
+  (try
+     while true do
+       if !steps >= max_steps then begin
+         status := Sched.Fuel_exhausted;
+         raise Exit
+       end;
+       let ready = List.filter (fun t -> state.(t) = Ready) tids in
+       if ready = [] then begin
+         let stuck = List.filter (fun t -> state.(t) <> Finished) tids in
+         if stuck <> [] then status := Sched.Deadlock stuck;
+         raise Exit
+       end;
+       let c = pick !current ready clock in
+       incr steps;
+       current := c;
+       state.(c) <- Running;
+       exec c
+     done
+   with Exit -> ());
+  (List.rev !notes, !steps, Array.fold_left max 0 clock, !status, List.rev !exns)
+
+let pick_min_clock _ ready clock =
+  List.fold_left
+    (fun b t -> if b < 0 || clock.(t) < clock.(b) then t else b)
+    (-1) ready
+
+let pick_round_robin () =
+  let cursor = ref (-1) in
+  fun _ ready _ ->
+    let c =
+      match List.find_opt (fun t -> t > !cursor) ready with
+      | Some t -> t
+      | None -> List.hd ready
+    in
+    cursor := c;
+    c
+
+let rprog_gen =
+  let open QCheck.Gen in
+  let common =
+    [
+      (3, map (fun c -> R_tick c) (int_range 0 3));
+      (2, map (fun k -> R_pause k) (int_range (-2) 40));
+      (1, return R_rebase);
+    ]
+  in
+  let pre = list_size (int_range 0 3) (frequency common) in
+  let wake n = map (fun k -> R_wake k) (int_range 1 n) in
+  let post n = list_size (int_range 0 4) (frequency ((2, wake n) :: common)) in
+  let worker n =
+    list_size (int_range 0 6) (frequency ((2, return R_suspend) :: (3, wake n) :: common))
+  in
+  int_range 1 4 >>= fun n ->
+  map3
+    (fun max_steps seed (r_pre, r_post, r_workers) ->
+      (max_steps, seed, { r_pre; r_post; r_workers }))
+    (int_range 1 100) (int_range 0 9999)
+    (triple pre (post n)
+       (list_repeat n
+          (pair (worker n) (frequency [ (4, return false); (1, return true) ]))))
+
+let rprog_print (max_steps, seed, p) =
+  let act = function
+    | R_tick c -> Printf.sprintf "y%d" c
+    | R_pause k -> Printf.sprintf "p%d" k
+    | R_suspend -> "s"
+    | R_wake k -> Printf.sprintf "w%d" k
+    | R_rebase -> "r"
+  in
+  let acts l = "[" ^ String.concat ";" (List.map act l) ^ "]" in
+  Printf.sprintf "max_steps=%d seed=%d pre=%s post=%s workers=%s" max_steps seed
+    (acts p.r_pre) (acts p.r_post)
+    (String.concat " "
+       (List.map (fun (l, r) -> acts l ^ if r then "!" else "") p.r_workers))
+
+let register_qcheck =
+  let open QCheck in
+  let arb = make ~print:rprog_print rprog_gen in
+  let test name policy_and_pick =
+    Test.make ~name:("sched: register = clock model under " ^ name) ~count:300 arb
+      (fun (max_steps, seed, p) ->
+        let policy, pick, random, check = policy_and_pick seed in
+        let real = run_rprog ~max_steps policy p in
+        let model = model_rprog ~max_steps ~random p pick in
+        real = model && check ())
+  in
+  let none () = true in
+  [
+    test "Min_clock" (fun _ -> (Sched.Min_clock, pick_min_clock, false, none));
+    test "Round_robin" (fun _ -> (Sched.Round_robin, pick_round_robin (), false, none));
+    test "Random" (fun seed ->
+        let rng = Det_rng.create seed in
+        ( Sched.Random seed,
+          (fun _ ready _ -> List.nth ready (Det_rng.int rng (List.length ready))),
+          true,
+          none ));
+    test "Controlled" (fun seed ->
+        let choose, log = scripted_choose seed and choose', log' = scripted_choose seed in
+        ( Sched.Controlled choose,
+          (fun current ready _ -> choose' current ready),
+          false,
+          fun () -> !log = !log' ));
+  ]
+
+(* Outside a run the register reads "no thread", and every operation
+   that needs a running thread says so, the STM's allocation included. *)
+let sched_outside_run () =
+  let raises what f =
+    match f () with
+    | exception Sched.Not_in_simulation -> ()
+    | _ -> Alcotest.failf "%s outside a run should raise" what
+  in
+  check_int "register tid" (-1) Sched.(reg.tid);
+  raises "tick" (fun () -> Sched.tick 1);
+  raises "time" (fun () -> ignore (Sched.time () : int));
+  raises "self" (fun () -> ignore (Sched.self () : Sched.tid));
+  raises "yield" Sched.yield;
+  Stm_core.Stm.install Stm_core.Config.eager_strong;
+  Fun.protect ~finally:Stm_core.Stm.uninstall (fun () ->
+      raises "Stm.alloc" (fun () -> ignore (Stm_core.Stm.alloc ~cls:"C" 1 : Heap.obj)));
+  check_bool "running flag" false (Sched.running ())
+
 (* [threads] workers that each tick one cycle and yield [yields] times:
    every tick puts the yielder's clock above its peers', so every yield
    switches. *)
@@ -1043,12 +1327,14 @@ let sched_switch_allocation () =
   let w = words /. float_of_int (threads * switch_yields) in
   if w >= 3.0 then Alcotest.failf "%.2f words per switching yield" w
 
-(* A run that ends badly leaves no engine behind, and the same program
+(* A run that ends badly leaves no engine behind and the register at "no
+   thread", and the same program
    run again gives the same result, under every policy the loop picks
    differently for. *)
 let rerun_identical what policy ?max_steps prog =
   let a = Sched.run ?max_steps ~policy prog in
   check_bool (what ^ ": engine released") false (Sched.running ());
+  check_int (what ^ ": register reads no thread") (-1) Sched.(reg.tid);
   let b = Sched.run ?max_steps ~policy prog in
   check_bool (what ^ ": rerun identical") true (a = b);
   a
@@ -1126,6 +1412,10 @@ let suite =
             case "yield below a peer spends fuel"
               sched_yield_below_peer_spends_fuel;
             QCheck_alcotest.to_alcotest sched_model_qcheck;
+          ]
+        @ List.map QCheck_alcotest.to_alcotest register_qcheck
+        @ [
+            case "outside a run: no thread, Not_in_simulation" sched_outside_run;
             case "a switching yield allocates < 3 words" sched_switch_allocation;
             case "fuel out at a switching yield" sched_fuel_at_switch;
             case "deadlock with suspended threads" sched_deadlock_suspended;
