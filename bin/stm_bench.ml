@@ -644,23 +644,38 @@ let run_perf quick (backend : Stm_check.Combo.t) out baseline threshold
         let diag_regressed =
           if not diag_gate then []
           else
-            Stm_perf.Perf.regressions ~threshold_pct:diag_gate_pct
-              (List.filter diag_gated comps)
+            List.filter
+              (fun c ->
+                diag_gated c
+                && Stm_perf.Perf.ns_regressed ~threshold_pct:diag_gate_pct c)
+              comps
         in
         if diag_gate then
           Fmt.pr "diag overhead gate: %d txn/fig6 benches held to %.0f%%@."
             (List.length (List.filter diag_gated comps))
             diag_gate_pct;
         if regressed = [] && diag_regressed = [] then begin
-          Fmt.pr "no microbench regressed more than %.0f%%@." threshold;
+          Fmt.pr
+            "no microbench regressed more than %.0f%% in ns/op or %.0f%% in \
+             alloc words/op@."
+            threshold Stm_perf.Perf.alloc_bound_pct;
           0
         end
         else begin
           List.iter
             (fun c ->
-              Fmt.epr "REGRESSION %s: %.0f ns/op vs baseline %.0f (>%g%%)@."
-                c.Stm_perf.Perf.c_name c.Stm_perf.Perf.c_ns
-                c.Stm_perf.Perf.c_baseline_ns threshold)
+              if Stm_perf.Perf.ns_regressed ~threshold_pct:threshold c then
+                Fmt.epr "REGRESSION %s: %.0f ns/op vs baseline %.0f (>%g%%)@."
+                  c.Stm_perf.Perf.c_name c.Stm_perf.Perf.c_ns
+                  c.Stm_perf.Perf.c_baseline_ns threshold;
+              match c.Stm_perf.Perf.c_baseline_words with
+              | Some w when Stm_perf.Perf.alloc_regressed c ->
+                  Fmt.epr
+                    "REGRESSION %s: %.2f alloc words/op vs baseline %.2f \
+                     (>%g%%)@."
+                    c.Stm_perf.Perf.c_name c.Stm_perf.Perf.c_words w
+                    Stm_perf.Perf.alloc_bound_pct
+              | Some _ | None -> ())
             regressed;
           List.iter
             (fun c ->
@@ -694,7 +709,8 @@ let perf_cmd =
           fig18 Tsp end-to-end unit and a fuzz-campaign throughput unit. \
           Writes JSON to $(b,--out) and, when $(b,--baseline) exists, fails \
           with non-zero exit if any bench regresses more than \
-          $(b,--threshold) percent.")
+          $(b,--threshold) percent in ns/op, or allocates more than 2% \
+          over its baseline words/op.")
     Term.(
       const run_perf
       $ Arg.(

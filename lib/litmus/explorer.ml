@@ -62,12 +62,22 @@ let start ~max_runs ~max_steps ?(stop_when = fun _ -> false) ~cfg ~make () =
    it. *)
 type fairness = { mutable last : Sched.tid; mutable streak : int }
 
+(* [List.mem] on tids without the polymorphic compare. *)
+let rec mem_tid (t : Sched.tid) = function
+  | [] -> false
+  | u :: rest -> u = t || mem_tid t rest
+
+(* The first tid above [t] in an ascending list, or [-1]. *)
+let rec first_above (t : Sched.tid) = function
+  | [] -> -1
+  | u :: rest -> if u > t then u else first_above t rest
+
 let default_pick f current runnables =
-  if List.mem current runnables then
+  if mem_tid current runnables then
     if f.last = current && f.streak >= fairness_window then
-      match List.find_opt (fun t -> t > current) runnables with
-      | Some t -> t
-      | None -> List.hd runnables
+      match first_above current runnables with
+      | -1 -> List.hd runnables
+      | t -> t
     else current
   else List.hd runnables
 
@@ -228,52 +238,151 @@ let observed e pred = List.exists (fun (o, _) -> pred o) e.outcomes
 
 type dpor = { exploration : exploration; complete : bool; races : int }
 
-(* A segment footprint: granule id -> strongest access level.
-   2 = write, 1 = read, 0 = futile spin-wait re-read
-   ({!Stm_runtime.Footprint.Spin_read}). A write is {e dependent} on all
-   three (it must be ordered against them for the happens-before pass),
-   but only write/write and write/read pairs are {e races} worth
+(* A segment footprint: the granules a segment touched, each with its
+   strongest access level. 2 = write, 1 = read, 0 = futile spin-wait
+   re-read ({!Stm_runtime.Footprint.Spin_read}). A write is {e dependent}
+   on all three (it must be ordered against them for the happens-before
+   pass), but only write/write and write/read pairs are {e races} worth
    reversing: flipping a write against a futile spin iteration merely
    changes how often the waiter re-checks before the same exit — the
-   spin-assume reduction of await loops. *)
-type fp = (int, int) Hashtbl.t
+   spin-assume reduction of await loops.
+
+   A segment touches a handful of granules (at most five across the
+   Figure-6 matrix), so the footprint is two parallel int arrays filled
+   by a linear find-or-add, and the conflict test is a nested scan. *)
+module Fp = struct
+  type t = {
+    mutable oids : int array;
+    mutable lvs : int array;  (* [lvs.(k)] is the level on [oids.(k)] *)
+    mutable len : int;  (* live prefix of both arrays *)
+  }
+
+  let capacity = 4
+
+  let create () =
+    { oids = Array.make capacity 0; lvs = Array.make capacity 0; len = 0 }
+
+  let clear f = f.len <- 0
+  let length f = f.len
+
+  let grow f =
+    let n = Array.length f.oids in
+    let oids = Array.make (2 * n) 0 and lvs = Array.make (2 * n) 0 in
+    Array.blit f.oids 0 oids 0 n;
+    Array.blit f.lvs 0 lvs 0 n;
+    f.oids <- oids;
+    f.lvs <- lvs
+
+  let add f oid lv =
+    let n = f.len and oids = f.oids in
+    let k = ref 0 in
+    while !k < n && oids.(!k) <> oid do
+      incr k
+    done;
+    if !k < n then begin
+      if lv > f.lvs.(!k) then f.lvs.(!k) <- lv
+    end
+    else begin
+      if n = Array.length oids then grow f;
+      f.oids.(n) <- oid;
+      f.lvs.(n) <- lv;
+      f.len <- n + 1
+    end
+
+  let level f oid =
+    let k = ref 0 in
+    while !k < f.len && f.oids.(!k) <> oid do
+      incr k
+    done;
+    if !k < f.len then f.lvs.(!k) else -1
+
+  (* Dependency: a shared granule at least one side writes (spin reads
+     included — ordering matters even where reversal is pointless). *)
+  let conflicts a b =
+    let found = ref false and i = ref 0 in
+    while (not !found) && !i < a.len do
+      let oid = a.oids.(!i) and la = a.lvs.(!i) in
+      let j = ref 0 in
+      while (not !found) && !j < b.len do
+        if b.oids.(!j) = oid && (la = 2 || b.lvs.(!j) = 2) then found := true;
+        incr j
+      done;
+      incr i
+    done;
+    !found
+end
 
 let level = function
   | Footprint.Spin_read -> 0
   | Footprint.Read -> 1
   | Footprint.Write -> 2
 
-let fp_add (f : fp) oid lv =
-  match Hashtbl.find_opt f oid with
-  | None -> Hashtbl.add f oid lv
-  | Some l -> if lv > l then Hashtbl.replace f oid lv
-
-(* Dependency: a shared granule at least one side writes (spin reads
-   included — ordering matters even where reversal is pointless). *)
-let fp_conflicts (a : fp) (b : fp) =
-  let small, big =
-    if Hashtbl.length a <= Hashtbl.length b then (a, b) else (b, a)
-  in
-  try
-    Hashtbl.iter
-      (fun oid lv ->
-        match Hashtbl.find_opt big oid with
-        | Some lv' when lv = 2 || lv' = 2 -> raise Exit
-        | Some _ | None -> ())
-      small;
-    false
-  with Exit -> true
-
-(* Per-granule race index: for each thread, its latest segment that
-   accessed the granule (with that segment's level on it) and its latest
+(* The race pass's per-granule tables: for granule [d] (a dense index)
+   and thread [u], slot [d * nt + u] holds the thread's latest segment
+   that accessed the granule, that segment's level on it, and its latest
    segment that wrote it; -1 = none. *)
-type granule = { acc : int array; acc_lv : int array; wr : int array }
+type granules = {
+  gindex : int Int_index.t;  (* granule id -> dense index, -1 = none *)
+  mutable acc : int array;
+  mutable acc_lv : int array;
+  mutable wr : int array;
+  mutable ng : int;  (* dense indices in use *)
+}
 
-(* Vector-clock pass over one run's segments. Dependent = same thread
-   (program order), enabledness edge, or footprint conflict; each
-   conflicting pair not already ordered is an immediate race. Races are
-   reported only for [j >= start]: earlier pairs were analyzed when their
-   segments first executed.
+(* The dense index of granule [oid], allocating one on first sight. *)
+let granule_slot g nt oid =
+  let d = Int_index.find g.gindex oid in
+  if d >= 0 then d
+  else begin
+    let d = g.ng in
+    if (d + 1) * nt > Array.length g.acc then begin
+      let n = Array.length g.acc in
+      let grow a fill =
+        let a' = Array.make (2 * n) fill in
+        Array.blit a 0 a' 0 n;
+        a'
+      in
+      g.acc <- grow g.acc (-1);
+      g.acc_lv <- grow g.acc_lv 0;
+      g.wr <- grow g.wr (-1)
+    end;
+    Int_index.replace g.gindex oid d;
+    g.ng <- d + 1;
+    d
+  end
+
+(* Row [dst] of the clock matrix takes the pointwise max with row [src]. *)
+let join clocks nt dst src =
+  for u = 0 to nt - 1 do
+    let v = clocks.(src + u) in
+    if v > clocks.(dst + u) then clocks.(dst + u) <- v
+  done
+
+let rec max_tid acc = function
+  | [] -> acc
+  | (t : Sched.tid) :: rest -> max_tid (if t > acc then t else acc) rest
+
+(* Enabledness edges out of segment [j]: a thread in [now] (runnable at
+   decision [j + 1]) but not in [before] (at [j]) was enabled by segment
+   [j]; the edge targets that thread's next segment after [j], found by
+   advancing its [cursor] along [next], and joins row [j] into it. *)
+let rec enable clocks nt ~cursor ~next ~m ~j before now =
+  match now with
+  | [] -> ()
+  | u :: rest ->
+      if not (mem_tid u before) then begin
+        while cursor.(u) <= j do
+          cursor.(u) <- next.(cursor.(u))
+        done;
+        if cursor.(u) < m then join clocks nt (cursor.(u) * nt) (j * nt)
+      end;
+      enable clocks nt ~cursor ~next ~m ~j before rest
+
+(* Vector-clock pass over the first [m] segments of one run. Dependent =
+   same thread (program order), enabledness edge, or footprint conflict;
+   each conflicting pair not already ordered is an immediate race. Races
+   are reported only for [j >= start]: earlier pairs were analyzed when
+   their segments first executed.
 
    A segment's conflict candidates come from the granule index, one per
    other thread and shared granule: the thread's latest accessor if the
@@ -283,126 +392,165 @@ type granule = { acc : int array; acc_lv : int array; wr : int array }
    program order, so by the time it is reached the latest one's clock
    has been joined and already orders it; the join it would add is a
    no-op. Same-thread candidates are dropped for the same reason: the
-   program-order join already orders them. *)
-let races ~chosen ~runnables ~(footprints : fp array) ~start =
-  let m = Array.length chosen in
+   program-order join already orders them.
+
+   Everything lives in flat int arrays: the clocks are one [m * nt]
+   matrix (row [j] is segment [j]'s clock), and an enabledness edge
+   from segment [i] is joined into its target's row as soon as row [i]
+   is final, before the target is reached. *)
+let race_pass ~m ~(chosen : Sched.tid array) ~(runnables : Sched.tid list array)
+    ~(footprints : Fp.t array) ~start =
   if m = 0 then []
   else begin
-    let nt =
-      1
-      + Array.fold_left
-          (fun acc rs -> List.fold_left max acc rs)
-          (Array.fold_left max 0 chosen)
-          runnables
-    in
-    (* enabledness edges: a thread runnable at decision [i+1] but not at
-       [i] was enabled by segment [i]; the edge targets that thread's
-       next segment, the head of its [cursor] list once the scan has
-       passed [i] *)
-    let cursor = Array.make nt [] in
-    for j = m - 1 downto 0 do
-      cursor.(chosen.(j)) <- j :: cursor.(chosen.(j))
+    let nt = ref 0 in
+    for j = 0 to m - 1 do
+      if chosen.(j) > !nt then nt := chosen.(j);
+      nt := max_tid !nt runnables.(j)
     done;
-    let edges_into = Array.make m [] in
-    for i = 0 to m - 2 do
-      List.iter
-        (fun t ->
-          if not (List.mem t runnables.(i)) then begin
-            let rec adv = function s :: rest when s <= i -> adv rest | l -> l in
-            cursor.(t) <- adv cursor.(t);
-            match cursor.(t) with
-            | s :: _ -> edges_into.(s) <- i :: edges_into.(s)
-            | [] -> ()
-          end)
-        runnables.(i + 1)
-    done;
-    (* per-segment local index within its thread (1-based) *)
-    let local = Array.make m 0 in
-    let tindex = Array.make nt 0 in
+    let nt = !nt + 1 in
+    (* per-segment local index within its thread (1-based), and the
+       thread's next segment ([m] = none); [cursor.(t)] walks thread
+       [t]'s segments for the enabledness edges *)
+    let local = Array.make m 0 and next = Array.make m m in
+    let cursor = Array.make nt m and count = Array.make nt 0 in
     for j = 0 to m - 1 do
       let t = chosen.(j) in
-      tindex.(t) <- tindex.(t) + 1;
-      local.(j) <- tindex.(t)
+      count.(t) <- count.(t) + 1;
+      local.(j) <- count.(t)
     done;
-    let index : (int, granule) Hashtbl.t = Hashtbl.create 64 in
-    let clocks = Array.make m [||] in
+    for j = m - 1 downto 0 do
+      let t = chosen.(j) in
+      next.(j) <- cursor.(t);
+      cursor.(t) <- j
+    done;
+    let clocks = Array.make (m * nt) 0 in
     let last_seg = Array.make nt (-1) in
-    (* candidate -> is the pair a reversible race (write/write or
-       write/read on some shared granule) rather than merely
-       ordering-relevant (write/spin-read)? *)
-    let cands : (int, bool) Hashtbl.t = Hashtbl.create 8 in
-    let add_cand i race =
-      match Hashtbl.find_opt cands i with
-      | Some true -> ()
-      | Some false -> if race then Hashtbl.replace cands i true
-      | None -> Hashtbl.add cands i race
+    let g =
+      {
+        gindex = Int_index.create (-1);
+        acc = Array.make (8 * nt) (-1);
+        acc_lv = Array.make (8 * nt) 0;
+        wr = Array.make (8 * nt) (-1);
+        ng = 0;
+      }
     in
+    (* this segment's candidates, deduplicated by [stamp.(i) = j]; a
+       candidate is a reversible race (write/write or write/read on
+       some shared granule) rather than merely ordering-relevant
+       (write/spin-read) iff [race.(i)] *)
+    let stamp = Array.make m (-1) and race = Array.make m false in
+    let cands = Array.make m 0 in
     let found = ref [] in
     for j = 0 to m - 1 do
       let t = chosen.(j) in
-      let c = Array.make nt 0 in
-      let join src =
-        Array.iteri (fun u v -> if v > c.(u) then c.(u) <- v) clocks.(src)
-      in
-      if last_seg.(t) >= 0 then join last_seg.(t);
-      List.iter join edges_into.(j);
-      Hashtbl.clear cands;
-      Hashtbl.iter
-        (fun oid lv ->
-          match Hashtbl.find_opt index oid with
-          | None -> ()
-          | Some g ->
-              for u = 0 to nt - 1 do
-                if u <> t then
-                  if lv = 2 then begin
-                    let i = g.acc.(u) in
-                    if i >= 0 then add_cand i (g.acc_lv.(u) >= 1)
-                  end
-                  else
-                    let i = g.wr.(u) in
-                    if i >= 0 then add_cand i (lv = 1)
-              done)
-        footprints.(j);
+      let row = j * nt in
+      if last_seg.(t) >= 0 then join clocks nt row (last_seg.(t) * nt);
+      let f = footprints.(j) in
+      let ncands = ref 0 in
+      for k = 0 to f.Fp.len - 1 do
+        let d = Int_index.find g.gindex f.Fp.oids.(k) in
+        if d >= 0 then begin
+          let lv = f.Fp.lvs.(k) and base = d * nt in
+          for u = 0 to nt - 1 do
+            if u <> t then begin
+              let i = if lv = 2 then g.acc.(base + u) else g.wr.(base + u) in
+              if i >= 0 then begin
+                let r = if lv = 2 then g.acc_lv.(base + u) >= 1 else lv = 1 in
+                if stamp.(i) <> j then begin
+                  stamp.(i) <- j;
+                  race.(i) <- r;
+                  cands.(!ncands) <- i;
+                  incr ncands
+                end
+                else if r then race.(i) <- true
+              end
+            end
+          done
+        end
+      done;
       (* nearest first, so that a chain through a later conflict orders
          the earlier ones before they are tested (only immediate races
-         get reversed) *)
-      let sorted =
-        Hashtbl.fold (fun i race acc -> (i, race) :: acc) cands []
-        |> List.sort (fun (a, _) (b, _) -> compare b a)
-      in
-      List.iter
-        (fun (i, race) ->
-          if race && c.(chosen.(i)) < local.(i) && j >= start then
-            (* unordered reversible pair: an immediate race *)
-            found := (i, j) :: !found;
-          join i)
-        sorted;
-      c.(t) <- local.(j);
-      clocks.(j) <- c;
+         get reversed): an insertion sort, descending *)
+      let n = !ncands in
+      for a = 1 to n - 1 do
+        let x = cands.(a) in
+        let b = ref (a - 1) in
+        while !b >= 0 && cands.(!b) < x do
+          cands.(!b + 1) <- cands.(!b);
+          decr b
+        done;
+        cands.(!b + 1) <- x
+      done;
+      for a = 0 to n - 1 do
+        let i = cands.(a) in
+        if race.(i) && clocks.(row + chosen.(i)) < local.(i) && j >= start then
+          (* unordered reversible pair: an immediate race *)
+          found := (i, j) :: !found;
+        join clocks nt row (i * nt)
+      done;
+      clocks.(row + t) <- local.(j);
       last_seg.(t) <- j;
-      Hashtbl.iter
-        (fun oid lv ->
-          let g =
-            match Hashtbl.find_opt index oid with
-            | Some g -> g
-            | None ->
-                let g =
-                  {
-                    acc = Array.make nt (-1);
-                    acc_lv = Array.make nt 0;
-                    wr = Array.make nt (-1);
-                  }
-                in
-                Hashtbl.add index oid g;
-                g
-          in
-          g.acc.(t) <- j;
-          g.acc_lv.(t) <- lv;
-          if lv = 2 then g.wr.(t) <- j)
-        footprints.(j)
+      for k = 0 to f.Fp.len - 1 do
+        let lv = f.Fp.lvs.(k) in
+        let p = (granule_slot g nt f.Fp.oids.(k) * nt) + t in
+        g.acc.(p) <- j;
+        g.acc_lv.(p) <- lv;
+        if lv = 2 then g.wr.(p) <- j
+      done;
+      (* enabledness edges: a thread runnable at decision [j + 1] but not
+         at [j] was enabled by segment [j]; the edge targets that
+         thread's next segment after [j] *)
+      if j + 1 < m then enable clocks nt ~cursor ~next ~m ~j runnables.(j) runnables.(j + 1)
     done;
     List.rev !found
   end
+
+let races ~chosen ~runnables ~footprints ~start =
+  race_pass ~m:(Array.length chosen) ~chosen ~runnables ~footprints ~start
+
+(* A sleep set: threads whose next segment (with that footprint) is
+   already covered by a sibling branch of an ancestor. A thread appears
+   at most once. Only membership matters, never the order. *)
+type sleep = (Sched.tid * Fp.t) list
+
+let rec asleep (t : Sched.tid) = function
+  | [] -> false
+  | (u, _) :: rest -> u = t || asleep t rest
+
+(* The sleepers whose pending step does not conflict with [f]: those it
+   conflicts with wake up. Returns the list itself when nobody wakes. *)
+let rec keep_asleep f (sl : sleep) =
+  match sl with
+  | [] -> []
+  | ((_, g) as s) :: rest ->
+      let rest' = keep_asleep f rest in
+      if Fp.conflicts g f then rest'
+      else if rest' == rest then sl
+      else s :: rest'
+
+(* [sl] without thread [t]; the list itself when [t] is not in it. *)
+let rec without (t : Sched.tid) (sl : sleep) =
+  match sl with
+  | [] -> []
+  | ((u, _) as s) :: rest ->
+      let rest' = without t rest in
+      if u = t then rest' else if rest' == rest then sl else s :: rest'
+
+(* [acc] plus the explored choices of [dn] other than [chosen] that are
+   not asleep in [entry]: siblings explored earlier from a node, which go
+   to sleep for the branch below [chosen]. *)
+let rec add_fresh (chosen : Sched.tid) entry (acc : sleep) (dn : sleep) =
+  match dn with
+  | [] -> acc
+  | ((t, _) as d) :: rest ->
+      add_fresh chosen entry
+        (if t <> chosen && not (asleep t entry) then d :: acc else acc)
+        rest
+
+(* The first runnable not asleep, or [-1]. *)
+let rec first_awake (sl : sleep) = function
+  | [] -> -1
+  | t :: rest -> if asleep t sl then first_awake sl rest else t
 
 (* One node of the schedule tree: the pre-state of segment [i], i.e.
    the state in which scheduling decision [i] is taken. Determinism of
@@ -412,33 +560,76 @@ type node = {
   n_runnables : Sched.tid list;
   n_default : Sched.tid;  (* what the default policy picks here *)
   mutable n_chosen : Sched.tid;  (* choice of the branch being explored *)
-  n_done : (Sched.tid, fp) Hashtbl.t;
-      (* explored choices -> first-segment footprint of that choice *)
+  mutable n_done : sleep;
+      (* explored choices, each with the footprint of its first segment *)
   mutable n_backtrack : Sched.tid list;  (* pending race reversals *)
-  n_sleep : (Sched.tid * fp) list;
-      (* threads whose next segment (with that footprint) is already
-         covered by a sibling branch of an ancestor *)
+  n_sleep : sleep;  (* the entry sleep set *)
   n_preemptions : int;  (* non-default choices among strict ancestors *)
 }
 
-(* Per-run record of one decision, before it has a node. *)
-type rdec = {
-  r_chosen : Sched.tid;
-  r_default : Sched.tid;
-  r_runnables : Sched.tid list;
-  r_sleep : (Sched.tid * fp) list;  (* entry sleep set at this decision *)
+(* The decisions of one run, before they have nodes, and their segment
+   footprints: grow-only arrays reused by every run of a search, with
+   [len] decisions recorded (and as many footprints) this run. *)
+type record = {
+  mutable r_chosen : Sched.tid array;
+  mutable r_default : Sched.tid array;
+  mutable r_runnables : Sched.tid list array;
+  mutable r_sleep : sleep array;  (* entry sleep set at each decision *)
+  mutable r_fps : Fp.t array;
+  mutable len : int;
+  mutable nfps : int;
 }
 
-(* Run one schedule under the footprint sink. [prefix] replays the
-   current branch; free decisions follow the default policy, except that
-   a default whose next step is asleep is swapped for a non-sleeping
-   runnable. Returns the decisions (capped at [analysis_horizon]), their
-   footprints, the scheduler status, the number of decisions and the
-   outcome. *)
-let execute_dpor st ~(nodes : node array) ~nnodes prefix =
-  let decs = ref [] in
-  let fps = ref [] in
-  let cur_fp = ref (Hashtbl.create 8 : fp) in
+let empty_fp = Fp.create ()
+
+let new_record () =
+  {
+    r_chosen = [||];
+    r_default = [||];
+    r_runnables = [||];
+    r_sleep = [||];
+    r_fps = [||];
+    len = 0;
+    nfps = 0;
+  }
+
+let grow_record r =
+  let n = max 64 (2 * Array.length r.r_chosen) in
+  let grow a fill =
+    let a' = Array.make n fill in
+    Array.blit a 0 a' 0 (Array.length a);
+    a'
+  in
+  r.r_chosen <- grow r.r_chosen 0;
+  r.r_default <- grow r.r_default 0;
+  r.r_runnables <- grow r.r_runnables [];
+  r.r_sleep <- grow r.r_sleep [];
+  r.r_fps <- grow r.r_fps empty_fp
+
+let record_decision r chosen default runnables sleep =
+  let i = r.len in
+  if i = Array.length r.r_chosen then grow_record r;
+  r.r_chosen.(i) <- chosen;
+  r.r_default.(i) <- default;
+  r.r_runnables.(i) <- runnables;
+  r.r_sleep.(i) <- sleep;
+  r.len <- i + 1
+
+(* Footprints trail decisions by one, so the array always has room. *)
+let record_fp r f =
+  r.r_fps.(r.nfps) <- f;
+  r.nfps <- r.nfps + 1
+
+(* Run one schedule under the footprint sink, recording into [r].
+   [prefix] replays the current branch; free decisions follow the
+   default policy, except that a default whose next step is asleep is
+   swapped for a non-sleeping runnable. Records the decisions (capped at
+   [analysis_horizon]) and their footprints; returns the scheduler
+   status, the number of decisions and the outcome. *)
+let execute_dpor st r ~(nodes : node array) ~nnodes prefix =
+  r.len <- 0;
+  r.nfps <- 0;
+  let cur_fp = ref (Fp.create ()) in
   let cur_sleep = ref [] in
   let recording = ref true in
   let pick fair i current runnables =
@@ -449,7 +640,7 @@ let execute_dpor st ~(nodes : node array) ~nnodes prefix =
         recording := false;
         (* close the last recorded segment so decisions and footprints
            stay in lockstep *)
-        fps := !cur_fp :: !fps
+        record_fp r !cur_fp
       end;
       let default = default_pick fair current runnables in
       note_chosen fair default;
@@ -459,65 +650,44 @@ let execute_dpor st ~(nodes : node array) ~nnodes prefix =
       (* close the previous segment (the pre-first-decision preamble is
          discarded: it is a fixed prefix of every schedule) and wake
          sleepers whose pending step conflicts with it *)
-      let prev_fp = !cur_fp in
       if i > 0 then begin
-        fps := prev_fp :: !fps;
-        cur_sleep :=
-          List.filter (fun (_, f) -> not (fp_conflicts f prev_fp)) !cur_sleep
-      end;
-      cur_fp := Hashtbl.create 8;
+        let prev_fp = !cur_fp in
+        record_fp r prev_fp;
+        cur_sleep := keep_asleep prev_fp !cur_sleep;
+        cur_fp := Fp.create ()
+      end
+      else Fp.clear !cur_fp;
       let entry_sleep = !cur_sleep in
       let default =
         let policy_default = default_pick fair current runnables in
-        if List.mem_assoc policy_default entry_sleep then
-          (* the policy default's next step is covered by an explored
-             sibling: divert to a non-sleeping runnable. The divert is
-             the effective default — it is not a preemption the search
-             chose, so it is not charged against the bound. *)
-          match
-            List.filter
-              (fun t -> not (List.mem_assoc t entry_sleep))
-              runnables
-          with
-          | t :: _ -> t
-          | [] -> policy_default
-        else policy_default
+        match entry_sleep with
+        | _ :: _ when asleep policy_default entry_sleep -> (
+            (* the policy default's next step is covered by an explored
+               sibling: divert to a non-sleeping runnable. The divert is
+               the effective default — it is not a preemption the search
+               chose, so it is not charged against the bound. *)
+            match first_awake entry_sleep runnables with
+            | -1 -> policy_default
+            | t -> t)
+        | _ -> policy_default
       in
       let chosen = if i < Array.length prefix then prefix.(i) else default in
       note_chosen fair chosen;
       (* siblings explored earlier from this node go to sleep for the
          branch below [chosen] *)
-      let fresh =
-        if i < nnodes then
-          Hashtbl.fold
-            (fun t f acc ->
-              if t <> chosen && not (List.mem_assoc t entry_sleep) then
-                (t, f) :: acc
-              else acc)
-            nodes.(i).n_done []
-        else []
-      in
-      cur_sleep := fresh @ List.filter (fun (t, _) -> t <> chosen) entry_sleep;
-      decs :=
-        {
-          r_chosen = chosen;
-          r_default = default;
-          r_runnables = runnables;
-          r_sleep = entry_sleep;
-        }
-        :: !decs;
+      let kept = without chosen entry_sleep in
+      cur_sleep :=
+        if i < nnodes then add_fresh chosen entry_sleep kept nodes.(i).n_done
+        else kept;
+      record_decision r chosen default runnables entry_sleep;
       chosen
     end
   in
-  let sink oid k = if !recording then fp_add !cur_fp oid (level k) in
+  let sink oid k = if !recording then Fp.add !cur_fp oid (level k) in
   let status, outcome, ndecisions = execute ~sink st pick in
   (* close the final segment *)
-  if ndecisions > 0 && !recording then fps := !cur_fp :: !fps;
-  ( Array.of_list (List.rev !decs),
-    Array.of_list (List.rev !fps),
-    status,
-    ndecisions,
-    outcome )
+  if ndecisions > 0 && !recording then record_fp r !cur_fp;
+  (status, ndecisions, outcome)
 
 let explore_dpor ?preemption_bound ?(max_runs = 40_000) ?(max_steps = 60_000)
     ?stop_when ~cfg ~make () =
@@ -531,6 +701,7 @@ let explore_dpor ?preemption_bound ?(max_runs = 40_000) ?(max_steps = 60_000)
      baseline (see Matrix.certify and the CI gate). *)
   let nraces = ref 0 in
   let complete = ref true in
+  let r = new_record () in
   (* growable stack of schedule-tree nodes along the current branch *)
   let nodes = ref [||] in
   let nnodes = ref 0 in
@@ -552,23 +723,21 @@ let explore_dpor ?preemption_bound ?(max_runs = 40_000) ?(max_steps = 60_000)
   (* Insert the reversal of race (i, j): schedule [tid j] at node [i] if
      it is enabled there, otherwise try every enabled thread. Choices
      already explored, pending, or asleep at [i] are covered. *)
-  let insert_backtrack (decs : rdec array) i j =
+  let insert_backtrack i j =
     let nd = !nodes.(i) in
     let covered t =
-      Hashtbl.mem nd.n_done t
-      || List.mem t nd.n_backtrack
-      || List.mem_assoc t nd.n_sleep
+      asleep t nd.n_done || mem_tid t nd.n_backtrack || asleep t nd.n_sleep
     in
     let add t = if not (covered t) then nd.n_backtrack <- t :: nd.n_backtrack in
-    let tj = decs.(j).r_chosen in
-    if List.mem tj nd.n_runnables then add tj
+    let tj = r.r_chosen.(j) in
+    if mem_tid tj nd.n_runnables then add tj
     else List.iter add nd.n_runnables
   in
   let run_branch prefix =
-    let decs, fps, status, ndec, outcome =
-      execute_dpor st ~nodes:!nodes ~nnodes:!nnodes prefix
+    let status, ndec, outcome =
+      execute_dpor st r ~nodes:!nodes ~nnodes:!nnodes prefix
     in
-    let m = Array.length decs in
+    let m = r.len in
     (* a run that reached a final state (completed or deadlocked) and
        outran the horizon leaves races unanalyzed; a fuel-exhausted one
        is an unfair spin whose suffix adds no new final state
@@ -578,10 +747,10 @@ let explore_dpor ?preemption_bound ?(max_runs = 40_000) ?(max_steps = 60_000)
     (* the flipped node's new branch enters its done set *)
     if base > 0 && m >= base then begin
       let k = base - 1 in
-      Hashtbl.replace !nodes.(k).n_done decs.(k).r_chosen fps.(k)
+      let nd = !nodes.(k) in
+      nd.n_done <- (r.r_chosen.(k), r.r_fps.(k)) :: nd.n_done
     end;
     for i = base to m - 1 do
-      let d = decs.(i) in
       let preempt =
         if i = 0 then 0
         else
@@ -590,15 +759,12 @@ let explore_dpor ?preemption_bound ?(max_runs = 40_000) ?(max_steps = 60_000)
       in
       push_node
         {
-          n_runnables = d.r_runnables;
-          n_default = d.r_default;
-          n_chosen = d.r_chosen;
-          n_done =
-            (let h = Hashtbl.create 4 in
-             Hashtbl.add h d.r_chosen fps.(i);
-             h);
+          n_runnables = r.r_runnables.(i);
+          n_default = r.r_default.(i);
+          n_chosen = r.r_chosen.(i);
+          n_done = [ (r.r_chosen.(i), r.r_fps.(i)) ];
           n_backtrack = [];
-          n_sleep = d.r_sleep;
+          n_sleep = r.r_sleep.(i);
           n_preemptions = preempt;
         }
     done;
@@ -608,12 +774,9 @@ let explore_dpor ?preemption_bound ?(max_runs = 40_000) ?(max_steps = 60_000)
     List.iter
       (fun (i, j) ->
         incr nraces;
-        insert_backtrack decs i j)
-      (races
-         ~chosen:(Array.map (fun d -> d.r_chosen) decs)
-         ~runnables:(Array.map (fun d -> d.r_runnables) decs)
-         ~footprints:fps
-         ~start:(max 0 (base - 1)));
+        insert_backtrack i j)
+      (race_pass ~m ~chosen:r.r_chosen ~runnables:r.r_runnables
+         ~footprints:r.r_fps ~start:(max 0 (base - 1)));
     stop st outcome
   in
   (* pick the deepest node with a usable pending reversal; covered or
@@ -629,10 +792,7 @@ let explore_dpor ?preemption_bound ?(max_runs = 40_000) ?(max_steps = 60_000)
             nd.n_backtrack <- [];
             None
         | t :: rest ->
-            if
-              Hashtbl.mem nd.n_done t
-              || List.mem_assoc t nd.n_sleep
-              || not (bound_ok nd t)
+            if asleep t nd.n_done || asleep t nd.n_sleep || not (bound_ok nd t)
             then pick rest
             else begin
               nd.n_backtrack <- rest;

@@ -132,35 +132,78 @@ val explore_dpor :
 
     Per executed schedule of [m] recorded segments with [F] footprint
     entries in all, over [n] threads, the race analysis ({!races}) costs
-    O((m + F)·n²), plus sorting each segment's candidates (at most
+    O(m·n + F·n²), plus sorting each segment's candidates (at most
     [n - 1] per granule it touches): linear in [m] for a fixed thread
-    count. The rest of the per-schedule bookkeeping is linear in [m] too.
+    count. The rest of the per-schedule bookkeeping is linear in [m]
+    too: decisions and footprints are recorded into arrays the search
+    reuses from run to run, a node's done set and each sleep set are
+    short lists of (thread, footprint) pairs, and a decision whose sleep
+    set does not change allocates nothing for it.
 
     Defaults as {!explore} otherwise: [max_runs = 40_000],
     [max_steps = 60_000]. *)
 
+(** Segment footprints: what one scheduler segment touched, as the
+    granules it accessed, each with its strongest access level (2 =
+    write, 1 = read, 0 = futile spin-wait re-read). {!explore_dpor}
+    fills one per segment from the {!Stm_runtime.Footprint} reports.
+
+    A segment touches a handful of granules (at most five across the
+    Figure-6 matrix), so a footprint is two parallel int arrays, granule
+    and level, of initial capacity 4 (doubled when full), filled by a
+    linear find-or-add: no hashing, no boxing. *)
+module Fp : sig
+  type t
+
+  val create : unit -> t
+  (** An empty footprint. *)
+
+  val add : t -> int -> int -> unit
+  (** [add f granule level] records an access; a granule already present
+      keeps the stronger of its two levels. *)
+
+  val level : t -> int -> int
+  (** The strongest level recorded on a granule, or [-1] if absent. *)
+
+  val length : t -> int
+  (** Number of distinct granules. *)
+
+  val conflicts : t -> t -> bool
+  (** Dependency: the two share a granule and at least one of them writes
+      it (a spin re-read included). A nested scan, O(|a|·|b|). *)
+end
+
 val races :
   chosen:Stm_runtime.Sched.tid array ->
   runnables:Stm_runtime.Sched.tid list array ->
-  footprints:(int, int) Hashtbl.t array ->
+  footprints:Fp.t array ->
   start:int ->
   (int * int) list
 (** The race analysis {!explore_dpor} runs on each executed schedule.
     Segment [j] is what thread [chosen.(j)] ran after decision [j], taken
-    among the ascending [runnables.(j)]; [footprints.(j)] maps each
-    granule it touched to its strongest access level (2 = write,
-    1 = read, 0 = futile spin-wait re-read). Returns the immediate races
-    [(i, j)], [i < j], with [j >= start], in the order the search inserts
-    their reversals into its backtrack sets: by ascending [j], then by
-    descending [i]. Two segments conflict when they are on different
-    threads, share a granule and one of them writes it; the pair is
-    reversible unless the other access is a spin re-read; it is a race
-    when nothing orders it through program order, enabledness (a thread
-    becoming runnable after a segment) or an earlier conflict.
+    among the ascending [runnables.(j)]; [footprints.(j)] holds each
+    granule it touched with its strongest access level. Returns the
+    immediate races [(i, j)], [i < j], with [j >= start], in the order
+    the search inserts their reversals into its backtrack sets: by
+    ascending [j], then by descending [i]. Two segments conflict when
+    they are on different threads, share a granule and one of them
+    writes it; the pair is reversible unless the other access is a spin
+    re-read; it is a race when nothing orders it through program order,
+    enabledness (a thread becoming runnable after a segment) or an
+    earlier conflict.
 
     Linear in the number of segments: each granule keeps, per thread,
     its latest accessor and its latest writer, so a segment is tested
-    against at most one segment per other thread and shared granule. *)
+    against at most one segment per other thread and shared granule.
+    The pass works on flat int arrays: granules map to dense indices
+    through an {!Stm_runtime.Int_index}, the per-thread accessor, level
+    and writer tables are [granules × n] arrays, the vector clocks are
+    one [m × n] matrix, and each segment's candidates are deduplicated
+    by a per-segment stamp and sorted in place. For [m] segments with
+    [F] footprint entries in all, over [n] threads, it costs
+    O(m·n + F·n²) plus the sort of each segment's at most [n - 1]
+    candidates per granule, and allocates O(m·n) words: the clock
+    matrix, five [m]-arrays and the result list. *)
 
 val explore_pct :
   ?runs:int ->

@@ -233,6 +233,24 @@ let fig6_explorer () =
        Stm_litmus.Programs.speculative_lost_update
        (Stm_litmus.Modes.Weak Stm_core.Config.Eager))
 
+(* One DPOR walk of a fixed Figure-6 cell, the DPOR half of what the
+   [certify] workload does per cell: speculative lost update under
+   strong-eager at preemption bound 2, which no schedule breaks, so the
+   walk runs to the end (43 schedules, 99 races). The race pass, the
+   segment footprints, the sleep sets and the [Controlled] picks are
+   what it exercises beside the simulation itself. *)
+let dpor_cell =
+  let program = Stm_litmus.Programs.speculative_lost_update in
+  let mode = Stm_litmus.Modes.Strong Stm_core.Config.Eager in
+  let cfg =
+    Stm_litmus.Modes.config ~granule:program.Stm_litmus.Programs.needs_granule mode
+  in
+  let make () = program.Stm_litmus.Programs.build (Stm_litmus.Modes.harness mode cfg) in
+  fun () ->
+    ignore
+      (Stm_litmus.Explorer.explore_dpor ~preemption_bound:2
+         ~stop_when:program.Stm_litmus.Programs.is_anomalous ~cfg ~make ())
+
 (* End-to-end Tsp at 4 simulated processors (the fig18 unit): IR
    interpreter dispatch + Min_clock scheduler + full STM protocol. *)
 let fig18_tsp =
@@ -375,6 +393,7 @@ let bodies ?(validation = Stm_core.Config.Incremental) backend :
     ("sched/switch", sched_switch);
     ("sched/effect-floor", effect_floor);
     ("fig6/explorer-cell", fig6_explorer);
+    ("explore/dpor-cell", dpor_cell);
     ("fig18/tsp-4t", fig18_tsp);
     ("ir/alu-loop", ir_alu_loop);
     ("ir/call-loop", ir_call_loop);
@@ -488,13 +507,24 @@ let json_float = function
   | Stm_obs.Json.Int i -> Some (float_of_int i)
   | _ -> None
 
+type baseline = { b_ns : float; b_words : float option }
+
 let baseline_of_json json =
   match Stm_obs.Json.member "benches" json with
   | Some (Stm_obs.Json.Obj benches) ->
       List.filter_map
         (fun (name, v) ->
           match Option.bind (Stm_obs.Json.member "ns_per_op" v) json_float with
-          | Some ns -> Some (name, ns)
+          | Some ns ->
+              Some
+                ( name,
+                  {
+                    b_ns = ns;
+                    b_words =
+                      Option.bind
+                        (Stm_obs.Json.member "alloc_words_per_op" v)
+                        json_float;
+                  } )
           | None -> None)
         benches
   | Some _ | None -> []
@@ -504,27 +534,43 @@ type comparison = {
   c_ns : float;
   c_baseline_ns : float;
   c_speedup : float;
+  c_words : float;
+  c_baseline_words : float option;
 }
 
 let compare_to_baseline ~baseline r =
   List.filter_map
     (fun s ->
       match List.assoc_opt s.name baseline with
-      | Some b when b > 0. && not (Float.is_nan s.ns_per_op) ->
+      | Some b when b.b_ns > 0. && not (Float.is_nan s.ns_per_op) ->
           Some
             {
               c_name = s.name;
               c_ns = s.ns_per_op;
-              c_baseline_ns = b;
-              c_speedup = b /. s.ns_per_op;
+              c_baseline_ns = b.b_ns;
+              c_speedup = b.b_ns /. s.ns_per_op;
+              c_words = s.alloc_words_per_op;
+              c_baseline_words = b.b_words;
             }
       | Some _ | None -> None)
     r.samples
 
+(* Words per operation repeat exactly from run to run: five --quick and
+   five full-quota runs per backend read the same count on every bench.
+   So a small fixed bound catches a new per-operation allocation without
+   tripping on noise. *)
+let alloc_bound_pct = 2.
+
+let alloc_regressed c =
+  match c.c_baseline_words with
+  | Some b -> c.c_words > b *. (1. +. (alloc_bound_pct /. 100.))
+  | None -> false
+
+let ns_regressed ~threshold_pct c =
+  c.c_ns > c.c_baseline_ns *. (1. +. (threshold_pct /. 100.))
+
 let regressions ~threshold_pct comps =
-  List.filter
-    (fun c -> c.c_ns > c.c_baseline_ns *. (1. +. (threshold_pct /. 100.)))
-    comps
+  List.filter (fun c -> ns_regressed ~threshold_pct c || alloc_regressed c) comps
 
 let pp_report ppf r =
   Fmt.pf ppf "%-24s %14s %16s@." "bench" "ns/op" "alloc words/op";
@@ -535,9 +581,13 @@ let pp_report ppf r =
     r.samples
 
 let pp_comparison ppf comps =
-  Fmt.pf ppf "%-24s %14s %14s %9s@." "bench" "ns/op" "baseline" "speedup";
+  Fmt.pf ppf "%-24s %14s %14s %9s %14s %14s@." "bench" "ns/op" "baseline"
+    "speedup" "words/op" "baseline";
   List.iter
     (fun c ->
-      Fmt.pf ppf "%-24s %14.0f %14.0f %8.2fx@." c.c_name c.c_ns c.c_baseline_ns
-        c.c_speedup)
+      Fmt.pf ppf "%-24s %14.0f %14.0f %8.2fx %14.2f %14s@." c.c_name c.c_ns
+        c.c_baseline_ns c.c_speedup c.c_words
+        (match c.c_baseline_words with
+        | Some w -> Printf.sprintf "%.2f" w
+        | None -> "-"))
     comps

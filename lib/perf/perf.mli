@@ -58,23 +58,43 @@ val suite :
 
 val to_json : report -> Stm_obs.Json.t
 
-val baseline_of_json : Stm_obs.Json.t -> (string * float) list
-(** Extract [name -> ns_per_op] pairs from a report JSON (the baseline
-    file uses the same schema as {!to_json} output). *)
+type baseline = {
+  b_ns : float;
+  b_words : float option;  (** [alloc_words_per_op], when recorded *)
+}
+
+val baseline_of_json : Stm_obs.Json.t -> (string * baseline) list
+(** Extract the per-bench baseline from a report JSON (the baseline file
+    uses the same schema as {!to_json} output). *)
 
 type comparison = {
   c_name : string;
   c_ns : float;
   c_baseline_ns : float;
   c_speedup : float;  (** baseline / current; > 1 means faster now *)
+  c_words : float;  (** alloc words per operation now *)
+  c_baseline_words : float option;
 }
 
 val compare_to_baseline :
-  baseline:(string * float) list -> report -> comparison list
+  baseline:(string * baseline) list -> report -> comparison list
 
-val regressions :
-  threshold_pct:float -> comparison list -> comparison list
-(** Benches slower than baseline by more than [threshold_pct] percent. *)
+val alloc_bound_pct : float
+(** How far a bench's alloc words per operation may exceed its baseline,
+    in percent (2). The counts are exact and repeat from run to run on
+    every bench, so the bound is small and fixed, unlike the ns/op
+    threshold. *)
+
+val alloc_regressed : comparison -> bool
+(** The bench allocates more than {!alloc_bound_pct} over its baseline
+    words per operation (never, for a baseline that records none). *)
+
+val ns_regressed : threshold_pct:float -> comparison -> bool
+(** The bench is slower than its baseline by more than [threshold_pct]
+    percent. *)
+
+val regressions : threshold_pct:float -> comparison list -> comparison list
+(** Benches that are {!ns_regressed} or {!alloc_regressed}. *)
 
 val pp_report : Format.formatter -> report -> unit
 val pp_comparison : Format.formatter -> comparison list -> unit

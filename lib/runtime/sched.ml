@@ -89,6 +89,14 @@ type engine = {
   mutable pending_exn : (exn * Printexc.raw_backtrace) option;
       (* what that pick raised, re-raised by [pick] so that it escapes
          [run] rather than the yielding thread's body *)
+  mutable ready_list : tid list;
+      (* the ascending ready tids handed to [Controlled], valid while
+         [ready_stale] is false *)
+  mutable ready_stale : bool;
+      (* set wherever a thread enters or leaves the ready set: a thread
+         made runnable, a suspend, a finish. A yield and a switch-in
+         move a thread between Running and Runnable, both ready, so
+         they leave the list valid. *)
 }
 
 type _ Effect.t +=
@@ -193,6 +201,7 @@ let heap_push_pop e t =
 let make_runnable e t =
   t.state <- Runnable;
   e.nrunnable <- e.nrunnable + 1;
+  e.ready_stale <- true;
   match e.policy with Min_clock -> heap_push e t | _ -> ()
 
 (* Rebuild the heap from scratch (after [rebase] rewrites the keys). *)
@@ -236,6 +245,7 @@ let new_thread e name body =
    [Suspend] right after registering, so they are [Suspended] here). *)
 let finish e t =
   t.state <- Done;
+  e.ready_stale <- true;
   List.iter
     (fun jid ->
       let j = thread_of e jid in
@@ -267,7 +277,8 @@ let handler e =
         let t = e.current in
         save_reg t;
         t.cont <- k;
-        t.state <- Suspended)
+        t.state <- Suspended;
+        e.ready_stale <- true)
   in
   {
     retc =
@@ -289,13 +300,19 @@ let handler e =
    Running, and a yielding thread is Runnable again). *)
 let ready t = match t.state with Runnable | Running -> true | Suspended | Done -> false
 
-(* Ascending list of ready tids (the [Controlled] callback contract). *)
+(* Ascending list of ready tids (the [Controlled] callback contract),
+   rebuilt only after the ready set changed. The list is immutable, so
+   a callback that keeps it across decisions keeps a correct snapshot. *)
 let runnables e =
-  let acc = ref [] in
-  for tid = e.nthreads - 1 downto 0 do
-    if ready e.by_tid.(tid) then acc := tid :: !acc
-  done;
-  !acc
+  if e.ready_stale then begin
+    let acc = ref [] in
+    for tid = e.nthreads - 1 downto 0 do
+      if ready e.by_tid.(tid) then acc := tid :: !acc
+    done;
+    e.ready_list <- !acc;
+    e.ready_stale <- false
+  end;
+  e.ready_list
 
 (* The k-th ready thread in tid order: [Random]'s pick, replacing the
    old [List.nth ready k] without building the list. *)
@@ -406,6 +423,8 @@ let run ?(max_steps = 10_000_000) ?(policy = Min_clock) main =
       fuel_out = false;
       pending = -1;
       pending_exn = None;
+      ready_list = [];
+      ready_stale = true;
     }
   in
   engine := Some e;

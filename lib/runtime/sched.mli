@@ -28,7 +28,12 @@ type policy =
   | Controlled of (tid -> tid list -> tid)
       (** [choose current runnables] picks the next thread to run;
           [runnables] is sorted and non-empty, [current] is the thread that
-          just yielded (it may or may not be in [runnables]). An exception
+          just yielded (it may or may not be in [runnables]). The list
+          may be shared across calls: while the ready set is unchanged
+          (no spawn, suspend, wake, join or finish in between) [choose]
+          receives the same physical list, so a call that keeps the
+          thread running allocates nothing; being immutable, a list a
+          callback keeps stays a correct snapshot. An exception
           raised by [choose], or the [Invalid_argument] for a pick outside
           [runnables], escapes {!run}, also when the pick is taken at a
           {!yield}. *)

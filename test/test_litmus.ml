@@ -737,12 +737,22 @@ let footprint pairs =
     pairs;
   h
 
-let races_of run f =
+let fp_of pairs =
+  let f = Explorer.Fp.create () in
+  List.iter (fun (oid, lv) -> Explorer.Fp.add f oid lv) pairs;
+  f
+
+(* Apply a race pass to [run], building each footprint with [build]:
+   [Explorer.races] takes [Explorer.Fp.t], the reference the [Hashtbl]
+   model. *)
+let pass_over run build f =
   f
     ~chosen:(Array.map (fun (t, _, _) -> t) run.segs)
     ~runnables:(Array.map (fun (_, rs, _) -> rs) run.segs)
-    ~footprints:(Array.map (fun (_, _, fp) -> footprint fp) run.segs)
+    ~footprints:(Array.map (fun (_, _, fp) -> build fp) run.segs)
     ~start:run.start
+
+let races_of run f = pass_over run fp_of f
 
 (* 2-4 threads, up to 300 segments. Each runnable set holds the chosen
    thread plus a random subset of the others, so threads drop out and
@@ -780,7 +790,52 @@ let races_qcheck =
   [
     Test.make ~name:"races: granule index = all-pairs reference" ~count:300
       (make ~print:race_run_print race_run_gen) (fun run ->
-        races_of run Explorer.races = races_of run races_reference);
+        races_of run Explorer.races = pass_over run footprint races_reference);
+  ]
+
+(* The conflict test the footprint type replaces, over the [Hashtbl]
+   model: a shared granule at least one side writes. *)
+let model_conflicts a b =
+  Hashtbl.fold
+    (fun oid lv acc ->
+      acc
+      ||
+      match Hashtbl.find_opt b oid with
+      | Some lv' -> lv = 2 || lv' = 2
+      | None -> false)
+    a false
+
+(* Two segments' accesses, up to 12 each (past the initial capacity of
+   4), on granules that include the runtime's negative pseudo-oids. *)
+let fp_pair_gen =
+  let open QCheck.Gen in
+  let granule = frequency [ (4, int_range (-6) 9); (1, int_bound 1_000_000) ] in
+  let accesses = list_size (int_range 0 12) (pair granule (int_bound 2)) in
+  pair accesses accesses
+
+let fp_pair_print (a, b) =
+  let one l = String.concat "," (List.map (fun (o, l) -> Printf.sprintf "g%d=%d" o l) l) in
+  Printf.sprintf "a=[%s] b=[%s]" (one a) (one b)
+
+let fp_qcheck =
+  let open QCheck in
+  [
+    Test.make ~name:"footprint: merge and conflict = Hashtbl model" ~count:500
+      (make ~print:fp_pair_print fp_pair_gen) (fun (a, b) ->
+        let fa = fp_of a and fb = fp_of b in
+        let ha = footprint a and hb = footprint b in
+        let levels_agree f h accesses =
+          Explorer.Fp.length f = Hashtbl.length h
+          && List.for_all
+               (fun (oid, _) ->
+                 Explorer.Fp.level f oid
+                 = Option.value ~default:(-1) (Hashtbl.find_opt h oid))
+               accesses
+          && Explorer.Fp.level f 1_000_001 = -1
+        in
+        levels_agree fa ha a && levels_agree fb hb b
+        && Explorer.Fp.conflicts fa fb = model_conflicts ha hb
+        && Explorer.Fp.conflicts fb fa = model_conflicts ha hb);
   ]
 
 (* Hand-checked cases: a write/write pair races; a read/read pair does
@@ -822,7 +877,8 @@ let dpor_cases =
     case "deadlock past the horizon is not complete" dpor_deadlock_past_horizon;
     case "pinned exploration records" pinned_records;
   ]
-  @ List.map QCheck_alcotest.to_alcotest (dpor_equiv_qcheck @ races_qcheck)
+  @ List.map QCheck_alcotest.to_alcotest
+      (dpor_equiv_qcheck @ races_qcheck @ fp_qcheck)
 
 (* quiescence orders write-backs but does not close the 4a read window *)
 let quiesce_does_not_fix_mi_rw () =

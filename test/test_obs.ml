@@ -524,6 +524,38 @@ let export_jsonl_shape () =
         (String.length l > 1 && l.[0] = '{' && l.[String.length l - 1] = '}'))
     lines
 
+(* The perf gate reads a baseline of the checked-in schema and fails a
+   bench that is slower than the ns/op threshold allows, or allocates
+   more than the fixed bound over its baseline words per operation. A
+   baseline without a word count gates ns/op only. *)
+let perf_gate () =
+  let open Stm_perf.Perf in
+  let base =
+    match
+      Json.of_string
+        {|{"benches":{"a":{"ns_per_op":100,"alloc_words_per_op":1000},"b":{"ns_per_op":100.0}}}|}
+    with
+    | Ok j -> baseline_of_json j
+    | Error e -> Alcotest.fail e
+  in
+  let comparison name ns words =
+    let r =
+      {
+        quick = true;
+        backend = Stm_core.Config.Eager;
+        validation = Stm_core.Config.Incremental;
+        samples = [ { name; ns_per_op = ns; alloc_words_per_op = words } ];
+      }
+    in
+    compare_to_baseline ~baseline:base r
+  in
+  let gated name ns words = regressions ~threshold_pct:25. (comparison name ns words) <> [] in
+  check_bool "within both bounds" false (gated "a" 120. 1019.);
+  check_bool "ns/op over the threshold" true (gated "a" 130. 1000.);
+  check_bool "words/op over the bound" true (gated "a" 100. 1021.);
+  check_bool "no baseline words: ns/op only" false (gated "b" 100. 1e9);
+  check_bool "not in the baseline" false (gated "c" 1e9 1e9)
+
 let suite =
   [
     ( "obs:json",
@@ -570,4 +602,5 @@ let suite =
         case "chrome trace shape" export_chrome_shape;
         case "jsonl one object per line" export_jsonl_shape;
       ] );
+    ("obs:perf-gate", [ case "ns/op threshold and alloc bound" perf_gate ]);
   ]

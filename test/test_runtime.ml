@@ -782,6 +782,155 @@ let yield_pick_qcheck =
         real = model_yprog ~max_steps ~random:true p pick);
   ]
 
+(* The ready list [Controlled] hands out is cached and rebuilt only
+   where readiness changes. A program whose ready set moves by spawn,
+   join, suspend/wake and finish keeps a shadow of that set, updated
+   right where the runtime changes it; the list [choose] receives must
+   equal the shadow at every decision, whether the decision is taken at
+   a yield or in the loop. *)
+type rprog_act =
+  | Q_yield
+  | Q_spawn of rprog_act list
+  | Q_suspend
+  | Q_wake of int  (* tid = the argument mod the thread count *)
+  | Q_join of int  (* likewise; a self-join blocks until a wake *)
+
+let max_shadow = 256
+
+let run_rprog ~max_steps ~seed main_acts =
+  let ready = Array.make max_shadow false in
+  let suspended = Array.make max_shadow false in
+  let finished = Array.make max_shadow false in
+  let joiners = Array.make max_shadow [] in
+  ready.(0) <- true;
+  let shadow () = List.filter (fun t -> ready.(t)) (List.init max_shadow Fun.id) in
+  let mismatches = ref 0 and decisions = ref 0 in
+  let st = Random.State.make [| seed |] in
+  let choose current rs =
+    incr decisions;
+    if rs <> shadow () then incr mismatches;
+    if List.mem current rs && Random.State.bool st then current
+    else List.nth rs (Random.State.int st (List.length rs))
+  in
+  let rec body acts () =
+    let me = Sched.self () in
+    List.iter
+      (function
+        | Q_yield -> Sched.yield ()
+        | Q_spawn child ->
+            let c = Sched.spawn (body child) in
+            ready.(c) <- true
+        | Q_suspend ->
+            ready.(me) <- false;
+            suspended.(me) <- true;
+            Sched.suspend ()
+        | Q_wake k ->
+            let u = k mod Sched.thread_count () in
+            if suspended.(u) then begin
+              suspended.(u) <- false;
+              ready.(u) <- true
+            end;
+            Sched.wake u
+        | Q_join k ->
+            let u = k mod Sched.thread_count () in
+            if not finished.(u) then begin
+              joiners.(u) <- me :: joiners.(u);
+              ready.(me) <- false;
+              suspended.(me) <- true
+            end;
+            Sched.join u)
+      acts;
+    (* the thread finishes: it leaves the ready set and its suspended
+       joiners enter it *)
+    ready.(me) <- false;
+    finished.(me) <- true;
+    List.iter
+      (fun j ->
+        if suspended.(j) then begin
+          suspended.(j) <- false;
+          ready.(j) <- true
+        end)
+      joiners.(me);
+    joiners.(me) <- []
+  in
+  let r = Sched.run ~max_steps ~policy:(Sched.Controlled choose) (body main_acts) in
+  (!decisions, !mismatches, r.Sched.status)
+
+let rprog_gen =
+  let open QCheck.Gen in
+  let leaf =
+    frequency
+      [
+        (4, return Q_yield);
+        (1, return Q_suspend);
+        (2, map (fun k -> Q_wake k) (int_bound 20));
+        (1, map (fun k -> Q_join k) (int_bound 20));
+      ]
+  in
+  let acts depth =
+    fix
+      (fun self d ->
+        list_size (int_range 0 6)
+          (if d = 0 then leaf
+           else frequency [ (5, leaf); (2, map (fun c -> Q_spawn c) (self (d - 1))) ]))
+      depth
+  in
+  triple (int_range 20 200) (int_bound 9999) (acts 2)
+
+let rec rprog_print = function
+  | Q_yield -> "y"
+  | Q_spawn c -> "spawn[" ^ String.concat ";" (List.map rprog_print c) ^ "]"
+  | Q_suspend -> "suspend"
+  | Q_wake k -> Printf.sprintf "wake%d" k
+  | Q_join k -> Printf.sprintf "join%d" k
+
+let ready_cache_qcheck =
+  let open QCheck in
+  [
+    Test.make ~name:"sched: Controlled ready list = shadow ready set" ~count:300
+      (make
+         ~print:(fun (max_steps, seed, acts) ->
+           Printf.sprintf "max_steps=%d seed=%d main=[%s]" max_steps seed
+             (String.concat ";" (List.map rprog_print acts)))
+         rprog_gen)
+      (fun (max_steps, seed, acts) ->
+        let decisions, mismatches, _ = run_rprog ~max_steps ~seed acts in
+        decisions > 0 && mismatches = 0);
+  ]
+
+(* Words allocated by [f], less what the measurement itself boxes. *)
+let words_of f =
+  let floor =
+    let b = Gc.minor_words () in
+    Gc.minor_words () -. b
+  in
+  let b = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. b -. floor
+
+(* A [Controlled] decision that keeps the running thread, with the ready
+   set unchanged since the last one, allocates nothing: the callback gets
+   the cached list. *)
+let controlled_keep_allocation_free () =
+  let words = ref nan in
+  let r =
+    Sched.run
+      ~policy:
+        (Sched.Controlled
+           (fun current ready -> if List.mem current ready then current else List.hd ready))
+      (fun () ->
+        let w = Sched.spawn (fun () -> ()) in
+        Sched.yield ();
+        words :=
+          words_of (fun () ->
+              for _ = 1 to 1_000 do
+                Sched.yield ()
+              done);
+        Sched.join w)
+  in
+  check_bool "completed" true (r.Sched.status = Sched.Completed);
+  check_int "words over 1000 kept decisions" 0 (int_of_float !words)
+
 (* Whatever [choose] raises escapes [Sched.run], also when the pick is
    taken at a yield: it must not turn into an exception of the yielding
    thread. *)
@@ -1427,7 +1576,10 @@ let suite =
         @ [
             case "an exception from choose escapes run" sched_choose_raises;
             case "a non-runnable choice escapes run" sched_choose_non_runnable;
-          ] );
+            case "a kept Controlled decision allocates nothing"
+              controlled_keep_allocation_free;
+          ]
+        @ List.map QCheck_alcotest.to_alcotest ready_cache_qcheck );
     ]
 
 (* ------------------------------------------------------------------ *)
