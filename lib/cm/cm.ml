@@ -8,20 +8,11 @@ open Stm_runtime
    policies can be unit-tested without a heap or a scheduler. *)
 
 type decision =
-  | Wait of int  (* back off this many cycles, then retry the access *)
-  | Wound of { victim : int; delay : int }
-      (* kill the owning transaction, then back off and retry *)
+  | Wait  (* back off [last_delay] cycles, then retry the access *)
+  | Wound
+      (* kill the owning transaction [last_victim], then back off and
+         retry *)
   | Abort_self
-
-type conflict = {
-  txid : int;
-  tid : int;
-  attempt : int;  (* failures so far for this access *)
-  writer : bool;
-  work : int;  (* read/write-set footprint of the asking transaction *)
-  owner : int option;  (* owning txid; None for anonymous (non-txn) owners *)
-  now : int;  (* asking thread's cost clock *)
-}
 
 (* One atomic block's contention state. The block's attempt loop gets
    its slot from [on_begin] at the first incarnation and hands the same
@@ -44,6 +35,8 @@ type t = {
   max_retries : int;
   cost : Cost.t;
   rng : Det_rng.t;  (* seeds per-slot generators deterministically *)
+  mutable last_delay : int;  (* the last decision's backoff *)
+  mutable last_victim : int;  (* the last Wound decision's victim, else -1 *)
 }
 
 (* Never handed to a live block: it stands for a block not begun yet and
@@ -61,21 +54,30 @@ let no_slot =
   }
 
 let create ?(seed = 0) ~max_retries ~cost policy =
-  { policy; max_retries; cost; rng = Det_rng.create seed }
+  {
+    policy;
+    max_retries;
+    cost;
+    rng = Det_rng.create seed;
+    last_delay = 0;
+    last_victim = -1;
+  }
 
 let policy t = t.policy
 let name t = Policy.to_string t.policy
 let tid_of slot = slot.s_tid
 let birth slot = slot.s_birth
 let karma slot = slot.s_karma
+let delay t = t.last_delay
+let victim t = t.last_victim
 
 (* ------------------------------------------------------------------ *)
 (* Backoff schedules                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let backoff_delay (cost : Cost.t) ~attempt =
-  let shift = min attempt 16 in
-  min (cost.backoff_base * (1 lsl shift)) (max cost.backoff_base cost.backoff_cap)
+  let shift = Int.min attempt 16 in
+  Int.min (cost.backoff_base * (1 lsl shift)) (Int.max cost.backoff_base cost.backoff_cap)
 
 (* Deterministic per-thread jitter: symmetric contenders that back off by
    identical delays re-collide in lockstep forever (the classic livelock
@@ -89,7 +91,7 @@ let jittered_delay cost ~tid ~attempt =
    capped. Reproducible because the slot's generator is seeded from the
    manager seed and the thread id. *)
 let randomized_delay t (slot : slot) ~attempt =
-  let bound = max 1 (backoff_delay t.cost ~attempt) in
+  let bound = Int.max 1 (backoff_delay t.cost ~attempt) in
   1 + Det_rng.int slot.s_rng bound
 
 (* ------------------------------------------------------------------ *)
@@ -116,7 +118,7 @@ let on_begin t slot ~tid ~txid ~now =
   end
 
 let on_abort slot ~wounded ~work =
-  slot.s_karma <- slot.s_karma + max work slot.s_work;
+  slot.s_karma <- slot.s_karma + Int.max work slot.s_work;
   slot.s_wounded <- wounded
 
 (* ------------------------------------------------------------------ *)
@@ -130,38 +132,55 @@ let priority slot = slot.s_karma + slot.s_work
 let older a b =
   a.s_birth < b.s_birth || (a.s_birth = b.s_birth && a.s_first_txid < b.s_first_txid)
 
-let on_conflict t self ~owner:owner_slot (c : conflict) =
-  self.s_work <- max self.s_work c.work;
+(* The decision's delay and victim stay in the manager, not in the
+   result: a [Wait of int] would box every spin iteration's answer. The
+   caller reads them before its next yield, so no other thread's
+   decision can come in between. *)
+let wait t delay =
+  t.last_delay <- delay;
+  t.last_victim <- -1;
+  Wait
+
+let wound t ~victim delay =
+  t.last_delay <- delay;
+  t.last_victim <- victim;
+  Wound
+
+let abort_self t =
+  t.last_delay <- 0;
+  t.last_victim <- -1;
+  Abort_self
+
+let decide t self ~owner:owner_slot ~owner_txid ~txid ~tid ~attempt ~work =
+  self.s_work <- Int.max self.s_work work;
   let both_known = owner_slot != no_slot in
-  let budget_exhausted = c.attempt >= t.max_retries in
-  let jitter () = jittered_delay t.cost ~tid:c.tid ~attempt:c.attempt in
+  let budget_exhausted = attempt >= t.max_retries in
+  let jitter = jittered_delay t.cost ~tid ~attempt in
   match t.policy with
-  | Policy.Suicide ->
-      if budget_exhausted then Abort_self else Wait (jitter ())
+  | Policy.Suicide -> if budget_exhausted then abort_self t else wait t jitter
   | Policy.Wound_wait ->
-      if budget_exhausted then Abort_self
-      else (
-        match c.owner with
-        | Some o when c.txid < o -> Wound { victim = o; delay = jitter () }
-        | Some _ | None -> Wait (jitter ()))
+      if budget_exhausted then abort_self t
+      else if owner_txid >= 0 && txid < owner_txid then
+        wound t ~victim:owner_txid jitter
+      else wait t jitter
   | Policy.Exp_backoff ->
-      if budget_exhausted then Abort_self
-      else Wait (randomized_delay t self ~attempt:c.attempt)
+      if budget_exhausted then abort_self t
+      else wait t (randomized_delay t self ~attempt)
   | Policy.Karma ->
       let s = self and o = owner_slot in
-      if budget_exhausted then Abort_self
+      if budget_exhausted then abort_self t
       else if
         both_known
         && (priority s > priority o
            || (priority s = priority o && s.s_first_txid < o.s_first_txid))
-      then Wound { victim = o.s_txid; delay = jitter () }
-      else Wait (jitter ())
+      then wound t ~victim:o.s_txid jitter
+      else wait t jitter
   | Policy.Timestamp ->
       if both_known && older self owner_slot then
         (* the oldest transaction never loses - and never gives up,
            even past the retry budget, because its victim may need a
            few more pauses to notice the wound *)
-        Wound { victim = owner_slot.s_txid; delay = jitter () }
+        wound t ~victim:owner_slot.s_txid jitter
       else if both_known then
         (* younger waits for older without burning retry budget: waits
            only ever point from younger to older (a younger owner would
@@ -169,12 +188,12 @@ let on_conflict t self ~owner:owner_slot (c : conflict) =
            order and cannot cycle. Aborting here would restart-churn
            the young side into exactly the starvation streaks the
            policy exists to prevent. *)
-        Wait (jitter ())
+        wait t jitter
       else if budget_exhausted then
         (* anonymous or unknown owner: no age to order against, so fall
            back to bounded retries like everyone else *)
-        Abort_self
-      else Wait (jitter ())
+        abort_self t
+      else wait t jitter
 
 (* Delay charged between a conflict-driven abort and the block's next
    incarnation. Same schedule the policy uses inside the transaction,
@@ -187,7 +206,7 @@ let on_conflict t self ~owner:owner_slot (c : conflict) =
    which the winner of every conflict makes no progress. The deferral is
    sized past the largest poll interval so the wounder wins the race. *)
 let step_aside t ~tid ~attempt =
-  (4 * max t.cost.Cost.backoff_base t.cost.backoff_cap)
+  (4 * Int.max t.cost.Cost.backoff_base t.cost.backoff_cap)
   + jittered_delay t.cost ~tid ~attempt
 
 let restart_delay t slot ~attempt =
@@ -203,6 +222,6 @@ let restart_delay t slot ~attempt =
         jittered_delay t.cost ~tid ~attempt
 
 let string_of_decision = function
-  | Wait _ -> "wait"
-  | Wound _ -> "wound"
+  | Wait -> "wait"
+  | Wound -> "wound"
   | Abort_self -> "abort-self"

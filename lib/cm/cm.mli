@@ -12,7 +12,7 @@
     work-conserving.
 
     The core drives the manager through three hooks ([on_begin],
-    [on_conflict], [on_abort]) plus {!restart_delay}, and acts on the
+    [decide], [on_abort]) plus {!restart_delay}, and acts on the
     returned {!decision}; the manager never touches the heap, the
     scheduler, or the trace stream itself. *)
 
@@ -27,27 +27,14 @@ type slot
 val no_slot : slot
 (** Stands for a block that has not begun (pass it to {!on_begin} at the
     first incarnation) and for an anonymous or unknown owner (pass it to
-    {!on_conflict}). Never mutated. *)
+    {!decide}). Never mutated. *)
 
 type decision =
-  | Wait of int
-      (** Back off for this many cycles, then retry the access. *)
-  | Wound of { victim : int; delay : int }
-      (** Mark the owning transaction [victim] (a txid) as killed, then
-          back off [delay] cycles and retry. *)
+  | Wait  (** Back off for {!delay} cycles, then retry the access. *)
+  | Wound
+      (** Mark the owning transaction {!victim} (a txid) as killed, then
+          back off {!delay} cycles and retry. *)
   | Abort_self  (** Abort the asking transaction immediately. *)
-
-type conflict = {
-  txid : int;  (** asking transaction *)
-  tid : int;  (** its scheduler thread *)
-  attempt : int;  (** consecutive failures for this access so far *)
-  writer : bool;  (** open-for-write vs. open-for-read *)
-  work : int;  (** current read+write-set footprint of the asker *)
-  owner : int option;
-      (** owning txid, or [None] when the record is held anonymously
-          (a non-transactional barrier or a quiescing txn) *)
-  now : int;  (** asking thread's cost clock *)
-}
 
 val create : ?seed:int -> max_retries:int -> cost:Stm_runtime.Cost.t -> Policy.t -> t
 (** [max_retries] is the per-access attempt budget after which
@@ -65,9 +52,33 @@ val on_begin : t -> slot -> tid:int -> txid:int -> now:int -> slot
     block's slot it starts incarnation [txid] in it and returns it: birth,
     karma and generator are kept. *)
 
-val on_conflict : t -> slot -> owner:slot -> conflict -> decision
-(** The asker's slot, the owner's slot ({!no_slot} for an anonymous or
-    unknown owner) and the conflict. Records the asker's footprint. *)
+val decide :
+  t ->
+  slot ->
+  owner:slot ->
+  owner_txid:int ->
+  txid:int ->
+  tid:int ->
+  attempt:int ->
+  work:int ->
+  decision
+(** The decision procedure applied at every ownership conflict. The
+    asker's slot; the owner's slot ({!no_slot} for an anonymous or
+    unknown owner); the owning txid, or -1 when the record is held
+    anonymously (a non-transactional barrier or a quiescing txn) - txids
+    are positive; the asking transaction's txid and scheduler thread;
+    [attempt], the consecutive failures for this access so far; and
+    [work], the asker's current read+write-set footprint, which is
+    recorded in its slot. The decision's backoff and victim stay in the
+    manager, read with {!delay} and {!victim} before the asker next
+    yields, so a decision allocates nothing. *)
+
+val delay : t -> int
+(** The backoff of the last {!decide}: the cycles to wait after [Wait]
+    or [Wound], 0 after [Abort_self]. *)
+
+val victim : t -> int
+(** The txid the last {!decide} wounded; -1 unless it was [Wound]. *)
 
 val on_abort : slot -> wounded:bool -> work:int -> unit
 (** An incarnation of the slot's block aborted. Lost [work] is banked as

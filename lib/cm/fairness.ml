@@ -41,10 +41,10 @@ let on_abort t ~tid ~wasted =
   e.consec_aborts <- e.consec_aborts + 1;
   if e.consec_aborts > e.max_consec_aborts then
     e.max_consec_aborts <- e.consec_aborts;
-  e.wasted_cycles <- e.wasted_cycles + max 0 wasted
+  e.wasted_cycles <- e.wasted_cycles + Int.max 0 wasted
 
 let threads t =
-  Hashtbl.fold (fun tid _ acc -> tid :: acc) t.entries [] |> List.sort compare
+  Hashtbl.fold (fun tid _ acc -> tid :: acc) t.entries [] |> List.sort Int.compare
 
 let commits t ~tid = match Hashtbl.find_opt t.entries tid with Some e -> e.commits | None -> 0
 let aborts t ~tid = match Hashtbl.find_opt t.entries tid with Some e -> e.aborts | None -> 0
@@ -58,7 +58,7 @@ let wasted_cycles t ~tid =
   match Hashtbl.find_opt t.entries tid with Some e -> e.wasted_cycles | None -> 0
 
 let max_consec_aborts t =
-  Hashtbl.fold (fun _ e acc -> max acc e.max_consec_aborts) t.entries 0
+  Hashtbl.fold (fun _ e acc -> Int.max acc e.max_consec_aborts) t.entries 0
 
 let total_commits t = Hashtbl.fold (fun _ e acc -> acc + e.commits) t.entries 0
 let total_aborts t = Hashtbl.fold (fun _ e acc -> acc + e.aborts) t.entries 0
@@ -89,7 +89,7 @@ let starved t ~threshold =
       then tid :: acc
       else acc)
     t.entries []
-  |> List.sort compare
+  |> List.sort Int.compare
 
 let copy t =
   let c = create () in

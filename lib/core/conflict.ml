@@ -3,16 +3,13 @@ open Stm_runtime
 exception
   Isolation_violation of { cls : string; oid : int; writer : bool }
 
-(* The delay schedules live in Stm_cm.Cm so contention-manager policies
-   can reuse them; these wrappers keep the historical signatures (tid is
-   read off the running scheduler here, not passed in). *)
-let backoff_delay cost ~attempt = Stm_cm.Cm.backoff_delay cost ~attempt
-
+(* The delay schedule lives in Stm_cm.Cm so contention-manager policies
+   can reuse it; this wrapper reads the tid off the running scheduler. *)
 let jittered_delay cost ~attempt =
-  let tid = max 0 Sched.reg.tid in
+  let tid = Int.max 0 Sched.reg.tid in
   Stm_cm.Cm.jittered_delay cost ~tid ~attempt
 
-let handle ?delay (cfg : Config.t) (stats : Stats.t) ~attempt ~writer
+let backoff (cfg : Config.t) (stats : Stats.t) ~attempt ~writer ~delay
     (obj : Heap.obj) =
   stats.Stats.conflicts <- stats.Stats.conflicts + 1;
   if Trace.enabled () then
@@ -29,11 +26,6 @@ let handle ?delay (cfg : Config.t) (stats : Stats.t) ~attempt ~writer
   | Config.Raise_error ->
       raise (Isolation_violation { cls = obj.Heap.cls; oid = obj.Heap.oid; writer })
   | Config.Backoff ->
-      let delay =
-        match delay with
-        | Some d -> d
-        | None -> jittered_delay cfg.cost ~attempt
-      in
       stats.Stats.backoff_cycles <- stats.Stats.backoff_cycles + delay;
       if Trace.enabled_at Trace.Debug then
         Trace.emit
@@ -44,3 +36,8 @@ let handle ?delay (cfg : Config.t) (stats : Stats.t) ~attempt ~writer
                delay;
              });
       Sched.pause delay
+
+(* A barrier backs off on the jittered schedule: it has no transaction
+   for the contention manager to decide for. *)
+let handle (cfg : Config.t) stats ~attempt ~writer obj =
+  backoff cfg stats ~attempt ~writer ~delay:(jittered_delay cfg.cost ~attempt) obj

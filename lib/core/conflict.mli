@@ -16,23 +16,22 @@ exception
     writer : bool;  (** true if the conflicting access was a write *)
   }
 
-val handle :
-  ?delay:int ->
+val backoff :
   Config.t ->
   Stats.t ->
   attempt:int ->
   writer:bool ->
+  delay:int ->
   Stm_runtime.Heap.obj ->
   unit
-(** Back off (or raise). [attempt] is the number of failures so far for
-    this access; the delay is [min (base * 2^attempt) cap] unless the
-    contention manager supplied an explicit [delay]. The cycles charged
-    are accumulated into [Stats.backoff_cycles]. *)
+(** Back off [delay] cycles (or raise). [attempt] is the number of
+    failures so far for this access; a transaction's [delay] is its
+    contention manager's choice. The cycles charged are accumulated into
+    [Stats.backoff_cycles]. *)
 
-val backoff_delay : Stm_runtime.Cost.t -> attempt:int -> int
-(** The base delay schedule, exposed for tests. *)
-
-val jittered_delay : Stm_runtime.Cost.t -> attempt:int -> int
-(** The delay actually charged: base delay salted deterministically with
-    the current simulated thread id, so symmetric contenders never back
-    off in lockstep (which would livelock). *)
+val handle :
+  Config.t -> Stats.t -> attempt:int -> writer:bool -> Stm_runtime.Heap.obj -> unit
+(** {!backoff} for a barrier: [min (base * 2^attempt) cap] cycles,
+    salted deterministically with the current simulated thread id so
+    that symmetric contenders never back off in lockstep (which would
+    livelock). *)

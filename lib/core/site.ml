@@ -6,7 +6,7 @@ open Stm_runtime
    other threads' accesses. *)
 let slots : (int, int) Hashtbl.t = Hashtbl.create 64
 
-let tid () = max 0 Sched.reg.tid
+let tid () = Int.max 0 Sched.reg.tid
 
 let set site = Hashtbl.replace slots (tid ()) site
 

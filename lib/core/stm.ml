@@ -40,7 +40,7 @@ let current_txn sys =
 let set_current sys tid txn =
   let n = Array.length sys.current in
   if tid >= n then begin
-    let a = Array.make (max (2 * n) (tid + 1)) Txn.none in
+    let a = Array.make (Int.max (2 * n) (tid + 1)) Txn.none in
     Array.blit sys.current 0 a 0 n;
     sys.current <- a
   end;

@@ -75,7 +75,7 @@ let eff = ref closed
 
 let install set =
   subs := set;
-  eff := List.fold_left (fun m s -> min m s.rank) closed set
+  eff := List.fold_left (fun m s -> Int.min m s.rank) closed set
 
 let with_sinks sinks body =
   let outer = !subs in

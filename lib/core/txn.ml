@@ -191,7 +191,7 @@ let make_ctx (cfg : Config.t) =
   }
 
 (* Arenas double, from 8 slots when empty. *)
-let grown_length a = max 8 (2 * Array.length a)
+let grown_length a = Int.max 8 (2 * Array.length a)
 
 let grow_obj_array a n =
   let a' = Array.make (grown_length a) Heap.dummy in
@@ -358,7 +358,7 @@ let note_read t (obj : Heap.obj) ver =
 let granule_base (cfg : Config.t) fld = fld - (fld mod cfg.granule)
 
 let granule_len (cfg : Config.t) obj base =
-  min cfg.granule (Heap.nfields obj - base)
+  Int.min cfg.granule (Heap.nfields obj - base)
 
 (* Undo-log / write-buffer key: (oid, granule base) packed into one int -
    no tuple allocation per lookup. Base fits 26 bits; the largest
@@ -446,7 +446,7 @@ let sv_entries_ok ctx t = sv_entries_from ctx t 0
    no longer pay it. Observations, not distinct entries: the virtual
    charge stays proportional to what the paper's cons-list walk cost. *)
 let charge_walk ctx t =
-  tick (ctx.cfg.cost.Cost.txn_per_read * max 1 t.reads_obs)
+  tick (ctx.cfg.cost.Cost.txn_per_read * Int.max 1 t.reads_obs)
 
 let validate ctx t =
   ctx.stats.Stats.validations <- ctx.stats.Stats.validations + 1;
@@ -550,7 +550,7 @@ let deregister ctx t =
    consistent - and so that doomed transactions abort promptly instead of
    blocking a privatizer. *)
 let conflict_pause ctx t ~attempt ~writer ~delay obj =
-  Conflict.handle ~delay ctx.cfg ctx.stats ~attempt ~writer obj;
+  Conflict.backoff ctx.cfg ctx.stats ~attempt ~writer ~delay obj;
   if ctx.cfg.quiescence then
     if validate ctx t then mark_consistent ctx t
     else begin
@@ -574,25 +574,17 @@ let cm_resolve ctx t ~attempt ~writer obj =
     Footprint.write Footprint.oid_cm;
   observe_blocked ~attempt obj.Heap.oid;
   let w = Heap.txrec_peek obj in
-  let owner = if Txrec.is_exclusive w then Some (Txrec.owner w) else None in
-  let od =
-    match owner with Some o -> Int_index.find ctx.registry o | None -> none
-  in
+  (* -1 for an anonymous owner, as [decide] takes it *)
+  let owner = if Txrec.is_exclusive w then Txrec.owner w else -1 in
+  let od = if owner >= 0 then Int_index.find ctx.registry owner else none in
   t.last_oid <- obj.Heap.oid;
-  t.last_aggr <- Option.value ~default:(-1) owner;
+  t.last_aggr <- owner;
   t.last_aggr_tid <- Stm_cm.Cm.tid_of od.slot;
   let decision =
-    Stm_cm.Cm.on_conflict ctx.cm t.slot ~owner:od.slot
-      {
-        Stm_cm.Cm.txid = t.txid;
-        tid = Sched.reg.tid;
-        attempt;
-        writer;
-        work = t.naccesses;
-        owner;
-        now = Sched.reg.clock;
-      }
+    Stm_cm.Cm.decide ctx.cm t.slot ~owner:od.slot ~owner_txid:owner
+      ~txid:t.txid ~tid:Sched.reg.tid ~attempt ~work:t.naccesses
   in
+  let delay = Stm_cm.Cm.delay ctx.cm in
   if Trace.enabled_at Trace.Debug then
     Trace.emit
       (Trace.Cm_decision
@@ -601,20 +593,17 @@ let cm_resolve ctx t ~attempt ~writer obj =
            txid = t.txid;
            policy = Stm_cm.Cm.name ctx.cm;
            decision = Stm_cm.Cm.string_of_decision decision;
-           owner = Option.value ~default:(-1) owner;
-           delay =
-             (match decision with
-             | Stm_cm.Cm.Wait d | Stm_cm.Cm.Wound { delay = d; _ } -> d
-             | Stm_cm.Cm.Abort_self -> 0);
+           owner;
+           delay;
          });
   match decision with
   | Stm_cm.Cm.Abort_self ->
       t.abort_cause <- Trace.Cause_conflict;
       raise Abort_txn
-  | Stm_cm.Cm.Wound { victim; delay } ->
-      wound ctx ~victim ~by:t.txid;
+  | Stm_cm.Cm.Wound ->
+      wound ctx ~victim:(Stm_cm.Cm.victim ctx.cm) ~by:t.txid;
       conflict_pause ctx t ~attempt ~writer ~delay obj
-  | Stm_cm.Cm.Wait delay -> conflict_pause ctx t ~attempt ~writer ~delay obj
+  | Stm_cm.Cm.Wait -> conflict_pause ctx t ~attempt ~writer ~delay obj
 
 let periodic_validate ctx t =
   check_wounded t;

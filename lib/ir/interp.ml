@@ -398,11 +398,11 @@ and builtin ex name args : frame -> Heap.value =
   | "min", [ a; b ] ->
       fun fr ->
         let a = get fr a and b = get fr b in
-        Heap.Vint (min (as_int "min" a) (as_int "min" b))
+        Heap.Vint (Int.min (as_int "min" a) (as_int "min" b))
   | "max", [ a; b ] ->
       fun fr ->
         let a = get fr a and b = get fr b in
-        Heap.Vint (max (as_int "max" a) (as_int "max" b))
+        Heap.Vint (Int.max (as_int "max" a) (as_int "max" b))
   | "hash", [ v ] ->
       fun fr ->
         let x = as_int "hash" (get fr v) in

@@ -10,12 +10,6 @@ type exploration = {
 
 type instance = { main : unit -> unit; observe : unit -> string }
 
-(* One scheduling decision observed during a run. *)
-type decision = {
-  chosen : Sched.tid;
-  alts : Sched.tid list;  (* runnable alternatives not chosen *)
-}
-
 (* Scheduling constants shared by every engine: the default policy
    rotates after [fairness_window] consecutive decisions of one thread,
    and DPOR analyzes at most [analysis_horizon] decisions of a run. *)
@@ -161,56 +155,85 @@ let search st walk =
   {
     outcomes =
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.outcome_tbl []
-      |> List.sort compare;
+      |> List.sort (fun (a, _) (b, _) -> String.compare a b);
     runs = st.runs;
     truncated = st.truncated;
     livelocks = st.livelocks;
     deadlocks = st.deadlocks;
   }
 
+(* The decisions of one [explore] run: the choice and the ready list
+   [Sched] handed the policy (the alternatives are its other tids; being
+   immutable, the list is a correct snapshot), in grow-only arrays
+   reused by every run at the same DFS depth. *)
+type trail = {
+  mutable t_chosen : Sched.tid array;
+  mutable t_ready : Sched.tid list array;
+  mutable t_len : int;
+}
+
+let new_trail () = { t_chosen = [||]; t_ready = [||]; t_len = 0 }
+
+let trail_record tr chosen ready =
+  let i = tr.t_len in
+  if i = Array.length tr.t_chosen then begin
+    let n = Int.max 64 (2 * i) in
+    let chosen' = Array.make n 0 and ready' = Array.make n [] in
+    Array.blit tr.t_chosen 0 chosen' 0 i;
+    Array.blit tr.t_ready 0 ready' 0 i;
+    tr.t_chosen <- chosen';
+    tr.t_ready <- ready'
+  end;
+  tr.t_chosen.(i) <- chosen;
+  tr.t_ready.(i) <- ready;
+  tr.t_len <- i + 1
+
 let explore ?(preemption_bound = 2) ?(max_runs = 40_000) ?(max_steps = 60_000)
     ?stop_when ~cfg ~make () =
   let st = start ~max_runs ~max_steps ?stop_when ~cfg ~make () in
-  (* Run one schedule: [prefix] forces the first choices, the default
-     policy takes the rest. Returns the decision trace when [branching],
-     and [||] for a run that has used up its preemptions: nothing
-     branches below it, so it records no alternatives. *)
-  let execute ~branching prefix =
-    let trace = ref [] in
+  (* A run at depth [d] (its prefix injects [d] non-default choices)
+     branches while [d] is under the bound, and records into
+     [trails.(d)]. Its children replay their prefix from that trail,
+     which stays as it is while they record into the next depth's. *)
+  let trails = Array.init (Int.max 0 preemption_bound) (fun _ -> new_trail ()) in
+  (* Run one schedule whose prefix is [src]'s first [flip] choices, then
+     [alt] at decision [flip]; the default policy takes the rest. The
+     root run has no prefix: [flip] is -1. *)
+  let execute depth ~src ~flip ~alt =
+    let branching = depth < preemption_bound in
+    let tr = if branching then trails.(depth) else src in
+    if branching then tr.t_len <- 0;
     let pick fair i current runnables =
       let chosen =
-        if i < Array.length prefix then prefix.(i)
+        if i < flip then src.t_chosen.(i)
+        else if i = flip then alt
         else default_pick fair current runnables
       in
       note_chosen fair chosen;
-      if branching then begin
-        let alts = List.filter (fun t -> t <> chosen) runnables in
-        trace := { chosen; alts } :: !trace
-      end;
+      if branching then trail_record tr chosen runnables;
       chosen
     in
     let _, outcome, _ = execute st pick in
-    stop st outcome;
-    if branching then Array.of_list (List.rev !trace) else [||]
+    stop st outcome
   in
-  (* DFS over the scheduling tree. [prefix] replays forced choices;
-     [npre] counts injected (non-default) choices in the prefix. *)
-  let rec dfs prefix npre =
-    let branching = npre < preemption_bound in
-    let trace = execute ~branching prefix in
-    if branching then begin
-      let chosen = Array.map (fun d -> d.chosen) trace in
-      for i = Array.length prefix to Array.length trace - 1 do
-        List.iter
-          (fun alt ->
-            let prefix' = Array.sub chosen 0 (i + 1) in
-            prefix'.(i) <- alt;
-            dfs prefix' (npre + 1))
-          trace.(i).alts
+  (* DFS over the scheduling tree: below a branching run, every ready
+     alternative at every decision after its prefix, in decision order
+     and then ready-list order. *)
+  let rec dfs depth ~src ~flip ~alt =
+    execute depth ~src ~flip ~alt;
+    if depth < preemption_bound then begin
+      let tr = trails.(depth) in
+      for i = flip + 1 to tr.t_len - 1 do
+        branch depth tr i tr.t_ready.(i)
       done
     end
+  and branch depth tr i = function
+    | [] -> ()
+    | alt :: rest ->
+        if alt <> tr.t_chosen.(i) then dfs (depth + 1) ~src:tr ~flip:i ~alt;
+        branch depth tr i rest
   in
-  search st (fun () -> dfs [||] 0)
+  search st (fun () -> dfs 0 ~src:(new_trail ()) ~flip:(-1) ~alt:(-1))
 
 let observed e pred = List.exists (fun (o, _) -> pred o) e.outcomes
 
@@ -594,7 +617,7 @@ let new_record () =
   }
 
 let grow_record r =
-  let n = max 64 (2 * Array.length r.r_chosen) in
+  let n = Int.max 64 (2 * Array.length r.r_chosen) in
   let grow a fill =
     let a' = Array.make n fill in
     Array.blit a 0 a' 0 (Array.length a);
@@ -707,7 +730,7 @@ let explore_dpor ?preemption_bound ?(max_runs = 40_000) ?(max_steps = 60_000)
   let nnodes = ref 0 in
   let push_node nd =
     if !nnodes = Array.length !nodes then begin
-      let bigger = Array.make (max 64 (2 * Array.length !nodes)) nd in
+      let bigger = Array.make (Int.max 64 (2 * Array.length !nodes)) nd in
       Array.blit !nodes 0 bigger 0 !nnodes;
       nodes := bigger
     end;
@@ -776,7 +799,7 @@ let explore_dpor ?preemption_bound ?(max_runs = 40_000) ?(max_steps = 60_000)
         incr nraces;
         insert_backtrack i j)
       (race_pass ~m ~chosen:r.r_chosen ~runnables:r.r_runnables
-         ~footprints:r.r_fps ~start:(max 0 (base - 1)));
+         ~footprints:r.r_fps ~start:(Int.max 0 (base - 1)));
     stop st outcome
   in
   (* pick the deepest node with a usable pending reversal; covered or
@@ -828,6 +851,12 @@ let explore_dpor ?preemption_bound ?(max_runs = 40_000) ?(max_steps = 60_000)
 (* Probabilistic concurrency testing                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* The demotion scheduled at decision [at], or -1: [List.assoc_opt] on
+   int keys without the polymorphic compare. *)
+let rec demotion_at (at : int) = function
+  | [] -> -1
+  | (k, demotion) :: rest -> if k = at then demotion else demotion_at at rest
+
 let explore_pct ?(runs = 2000) ?(depth = 3) ?(max_steps = 60_000) ?(seed = 1)
     ?stop_when ~cfg ~make () =
   (* the quota is the budget, so the executor never truncates *)
@@ -849,16 +878,16 @@ let explore_pct ?(runs = 2000) ?(depth = 3) ?(max_steps = 60_000) ?(seed = 1)
       prio;
     (* choose depth-1 demotion points over the adaptive horizon *)
     let change_points =
-      List.init (max 0 (depth - 1)) (fun i ->
+      List.init (Int.max 0 (depth - 1)) (fun i ->
           (1 + Det_rng.int rng !horizon, i + 1))
     in
     let floor_prio = ref (-1000) in
     let pick fair i current runnables =
-      (match List.assoc_opt (i + 1) change_points with
-      | Some demotion when current < max_threads ->
+      (match demotion_at (i + 1) change_points with
+      | -1 -> ()
+      | demotion ->
           (* demote the running thread below everything else *)
-          prio.(current) <- -demotion
-      | _ -> ());
+          if current < max_threads then prio.(current) <- -demotion);
       let pick =
         List.fold_left
           (fun best t ->
@@ -884,7 +913,7 @@ let explore_pct ?(runs = 2000) ?(depth = 3) ?(max_steps = 60_000) ?(seed = 1)
     in
     let status, outcome, ndecisions = execute st pick in
     (* steady-state estimate of the run length in scheduling steps *)
-    if status = Sched.Completed then horizon := max 32 (min ndecisions 4096);
+    if status = Sched.Completed then horizon := Int.max 32 (Int.min ndecisions 4096);
     stop st outcome
   in
   (* A sampler's quota is its definition of the search, not a budget

@@ -22,7 +22,43 @@ let seti o fld n = Stm.write o fld (Stm.vint n)
 (* Raw post-mortem field read (the simulation is over when observe runs). *)
 let raw o fld = match Heap.get o fld with Heap.Vint n -> n | _ -> min_int
 
-let scan2 s fmt f = try Scanf.sscanf s fmt f with Scanf.Scan_failure _ | Failure _ | End_of_file -> false
+(* Outcomes are space-separated [k=v] integer fields, built with
+   [string_of_int] and parsed by hand: the search takes a verdict on
+   every run's outcome, and [Scanf] and [Printf] allocate hundreds of
+   words for each. *)
+exception No_field
+
+let rec key_at s i key j =
+  j = String.length key || (s.[i + j] = key.[j] && key_at s i key (j + 1))
+
+let rec digits s i acc =
+  if i < String.length s && s.[i] >= '0' && s.[i] <= '9' then
+    digits s (i + 1) ((10 * acc) + Char.code s.[i] - Char.code '0')
+  else acc
+
+let rec field_from s key i =
+  let n = String.length s and k = String.length key in
+  if i + k >= n then raise No_field
+  else if (i = 0 || s.[i - 1] = ' ') && s.[i + k] = '=' && key_at s i key 0 then begin
+    let v = i + k + 1 in
+    let neg = v < n && s.[v] = '-' in
+    let d = if neg then v + 1 else v in
+    if d >= n || s.[d] < '0' || s.[d] > '9' then raise No_field;
+    let x = digits s d 0 in
+    if neg then -x else x
+  end
+  else field_from s key (i + 1)
+
+(* The integer of outcome [s]'s [key] field. Raises [No_field] when [s]
+   has none: a deadlock or an exception outcome, which is in angle
+   brackets, has no fields at all. *)
+let field s key =
+  if String.length s = 0 || s.[0] = '<' then raise No_field else field_from s key 0
+
+(* Verdicts over one or two fields; an outcome without them is not
+   anomalous. *)
+let verdict1 key p s = try p (field s key) with No_field -> false
+let verdict2 k1 k2 p s = try p (field s k1) (field s k2) with No_field -> false
 
 (* Spawn the two racing threads and wait for both. *)
 let race t1 t2 =
@@ -48,7 +84,7 @@ let non_repeatable_read =
     group = "NW-TR";
     anomaly = "r1 <> r2";
     needs_granule = 1;
-    is_anomalous = (fun s -> scan2 s "r1=%d r2=%d" (fun a b -> a <> b));
+    is_anomalous = verdict2 "r1" "r2" (fun a b -> a <> b);
     build =
       (fun h ->
         let x = ref None and r1 = ref 0 and r2 = ref 0 in
@@ -63,7 +99,7 @@ let non_repeatable_read =
                   r2 := geti xo 0))
             (fun () -> seti xo 0 10)
         in
-        let observe () = Printf.sprintf "r1=%d r2=%d" !r1 !r2 in
+        let observe () = "r1=" ^ string_of_int !r1 ^ " r2=" ^ string_of_int !r2 in
         { Explorer.main; observe });
   }
 
@@ -90,7 +126,7 @@ let intermediate_lost_update =
             (fun () -> seti x 0 10)
         in
         let observe () =
-          Printf.sprintf "x=%d" (raw (Option.get !xo) 0)
+          "x=" ^ string_of_int (raw (Option.get !xo) 0)
         in
         { Explorer.main; observe });
   }
@@ -102,7 +138,7 @@ let intermediate_dirty_read =
     group = "NR-TW";
     anomaly = "r is odd (x's evenness invariant observed broken)";
     needs_granule = 1;
-    is_anomalous = (fun s -> scan2 s "r=%d" (fun r -> r >= 0 && r mod 2 = 1));
+    is_anomalous = verdict1 "r" (fun r -> r >= 0 && r mod 2 = 1);
     build =
       (fun h ->
         let r = ref 0 in
@@ -116,7 +152,7 @@ let intermediate_dirty_read =
                   seti x 0 (geti x 0 + 1)))
             (fun () -> r := geti x 0)
         in
-        let observe () = Printf.sprintf "r=%d" !r in
+        let observe () = "r=" ^ string_of_int !r in
         { Explorer.main; observe });
   }
 
@@ -146,7 +182,7 @@ let speculative_lost_update =
               seti x 0 2;
               seti y 0 1)
         in
-        let observe () = Printf.sprintf "x=%d" (raw (Option.get !xo) 0) in
+        let observe () = "x=" ^ string_of_int (raw (Option.get !xo) 0) in
         { Explorer.main; observe });
   }
 
@@ -157,7 +193,7 @@ let speculative_dirty_read =
     group = "NR-TW";
     anomaly = "x = 0 (y=1 was triggered by a speculative value)";
     needs_granule = 1;
-    is_anomalous = (fun s -> scan2 s "x=%d y=%d" (fun x _ -> x = 0));
+    is_anomalous = verdict2 "x" "y" (fun x _ -> x = 0);
     build =
       (fun h ->
         let xo = ref None and yo = ref None in
@@ -176,8 +212,8 @@ let speculative_dirty_read =
             (fun () -> if geti x 0 = 1 then seti y 0 1)
         in
         let observe () =
-          Printf.sprintf "x=%d y=%d" (raw (Option.get !xo) 0)
-            (raw (Option.get !yo) 0)
+          "x=" ^ string_of_int (raw (Option.get !xo) 0)
+          ^ " y=" ^ string_of_int (raw (Option.get !yo) 0)
         in
         { Explorer.main; observe });
   }
@@ -208,7 +244,7 @@ let overlapped_writes =
               let v = Stm.read g 0 in
               if not (Stm.is_null v) then r := geti (Stm.to_obj v) 0)
         in
-        let observe () = Printf.sprintf "r=%d" !r in
+        let observe () = "r=" ^ string_of_int !r in
         { Explorer.main; observe });
   }
 
@@ -249,7 +285,7 @@ let buffered_writes =
                     seti o 0 (geti o 0 + 1)
                   end))
         in
-        let observe () = Printf.sprintf "val=%d" (raw (Option.get !item) 0) in
+        let observe () = "val=" ^ string_of_int (raw (Option.get !item) 0) in
         { Explorer.main; observe });
   }
 
@@ -276,7 +312,7 @@ let granular_lost_update =
                   h.force_abort ()))
             (fun () -> seti x 1 1)
         in
-        let observe () = Printf.sprintf "g=%d" (raw (Option.get !xo) 1) in
+        let observe () = "g=" ^ string_of_int (raw (Option.get !xo) 1) in
         { Explorer.main; observe });
   }
 
@@ -307,7 +343,7 @@ let granular_inconsistent_read =
               seti x 1 1;
               seti y 0 1)
         in
-        let observe () = Printf.sprintf "r=%d" !r in
+        let observe () = "r=" ^ string_of_int !r in
         { Explorer.main; observe });
   }
 
@@ -318,7 +354,7 @@ let privatization =
     group = "demo";
     anomaly = "r1 <> r2 (privatized item seen half-updated)";
     needs_granule = 1;
-    is_anomalous = (fun s -> scan2 s "r1=%d r2=%d" (fun a b -> a <> b));
+    is_anomalous = verdict2 "r1" "r2" (fun a b -> a <> b);
     build =
       (fun h ->
         let r1 = ref 0 and r2 = ref 0 in
@@ -355,7 +391,7 @@ let privatization =
                     seti it 1 (geti it 1 + 1)
                   end))
         in
-        let observe () = Printf.sprintf "r1=%d r2=%d" !r1 !r2 in
+        let observe () = "r1=" ^ string_of_int !r1 ^ " r2=" ^ string_of_int !r2 in
         { Explorer.main; observe });
   }
 
@@ -368,7 +404,7 @@ let write_read_nr =
     group = "NW-TR";
     anomaly = "r <> 10 (transaction fails to read back its own write)";
     needs_granule = 1;
-    is_anomalous = (fun s -> scan2 s "r=%d" (fun r -> r <> 10));
+    is_anomalous = verdict1 "r" (fun r -> r <> 10);
     build =
       (fun h ->
         let r = ref 0 in
@@ -382,7 +418,7 @@ let write_read_nr =
                   r := geti x 0))
             (fun () -> seti x 0 20)
         in
-        let observe () = Printf.sprintf "r=%d" !r in
+        let observe () = "r=" ^ string_of_int !r in
         { Explorer.main; observe });
   }
 
@@ -398,7 +434,7 @@ let txn_dirty_read =
     anomaly = "committed transaction observed a torn (x, y) pair";
     needs_granule = 1;
     is_anomalous =
-      (fun s -> scan2 s "rx=%d ry=%d" (fun rx ry -> rx <> ry));
+      verdict2 "rx" "ry" (fun rx ry -> rx <> ry);
     build =
       (fun h ->
         let rx = ref 0 and ry = ref 0 in
@@ -420,7 +456,7 @@ let txn_dirty_read =
                   rx := geti x 0;
                   ry := geti y 0))
         in
-        let observe () = Printf.sprintf "rx=%d ry=%d" !rx !ry in
+        let observe () = "rx=" ^ string_of_int !rx ^ " ry=" ^ string_of_int !ry in
         { Explorer.main; observe });
   }
 
@@ -453,9 +489,8 @@ let write_skew =
               h.atomic (fun () -> if geti x 0 = 0 then seti y 0 1))
         in
         let observe () =
-          Printf.sprintf "x=%d y=%d"
-            (raw (Option.get !xo) 0)
-            (raw (Option.get !yo) 0)
+          "x=" ^ string_of_int (raw (Option.get !xo) 0)
+          ^ " y=" ^ string_of_int (raw (Option.get !yo) 0)
         in
         { Explorer.main; observe });
   }
@@ -475,8 +510,8 @@ let long_fork =
     needs_granule = 1;
     is_anomalous =
       (fun s ->
-        scan2 s "ax=%d ay=%d by=%d bx=%d" (fun ax ay by bx ->
-            ax = 1 && ay = 0 && by = 1 && bx = 0));
+        try field s "ax" = 1 && field s "ay" = 0 && field s "by" = 1 && field s "bx" = 0
+        with No_field -> false);
     build =
       (fun h ->
         let ax = ref 0 and ay = ref 0 and bx = ref 0 and by = ref 0 in
@@ -498,7 +533,8 @@ let long_fork =
                   bx := geti x 0))
         in
         let observe () =
-          Printf.sprintf "ax=%d ay=%d by=%d bx=%d" !ax !ay !by !bx
+          "ax=" ^ string_of_int !ax ^ " ay=" ^ string_of_int !ay ^ " by="
+          ^ string_of_int !by ^ " bx=" ^ string_of_int !bx
         in
         { Explorer.main; observe });
   }
@@ -515,7 +551,7 @@ let read_only_snapshot =
     group = "TXN-TR";
     anomaly = "read-only transaction observed a torn (x, y) pair";
     needs_granule = 1;
-    is_anomalous = (fun s -> scan2 s "rx=%d ry=%d" (fun a b -> a <> b));
+    is_anomalous = verdict2 "rx" "ry" (fun a b -> a <> b);
     build =
       (fun h ->
         let rx = ref 0 and ry = ref 0 in
@@ -534,7 +570,7 @@ let read_only_snapshot =
                   rx := geti x 0;
                   ry := geti y 0))
         in
-        let observe () = Printf.sprintf "rx=%d ry=%d" !rx !ry in
+        let observe () = "rx=" ^ string_of_int !rx ^ " ry=" ^ string_of_int !ry in
         { Explorer.main; observe });
   }
 

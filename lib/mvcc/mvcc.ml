@@ -95,7 +95,7 @@ let end_snapshot t ts =
    thread), so the fold is cheap. *)
 let oldest_active t =
   Footprint.read Footprint.oid_mvcc;
-  Int_index.fold (fun ts _ acc -> min ts acc) t.active (Gvc.now t.gvc)
+  Int_index.fold (fun ts _ acc -> Int.min ts acc) t.active (Gvc.now t.gvc)
 
 (* ------------------------------------------------------------------ *)
 (* Reads                                                               *)

@@ -225,6 +225,38 @@ let effect_floor () =
     continue !slot ()
   done
 
+(* A transaction spinning on a record another thread's transaction
+   holds, under [Controlled]: the owner runs until it holds the record,
+   then the spinner keeps the processor until the fuel runs out. Each
+   decision after the first few is one conflict-and-pause iteration -
+   the contention manager's decision, the trace guard and the pause -
+   so this is the cost of a spin-wait, the bulk of a certification
+   pass's decisions. The retry budget outlasts the run. Pinned to the
+   eager backend: under mvcc a writer owns no record before commit, so
+   there is no spin. Reported per iteration. *)
+let conflict_spins = 4_096
+
+let conflict_spin =
+  let cfg = { Stm_core.Config.eager_weak with Stm_core.Config.max_txn_retries = max_int } in
+  let contested = ref Stm_runtime.Heap.dummy in
+  let choose current ready =
+    if Stm_core.Txrec.is_exclusive (Stm_runtime.Heap.txrec_peek !contested) then 0
+    else match ready with [ t ] -> t | _ -> if current = 0 then 1 else current
+  in
+  fun () ->
+    ignore
+      (Stm_core.Stm.run ~policy:(Stm_runtime.Sched.Controlled choose)
+         ~max_steps:conflict_spins ~cfg (fun () ->
+           let o = Stm_core.Stm.alloc_public ~cls:cell 1 in
+           contested := o;
+           ignore
+             (Stm_runtime.Sched.spawn (fun () ->
+                  Stm_core.Stm.atomic (fun () ->
+                      Stm_core.Stm.write o 0 (Stm_core.Stm.vint 1)))
+               : int);
+           Stm_runtime.Sched.yield ();
+           Stm_core.Stm.atomic (fun () -> Stm_core.Stm.write o 0 (Stm_core.Stm.vint 2))))
+
 (* One systematic-explorer cell of the Figure 6 matrix: scheduler pick
    rate under the Controlled policy. *)
 let fig6_explorer () =
@@ -392,6 +424,7 @@ let bodies ?(validation = Stm_core.Config.Incremental) backend :
     ("barrier/weak-read", barrier_read cfg);
     ("sched/switch", sched_switch);
     ("sched/effect-floor", effect_floor);
+    ("cm/conflict-spin", conflict_spin);
     ("fig6/explorer-cell", fig6_explorer);
     ("explore/dpor-cell", dpor_cell);
     ("fig18/tsp-4t", fig18_tsp);
@@ -414,6 +447,7 @@ let ops_per_call = function
   | "barrier/strong-read" | "barrier/weak-read" -> float_of_int barrier_reads
   | "sched/switch" -> float_of_int (switch_threads * switch_yields)
   | "sched/effect-floor" -> float_of_int floor_yields
+  | "cm/conflict-spin" -> float_of_int conflict_spins
   | "ir/alu-loop" -> float_of_int (Lazy.force ir_alu_instrs)
   | "ir/call-loop" -> float_of_int (Lazy.force ir_call_instrs)
   | _ -> 1.

@@ -16,7 +16,8 @@
     [barrier/strong-read] and [barrier/weak-read], where it is one
     non-transactional read, [sched/switch], where it is one switching
     yield,
-    [sched/effect-floor], where it is one bare effect round trip, and
+    [sched/effect-floor], where it is one bare effect round trip,
+    [cm/conflict-spin], where it is one conflict-and-pause iteration, and
     [ir/alu-loop] and [ir/call-loop], where it is one interpreted
     instruction. *)
 type sample = {

@@ -53,11 +53,11 @@ let pick t arr =
   arr.(int t (Array.length arr))
 
 let weighted t choices =
-  let total = List.fold_left (fun acc (w, _) -> acc + max 0 w) 0 choices in
+  let total = List.fold_left (fun acc (w, _) -> acc + Int.max 0 w) 0 choices in
   assert (total > 0);
   let n = int t total in
   let rec go n = function
     | [] -> assert false
-    | (w, x) :: rest -> if n < max 0 w then x else go (n - max 0 w) rest
+    | (w, x) :: rest -> if n < Int.max 0 w then x else go (n - Int.max 0 w) rest
   in
   go n choices

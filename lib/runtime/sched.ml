@@ -131,7 +131,7 @@ let heap_push e t =
   let n = Array.length e.heap_tid in
   if e.heap_len >= n then begin
     let grow a =
-      let a' = Array.make (max 8 (2 * n)) 0 in
+      let a' = Array.make (Int.max 8 (2 * n)) 0 in
       Array.blit a 0 a' 0 n;
       a'
     in
@@ -218,7 +218,7 @@ let heap_rebuild e =
 let grow_by_tid e t =
   let n = Array.length e.by_tid in
   if e.nthreads >= n then begin
-    let a = Array.make (max 8 (2 * n)) t in
+    let a = Array.make (Int.max 8 (2 * n)) t in
     Array.blit e.by_tid 0 a 0 n;
     e.by_tid <- a
   end;
@@ -324,9 +324,12 @@ let kth_runnable e k =
   done;
   e.by_tid.(!i - 1)
 
-let choose_checked choose current ready =
-  let tid = choose current ready in
-  if not (List.mem tid ready) then
+(* The list handed to the callback holds exactly the ready tids, so a
+   pick is in it when its thread is ready: a [List.mem] without the walk
+   and without the polymorphic compare, a C call at every decision. *)
+let choose_checked e choose current =
+  let tid = choose current (runnables e) in
+  if tid < 0 || tid >= e.nthreads || not (ready e.by_tid.(tid)) then
     invalid_arg "Sched.Controlled: chose a non-runnable thread";
   tid
 
@@ -368,7 +371,7 @@ let pick e =
       if t.state = Runnable then heap_push_pop e t else heap_pop e
   | Controlled choose ->
       if e.pending >= 0 then take_pending e
-      else thread_of e (choose_checked choose e.current.tid (runnables e))
+      else thread_of e (choose_checked e choose e.current.tid)
 
 let rec loop e h =
   if e.steps >= e.max_steps then e.fuel_out <- true
@@ -441,7 +444,7 @@ let run ?(max_steps = 10_000_000) ?(policy = Min_clock) main =
   finalize ();
   let makespan = ref 0 in
   for tid = 0 to e.nthreads - 1 do
-    makespan := max !makespan e.by_tid.(tid).clock
+    makespan := Int.max !makespan e.by_tid.(tid).clock
   done;
   let status =
     if e.fuel_out then Fuel_exhausted
@@ -487,7 +490,7 @@ let[@inline never] yield_pick e =
     match e.policy with
     | Controlled choose -> (
         let cur = e.current.tid in
-        match choose_checked choose cur (runnables e) with
+        match choose_checked e choose cur with
         | tid when tid = cur -> e.steps <- e.steps + 1
         | tid ->
             e.pending <- tid;
@@ -526,21 +529,23 @@ let time () = if reg.tid < 0 then raise Not_in_simulation else reg.clock
    a single yield would make a 500-cycle backoff indistinguishable from
    a 1-cycle one - so the delay is spread over proportionally many
    yields, each a scheduling opportunity granted to the other threads. *)
+let random_quantum = 16
+
+(* A top-level loop, not a local closure over [e]: one would be
+   allocated on every pause. *)
+let rec pause_random e remaining =
+  if remaining > 0 then begin
+    reg.clock <- reg.clock + Int.min random_quantum remaining;
+    yield_pick e;
+    pause_random e (remaining - random_quantum)
+  end
+
 let pause n =
   let e = get_engine () in
   match e.policy with
-  | Random _ ->
-      let quantum = 16 in
-      let rec go remaining =
-        if remaining <= 0 then ()
-        else (
-          reg.clock <- reg.clock + min quantum remaining;
-          yield_pick e;
-          go (remaining - quantum))
-      in
-      if n <= 0 then yield_pick e else go n
+  | Random _ -> if n <= 0 then yield_pick e else pause_random e n
   | Round_robin | Min_clock | Controlled _ ->
-      reg.clock <- reg.clock + max n 0;
+      reg.clock <- reg.clock + Int.max n 0;
       yield_engine e
 
 let rebase () =

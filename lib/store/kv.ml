@@ -66,7 +66,7 @@ let bucket_of_key t k = mix k / t.shards mod t.buckets
 let register t oid code =
   let n = Array.length t.oid_shard in
   if oid >= n then begin
-    let n' = max 1024 (max (oid + 1) (2 * n)) in
+    let n' = Int.max 1024 (Int.max (oid + 1) (2 * n)) in
     let grow a fill =
       let a' = Array.make n' fill in
       Array.blit a 0 a' 0 n;
@@ -149,7 +149,7 @@ let atomically t shs f =
           | exception Invalid_argument _ when not (Stm.valid ()) ->
               Stm.abort_and_retry ())
   | Lock ->
-      let shs = List.sort_uniq compare shs in
+      let shs = List.sort_uniq Int.compare shs in
       let rec go = function
         | [] -> f ()
         | s :: rest -> Sim_mutex.with_lock t.locks.(s) (fun () -> go rest)
@@ -308,12 +308,18 @@ let delete t k =
       in
       walk None (rd t table b))
 
+(* [List.mem] on shards without the polymorphic compare. *)
+let rec mem_shard (s : int) = function
+  | [] -> false
+  | u :: rest -> u = s || mem_shard s rest
+
 let shards_of_keys t ks =
-  Array.fold_left
-    (fun acc k ->
-      let s = shard_of_key t k in
-      if List.mem s acc then acc else s :: acc)
-    [] ks
+  let acc = ref [] in
+  for i = 0 to Array.length ks - 1 do
+    let s = shard_of_key t ks.(i) in
+    if not (mem_shard s !acc) then acc := s :: !acc
+  done;
+  !acc
 
 let read_headers t shs =
   match t.mode with
@@ -322,7 +328,7 @@ let read_headers t shs =
       List.iter (fun s -> ignore (rd t t.headers.(s) fld_seqno)) shs
 
 let multi_get t ks =
-  let shs = List.sort_uniq compare (shards_of_keys t ks) in
+  let shs = List.sort_uniq Int.compare (shards_of_keys t ks) in
   atomically t shs (fun () ->
       read_headers t shs;
       Array.map
@@ -330,8 +336,8 @@ let multi_get t ks =
         ks)
 
 let scan t k0 ~len =
-  let ks = Array.init (max 1 len) (fun i -> k0 + i) in
-  let shs = List.sort_uniq compare (shards_of_keys t ks) in
+  let ks = Array.init (Int.max 1 len) (fun i -> k0 + i) in
+  let shs = List.sort_uniq Int.compare (shards_of_keys t ks) in
   atomically t shs (fun () ->
       read_headers t shs;
       Array.fold_left

@@ -51,24 +51,49 @@ let two_txns ?(birth2 = 10) m =
   let s2 = Cm.on_begin m Cm.no_slot ~tid:2 ~txid:2 ~now:birth2 in
   (s1, s2)
 
-let conflict ?(attempt = 0) ?(work = 1) ~txid ~tid ~owner () =
-  { Cm.txid; tid; attempt; writer = true; work; owner; now = 50 }
+(* One conflict as the core reports it; [owner] is the owning txid, or
+   [None] for an anonymous owner. *)
+type conflict = { txid : int; tid : int; attempt : int; work : int; owner : int option }
 
-let is_wait = function Cm.Wait _ -> true | _ -> false
-let is_abort_self = function Cm.Abort_self -> true | _ -> false
+let conflict ?(attempt = 0) ?(work = 1) ~txid ~tid ~owner () =
+  { txid; tid; attempt; work; owner }
+
+(* A decision with the delay and victim [Cm.decide] leaves in the
+   manager, as one value the assertions can compare. *)
+type decision = Wait of int | Wound of { victim : int; delay : int } | Abort_self
+
+let pp_decision ppf = function
+  | Wait d -> Fmt.pf ppf "wait %d" d
+  | Wound { victim; delay } -> Fmt.pf ppf "wound %d after %d" victim delay
+  | Abort_self -> Fmt.string ppf "abort-self"
+
+let decide m s ~owner c =
+  match
+    Cm.decide m s ~owner
+      ~owner_txid:(Option.value ~default:(-1) c.owner)
+      ~txid:c.txid ~tid:c.tid ~attempt:c.attempt ~work:c.work
+  with
+  | Cm.Wait -> Wait (Cm.delay m)
+  | Cm.Wound -> Wound { victim = Cm.victim m; delay = Cm.delay m }
+  | Cm.Abort_self ->
+      check_int "no delay after abort-self" 0 (Cm.delay m);
+      Abort_self
+
+let is_wait = function Wait _ -> true | _ -> false
+let is_abort_self = function Abort_self -> true | _ -> false
 
 let wound_victim = function
-  | Cm.Wound { victim; _ } -> Some victim
+  | Wound { victim; _ } -> Some victim
   | _ -> None
 
 let suicide_waits_then_aborts () =
   let m = manager Policy.Suicide in
   let s1, s2 = two_txns m in
   check_bool "waits below budget" true
-    (is_wait (Cm.on_conflict m s1 ~owner:s2 (conflict ~txid:1 ~tid:1 ~owner:(Some 2) ())));
+    (is_wait (decide m s1 ~owner:s2 (conflict ~txid:1 ~tid:1 ~owner:(Some 2) ())));
   check_bool "never wounds, aborts itself at budget" true
     (is_abort_self
-       (Cm.on_conflict m s1 ~owner:s2
+       (decide m s1 ~owner:s2
           (conflict ~attempt:retries ~txid:1 ~tid:1 ~owner:(Some 2) ())))
 
 let wound_wait_by_txid () =
@@ -77,12 +102,12 @@ let wound_wait_by_txid () =
   Alcotest.(check (option int))
     "older txid wounds" (Some 2)
     (wound_victim
-       (Cm.on_conflict m s1 ~owner:s2 (conflict ~txid:1 ~tid:1 ~owner:(Some 2) ())));
+       (decide m s1 ~owner:s2 (conflict ~txid:1 ~tid:1 ~owner:(Some 2) ())));
   check_bool "younger txid waits" true
-    (is_wait (Cm.on_conflict m s2 ~owner:s1 (conflict ~txid:2 ~tid:2 ~owner:(Some 1) ())));
+    (is_wait (decide m s2 ~owner:s1 (conflict ~txid:2 ~tid:2 ~owner:(Some 1) ())));
   check_bool "budget still bounds the younger side" true
     (is_abort_self
-       (Cm.on_conflict m s2 ~owner:s1
+       (decide m s2 ~owner:s1
           (conflict ~attempt:retries ~txid:2 ~tid:2 ~owner:(Some 1) ())))
 
 let timestamp_oldest_never_loses () =
@@ -91,15 +116,15 @@ let timestamp_oldest_never_loses () =
   Alcotest.(check (option int))
     "oldest wounds even past the budget" (Some 2)
     (wound_victim
-       (Cm.on_conflict m s1 ~owner:s2
+       (decide m s1 ~owner:s2
           (conflict ~attempt:(retries + 3) ~txid:1 ~tid:1 ~owner:(Some 2) ())));
   check_bool "younger waits without burning budget" true
     (is_wait
-       (Cm.on_conflict m s2 ~owner:s1
+       (decide m s2 ~owner:s1
           (conflict ~attempt:(retries + 3) ~txid:2 ~tid:2 ~owner:(Some 1) ())));
   check_bool "anonymous owner falls back to bounded retries" true
     (is_abort_self
-       (Cm.on_conflict m s2 ~owner:Cm.no_slot
+       (decide m s2 ~owner:Cm.no_slot
           (conflict ~attempt:retries ~txid:2 ~tid:2 ~owner:None ())))
 
 let timestamp_age_survives_restart () =
@@ -114,7 +139,7 @@ let timestamp_age_survives_restart () =
   Alcotest.(check (option int))
     "restarted incarnation keeps its age" (Some 2)
     (wound_victim
-       (Cm.on_conflict m s3 ~owner:s2 (conflict ~txid:3 ~tid:1 ~owner:(Some 2) ())))
+       (decide m s3 ~owner:s2 (conflict ~txid:3 ~tid:1 ~owner:(Some 2) ())))
 
 let timestamp_age_dropped_on_giveup () =
   let m = manager Policy.Timestamp in
@@ -125,7 +150,7 @@ let timestamp_age_dropped_on_giveup () =
   let s3 = Cm.on_begin m Cm.no_slot ~tid:1 ~txid:3 ~now:90 in
   check_int "a fresh slot is born now" 90 (Cm.birth s3);
   check_bool "fresh block after give-up is younger" true
-    (is_wait (Cm.on_conflict m s3 ~owner:s2 (conflict ~txid:3 ~tid:1 ~owner:(Some 2) ())))
+    (is_wait (decide m s3 ~owner:s2 (conflict ~txid:3 ~tid:1 ~owner:(Some 2) ())))
 
 let karma_banks_lost_work () =
   let m = manager Policy.Karma in
@@ -134,7 +159,7 @@ let karma_banks_lost_work () =
      waits. [work] counts toward priority, so keep both sides at zero. *)
   check_bool "no karma yet: waits" true
     (is_wait
-       (Cm.on_conflict m s2 ~owner:s1
+       (decide m s2 ~owner:s1
           (conflict ~work:0 ~txid:2 ~tid:2 ~owner:(Some 1) ())));
   (* two aborted incarnations bank karma for the block *)
   Cm.on_abort s2 ~wounded:false ~work:10;
@@ -145,7 +170,7 @@ let karma_banks_lost_work () =
   Alcotest.(check (option int))
     "banked karma now outranks the owner" (Some 1)
     (wound_victim
-       (Cm.on_conflict m s5 ~owner:s1
+       (decide m s5 ~owner:s1
           (conflict ~work:0 ~txid:5 ~tid:2 ~owner:(Some 1) ())))
 
 let exp_backoff_seeded () =
@@ -154,15 +179,204 @@ let exp_backoff_seeded () =
     let s = Cm.on_begin m Cm.no_slot ~tid:1 ~txid:1 ~now:0 in
     List.init retries (fun attempt ->
         match
-          Cm.on_conflict m s ~owner:Cm.no_slot
+          decide m s ~owner:Cm.no_slot
             (conflict ~attempt ~txid:1 ~tid:1 ~owner:None ())
         with
-        | Cm.Wait d -> d
+        | Wait d -> d
         | _ -> Alcotest.fail "expected Wait")
   in
   Alcotest.(check (list int)) "same seed, same delays" (delays 7) (delays 7);
   check_bool "delays are positive" true (List.for_all (fun d -> d > 0) (delays 7));
   check_bool "different seeds diverge" true (delays 7 <> delays 8)
+
+(* The decision procedure as it stood when it returned a boxed decision
+   from a conflict record, over a model of the slot: the reference
+   [Cm.decide] is checked against. The model slot mirrors what
+   [Cm.on_begin] and [Cm.on_abort] keep, the manager's seeding of each
+   block's generator included. *)
+module Reference = struct
+  type slot = {
+    s_tid : int;
+    mutable s_txid : int;
+    s_first_txid : int;
+    s_birth : int;
+    mutable s_karma : int;
+    mutable s_work : int;
+    s_rng : Det_rng.t;
+  }
+
+  type t = { policy : Policy.t; max_retries : int; cost : Cost.t; rng : Det_rng.t }
+
+  let create ~seed ~max_retries ~cost policy =
+    { policy; max_retries; cost; rng = Det_rng.create seed }
+
+  let no_slot =
+    {
+      s_tid = -1;
+      s_txid = -1;
+      s_first_txid = -1;
+      s_birth = 0;
+      s_karma = 0;
+      s_work = 0;
+      s_rng = Det_rng.create 0;
+    }
+
+  let on_begin t slot ~tid ~txid ~now =
+    if slot == no_slot then
+      {
+        s_tid = tid;
+        s_txid = txid;
+        s_first_txid = txid;
+        s_birth = now;
+        s_karma = 0;
+        s_work = 0;
+        s_rng = Det_rng.create (((tid + 1) * 0x9E3779B9) lxor Det_rng.next t.rng);
+      }
+    else begin
+      slot.s_txid <- txid;
+      slot.s_work <- 0;
+      slot
+    end
+
+  let on_abort slot ~work = slot.s_karma <- slot.s_karma + max work slot.s_work
+
+  let randomized_delay t slot ~attempt =
+    let bound = max 1 (Cm.backoff_delay t.cost ~attempt) in
+    1 + Det_rng.int slot.s_rng bound
+
+  let priority slot = slot.s_karma + slot.s_work
+
+  let older a b =
+    a.s_birth < b.s_birth || (a.s_birth = b.s_birth && a.s_first_txid < b.s_first_txid)
+
+  let on_conflict t self ~owner:owner_slot (c : conflict) =
+    self.s_work <- max self.s_work c.work;
+    let both_known = owner_slot != no_slot in
+    let budget_exhausted = c.attempt >= t.max_retries in
+    let jitter () = Cm.jittered_delay t.cost ~tid:c.tid ~attempt:c.attempt in
+    match t.policy with
+    | Policy.Suicide -> if budget_exhausted then Abort_self else Wait (jitter ())
+    | Policy.Wound_wait -> (
+        if budget_exhausted then Abort_self
+        else
+          match c.owner with
+          | Some o when c.txid < o -> Wound { victim = o; delay = jitter () }
+          | Some _ | None -> Wait (jitter ()))
+    | Policy.Exp_backoff ->
+        if budget_exhausted then Abort_self
+        else Wait (randomized_delay t self ~attempt:c.attempt)
+    | Policy.Karma ->
+        let s = self and o = owner_slot in
+        if budget_exhausted then Abort_self
+        else if
+          both_known
+          && (priority s > priority o
+             || (priority s = priority o && s.s_first_txid < o.s_first_txid))
+        then Wound { victim = o.s_txid; delay = jitter () }
+        else Wait (jitter ())
+    | Policy.Timestamp ->
+        if both_known && older self owner_slot then
+          Wound { victim = owner_slot.s_txid; delay = jitter () }
+        else if both_known then Wait (jitter ())
+        else if budget_exhausted then Abort_self
+        else Wait (jitter ())
+end
+
+(* A random contention history on two blocks, replayed through [Cm] and
+   through [Reference]: each block's births, its restarts (fresh
+   incarnations that bank the lost work as karma), then conflicts with
+   random attempts and work, where the owner is the other block, a known
+   txid with no slot, or anonymous. *)
+type scenario = {
+  policy : Policy.t;
+  seed : int;
+  max_retries : int;
+  backoff : int * int;  (* base, cap *)
+  blocks : (int * int * int) list;  (* tid, first txid, birth *)
+  restarts : (int * int) list;  (* block, lost work *)
+  conflicts : (int * int * int * int * int) list;
+      (* asker block, owner kind (0 other block, 1 unknown, 2 anonymous),
+         asking txid, attempt, work *)
+}
+
+let gen_scenario =
+  let open QCheck.Gen in
+  let* policy = oneofl Policy.all in
+  let* seed = int_bound 1000 in
+  let* max_retries = int_bound 6 in
+  let* base = int_range 1 64 in
+  let* cap = int_bound 5000 in
+  let* blocks =
+    list_repeat 2 (triple (int_bound 7) (int_range 1 9) (int_bound 3))
+  in
+  let* restarts = list_size (int_bound 4) (pair (int_bound 1) (int_bound 12)) in
+  let+ conflicts =
+    list_size (int_range 1 12)
+      (let* who = int_bound 1 in
+       let* kind = int_bound 2 in
+       let* txid = int_range 1 12 in
+       let* attempt = int_bound 20 in
+       let+ work = int_bound 8 in
+       (who, kind, txid, attempt, work))
+  in
+  { policy; seed; max_retries; backoff = (base, cap); blocks; restarts; conflicts }
+
+let print_scenario sc =
+  Fmt.str "%s seed %d retries %d backoff (%d, %d) blocks %a restarts %a conflicts %a"
+    (Policy.to_string sc.policy) sc.seed sc.max_retries (fst sc.backoff) (snd sc.backoff)
+    Fmt.(Dump.list (fun ppf (a, b, c) -> pf ppf "(%d, %d, %d)" a b c))
+    sc.blocks
+    Fmt.(Dump.list (Dump.pair int int))
+    sc.restarts
+    Fmt.(Dump.list (fun ppf (a, b, c, d, e) -> pf ppf "(%d, %d, %d, %d, %d)" a b c d e))
+    sc.conflicts
+
+let decide_matches_reference sc =
+  let base, cap = sc.backoff in
+  let cost = { Cost.default with Cost.backoff_base = base; backoff_cap = cap } in
+  let m = Cm.create ~seed:sc.seed ~max_retries:sc.max_retries ~cost sc.policy in
+  let r = Reference.create ~seed:sc.seed ~max_retries:sc.max_retries ~cost sc.policy in
+  let begun =
+    List.map
+      (fun (tid, txid, birth) ->
+        ( tid,
+          ref (Cm.on_begin m Cm.no_slot ~tid ~txid ~now:birth),
+          ref (Reference.on_begin r Reference.no_slot ~tid ~txid ~now:birth) ))
+      sc.blocks
+    |> Array.of_list
+  in
+  (* a restart's txid is above every txid a scenario draws *)
+  List.iteri
+    (fun i (b, work) ->
+      let tid, s, rs = begun.(b) in
+      Cm.on_abort !s ~wounded:false ~work;
+      Reference.on_abort !rs ~work;
+      s := Cm.on_begin m !s ~tid ~txid:(100 + i) ~now:0;
+      rs := Reference.on_begin r !rs ~tid ~txid:(100 + i) ~now:0)
+    sc.restarts;
+  List.for_all
+    (fun (who, kind, txid, attempt, work) ->
+      let tid, s, rs = begun.(who) in
+      let _, o, ro = begun.(1 - who) in
+      let owner, ref_owner, owner_txid =
+        match kind with
+        | 0 -> (!o, !ro, Some !ro.Reference.s_txid)
+        | 1 -> (Cm.no_slot, Reference.no_slot, Some 50)
+        | _ -> (Cm.no_slot, Reference.no_slot, None)
+      in
+      let c = { txid; tid; attempt; work; owner = owner_txid } in
+      let got = decide m !s ~owner c in
+      let want = Reference.on_conflict r !rs ~owner:ref_owner c in
+      if got <> want then
+        QCheck.Test.fail_reportf "decide %a, reference %a" pp_decision got pp_decision
+          want;
+      true)
+    sc.conflicts
+
+let decide_qcheck =
+  QCheck.Test.make ~count:500 ~name:"decide matches the boxed-decision reference"
+    (QCheck.make ~print:print_scenario gen_scenario)
+    decide_matches_reference
 
 let backoff_schedule () =
   let cost = { Cost.default with Cost.backoff_base = 10; backoff_cap = 100 } in
@@ -454,6 +668,7 @@ let suite =
         case "timestamp: age dropped on give-up" timestamp_age_dropped_on_giveup;
         case "karma banks lost work" karma_banks_lost_work;
         case "exp-backoff is seeded and reproducible" exp_backoff_seeded;
+        QCheck_alcotest.to_alcotest decide_qcheck;
       ] );
     ( "cm:block-slot",
       [

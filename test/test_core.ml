@@ -1037,6 +1037,91 @@ let warm_block_words () =
       ("mvcc", Config.mvcc_weak, (15, 15));
     ]
 
+(* One conflict-and-pause iteration allocates nothing: the spin of a
+   transaction (eager write, lazy write-buffer slot) or of a strong
+   barrier on a record another thread's transaction holds, under every
+   contention-manager policy. Under [Controlled] the owner runs until it
+   holds the record, then the spinner keeps the processor, so every
+   decision after that is one pass of the spin loop: the contention
+   decision, its trace guard and the pause. The words are read inside
+   the pick, between decisions [spin_from] and [spin_from + spins], into
+   a float array so that the reading itself allocates nothing. The
+   spinner's transaction begins before the owner's ([older], so the
+   order-sensitive policies wound) or after it (they wait); the retry
+   budget outlasts the window. The run ends on fuel. *)
+let spin_from = 100
+let spins = 200
+
+type spinner = Txn_older | Txn_younger | Barrier_write | Barrier_read
+
+let spin_words cfg spinner =
+  let cfg = { cfg with Config.max_txn_retries = 1_000_000 } in
+  let words = Float.Array.make 2 0. in
+  let contested = ref Heap.dummy in
+  let decisions = ref 0 in
+  let choose current ready =
+    incr decisions;
+    if !decisions = spin_from then Float.Array.set words 0 (Gc.minor_words ())
+    else if !decisions = spin_from + spins then Float.Array.set words 1 (Gc.minor_words ());
+    if Txrec.is_exclusive (Heap.txrec_peek !contested) then 0
+    else
+      match ready with
+      | [ t ] -> t
+      | _ -> if current = 0 then 1 else current
+  in
+  let main () =
+    let o = Stm.alloc_public ~cls:"C" 1 in
+    contested := o;
+    let owner () = Stm.atomic (fun () -> Stm.write o 0 (vi 1)) in
+    match spinner with
+    | Txn_older ->
+        Stm.atomic (fun () ->
+            ignore (Sched.spawn owner : int);
+            Sched.yield ();
+            Stm.write o 0 (vi 2))
+    | Txn_younger ->
+        ignore (Sched.spawn owner : int);
+        Sched.yield ();
+        Stm.atomic (fun () -> Stm.write o 0 (vi 2))
+    | Barrier_write ->
+        ignore (Sched.spawn owner : int);
+        Sched.yield ();
+        Stm.write o 0 (vi 2)
+    | Barrier_read ->
+        ignore (Sched.spawn owner : int);
+        Sched.yield ();
+        ignore (Stm.read o 0)
+  in
+  let result, stats =
+    Stm.run ~policy:(Sched.Controlled choose) ~max_steps:(spin_from + spins + 1) ~cfg main
+  in
+  check_bool "the spin ran out the fuel" true (result.Sched.status = Sched.Fuel_exhausted);
+  (* an eager barrier read's iteration takes three decisions, the
+     others one *)
+  check_bool "the window is the spin" true (stats.Stats.conflicts * 3 >= spins);
+  Float.Array.get words 1 -. Float.Array.get words 0
+
+let conflict_spin_words () =
+  List.iter
+    (fun (backend, cfg) ->
+      List.iter
+        (fun (path, spinner) ->
+          List.iter
+            (fun policy ->
+              let cfg = { cfg with Config.cm = policy } in
+              Alcotest.(check (float 0.))
+                (Printf.sprintf "%s %s %s: words over %d spins" backend path
+                   (Stm_cm.Policy.to_string policy) spins)
+                0. (spin_words cfg spinner))
+            Stm_cm.Policy.all)
+        [
+          ("txn, older", Txn_older);
+          ("txn, younger", Txn_younger);
+          ("barrier write", Barrier_write);
+          ("barrier read", Barrier_read);
+        ])
+    [ ("eager", Config.eager_strong); ("lazy", Config.lazy_strong) ]
+
 (* A deterministic two-thread run that emits both Info events (begin,
    commit, conflict) and Debug events (barriers, accesses, validations). *)
 let contended_run () =
@@ -1139,6 +1224,7 @@ let suite =
             descriptor_sets_reuse;
           case "fresh descriptor words" fresh_descriptor_words;
           case "warm atomic block words" warm_block_words;
+          case "conflict spin words" conflict_spin_words;
           case "subscribers compose" subscribers_compose;
           case "with_sinks restores the outer set" with_sinks_restores;
         ] );

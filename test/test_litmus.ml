@@ -198,6 +198,61 @@ let cm_golden_cases =
              `Quick (fig6_golden_under policy)))
     Stm_cm.Policy.all
 
+(* The verdicts parse [k=v] outcomes by hand. They must agree with the
+   [Scanf] formats they replace on every outcome a program can print -
+   negative and extreme values included - and on deadlock and exception
+   outcomes, which are never anomalous. *)
+let verdicts_match_scanf () =
+  let scan s fmt f =
+    try Scanf.sscanf s fmt f with Scanf.Scan_failure _ | Failure _ | End_of_file -> false
+  in
+  let references =
+    [
+      (Programs.non_repeatable_read, fun s -> scan s "r1=%d r2=%d" (fun a b -> a <> b));
+      (Programs.intermediate_dirty_read, fun s -> scan s "r=%d" (fun r -> r >= 0 && r mod 2 = 1));
+      (Programs.speculative_dirty_read, fun s -> scan s "x=%d y=%d" (fun x _ -> x = 0));
+      (Programs.privatization, fun s -> scan s "r1=%d r2=%d" (fun a b -> a <> b));
+      (Programs.write_read_nr, fun s -> scan s "r=%d" (fun r -> r <> 10));
+      (Programs.txn_dirty_read, fun s -> scan s "rx=%d ry=%d" (fun rx ry -> rx <> ry));
+      ( Programs.long_fork,
+        fun s ->
+          scan s "ax=%d ay=%d by=%d bx=%d" (fun ax ay by bx ->
+              ax = 1 && ay = 0 && by = 1 && bx = 0) );
+      (Programs.read_only_snapshot, fun s -> scan s "rx=%d ry=%d" (fun a b -> a <> b));
+    ]
+  in
+  let values = [ -7; -1; 0; 1; 2; 3; 10; min_int; max_int ] in
+  let fields keys =
+    List.fold_right
+      (fun k acc ->
+        List.concat_map
+          (fun v -> List.map (fun rest -> (k ^ "=" ^ string_of_int v) :: rest) acc)
+          values)
+      keys [ [] ]
+    |> List.map (String.concat " ")
+  in
+  let outcomes =
+    [ "<deadlock>"; "<exn:Failure(\"r=1\")>"; "<exn:Not_found>"; ""; "r=" ]
+    @ List.concat_map fields
+        [ [ "r" ]; [ "x" ]; [ "r1"; "r2" ]; [ "x"; "y" ]; [ "rx"; "ry" ]; [ "ax"; "ay"; "by"; "bx" ] ]
+  in
+  List.iter
+    (fun ((p : Programs.t), reference) ->
+      List.iter
+        (fun o ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s on %S" p.Programs.name o)
+            (reference o) (p.Programs.is_anomalous o))
+        outcomes)
+    references;
+  List.iter
+    (fun (p : Programs.t) ->
+      List.iter
+        (fun o ->
+          Alcotest.(check bool) (p.Programs.name ^ " on " ^ o) false (p.Programs.is_anomalous o))
+        [ "<deadlock>"; "<exn:Failure(\"x=0\")>" ])
+    Programs.all
+
 let explorer_counts_outcomes () =
   let make () =
     { Explorer.main = (fun () -> ()); observe = (fun () -> "only") }
@@ -236,6 +291,7 @@ let suite =
         case "stop_when" explorer_stop_when;
         case "bound 0 = default schedule" explorer_bound_zero_single_default;
         case "outcome counting" explorer_counts_outcomes;
+        case "verdicts agree with the scanf formats" verdicts_match_scanf;
       ] );
   ]
 

@@ -981,7 +981,21 @@ let sched_choose_non_runnable () =
                two_yielders));
       check_bool "engine released" false (Sched.running ());
       check_int "register reads no thread" (-1) Sched.(reg.tid))
-    [ 0; 1; 2 ]
+    [ 0; 1; 2 ];
+  (* a thread that exists but has finished: once main is the only
+     ready thread again, pick the finished one *)
+  let calls = ref 0 in
+  let choose _ ready =
+    incr calls;
+    match ready with [ 0 ] when !calls > 1 -> 1 | t :: _ -> t | [] -> assert false
+  in
+  Alcotest.check_raises "finished thread"
+    (Invalid_argument "Sched.Controlled: chose a non-runnable thread") (fun () ->
+      ignore
+        (Sched.run ~policy:(Sched.Controlled choose) (fun () ->
+             Sched.join (Sched.spawn (fun () -> ()));
+             Sched.yield ())));
+  check_bool "engine released" false (Sched.running ())
 
 (* ------------------------------------------------------------------ *)
 (* Min_clock against an effect-path model: switching yields, clock     *)
