@@ -1099,17 +1099,28 @@ let store_cmd =
    expected-"no" cell is conclusive (a sampler's silence certifies
    nothing, so missed "yes" cells are reported, not fatal). *)
 
-let explore_cells ~bound rows =
-  let all = Stm_litmus.Matrix.full_matrix ~bound () in
-  match rows with
-  | `Fig6 ->
-      List.filter
-        (fun (p, m, _) ->
-          List.mem_assoc p.Stm_litmus.Programs.name
-            Stm_litmus.Matrix.expected_fig6
-          && List.mem m Stm_litmus.Modes.all_fig6)
-        all
-  | `All -> all
+(* The [--rows] cell set, narrowed to one program's row and/or one
+   mode's column when [--program]/[--mode] name them. *)
+let explore_cells ~bound ~rows ~program ~mode =
+  let selected sel name = match sel with None -> true | Some s -> s = name in
+  List.filter
+    (fun (p, m, _) ->
+      (rows = `All
+      || List.mem_assoc p.Stm_litmus.Programs.name
+           Stm_litmus.Matrix.expected_fig6
+         && List.mem m Stm_litmus.Modes.all_fig6)
+      && selected program p.Stm_litmus.Programs.name
+      && selected mode (Stm_litmus.Modes.name m))
+    (Stm_litmus.Matrix.full_matrix ~bound ())
+
+(* Every mode some matrix cell runs under, in matrix order. *)
+let explore_modes =
+  List.fold_left
+    (fun acc (_, m, _) ->
+      let n = Stm_litmus.Modes.name m in
+      if List.mem n acc then acc else acc @ [ n ])
+    []
+    (Stm_litmus.Matrix.full_matrix ())
 
 let cell_json (c : Stm_litmus.Matrix.cell) =
   let open Stm_obs in
@@ -1122,9 +1133,8 @@ let cell_json (c : Stm_litmus.Matrix.cell) =
     ("truncated", Json.Bool c.Stm_litmus.Matrix.truncated);
   ]
 
-let run_explore_dpor ~bound ~max_runs ~rows ~cells_out =
+let run_explore_dpor ~bound ~max_runs ~cells ~cells_out =
   let open Stm_obs in
-  let cells = explore_cells ~bound rows in
   Fmt.pr "certifying %d cells at preemption bound %d (dpor vs enum)@."
     (List.length cells) bound;
   let results =
@@ -1209,10 +1219,12 @@ let run_explore_dpor ~bound ~max_runs ~rows ~cells_out =
   if ok then 0 else 1
 
 (* [sampled]: the engine samples schedules rather than enumerating them,
-   so it is only held to the one-sided check. *)
-let run_explore_cells ~engine ~sampled ~bound ~runner ~rows ~cells_out =
+   so it is only held to the one-sided check. [ablation]: the cells ran
+   at an overridden granule, so no verdict is held to the paper.
+   [outcomes]: list each cell's outcome set under its verdict line. *)
+let run_explore_cells ~engine ~sampled ?ablation ?(outcomes = false) ~runner
+    ~cells ~cells_out () =
   let open Stm_obs in
-  let cells = explore_cells ~bound rows in
   Fmt.pr "re-deriving %d cells with the %s engine@." (List.length cells) engine;
   let results =
     List.map
@@ -1223,6 +1235,13 @@ let run_explore_cells ~engine ~sampled ~bound ~runner ~rows ~cells_out =
           (Stm_litmus.Modes.name c.Stm_litmus.Matrix.mode)
           (if c.Stm_litmus.Matrix.observed then "yes" else "no ")
           c.Stm_litmus.Matrix.expected c.Stm_litmus.Matrix.runs;
+        if outcomes then
+          List.iter
+            (fun (o, n) ->
+              Fmt.pr "    %-30s x%d%s@." o n
+                (if p.Stm_litmus.Programs.is_anomalous o then "  <- ANOMALY"
+                 else ""))
+            c.Stm_litmus.Matrix.outcomes;
         c)
       cells
   in
@@ -1241,17 +1260,31 @@ let run_explore_cells ~engine ~sampled ~bound ~runner ~rows ~cells_out =
   (* The enumerative DFS at the standard bound must reproduce the paper
      exactly; a sampler is only held to the one-sided check. *)
   let ok =
-    if sampled then begin
-      if missed <> [] then
-        Fmt.pr "note: %d expected-yes cells not reached by sampling@."
-          (List.length missed);
-      false_yes = []
-    end
-    else false_yes = [] && missed = []
+    match ablation with
+    | Some granule ->
+        Fmt.pr
+          "%d cells, %d with an anomaly at granule %d (an ablation: not held \
+           to the paper)@."
+          (List.length results)
+          (List.length
+             (List.filter (fun c -> c.Stm_litmus.Matrix.observed) results))
+          granule;
+        true
+    | None ->
+        let ok =
+          if sampled then begin
+            if missed <> [] then
+              Fmt.pr "note: %d expected-yes cells not reached by sampling@."
+                (List.length missed);
+            false_yes = []
+          end
+          else false_yes = [] && missed = []
+        in
+        Fmt.pr "%d cells, %d unexpected anomalies, %d missed witnesses: %s@."
+          (List.length results) (List.length false_yes) (List.length missed)
+          (if ok then "ok" else "FAIL");
+        ok
   in
-  Fmt.pr "%d cells, %d unexpected anomalies, %d missed witnesses: %s@."
-    (List.length results) (List.length false_yes) (List.length missed)
-    (if ok then "ok" else "FAIL");
   Option.iter
     (fun path ->
       Cli.write_json path
@@ -1267,25 +1300,35 @@ let run_explore_cells ~engine ~sampled ~bound ~runner ~rows ~cells_out =
   if ok then 0 else 1
 
 (* The sampler ignores the preemption bound, so --bound is a usage error
-   with pct. *)
-let run_explore engine bound max_runs rows cells_out =
-  match (engine, bound) with
-  | `Pct, Some _ -> `Error (true, "the pct engine takes no --bound")
-  | `Pct, None ->
+   with pct; the granule ablation is an enumerative one, so --granule is
+   one with dpor and pct. A one-program selection under enum walks each
+   cell's whole schedule space (within the budget), not just up to the
+   first witness, to list its complete outcome set. *)
+let run_explore engine bound max_runs rows program mode granule cells_out =
+  let bound' = Option.value bound ~default:2 in
+  let cells = explore_cells ~bound:bound' ~rows ~program ~mode in
+  match (engine, bound, granule, cells) with
+  | `Pct, Some _, _, _ -> `Error (true, "the pct engine takes no --bound")
+  | (`Pct | `Dpor), _, Some _, _ ->
+      `Error (true, "only the enum engine takes --granule")
+  | _, _, _, [] -> `Error (true, "the selection matches no matrix cell")
+  | `Pct, None, None, _ ->
       `Ok
-        (run_explore_cells ~engine:"pct" ~sampled:true ~bound:2 ~rows
-           ~cells_out ~runner:(fun ~bound:_ p m ->
-             Stm_litmus.Matrix.run_cell_pct ?runs:max_runs p m))
-  | `Enum, _ ->
+        (run_explore_cells ~engine:"pct" ~sampled:true ~cells ~cells_out
+           ~runner:(fun ~bound:_ p m ->
+             Stm_litmus.Matrix.run_cell_pct ?runs:max_runs p m)
+           ())
+  | `Enum, _, _, _ ->
+      let exhaustive = program <> None in
       `Ok
-        (run_explore_cells ~engine:"enum" ~sampled:false
-           ~bound:(Option.value bound ~default:2) ~rows ~cells_out
+        (run_explore_cells ~engine:"enum" ~sampled:false ?ablation:granule
+           ~outcomes:exhaustive ~cells ~cells_out
            ~runner:(fun ~bound p m ->
-             Stm_litmus.Matrix.run_cell ~preemption_bound:bound ?max_runs p m))
-  | `Dpor, _ ->
-      `Ok
-        (run_explore_dpor ~bound:(Option.value bound ~default:2) ~max_runs
-           ~rows ~cells_out)
+             Stm_litmus.Matrix.run_cell ~preemption_bound:bound ?max_runs
+               ?granule_override:granule ~exhaustive p m)
+           ())
+  | `Dpor, _, None, _ ->
+      `Ok (run_explore_dpor ~bound:bound' ~max_runs ~cells ~cells_out)
 
 let explore_cmd =
   Cmd.v
@@ -1330,6 +1373,36 @@ let explore_cmd =
                   "Cell set: $(b,all) (every matrix cell — Figure 6, extras, \
                    privatization, SI, mvcc and timestamp columns) or \
                    $(b,fig6) (the 45 Figure 6 cells, the CI smoke set).")
+        $ Arg.(
+            value
+            & opt
+                (some
+                   (enum
+                      (List.map
+                         (fun p ->
+                           let n = p.Stm_litmus.Programs.name in
+                           (n, n))
+                         Stm_litmus.Programs.all)))
+                None
+            & info [ "program" ] ~docv:"NAME"
+                ~doc:
+                  "Only the cells of this litmus program's row. Under \
+                   $(b,enum) each cell's full outcome set is listed too, \
+                   with the number of schedules behind each outcome.")
+        $ Arg.(
+            value
+            & opt (some (enum (List.map (fun n -> (n, n)) explore_modes))) None
+            & info [ "mode" ] ~docv:"MODE"
+                ~doc:"Only the cells of this execution mode's column.")
+        $ Arg.(
+            value
+            & opt (some int) None
+            & info [ "granule" ] ~docv:"N"
+                ~doc:
+                  "$(b,enum) only: run every cell at $(docv) fields per \
+                   versioning granule instead of the program's own \
+                   (granularity ablation). The verdicts are printed but not \
+                   held to the paper's expectations.")
         $ Arg.(
             value
             & opt (some string) None

@@ -81,11 +81,6 @@ let aid_class t a =
   | Alloc { cls; _ } -> cls
   | Statics cls -> "<statics:" ^ cls ^ ">"
 
-let aid_heap_ctx t a =
-  match Hashtbl.find t.origins a with
-  | Alloc { hctx; _ } -> hctx
-  | Statics _ -> Nontxn
-
 let aid_is_statics t a =
   match Hashtbl.find t.origins a with Statics _ -> true | Alloc _ -> false
 

@@ -40,8 +40,6 @@ val analyze : Stm_ir.Ir.program -> t
 
 (** {1 Abstract objects} *)
 
-val aid_class : t -> aid -> string
-val aid_heap_ctx : t -> aid -> ctx
 val aid_is_statics : t -> aid -> bool
 val n_objects : t -> int
 

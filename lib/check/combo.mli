@@ -44,10 +44,8 @@ val timestamp_grid : t list
     combos), every one expected serializable. Disjoint from {!all} so
     the default sweep artifacts are byte-identical to the seed. *)
 
-val all_atomicities : atomicity list
 val all_versionings : Stm_core.Config.versioning list
 val atomicity_to_string : atomicity -> string
-val atomicity_of_string : string -> atomicity option
 val versioning_to_string : Stm_core.Config.versioning -> string
 val versioning_of_string : string -> Stm_core.Config.versioning option
 val to_json : t -> Stm_obs.Json.t

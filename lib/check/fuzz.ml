@@ -61,6 +61,7 @@ type campaign_result = {
 (* Plan                                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* The profiles a configuration flavor is expected to keep clean. *)
 let profiles_for (a : Combo.atomicity) =
   match a with
   | Combo.Weak -> [ Gen.Txn_only ]

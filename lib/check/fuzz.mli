@@ -48,9 +48,6 @@ type campaign_result = {
   ok : bool;
 }
 
-val profiles_for : Combo.atomicity -> Gen.profile list
-(** The profiles a configuration flavor is expected to keep clean. *)
-
 val clean_campaigns : campaign list
 val hunt_campaigns : campaign list
 val default_plan : campaign list
@@ -84,7 +81,6 @@ val run_campaign :
 
 val sweep : ?log:(string -> unit) -> ?plan:campaign list -> budget -> campaign_result list
 val passed : campaign_result list -> bool
-val result_to_json : campaign_result -> Stm_obs.Json.t
 val summary_json : budget -> campaign_result list -> Stm_obs.Json.t
 
 (** {1 Cross-backend differential sweep} *)

@@ -10,12 +10,6 @@ let profile_to_string = function
   | Mixed -> "mixed"
   | Handoff -> "handoff"
 
-let profile_of_string = function
-  | "txn-only" -> Some Txn_only
-  | "mixed" -> Some Mixed
-  | "handoff" -> Some Handoff
-  | _ -> None
-
 type gcfg = {
   profile : profile;
   min_threads : int;

@@ -16,7 +16,6 @@ type profile =
           atomicity and under commit-time quiescence *)
 
 val profile_to_string : profile -> string
-val profile_of_string : string -> profile option
 
 type gcfg = {
   profile : profile;

@@ -328,6 +328,7 @@ let box_equal a b =
   | New_box a, New_box b -> a.thread = b.thread && a.step = b.step
   | Slot_box _, New_box _ | New_box _, Slot_box _ -> false
 
+(* without the polymorphic compare *)
 let loc_equal a b =
   match (a, b) with
   | Cell i, Cell j | Root i, Root j -> i = j

@@ -71,9 +71,6 @@ type anomaly =
 
 type verdict = Serializable | Inconclusive of string | Anomalous of anomaly
 
-val loc_equal : loc -> loc -> bool
-(** Structural equality on locations, without the polymorphic compare. *)
-
 val split_accs : (loc * value * bool) list -> (loc * value) list * (loc * value) list
 (** [split_accs accs_rev] turns a node's accesses, most recent first
     ([true] marks a write), into its [reads] and [writes]: reads in
@@ -132,7 +129,7 @@ val certification_to_string : certification -> string
 
 val anomaly_kind : anomaly -> string
 (** Stable kind string of an anomaly (matches the ["anomaly"] field of
-    {!anomaly_to_json}). The implementation is an exhaustive match, so
+    an anomaly's JSON form). The implementation is an exhaustive match, so
     extending [anomaly] without classifying the new constructor is a
     compile error. *)
 
@@ -150,14 +147,9 @@ val verdict_equal : verdict -> verdict -> bool
 
 (** {1 Printing and serialization} *)
 
-val loc_to_string : loc -> string
-val value_to_string : value -> string
 val pp_loc : Format.formatter -> loc -> unit
 val pp_value : Format.formatter -> value -> unit
-val pp_node : Format.formatter -> node -> unit
 val pp_history : Format.formatter -> history -> unit
-val pp_edge : Format.formatter -> edge -> unit
 val pp_anomaly : Format.formatter -> anomaly -> unit
 val pp_verdict : Format.formatter -> verdict -> unit
-val anomaly_to_json : anomaly -> Stm_obs.Json.t
 val verdict_to_json : verdict -> Stm_obs.Json.t

@@ -63,8 +63,6 @@ let value_of expr ~token ~acc =
   | Tok -> token * token_scale
   | Tok_acc -> (token * token_scale) + acc
 
-let token_of_value v = v / token_scale
-
 (* ------------------------------------------------------------------ *)
 (* Pretty printing                                                     *)
 (* ------------------------------------------------------------------ *)

@@ -8,7 +8,7 @@
 
     Every write stores a value tagged with a token unique to its static
     occurrence, making the reads-from relation of any execution directly
-    observable (see {!token_of_value}). *)
+    observable. *)
 
 type expr =
   | Tok  (** write the occurrence token alone *)
@@ -64,12 +64,9 @@ val combine : int -> int -> int
     12-bit accumulator. *)
 
 val value_of : expr -> token:int -> acc:int -> int
-val token_of_value : int -> int
 
 (** {1 Printing and (de)serialization} *)
 
-val pp_op : Format.formatter -> op -> unit
-val pp_step : Format.formatter -> step -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 val to_json : t -> Stm_obs.Json.t

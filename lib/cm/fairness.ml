@@ -61,7 +61,6 @@ let max_consec_aborts t =
   Hashtbl.fold (fun _ e acc -> Int.max acc e.max_consec_aborts) t.entries 0
 
 let total_commits t = Hashtbl.fold (fun _ e acc -> acc + e.commits) t.entries 0
-let total_aborts t = Hashtbl.fold (fun _ e acc -> acc + e.aborts) t.entries 0
 
 (* Jain's fairness index over per-thread commit counts:
    (sum x)^2 / (n * sum x^2). 1.0 = perfectly fair, 1/n = one thread got

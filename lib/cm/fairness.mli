@@ -25,7 +25,6 @@ val max_consec_aborts : t -> int
 (** Worst consecutive-abort streak across all threads. *)
 
 val total_commits : t -> int
-val total_aborts : t -> int
 
 val jain : t -> float
 (** Jain's fairness index over per-thread commit counts:

@@ -90,7 +90,3 @@ let retire_ticket t ticket =
   Footprint.write Footprint.oid_quiesce;
   assert (ticket = t.retired_upto);
   t.retired_upto <- ticket + 1
-
-let epoch t =
-  Footprint.read Footprint.oid_quiesce;
-  t.epoch

@@ -46,6 +46,3 @@ val await_turn : t -> int -> unit
 (** Block until all earlier tickets have been retired. *)
 
 val retire_ticket : t -> int -> unit
-
-val epoch : t -> int
-(** Current global epoch (for tests). *)

@@ -103,11 +103,6 @@ let to_assoc t =
     ("quiesce_waits", t.quiesce_waits);
   ]
 
-let pp_json ppf t =
-  Fmt.pf ppf "{%a}"
-    (Fmt.list ~sep:(Fmt.any ",") (fun ppf (k, v) -> Fmt.pf ppf "%S:%d" k v))
-    (to_assoc t)
-
 let pp ppf t =
   Fmt.pf ppf
     "commits=%d aborts=%d txn_r=%d txn_w=%d bar_r=%d bar_w=%d priv=%d \

@@ -43,7 +43,4 @@ val to_assoc : t -> (string * int) list
     metrics exporter serializes from this — never scrape {!pp}'s
     human-readable output. *)
 
-val pp_json : Format.formatter -> t -> unit
-(** Render the counters as one JSON object. *)
-
 val pp : Format.formatter -> t -> unit

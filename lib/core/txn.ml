@@ -106,7 +106,6 @@ type ctx = {
 
 let cfg ctx = ctx.cfg
 let stats ctx = ctx.stats
-let quiescer ctx = ctx.q
 let cm ctx = ctx.cm
 let mvcc ctx = ctx.mv
 let gvc ctx = ctx.gvc

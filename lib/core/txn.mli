@@ -40,7 +40,6 @@ type ctx
 val make_ctx : Config.t -> ctx
 val cfg : ctx -> Config.t
 val stats : ctx -> Stats.t
-val quiescer : ctx -> Quiesce.t
 
 val cm : ctx -> Stm_cm.Cm.t
 (** The run's contention manager (built from {!Config.t.cm}); the
@@ -128,5 +127,3 @@ val abort : ctx -> t -> unit
 val reads_snapshot : t -> (Heap.obj * int) list
 (** Read set as (object, observed version) pairs; used by the [retry]
     wait loop. *)
-
-val has_writes : t -> bool

@@ -17,7 +17,7 @@ type t = {
   causality : Causality.t;
   flight : Flight.t;
   metrics : Metrics.t;
-  mutable resolve : int -> string option;
+  resolve : int -> string option;
 }
 
 let create ?(flight_capacity = 512) ?streak_threshold ?max_incidents
@@ -32,10 +32,8 @@ let create ?(flight_capacity = 512) ?streak_threshold ?max_incidents
     resolve;
   }
 
-let set_resolve t r = t.resolve <- r
 let heatmap t = t.heatmap
 let causality t = t.causality
-let flight t = t.flight
 let metrics t = t.metrics
 
 let feed t (e : Recorder.entry) =

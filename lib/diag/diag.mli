@@ -22,15 +22,10 @@ val create :
     report (e.g. {!Stm_ir.Ir.site_loc} live, {!Ingest.result.resolve}
     offline); the flight parameters are {!Flight.create}'s. *)
 
-val set_resolve : t -> (int -> string option) -> unit
-
 val consumer : t -> Stm_core.Trace.event -> unit
 (** Live feed: stamps the event with the emitting thread's cost clock
     and scheduler step (the {!Stm_obs.Recorder} envelope discipline)
     and runs it through all four pillars. *)
-
-val feed : t -> Stm_obs.Recorder.entry -> unit
-(** Offline feed of one already-stamped entry. *)
 
 val feed_all : t -> Stm_obs.Recorder.entry list -> unit
 
@@ -40,7 +35,6 @@ val force_incident : t -> reason:string -> unit
 
 val heatmap : t -> Heatmap.t
 val causality : t -> Causality.t
-val flight : t -> Flight.t
 val metrics : t -> Stm_obs.Metrics.t
 val incidents : t -> Flight.incident list
 

@@ -84,6 +84,9 @@ let site_field intern j k =
   | Some (Json.Str s) -> intern s
   | _ -> -1
 
+(* [None] for unknown kinds. Abort events missing the attribution fields
+   ([by], [by_tid], [oid]: traces from before they existed) default them
+   to [-1]. *)
 let event_of_json ~intern j =
   let i = int_field j and s = str_field and b = bool_field in
   match str_field j "ev" with

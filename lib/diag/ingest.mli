@@ -19,17 +19,5 @@ type result = {
 val of_file : string -> result
 (** Raises [Sys_error] if the file cannot be opened. *)
 
-val of_channel : in_channel -> result
-
 val of_string : string -> result
 (** Newline-separated JSONL in memory (tests). *)
-
-val event_of_json :
-  intern:(string -> int) -> Stm_obs.Json.t -> Stm_core.Trace.event option
-(** One parsed line to an event; [None] for unknown kinds. [intern]
-    assigns ids to resolved (string) site labels. Abort events missing
-    the attribution fields ([by], [by_tid], [oid] — traces from before
-    they existed) default them to [-1]. *)
-
-val entry_of_json :
-  intern:(string -> int) -> Stm_obs.Json.t -> Stm_obs.Recorder.entry option

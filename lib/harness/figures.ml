@@ -220,8 +220,6 @@ let scaling_confs =
     };
   ]
 
-let scaling_labels = List.map (fun c -> c.s_label) scaling_confs
-
 let scaling_fig (w : Workload.t) ?(threads = [ 1; 2; 4; 8; 16 ]) ?(scale = 1.0)
     () =
   let w = Workload.scaled w scale in

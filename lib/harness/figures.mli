@@ -18,8 +18,6 @@ type overhead_row = {
           +NAIT. *)
 }
 
-val overhead_levels : string list
-
 val fig15 : ?scale:float -> unit -> overhead_row list
 (** Both read and write isolation barriers. [scale] shrinks workload
     iteration counts for quick runs. *)
@@ -52,8 +50,6 @@ type scaling = {
   outputs_consistent : bool;
       (** all configurations printed the same checksums *)
 }
-
-val scaling_labels : string list
 
 val fig18 : ?threads:int list -> ?scale:float -> unit -> scaling  (** Tsp *)
 

@@ -17,30 +17,6 @@ let scenario_name = function
   | Inversion_chain -> "inversion-chain"
   | Read_heavy -> "read-heavy"
 
-let scenario_of_string = function
-  | "long-vs-short" | "long_vs_short" | "longvshort" -> Some Long_vs_short
-  | "livelock-pair" | "livelock_pair" | "livelock" -> Some Livelock_pair
-  | "inversion-chain" | "inversion_chain" | "inversion" -> Some Inversion_chain
-  | "read-heavy" | "read_heavy" | "readheavy" -> Some Read_heavy
-  | _ -> None
-
-let describe_scenario = function
-  | Long_vs_short ->
-      "one long writer needs every record while N short writers each \
-       hammer one of them; the long transaction starves unless age wins \
-       conflicts"
-  | Livelock_pair ->
-      "two symmetric writers acquire the same two records in opposite \
-       orders; abort-and-retry policies can chase each other's tails"
-  | Inversion_chain ->
-      "a ring of writers, each holding its own record while asking for \
-       its neighbor's; circular contention with no global owner order"
-  | Read_heavy ->
-      "one writer sweeps every record per transaction while a crowd of \
-       read-only scanners checks the all-equal invariant; single-version \
-       backends abort the scanners, mvcc serves them from snapshots \
-       abort-free"
-
 (* A thread has "starved" when it lost this many times in a row. The
    constant is calibrated against the scenario sizes below: under
    [timestamp] no thread ever approaches it, under [suicide] the long

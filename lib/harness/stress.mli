@@ -10,16 +10,22 @@
     every scenario within fuel with no starved thread, while [suicide]
     exceeds {!starvation_threshold} consecutive aborts on at least one. *)
 
-type scenario = Long_vs_short | Livelock_pair | Inversion_chain | Read_heavy
+type scenario =
+  | Long_vs_short
+      (** one long writer needs every record while N short writers each
+          hammer one; the long one starves unless age wins conflicts *)
+  | Livelock_pair
+      (** two symmetric writers take the same two records in opposite
+          orders *)
+  | Inversion_chain
+      (** a ring of writers, each holding its own record while asking
+          for its neighbour's *)
+  | Read_heavy
+      (** one writer sweeps every record while read-only scanners check
+          the all-equal invariant; mvcc serves them from snapshots *)
 
 val all_scenarios : scenario list
 val scenario_name : scenario -> string
-
-val scenario_of_string : string -> scenario option
-(** Accepts the {!scenario_name} spellings plus underscore and short
-    aliases ([livelock], [inversion]). *)
-
-val describe_scenario : scenario -> string
 
 val starvation_threshold : int
 (** Consecutive aborts by one thread that count as starvation. *)

@@ -10,6 +10,3 @@
 val run : Stm_ir.Ir.program -> int
 (** Analyze and rewrite every method; returns the number of barriers
     removed. *)
-
-val run_method : Stm_ir.Ir.meth -> int
-(** Single-method entry point, for tests. *)

@@ -5,6 +5,7 @@ type cell = {
   observed : bool;
   runs : int;
   truncated : bool;
+  outcomes : (string * int) list;
 }
 
 (* Figure 6, transcribed. Columns: eager-weak, lazy-weak, locks,
@@ -125,16 +126,18 @@ let decide ?granule ?cm program mode engine =
       observed = Explorer.observed e program.Programs.is_anomalous;
       runs = e.Explorer.runs;
       truncated = e.Explorer.truncated;
+      outcomes = e.Explorer.outcomes;
     }
   in
   engine ~cfg ~make ~stop_when:program.Programs.is_anomalous cell
 
 let run_cell ?(preemption_bound = 2) ?(max_runs = 6000) ?granule_override ?cm
-    program mode =
+    ?(exhaustive = false) program mode =
   decide ?granule:granule_override ?cm program mode
     (fun ~cfg ~make ~stop_when cell ->
+      let stop_when = if exhaustive then None else Some stop_when in
       cell
-        (Explorer.explore ~preemption_bound ~max_runs ~stop_when ~cfg ~make ()))
+        (Explorer.explore ~preemption_bound ~max_runs ?stop_when ~cfg ~make ()))
 
 let grid ?preemption_bound ?max_runs ?cm programs modes =
   List.concat_map
@@ -205,8 +208,6 @@ let certify_cell ?(preemption_bound = 2) ?(max_runs = 40_000) program mode =
 let cell_certified c =
   c.dpor.observed = c.enum.observed
   && (c.dpor.observed || c.complete || c.enum.truncated)
-
-let all_certified cs = List.for_all cell_certified cs
 
 (* Every cell the matrix suites cover, in suite order, each paired with
    the preemption bound its expected witness needs: [bound] everywhere

@@ -12,6 +12,9 @@ type cell = {
   observed : bool;
   runs : int;
   truncated : bool;
+  outcomes : (string * int) list;
+      (** the outcomes the exploration saw, with their schedule counts
+          (see {!Explorer.exploration}) *)
 }
 
 val expected_fig6 : (string * bool list) list
@@ -23,12 +26,17 @@ val run_cell :
   ?max_runs:int ->
   ?granule_override:int ->
   ?cm:Stm_cm.Policy.t ->
+  ?exhaustive:bool ->
   Programs.t ->
   Modes.t ->
   cell
 (** [cm] overrides the contention-management policy of the mode's
     configuration; the expectation is unchanged, because contention
-    management must not affect which anomalies are expressible. *)
+    management must not affect which anomalies are expressible. The
+    search stops at the first anomalous outcome unless [exhaustive]
+    (default [false]), which walks the whole bounded schedule space (or
+    the [max_runs] budget) so that [outcomes] is the full outcome set;
+    the verdict is the same either way. *)
 
 val run_cell_pct : ?runs:int -> Programs.t -> Modes.t -> cell
 (** Decide a cell by probabilistic sampling ({!Explorer.explore_pct})
@@ -50,21 +58,12 @@ val extras_rows :
     the Section 4 transaction-vs-transaction dirty-read check (expected
     all-"no": transactional isolation holds even under weak atomicity). *)
 
-val privatization_modes : Modes.t list
-(** The five Figure 6 modes plus the two quiescence modes. *)
-
 val privatization_row :
   ?preemption_bound:int -> ?max_runs:int -> ?cm:Stm_cm.Policy.t -> unit ->
   cell list
 (** Figure 1 under the five Figure 6 modes plus the two quiescence modes
     (Section 3.4): quiescence must fix this program even under weak
     atomicity. *)
-
-val expected_mvcc : (string * bool list) list
-(** Per-program expectations under the multi-version columns, in
-    {!Modes.all_mvcc} order: weak-mvcc, weak-mvcc-si, strong-mvcc,
-    strong-mvcc-si. Covers every litmus program including privatization
-    and the SI rows. *)
 
 val all_match : cell list -> bool
 val pp_table : Format.formatter -> cell list -> unit
@@ -99,8 +98,6 @@ val cell_certified : certified -> bool
 (** No verdict flip, and the "no" verdict (if that is the verdict) rests
     on a complete DPOR walk whenever the enumerative walk itself
     finished. A "yes" is witness-based and needs no completeness. *)
-
-val all_certified : certified list -> bool
 
 val full_matrix : ?bound:int -> unit -> (Programs.t * Modes.t * int) list
 (** Every (program, mode) cell covered by the matrix suites — the

@@ -103,6 +103,7 @@ let non_repeatable_read =
         { Explorer.main; observe });
   }
 
+(* Figure 2b (ILU) *)
 let intermediate_lost_update =
   {
     name = "ilu";
@@ -248,6 +249,7 @@ let overlapped_writes =
         { Explorer.main; observe });
   }
 
+(* Figure 4b (MI, non-txn write vs txn write) *)
 let buffered_writes =
   {
     name = "mi-ww";

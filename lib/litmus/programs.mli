@@ -20,8 +20,6 @@ type t = {
 
 val non_repeatable_read : t  (** Figure 2a (NR) *)
 
-val intermediate_lost_update : t  (** Figure 2b (ILU) *)
-
 val intermediate_dirty_read : t  (** Figure 2c (IDR) *)
 
 val speculative_lost_update : t  (** Figure 3a (SLU) *)
@@ -29,8 +27,6 @@ val speculative_lost_update : t  (** Figure 3a (SLU) *)
 val speculative_dirty_read : t  (** Figure 3b (SDR) *)
 
 val overlapped_writes : t  (** Figure 4a (MI, non-txn read vs txn write) *)
-
-val buffered_writes : t  (** Figure 4b (MI, non-txn write vs txn write) *)
 
 val granular_lost_update : t  (** Figure 5a (GLU) *)
 
@@ -52,11 +48,6 @@ val txn_dirty_read : t
     survive into a committed transaction's observations, under any mode
     (an all-"no" row: transactional isolation holds even under weak
     atomicity). *)
-
-val write_skew : t
-(** Disjoint write sets guarded by reads of the other side: both
-    transactions commit under snapshot isolation (x = y = 1), while
-    every serializable backend forbids it. The signature SI litmus. *)
 
 val long_fork : t
 (** Two independent writers, two read-only observers seeing them in

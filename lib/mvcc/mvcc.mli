@@ -26,9 +26,6 @@ type stats = {
   mutable ro_commits : int;  (** read-only commits (validation-free) *)
 }
 
-val default_max_versions : int
-(** [8] — current version plus up to seven retired ones per granule. *)
-
 val create : ?gvc:Gvc.t -> ?max_versions:int -> unit -> t
 (** [?gvc] shares an existing global commit clock (the txn layer passes
     the system-wide one); a private clock is created when omitted. *)

@@ -8,7 +8,6 @@ val add : t -> int -> unit
 
 val count : t -> int
 val sum : t -> int
-val mean : t -> float
 val min_value : t -> int
 val max_value : t -> int
 
@@ -25,8 +24,5 @@ val sub : t -> t -> t
     two snapshots (bucket-wise difference). *)
 
 val clear : t -> unit
-
-val bucket_le : int -> int
-(** Inclusive upper bound of bucket [i]. *)
 
 val to_json : t -> Json.t

@@ -69,6 +69,9 @@ let alloc_bytes_so_far t =
   | Some b -> b
   | None -> Gc.allocated_bytes () -. t.alloc_base
 
+(* Host (OCaml GC) words allocated over this object's window: creation
+   to now for a live object, creation to [snapshot] for a snapshot,
+   between the two snapshots for a [diff]. *)
 let host_alloc_words t =
   alloc_bytes_so_far t /. float_of_int (Sys.word_size / 8)
 
@@ -130,7 +133,6 @@ let commits t = t.commits
 let aborts t = t.aborts
 let abort_cause_count t cause = t.abort_causes.(cause_index cause)
 let commit_latency t = t.commit_latency
-let abort_latency t = t.abort_latency
 
 let to_assoc t =
   [

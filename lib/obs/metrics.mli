@@ -44,19 +44,11 @@ val fairness : t -> Stm_cm.Fairness.t
 (** Every abort cause, in serialization order. *)
 val all_causes : Trace.abort_cause list
 val commit_latency : t -> Hist.t
-val abort_latency : t -> Hist.t
 
 val to_assoc : t -> (string * int) list
-
-val host_alloc_words : t -> float
-(** Host-process (OCaml GC) words allocated over this object's window:
-    creation to now for a live object, creation to {!snapshot} for a
-    snapshot, between the two snapshots for a {!diff}. A real-resource
-    counterpart to the simulated counters — the perf harness reports the
-    same quantity per benchmark op. *)
 
 val to_json : ?stats:Stats.t -> t -> Json.t
 (** Full metrics object: counters, abort causes, latency histograms, a
     ["fairness"] block (Jain index, worst consecutive-abort streak,
-    per-thread counters), and ["host_alloc_words"] ({!host_alloc_words});
-    [stats] additionally embeds the run's global {!Stm_core.Stats}. *)
+    per-thread counters), and ["host_alloc_words"] (OCaml GC words over
+    the window); [stats] additionally embeds the run's global {!Stm_core.Stats}. *)

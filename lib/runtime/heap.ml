@@ -128,7 +128,6 @@ let version_ts_peek o = o.vts
 let set_version_ts o ts =
   Footprint.write o.oid;
   o.vts <- ts
-let past_versions o = o.past
 let chain_length o = 1 + List.length o.past
 
 (* Retire the current fields into the chain; the caller then overwrites

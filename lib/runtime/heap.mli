@@ -97,9 +97,6 @@ val version_ts_peek : obj -> int
 
 val set_version_ts : obj -> int -> unit
 
-val past_versions : obj -> version list
-(** Superseded versions, newest first. *)
-
 val chain_length : obj -> int
 (** [1 +] the number of retained past versions. *)
 

@@ -4,7 +4,6 @@ open Effect.Deep
 type tid = int
 
 type policy =
-  | Round_robin
   | Random of int
   | Min_clock
   | Controlled of (tid -> tid list -> tid)
@@ -76,7 +75,6 @@ type engine = {
   mutable current : thread;
   policy : policy;
   rng : Det_rng.t option;
-  mutable rr_cursor : int;
   mutable steps : int;
   max_steps : int;
   mutable exns : (tid * exn) list;
@@ -347,22 +345,6 @@ let take_pending e =
 (* The next thread to run; the caller has checked that one is runnable. *)
 let pick e =
   match e.policy with
-  | Round_robin ->
-      (* first runnable tid strictly greater than the cursor, else the
-         smallest *)
-      let chosen = ref (-1) in
-      let tid = ref (e.rr_cursor + 1) in
-      while !chosen < 0 && !tid < e.nthreads do
-        if e.by_tid.(!tid).state = Runnable then chosen := !tid;
-        incr tid
-      done;
-      tid := 0;
-      while !chosen < 0 do
-        if e.by_tid.(!tid).state = Runnable then chosen := !tid;
-        incr tid
-      done;
-      e.rr_cursor <- !chosen;
-      e.by_tid.(!chosen)
   | Random _ ->
       if e.pending >= 0 then take_pending e
       else kth_runnable e (Det_rng.int (Option.get e.rng) e.nrunnable)
@@ -419,7 +401,6 @@ let run ?(max_steps = 10_000_000) ?(policy = Min_clock) main =
       current = t0;
       policy;
       rng;
-      rr_cursor = -1;
       steps = 0;
       max_steps;
       exns = [];
@@ -476,7 +457,7 @@ let[@inline] keeps_processor e =
   | Min_clock ->
       e.steps < e.max_steps
       && below_top e reg.clock reg.tid
-  | Round_robin | Random _ | Controlled _ -> false
+  | Random _ | Controlled _ -> false
 
 (* Under [Controlled] and [Random] the loop's pick is taken at the yield
    itself, on the same inputs: the yielding thread counts as ready, as
@@ -506,7 +487,7 @@ let[@inline never] yield_pick e =
           e.pending <- t.tid;
           perform Yield
         end
-    | Min_clock | Round_robin -> perform Yield
+    | Min_clock -> perform Yield
 
 let[@inline] yield_engine e =
   if keeps_processor e then e.steps <- e.steps + 1 else yield_pick e
@@ -544,7 +525,7 @@ let pause n =
   let e = get_engine () in
   match e.policy with
   | Random _ -> if n <= 0 then yield_pick e else pause_random e n
-  | Round_robin | Min_clock | Controlled _ ->
+  | Min_clock | Controlled _ ->
       reg.clock <- reg.clock + Int.max n 0;
       yield_engine e
 

@@ -13,8 +13,8 @@
       smallest virtual clock. This is a discrete-event simulation of [n]
       threads running on [n] processors: the makespan ({!result} field
       [makespan]) is the parallel execution time.
-    - {!Round_robin} and {!Random} provide interleaving diversity for
-      stress tests.
+    - {!Random} picks a runnable thread from a seeded stream: the fuzzer's
+      interleaving diversity.
     - {!Controlled} hands every scheduling decision to a callback; the
       systematic litmus explorer uses it to enumerate interleavings. *)
 
@@ -22,7 +22,6 @@ type tid = int
 (** Simulated thread id. The main thread is [0]. *)
 
 type policy =
-  | Round_robin
   | Random of int  (** seed *)
   | Min_clock
   | Controlled of (tid -> tid list -> tid)
@@ -70,14 +69,13 @@ val yield : unit -> unit
 
     A yield that resumes the same thread still counts as a scheduling
     decision: it adds one to [switches] and uses one step of [max_steps]
-    fuel, under every policy. Under {!Min_clock}, {!Controlled} and
-    {!Random} such a yield returns directly, without suspending the
-    thread; the pick, the step count and every clock are the same as if
-    it had gone through the scheduler. {!Controlled} and {!Random} take
-    the pick at the yield itself (with the yielding thread among the
-    runnables, fuel permitting): the [choose] callback receives the same
-    arguments in the same order, and the [Random] stream is drawn the
-    same way. Only {!Round_robin} always suspends. *)
+    fuel, under every policy. Such a yield returns directly, without
+    suspending the thread; the pick, the step count and every clock are
+    the same as if it had gone through the scheduler. {!Controlled} and
+    {!Random} take the pick at the yield itself (with the yielding thread
+    among the runnables, fuel permitting): the [choose] callback receives
+    the same arguments in the same order, and the [Random] stream is
+    drawn the same way. *)
 
 val self : unit -> tid
 

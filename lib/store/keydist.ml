@@ -6,11 +6,6 @@ let dist_to_string = function
   | Uniform -> "uniform"
   | Zipfian _ -> "zipfian"
 
-let dist_of_string ?(theta = 0.99) = function
-  | "uniform" -> Some Uniform
-  | "zipfian" -> Some (Zipfian theta)
-  | _ -> None
-
 (* Zeta partial sum: sum_{i=1..n} 1/i^theta. Computed once per key
    space; key spaces here are at most a few hundred thousand, so a
    direct sum is fine and keeps the constant bit-for-bit reproducible. *)

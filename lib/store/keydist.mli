@@ -18,10 +18,6 @@ type dist = Uniform | Zipfian of float  (** skew exponent, in (0, 1) *)
 
 val dist_to_string : dist -> string
 
-val dist_of_string : ?theta:float -> string -> dist option
-(** ["uniform"] or ["zipfian"]; [theta] (default [0.99]) parameterizes
-    the latter. *)
-
 type space
 (** A key space: the number of keys and the distribution over them,
     with the Zipfian normalization constants already computed. Those

@@ -9,13 +9,6 @@ let mode_to_string = function
   | Lock -> "lock"
   | Mvcc -> "mvcc"
 
-let mode_of_string = function
-  | "strong" -> Some Strong
-  | "weak" -> Some Weak
-  | "lock" -> Some Lock
-  | "mvcc" -> Some Mvcc
-  | _ -> None
-
 let config = function
   | Strong -> Stm_core.Config.eager_strong
   | Weak | Lock -> Stm_core.Config.eager_weak
@@ -367,9 +360,6 @@ let fold t ~init ~f =
   !acc
 
 let entry_count t = fold t ~init:0 ~f:(fun n _ _ -> n + 1)
-
-let seqno_sum t =
-  Array.fold_left (fun acc h -> acc + raw_int h fld_seqno) 0 t.headers
 
 let check_invariants t =
   let viols = ref [] in

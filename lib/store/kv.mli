@@ -47,7 +47,6 @@ open Stm_runtime
 type mode = Strong | Weak | Lock | Mvcc
 
 val mode_to_string : mode -> string
-val mode_of_string : string -> mode option
 
 val config : mode -> Stm_core.Config.t
 (** The STM configuration a mode runs under: [eager_strong] for
@@ -133,7 +132,6 @@ val fold : t -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
     order). *)
 
 val entry_count : t -> int
-val seqno_sum : t -> int
 
 val check_invariants : t -> string list
 (** Structural integrity sweep: every entry hashes to the shard and

@@ -1,7 +1,5 @@
 type op = Get | Put | Add | Rmw | Touch | Multi_get | Scan | Insert | Delete
 
-let all_ops = [ Get; Put; Add; Rmw; Touch; Multi_get; Scan; Insert; Delete ]
-
 let nontransactional = function
   | Get | Put | Add -> true
   | Rmw | Touch | Multi_get | Scan | Insert | Delete -> false

@@ -28,7 +28,6 @@ type op =
   | Insert  (** transactional insert of a fresh key *)
   | Delete  (** transactional delete *)
 
-val all_ops : op list
 val op_name : op -> string
 
 val nontransactional : op -> bool
@@ -51,15 +50,7 @@ val of_string : string -> t option
 
 val read_heavy : t  (** 90% get / 5% multi-get / 5% rmw (YCSB B) *)
 
-val update_heavy : t  (** 50% get / 50% non-txn put (YCSB A) *)
-
-val read_only : t  (** 95% get / 5% multi-get (YCSB C) *)
-
 val churn : t  (** 85% get / 10% insert / 5% delete (YCSB D-like) *)
-
-val scan_heavy : t  (** 90% scan / 5% insert / 5% rmw (YCSB E-like) *)
-
-val rmw_mix : t  (** 50% get / 50% transactional rmw (YCSB F) *)
 
 val write_heavy : t  (** 10% get / 40% put / 40% rmw / 10% insert *)
 

@@ -286,6 +286,8 @@ class Javac {
 |};
   }
 
+(* Static arrays initialized by a [clinit]: public data that defeats DEA,
+   as in the paper. *)
 let mpegaudio =
   {
     Workload.name = "mpegaudio";
@@ -347,6 +349,8 @@ class Mpeg {
 |};
   }
 
+(* Provably-local temporaries: the one kernel where intraprocedural
+   escape analysis wins noticeably (paper: -30%). *)
 let mtrt =
   {
     Workload.name = "mtrt";

@@ -5,18 +5,6 @@
     sensitive to). *)
 
 val compress : Workload.t
-val jess : Workload.t
-val db : Workload.t
-val javac : Workload.t
-val mpegaudio : Workload.t
-(** Operates on static arrays initialized by a [clinit]: public data that
-    defeats DEA, as in the paper. *)
-
-val mtrt : Workload.t
-(** Contains provably-local temporaries: the one kernel where
-    intraprocedural escape analysis wins noticeably (paper: -30%). *)
-
-val jack : Workload.t
 
 val all : Workload.t list
 (** In the paper's figure order. *)

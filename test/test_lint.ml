@@ -207,6 +207,97 @@ let scanner_cases () =
         let s = \"min max compare (* List.mem\" and q = {|max|} and ch = '\"'\n\
         let a' = x_max and t = Atomic.compare_and_set")
 
+(* Every [val] a [lib/**/*.mli] exports must have a user outside its
+   module: a whole-word use, outside comments and strings, in a
+   [.ml]/[.mli] of [lib], [bin], [bench] or [test] other than the
+   module's own two files. A value only its own module uses belongs in
+   the [.ml] alone; one nobody uses belongs nowhere. A field or local of
+   the same name counts as a use, so the check can miss a dead value but
+   never flags a live one. *)
+
+let rec files_under dir =
+  Sys.readdir dir |> Array.to_list |> List.sort String.compare
+  |> List.concat_map (fun f ->
+         let path = Filename.concat dir f in
+         if f.[0] = '.' || f.[0] = '_' then []
+         else if Sys.is_directory path then files_under path
+         else if Filename.check_suffix f ".ml" || Filename.check_suffix f ".mli" then [ path ]
+         else [])
+
+(* The identifiers of [src] outside comments and strings, in reverse
+   order, with each ["("] as a token of its own. *)
+let words src =
+  let code = strip src in
+  let n = String.length code in
+  let found = ref [] in
+  let i = ref 0 in
+  while !i < n do
+    if is_ident code.[!i] then begin
+      let start = !i in
+      while !i < n && is_ident code.[!i] do
+        incr i
+      done;
+      found := String.sub code start (!i - start) :: !found
+    end
+    else begin
+      if code.[!i] = '(' then found := "(" :: !found;
+      incr i
+    end
+  done;
+  !found
+
+(* The [val] names an interface declares; an operator ([val ( + )]) is
+   skipped. *)
+let exported src =
+  let rec go = function
+    | "val" :: "(" :: rest -> go rest
+    | "val" :: name :: rest -> name :: go rest
+    | _ :: rest -> go rest
+    | [] -> []
+  in
+  go (List.rev (words src))
+
+(* The export scanner itself: the names it must find and what it must
+   skip. *)
+let export_scanner_cases () =
+  Alcotest.(check (list string))
+    "exported names" [ "run"; "a'"; "pp_json"; "x_1" ]
+    (exported
+       "val run : unit -> unit\n\
+        (** [val hidden] in a doc comment *)\n\
+        val ( + ) : t -> t -> t\n\
+        val a' : int\n\
+        (* val commented : int *)\n\
+        val pp_json :\n  Format.formatter -> t -> unit\n\
+        val x_1 : string (** \"val quoted\" *)")
+
+let unused_exports () =
+  let files = List.concat_map (fun d -> files_under (Filename.concat root d)) [ "lib"; "bin"; "bench"; "test" ] in
+  (* word -> the module (path without extension) of each file using it *)
+  let users = Hashtbl.create 4096 in
+  List.iter
+    (fun f ->
+      List.iter
+        (fun w -> Hashtbl.add users w (Filename.remove_extension f))
+        (List.sort_uniq String.compare (words (read_file f))))
+    files;
+  let interfaces =
+    List.filter
+      (fun f -> Filename.check_suffix f ".mli" && String.starts_with ~prefix:(Filename.concat root "lib") f)
+      files
+  in
+  Alcotest.(check bool) "the scan sees the interfaces" true (List.length interfaces > 60);
+  let offences =
+    List.concat_map
+      (fun mli ->
+        let own = Filename.chop_suffix mli ".mli" in
+        exported (read_file mli)
+        |> List.filter (fun v -> List.for_all (String.equal own) (Hashtbl.find_all users v))
+        |> List.map (fun v -> Printf.sprintf "%s: %s" mli v))
+      interfaces
+  in
+  Alcotest.(check (list string)) "exported values without a user outside their module" [] offences
+
 let suite =
   [
     ( "lint",
@@ -214,5 +305,9 @@ let suite =
         Alcotest.test_case "no polymorphic compare on hot paths" `Quick
           no_polymorphic_compare;
         Alcotest.test_case "scanner flags and skips" `Quick scanner_cases;
+        Alcotest.test_case "every exported value has a user outside its module" `Quick
+          unused_exports;
+        Alcotest.test_case "export scanner finds vals and skips the rest" `Quick
+          export_scanner_cases;
       ] );
   ]

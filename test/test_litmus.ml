@@ -92,6 +92,19 @@ let quiesce_does_not_fix_slu () =
   in
   check_bool "SLU still observable under quiescence" true cell.Matrix.observed
 
+(* An exhaustive cell walks past its first witness: same verdict, the
+   whole outcome set (SDR under weak-eager: 28 schedules, one of them
+   anomalous). *)
+let exhaustive_cell_lists_all_outcomes () =
+  let p = Programs.speculative_dirty_read and m = Modes.Weak Stm_core.Config.Eager in
+  let stop = Matrix.run_cell p m and full = Matrix.run_cell ~exhaustive:true p m in
+  check_bool "same verdict" stop.Matrix.observed full.Matrix.observed;
+  check_bool "the witness stops the default walk early" true (stop.Matrix.runs < full.Matrix.runs);
+  Alcotest.(check (list (pair string int)))
+    "full outcome set"
+    [ ("x=0 y=1", 1); ("x=1 y=0", 9); ("x=1 y=1", 18) ]
+    full.Matrix.outcomes
+
 (* ------------------------------------------------------------------ *)
 (* Explorer unit tests                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -284,6 +297,7 @@ let suite =
              (Modes.Weak Stm_core.Config.Lazy));
         case "quiescence does not fix SDR" quiesce_does_not_fix_sdr;
         case "quiescence does not fix SLU" quiesce_does_not_fix_slu;
+        case "exhaustive cell lists every outcome" exhaustive_cell_lists_all_outcomes;
       ] );
     ( "litmus:explorer",
       [

@@ -13,28 +13,6 @@ let check_bool = Alcotest.(check bool)
 (* Scheduler policies                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let round_robin_rotates () =
-  let order = ref [] in
-  let r =
-    Sched.run ~policy:Sched.Round_robin (fun () ->
-        let mk id () =
-          for _ = 1 to 3 do
-            order := id :: !order;
-            Sched.yield ()
-          done
-        in
-        let a = Sched.spawn (mk 1) in
-        let b = Sched.spawn (mk 2) in
-        let c = Sched.spawn (mk 3) in
-        List.iter Sched.join [ a; b; c ])
-  in
-  check_bool "completed" true (r.Sched.status = Sched.Completed);
-  (* perfect rotation: 1 2 3 1 2 3 1 2 3 *)
-  Alcotest.(check (list int))
-    "round robin order"
-    [ 1; 2; 3; 1; 2; 3; 1; 2; 3 ]
-    (List.rev !order)
-
 let random_policies_differ () =
   let trace seed =
     let log = ref [] in
@@ -342,7 +320,6 @@ let suite =
   [
     ( "more:sched",
       [
-        case "round robin rotates" round_robin_rotates;
         case "random policies differ" random_policies_differ;
         case "min-clock runs all" min_clock_prefers_behind;
       ] );

@@ -192,6 +192,13 @@ let sched_determinism policy () =
   let a = trace () and b = trace () in
   check_bool "two runs identical" true (a = b)
 
+(* A Controlled chooser that rotates through the ready threads: the
+   next tid after [current], wrapping to the lowest. *)
+let rotate current ready =
+  match List.find_opt (fun t -> t > current) ready with
+  | Some t -> t
+  | None -> List.hd ready
+
 let sched_rebase () =
   let r =
     Sched.run (fun () ->
@@ -373,8 +380,8 @@ let suite =
         case "no nesting" sched_no_nesting;
         case "not running" sched_not_running;
         case "determinism (min-clock)" (sched_determinism Sched.Min_clock);
-        case "determinism (round-robin)" (sched_determinism Sched.Round_robin);
         case "determinism (random 1)" (sched_determinism (Sched.Random 1));
+        case "determinism (controlled)" (sched_determinism (Sched.Controlled rotate));
         case "rebase" sched_rebase;
         case "controlled policy" sched_controlled_policy;
         case "thread count" sched_thread_count;
@@ -1345,17 +1352,6 @@ let pick_min_clock _ ready clock =
     (fun b t -> if b < 0 || clock.(t) < clock.(b) then t else b)
     (-1) ready
 
-let pick_round_robin () =
-  let cursor = ref (-1) in
-  fun _ ready _ ->
-    let c =
-      match List.find_opt (fun t -> t > !cursor) ready with
-      | Some t -> t
-      | None -> List.hd ready
-    in
-    cursor := c;
-    c
-
 let rprog_gen =
   let open QCheck.Gen in
   let common =
@@ -1408,7 +1404,6 @@ let register_qcheck =
   let none () = true in
   [
     test "Min_clock" (fun _ -> (Sched.Min_clock, pick_min_clock, false, none));
-    test "Round_robin" (fun _ -> (Sched.Round_robin, pick_round_robin (), false, none));
     test "Random" (fun seed ->
         let rng = Det_rng.create seed in
         ( Sched.Random seed,
@@ -1502,7 +1497,7 @@ let rerun_identical what policy ?max_steps prog =
   check_bool (what ^ ": rerun identical") true (a = b);
   a
 
-let failure_policies = [ Sched.Min_clock; Sched.Round_robin; Sched.Random 7 ]
+let failure_policies = [ Sched.Min_clock; Sched.Random 7 ]
 
 (* Fuel runs out at a switching yield: the yielder is Runnable but not
    on the heap when the loop stops. *)
