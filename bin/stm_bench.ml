@@ -208,17 +208,17 @@ let ablations_cmd =
 (* Backends                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The backends stress and perf can run, named as the fuzz combos name
-   them: eager, lazy, mvcc, mvcc-si, eager-ts, lazy-ts. *)
+(* The backends stress and perf can run: eager, lazy, mvcc, mvcc-si,
+   eager-ts, lazy-ts. *)
 let backends =
   List.map
-    (fun c -> (Stm_check.Combo.backend_string c, c))
-    Stm_check.Fuzz.timestamp_backend_grid
+    (fun b -> (Stm_core.Point.backend_name b, b))
+    Stm_core.Point.backends
 
 let backend_arg choices ~doc =
   Arg.(
     value
-    & opt (enum choices) (List.assoc "eager" choices)
+    & opt (enum choices) Stm_core.Point.(Eager Stm_core.Config.Incremental)
     & info [ "backend" ] ~docv:"BACKEND" ~doc)
 
 (* ------------------------------------------------------------------ *)
@@ -246,8 +246,7 @@ let stress_report_json (r : Stm_harness.Stress.report) =
           r.Stm_harness.Stress.metrics );
     ]
 
-let run_stress scenarios (backend : Stm_check.Combo.t) cm seed fuel
-    metrics_out diag_out =
+let run_stress scenarios backend cm seed fuel metrics_out diag_out =
   let scenarios =
     Option.fold scenarios ~none:Stm_harness.Stress.all_scenarios
       ~some:(fun s -> [ s ])
@@ -257,10 +256,7 @@ let run_stress scenarios (backend : Stm_check.Combo.t) cm seed fuel
         List.map
           (fun s ->
             let r =
-              Stm_harness.Stress.run ?seed ?fuel
-                ~versioning:backend.Stm_check.Combo.versioning
-                ~isolation:backend.Stm_check.Combo.isolation
-                ~validation:backend.Stm_check.Combo.validation ~cm s
+              Stm_harness.Stress.run ?seed ?fuel ~backend ~cm s
             in
             Fmt.pr "%a@." Stm_harness.Stress.pp_report r;
             (match (diag, r.Stm_harness.Stress.starved) with
@@ -285,15 +281,15 @@ let run_stress scenarios (backend : Stm_check.Combo.t) cm seed fuel
              ( "backend",
                Stm_obs.Json.Str
                  (Stm_core.Config.versioning_to_string
-                    backend.Stm_check.Combo.versioning) );
+                    (Stm_core.Point.versioning backend)) );
              ( "isolation",
                Stm_obs.Json.Str
                  (Stm_core.Config.isolation_to_string
-                    backend.Stm_check.Combo.isolation) );
+                    (Stm_core.Point.isolation backend)) );
              ( "validation",
                Stm_obs.Json.Str
                  (Stm_core.Config.validation_to_string
-                    backend.Stm_check.Combo.validation) );
+                    (Stm_core.Point.validation backend)) );
              ("seed", Stm_obs.Json.Int (Option.value ~default:0 seed));
              ( "threshold",
                Stm_obs.Json.Int Stm_harness.Stress.starvation_threshold );
@@ -602,25 +598,18 @@ let diag_gated c =
 
 (* Each backend (and validation scheme) ratchets against its own
    checked-in baseline; an explicit --baseline overrides the choice. *)
-let default_baseline (backend : Stm_check.Combo.t) =
-  match (backend.Stm_check.Combo.versioning, backend.Stm_check.Combo.validation) with
-  | Stm_core.Config.Mvcc, _ -> "bench/baseline-mvcc.json"
-  | ( (Stm_core.Config.Eager | Stm_core.Config.Lazy),
-      Stm_core.Config.Timestamp ) ->
-      "bench/baseline-timestamp.json"
-  | ( (Stm_core.Config.Eager | Stm_core.Config.Lazy),
-      Stm_core.Config.Incremental ) ->
-      "bench/baseline.json"
+let default_baseline backend =
+  match (backend, Stm_core.Point.validation backend) with
+  | Stm_core.Point.Mvcc _, _ -> "bench/baseline-mvcc.json"
+  | _, Stm_core.Config.Timestamp -> "bench/baseline-timestamp.json"
+  | _, Stm_core.Config.Incremental -> "bench/baseline.json"
 
-let run_perf quick (backend : Stm_check.Combo.t) out baseline threshold
-    diag_gate =
+let run_perf quick backend out baseline threshold diag_gate =
   let baseline = Option.value baseline ~default:(default_baseline backend) in
-  let validation = backend.Stm_check.Combo.validation in
-  let backend = backend.Stm_check.Combo.versioning in
-  let report = Stm_perf.Perf.suite ~quick ~backend ~validation () in
+  let report = Stm_perf.Perf.suite ~quick ~backend () in
   Fmt.pr "backend: %s (%s validation)@."
-    (Stm_core.Config.versioning_to_string backend)
-    (Stm_core.Config.validation_to_string validation);
+    (Stm_core.Config.versioning_to_string (Stm_core.Point.versioning backend))
+    (Stm_core.Config.validation_to_string (Stm_core.Point.validation backend));
   Fmt.pr "%a" Stm_perf.Perf.pp_report report;
   Cli.write_json out (Stm_perf.Perf.to_json report);
   Fmt.pr "perf results written to %s@." out;
@@ -689,12 +678,11 @@ let run_perf quick (backend : Stm_check.Combo.t) out baseline threshold
         end
 
 let perf_cmd =
-  (* Perf.suite has no isolation knob: every member but mvcc-si *)
+  (* every backend but mvcc-si, which has no perf baseline of its own *)
   let backend =
     backend_arg
       (List.filter
-         (fun (_, c) ->
-           c.Stm_check.Combo.isolation = Stm_core.Config.Serializable)
+         (fun (_, b) -> Stm_core.Point.isolation b = Stm_core.Config.Serializable)
          backends)
       ~doc:
         "Backend the txn/*, barrier/*, diag/* and store/* benches run under: \

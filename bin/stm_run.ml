@@ -9,29 +9,38 @@
 
 open Cmdliner
 
-let config_of_string detect_races s =
-  let base =
-    match s with
-    | "weak-eager" -> Ok Stm_core.Config.eager_weak
-    | "weak-lazy" -> Ok Stm_core.Config.lazy_weak
-    | "strong-eager" -> Ok Stm_core.Config.eager_strong
-    | "strong-lazy" -> Ok Stm_core.Config.lazy_strong
-    | "strong-eager-dea" -> Ok Stm_core.Config.(with_dea eager_strong)
-    | "strong-lazy-dea" -> Ok Stm_core.Config.(with_dea lazy_strong)
-    | "quiesce-eager" -> Ok Stm_core.Config.(with_quiescence eager_weak)
-    | "quiesce-lazy" -> Ok Stm_core.Config.(with_quiescence lazy_weak)
-    | "weak-mvcc" -> Ok Stm_core.Config.mvcc_weak
-    | "strong-mvcc" -> Ok Stm_core.Config.mvcc_strong
-    | "mvcc-snapshot" ->
-        Ok Stm_core.Config.(with_snapshot_isolation mvcc_weak)
-    | other -> Error ("unknown config " ^ other)
+(* The --config names: eager and lazy under every atomicity, mvcc weak
+   and strong, and weak snapshot mvcc. Each is its point's name, except
+   two older spellings: DEA reads strong-BACKEND-dea, and weak snapshot
+   mvcc reads mvcc-snapshot. *)
+let configs =
+  let open Stm_core in
+  let open Point in
+  let mvcc = Mvcc Config.Serializable in
+  let spelling = function
+    | { atomicity = Dea; backend } ->
+        String.concat "-"
+          [ atomicity_name Strong; backend_name backend; atomicity_name Dea ]
+    | { atomicity = Weak; backend = Mvcc (Config.Snapshot as i) } ->
+        backend_name mvcc ^ "-" ^ Config.isolation_to_string i
+    | p -> name p
   in
-  Result.map
-    (fun c ->
-      if detect_races then
-        { c with Stm_core.Config.conflict = Stm_core.Config.Raise_error }
-      else c)
-    base
+  List.map
+    (fun p -> (spelling p, p))
+    (List.concat_map
+       (fun a -> [ v (Eager Config.Incremental) a; v (Lazy Config.Incremental) a ])
+       [ Weak; Strong; Dea; Quiesce ]
+    @ [ v mvcc Weak; v mvcc Strong; v (Mvcc Config.Snapshot) Weak ])
+
+let config_of_string detect_races s =
+  match List.assoc_opt s configs with
+  | None -> Error ("unknown config " ^ s)
+  | Some p ->
+      let c = Stm_core.Point.config p in
+      Ok
+        (if detect_races then
+           { c with Stm_core.Config.conflict = Stm_core.Config.Raise_error }
+         else c)
 
 let parse_param s =
   match String.index_opt s '=' with
@@ -303,7 +312,9 @@ let config_arg =
     value & opt string "strong-eager-dea"
     & info [ "c"; "config" ] ~docv:"CFG"
         ~doc:
-          "STM configuration: weak-eager, weak-lazy, strong-eager, strong-lazy, strong-eager-dea, strong-lazy-dea, quiesce-eager, quiesce-lazy, weak-mvcc, strong-mvcc, mvcc-snapshot (multi-version at snapshot isolation).")
+          ("STM configuration: "
+          ^ String.concat ", " (List.map fst configs)
+          ^ " (multi-version at snapshot isolation)."))
 
 let opt_arg =
   Arg.(

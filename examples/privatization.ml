@@ -10,6 +10,7 @@
    neither did. The systematic explorer shows which STM implementations
    break this, and that both strong atomicity and quiescence repair it. *)
 
+open Stm_core
 open Stm_litmus
 
 let () =
@@ -32,10 +33,9 @@ let () =
         (Explorer.observed e program.Programs.is_anomalous)
         outcomes)
     (Modes.all_fig6
-    @ [
-        Modes.Weak_quiesce Stm_core.Config.Eager;
-        Modes.Weak_quiesce Stm_core.Config.Lazy;
-      ]);
+    @ List.map
+        (fun b -> Modes.Stm (Point.v b Point.Quiesce))
+        [ Point.Eager Config.Incremental; Point.Lazy Config.Incremental ]);
   Fmt.pr
     "@.weak-eager breaks it with a speculative dirty read (the doomed@.\
      transaction's in-place increments); weak-lazy with a memory-ordering@.\

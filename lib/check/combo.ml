@@ -1,80 +1,29 @@
-(* One point in the configuration space the sweep covers: versioning x
-   isolation level x atomicity flavor x contention-management policy. *)
+(* One point in the configuration space the sweep covers: a backend x
+   atomicity point under a contention-management policy. *)
 
 module Config = Stm_core.Config
+module Point = Stm_core.Point
 
-type atomicity = Weak | Strong | Strong_dea | Quiesce
-
-type t = {
-  versioning : Config.versioning;
-  isolation : Config.isolation;
-  validation : Config.validation;
-  atomicity : atomicity;
-  cm : Stm_cm.Policy.t;
-}
-
-let atomicity_to_string = function
-  | Weak -> "weak"
-  | Strong -> "strong"
-  | Strong_dea -> "dea"
-  | Quiesce -> "quiesce"
-
-let atomicity_of_string = function
-  | "weak" -> Some Weak
-  | "strong" -> Some Strong
-  | "dea" -> Some Strong_dea
-  | "quiesce" -> Some Quiesce
-  | _ -> None
-
-let versioning_to_string = Config.versioning_to_string
-let versioning_of_string = Config.versioning_of_string
-
-(* The isolation knob only distinguishes mvcc combos; it is silent in
-   names and JSON for the single-version backends (and for mvcc at the
-   default serializable level), so existing repro artifacts keep their
-   identity. The validation knob is likewise silent at the default
-   [Incremental]; timestamp-mode combos carry a "-ts" suffix. *)
-let backend_string t =
-  let base =
-    match (t.versioning, t.isolation) with
-    | Config.Mvcc, Config.Snapshot -> "mvcc-si"
-    | v, _ -> versioning_to_string v
-  in
-  match t.validation with
-  | Config.Incremental -> base
-  | Config.Timestamp -> base ^ "-ts"
+type t = { point : Point.t; cm : Stm_cm.Policy.t }
 
 let name t =
-  Printf.sprintf "%s-%s/%s" (backend_string t)
-    (atomicity_to_string t.atomicity)
+  Printf.sprintf "%s-%s/%s"
+    (Point.backend_name t.point.Point.backend)
+    (Point.atomicity_name t.point.Point.atomicity)
     (Stm_cm.Policy.to_string t.cm)
 
 let to_config ?(cm_seed = 0) t =
-  let base =
-    match (t.versioning, t.atomicity) with
-    | Config.Eager, Weak -> Config.eager_weak
-    | Config.Lazy, Weak -> Config.lazy_weak
-    | Config.Mvcc, Weak -> Config.mvcc_weak
-    | Config.Eager, Strong -> Config.eager_strong
-    | Config.Lazy, Strong -> Config.lazy_strong
-    | Config.Mvcc, Strong -> Config.mvcc_strong
-    | Config.Eager, Strong_dea -> Config.with_dea Config.eager_strong
-    | Config.Lazy, Strong_dea -> Config.with_dea Config.lazy_strong
-    | Config.Mvcc, Strong_dea -> Config.with_dea Config.mvcc_strong
-    | Config.Eager, Quiesce -> Config.with_quiescence Config.eager_weak
-    | Config.Lazy, Quiesce -> Config.with_quiescence Config.lazy_weak
-    | Config.Mvcc, Quiesce ->
-        (* quiescence is an eager-commit epoch protocol; mvcc commits have
-           no write-back window to order, so the flag would be inert -
-           map the combo to plain weak mvcc rather than pretend *)
-        Config.mvcc_weak
-  in
-  let base = Config.with_isolation t.isolation base in
-  let base = Config.with_validation t.validation base in
-  { (Config.with_cm t.cm base) with Config.cm_seed }
+  { (Point.config t.point) with Config.cm = t.cm; cm_seed }
 
-let all_atomicities = [ Weak; Strong; Strong_dea; Quiesce ]
-let all_versionings = [ Config.Eager; Config.Lazy; Config.Mvcc ]
+(* Every point whose backend validates with [validation], each under
+   [policies point]. *)
+let grid validation policies =
+  List.concat_map
+    (fun point ->
+      if Point.validation point.Point.backend = validation then
+        List.map (fun cm -> { point; cm }) (policies point)
+      else [])
+    Point.all
 
 (* The classic grid: {eager,lazy} x all atomicities x all CM policies.
    mvcc extends it on two axes of its own - {serializable,snapshot} x
@@ -82,96 +31,57 @@ let all_versionings = [ Config.Eager; Config.Lazy; Config.Mvcc ]
    ownership, so transactions never meet in the contention manager and
    the CM axis is degenerate there. *)
 let all =
-  List.concat_map
-    (fun v ->
-      List.concat_map
-        (fun a ->
-          List.map
-            (fun cm ->
-              {
-                versioning = v;
-                isolation = Config.Serializable;
-                validation = Config.Incremental;
-                atomicity = a;
-                cm;
-              })
-            Stm_cm.Policy.all)
-        all_atomicities)
-    [ Config.Eager; Config.Lazy ]
-  @ List.concat_map
-      (fun isolation ->
-        List.map
-          (fun a ->
-            {
-              versioning = Config.Mvcc;
-              isolation;
-              validation = Config.Incremental;
-              atomicity = a;
-              cm = Stm_cm.Policy.Suicide;
-            })
-          [ Weak; Strong; Strong_dea ])
-      [ Config.Serializable; Config.Snapshot ]
+  grid Config.Incremental (fun p ->
+      match p.Point.backend with
+      | Point.Mvcc _ -> [ Stm_cm.Policy.Suicide ]
+      | Point.Eager _ | Point.Lazy _ -> Stm_cm.Policy.all)
 
 (* The timestamp-mode certification grid: every single-version atomicity
    flavor under a spread of contention managers — 24 points. Kept apart
    from {!all} so default sweeps (and their artifacts) are unchanged. *)
 let timestamp_grid =
-  List.concat_map
-    (fun v ->
-      List.concat_map
-        (fun a ->
-          List.map
-            (fun cm ->
-              {
-                versioning = v;
-                isolation = Config.Serializable;
-                validation = Config.Timestamp;
-                atomicity = a;
-                cm;
-              })
-            [ Stm_cm.Policy.Suicide; Stm_cm.Policy.Wound_wait;
-              Stm_cm.Policy.Timestamp ])
-        all_atomicities)
-    [ Config.Eager; Config.Lazy ]
+  grid Config.Timestamp (fun _ ->
+      [ Stm_cm.Policy.Suicide; Stm_cm.Policy.Wound_wait; Stm_cm.Policy.Timestamp ])
 
 open Stm_obs
 
+(* The isolation and validation members are written only away from
+   their defaults, so repro artifacts older than either axis keep their
+   bytes and still parse. *)
 let to_json t =
+  let b = t.point.Point.backend in
   Json.Obj
     ([
-       ("versioning", Json.Str (versioning_to_string t.versioning));
-       ("atomicity", Json.Str (atomicity_to_string t.atomicity));
+       ("versioning", Json.Str (Config.versioning_to_string (Point.versioning b)));
+       ("atomicity", Json.Str (Point.atomicity_name t.point.Point.atomicity));
        ("cm", Json.Str (Stm_cm.Policy.to_string t.cm));
      ]
-    @ (match t.isolation with
+    @ (match Point.isolation b with
       | Config.Serializable -> []
-      | Config.Snapshot ->
-          [ ("isolation", Json.Str (Config.isolation_to_string t.isolation)) ])
+      | Config.Snapshot as i ->
+          [ ("isolation", Json.Str (Config.isolation_to_string i)) ])
     @
-    match t.validation with
+    match Point.validation b with
     | Config.Incremental -> []
-    | Config.Timestamp ->
-        [ ("validation", Json.Str (Config.validation_to_string t.validation)) ])
+    | Config.Timestamp as v ->
+        [ ("validation", Json.Str (Config.validation_to_string v)) ])
 
 let ( let* ) = Option.bind
 
 let of_json j =
-  let* v = Option.bind (Json.member "versioning" j) Json.to_str_opt in
-  let* v = versioning_of_string v in
-  let* a = Option.bind (Json.member "atomicity" j) Json.to_str_opt in
-  let* a = atomicity_of_string a in
-  let* cm = Option.bind (Json.member "cm" j) Json.to_str_opt in
-  let* cm = Stm_cm.Policy.of_string cm in
-  (* absent isolation member = serializable: pre-mvcc repro files *)
+  let str key = Option.bind (Json.member key j) Json.to_str_opt in
+  let optional key ~default of_string =
+    match str key with None -> Some default | Some s -> of_string s
+  in
+  let* versioning = Option.bind (str "versioning") Config.versioning_of_string in
+  let* atomicity = Option.bind (str "atomicity") Point.atomicity_of_name in
+  let* cm = Option.bind (str "cm") Stm_cm.Policy.of_string in
   let* isolation =
-    match Option.bind (Json.member "isolation" j) Json.to_str_opt with
-    | None -> Some Config.Serializable
-    | Some s -> Config.isolation_of_string s
+    optional "isolation" ~default:Config.Serializable Config.isolation_of_string
   in
-  (* absent validation member = incremental: pre-timestamp repro files *)
   let* validation =
-    match Option.bind (Json.member "validation" j) Json.to_str_opt with
-    | None -> Some Config.Incremental
-    | Some s -> Config.validation_of_string s
+    optional "validation" ~default:Config.Incremental Config.validation_of_string
   in
-  Some { versioning = v; isolation; validation; atomicity = a; cm }
+  let* backend = Point.backend_of versioning isolation validation in
+  let* point = Point.make backend atomicity in
+  Some { point; cm }

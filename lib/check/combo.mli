@@ -1,33 +1,13 @@
-(** One point in the configuration space the fuzz sweep covers:
-    versioning x isolation level x atomicity flavor x
+(** One point in the configuration space the fuzz sweep covers: a
+    {!Stm_core.Point} (backend x atomicity flavor) under a
     contention-management policy. *)
 
-type atomicity =
-  | Weak
-  | Strong
-  | Strong_dea  (** strong atomicity + dynamic escape analysis *)
-  | Quiesce  (** weak barriers + commit-time quiescence *)
-
-type t = {
-  versioning : Stm_core.Config.versioning;
-  isolation : Stm_core.Config.isolation;
-      (** [Snapshot] is only meaningful with [Mvcc]; the single-version
-          backends are always serializable *)
-  validation : Stm_core.Config.validation;
-      (** [Timestamp] is only meaningful with the single-version
-          backends; mvcc ignores it *)
-  atomicity : atomicity;
-  cm : Stm_cm.Policy.t;
-}
-
-val backend_string : t -> string
-(** The backend part of {!name}: ["eager"], ["lazy"], ["mvcc"],
-    ["mvcc-si"] (snapshot isolation), with ["-ts"] appended under
-    timestamp validation. *)
+type t = { point : Stm_core.Point.t; cm : Stm_cm.Policy.t }
 
 val name : t -> string
-(** E.g. ["eager-weak/suicide"], ["mvcc-si-weak/suicide"],
-    ["eager-ts-weak/suicide"] (timestamp validation). *)
+(** Backend, a hyphen, atomicity, then ["/"] and the policy:
+    ["eager-weak/suicide"], ["mvcc-si-weak/suicide"],
+    ["eager-ts-quiesce/timestamp"]. *)
 
 val to_config : ?cm_seed:int -> t -> Stm_core.Config.t
 
@@ -44,9 +24,13 @@ val timestamp_grid : t list
     combos), every one expected serializable. Disjoint from {!all} so
     the default sweep artifacts are byte-identical to the seed. *)
 
-val all_versionings : Stm_core.Config.versioning list
-val atomicity_to_string : atomicity -> string
-val versioning_to_string : Stm_core.Config.versioning -> string
-val versioning_of_string : string -> Stm_core.Config.versioning option
 val to_json : t -> Stm_obs.Json.t
+(** The point's axes and the policy: ["versioning"], ["atomicity"],
+    ["cm"], then ["isolation"] and ["validation"] only away from their
+    defaults. *)
+
 val of_json : Stm_obs.Json.t -> t option
+(** The inverse of {!to_json}; an absent ["isolation"] or ["validation"]
+    is the default, and a combination no point has (mvcc under
+    quiescence, snapshot isolation without mvcc, timestamp validation
+    under mvcc) is [None]. *)

@@ -14,6 +14,8 @@
      weak atomicity + commit-time quiescence. *)
 
 open Stm_obs
+module Config = Stm_core.Config
+module Point = Stm_core.Point
 
 type expectation = Expect_clean | Expect_anomaly
 
@@ -61,19 +63,22 @@ type campaign_result = {
 (* Plan                                                                *)
 (* ------------------------------------------------------------------ *)
 
+let weak_suicide backend =
+  { Combo.point = Point.v backend Point.Weak; cm = Stm_cm.Policy.Suicide }
+
 (* The profiles a configuration flavor is expected to keep clean. *)
-let profiles_for (a : Combo.atomicity) =
+let profiles_for (a : Point.atomicity) =
   match a with
-  | Combo.Weak -> [ Gen.Txn_only ]
-  | Combo.Strong | Combo.Strong_dea -> [ Gen.Txn_only; Gen.Mixed; Gen.Handoff ]
-  | Combo.Quiesce -> [ Gen.Txn_only; Gen.Handoff ]
+  | Point.Weak -> [ Gen.Txn_only ]
+  | Point.Strong | Point.Dea -> [ Gen.Txn_only; Gen.Mixed; Gen.Handoff ]
+  | Point.Quiesce -> [ Gen.Txn_only; Gen.Handoff ]
 
 let clean_campaigns =
   List.concat_map
     (fun combo ->
       List.map
         (fun profile -> { combo; profile; expectation = Expect_clean; driver = None })
-        (profiles_for combo.Combo.atomicity))
+        (profiles_for combo.Combo.point.Point.atomicity))
     Combo.all
 
 (* Positive controls: weak configurations where the paper's anomalies
@@ -85,32 +90,25 @@ let clean_campaigns =
    witness in a fraction of the enumerative DFS's runs at the same
    preemption bound. *)
 let hunt_campaigns =
-  let mk versioning profile driver =
+  let mk backend profile driver =
     {
-      combo =
-        {
-          Combo.versioning;
-          isolation = Stm_core.Config.Serializable;
-          validation = Stm_core.Config.Incremental;
-          atomicity = Combo.Weak;
-          cm = Stm_cm.Policy.Suicide;
-        };
+      combo = weak_suicide backend;
       profile;
       expectation = Expect_anomaly;
       driver;
     }
   in
   [
-    mk Stm_core.Config.Eager Gen.Mixed None;
-    mk Stm_core.Config.Eager Gen.Handoff (Some Drv_dpor);
-    mk Stm_core.Config.Lazy Gen.Mixed None;
-    mk Stm_core.Config.Lazy Gen.Handoff (Some Drv_dpor);
+    mk (Point.Eager Config.Incremental) Gen.Mixed None;
+    mk (Point.Eager Config.Incremental) Gen.Handoff (Some Drv_dpor);
+    mk (Point.Lazy Config.Incremental) Gen.Mixed None;
+    mk (Point.Lazy Config.Incremental) Gen.Handoff (Some Drv_dpor);
     (* weak mvcc: non-transactional writes bypass the version chains, so
        mixed programs must exhibit anomalies just like the other weak
        backends. The window is a single plain store landing between a
        snapshot read and the scheduler-atomic commit, too narrow for
        random sampling - use the explorer, as the handoff hunts do. *)
-    mk Stm_core.Config.Mvcc Gen.Mixed (Some Drv_dpor);
+    mk (Point.Mvcc Config.Serializable) Gen.Mixed (Some Drv_dpor);
   ]
 
 let default_plan = clean_campaigns @ hunt_campaigns
@@ -125,7 +123,7 @@ let timestamp_campaigns =
       List.map
         (fun profile ->
           { combo; profile; expectation = Expect_clean; driver = None })
-        (profiles_for combo.Combo.atomicity))
+        (profiles_for combo.Combo.point.Point.atomicity))
     Combo.timestamp_grid
 
 let timestamp_plan = timestamp_campaigns
@@ -261,43 +259,17 @@ let passed results = List.for_all (fun r -> r.ok) results
    contract admits. Any anomalous member is a reportable divergence and
    carries a replayable repro. *)
 
-let backend_grid =
-  List.map
-    (fun versioning ->
-      {
-        Combo.versioning;
-        isolation = Stm_core.Config.Serializable;
-        validation = Stm_core.Config.Incremental;
-        atomicity = Combo.Weak;
-        cm = Stm_cm.Policy.Suicide;
-      })
-    Combo.all_versionings
-  @ [
-      {
-        Combo.versioning = Stm_core.Config.Mvcc;
-        isolation = Stm_core.Config.Snapshot;
-        validation = Stm_core.Config.Incremental;
-        atomicity = Combo.Weak;
-        cm = Stm_cm.Policy.Suicide;
-      };
-    ]
+(* Every backend at weak atomicity. The differential grid for timestamp
+   certification runs both validation schemes of both single-version
+   backends side by side with the mvcc members, on the same seeded
+   programs and schedules: zero divergence there is the cross-scheme
+   acceptance bar for timestamp mode. *)
+let timestamp_backend_grid = List.map weak_suicide Point.backends
 
-(* The differential grid for timestamp certification: both validation
-   schemes of both single-version backends side by side with the mvcc
-   members, on the same seeded programs and schedules. Zero divergence
-   here is the cross-scheme acceptance bar for timestamp mode. *)
-let timestamp_backend_grid =
-  backend_grid
-  @ List.map
-      (fun versioning ->
-        {
-          Combo.versioning;
-          isolation = Stm_core.Config.Serializable;
-          validation = Stm_core.Config.Timestamp;
-          atomicity = Combo.Weak;
-          cm = Stm_cm.Policy.Suicide;
-        })
-      [ Stm_core.Config.Eager; Stm_core.Config.Lazy ]
+let backend_grid =
+  List.filter
+    (fun c -> Point.validation c.Combo.point.Point.backend = Config.Incremental)
+    timestamp_backend_grid
 
 type divergence = {
   div_prog_seed : int;

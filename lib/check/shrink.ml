@@ -147,7 +147,10 @@ let candidates ?(demote_atomic = true) (p : Prog.t) : Prog.t Seq.t =
      pushed the thread-dropping pass). *)
   List.fold_right Seq.append !seqs Seq.empty
 
-let minimize ?(max_attempts = 10_000) ?(demote_atomic = true) ~keep (p : Prog.t) =
+(* Bound on the total number of [keep] evaluations. *)
+let max_attempts = 10_000
+
+let minimize ?(demote_atomic = true) ~keep (p : Prog.t) =
   let attempts = ref 0 in
   let rec go p =
     let next =

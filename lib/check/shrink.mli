@@ -15,7 +15,7 @@ val candidates : ?demote_atomic:bool -> Prog.t -> Prog.t Seq.t
     minimized counterexample stays in the same program class. *)
 
 val minimize :
-  ?max_attempts:int -> ?demote_atomic:bool -> keep:(Prog.t -> bool) -> Prog.t -> Prog.t
+  ?demote_atomic:bool -> keep:(Prog.t -> bool) -> Prog.t -> Prog.t
 (** [minimize ~keep p] greedily shrinks [p] while [keep] holds. [keep p]
-    itself is assumed true and is not re-checked. [max_attempts]
-    (default 10000) bounds the total number of [keep] evaluations. *)
+    itself is assumed true and is not re-checked. At most 10,000 [keep]
+    evaluations are made in total. *)

@@ -7,7 +7,6 @@ type t = {
   versioning : versioning;
   isolation : isolation;
   validation : validation;
-  mvcc_max_versions : int;
   strong : bool;
   strong_reads : bool;
   strong_writes : bool;
@@ -30,7 +29,6 @@ let base =
     versioning = Eager;
     isolation = Serializable;
     validation = Incremental;
-    mvcc_max_versions = 8;
     strong = false;
     strong_reads = true;
     strong_writes = true;
@@ -58,22 +56,16 @@ let with_dea t = { t with dea = true; read_privacy_check = true }
 let with_granule granule t = { t with granule }
 let with_quiescence t = { t with quiescence = true }
 let with_cm cm t = { t with cm }
-let with_wound_wait t = { t with cm = Stm_cm.Policy.Wound_wait }
 let with_isolation isolation t = { t with isolation }
-let with_snapshot_isolation t = { t with isolation = Snapshot }
 let with_validation validation t = { t with validation }
-let with_timestamp_validation t = { t with validation = Timestamp }
 
 let versioning_to_string = function
   | Eager -> "eager"
   | Lazy -> "lazy"
   | Mvcc -> "mvcc"
 
-let versioning_of_string = function
-  | "eager" -> Some Eager
-  | "lazy" -> Some Lazy
-  | "mvcc" -> Some Mvcc
-  | _ -> None
+let versioning_of_string s =
+  List.find_opt (fun v -> String.equal (versioning_to_string v) s) [ Eager; Lazy; Mvcc ]
 
 let isolation_to_string = function
   | Serializable -> "serializable"

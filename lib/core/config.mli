@@ -50,9 +50,6 @@ type t = {
   isolation : isolation;  (** mvcc isolation level (default [Serializable]) *)
   validation : validation;
       (** read-set validation scheme (default [Incremental]) *)
-  mvcc_max_versions : int;
-      (** mvcc version-chain bound per granule, current version included;
-          reads older than the retained chain abort snapshot-too-old *)
   strong : bool;  (** insert non-transactional isolation barriers *)
   strong_reads : bool;
       (** insert read barriers (Figure 16 measures reads only) *)
@@ -125,18 +122,9 @@ val with_quiescence : t -> t
 val with_cm : Stm_cm.Policy.t -> t -> t
 (** Select a contention-management policy. *)
 
-val with_wound_wait : t -> t
-(** [with_cm Stm_cm.Policy.Wound_wait]. *)
-
 val with_isolation : isolation -> t -> t
 
-val with_snapshot_isolation : t -> t
-(** [with_isolation Snapshot]. *)
-
 val with_validation : validation -> t -> t
-
-val with_timestamp_validation : t -> t
-(** [with_validation Timestamp]. *)
 
 val versioning_to_string : versioning -> string
 val versioning_of_string : string -> versioning option

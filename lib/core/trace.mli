@@ -63,8 +63,8 @@ type abort_cause =
   | Cause_retry  (** user-initiated [retry] *)
   | Cause_snapshot
       (** an mvcc read needed a version older than the granule's retained
-          chain (snapshot too old — the [mvcc_max_versions] bound evicted
-          it) *)
+          chain (snapshot too old — the version-chain bound of
+          {!Stm_mvcc.Mvcc.create} evicted it) *)
   | Cause_exn  (** an exception escaped the atomic block *)
 
 type event =

@@ -182,7 +182,7 @@ let make_ctx (cfg : Config.t) =
         ~max_retries:cfg.Config.max_txn_retries ~cost:cfg.Config.cost
         cfg.Config.cm;
     gvc;
-    mv = Mvcc.create ~gvc ~max_versions:cfg.Config.mvcc_max_versions ();
+    mv = Mvcc.create ~gvc ();
     next_id = 0;
     registry = Int_index.create none;
     pool = [||];

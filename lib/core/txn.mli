@@ -17,9 +17,10 @@
       buffered and installed first-committer-wins at commit under a global
       commit clock (see {!Stm_mvcc.Mvcc}). Read-only transactions
       serialize at their snapshot point and commit validation-free — they
-      are abort-free (up to the {!Config.t.mvcc_max_versions} chain
-      bound). Under {!Config.Serializable} an update transaction's commit
-      additionally re-checks that every read granule is still current;
+      are abort-free (up to the version-chain bound of
+      {!Stm_mvcc.Mvcc.create}, 8 versions per granule). Under
+      {!Config.Serializable} an update transaction's commit additionally
+      re-checks that every read granule is still current;
       under {!Config.Snapshot} it does not, admitting write skew.
 
     Undo-log entries and write-buffer slots cover

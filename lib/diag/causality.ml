@@ -168,7 +168,10 @@ let chain_of t txid =
   in
   go [] max_int txid
 
-let chains ?(min_len = 2) t =
+(* A chain has at least one victim <- aggressor hop where both died. *)
+let chain_min_len = 2
+
+let chains t =
   (* txids that appear as someone's aggressor are interior nodes; chains
      are rooted at victims nobody else points to, so each maximal chain
      is reported once. *)
@@ -181,7 +184,7 @@ let chains ?(min_len = 2) t =
       if Hashtbl.mem interior txid then acc
       else
         let c = chain_of t txid in
-        if List.length c >= min_len then c :: acc else acc)
+        if List.length c >= chain_min_len then c :: acc else acc)
     t.aborts_of []
   |> sort_desc List.length
 
@@ -256,7 +259,7 @@ let chain_json c =
            ])
        c)
 
-let to_json ?(max_chains = 5) t =
+let to_json t =
   let threads =
     List.map
       (fun (tid, s) ->
@@ -271,7 +274,7 @@ let to_json ?(max_chains = 5) t =
             ] ))
       (thread_stats t)
   in
-  let chains_ = List.filteri (fun i _ -> i < max_chains) (chains t) in
+  let chains_ = List.filteri (fun i _ -> i < 5) (chains t) in
   Json.Obj
     [
       ("edges", Json.List (List.map edge_json (edges t)));
@@ -282,7 +285,7 @@ let to_json ?(max_chains = 5) t =
 let pp_tid ppf tid =
   if tid < 0 then Fmt.string ppf "?" else Fmt.pf ppf "t%d" tid
 
-let pp ?(max_chains = 3) ppf t =
+let pp ppf t =
   let es = edges t in
   if es = [] then Fmt.pf ppf "no attributed aborts@."
   else begin
@@ -313,13 +316,13 @@ let pp ?(max_chains = 3) ppf t =
           (if oids = "" then "?" else oids)
           causes dec e.wasted)
       es;
-    (match chains ~min_len:2 t with
+    (match chains t with
     | [] -> ()
     | cs ->
         Fmt.pf ppf "kill chains:@.";
         List.iteri
           (fun i c ->
-            if i < max_chains then
+            if i < 3 then
               Fmt.pf ppf "  %s@."
                 (String.concat " <- "
                    (List.map

@@ -60,10 +60,10 @@ val edges : t -> edge list
 
 val total_attributed : t -> int
 
-val chains : ?min_len:int -> t -> abort_rec list list
-(** Maximal kill chains, longest first, each listed from the final
-    victim backwards to the root aggressor. [min_len] defaults to 2
-    (at least one victim <- aggressor hop where both died). *)
+val chains : t -> abort_rec list list
+(** Maximal kill chains of at least two aborts (one victim <- aggressor
+    hop where both died), longest first, each listed from the final
+    victim backwards to the root aggressor. *)
 
 val thread_stats : t -> (int * tstat) list
 (** Sorted by thread id. *)
@@ -79,5 +79,8 @@ val most_starved : t -> (int * tstat) option
 val top_aggressor : t -> (int * tstat) option
 (** The thread that inflicted the most aborts, if any. *)
 
-val to_json : ?max_chains:int -> t -> Stm_obs.Json.t
-val pp : ?max_chains:int -> Format.formatter -> t -> unit
+val to_json : t -> Stm_obs.Json.t
+(** Edges, per-thread stats and the five longest {!chains}. *)
+
+val pp : Format.formatter -> t -> unit
+(** Edges and the three longest {!chains}. *)

@@ -134,7 +134,7 @@ let contention_management () =
     (result.Stm_runtime.Sched.makespan, stats)
   in
   let c0, s0 = measure Config.eager_weak in
-  let c1, s1 = measure Config.(with_wound_wait eager_weak) in
+  let c1, s1 = measure Config.(with_cm Stm_cm.Policy.Wound_wait eager_weak) in
   [
     {
       label = "suicide (McRT default), hot counter x8 threads";

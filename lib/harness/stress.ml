@@ -40,24 +40,15 @@ type report = {
   starved : int list;
 }
 
-let config ?(versioning = Config.Eager) ?(isolation = Config.Serializable)
-    ?(validation = Config.Incremental) ~cm ~seed () =
-  let base =
-    match versioning with
-    | Config.Eager -> Config.eager_weak
-    | Config.Lazy -> Config.lazy_weak
-    | Config.Mvcc -> Config.mvcc_weak
-  in
-  Config.with_validation validation
-    (Config.with_isolation isolation
-       {
-         base with
-         Config.cm;
-         cm_seed = seed;
-         cost = stress_cost;
-         max_txn_retries = 6;
-         validate_every = 16;
-       })
+let config ?(backend = Point.Eager Config.Incremental) ~cm ~seed () =
+  {
+    (Point.config (Point.v backend Point.Weak)) with
+    Config.cm;
+    cm_seed = seed;
+    cost = stress_cost;
+    max_txn_retries = 6;
+    validate_every = 16;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Scenario bodies (run inside Stm.run's main thread)                  *)
@@ -212,9 +203,8 @@ let body = function
 (* Runner                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let run ?(seed = 0) ?(fuel = 2_000_000) ?versioning ?isolation ?validation
-    ~cm scenario =
-  let cfg = config ?versioning ?isolation ?validation ~cm ~seed () in
+let run ?(seed = 0) ?(fuel = 2_000_000) ?backend ~cm scenario =
+  let cfg = config ?backend ~cm ~seed () in
   let metrics = Stm_obs.Metrics.create () in
   Trace.with_sinks [ (Trace.Info, Stm_obs.Metrics.handle metrics) ] (fun () ->
       let result, stats =

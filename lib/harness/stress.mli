@@ -47,9 +47,7 @@ type report = {
 val run :
   ?seed:int ->
   ?fuel:int ->
-  ?versioning:Stm_core.Config.versioning ->
-  ?isolation:Stm_core.Config.isolation ->
-  ?validation:Stm_core.Config.validation ->
+  ?backend:Stm_core.Point.backend ->
   cm:Stm_cm.Policy.t ->
   scenario ->
   report

@@ -1,3 +1,5 @@
+open Stm_core
+
 type cell = {
   program : Programs.t;
   mode : Modes.t;
@@ -75,19 +77,20 @@ let expected_mvcc =
     ("ro-snapshot", [ false; false; false; false ]);
   ]
 
+(* A column's expectation does not depend on its validation scheme:
+   timestamp validation is a performance scheme, not an isolation
+   change, so modes are matched to table columns without it. *)
+let column = function
+  | Modes.Locks -> None
+  | Modes.Stm { Point.backend = b; atomicity } ->
+      Some (atomicity, Point.versioning b, Point.isolation b)
+
 let expectation program mode =
-  (* Timestamp validation is a performance scheme, not an isolation
-     change: its columns inherit the base modes' expectations. *)
-  let mode =
-    match mode with
-    | Modes.Weak_ts v -> Modes.Weak v
-    | Modes.Strong_ts v -> Modes.Strong v
-    | m -> m
-  in
   let lookup table modes =
     match List.assoc_opt program.Programs.name table with
     | Some row ->
-        List.find_index (fun m -> m = mode) modes |> Option.map (List.nth row)
+        List.find_index (fun m -> column m = column mode) modes
+        |> Option.map (List.nth row)
     | None -> None
   in
   match lookup (expected_fig6 @ expected_extras) Modes.all_fig6 with
@@ -99,12 +102,11 @@ let expectation program mode =
           (* privatization under the classic columns: anomalous under
              both single-version weak modes only *)
           match mode with
-          | Modes.Weak Stm_core.Config.Mvcc -> false
-          | Modes.Weak _ -> true
-          | Modes.Locks | Modes.Strong _ | Modes.Weak_quiesce _
-          | Modes.Snapshot_weak | Modes.Snapshot_strong | Modes.Weak_ts _
-          | Modes.Strong_ts _ ->
-              false))
+          | Modes.Stm
+              { Point.backend = Point.Eager _ | Point.Lazy _; atomicity = Point.Weak }
+            ->
+              true
+          | Modes.Stm _ | Modes.Locks -> false))
 
 (* Decide one cell: [engine] explores the mode's configuration at the
    program's granularity (or [granule]) with a fresh instance per run,
@@ -114,9 +116,7 @@ let decide ?granule ?cm program mode engine =
   let cfg = Modes.config ~granule mode in
   (* contention management must not change which anomalies are
      expressible, so a policy override reuses every expectation *)
-  let cfg =
-    match cm with None -> cfg | Some p -> Stm_core.Config.with_cm p cfg
-  in
+  let cfg = match cm with None -> cfg | Some p -> Config.with_cm p cfg in
   let make () = program.Programs.build (Modes.harness mode cfg) in
   let cell (e : Explorer.exploration) =
     {
@@ -155,10 +155,9 @@ let extras_rows ?preemption_bound ?max_runs ?cm () =
 
 let privatization_modes =
   Modes.all_fig6
-  @ [
-      Modes.Weak_quiesce Stm_core.Config.Eager;
-      Modes.Weak_quiesce Stm_core.Config.Lazy;
-    ]
+  @ List.map
+      (fun b -> Modes.Stm (Point.v b Point.Quiesce))
+      [ Point.Eager Config.Incremental; Point.Lazy Config.Incremental ]
 
 let privatization_row ?preemption_bound ?max_runs ?cm () =
   grid ?preemption_bound ?max_runs ?cm [ Programs.privatization ]

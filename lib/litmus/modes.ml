@@ -1,93 +1,46 @@
 open Stm_core
 open Stm_runtime
 
-type t =
-  | Locks
-  | Weak of Config.versioning
-  | Strong of Config.versioning
-  | Weak_quiesce of Config.versioning
-  | Snapshot_weak
-  | Snapshot_strong
-  | Weak_ts of Config.versioning
-  | Strong_ts of Config.versioning
+type t = Locks | Stm of Point.t
+
+let stm backend atomicity = Stm (Point.v backend atomicity)
+
+(* Weak then strong, each over [backends]. *)
+let columns backends =
+  List.concat_map
+    (fun a -> List.map (fun b -> stm b a) backends)
+    [ Point.Weak; Point.Strong ]
 
 let all_fig6 =
+  let eager = Point.Eager Config.Incremental
+  and lazy_ = Point.Lazy Config.Incremental in
   [
-    Weak Config.Eager;
-    Weak Config.Lazy;
+    stm eager Point.Weak;
+    stm lazy_ Point.Weak;
     Locks;
-    Strong Config.Eager;
-    Strong Config.Lazy;
+    stm eager Point.Strong;
+    stm lazy_ Point.Strong;
   ]
 
 (* The multi-version columns: serializable and snapshot isolation, each
    at weak and strong atomicity. Order is the column order of the
    expectation tables in Matrix. *)
-let all_mvcc =
-  [ Weak Config.Mvcc; Snapshot_weak; Strong Config.Mvcc; Snapshot_strong ]
+let all_mvcc = columns [ Point.Mvcc Config.Serializable; Point.Mvcc Config.Snapshot ]
 
 (* The timestamp-validation columns: the fig6 STM modes with
    [Config.Timestamp] switched on. Expectations are the base modes' —
    the scheme must change performance, never verdicts. *)
-let all_timestamp =
-  [
-    Weak_ts Config.Eager;
-    Weak_ts Config.Lazy;
-    Strong_ts Config.Eager;
-    Strong_ts Config.Lazy;
-  ]
+let all_timestamp = columns [ Point.Eager Config.Timestamp; Point.Lazy Config.Timestamp ]
 
-let vname = function
-  | Config.Eager -> "eager"
-  | Config.Lazy -> "lazy"
-  | Config.Mvcc -> "mvcc"
-
-let name = function
-  | Locks -> "locks"
-  | Weak v -> "weak-" ^ vname v
-  | Strong v -> "strong-" ^ vname v
-  | Weak_quiesce v -> "quiesce-" ^ vname v
-  | Snapshot_weak -> "weak-mvcc-si"
-  | Snapshot_strong -> "strong-mvcc-si"
-  | Weak_ts v -> "weak-" ^ vname v ^ "-ts"
-  | Strong_ts v -> "strong-" ^ vname v ^ "-ts"
+let name = function Locks -> "locks" | Stm p -> Point.name p
 
 let config ?(granule = 1) mode =
-  let tune c =
-    { c with Config.validate_every = 1; cost = Cost.free; granule }
+  let c =
+    match mode with
+    | Locks -> Config.eager_weak
+    | Stm p -> Point.config p
   in
-  match mode with
-  | Locks -> tune Config.eager_weak
-  | Weak v -> tune { Config.base with versioning = v }
-  | Strong v -> tune { Config.base with versioning = v; strong = true }
-  | Weak_quiesce v ->
-      tune { Config.base with versioning = v; quiescence = true }
-  | Snapshot_weak ->
-      tune
-        {
-          Config.base with
-          versioning = Config.Mvcc;
-          isolation = Config.Snapshot;
-        }
-  | Snapshot_strong ->
-      tune
-        {
-          Config.base with
-          versioning = Config.Mvcc;
-          isolation = Config.Snapshot;
-          strong = true;
-        }
-  | Weak_ts v ->
-      tune
-        { Config.base with versioning = v; validation = Config.Timestamp }
-  | Strong_ts v ->
-      tune
-        {
-          Config.base with
-          versioning = v;
-          validation = Config.Timestamp;
-          strong = true;
-        }
+  { c with Config.validate_every = 1; cost = Cost.free; granule }
 
 type harness = {
   atomic : (unit -> unit) -> unit;
@@ -99,8 +52,7 @@ let harness mode (cfg : Config.t) =
   | Locks ->
       let lock = Sim_mutex.create ~name:"litmus" cfg.cost in
       { atomic = (fun f -> Sim_mutex.with_lock lock f); force_abort = (fun () -> ()) }
-  | Weak _ | Strong _ | Weak_quiesce _ | Snapshot_weak | Snapshot_strong
-  | Weak_ts _ | Strong_ts _ ->
+  | Stm _ ->
       let fired = ref false in
       {
         atomic = (fun f -> Stm.atomic f);

@@ -1,20 +1,12 @@
 (** Execution modes for litmus programs — the columns of Figure 6 plus the
-    Section 3.4 quiescence variants. *)
+    Section 3.4 quiescence variants and the multi-version and
+    timestamp-validation columns. *)
 
 open Stm_core
 
 type t =
   | Locks  (** critical sections via a single mutual-exclusion lock *)
-  | Weak of Config.versioning
-  | Strong of Config.versioning
-  | Weak_quiesce of Config.versioning
-      (** weak atomicity plus the quiescence commit protocol *)
-  | Snapshot_weak  (** mvcc at snapshot isolation, weak barriers *)
-  | Snapshot_strong  (** mvcc at snapshot isolation, strong barriers *)
-  | Weak_ts of Config.versioning
-      (** weak atomicity under global-commit-clock (timestamp) validation *)
-  | Strong_ts of Config.versioning
-      (** strong atomicity under timestamp validation *)
+  | Stm of Point.t  (** atomic blocks as transactions at this point *)
 
 val all_fig6 : t list
 (** The five Figure 6 columns: eager-weak, lazy-weak, locks, strong-eager,
@@ -31,11 +23,13 @@ val all_timestamp : t list
     change a litmus verdict. *)
 
 val name : t -> string
+(** ["locks"], or the point's {!Point.name}. *)
 
 val config : ?granule:int -> t -> Config.t
 (** STM configuration for the mode (litmus programs validate on every
     access, use the free cost model, and back off on conflicts). Lock mode
-    runs the weak configuration, with atomic blocks mapped to a mutex. *)
+    runs the weak-eager configuration, with atomic blocks mapped to a
+    mutex. *)
 
 (** Per-instance harness handed to a litmus program body. *)
 type harness = {

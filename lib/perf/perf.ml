@@ -9,8 +9,7 @@ type sample = {
 
 type report = {
   quick : bool;
-  backend : Stm_core.Config.versioning;
-  validation : Stm_core.Config.validation;
+  backend : Stm_core.Point.backend;
   samples : sample list;
 }
 
@@ -25,13 +24,9 @@ type report = {
 
 let cell = "PerfCell"
 
-(* The weak-atomicity configuration the backend-sensitive txn/diag
-   benches run under. The [lazy-write-commit] bench stays pinned to the
-   lazy backend as a fixed cross-backend reference point. *)
-let cfg_of_backend = function
-  | Stm_core.Config.Eager -> Stm_core.Config.eager_weak
-  | Stm_core.Config.Lazy -> Stm_core.Config.lazy_weak
-  | Stm_core.Config.Mvcc -> Stm_core.Config.mvcc_weak
+module Point = Stm_core.Point
+
+let eager = Point.Eager Stm_core.Config.Incremental
 
 (* Re-read the same granule many times inside one transaction. Before the
    dedup-on-insert read set this grew the read set by one entry per read
@@ -263,7 +258,7 @@ let fig6_explorer () =
   ignore
     (Stm_litmus.Matrix.run_cell ~max_runs:500
        Stm_litmus.Programs.speculative_lost_update
-       (Stm_litmus.Modes.Weak Stm_core.Config.Eager))
+       (Stm_litmus.Modes.Stm (Point.v eager Point.Weak)))
 
 (* One DPOR walk of a fixed Figure-6 cell, the DPOR half of what the
    [certify] workload does per cell: speculative lost update under
@@ -273,7 +268,7 @@ let fig6_explorer () =
    what it exercises beside the simulation itself. *)
 let dpor_cell =
   let program = Stm_litmus.Programs.speculative_lost_update in
-  let mode = Stm_litmus.Modes.Strong Stm_core.Config.Eager in
+  let mode = Stm_litmus.Modes.Stm (Point.v eager Point.Strong) in
   let cfg =
     Stm_litmus.Modes.config ~granule:program.Stm_litmus.Programs.needs_granule mode
   in
@@ -396,20 +391,17 @@ let store_bench mode profile =
   in
   fun () -> ignore (Stm_store.Engine.run p)
 
-let bodies ?(validation = Stm_core.Config.Incremental) backend :
-    (string * (unit -> unit)) list =
-  let cfg = Stm_core.Config.with_validation validation (cfg_of_backend backend) in
-  let strong_cfg =
-    Stm_core.Config.with_validation validation
-      (match backend with
-      | Stm_core.Config.Eager -> Stm_core.Config.eager_strong
-      | Stm_core.Config.Lazy -> Stm_core.Config.lazy_strong
-      | Stm_core.Config.Mvcc -> Stm_core.Config.mvcc_strong)
-  in
+(* The backend-sensitive txn/diag benches run under the backend's weak
+   configuration, the barrier and check benches under its strong one.
+   The [lazy-write-commit] bench stays pinned to the lazy backend as a
+   fixed cross-backend reference point. *)
+let bodies backend : (string * (unit -> unit)) list =
+  let cfg = Point.config (Point.v backend Point.Weak) in
+  let strong_cfg = Point.config (Point.v backend Point.Strong) in
   let store_mode =
     match backend with
-    | Stm_core.Config.Mvcc -> Stm_store.Kv.Mvcc
-    | Stm_core.Config.Eager | Stm_core.Config.Lazy -> Stm_store.Kv.Strong
+    | Point.Mvcc _ -> Stm_store.Kv.Mvcc
+    | Point.Eager _ | Point.Lazy _ -> Stm_store.Kv.Strong
   in
   [
     ("txn/revalidate", revalidate cfg);
@@ -439,7 +431,7 @@ let bodies ?(validation = Stm_core.Config.Incremental) backend :
     ("store/batch", store_bench store_mode Stm_store.Profile.batch_mix);
   ]
 
-let bench_names = List.map fst (bodies Stm_core.Config.Eager)
+let bench_names = List.map fst (bodies eager)
 
 (* Operations per invocation, for the benches reported per operation
    rather than per call. *)
@@ -472,9 +464,8 @@ let alloc_words_of f =
 
 let group_name = "perf"
 
-let suite ?(quick = false) ?(backend = Stm_core.Config.Eager)
-    ?(validation = Stm_core.Config.Incremental) () =
-  let bodies = bodies ~validation backend in
+let suite ?(quick = false) ?(backend = eager) () =
+  let bodies = bodies backend in
   let tests =
     Test.make_grouped ~name:group_name
       (List.map (fun (n, f) -> Test.make ~name:n (Staged.stage f)) bodies)
@@ -507,7 +498,7 @@ let suite ?(quick = false) ?(backend = Stm_core.Config.Eager)
       bodies
     |> List.sort (fun a b -> compare a.name b.name)
   in
-  { quick; backend; validation; samples }
+  { quick; backend; samples }
 
 (* ------------------------------------------------------------------ *)
 (* JSON, baseline comparison                                           *)
@@ -520,9 +511,11 @@ let to_json r =
       ("schema", Json.Str "stm-perf/1");
       ("quick", Json.Bool r.quick);
       ( "backend",
-        Json.Str (Stm_core.Config.versioning_to_string r.backend) );
+        Json.Str
+          (Stm_core.Config.versioning_to_string (Point.versioning r.backend)) );
       ( "validation",
-        Json.Str (Stm_core.Config.validation_to_string r.validation) );
+        Json.Str
+          (Stm_core.Config.validation_to_string (Point.validation r.backend)) );
       ( "benches",
         Json.Obj
           (List.map

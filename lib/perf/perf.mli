@@ -28,8 +28,7 @@ type sample = {
 
 type report = {
   quick : bool;
-  backend : Stm_core.Config.versioning;  (** see {!suite} *)
-  validation : Stm_core.Config.validation;  (** see {!suite} *)
+  backend : Stm_core.Point.backend;  (** see {!suite} *)
   samples : sample list;  (** sorted by name *)
 }
 
@@ -38,20 +37,20 @@ val bench_names : string list
 
 val suite :
   ?quick:bool ->
-  ?backend:Stm_core.Config.versioning ->
-  ?validation:Stm_core.Config.validation ->
+  ?backend:Stm_core.Point.backend ->
   unit ->
   report
 (** Run every microbench and end-to-end bench. [quick] shrinks the
     Bechamel quota for CI smoke runs (same operations, fewer samples).
-    [backend] (default [Eager]) selects the versioning backend the
-    backend-sensitive benches run under — the txn/* and diag/* benches
-    switch their weak-atomicity configuration, the store/* benches run
-    the store's matching mode ([Kv.Mvcc] under mvcc, [Kv.Strong]
+    [backend] (default eager, incremental validation) selects the
+    backend the backend-sensitive benches run under — the txn/* and
+    diag/* benches switch their weak-atomicity configuration, the
+    barrier/* and check/* benches their strong one, the store/* benches
+    run the store's matching mode ([Kv.Mvcc] under mvcc, [Kv.Strong]
     otherwise); [lazy-write-commit] and the end-to-end figure/fuzz units
-    keep their own fixed configurations. [validation] (default
-    [Incremental]) switches the txn/* and diag/* configuration to the
-    global-commit-clock scheme; the revalidate-heavy and
+    keep their own fixed configurations. Timestamp validation
+    (eager-ts, lazy-ts) switches the txn/* and diag/* configuration to
+    the global-commit-clock scheme; the revalidate-heavy and
     read-only-commit benches are its showcase — see docs/PERFORMANCE.md.
     Reports for different backends/validation schemes ratchet against
     different baseline files ([bench/baseline.json],

@@ -4,6 +4,10 @@
    publish/privatize regression. *)
 
 open Stm_check
+module Point = Stm_core.Point
+
+let eager = Point.Eager Stm_core.Config.Incremental
+let lazy_ = Point.Lazy Stm_core.Config.Incremental
 
 (* ------------------------------------------------------------------ *)
 (* Hand-built histories for the graph oracle                           *)
@@ -889,22 +893,140 @@ let test_prog_json_roundtrip () =
       done)
     profiles
 
+(* ------------------------------------------------------------------ *)
+(* The configuration space                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Every value each vocabulary can build: 22 points (6 backends x 4
+   atomicities, less quiescence on the two mvcc backends), 110 combos
+   (every point under every policy), 23 litmus modes (locks and every
+   point). *)
+let every_combo =
+  List.concat_map
+    (fun point -> List.map (fun cm -> { Combo.point; cm }) Stm_cm.Policy.all)
+    Point.all
+
+let every_mode = Stm_litmus.Modes.Locks :: List.map (fun p -> Stm_litmus.Modes.Stm p) Point.all
+
+let test_space_counts () =
+  Alcotest.(check int) "backends" 6 (List.length Point.backends);
+  Alcotest.(check int) "points" 22 (List.length Point.all);
+  Alcotest.(check int) "combos" 110 (List.length every_combo);
+  Alcotest.(check int) "modes" 23 (List.length every_mode);
+  List.iter
+    (fun b ->
+      Alcotest.(check bool)
+        (Point.backend_name b ^ " has no quiescence")
+        (match b with Point.Mvcc _ -> true | Point.Eager _ | Point.Lazy _ -> false)
+        (Point.make b Point.Quiesce = None))
+    Point.backends;
+  match Point.v (Point.Mvcc Stm_core.Config.Snapshot) Point.Quiesce with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "Point.v built mvcc under quiescence"
+
+(* What the grids, the litmus matrix and the CLIs name lies inside the
+   enumeration above. *)
+let test_space_covers_grids () =
+  let in_list what l x =
+    if not (List.mem x l) then Alcotest.failf "%s outside the enumeration" what
+  in
+  List.iter
+    (fun c -> in_list (Combo.name c) every_combo c)
+    (Combo.all @ Combo.timestamp_grid @ Fuzz.timestamp_backend_grid
+    @ List.map (fun c -> c.Fuzz.combo) (Fuzz.default_plan @ Fuzz.timestamp_plan));
+  List.iter
+    (fun (_, m, _) -> in_list (Stm_litmus.Modes.name m) every_mode m)
+    (Stm_litmus.Matrix.full_matrix ());
+  Alcotest.(check (list string))
+    "stress and perf backends" [ "eager"; "lazy"; "mvcc"; "mvcc-si"; "eager-ts"; "lazy-ts" ]
+    (List.map Point.backend_name Point.backends)
+
+let test_space_names_roundtrip () =
+  List.iter
+    (fun p ->
+      if Point.of_name (Point.name p) <> Some p then Alcotest.failf "point %s" (Point.name p))
+    Point.all;
+  let distinct what names =
+    Alcotest.(check int) (what ^ " names distinct") (List.length names)
+      (List.length (List.sort_uniq String.compare names))
+  in
+  distinct "point" (List.map Point.name Point.all);
+  distinct "combo" (List.map Combo.name every_combo);
+  distinct "mode" (List.map Stm_litmus.Modes.name every_mode);
+  Alcotest.(check (list string))
+    "printed names"
+    [ "weak-mvcc-si"; "strong-eager-ts"; "quiesce-lazy" ]
+    (List.map Point.name
+       [
+         Point.v (Point.Mvcc Stm_core.Config.Snapshot) Point.Weak;
+         Point.v (Point.Eager Stm_core.Config.Timestamp) Point.Strong;
+         Point.v lazy_ Point.Quiesce;
+       ]);
+  Alcotest.(check string) "combo name" "eager-ts-quiesce/timestamp"
+    (Combo.name
+       {
+         Combo.point = Point.v (Point.Eager Stm_core.Config.Timestamp) Point.Quiesce;
+         cm = Stm_cm.Policy.Timestamp;
+       })
+
+(* No two values of a vocabulary build the same configuration: nothing
+   is ignored and nothing is remapped. Locks is left out - it differs
+   from weak-eager only in its harness. *)
+let test_space_configs_distinct () =
+  let distinct what configs =
+    let rec go = function
+      | [] -> ()
+      | c :: rest ->
+          if List.exists (fun c' -> c' = c) rest then
+            Alcotest.failf "%s: two values build %s" what (Stm_core.Config.describe c);
+          go rest
+    in
+    go configs
+  in
+  distinct "points" (List.map Point.config Point.all);
+  distinct "combos" (List.map (fun c -> Combo.to_config c) every_combo);
+  distinct "modes"
+    (List.filter_map
+       (function
+         | Stm_litmus.Modes.Locks -> None
+         | m -> Some (Stm_litmus.Modes.config m))
+       every_mode)
+
 let test_combo_json_roundtrip () =
   List.iter
     (fun combo ->
-      match Combo.of_json (Combo.to_json combo) with
-      | Some combo' -> Alcotest.(check string) "combo" (Combo.name combo) (Combo.name combo')
-      | None -> Alcotest.failf "combo of_json failed: %s" (Combo.name combo))
-    (Combo.all @ Combo.timestamp_grid)
+      if Combo.of_json (Combo.to_json combo) <> Some combo then
+        Alcotest.failf "combo of_json failed: %s" (Combo.name combo))
+    every_combo
+
+let test_combo_json_parse () =
+  let parse s =
+    match Stm_obs.Json.of_string s with
+    | Ok j -> Option.map Combo.name (Combo.of_json j)
+    | Error e -> Alcotest.fail e
+  in
+  (* repros older than the isolation and validation axes *)
+  Alcotest.(check (option string))
+    "no isolation/validation members" (Some "eager-weak/suicide")
+    (parse {|{"versioning":"eager","atomicity":"weak","cm":"suicide"}|});
+  Alcotest.(check (option string))
+    "default members spelled out" (Some "mvcc-dea/karma")
+    (parse
+       {|{"versioning":"mvcc","atomicity":"dea","cm":"karma","isolation":"serializable","validation":"incremental"}|});
+  (* combinations no point has *)
+  List.iter
+    (fun (what, s) -> Alcotest.(check (option string)) what None (parse s))
+    [
+      ("mvcc under quiescence", {|{"versioning":"mvcc","atomicity":"quiesce","cm":"suicide"}|});
+      ( "snapshot without mvcc",
+        {|{"versioning":"lazy","atomicity":"weak","cm":"suicide","isolation":"snapshot"}|} );
+      ( "timestamp under mvcc",
+        {|{"versioning":"mvcc","atomicity":"weak","cm":"suicide","validation":"timestamp"}|} );
+    ]
 
 let sample_repro driver =
   {
-    Repro.combo =
-      { Combo.versioning = Stm_core.Config.Eager;
-        isolation = Stm_core.Config.Serializable;
-        validation = Stm_core.Config.Incremental;
-        atomicity = Combo.Weak;
-        cm = Stm_cm.Policy.Suicide };
+    Repro.combo = { Combo.point = Point.v eager Point.Weak; cm = Stm_cm.Policy.Suicide };
     profile = "mixed";
     prog_seed = Some 7;
     driver;
@@ -957,14 +1079,8 @@ let priv_race_prog =
       ];
   }
 
-let combo versioning atomicity =
-  {
-    Combo.versioning;
-    isolation = Stm_core.Config.Serializable;
-    validation = Stm_core.Config.Incremental;
-    atomicity;
-    cm = Stm_cm.Policy.Suicide;
-  }
+let combo backend atomicity =
+  { Combo.point = Point.v backend atomicity; cm = Stm_cm.Policy.Suicide }
 
 let test_replay_deterministic () =
   List.iter
@@ -979,16 +1095,16 @@ let test_replay_deterministic () =
         true
         (History.verdict_equal a b))
     [
-      (combo Stm_core.Config.Eager Combo.Weak, Repro.Random_sched 42);
-      (combo Stm_core.Config.Lazy Combo.Weak, Repro.Random_sched 43);
-      (combo Stm_core.Config.Eager Combo.Quiesce, Repro.Random_sched 44);
-      ( combo Stm_core.Config.Eager Combo.Weak,
+      (combo eager Point.Weak, Repro.Random_sched 42);
+      (combo lazy_ Point.Weak, Repro.Random_sched 43);
+      (combo eager Point.Quiesce, Repro.Random_sched 44);
+      ( combo eager Point.Weak,
         Repro.Explore { preemption_bound = 2; max_runs = 200 } );
     ]
 
 let test_repro_replay_matches () =
   (* Record a repro from a live driver run, then replay it. *)
-  let cmb = combo Stm_core.Config.Eager Combo.Weak in
+  let cmb = combo eager Point.Weak in
   let driver = Repro.Explore { preemption_bound = 2; max_runs = 500 } in
   let verdict =
     Repro.run_driver ~combo:cmb ~driver ~max_steps:Exec.default_fuel priv_race_prog
@@ -1051,30 +1167,30 @@ let explore_verdict cmb =
 
 let test_priv_race_weak () =
   List.iter
-    (fun versioning ->
-      match explore_verdict (combo versioning Combo.Weak) with
+    (fun backend ->
+      match explore_verdict (combo backend Point.Weak) with
       | Some v when History.is_anomalous v -> ()
       | _ ->
           Alcotest.failf "%s-weak: privatization race not found"
-            (Combo.versioning_to_string versioning))
-    [ Stm_core.Config.Eager; Stm_core.Config.Lazy ]
+            (Point.backend_name backend))
+    [ eager; lazy_ ]
 
 let test_priv_race_safe_configs () =
   List.iter
-    (fun (versioning, atomicity) ->
-      match explore_verdict (combo versioning atomicity) with
+    (fun (backend, atomicity) ->
+      match explore_verdict (combo backend atomicity) with
       | None -> ()
       | Some v ->
           Alcotest.failf "%s-%s: unexpected %s"
-            (Combo.versioning_to_string versioning)
-            (Combo.atomicity_to_string atomicity)
+            (Point.backend_name backend)
+            (Point.atomicity_name atomicity)
             (Stm_obs.Json.to_string (History.verdict_to_json v)))
     [
-      (Stm_core.Config.Eager, Combo.Strong);
-      (Stm_core.Config.Lazy, Combo.Strong);
-      (Stm_core.Config.Eager, Combo.Strong_dea);
-      (Stm_core.Config.Eager, Combo.Quiesce);
-      (Stm_core.Config.Lazy, Combo.Quiesce);
+      (eager, Point.Strong);
+      (lazy_, Point.Strong);
+      (eager, Point.Dea);
+      (eager, Point.Quiesce);
+      (lazy_, Point.Quiesce);
     ]
 
 let test_publish_safe_configs () =
@@ -1093,21 +1209,21 @@ let test_publish_safe_configs () =
     }
   in
   List.iter
-    (fun (versioning, atomicity) ->
-      let cfg = Combo.to_config (combo versioning atomicity) in
+    (fun (backend, atomicity) ->
+      let cfg = Combo.to_config (combo backend atomicity) in
       let v, _ = Exec.explore ~preemption_bound:2 ~max_runs:1500 ~cfg pub_prog in
       match v with
       | None -> ()
       | Some v ->
           Alcotest.failf "publish %s-%s: unexpected %s"
-            (Combo.versioning_to_string versioning)
-            (Combo.atomicity_to_string atomicity)
+            (Point.backend_name backend)
+            (Point.atomicity_name atomicity)
             (Stm_obs.Json.to_string (History.verdict_to_json v)))
     [
-      (Stm_core.Config.Eager, Combo.Strong);
-      (Stm_core.Config.Eager, Combo.Strong_dea);
-      (Stm_core.Config.Eager, Combo.Quiesce);
-      (Stm_core.Config.Lazy, Combo.Quiesce);
+      (eager, Point.Strong);
+      (eager, Point.Dea);
+      (eager, Point.Quiesce);
+      (lazy_, Point.Quiesce);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -1121,7 +1237,7 @@ module Trace = Stm_core.Trace
 let test_exec_keeps_outer_subscriber () =
   let seen = ref 0 in
   Trace.with_sinks [ (Trace.Info, fun _ -> incr seen) ] (fun () ->
-      let cfg = Combo.to_config (combo Stm_core.Config.Eager Combo.Strong) in
+      let cfg = Combo.to_config (combo eager Point.Strong) in
       let v, _ = Exec.run ~cfg priv_race_prog in
       Alcotest.(check bool) "run judged" true (v = History.Serializable);
       Alcotest.(check bool) "outer saw the run's events" true (!seen > 0);
@@ -1202,11 +1318,11 @@ let test_explorer_stops_leave_no_sink () =
     Alcotest.(check bool) "no footprint sink" false
       (Stm_runtime.Footprint.active ())
   in
-  (match explore_verdict (combo Stm_core.Config.Eager Combo.Weak) with
+  (match explore_verdict (combo eager Point.Weak) with
   | Some v when History.is_anomalous v -> ()
   | _ -> Alcotest.fail "weak run found no anomaly");
   clean ();
-  let cfg = Combo.to_config (combo Stm_core.Config.Eager Combo.Strong) in
+  let cfg = Combo.to_config (combo eager Point.Strong) in
   let _, d =
     Exec.explore_dpor ~preemption_bound:2 ~max_runs:1 ~cfg priv_race_prog
   in
@@ -1288,6 +1404,15 @@ let suite =
         Alcotest.test_case "combo round trip" `Quick test_combo_json_roundtrip;
         Alcotest.test_case "repro round trip" `Quick test_repro_json_roundtrip;
         Alcotest.test_case "repro rejects garbage" `Quick test_repro_rejects_garbage;
+      ] );
+    ( "config-space",
+      [
+        Alcotest.test_case "counts" `Quick test_space_counts;
+        Alcotest.test_case "grids inside the space" `Quick test_space_covers_grids;
+        Alcotest.test_case "names round trip" `Quick test_space_names_roundtrip;
+        Alcotest.test_case "configs distinct" `Quick test_space_configs_distinct;
+        Alcotest.test_case "combo json: old repros, meaningless combos" `Quick
+          test_combo_json_parse;
       ] );
     ( "check-replay",
       [

@@ -101,11 +101,11 @@ let config_describe () =
     (Config.describe Config.(with_dea lazy_strong));
   Alcotest.(check string)
     "timestamp" "lazy+weak+ts"
-    (Config.describe Config.(with_timestamp_validation lazy_weak));
+    (Config.describe Config.(with_validation Timestamp lazy_weak));
   (* mvcc has its own commit clock: the validation knob is not named *)
   Alcotest.(check string)
     "mvcc ignores validation" "mvcc+weak"
-    (Config.describe Config.(with_timestamp_validation mvcc_weak))
+    (Config.describe Config.(with_validation Timestamp mvcc_weak))
 
 let config_install_validation () =
   (match Stm.install { Config.eager_weak with dea = true } with
@@ -779,7 +779,7 @@ let suite =
 (* ------------------------------------------------------------------ *)
 
 let wound_wait_counter () =
-  let cfg = Config.(with_wound_wait eager_weak) in
+  let cfg = Config.(with_cm Stm_cm.Policy.Wound_wait eager_weak) in
   with_stm ~cfg (fun () ->
       let o = Stm.alloc_public ~cls:"Ctr" 1 in
       Stm.write o 0 (vi 0);
@@ -822,12 +822,12 @@ let wound_wait_cross_conflict () =
     !wounds
   in
   let w_suicide = run Config.eager_weak in
-  let w_wound = run Config.(with_wound_wait eager_weak) in
+  let w_wound = run Config.(with_cm Stm_cm.Policy.Wound_wait eager_weak) in
   check_int "suicide never wounds" 0 w_suicide;
   check_bool "wound-wait wounds under cross conflicts" true (w_wound >= 0)
 
 let wound_wait_victim_aborts () =
-  let cfg = Config.(with_wound_wait { eager_weak with validate_every = 1 }) in
+  let cfg = Config.(with_cm Stm_cm.Policy.Wound_wait { eager_weak with validate_every = 1 }) in
   with_stm ~cfg (fun () ->
       let a = Stm.alloc_public ~cls:"A" 1 in
       let b = Stm.alloc_public ~cls:"B" 1 in
@@ -1359,7 +1359,7 @@ let explorer_budget_stop () =
   let module E = Stm_litmus.Explorer in
   let module P = Stm_litmus.Programs in
   let module M = Stm_litmus.Modes in
-  let program = P.speculative_lost_update and mode = M.Strong Config.Eager in
+  let program = P.speculative_lost_update and mode = M.Stm (Point.v (Point.Eager Config.Incremental) Point.Strong) in
   let cfg = M.config ~granule:program.P.needs_granule mode in
   let make () = program.P.build (M.harness mode cfg) in
   let budget = 6 in

@@ -298,6 +298,97 @@ let unused_exports () =
   in
   Alcotest.(check (list string)) "exported values without a user outside their module" [] offences
 
+(* Every optional parameter of an exported [val] must be passed by name
+   ([~l] or [?l]) in a file of [lib], [bin], [bench] or [test] outside
+   the module that declares it, comments and strings blanked. One that
+   nobody passes is a constant with extra syntax: it belongs in the
+   [.ml] as a constant. A same-named label elsewhere counts as a pass,
+   so the check can miss an unused parameter but never flags a used
+   one. *)
+
+(* The labels of [src] outside comments and strings, each with the
+   character before it: ['~'] or ['?']; the identifiers with ['v']; and
+   a [':'] right after a label with [':']. *)
+let label_tokens src =
+  let code = strip src in
+  let n = String.length code in
+  let found = ref [] in
+  let i = ref 0 in
+  while !i < n do
+    if is_ident code.[!i] then begin
+      let start = !i in
+      while !i < n && is_ident code.[!i] do
+        incr i
+      done;
+      let w = String.sub code start (!i - start) in
+      let kind =
+        if start > 0 && (code.[start - 1] = '~' || code.[start - 1] = '?') then code.[start - 1]
+        else 'v'
+      in
+      found := (kind, w) :: !found;
+      if kind = '?' && !i < n && code.[!i] = ':' then found := (':', w) :: !found
+    end
+    else incr i
+  done;
+  List.rev !found
+
+(* The [(val, label)] pairs of the optional parameters ([?label:]) an
+   interface declares: from a [val] to the next signature item. *)
+let optional_params src =
+  let enders = [ "type"; "module"; "exception"; "external"; "class"; "end"; "include"; "open" ] in
+  let rec go current = function
+    | ('v', "val") :: ('v', name) :: rest -> go (Some name) rest
+    | ('v', w) :: rest when List.exists (String.equal w) enders -> go None rest
+    | ('?', l) :: (':', _) :: rest -> (
+        match current with Some v -> (v, l) :: go current rest | None -> go current rest)
+    | _ :: rest -> go current rest
+    | [] -> []
+  in
+  go None (label_tokens src)
+
+(* The scanners themselves: the parameters and passes they must find. *)
+let optional_scanner_cases () =
+  Alcotest.(check (list (pair string string)))
+    "declared optionals"
+    [ ("run", "seed"); ("run", "fuel"); ("pp", "width") ]
+    (optional_params
+       "val run : ?seed:int -> ?fuel:int -> cm:int -> unit\n\
+        (** [?hidden:int] in a doc comment *)\n\
+        type t = { f : ?inner:int -> unit }\n\
+        val pp : ?width:int -> Format.formatter -> t -> unit");
+  Alcotest.(check (list string))
+    "passed labels" [ "seed"; "fuel"; "max" ]
+    (List.filter_map
+       (fun (k, w) -> if k = '~' || k = '?' then Some w else None)
+       (label_tokens "let _ = run ~seed:1 ?fuel (* ~hidden *) \"~quoted\" ~max"))
+
+let unpassed_optionals () =
+  let files = List.concat_map (fun d -> files_under (Filename.concat root d)) [ "lib"; "bin"; "bench"; "test" ] in
+  (* label -> the module of each file passing it *)
+  let passers = Hashtbl.create 1024 in
+  List.iter
+    (fun f ->
+      List.iter
+        (fun (k, w) ->
+          if k = '~' || k = '?' then Hashtbl.add passers w (Filename.remove_extension f))
+        (List.sort_uniq compare (label_tokens (read_file f))))
+    files;
+  let interfaces =
+    List.filter
+      (fun f -> Filename.check_suffix f ".mli" && String.starts_with ~prefix:(Filename.concat root "lib") f)
+      files
+  in
+  let offences =
+    List.concat_map
+      (fun mli ->
+        let own = Filename.chop_suffix mli ".mli" in
+        optional_params (read_file mli)
+        |> List.filter (fun (_, l) -> List.for_all (String.equal own) (Hashtbl.find_all passers l))
+        |> List.map (fun (v, l) -> Printf.sprintf "%s: %s ?%s" mli v l))
+      interfaces
+  in
+  Alcotest.(check (list string)) "optional parameters no caller outside their module passes" [] offences
+
 let suite =
   [
     ( "lint",
@@ -309,5 +400,8 @@ let suite =
           unused_exports;
         Alcotest.test_case "export scanner finds vals and skips the rest" `Quick
           export_scanner_cases;
+        Alcotest.test_case "every optional parameter is passed outside its module" `Quick
+          unpassed_optionals;
+        Alcotest.test_case "optional-parameter scanner" `Quick optional_scanner_cases;
       ] );
   ]

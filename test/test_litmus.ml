@@ -3,6 +3,11 @@
    tests and the granularity / quiescence ablations. *)
 
 open Stm_litmus
+module Point = Stm_core.Point
+
+let eager = Point.Eager Stm_core.Config.Incremental
+let lazy_ = Point.Lazy Stm_core.Config.Incremental
+let stm atomicity backend = Modes.Stm (Point.v backend atomicity)
 
 let check_bool = Alcotest.(check bool)
 
@@ -30,11 +35,7 @@ let extras_cases =
 
 let privatization_cases =
   List.map (cell_case Programs.privatization)
-    (Modes.all_fig6
-    @ [
-        Modes.Weak_quiesce Stm_core.Config.Eager;
-        Modes.Weak_quiesce Stm_core.Config.Lazy;
-      ])
+    (Modes.all_fig6 @ [ stm Point.Quiesce eager; stm Point.Quiesce lazy_ ])
 
 (* The four multi-version columns over every classic litmus program:
    weak mvcc is blind to plain stores (nr/gir/ilu/glu), strong closes
@@ -81,14 +82,14 @@ let granule_ablation program mode () =
 let quiesce_does_not_fix_sdr () =
   let cell =
     Matrix.run_cell Programs.speculative_dirty_read
-      (Modes.Weak_quiesce Stm_core.Config.Eager)
+      (stm Point.Quiesce eager)
   in
   check_bool "SDR still observable under quiescence" true cell.Matrix.observed
 
 let quiesce_does_not_fix_slu () =
   let cell =
     Matrix.run_cell Programs.speculative_lost_update
-      (Modes.Weak_quiesce Stm_core.Config.Eager)
+      (stm Point.Quiesce eager)
   in
   check_bool "SLU still observable under quiescence" true cell.Matrix.observed
 
@@ -96,7 +97,7 @@ let quiesce_does_not_fix_slu () =
    whole outcome set (SDR under weak-eager: 28 schedules, one of them
    anomalous). *)
 let exhaustive_cell_lists_all_outcomes () =
-  let p = Programs.speculative_dirty_read and m = Modes.Weak Stm_core.Config.Eager in
+  let p = Programs.speculative_dirty_read and m = stm Point.Weak eager in
   let stop = Matrix.run_cell p m and full = Matrix.run_cell ~exhaustive:true p m in
   check_bool "same verdict" stop.Matrix.observed full.Matrix.observed;
   check_bool "the witness stops the default walk early" true (stop.Matrix.runs < full.Matrix.runs);
@@ -291,10 +292,10 @@ let suite =
       [
         Alcotest.test_case "GLU gone at granule=1" `Quick
           (granule_ablation Programs.granular_lost_update
-             (Modes.Weak Stm_core.Config.Eager));
+             (stm Point.Weak eager));
         Alcotest.test_case "GIR gone at granule=1" `Quick
           (granule_ablation Programs.granular_inconsistent_read
-             (Modes.Weak Stm_core.Config.Lazy));
+             (stm Point.Weak lazy_));
         case "quiescence does not fix SDR" quiesce_does_not_fix_sdr;
         case "quiescence does not fix SLU" quiesce_does_not_fix_slu;
         case "exhaustive cell lists every outcome" exhaustive_cell_lists_all_outcomes;
@@ -330,21 +331,21 @@ let pct_cases =
   (* a representative subset: one "yes" and one "no" per anomaly family *)
   [
     Alcotest.test_case "pct: nr yes under weak-eager" `Quick
-      (pct_cell Programs.non_repeatable_read (Modes.Weak Stm_core.Config.Eager) true);
+      (pct_cell Programs.non_repeatable_read (stm Point.Weak eager) true);
     Alcotest.test_case "pct: nr no under strong-eager" `Quick
-      (pct_cell Programs.non_repeatable_read (Modes.Strong Stm_core.Config.Eager) false);
+      (pct_cell Programs.non_repeatable_read (stm Point.Strong eager) false);
     Alcotest.test_case "pct: idr yes under weak-eager" `Quick
-      (pct_cell Programs.intermediate_dirty_read (Modes.Weak Stm_core.Config.Eager) true);
+      (pct_cell Programs.intermediate_dirty_read (stm Point.Weak eager) true);
     Alcotest.test_case "pct: idr no under weak-lazy" `Quick
-      (pct_cell Programs.intermediate_dirty_read (Modes.Weak Stm_core.Config.Lazy) false);
+      (pct_cell Programs.intermediate_dirty_read (stm Point.Weak lazy_) false);
     Alcotest.test_case "pct: slu yes under weak-eager" `Quick
-      (pct_cell Programs.speculative_lost_update (Modes.Weak Stm_core.Config.Eager) true);
+      (pct_cell Programs.speculative_lost_update (stm Point.Weak eager) true);
     Alcotest.test_case "pct: mi-rw yes under weak-lazy" `Quick
-      (pct_cell Programs.overlapped_writes (Modes.Weak Stm_core.Config.Lazy) true);
+      (pct_cell Programs.overlapped_writes (stm Point.Weak lazy_) true);
     Alcotest.test_case "pct: mi-rw no under strong-lazy" `Quick
-      (pct_cell Programs.overlapped_writes (Modes.Strong Stm_core.Config.Lazy) false);
+      (pct_cell Programs.overlapped_writes (stm Point.Strong lazy_) false);
     Alcotest.test_case "pct: glu yes under weak-eager" `Quick
-      (pct_cell Programs.granular_lost_update (Modes.Weak Stm_core.Config.Eager) true);
+      (pct_cell Programs.granular_lost_update (stm Point.Weak eager) true);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -395,7 +396,7 @@ let dpor_certifies_fig6 () =
    backtrack tree, run for run. *)
 let dpor_deterministic () =
   let program = Programs.speculative_lost_update in
-  let mode = Modes.Weak Stm_core.Config.Eager in
+  let mode = stm Point.Weak eager in
   let cfg = Modes.config ~granule:program.Programs.needs_granule mode in
   let once () =
     Explorer.explore_dpor ~preemption_bound:2 ~cfg
@@ -564,7 +565,7 @@ let pinned_records () =
     let cfg = Modes.config ~granule:program.Programs.needs_granule mode in
     (cfg, fun () -> program.Programs.build (Modes.harness mode cfg))
   in
-  let cfg, make = privatization (Modes.Weak Stm_core.Config.Eager) in
+  let cfg, make = privatization (stm Point.Weak eager) in
   check_records "privatization weak-eager" ~cfg make
     ~enum:
       (ex
@@ -580,7 +581,7 @@ let pinned_records () =
       (ex
          [ ("r1=0 r2=0", 163); ("r1=1 r2=0", 4); ("r1=1 r2=1", 133) ]
          300 false 0 0);
-  let cfg, make = privatization (Modes.Strong Stm_core.Config.Eager) in
+  let cfg, make = privatization (stm Point.Strong eager) in
   check_records "privatization strong-eager" ~cfg make
     ~enum:(ex [ ("r1=0 r2=0", 170); ("r1=1 r2=1", 3) ] 173 false 0 0)
     ~dpor:(ex [ ("r1=0 r2=0", 13); ("r1=1 r2=1", 1) ] 14 false 0 0, true, 29)
@@ -954,7 +955,7 @@ let dpor_cases =
 let quiesce_does_not_fix_mi_rw () =
   let cell =
     Matrix.run_cell Programs.overlapped_writes
-      (Modes.Weak_quiesce Stm_core.Config.Lazy)
+      (stm Point.Quiesce lazy_)
   in
   check_bool "MI(4a) still observable under quiescence" true
     cell.Matrix.observed

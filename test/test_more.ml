@@ -56,7 +56,7 @@ let min_clock_prefers_behind () =
 let explorer_deterministic () =
   let open Stm_litmus in
   let program = Programs.speculative_lost_update in
-  let mode = Modes.Weak Config.Eager in
+  let mode = Modes.Stm (Point.v (Point.Eager Config.Incremental) Point.Weak) in
   let cfg = Modes.config mode in
   let explore () =
     let e =
@@ -71,7 +71,7 @@ let explorer_deterministic () =
 let pct_deterministic_per_seed () =
   let open Stm_litmus in
   let program = Programs.intermediate_dirty_read in
-  let mode = Modes.Weak Config.Eager in
+  let mode = Modes.Stm (Point.v (Point.Eager Config.Incremental) Point.Weak) in
   let cfg = Modes.config mode in
   let explore seed =
     (Explorer.explore_pct ~runs:100 ~seed ~cfg
@@ -241,7 +241,7 @@ let strong_hides_granularity () =
         (geti o 1))
 
 let wound_wait_lazy () =
-  let cfg = Config.(with_wound_wait lazy_weak) in
+  let cfg = Config.(with_cm Stm_cm.Policy.Wound_wait lazy_weak) in
   with_stm ~cfg (fun () ->
       let o = Stm.alloc_public ~cls:"Ctr" 1 in
       Stm.write o 0 (Stm.vint 0);

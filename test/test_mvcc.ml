@@ -132,7 +132,7 @@ let test_snapshot_read_stats () =
    single-version backends pay real aborts on the same schedule. *)
 let test_read_heavy_mvcc_abort_free () =
   let r =
-    Stm_harness.Stress.run ~versioning:Config.Mvcc ~cm:Stm_cm.Policy.Suicide
+    Stm_harness.Stress.run ~backend:(Stm_core.Point.Mvcc Config.Serializable) ~cm:Stm_cm.Policy.Suicide
       Stm_harness.Stress.Read_heavy
   in
   check_bool "completed" true r.Stm_harness.Stress.completed;
@@ -140,7 +140,7 @@ let test_read_heavy_mvcc_abort_free () =
 
 let test_read_heavy_eager_aborts () =
   let r =
-    Stm_harness.Stress.run ~versioning:Config.Eager ~cm:Stm_cm.Policy.Timestamp
+    Stm_harness.Stress.run ~backend:(Stm_core.Point.Eager Config.Incremental) ~cm:Stm_cm.Policy.Timestamp
       Stm_harness.Stress.Read_heavy
   in
   check_bool "completed" true r.Stm_harness.Stress.completed;

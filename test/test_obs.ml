@@ -542,8 +542,7 @@ let perf_gate () =
     let r =
       {
         quick = true;
-        backend = Stm_core.Config.Eager;
-        validation = Stm_core.Config.Incremental;
+        backend = Stm_core.Point.Eager Stm_core.Config.Incremental;
         samples = [ { name; ns_per_op = ns; alloc_words_per_op = words } ];
       }
     in

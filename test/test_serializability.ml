@@ -42,7 +42,8 @@ let clean_slice pred name =
   Alcotest.test_case name `Quick
     (run_plan (List.filter pred Fuzz.clean_campaigns))
 
-let is_atomicity a (c : Fuzz.campaign) = c.Fuzz.combo.Combo.atomicity = a
+let is_atomicity a (c : Fuzz.campaign) =
+  c.Fuzz.combo.Combo.point.Stm_core.Point.atomicity = a
 
 (* The timestamp-validation sweep: the same clean expectations over
    {!Combo.timestamp_grid}, on a reduced budget (24 combos). A fuller
@@ -96,11 +97,9 @@ let test_quiesce_handoff_regression () =
     (fun cm ->
       let combo =
         {
-          Combo.versioning = Stm_core.Config.Eager;
-          isolation = Stm_core.Config.Serializable;
-          atomicity = Combo.Quiesce;
+          Combo.point =
+            Stm_core.Point.(v (Eager Stm_core.Config.Timestamp) Quiesce);
           cm;
-          validation = Stm_core.Config.Timestamp;
         }
       in
       let v =
@@ -135,18 +134,18 @@ let suite =
   [
     ( "serializability",
       [
-        clean_slice (is_atomicity Combo.Weak) "fuzz clean: weak / txn-only";
-        clean_slice (is_atomicity Combo.Strong) "fuzz clean: strong / all profiles";
-        clean_slice (is_atomicity Combo.Strong_dea) "fuzz clean: dea / all profiles";
-        clean_slice (is_atomicity Combo.Quiesce) "fuzz clean: quiesce / txn+handoff";
+        clean_slice (is_atomicity Stm_core.Point.Weak) "fuzz clean: weak / txn-only";
+        clean_slice (is_atomicity Stm_core.Point.Strong) "fuzz clean: strong / all profiles";
+        clean_slice (is_atomicity Stm_core.Point.Dea) "fuzz clean: dea / all profiles";
+        clean_slice (is_atomicity Stm_core.Point.Quiesce) "fuzz clean: quiesce / txn+handoff";
         Alcotest.test_case "hunts find+minimize the paper's anomalies" `Quick
           test_hunts_find_anomalies;
-        ts_clean_slice (is_atomicity Combo.Weak) "fuzz clean: weak / timestamp";
-        ts_clean_slice (is_atomicity Combo.Strong)
+        ts_clean_slice (is_atomicity Stm_core.Point.Weak) "fuzz clean: weak / timestamp";
+        ts_clean_slice (is_atomicity Stm_core.Point.Strong)
           "fuzz clean: strong / timestamp";
-        ts_clean_slice (is_atomicity Combo.Strong_dea)
+        ts_clean_slice (is_atomicity Stm_core.Point.Dea)
           "fuzz clean: dea / timestamp";
-        ts_clean_slice (is_atomicity Combo.Quiesce)
+        ts_clean_slice (is_atomicity Stm_core.Point.Quiesce)
           "fuzz clean: quiesce / timestamp";
         Alcotest.test_case "regression: quiesce handoff disables fast path"
           `Quick test_quiesce_handoff_regression;
