@@ -17,6 +17,13 @@ type t = {
 let create () =
   { epoch = 0; next_pid = 0; active = []; next_ticket = 0; retired_upto = 0 }
 
+let reset t =
+  t.epoch <- 0;
+  t.next_pid <- 0;
+  t.active <- [];
+  t.next_ticket <- 0;
+  t.retired_upto <- 0
+
 let register t =
   Footprint.write Footprint.oid_quiesce;
   let p = { pid = t.next_pid; consistent_at = t.epoch } in

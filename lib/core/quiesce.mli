@@ -19,6 +19,9 @@ type t
 
 val create : unit -> t
 
+val reset : t -> unit
+(** Back to what {!create} gives, for a context reused by the next run. *)
+
 (** {1 Participant registry} *)
 
 type participant

@@ -61,26 +61,6 @@ let reset t =
   t.backoff_cycles <- 0;
   t.quiesce_waits <- 0
 
-let add acc t =
-  acc.commits <- acc.commits + t.commits;
-  acc.aborts <- acc.aborts + t.aborts;
-  acc.txn_reads <- acc.txn_reads + t.txn_reads;
-  acc.txn_writes <- acc.txn_writes + t.txn_writes;
-  acc.barrier_reads <- acc.barrier_reads + t.barrier_reads;
-  acc.barrier_writes <- acc.barrier_writes + t.barrier_writes;
-  acc.barrier_private_hits <- acc.barrier_private_hits + t.barrier_private_hits;
-  acc.atomic_ops <- acc.atomic_ops + t.atomic_ops;
-  acc.conflicts <- acc.conflicts + t.conflicts;
-  acc.publishes <- acc.publishes + t.publishes;
-  acc.validations <- acc.validations + t.validations;
-  acc.fast_validations <- acc.fast_validations + t.fast_validations;
-  acc.ts_extensions <- acc.ts_extensions + t.ts_extensions;
-  acc.ro_fast_commits <- acc.ro_fast_commits + t.ro_fast_commits;
-  acc.retries <- acc.retries + t.retries;
-  acc.wounds <- acc.wounds + t.wounds;
-  acc.backoff_cycles <- acc.backoff_cycles + t.backoff_cycles;
-  acc.quiesce_waits <- acc.quiesce_waits + t.quiesce_waits
-
 let to_assoc t =
   [
     ("commits", t.commits);

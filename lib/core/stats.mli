@@ -35,9 +35,6 @@ type t = {
 
 val create : unit -> t
 val reset : t -> unit
-val add : t -> t -> unit
-(** [add acc t] accumulates [t] into [acc]. *)
-
 val to_assoc : t -> (string * int) list
 (** Every counter as a (name, value) pair, in declaration order. The
     metrics exporter serializes from this — never scrape {!pp}'s

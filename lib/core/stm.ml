@@ -16,17 +16,34 @@ type system = {
          highest tid seen *)
 }
 
+(* The process's one STM state. [install] takes it, reset for the run's
+   configuration; [uninstall] returns it with the run released, so
+   nothing of that run's heap stays reachable from it. Outside a run it
+   is always released. *)
+let spare = { ctx = Txn.create (); current = Array.make 32 Txn.none }
+let taken = Some spare
 let system : system option ref = ref None
 
 let get () = match !system with Some s -> s | None -> raise Not_installed
+
+let uninstall () =
+  if !system != None then begin
+    system := None;
+    Txn.release spare.ctx;
+    let current = spare.current in
+    for tid = 0 to Array.length current - 1 do
+      if current.(tid) != Txn.none then current.(tid) <- Txn.none
+    done
+  end
 
 let install (cfg : Config.t) =
   if cfg.dea && not cfg.strong then
     invalid_arg "Stm.install: DEA requires strong atomicity";
   if cfg.granule < 1 then invalid_arg "Stm.install: granule must be >= 1";
-  system := Some { ctx = Txn.make_ctx cfg; current = Array.make 32 Txn.none }
+  uninstall ();
+  Txn.reset spare.ctx cfg;
+  system := taken
 
-let uninstall () = system := None
 let installed () = !system <> None
 let config () = Txn.cfg (get ()).ctx
 let stats () = Txn.stats (get ()).ctx
@@ -324,9 +341,7 @@ let run ?policy ?max_steps ~cfg main =
   install cfg;
   Fun.protect ~finally:uninstall (fun () ->
       let result = Sched.run ?max_steps ?policy main in
-      let snapshot = Stats.create () in
-      Stats.add snapshot (stats ());
-      (result, snapshot))
+      (result, stats ()))
 
 (* ------------------------------------------------------------------ *)
 (* Value helpers                                                       *)

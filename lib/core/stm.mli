@@ -33,15 +33,24 @@ exception Starved of { attempts : int }
 (** {1 System lifecycle} *)
 
 val install : Config.t -> unit
-(** Install a fresh STM system (configuration + statistics + quiescence
-    registry). Raises [Invalid_argument] for inconsistent configurations
-    (e.g. DEA without strong atomicity). *)
+(** Install the STM system for a run under the configuration, in the
+    state a freshly built one would have (fresh statistics, txid counter
+    and clock at zero, empty registries). The process keeps one system
+    and resets it here, so descriptors keep their arenas and indexes at
+    their grown size from run to run. Uninstalls first if a system is installed. Raises
+    [Invalid_argument] for inconsistent configurations (e.g. DEA without
+    strong atomicity). *)
 
 val uninstall : unit -> unit
+(** End the run: the system drops every reference into the run's heap
+    (descriptor logs, the current-transaction table). Does nothing when
+    no system is installed. *)
+
 val installed : unit -> bool
 val config : unit -> Config.t
 val stats : unit -> Stats.t
-(** Live statistics of the installed system. *)
+(** Live statistics of the installed system: a record of this run's own,
+    which later runs leave alone. *)
 
 val run :
   ?policy:Sched.policy ->
@@ -50,8 +59,9 @@ val run :
   (unit -> unit) ->
   Sched.result * Stats.t
 (** [run ~cfg main] resets the heap, installs the system, executes [main]
-    as simulated thread 0 and returns the scheduler result together with a
-    snapshot of the statistics. *)
+    as simulated thread 0 and returns the scheduler result together with
+    the run's statistics. Every install builds a fresh statistics record,
+    so no later run changes the one returned. *)
 
 (** {1 Allocation} *)
 

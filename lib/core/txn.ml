@@ -89,19 +89,28 @@ type t = {
   mutable last_aggr_tid : int;
 }
 
+(* The STM state of a run. {!Stm} keeps one for the whole process and
+   hands it from run to run: [reset] restores what a freshly built
+   context holds, and [release] drops the finished run. Descriptors
+   outlive runs, so their arenas and indexes stay at their grown size. *)
 type ctx = {
-  cfg : Config.t;
-  stats : Stats.t;
+  mutable cfg : Config.t;
+  mutable stats : Stats.t;  (* fresh per run: callers keep it after one *)
   q : Quiesce.t;
-  cm : Stm_cm.Cm.t;
+  mutable cm : Stm_cm.Cm.t;
   gvc : Gvc.t;  (* the global commit clock, shared with [mv] *)
   mv : Mvcc.t;  (* snapshot registry (mvcc versioning) *)
   mutable next_id : int;
   registry : t Int_index.t;
       (* live transaction ids -> descriptor: wounds, owner slots, and
          aggressor attribution all read it *)
-  mutable pool : t array;  (* recycled descriptors, live prefix [npool] *)
+  mutable pool : t array;  (* idle descriptors, live prefix [npool] *)
   mutable npool : int;
+  mutable all : t array;  (* every descriptor this context made, prefix [nall] *)
+  mutable nall : int;
+  mutable hwm : int;
+      (* the longest arena prefix a descriptor recycled since the last
+         [release] used: no arena slot past it was written *)
 }
 
 let cfg ctx = ctx.cfg
@@ -171,23 +180,41 @@ let fresh_descriptor () =
    {!Stm}'s "no transaction" entry. Never mutated. *)
 let none = fresh_descriptor ()
 
-let make_ctx (cfg : Config.t) =
+let make_cm (cfg : Config.t) =
+  Stm_cm.Cm.create ~seed:cfg.Config.cm_seed
+    ~max_retries:cfg.Config.max_txn_retries ~cost:cfg.Config.cost cfg.Config.cm
+
+let create () =
   let gvc = Gvc.create () in
   {
-    cfg;
+    cfg = Config.base;
     stats = Stats.create ();
     q = Quiesce.create ();
-    cm =
-      Stm_cm.Cm.create ~seed:cfg.Config.cm_seed
-        ~max_retries:cfg.Config.max_txn_retries ~cost:cfg.Config.cost
-        cfg.Config.cm;
+    cm = make_cm Config.base;
     gvc;
     mv = Mvcc.create ~gvc ();
     next_id = 0;
     registry = Int_index.create none;
     pool = [||];
     npool = 0;
+    all = [||];
+    nall = 0;
+    hwm = 0;
   }
+
+(* Everything a run reads is restored to what [create] built: the txid
+   counter, the clock, the quiescence registry and the snapshot tables,
+   and a contention manager whose generator restarts from [cm_seed].
+   Nothing here reports a footprint: no simulation is running. *)
+let reset ctx (cfg : Config.t) =
+  ctx.cfg <- cfg;
+  ctx.stats <- Stats.create ();
+  ctx.cm <- make_cm cfg;
+  ctx.next_id <- 0;
+  Gvc.reset ctx.gvc;
+  Quiesce.reset ctx.q;
+  Mvcc.reset ctx.mv;
+  Int_index.clear ctx.registry
 
 (* Arenas double, from 8 slots when empty. *)
 let grown_length a = Int.max 8 (2 * Array.length a)
@@ -246,11 +273,7 @@ let slot_buffer bufs i len =
     b
   end
 
-(* Return a finished descriptor to the context pool. Indexes are cleared,
-   not re-created; arenas keep their capacity. Stale object references
-   beyond the live prefixes are harmless - heap objects live for the
-   whole simulated run - and are overwritten by the next user. *)
-let recycle ctx t =
+let clear_descriptor t =
   Int_index.clear t.rset;
   t.nreads <- 0;
   t.reads_obs <- 0;
@@ -263,14 +286,83 @@ let recycle ctx t =
   t.naccesses <- 0;
   t.parent <- None;
   t.part <- None;
-  t.cts <- -1;
-  if ctx.npool = Array.length ctx.pool then begin
-    let a = Array.make (grown_length ctx.pool) none in
-    Array.blit ctx.pool 0 a 0 ctx.npool;
-    ctx.pool <- a
-  end;
+  t.cts <- -1
+
+let arena_prefix t = Int.max (Int.max t.nreads t.nowned) (Int.max t.nundo t.nwbuf)
+
+(* Return a finished descriptor to the context pool. Indexes are cleared,
+   not re-created; arenas keep their capacity. Stale object references
+   beyond the live prefixes stay until [release]: the run's heap lives
+   until the run ends, and the next user overwrites them. The counts are
+   zeroed here, not by [commit] and [abort], so that the high-water mark
+   can be read from them. *)
+let recycle ctx t =
+  ctx.hwm <- Int.max ctx.hwm (arena_prefix t);
+  clear_descriptor t;
   ctx.pool.(ctx.npool) <- t;
   ctx.npool <- ctx.npool + 1
+
+(* [pool] is as long as [all]: it never holds more descriptors than the
+   context made. A descriptor is made only when the pool is empty. *)
+let take_descriptor ctx =
+  if ctx.npool > 0 then begin
+    ctx.npool <- ctx.npool - 1;
+    ctx.pool.(ctx.npool)
+  end
+  else begin
+    let t = fresh_descriptor () in
+    if ctx.nall = Array.length ctx.all then begin
+      let a = Array.make (grown_length ctx.all) none in
+      Array.blit ctx.all 0 a 0 ctx.nall;
+      ctx.all <- a;
+      ctx.pool <- Array.make (Array.length a) none
+    end;
+    ctx.all.(ctx.nall) <- t;
+    ctx.nall <- ctx.nall + 1;
+    t
+  end
+
+(* Loops, not [Array.fill]: a mark is a few slots, fewer than a C call
+   costs, and a slot already empty is not written. *)
+let drop_objs (a : Heap.obj array) n =
+  for i = 0 to Int.min n (Array.length a) - 1 do
+    if a.(i) != Heap.dummy then a.(i) <- Heap.dummy
+  done
+
+let drop_values bufs n =
+  for i = 0 to Int.min n (Array.length bufs) - 1 do
+    let b : Heap.value array = bufs.(i) in
+    for j = 0 to Array.length b - 1 do
+      if b.(j) != Heap.Vnull then b.(j) <- Heap.Vnull
+    done
+  done
+
+(* End of a run: every descriptor the context made - pooled, or still
+   running when the run stopped (out of fuel, deadlocked) - goes back to
+   the pool. One that began a transaction since the last release (txid
+   not 0) is cleared first, with its object slots, slot buffers and
+   contention slot emptied up to the high-water mark (or its own live
+   counts, when it was still running), so nothing of the finished run's
+   heap stays reachable from here. *)
+let release ctx =
+  for i = 0 to ctx.nall - 1 do
+    let t = ctx.all.(i) in
+    if t.txid <> 0 then begin
+      let n = Int.max ctx.hwm (arena_prefix t) in
+      drop_objs t.read_objs n;
+      drop_objs t.owned_obj n;
+      drop_objs t.undo_obj n;
+      drop_objs t.wbuf_obj n;
+      drop_values t.undo_buf n;
+      drop_values t.wbuf_buf n;
+      clear_descriptor t;
+      t.slot <- Stm_cm.Cm.no_slot;
+      t.txid <- 0
+    end;
+    if ctx.pool.(i) != t then ctx.pool.(i) <- t
+  done;
+  ctx.hwm <- 0;
+  ctx.npool <- ctx.nall
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
@@ -286,13 +378,7 @@ let begin_txn ctx ~parent ~slot =
   ctx.next_id <- ctx.next_id + 1;
   tick ctx.cfg.cost.Cost.txn_begin;
   let part = if ctx.cfg.quiescence then Some (Quiesce.register ctx.q) else None in
-  let t =
-    if ctx.npool > 0 then begin
-      ctx.npool <- ctx.npool - 1;
-      ctx.pool.(ctx.npool)
-    end
-    else fresh_descriptor ()
-  in
+  let t = take_descriptor ctx in
   t.txid <- ctx.next_id;
   t.parent <- (if parent == none then None else Some parent);
   t.part <- part;
@@ -979,9 +1065,7 @@ let release_all ctx t =
     if t.cts >= 0 then Heap.set_version_ts t.owned_obj.(i) t.cts;
     Heap.txrec_set t.owned_obj.(i) (Txrec.shared (t.owned_prior.(i) + 1));
     tick cost.Cost.txn_per_write
-  done;
-  t.nowned <- 0;
-  Int_index.clear t.owned
+  done
 
 let emit_serialized t =
   if Trace.enabled_at Trace.History then
@@ -1165,10 +1249,6 @@ let abort ctx t =
       Sched.yield ()
     done
   done;
-  t.nundo <- 0;
-  Int_index.clear t.undo_saved;
-  Int_index.clear t.wbuf;
-  t.nwbuf <- 0;
   release_all ctx t;
   deregister ctx t;
   Footprint.write (Footprint.flag_oid t.txid);

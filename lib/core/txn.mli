@@ -35,10 +35,30 @@
 open Stm_runtime
 
 type ctx
-(** Per-run STM context: configuration, counters, quiescence registry,
-    transaction-id allocator. *)
+(** The STM state of a run: configuration, counters, quiescence registry,
+    transaction-id allocator, txid registry, snapshot tables and the
+    descriptor pool. One context serves run after run: {!reset} starts a
+    run, {!release} ends it, and descriptors keep their arenas and
+    indexes at their grown size in between. *)
 
-val make_ctx : Config.t -> ctx
+val create : unit -> ctx
+(** A released context, before its first {!reset}. *)
+
+val reset : ctx -> Config.t -> unit
+(** Start a run under the configuration: the context then holds what a
+    context built for it from nothing would - txid counter, global
+    clock, quiescence registry, snapshot tables and txid registry empty,
+    fresh {!stats}, and a contention manager whose generator starts
+    from [cm_seed] - so every txid, decision and footprint of the run is
+    the same. Reports no footprint. Call it on a released context. *)
+
+val release : ctx -> unit
+(** End a run: every descriptor goes back to the pool, including those
+    still running when the run stopped. Each one the run used has its
+    object slots, slot buffers and contention slot cleared up to the
+    run's high-water mark, so the context holds nothing of the finished
+    run's heap; its arenas and indexes keep their size. *)
+
 val cfg : ctx -> Config.t
 val stats : ctx -> Stats.t
 
@@ -88,7 +108,9 @@ val begin_txn : ctx -> parent:t -> slot:Stm_cm.Cm.slot -> t
 
 val fresh_descriptor : unit -> t
 (** A descriptor as {!begin_txn} builds one when the context's pool is
-    empty; exposed so tests can count its words. *)
+    empty, which happens only until the process has run as many
+    transactions at once as it ever will; exposed so tests can count its
+    words. *)
 
 val id : t -> int
 

@@ -37,8 +37,8 @@ type stats = {
    old timestamps are evicted by newer installs that alias the slot;
    lookups then return nothing, which degrades to the unattributed abort
    the layer produced before the ring existed. The ring is allocated by
-   the first install: every [Stm.run] creates a layer, and only the mvcc
-   backend installs versions. *)
+   the first install, since only the mvcc backend installs versions, and
+   is kept by [reset]. *)
 let installer_ring = 256
 
 type t = {
@@ -65,6 +65,18 @@ let create ?gvc ?(max_versions = default_max_versions) () =
     inst_tid = [||];
     stats = { installs = 0; pruned = 0; snapshot_reads = 0; too_old = 0; ro_commits = 0 };
   }
+
+(* What [create] gives, except the clock, which belongs to the caller, and
+   the ring's arrays, which are kept with every slot empty. A ring that
+   saw no install since the last reset is already empty. *)
+let reset t =
+  Int_index.clear t.active;
+  if t.stats.installs > 0 then Array.fill t.inst_ts 0 (Array.length t.inst_ts) (-1);
+  t.stats.installs <- 0;
+  t.stats.pruned <- 0;
+  t.stats.snapshot_reads <- 0;
+  t.stats.too_old <- 0;
+  t.stats.ro_commits <- 0
 
 let now t = Gvc.now t.gvc
 let gvc t = t.gvc

@@ -30,6 +30,11 @@ val create : ?gvc:Gvc.t -> ?max_versions:int -> unit -> t
 (** [?gvc] shares an existing global commit clock (the txn layer passes
     the system-wide one); a private clock is created when omitted. *)
 
+val reset : t -> unit
+(** Back to what {!create} gave, for a context reused by the next run:
+    no live snapshot, an empty attribution ring (its arrays kept) and
+    zero {!stats}. The clock is left to its owner. *)
+
 val now : t -> int
 
 val gvc : t -> Gvc.t

@@ -20,13 +20,14 @@ let bucket_of v =
   if v <= 0 then 0
   else
     let rec go i acc = if acc >= v then i else go (i + 1) (acc * 2) in
-    min (nbuckets - 1) (go 1 1)
+    Int.min (nbuckets - 1) (go 1 1)
 
 (* inclusive upper bound of a bucket *)
 let bucket_le i = if i = 0 then 0 else 1 lsl (i - 1)
 
 let add t v =
-  t.buckets.(bucket_of v) <- t.buckets.(bucket_of v) + 1;
+  let b = bucket_of v in
+  t.buckets.(b) <- t.buckets.(b) + 1;
   t.count <- t.count + 1;
   t.sum <- t.sum + v;
   if v < t.vmin then t.vmin <- v;
@@ -79,13 +80,13 @@ let quantile t q =
   if t.count = 0 then 0
   else if q >= 1.0 then max_value t
   else begin
-    let rank = max 1 (int_of_float (Float.of_int t.count *. q +. 0.5)) in
+    let rank = Int.max 1 (int_of_float (Float.of_int t.count *. q +. 0.5)) in
     let rec go i seen =
       if i >= nbuckets then max_value t
       else
         let seen = seen + t.buckets.(i) in
         if seen >= rank then
-          max (min_value t) (min (bucket_le i) (max_value t))
+          Int.max (min_value t) (Int.min (bucket_le i) (max_value t))
         else go (i + 1) seen
     in
     go 0 0

@@ -18,7 +18,7 @@ type report = {
 (* ------------------------------------------------------------------ *)
 
 (* Every body is a self-contained [Stm.run] (or explorer / fuzz-campaign
-   invocation): heap, site table and STM context are reset per call, so
+   invocation): heap, site table and STM state are reset per call, so
    repeated invocations are identical work. All virtual-time results are
    deterministic; only the host wall-clock varies. *)
 
@@ -116,10 +116,13 @@ let lazy_write_commit () =
                  objs)
          done))
 
-(* What every [Stm.run] pays before its descriptors are warm: a fresh
-   context, then eight threads whose transactions overlap (each yields
-   inside its read), so each takes a fresh descriptor and sizes its read,
-   ownership and undo sets on first use. *)
+(* Eight threads whose transactions overlap (each yields inside its
+   read), so the run holds eight descriptors at once. Descriptors outlive
+   runs: after the warm-up call every one comes from the pool with its
+   read, ownership and undo sets already sized, so this is a run's reset
+   and release of the STM state plus the run itself, and no descriptor
+   is built. What a descriptor costs the first time is what [core:trace]
+   "fresh descriptor words" pins. *)
 let fresh_descriptor cfg () =
   ignore
     (Stm_core.Stm.run ~cfg (fun () ->

@@ -23,4 +23,4 @@ val advance : t -> int
 (** Bump the clock and return the new value (first commit gets 1). *)
 
 val reset : t -> unit
-(** Back to 0 — only for harnesses that reuse a system across runs. *)
+(** Back to 0, for a context reused by the next run. *)

@@ -182,7 +182,7 @@ let run_op ctx c ~sampler ~rng ~next_insert ~inserted op =
       if Array.exists (fun v -> v = None) vs then miss := true
   | Profile.Scan ->
       let k0 = Keydist.next sampler in
-      let k0 = if k0 + p.scan_len > p.keys then max 0 (p.keys - p.scan_len) else k0 in
+      let k0 = if k0 + p.scan_len > p.keys then Int.max 0 (p.keys - p.scan_len) else k0 in
       if Kv.scan store k0 ~len:p.scan_len = 0 then miss := true
   | Profile.Insert ->
       let k = !next_insert in
@@ -283,7 +283,7 @@ let run p =
             (op, { a_ops = 0; a_misses = 0; a_hist = Stm_obs.Hist.create () }))
           p.profile.Profile.mix;
       shard_commits = Array.make p.shards 0;
-      token_next = ref (max 1_000_000 (p.keys + (p.clients * p.ops_per_client) + 1));
+      token_next = ref (Int.max 1_000_000 (p.keys + (p.clients * p.ops_per_client) + 1));
       increments = 0;
       invariants = [];
       final_sum = 0;

@@ -41,7 +41,7 @@ let mix k =
 
 let scramble ~keys r = mix r mod keys
 
-let space ~keys ~dist =
+let compute ~keys ~dist =
   if keys <= 0 then invalid_arg "Keydist.space: keys must be positive";
   let kind =
     match dist with
@@ -64,6 +64,29 @@ let space ~keys ~dist =
           }
   in
   { s_keys = keys; s_kind = kind }
+
+(* The last space built. The store engine asks for the same one at every
+   run, and the zeta sum behind a Zipfian space costs a pass over every
+   key; a space is immutable, so handing the same one out again draws
+   the same keys. No space has 0 keys, so the initial entry never hits. *)
+let last = ref { s_keys = 0; s_kind = K_uniform }
+
+let space ~keys ~dist =
+  let l = !last in
+  let hit =
+    l.s_keys = keys
+    &&
+    match (dist, l.s_kind) with
+    | Uniform, K_uniform -> true
+    | Zipfian theta, K_zipf z -> Float.equal theta z.theta
+    | (Uniform | Zipfian _), _ -> false
+  in
+  if hit then l
+  else begin
+    let s = compute ~keys ~dist in
+    last := s;
+    s
+  end
 
 let sampler s rng = { keys = s.s_keys; kind = s.s_kind; rng }
 let create ~keys ~dist rng = sampler (space ~keys ~dist) rng

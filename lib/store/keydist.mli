@@ -26,7 +26,9 @@ type space
 
 val space : keys:int -> dist:dist -> space
 (** [space ~keys ~dist] prepares a key space over [keys] keys
-    (positive).
+    (positive). The last space prepared is kept and handed out again
+    for the same keys and distribution, so a caller asking at every run
+    computes the constants once.
     @raise Invalid_argument on a bad [keys] or Zipfian [theta]. *)
 
 type t

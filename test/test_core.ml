@@ -971,12 +971,15 @@ let words_of f =
    transaction of a given size, running it again allocates nothing in
    the sets: the accesses of an N-write, M-read transaction, measured
    inside the block (commit-time version installs are the mvcc backend's
-   own), allocate 0 words under every versioning backend. The first run
-   of a fresh descriptor pays for the sizing. *)
+   own), allocate 0 words under every versioning backend. The first
+   transaction of a size no descriptor has run yet pays for the sizing:
+   descriptors outlive runs, so each case runs a transaction four times
+   the size of the previous case's, larger than any run before it. *)
 let descriptor_sets_reuse () =
-  let n = 40 and m = 60 in
-  List.iter
-    (fun (name, cfg) ->
+  List.iteri
+    (fun k (name, cfg) ->
+      let scale = 1 lsl (2 * k) in
+      let n = 200 * scale and m = 300 * scale in
       with_stm ~cfg (fun () ->
           let objs = Array.init (n + m) (fun _ -> Stm.alloc_public ~cls:"C" 2) in
           let v = vi 7 in
@@ -1838,4 +1841,221 @@ let suite =
           case "strong barrier bumps the clock" ts_strong_barrier_bumps_clock;
         ]
         @ QCheck_alcotest.(List.map to_alcotest [ ts_equivalence_qcheck ]) );
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* One STM state from run to run                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The process keeps one STM state and resets it at every install. A
+   reset must give a run exactly what a freshly built state would, and
+   leave nothing of the finished run reachable. *)
+
+(* Three threads add to two shared counters in atomic blocks and read one
+   outside them, on a seeded random schedule with a tight retry budget:
+   transactions begin, conflict, back off, wound, abort and are
+   attributed, and under mvcc install and attribute versions. The
+   commit-clock stamp the counter ends at goes to [reuse_stamp]. *)
+let reuse_stamp = ref 0
+
+let reuse_program () =
+  let a = Stm.alloc_public ~cls:"C" 1 and b = Stm.alloc_public ~cls:"C" 1 in
+  Stm.write a 0 (vi 0);
+  Stm.write b 0 (vi 0);
+  let worker k () =
+    for i = 1 to 4 do
+      Stm.atomic (fun () ->
+          Stm.write a 0 (vi (geti a 0 + k));
+          Stm.write b 0 (vi (geti b 0 + i)));
+      ignore (Stm.read b 0)
+    done
+  in
+  List.iter Sched.join (List.init 3 (fun k -> Sched.spawn (worker (k + 1))));
+  reuse_stamp := Heap.version_ts_peek a
+
+let reuse_cfg point cm =
+  { (Config.with_cm cm (Point.config point)) with Config.max_txn_retries = 2 }
+
+(* One configuration per piece of state a run reads: the contention
+   manager's generator (exponential backoff), the commit clock (timestamp
+   validation), the snapshot tables and installer ring (mvcc), the
+   quiescence registry and the txid registry (the wounding policies). *)
+let reuse_probe_cfgs =
+  Point.
+    [
+      reuse_cfg (v (Eager Config.Incremental) Strong) Stm_cm.Policy.Exp_backoff;
+      reuse_cfg (v (Lazy Config.Timestamp) Weak) Stm_cm.Policy.Karma;
+      reuse_cfg (v (Mvcc Config.Serializable) Strong) Stm_cm.Policy.Wound_wait;
+      reuse_cfg (v (Mvcc Config.Snapshot) Weak) Stm_cm.Policy.Exp_backoff;
+      reuse_cfg (v (Eager Config.Incremental) Quiesce) Stm_cm.Policy.Timestamp;
+      reuse_cfg (v (Lazy Config.Incremental) Dea) Stm_cm.Policy.Suicide;
+    ]
+
+let reuse_probe () =
+  List.map
+    (fun cfg ->
+      let seen = ref [] in
+      let result, stats =
+        Trace.with_sinks
+          [ (Trace.History, fun ev -> seen := Fmt.str "%a" Trace.pp_event ev :: !seen) ]
+          (fun () -> Stm.run ~policy:(Sched.Random 5) ~cfg reuse_program)
+      in
+      ( Config.describe cfg,
+        ( result.Sched.status = Sched.Completed && result.Sched.exns = [],
+          result.Sched.makespan,
+          result.Sched.switches,
+          !reuse_stamp,
+          Stats.to_assoc stats ),
+        List.rev !seen ))
+    reuse_probe_cfgs
+
+(* Module initialisation runs before any test, so these are the first
+   runs of the process: the STM state is the one built at start-up. *)
+let first_probe = reuse_probe ()
+
+(* Runs that leave the state in every condition a run can end in: every
+   point under every policy, a run out of fuel and a deadlocked one with
+   transactions still open, an exception out of a thread body, and a
+   block given up as [Starved]. *)
+let reuse_churn () =
+  List.iter
+    (fun point ->
+      List.iter
+        (fun cm ->
+          ignore (Stm.run ~policy:(Sched.Random 3) ~cfg:(reuse_cfg point cm) reuse_program))
+        Stm_cm.Policy.all)
+    Point.all;
+  let stuck ~cfg stop =
+    Stm.run ~max_steps:500 ~cfg (fun () ->
+        let o = Stm.alloc_public ~cls:"C" 2 in
+        let t =
+          Sched.spawn (fun () ->
+              Stm.atomic (fun () ->
+                  ignore (Stm.read o 1);
+                  Stm.write o 0 (vi 1);
+                  stop ()))
+        in
+        Sched.join t)
+  in
+  let forever () =
+    while true do
+      Sched.yield ()
+    done
+  in
+  List.iter
+    (fun cfg ->
+      let fuel, _ = stuck ~cfg forever in
+      check_bool "out of fuel" true (fuel.Sched.status = Sched.Fuel_exhausted);
+      let dead, _ = stuck ~cfg Sched.suspend in
+      check_bool "deadlocked" true
+        (match dead.Sched.status with Sched.Deadlock _ -> true | _ -> false))
+    [
+      Config.eager_strong;
+      Config.lazy_weak;
+      Config.mvcc_strong;
+      Point.(config (v (Eager Config.Incremental) Quiesce));
+      Point.(config (v (Lazy Config.Incremental) Quiesce));
+    ];
+  let escaped ~cfg body =
+    let r, _ = Stm.run ~cfg (fun () -> Sched.join (Sched.spawn body)) in
+    List.map (fun (_, e) -> Printexc.to_string e) r.Sched.exns
+  in
+  Alcotest.(check (list string)) "exception out of a thread body"
+    [ Printexc.to_string (Failure "boom") ]
+    (escaped ~cfg:Config.eager_strong boom);
+  Alcotest.(check (list string)) "Starved block"
+    [ Printexc.to_string (Stm.Starved { attempts = 2 }) ]
+    (escaped ~cfg:starving_cfg starve)
+
+let reuse_is_invisible () =
+  reuse_churn ();
+  nothing_left "after the churn";
+  List.iter2
+    (fun (what, first, first_events) (_, again, events) ->
+      let status, makespan, switches, stamp, stats = first in
+      let status', makespan', switches', stamp', stats' = again in
+      check_bool (what ^ ": first run completed") true status;
+      check_bool (what ^ ": status") status status';
+      Alcotest.(check (list int))
+        (what ^ ": makespan, switches, final commit stamp")
+        [ makespan; switches; stamp ] [ makespan'; switches'; stamp' ];
+      Alcotest.(check (list (pair string int))) (what ^ ": stats") stats stats';
+      check_bool (what ^ ": the run aborted something") true
+        (List.assoc "aborts" stats > 0);
+      Alcotest.(check (list string)) (what ^ ": History events") first_events events)
+    first_probe (reuse_probe ())
+
+(* Weak references to every heap object a run allocates are empty after
+   the run and a full collection: neither the descriptors' logs and
+   buffers, nor the pool, nor the current-transaction table keep any.
+   Each object's field holds a reference to the next one, and every
+   transaction overwrites such references, so undo logs, write buffers
+   and mvcc versions all hold objects. *)
+let run_leaves_nothing_reachable () =
+  let writes ~retries objs () =
+    let n = Array.length objs in
+    let tries = ref 0 in
+    Stm.atomic (fun () ->
+        for i = 0 to n - 1 do
+          ignore (Stm.read objs.(i) 1);
+          Stm.write objs.(i) 0 (Stm.vref objs.((i + 1) mod n))
+        done;
+        incr tries;
+        if !tries <= retries then Stm.abort_and_retry ())
+  in
+  let cases =
+    [
+      ("eager, undo log", Config.eager_strong, 0, false);
+      ("lazy, write buffer", Config.lazy_weak, 0, false);
+      ("mvcc, versions", Config.mvcc_strong, 0, false);
+      ("eager, aborted attempts", Config.eager_weak, 3, false);
+      ("lazy, aborted attempts", Config.lazy_strong, 3, false);
+      ("mvcc, aborted attempts", Config.mvcc_weak, 3, false);
+      ("eager, stopped inside a transaction", Config.eager_strong, 0, true);
+      ("lazy, stopped inside a transaction", Config.lazy_weak, 0, true);
+    ]
+  in
+  List.iter
+    (fun (what, cfg, retries, stop) ->
+      let count = 12 in
+      let refs = Weak.create count in
+      let result, _ =
+        Stm.run ~max_steps:5_000 ~cfg (fun () ->
+            let objs =
+              Array.init count (fun i ->
+                  let o = Stm.alloc_public ~cls:"C" 2 in
+                  Weak.set refs i (Some o);
+                  o)
+            in
+            Array.iteri (fun i o -> Stm.write o 0 (Stm.vref objs.(count - 1 - i))) objs;
+            let t =
+              Sched.spawn (fun () ->
+                  writes ~retries objs ();
+                  writes ~retries:0 objs ();
+                  if stop then
+                    Stm.atomic (fun () ->
+                        writes ~retries:0 objs ();
+                        while true do
+                          Sched.yield ()
+                        done))
+            in
+            writes ~retries objs ();
+            Sched.join t)
+      in
+      check_bool (what ^ ": ran to its end") true
+        (result.Sched.status = (if stop then Sched.Fuel_exhausted else Sched.Completed));
+      Gc.full_major ();
+      for i = 0 to count - 1 do
+        check_bool (Printf.sprintf "%s: object %d unreachable" what i) false (Weak.check refs i)
+      done)
+    cases
+
+let suite =
+  suite
+  @ [
+      ( "core:reuse",
+        [
+          case "reuse is invisible" reuse_is_invisible;
+          case "nothing of a run stays reachable" run_leaves_nothing_reachable;
+        ] );
     ]

@@ -14,7 +14,7 @@ let banned = [ "min"; "max"; "compare"; "List.mem"; "List.assoc"; "List.assoc_op
 let root = if Sys.file_exists "../lib/runtime" then ".." else "."
 let under = List.map (Filename.concat root)
 let dirs = under [ "lib/runtime"; "lib/core"; "lib/cm"; "lib/mvcc" ]
-let files = under [ "lib/litmus/explorer.ml"; "lib/store/kv.ml" ]
+let files = under [ "lib/litmus/explorer.ml"; "lib/store/kv.ml"; "lib/store/engine.ml"; "lib/obs/hist.ml" ]
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 

@@ -157,6 +157,33 @@ let keydist_shared_space () =
       (1, Keydist.Zipfian 0.99);
     ]
 
+(* [Keydist.space] hands the last space it built out again. A sampler
+   over that remembered space draws the same keys, bit for bit, as one
+   over a space computed afresh: asking for another space (other keys,
+   or another theta) evicts the first, and asking for it again then
+   computes it anew. *)
+let keydist_remembered_space () =
+  List.iter
+    (fun (keys, dist, other_keys, other_dist) ->
+      let what = Printf.sprintf "%s over %d keys" (Keydist.dist_to_string dist) keys in
+      let kept = Keydist.space ~keys ~dist in
+      check_bool (what ^ ": asked again, the same space") true
+        (Keydist.space ~keys ~dist == kept);
+      ignore (Keydist.space ~keys:other_keys ~dist:other_dist);
+      let fresh = Keydist.space ~keys ~dist in
+      check_bool (what ^ ": evicted, then computed afresh") true (fresh != kept);
+      let a = Keydist.sampler kept (Det_rng.create 9)
+      and b = Keydist.sampler fresh (Det_rng.create 9) in
+      for i = 1 to 2_000 do
+        check_int (Printf.sprintf "%s: draw %d" what i) (Keydist.next b) (Keydist.next a)
+      done)
+    [
+      (1024, Keydist.Zipfian 0.99, 1023, Keydist.Zipfian 0.99);
+      (1024, Keydist.Zipfian 0.99, 1024, Keydist.Zipfian 0.5);
+      (1000, Keydist.Zipfian 0.5, 1000, Keydist.Uniform);
+      (257, Keydist.Uniform, 257, Keydist.Zipfian 0.99);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Kv semantics (single simulated thread)                              *)
 (* ------------------------------------------------------------------ *)
@@ -492,6 +519,8 @@ let suite =
         case "keydist: scramble spreads hot ranks" scramble_spreads;
         case "keydist: samplers sharing a key space draw as create does"
           keydist_shared_space;
+        case "keydist: a remembered space draws as a fresh one"
+          keydist_remembered_space;
         case "kv: semantics (strong)" (kv_semantics Kv.Strong);
         case "kv: semantics (weak)" (kv_semantics Kv.Weak);
         case "kv: semantics (lock)" (kv_semantics Kv.Lock);
