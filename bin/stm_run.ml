@@ -9,28 +9,12 @@
 
 open Cmdliner
 
-(* The --config names: eager and lazy under every atomicity, mvcc weak
-   and strong, and weak snapshot mvcc. Each is its point's name, except
-   two older spellings: DEA reads strong-BACKEND-dea, and weak snapshot
-   mvcc reads mvcc-snapshot. *)
+(* The --config names: every point's name, and strong-eager-dea, the
+   older spelling of dea-eager and the default. *)
 let configs =
   let open Stm_core in
-  let open Point in
-  let mvcc = Mvcc Config.Serializable in
-  let spelling = function
-    | { atomicity = Dea; backend } ->
-        String.concat "-"
-          [ atomicity_name Strong; backend_name backend; atomicity_name Dea ]
-    | { atomicity = Weak; backend = Mvcc (Config.Snapshot as i) } ->
-        backend_name mvcc ^ "-" ^ Config.isolation_to_string i
-    | p -> name p
-  in
-  List.map
-    (fun p -> (spelling p, p))
-    (List.concat_map
-       (fun a -> [ v (Eager Config.Incremental) a; v (Lazy Config.Incremental) a ])
-       [ Weak; Strong; Dea; Quiesce ]
-    @ [ v mvcc Weak; v mvcc Strong; v (Mvcc Config.Snapshot) Weak ])
+  List.map (fun p -> (Point.name p, p)) Point.all
+  @ [ ("strong-eager-dea", Point.v (Point.Eager Config.Incremental) Point.Dea) ]
 
 let config_of_string detect_races s =
   match List.assoc_opt s configs with
@@ -123,7 +107,7 @@ let write_trace_file path ~resolve recorder =
       (Stm_obs.Recorder.dropped recorder)
 
 let main repro file config opt nait params verbose detect_races granule cm seed
-    validation trace profile trace_out profile_barriers metrics_out diag explore
+    trace profile trace_out profile_barriers metrics_out diag explore
     pct =
   match repro with
   | Some path -> run_repro path
@@ -140,10 +124,7 @@ let main repro file config opt nait params verbose detect_races granule cm seed
       Fmt.epr "%s@." m;
       2
   | Ok cfg -> (
-      let cfg =
-        Stm_core.Config.(
-          with_validation validation (with_cm cm { cfg with granule }))
-      in
+      let cfg = Stm_core.Config.with_cm cm { cfg with granule } in
       let cfg =
         match seed with
         | Some s -> { cfg with Stm_core.Config.cm_seed = s }
@@ -312,9 +293,11 @@ let config_arg =
     value & opt string "strong-eager-dea"
     & info [ "c"; "config" ] ~docv:"CFG"
         ~doc:
-          ("STM configuration: "
+          ("STM configuration, an atomicity (weak, strong, dea, quiesce) \
+            and a backend (eager, lazy, mvcc, mvcc-si, eager-ts, lazy-ts; \
+            the -ts backends validate against the global commit clock): "
           ^ String.concat ", " (List.map fst configs)
-          ^ " (multi-version at snapshot isolation)."))
+          ^ " (dea-eager's older name)."))
 
 let opt_arg =
   Arg.(
@@ -402,13 +385,6 @@ let cmd =
             "Run under the seeded random scheduler instead of the \
              deterministic min-clock one (also seeds the contention \
              manager's randomized backoff). Runs are reproducible per seed."
-      $ Cli.validation
-          ~doc:
-            "Read-set validation scheme for the single-version \
-             configurations: $(b,incremental) or $(b,timestamp) (global \
-             commit clock: O(1) revalidation, timestamp extension, \
-             read-only fast-path commits). The mvcc configurations ignore \
-             it."
       $ trace_arg $ profile_arg $ trace_out_arg $ profile_barriers_arg
       $ Cli.metrics_out
           ~doc:

@@ -29,7 +29,7 @@ let () =
         String.concat ", "
           (List.map (fun (o, n) -> Fmt.str "%s (x%d)" o n) e.Explorer.outcomes)
       in
-      Fmt.pr "%-16s %-10b %-44s@." (Modes.name mode)
+      Fmt.pr "%-16s %-10b %-44s@." (Mode.name mode)
         (Explorer.observed e program.Programs.is_anomalous)
         outcomes)
     (Modes.all_fig6

@@ -67,7 +67,6 @@ val value_of : expr -> token:int -> acc:int -> int
 
 (** {1 Printing and (de)serialization} *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 val to_json : t -> Stm_obs.Json.t
 val of_json : Stm_obs.Json.t -> t option

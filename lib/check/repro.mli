@@ -28,7 +28,6 @@ type t = {
 }
 
 val to_json : t -> Stm_obs.Json.t
-val of_json : Stm_obs.Json.t -> t option
 val to_string : t -> string
 val of_string : string -> (t, string) result
 val save : string -> t -> unit

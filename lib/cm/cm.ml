@@ -63,7 +63,6 @@ let create ?(seed = 0) ~max_retries ~cost policy =
     last_victim = -1;
   }
 
-let policy t = t.policy
 let name t = Policy.to_string t.policy
 let tid_of slot = slot.s_tid
 let birth slot = slot.s_birth

@@ -42,7 +42,6 @@ val create : ?seed:int -> max_retries:int -> cost:Stm_runtime.Cost.t -> Policy.t
     {!Policy.Timestamp}, which never gives up). [seed] fixes the
     randomized-backoff streams. *)
 
-val policy : t -> Policy.t
 val name : t -> string
 
 val on_begin : t -> slot -> tid:int -> txid:int -> now:int -> slot

@@ -122,14 +122,3 @@ let to_assoc t =
              ("max_consec_aborts", e.max_consec_aborts);
              ("wasted_cycles", e.wasted_cycles);
            ] ))
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>jain=%.4f max_consec_aborts=%d@," (jain t)
-    (max_consec_aborts t);
-  List.iter
-    (fun (tid, fields) ->
-      Fmt.pf ppf "  t%d: %a@," tid
-        Fmt.(list ~sep:(any " ") (pair ~sep:(any "=") string int))
-        fields)
-    (to_assoc t);
-  Fmt.pf ppf "@]"

@@ -13,9 +13,6 @@ val on_abort : t -> tid:int -> wasted:int -> unit
 (** [wasted] is the cycle latency of the aborted attempt — work thrown
     away. Negative values are clamped to 0. *)
 
-val threads : t -> int list
-(** Thread ids seen so far, sorted. *)
-
 val commits : t -> tid:int -> int
 val aborts : t -> tid:int -> int
 val max_consec_aborts_of : t -> tid:int -> int
@@ -46,5 +43,3 @@ val sub : t -> t -> t
 
 val to_assoc : t -> (int * (string * int) list) list
 (** Per-thread counters in a JSON-friendly shape, sorted by thread id. *)
-
-val pp : Format.formatter -> t -> unit

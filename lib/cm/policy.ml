@@ -27,21 +27,4 @@ let order_sensitive = function
   | Suicide -> false
   | Wound_wait | Exp_backoff | Karma | Timestamp -> true
 
-let describe = function
-  | Suicide ->
-      "back off with deterministic jitter, abort self after the retry budget \
-       (the McRT default)"
-  | Wound_wait ->
-      "older transaction kills a younger owner; younger backs off behind an \
-       older owner (deadlock-free by construction)"
-  | Exp_backoff ->
-      "randomized exponential backoff on the cost clock; abort self after \
-       the retry budget"
-  | Karma ->
-      "work-based priority: aborted work is banked, richer transaction \
-       wounds poorer owner"
-  | Timestamp ->
-      "greedy age-based: birth timestamp survives restarts, the oldest \
-       transaction never loses (starvation-free)"
-
 let pp ppf p = Fmt.string ppf (to_string p)

@@ -45,7 +45,4 @@ val order_sensitive : t -> bool
     every transaction begin conflicts with every other and the
     reduction collapses to plain enumeration. *)
 
-val describe : t -> string
-(** One-line summary for [--help] output and docs. *)
-
 val pp : Format.formatter -> t -> unit

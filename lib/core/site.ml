@@ -10,8 +10,6 @@ let tid () = Int.max 0 Sched.reg.tid
 
 let set site = Hashtbl.replace slots (tid ()) site
 
-let clear () = Hashtbl.replace slots (tid ()) (-1)
-
 let current () =
   match Hashtbl.find_opt slots (tid ()) with Some s -> s | None -> -1
 

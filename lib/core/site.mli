@@ -15,9 +15,6 @@
 val set : int -> unit
 (** Set the current thread's site (call before dispatching an access). *)
 
-val clear : unit -> unit
-(** Reset the current thread's site to [-1] (unknown). *)
-
 val current : unit -> int
 (** The current thread's site, [-1] if never set. *)
 

@@ -41,26 +41,6 @@ let create () =
     quiesce_waits = 0;
   }
 
-let reset t =
-  t.commits <- 0;
-  t.aborts <- 0;
-  t.txn_reads <- 0;
-  t.txn_writes <- 0;
-  t.barrier_reads <- 0;
-  t.barrier_writes <- 0;
-  t.barrier_private_hits <- 0;
-  t.atomic_ops <- 0;
-  t.conflicts <- 0;
-  t.publishes <- 0;
-  t.validations <- 0;
-  t.fast_validations <- 0;
-  t.ts_extensions <- 0;
-  t.ro_fast_commits <- 0;
-  t.retries <- 0;
-  t.wounds <- 0;
-  t.backoff_cycles <- 0;
-  t.quiesce_waits <- 0
-
 let to_assoc t =
   [
     ("commits", t.commits);

@@ -34,7 +34,6 @@ type t = {
 }
 
 val create : unit -> t
-val reset : t -> unit
 val to_assoc : t -> (string * int) list
 (** Every counter as a (name, value) pair, in declaration order. The
     metrics exporter serializes from this — never scrape {!pp}'s

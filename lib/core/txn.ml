@@ -410,7 +410,6 @@ let begin_txn ctx ~parent ~slot =
       (Trace.Txn_begin { txid = ctx.next_id; tid = Sched.reg.tid });
   t
 
-let id t = t.txid
 let slot t = t.slot
 let set_abort_cause t c = t.abort_cause <- c
 let latency t = Sched.reg.clock - t.begin_ts

@@ -112,8 +112,6 @@ val fresh_descriptor : unit -> t
     transactions at once as it ever will; exposed so tests can count its
     words. *)
 
-val id : t -> int
-
 val slot : t -> Stm_cm.Cm.slot
 (** The contention slot of the transaction's atomic block. *)
 

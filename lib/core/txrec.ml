@@ -39,10 +39,3 @@ let decode w =
 let readable_bit w = w land 2 <> 0
 let btr_acquirable w = w land 1 <> 0
 let release_delta = 9
-
-let pp ppf w =
-  match decode w with
-  | Shared v -> Fmt.pf ppf "Shared(v=%d)" v
-  | Exclusive o -> Fmt.pf ppf "Exclusive(txn=%d)" o
-  | Exclusive_anon v -> Fmt.pf ppf "ExclAnon(v=%d)" v
-  | Private -> Fmt.string ppf "Private"

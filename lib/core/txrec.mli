@@ -70,5 +70,3 @@ val btr_acquirable : int -> bool
 val release_delta : int
 (** The constant 9 added to an Exclusive-anonymous word to release it:
     restores bit 0 (Shared) and increments the version. *)
-
-val pp : Format.formatter -> int -> unit

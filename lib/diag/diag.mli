@@ -38,11 +38,6 @@ val causality : t -> Causality.t
 val metrics : t -> Stm_obs.Metrics.t
 val incidents : t -> Flight.incident list
 
-val starved : ?threshold:int -> t -> int list
-(** {!Stm_cm.Fairness.starved} over the metrics fairness block;
-    [threshold] defaults to 50 consecutive aborts (the stress
-    harness's verdict threshold). *)
-
 val wasted_consistent : t -> bool
 (** Cross-check: the causality graph's per-thread wasted-cycle sums
     must equal {!Stm_cm.Fairness.wasted_cycles} for every thread — the

@@ -38,8 +38,6 @@ let create ?(capacity = 512) ?(streak_threshold = 8) ?(max_incidents = 8) () =
     nincidents = 0;
   }
 
-let streak_threshold t = t.streak_threshold
-
 let freeze t ~reason ~at_step ~tid ~streak =
   if t.nincidents < t.max_incidents then begin
     t.incidents_rev <-

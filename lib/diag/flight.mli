@@ -31,8 +31,6 @@ val create :
     later triggers are dropped, not rotated, so the earliest incidents
     (usually the onset of the pathology) survive. *)
 
-val streak_threshold : t -> int
-
 val record : t -> Stm_obs.Recorder.entry -> unit
 (** Feed one stamped entry: push into the window, update streaks, and
     freeze an incident if a streak trigger fires. A thread's trigger

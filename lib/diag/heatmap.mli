@@ -28,9 +28,6 @@ type cell = {
           first; site [-1] is an API-level access with no source site *)
 }
 
-val conflicts : cell -> int
-(** Read plus write conflict episodes. *)
-
 val heat : cell -> int
 (** Ranking score: conflict episodes plus attributed aborts. *)
 

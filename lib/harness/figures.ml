@@ -8,35 +8,40 @@ open Stm_workloads
 type variant = {
   v_label : string;
   v_jit : Stm_jit.Opt.level;
-  v_dea : bool;
+  v_atomicity : Point.atomicity;  (** [Strong] or [Dea] *)
   v_whole_prog : bool;
 }
 
 let overhead_variants =
-  [
-    { v_label = "NoOpts"; v_jit = Stm_jit.Opt.O0; v_dea = false; v_whole_prog = false };
-    { v_label = "+BarrierElim"; v_jit = Stm_jit.Opt.O1; v_dea = false; v_whole_prog = false };
-    { v_label = "+BarrierAggr"; v_jit = Stm_jit.Opt.O2; v_dea = false; v_whole_prog = false };
-    { v_label = "+DEA"; v_jit = Stm_jit.Opt.O2; v_dea = true; v_whole_prog = false };
-    { v_label = "+NAIT"; v_jit = Stm_jit.Opt.O2; v_dea = true; v_whole_prog = true };
-  ]
+  let v v_label v_jit v_atomicity v_whole_prog =
+    { v_label; v_jit; v_atomicity; v_whole_prog }
+  in
+  Stm_jit.Opt.
+    [
+      v "NoOpts" O0 Point.Strong false;
+      v "+BarrierElim" O1 Point.Strong false;
+      v "+BarrierAggr" O2 Point.Strong false;
+      v "+DEA" O2 Point.Dea false;
+      v "+NAIT" O2 Point.Dea true;
+    ]
 
 let overhead_levels = List.map (fun v -> v.v_label) overhead_variants
+let eager = Point.Eager Config.Incremental
 
 (* Compile a fresh program, run the selected JIT + whole-program passes.
    Whole-program barrier removal runs before aggregation so that
    aggregation only spends acquires on barriers that must remain. *)
-let prepare (w : Workload.t) variant =
+let prepare (w : Workload.t) ~jit ~whole_prog =
   let prog = Workload.program w in
-  if variant.v_whole_prog then begin
+  if whole_prog then begin
     ignore (Stm_jit.Opt.optimize Stm_jit.Opt.O1 prog);
     let pta = Stm_analysis.Pta.analyze prog in
     ignore (Stm_analysis.Nait.apply prog pta : int);
     ignore (Stm_analysis.Thread_local.apply prog pta : int);
-    if variant.v_jit = Stm_jit.Opt.O2 then
+    if jit = Stm_jit.Opt.O2 then
       ignore (Stm_jit.Aggregate.run prog : int)
   end
-  else ignore (Stm_jit.Opt.optimize variant.v_jit prog);
+  else ignore (Stm_jit.Opt.optimize jit prog);
   prog
 
 let run_workload ?(extra = []) prog (w : Workload.t) cfg =
@@ -74,18 +79,20 @@ let overhead_fig ~reads ~writes ?(scale = 1.0) () =
   List.map
     (fun w ->
       let w = Workload.scaled w scale in
-      let weak_prog = prepare w (List.hd overhead_variants) in
-      let weak = run_workload weak_prog w Config.eager_weak in
+      let weak_prog = prepare w ~jit:Stm_jit.Opt.O0 ~whole_prog:false in
+      let weak =
+        run_workload weak_prog w (Point.config (Point.v eager Point.Weak))
+      in
       let weak_cycles =
         weak.Stm_ir.Interp.result.Stm_runtime.Sched.makespan
       in
       let levels =
         List.map
           (fun v ->
-            let prog = prepare w v in
+            let prog = prepare w ~jit:v.v_jit ~whole_prog:v.v_whole_prog in
             let cfg =
-              let base = strong_cfg ~reads ~writes Config.eager_strong in
-              if v.v_dea then Config.with_dea base else base
+              strong_cfg ~reads ~writes
+                (Point.config (Point.v eager v.v_atomicity))
             in
             let out = run_workload prog w cfg in
             if out.Stm_ir.Interp.prints <> weak.Stm_ir.Interp.prints then
@@ -168,57 +175,23 @@ type scaling = {
 
 type sconf = {
   s_label : string;
-  s_locks : bool;
-  s_cfg : Config.t;
+  s_mode : Mode.t;
   s_jit : Stm_jit.Opt.level;
   s_whole_prog : bool;
 }
 
 let scaling_confs =
-  [
-    {
-      s_label = "Synch";
-      s_locks = true;
-      s_cfg = Config.eager_weak;
-      s_jit = Stm_jit.Opt.O0;
-      s_whole_prog = false;
-    };
-    {
-      s_label = "WeakAtom";
-      s_locks = false;
-      s_cfg = Config.eager_weak;
-      s_jit = Stm_jit.Opt.O0;
-      s_whole_prog = false;
-    };
-    {
-      s_label = "StrongNoOpts";
-      s_locks = false;
-      s_cfg = Config.eager_strong;
-      s_jit = Stm_jit.Opt.O0;
-      s_whole_prog = false;
-    };
-    {
-      s_label = "+JitOpts";
-      s_locks = false;
-      s_cfg = Config.eager_strong;
-      s_jit = Stm_jit.Opt.O2;
-      s_whole_prog = false;
-    };
-    {
-      s_label = "+DEA";
-      s_locks = false;
-      s_cfg = Config.(with_dea eager_strong);
-      s_jit = Stm_jit.Opt.O2;
-      s_whole_prog = false;
-    };
-    {
-      s_label = "+WholeProg";
-      s_locks = false;
-      s_cfg = Config.(with_dea eager_strong);
-      s_jit = Stm_jit.Opt.O2;
-      s_whole_prog = true;
-    };
-  ]
+  let c s_label s_mode s_jit s_whole_prog = { s_label; s_mode; s_jit; s_whole_prog } in
+  let stm a = Mode.Stm (Point.v eager a) in
+  Stm_jit.Opt.
+    [
+      c "Synch" Mode.Locks O0 false;
+      c "WeakAtom" (stm Point.Weak) O0 false;
+      c "StrongNoOpts" (stm Point.Strong) O0 false;
+      c "+JitOpts" (stm Point.Strong) O2 false;
+      c "+DEA" (stm Point.Dea) O2 false;
+      c "+WholeProg" (stm Point.Dea) O2 true;
+    ]
 
 let scaling_fig (w : Workload.t) ?(threads = [ 1; 2; 4; 8; 16 ]) ?(scale = 1.0)
     () =
@@ -231,22 +204,14 @@ let scaling_fig (w : Workload.t) ?(threads = [ 1; 2; 4; 8; 16 ]) ?(scale = 1.0)
   let series =
     List.map
       (fun sc ->
-        let variant =
-          {
-            v_label = sc.s_label;
-            v_jit = sc.s_jit;
-            v_dea = sc.s_cfg.Config.dea;
-            v_whole_prog = sc.s_whole_prog;
-          }
-        in
-        let prog = prepare w variant in
+        let prog = prepare w ~jit:sc.s_jit ~whole_prog:sc.s_whole_prog in
+        let cfg = Mode.config sc.s_mode in
+        let use_locks = match sc.s_mode with Mode.Locks -> 1 | Mode.Stm _ -> 0 in
         let measured =
           List.map
             (fun nt ->
-              let extra =
-                [ ("threads", nt); ("use_locks", (if sc.s_locks then 1 else 0)) ]
-              in
-              let out = run_workload ~extra prog w sc.s_cfg in
+              let extra = [ ("threads", nt); ("use_locks", use_locks) ] in
+              let out = run_workload ~extra prog w cfg in
               (* deterministic workloads print schedule-independent
                  checksums; compare across all configurations *)
               (match Hashtbl.find_opt reference_output nt with

@@ -14,6 +14,3 @@ exception Error of string * int
 
 val compile : ?name:string -> string -> Stm_ir.Ir.program
 (** Parse and lower a Jt source string. *)
-
-val parse : ?name:string -> string -> Ast.program
-(** Parse only (for front-end tests). *)

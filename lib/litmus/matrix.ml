@@ -235,7 +235,7 @@ let pp_certified ppf c =
   let verdict b = if b then "yes" else "no" in
   Fmt.pf ppf "%-14s %-14s enum=%-3s/%-6d dpor=%-3s/%-6d %s races=%d%s"
     c.enum.program.Programs.name
-    (Modes.name c.enum.mode)
+    (Mode.name c.enum.mode)
     (verdict c.enum.observed) c.enum.runs (verdict c.dpor.observed) c.dpor.runs
     (if c.complete then "complete" else "bounded ")
     c.races
@@ -262,7 +262,7 @@ let pp_table ppf cells =
       [] cells
   in
   Fmt.pf ppf "%-8s %-6s" "anomaly" "fig";
-  List.iter (fun m -> Fmt.pf ppf " %-14s" (Modes.name m)) modes;
+  List.iter (fun m -> Fmt.pf ppf " %-14s" (Mode.name m)) modes;
   Fmt.pf ppf "@.";
   List.iter
     (fun p ->

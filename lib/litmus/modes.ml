@@ -1,7 +1,7 @@
 open Stm_core
 open Stm_runtime
 
-type t = Locks | Stm of Point.t
+type t = Mode.t = Locks | Stm of Point.t
 
 let stm backend atomicity = Stm (Point.v backend atomicity)
 
@@ -32,15 +32,10 @@ let all_mvcc = columns [ Point.Mvcc Config.Serializable; Point.Mvcc Config.Snaps
    the scheme must change performance, never verdicts. *)
 let all_timestamp = columns [ Point.Eager Config.Timestamp; Point.Lazy Config.Timestamp ]
 
-let name = function Locks -> "locks" | Stm p -> Point.name p
+let name = Mode.name
 
 let config ?(granule = 1) mode =
-  let c =
-    match mode with
-    | Locks -> Config.eager_weak
-    | Stm p -> Point.config p
-  in
-  { c with Config.validate_every = 1; cost = Cost.free; granule }
+  { (Mode.config mode) with Config.validate_every = 1; cost = Cost.free; granule }
 
 type harness = {
   atomic : (unit -> unit) -> unit;

@@ -4,7 +4,7 @@
 
 open Stm_core
 
-type t =
+type t = Mode.t =
   | Locks  (** critical sections via a single mutual-exclusion lock *)
   | Stm of Point.t  (** atomic blocks as transactions at this point *)
 
@@ -23,13 +23,12 @@ val all_timestamp : t list
     change a litmus verdict. *)
 
 val name : t -> string
-(** ["locks"], or the point's {!Point.name}. *)
+(** {!Mode.name}; the end-to-end benchmark labels its litmus cells with it. *)
 
 val config : ?granule:int -> t -> Config.t
 (** STM configuration for the mode (litmus programs validate on every
-    access, use the free cost model, and back off on conflicts). Lock mode
-    runs the weak-eager configuration, with atomic blocks mapped to a
-    mutex. *)
+    access, use the free cost model, and back off on conflicts): the
+    mode's {!Mode.config} with those three fields set. *)
 
 (** Per-instance harness handed to a litmus program body. *)
 type harness = {

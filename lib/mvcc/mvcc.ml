@@ -79,8 +79,6 @@ let reset t =
   t.stats.ro_commits <- 0
 
 let now t = Gvc.now t.gvc
-let gvc t = t.gvc
-let max_versions t = t.max_versions
 let stats t = t.stats
 let advance t = Gvc.advance t.gvc
 
@@ -169,12 +167,3 @@ let installer_of t ~ts =
   else None
 
 let note_ro_commit t = t.stats.ro_commits <- t.stats.ro_commits + 1
-
-let stats_to_assoc t =
-  [
-    ("mvcc_installs", t.stats.installs);
-    ("mvcc_pruned", t.stats.pruned);
-    ("mvcc_snapshot_reads", t.stats.snapshot_reads);
-    ("mvcc_too_old", t.stats.too_old);
-    ("mvcc_ro_commits", t.stats.ro_commits);
-  ]

@@ -37,10 +37,6 @@ val reset : t -> unit
 
 val now : t -> int
 
-val gvc : t -> Gvc.t
-(** The commit clock this instance draws timestamps from. *)
-
-val max_versions : t -> int
 val stats : t -> stats
 
 val advance : t -> int
@@ -80,5 +76,3 @@ val installer_of : t -> ts:int -> (int * int) option
     or [None] when the attribution ring has since reused the slot. *)
 
 val note_ro_commit : t -> unit
-
-val stats_to_assoc : t -> (string * int) list

@@ -62,13 +62,6 @@ let sub later earlier =
     vmax = later.vmax;
   }
 
-let clear t =
-  Array.fill t.buckets 0 nbuckets 0;
-  t.count <- 0;
-  t.sum <- 0;
-  t.vmin <- max_int;
-  t.vmax <- min_int
-
 (* Approximate quantile from bucket boundaries: upper bound of the bucket
    containing the q-th sample, clamped into [min_value, max_value] so the
    bucket granularity never produces a value outside the observed range

@@ -23,6 +23,4 @@ val sub : t -> t -> t
 (** [sub later earlier]: histogram of the samples recorded between the
     two snapshots (bucket-wise difference). *)
 
-val clear : t -> unit
-
 val to_json : t -> Json.t

@@ -60,8 +60,6 @@ let to_string j =
   to_buffer buf j;
   Buffer.contents buf
 
-let pp ppf j = Fmt.string ppf (to_string j)
-
 let of_assoc kvs = Obj (List.map (fun (k, v) -> (k, Int v)) kvs)
 
 (* ------------------------------------------------------------------ *)

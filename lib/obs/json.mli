@@ -11,7 +11,6 @@ type t =
 
 val to_buffer : Buffer.t -> t -> unit
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 val of_assoc : (string * int) list -> t
 (** Integer-counter association lists (e.g. {!Stm_core.Stats.to_assoc})

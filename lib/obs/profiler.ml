@@ -131,38 +131,3 @@ let pp ?(resolve = fun _ -> None) ?(limit = max_int) ppf t =
   Fmt.pf ppf "%-36s %10d %10d %10d %10d %8d %8d %8d@." "TOTAL" tot.reads
     tot.writes tot.txn_reads tot.txn_writes tot.private_hits tot.elided
     tot.conflicts
-
-let counters_json c =
-  Json.Obj
-    [
-      ("reads", Json.Int c.reads);
-      ("writes", Json.Int c.writes);
-      ("txn_reads", Json.Int c.txn_reads);
-      ("txn_writes", Json.Int c.txn_writes);
-      ("private_hits", Json.Int c.private_hits);
-      ("elided", Json.Int c.elided);
-      ("conflicts", Json.Int c.conflicts);
-    ]
-
-let to_json ?(resolve = fun _ -> None) t =
-  Json.Obj
-    [
-      ( "sites",
-        Json.List
-          (List.map
-             (fun (site, c) ->
-               Json.Obj
-                 [
-                   ("site", Json.Int site);
-                   ("loc", Json.Str (site_label resolve site));
-                   ("counters", counters_json c);
-                 ])
-             (sites t)) );
-      ( "threads",
-        Json.List
-          (List.map
-             (fun (tid, c) ->
-               Json.Obj [ ("tid", Json.Int tid); ("counters", counters_json c) ])
-             (threads t)) );
-      ("total", counters_json t.total);
-    ]

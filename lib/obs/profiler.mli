@@ -49,5 +49,3 @@ val pp :
   unit
 (** Table with a TOTAL row. [resolve] maps site ids to labels
     (e.g. ["file.jt:12"] via {!Stm_ir.Ir.site_loc}). *)
-
-val to_json : ?resolve:(int -> string option) -> t -> Json.t

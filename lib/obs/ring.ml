@@ -28,7 +28,6 @@ let push t x =
   end
 
 let length t = t.len
-let capacity t = t.cap
 let dropped t = t.dropped
 
 let iter f t =

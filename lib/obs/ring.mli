@@ -7,13 +7,9 @@ val create : capacity:int -> 'a t
 val push : 'a t -> 'a -> unit
 
 val length : 'a t -> int
-val capacity : 'a t -> int
 
 val dropped : 'a t -> int
 (** Elements overwritten because the buffer was full. *)
-
-val iter : ('a -> unit) -> 'a t -> unit
-(** Oldest first. *)
 
 val to_list : 'a t -> 'a list
 (** Oldest first. *)

@@ -395,17 +395,15 @@ let store_bench mode profile =
   fun () -> ignore (Stm_store.Engine.run p)
 
 (* The backend-sensitive txn/diag benches run under the backend's weak
-   configuration, the barrier and check benches under its strong one.
+   configuration, the barrier, check and store benches under its strong
+   one.
    The [lazy-write-commit] bench stays pinned to the lazy backend as a
    fixed cross-backend reference point. *)
 let bodies backend : (string * (unit -> unit)) list =
   let cfg = Point.config (Point.v backend Point.Weak) in
-  let strong_cfg = Point.config (Point.v backend Point.Strong) in
-  let store_mode =
-    match backend with
-    | Point.Mvcc _ -> Stm_store.Kv.Mvcc
-    | Point.Eager _ | Point.Lazy _ -> Stm_store.Kv.Strong
-  in
+  let strong = Point.v backend Point.Strong in
+  let strong_cfg = Point.config strong in
+  let store_mode = Stm_core.Mode.Stm strong in
   [
     ("txn/revalidate", revalidate cfg);
     ("txn/revalidate-heavy", revalidate_heavy cfg);

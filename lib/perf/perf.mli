@@ -45,9 +45,8 @@ val suite :
     [backend] (default eager, incremental validation) selects the
     backend the backend-sensitive benches run under — the txn/* and
     diag/* benches switch their weak-atomicity configuration, the
-    barrier/* and check/* benches their strong one, the store/* benches
-    run the store's matching mode ([Kv.Mvcc] under mvcc, [Kv.Strong]
-    otherwise); [lazy-write-commit] and the end-to-end figure/fuzz units
+    barrier/*, check/* and store/* benches their strong one;
+    [lazy-write-commit] and the end-to-end figure/fuzz units
     keep their own fixed configurations. Timestamp validation
     (eager-ts, lazy-ts) switches the txn/* and diag/* configuration to
     the global-commit-clock scheme; the revalidate-heavy and

@@ -2,9 +2,11 @@ open Stm_runtime
 module Stm = Stm_core.Stm
 module Trace = Stm_core.Trace
 module Config = Stm_core.Config
+module Mode = Stm_core.Mode
+module Point = Stm_core.Point
 
 type params = {
-  mode : Kv.mode;
+  mode : Mode.t;
   shards : int;
   clients : int;
   keys : int;
@@ -23,7 +25,7 @@ type params = {
 
 let default =
   {
-    mode = Kv.Strong;
+    mode = Mode.Stm (Point.v (Point.Eager Config.Incremental) Point.Strong);
     shards = 4;
     clients = 8;
     keys = 1024;
@@ -41,7 +43,7 @@ let default =
   }
 
 let config p =
-  { (Kv.config p.mode) with Config.cm = p.cm; cm_seed = p.seed }
+  { (Mode.config p.mode) with Config.cm = p.cm; cm_seed = p.seed }
 
 let validate p =
   if p.shards <= 0 then invalid_arg "store: shards must be positive";
@@ -228,7 +230,7 @@ let client_body ctx c ~op_rng ~key_rng () =
 
 let main ctx oracle () =
   let p = ctx.p in
-  let cost = (config p).Config.cost in
+  let cost = (Stm.config ()).Config.cost in
   let store =
     Kv.create ~buckets:p.buckets ~value_size:p.value_size ~mode:p.mode
       ~shards:p.shards ~cost ()
@@ -410,7 +412,7 @@ let to_json r =
       ( "params",
         Json.Obj
           [
-            ("mode", Json.Str (Kv.mode_to_string p.mode));
+            ("mode", Json.Str (Mode.name p.mode));
             ("profile", Json.Str p.profile.Profile.pname);
             ("shards", Json.Int p.shards);
             ("clients", Json.Int p.clients);
@@ -470,7 +472,7 @@ let to_json r =
 let pp_report ppf r =
   let p = r.r_params in
   Fmt.pf ppf "@[<v>store %s/%s: %d shards, %d clients, %d keys, %s, seed %d: %s@,"
-    (Kv.mode_to_string p.mode) p.profile.Profile.pname p.shards p.clients p.keys
+    (Mode.name p.mode) p.profile.Profile.pname p.shards p.clients p.keys
     (Keydist.dist_to_string p.dist)
     p.seed (status_string r.r_status);
   Fmt.pf ppf "  makespan=%d ops=%d throughput=%.1f ops/Mcycle@." r.r_makespan

@@ -24,7 +24,7 @@
 open Stm_runtime
 
 type params = {
-  mode : Kv.mode;
+  mode : Stm_core.Mode.t;
   shards : int;
   clients : int;
   keys : int;  (** preloaded key-space size *)
@@ -42,12 +42,8 @@ type params = {
 }
 
 val default : params
-(** strong / 4 shards / 8 clients / 1024 keys / zipfian(0.99) /
+(** strong-eager / 4 shards / 8 clients / 1024 keys / zipfian(0.99) /
     read-heavy / 128 ops per client / timestamp CM. *)
-
-val config : params -> Stm_core.Config.t
-(** The STM configuration the run installs: {!Kv.config} of the mode
-    with the contention-management policy and seed applied. *)
 
 type class_stat = {
   cs_ops : int;  (** operations issued *)

@@ -1,18 +1,6 @@
 open Stm_runtime
 module Stm = Stm_core.Stm
-
-type mode = Strong | Weak | Lock | Mvcc
-
-let mode_to_string = function
-  | Strong -> "strong"
-  | Weak -> "weak"
-  | Lock -> "lock"
-  | Mvcc -> "mvcc"
-
-let config = function
-  | Strong -> Stm_core.Config.eager_strong
-  | Weak | Lock -> Stm_core.Config.eager_weak
-  | Mvcc -> Stm_core.Config.mvcc_strong
+module Mode = Stm_core.Mode
 
 (* Entry object layout: field 0 = key, field 1 = next link,
    fields 2 .. 2+value_size-1 = value words. *)
@@ -25,13 +13,13 @@ let fld_seqno = 0
 let fld_count = 1
 
 type t = {
-  mode : mode;
+  mode : Mode.t;
   shards : int;
   buckets : int;
   value_size : int;
   tables : Heap.obj array;  (** per shard: fields are the chain heads *)
   headers : Heap.obj array;
-  locks : Sim_mutex.t array;  (** empty unless [Lock] *)
+  locks : Sim_mutex.t array;  (** empty unless [Locks] *)
   mutable oid_shard : int array;
   mutable oid_key : int array;
   mutable entries : int;  (** entries ever linked, aborted inserts too *)
@@ -41,10 +29,6 @@ type t = {
    as the run's object count. [oid_shard.(oid)] is the shard of a
    store-owned table or header, the shard plus [shards] for an entry
    (whose key is then [oid_key.(oid)]), and -1 for any other object. *)
-
-let mode t = t.mode
-let shards t = t.shards
-let value_size t = t.value_size
 
 let mix k =
   let k = (k + 0x27d4eb2f165667c5) land max_int in
@@ -86,10 +70,10 @@ let create ?(buckets = 64) ?(value_size = 4) ~mode ~shards ~cost () =
   in
   let locks =
     match mode with
-    | Lock ->
+    | Mode.Locks ->
         Array.init shards (fun s ->
             Sim_mutex.create ~name:(Printf.sprintf "shard-%d" s) cost)
-    | Strong | Weak | Mvcc -> [||]
+    | Mode.Stm _ -> [||]
   in
   let t =
     {
@@ -116,13 +100,13 @@ let create ?(buckets = 64) ?(value_size = 4) ~mode ~shards ~cost () =
    configured non-transactional path outside. *)
 let rd t o f =
   match t.mode with
-  | Lock -> Stm.read_nobarrier o f
-  | Strong | Weak | Mvcc -> Stm.read o f
+  | Mode.Locks -> Stm.read_nobarrier o f
+  | Mode.Stm _ -> Stm.read o f
 
 let wr t o f v =
   match t.mode with
-  | Lock -> Stm.write_nobarrier o f v
-  | Strong | Weak | Mvcc -> Stm.write o f v
+  | Mode.Locks -> Stm.write_nobarrier o f v
+  | Mode.Stm _ -> Stm.write o f v
 
 (* Run [f] atomically with respect to the given shards: an atomic block
    under the STM modes, the shard mutexes in ascending order under the
@@ -135,13 +119,13 @@ let wr t o f v =
    longer valid aborts and retries; a valid one re-raises. *)
 let atomically t shs f =
   match t.mode with
-  | Strong | Weak | Mvcc ->
+  | Mode.Stm _ ->
       Stm.atomic (fun () ->
           match f () with
           | v -> v
           | exception Invalid_argument _ when not (Stm.valid ()) ->
               Stm.abort_and_retry ())
-  | Lock ->
+  | Mode.Locks ->
       let shs = List.sort_uniq Int.compare shs in
       let rec go = function
         | [] -> f ()
@@ -149,12 +133,12 @@ let atomically t shs f =
       in
       go shs
 
-(* Single-key non-transactional ops take the shard lock in [Lock] mode
+(* Single-key non-transactional ops take the shard lock in [Locks] mode
    and run bare otherwise (that is the point of the mixed traffic). *)
 let nontxn t sh f =
   match t.mode with
-  | Strong | Weak | Mvcc -> f ()
-  | Lock -> Sim_mutex.with_lock t.locks.(sh) f
+  | Mode.Stm _ -> f ()
+  | Mode.Locks -> Sim_mutex.with_lock t.locks.(sh) f
 
 let register_entry t e k sh =
   register t e.Heap.oid (t.shards + sh);
@@ -316,8 +300,8 @@ let shards_of_keys t ks =
 
 let read_headers t shs =
   match t.mode with
-  | Lock -> ()  (* the locks are held; no snapshot validation needed *)
-  | Strong | Weak | Mvcc ->
+  | Mode.Locks -> ()  (* the locks are held; no snapshot validation needed *)
+  | Mode.Stm _ ->
       List.iter (fun s -> ignore (rd t t.headers.(s) fld_seqno)) shs
 
 let multi_get t ks =

@@ -11,25 +11,25 @@
 
     {2 Concurrency disciplines}
 
-    The [mode] fixes how operations synchronize:
-    - [Strong] / [Weak]: structural and multi-key operations
-      ({!insert}, {!delete}, {!rmw}, {!multi_get}, {!scan}) run inside
+    The {!Stm_core.Mode.t} the store is created with fixes how operations
+    synchronize:
+    - [Stm p]: structural and multi-key operations ({!insert},
+      {!delete}, {!rmw}, {!multi_get}, {!scan}) run inside
       {!Stm_core.Stm.atomic}; single-key {!get}, {!put} and {!add} run
-      as {e non-transactional} heap accesses. Under [Strong] the
-      configured isolation barriers make that mixed traffic safe; under
-      [Weak] it exhibits the paper's Figure 6 anomalies on real store
+      as {e non-transactional} heap accesses. At a strong or dea point
+      the isolation barriers make that mixed traffic safe (on the
+      multi-version backends, non-transactional accesses see and
+      produce the latest committed version); at a weak or quiesce point
+      it exhibits the paper's Figure 6 anomalies on real store
       operations (the workload engine measures them).
-    - [Lock]: the "Synch" baseline — every operation takes the shard
+    - [Locks]: the "Synch" baseline — every operation takes the shard
       mutex(es) (in ascending shard order for multi-shard operations)
       and accesses memory through the barrier-elided
       [read_nobarrier]/[write_nobarrier] path.
-    - [Mvcc]: the multi-version backend with strong-atomicity barriers
-      ([mvcc_strong]): transactions read consistent snapshots and
-      install versions first-committer-wins, non-transactional accesses
-      see (and produce) the latest committed version. Held to the same
-      exactness bar as [Strong] and [Lock] — the engine's update
-      deviation must be zero and recorded runs must certify
-      serializable.
+
+    {!Stm_core.Mode.isolated} picks the modes held to exactness: the
+    engine's update deviation must be zero and recorded runs must
+    certify serializable.
 
     Mutating transactions first bump their shard's sequence number, so
     writers within one shard serialize on the header granule while
@@ -44,36 +44,22 @@
 
 open Stm_runtime
 
-type mode = Strong | Weak | Lock | Mvcc
-
-val mode_to_string : mode -> string
-
-val config : mode -> Stm_core.Config.t
-(** The STM configuration a mode runs under: [eager_strong] for
-    [Strong], [eager_weak] for [Weak] and [Lock] (lock mode uses the
-    barrier-elided access path, so the atomicity flag is moot),
-    [mvcc_strong] for [Mvcc]. *)
-
 type t
 
 val create :
   ?buckets:int ->
   ?value_size:int ->
-  mode:mode ->
+  mode:Stm_core.Mode.t ->
   shards:int ->
   cost:Cost.t ->
   unit ->
   t
-(** Allocate the shard tables and headers (and, in [Lock] mode, the
+(** Allocate the shard tables and headers (and, in [Locks] mode, the
     shard mutexes). [buckets] is per shard (default 64); [value_size]
     (default 4) is the number of heap words a value occupies — writes
     touch all of them, models payload size. [cost] prices the lock
-    operations of [Lock] mode (pass the run configuration's cost
+    operations of [Locks] mode (pass the run configuration's cost
     model). *)
-
-val mode : t -> mode
-val shards : t -> int
-val value_size : t -> int
 
 val preload : t -> keys:int -> value:(int -> int) -> unit
 (** Populate keys [0 .. keys-1] with [value k] via raw heap stores —
@@ -87,7 +73,7 @@ val preload : t -> keys:int -> value:(int -> int) -> unit
     [value_size - 1] words are written with the same value. *)
 
 val get : t -> int -> int option
-(** Non-transactional single-key read ([Lock]: under the shard lock). *)
+(** Non-transactional single-key read ([Locks]: under the shard lock). *)
 
 val put : t -> int -> int -> bool
 (** Non-transactional blind update of an existing key's value words.
@@ -96,11 +82,12 @@ val put : t -> int -> int -> bool
 
 val add : t -> int -> int -> int option
 (** Unsynchronized non-transactional read-modify-write: read the value,
-    write value[+d] back. Atomic under [Lock] (takes the shard lock).
-    Under [Strong] each of the two accesses is isolated from
-    transactions but the {e pair} is not atomic — value-preserving
-    concurrent writers (the engine's anomaly-profile discipline) keep
-    it exact, value-changing ones do not. Under [Weak] it additionally
+    write value[+d] back. Atomic under [Locks] (takes the shard lock).
+    In an {!Stm_core.Mode.isolated} STM mode each of the two accesses is
+    isolated from transactions but the {e pair} is not atomic —
+    value-preserving concurrent writers (the engine's anomaly-profile
+    discipline) keep it exact, value-changing ones do not. In the other
+    modes it additionally
     sees the TM's speculative state and rollbacks — the workload
     engine's lost-update witness. [None] when the key is absent. *)
 

@@ -36,10 +36,7 @@ val set_init : t -> (int * int) list -> unit
 val set_final : t -> (int * int) list -> unit
 (** Final [key, token] store contents (a raw post-run fold). *)
 
-val history : t -> Stm_check.History.history
-(** Nodes sorted by serialization stamp, with the recorded init/final
-    state. *)
-
 val check : t -> Stm_check.History.verdict
-(** {!Stm_check.History.check_graph} over {!history}: conflict-graph
-    acyclicity, dirty reads, final-state agreement. *)
+(** {!Stm_check.History.check_graph} over the recorded history (nodes
+    sorted by serialization stamp, with the recorded init/final state):
+    conflict-graph acyclicity, dirty reads, final-state agreement. *)

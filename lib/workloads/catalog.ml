@@ -29,8 +29,3 @@ let families =
       members = Jvm98.all;
     };
   ]
-
-let all = List.concat_map (fun f -> f.members) families
-
-let find name =
-  List.find_opt (fun (w : Workload.t) -> w.Workload.name = name) all

@@ -16,9 +16,3 @@ type family = {
 
 val families : family list
 (** tsp, oo7, jbb, jvm98 — in figure order. *)
-
-val all : Workload.t list
-(** Every workload of every family, in {!families} order. *)
-
-val find : string -> Workload.t option
-(** Look up a workload by its [Workload.t.name]. *)

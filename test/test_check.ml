@@ -935,7 +935,7 @@ let test_space_covers_grids () =
     (Combo.all @ Combo.timestamp_grid @ Fuzz.timestamp_backend_grid
     @ List.map (fun c -> c.Fuzz.combo) (Fuzz.default_plan @ Fuzz.timestamp_plan));
   List.iter
-    (fun (_, m, _) -> in_list (Stm_litmus.Modes.name m) every_mode m)
+    (fun (_, m, _) -> in_list (Stm_core.Mode.name m) every_mode m)
     (Stm_litmus.Matrix.full_matrix ());
   Alcotest.(check (list string))
     "stress and perf backends" [ "eager"; "lazy"; "mvcc"; "mvcc-si"; "eager-ts"; "lazy-ts" ]
@@ -946,13 +946,21 @@ let test_space_names_roundtrip () =
     (fun p ->
       if Point.of_name (Point.name p) <> Some p then Alcotest.failf "point %s" (Point.name p))
     Point.all;
+  List.iter
+    (fun m ->
+      let n = Stm_core.Mode.name m in
+      if Stm_core.Mode.of_name n <> Some m then Alcotest.failf "mode %s" n)
+    every_mode;
+  Alcotest.(check int) "Mode.all is every mode" (List.length every_mode)
+    (List.length Stm_core.Mode.all);
+  Alcotest.(check string) "locks name" "locks" (Stm_core.Mode.name Stm_core.Mode.Locks);
   let distinct what names =
     Alcotest.(check int) (what ^ " names distinct") (List.length names)
       (List.length (List.sort_uniq String.compare names))
   in
   distinct "point" (List.map Point.name Point.all);
   distinct "combo" (List.map Combo.name every_combo);
-  distinct "mode" (List.map Stm_litmus.Modes.name every_mode);
+  distinct "mode" (List.map Stm_core.Mode.name every_mode);
   Alcotest.(check (list string))
     "printed names"
     [ "weak-mvcc-si"; "strong-eager-ts"; "quiesce-lazy" ]

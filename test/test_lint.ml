@@ -123,10 +123,11 @@ let strip src =
   code 0;
   Bytes.to_string b
 
-(* Every banned value path in [src], with its line: a path is a dotted
-   run of identifiers (["List.mem"], ["Int.min"], ["t.max"]), a leading
-   [Stdlib.] dropped. Labels ([~max], [?min]) are not values. *)
-let uses src =
+(* The dotted runs of identifiers in [src] outside comments and strings
+   (["List.mem"], ["Int.min"], ["t.max"]), in order, each with its line,
+   the character before it and the character after its last component
+   (['('] in a local open [M.( ... )]; a space when nothing follows). *)
+let paths src =
   let code = strip src in
   let n = String.length code in
   let found = ref [] in
@@ -149,21 +150,30 @@ let uses src =
         if !stop + 1 < n && code.[!stop] = '.' && is_ident code.[!stop + 1] then incr stop
         else continue := false
       done;
-      let path = String.sub code start (!stop - start) in
-      let path =
-        if String.starts_with ~prefix:"Stdlib." path then
-          String.sub path 7 (String.length path - 7)
-        else path
-      in
-      let labelled = start > 0 && (code.[start - 1] = '~' || code.[start - 1] = '?') in
-      let field = start > 0 && code.[start - 1] = '.' in
-      if (not labelled) && (not field) && List.exists (String.equal path) banned then
-        found := (!line, path) :: !found;
+      let before = if start > 0 then code.[start - 1] else ' ' in
+      let after = if !stop + 1 < n && code.[!stop] = '.' then code.[!stop + 1] else ' ' in
+      found := (!line, before, String.sub code start (!stop - start), after) :: !found;
       i := !stop
     end
     else incr i
   done;
   List.rev !found
+
+(* Every banned value path in [src], with its line, a leading [Stdlib.]
+   dropped. Labels ([~max], [?min]) and fields ([t.max]) are not
+   values. *)
+let uses src =
+  List.filter_map
+    (fun (line, before, path, _) ->
+      let path =
+        if String.starts_with ~prefix:"Stdlib." path then
+          String.sub path 7 (String.length path - 7)
+        else path
+      in
+      if before <> '~' && before <> '?' && before <> '.' && List.exists (String.equal path) banned
+      then Some (line, path)
+      else None)
+    (paths src)
 
 let sources () =
   List.concat_map
@@ -208,12 +218,15 @@ let scanner_cases () =
         let a' = x_max and t = Atomic.compare_and_set")
 
 (* Every [val] a [lib/**/*.mli] exports must have a user outside its
-   module: a whole-word use, outside comments and strings, in a
-   [.ml]/[.mli] of [lib], [bin], [bench] or [test] other than the
-   module's own two files. A value only its own module uses belongs in
-   the [.ml] alone; one nobody uses belongs nowhere. A field or local of
-   the same name counts as a use, so the check can miss a dead value but
-   never flags a live one. *)
+   module: a use, outside comments and strings, in a [.ml]/[.mli] of
+   [lib], [bin], [bench] or [test] other than the module's own two
+   files. A use is qualified ([Stats.reset], [Stm_core.Stats.reset], or
+   through an alias [module S = Stm_core.Stats]; [Fp.push] for a value of
+   the submodule [Explorer.Fp]), or the bare name in a file that opens
+   the module ([open M], [let open M in], [M.( ... )], [include M]). A
+   bare name elsewhere is not a use: [Heap.reset] does not keep
+   [Stats.reset] alive. A value only its own module uses belongs in the
+   [.ml] alone; one nobody uses belongs nowhere. *)
 
 let rec files_under dir =
   Sys.readdir dir |> Array.to_list |> List.sort String.compare
@@ -246,22 +259,71 @@ let words src =
   done;
   !found
 
-(* The [val] names an interface declares; an operator ([val ( + )]) is
-   skipped. *)
+(* The [val] names an interface declares, each with the module that
+   qualifies it: [None] at top level, [Some "Fp"] inside [module Fp :
+   sig ... end]. An operator ([val ( + )]) is skipped. *)
 let exported src =
-  let rec go = function
-    | "val" :: "(" :: rest -> go rest
-    | "val" :: name :: rest -> name :: go rest
-    | _ :: rest -> go rest
+  let rec go subs = function
+    | "module" :: name :: "sig" :: rest -> go (name :: subs) rest
+    | "end" :: rest -> go (match subs with [] -> [] | _ :: up -> up) rest
+    | "val" :: "(" :: rest -> go subs rest
+    | "val" :: name :: rest -> (List.nth_opt subs 0, name) :: go subs rest
+    | _ :: rest -> go subs rest
     | [] -> []
   in
-  go (List.rev (words src))
+  go [] (List.rev (words src))
 
-(* The export scanner itself: the names it must find and what it must
-   skip. *)
+(* What a file uses of other modules: the [(module, name)] pairs of its
+   qualified paths, module aliases resolved; the modules it opens; and
+   its bare identifiers. A path counts every adjacent pair, so
+   [Stm_core.Stats.reset] gives [("Stm_core", "Stats")] and [("Stats",
+   "reset")]. *)
+type usage = { qualified : (string * string) list; opened : string list; bare : string list }
+
+let usage src =
+  let ps = paths src in
+  let components (_, _, p, _) = String.split_on_char '.' p in
+  let last p = List.nth p (List.length p - 1) in
+  let capital w = w <> "" && w.[0] >= 'A' && w.[0] <= 'Z' in
+  let rec aliases = function
+    | a :: b :: c :: rest -> (
+        match (components a, components b, components c) with
+        | [ "module" ], [ name ], target when capital name && capital (List.hd target) ->
+            (name, last target) :: aliases (b :: c :: rest)
+        | _ -> aliases (b :: c :: rest))
+    | _ -> []
+  in
+  let aliases = aliases ps in
+  let resolve m = Option.value (List.assoc_opt m aliases) ~default:m in
+  let rec pairs = function
+    | m :: (v :: _ as rest) -> if capital m then (resolve m, v) :: pairs rest else pairs rest
+    | _ -> []
+  in
+  let rec opens = function
+    | a :: (b :: _ as rest) -> (
+        match components a with
+        | [ ("open" | "include") ] -> last (components b) :: opens rest
+        | _ -> opens rest)
+    | _ -> []
+  in
+  let local_opens =
+    List.filter_map
+      (fun ((_, _, _, after) as p) ->
+        if after = '(' || after = '[' || after = '{' then Some (last (components p)) else None)
+      ps
+  in
+  {
+    qualified = List.concat_map (fun p -> pairs (components p)) ps;
+    opened = List.map resolve (opens ps @ local_opens);
+    bare = List.filter_map (fun p -> match components p with [ w ] -> Some w | _ -> None) ps;
+  }
+
+(* The export and usage scanners themselves: the names they must find
+   and what they must skip. *)
 let export_scanner_cases () =
-  Alcotest.(check (list string))
-    "exported names" [ "run"; "a'"; "pp_json"; "x_1" ]
+  Alcotest.(check (list (pair (option string) string)))
+    "exported names"
+    [ (None, "run"); (None, "a'"); (None, "pp_json"); (Some "Fp", "push"); (None, "x_1") ]
     (exported
        "val run : unit -> unit\n\
         (** [val hidden] in a doc comment *)\n\
@@ -269,18 +331,25 @@ let export_scanner_cases () =
         val a' : int\n\
         (* val commented : int *)\n\
         val pp_json :\n  Format.formatter -> t -> unit\n\
-        val x_1 : string (** \"val quoted\" *)")
+        module Fp : sig\n  type t\n  val push : t -> unit\nend\n\
+        val x_1 : string (** \"val quoted\" *)");
+  let u =
+    usage
+      "module S = Stm_core.Stats\n\
+       open! Trace\n\
+       let _ = S.reset s; Heap.(clear h); r.Engine.r_ops; reset (* Site.pp *)"
+  in
+  let pairs = Alcotest.(list (pair string string)) in
+  Alcotest.check pairs "qualified"
+    [ ("Stm_core", "Stats"); ("Stats", "reset"); ("Engine", "r_ops") ]
+    u.qualified;
+  Alcotest.(check (list string)) "opened" [ "Trace"; "Heap" ] u.opened;
+  Alcotest.(check bool) "bare reset" true (List.mem "reset" u.bare);
+  Alcotest.(check bool) "no use in a comment" false (List.mem ("Site", "pp") u.qualified)
 
 let unused_exports () =
   let files = List.concat_map (fun d -> files_under (Filename.concat root d)) [ "lib"; "bin"; "bench"; "test" ] in
-  (* word -> the module (path without extension) of each file using it *)
-  let users = Hashtbl.create 4096 in
-  List.iter
-    (fun f ->
-      List.iter
-        (fun w -> Hashtbl.add users w (Filename.remove_extension f))
-        (List.sort_uniq String.compare (words (read_file f))))
-    files;
+  let usages = List.map (fun f -> (Filename.remove_extension f, usage (read_file f))) files in
   let interfaces =
     List.filter
       (fun f -> Filename.check_suffix f ".mli" && String.starts_with ~prefix:(Filename.concat root "lib") f)
@@ -291,9 +360,19 @@ let unused_exports () =
     List.concat_map
       (fun mli ->
         let own = Filename.chop_suffix mli ".mli" in
+        let top = String.capitalize_ascii (Filename.basename own) in
+        let used (sub, v) =
+          let m = Option.value sub ~default:top in
+          List.exists
+            (fun (file, u) ->
+              file <> own
+              && (List.mem (m, v) u.qualified || (List.mem m u.opened && List.mem v u.bare)))
+            usages
+        in
         exported (read_file mli)
-        |> List.filter (fun v -> List.for_all (String.equal own) (Hashtbl.find_all users v))
-        |> List.map (fun v -> Printf.sprintf "%s: %s" mli v))
+        |> List.filter (fun e -> not (used e))
+        |> List.map (fun (sub, v) ->
+               Printf.sprintf "%s: %s%s" mli (match sub with Some m -> m ^ "." | None -> "") v))
       interfaces
   in
   Alcotest.(check (list string)) "exported values without a user outside their module" [] offences

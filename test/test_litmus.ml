@@ -14,7 +14,7 @@ let check_bool = Alcotest.(check bool)
 (* One alcotest case per Figure 6 cell. *)
 let cell_case ?preemption_bound program mode =
   let name =
-    Printf.sprintf "%s [%s]" program.Programs.name (Modes.name mode)
+    Printf.sprintf "%s [%s]" program.Programs.name (Stm_core.Mode.name mode)
   in
   Alcotest.test_case name `Quick (fun () ->
       let cell = Matrix.run_cell ?preemption_bound program mode in
@@ -195,7 +195,7 @@ let fig6_golden_under policy () =
       if cell.Matrix.expected <> cell.Matrix.observed then
         Alcotest.failf "%s [%s] under %s: paper says %b, explorer found %b"
           cell.Matrix.program.Programs.name
-          (Modes.name cell.Matrix.mode)
+          (Stm_core.Mode.name cell.Matrix.mode)
           (Stm_cm.Policy.to_string policy)
           cell.Matrix.expected cell.Matrix.observed)
     cells
@@ -324,7 +324,7 @@ let pct_cell program mode expected () =
   in
   let observed = Explorer.observed e program.Programs.is_anomalous in
   check_bool
-    (Printf.sprintf "PCT %s [%s]" program.Programs.name (Modes.name mode))
+    (Printf.sprintf "PCT %s [%s]" program.Programs.name (Stm_core.Mode.name mode))
     expected observed
 
 let pct_cases =
@@ -367,7 +367,7 @@ let dpor_certifies_fig6 () =
       List.iter
         (fun mode ->
           let name =
-            Printf.sprintf "%s [%s]" program.Programs.name (Modes.name mode)
+            Printf.sprintf "%s [%s]" program.Programs.name (Stm_core.Mode.name mode)
           in
           let c = Matrix.certify_cell program mode in
           if not (Matrix.cell_certified c) then

@@ -1,13 +1,17 @@
 (* Tests for the KV-store subsystem: key-distribution sampler
    determinism and skew (chi-square-style), single-threaded Kv
    semantics, structural invariants after every profile, the Figure-6
-   anomaly demonstration (weak mode provably loses updates, strong and
-   lock modes are exact), shard scaling, strong-vs-weak barrier
+   anomaly demonstration (every mode that leaves non-transactional
+   accesses unisolated provably loses updates, every other mode is
+   exact), shard scaling, strong-vs-weak barrier
    overhead, and the serializability-oracle differential check on
    recorded store traffic. *)
 
 open Stm_runtime
 open Stm_store
+
+module Mode = Stm_core.Mode
+module Point = Stm_core.Point
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -188,8 +192,14 @@ let keydist_remembered_space () =
 (* Kv semantics (single simulated thread)                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The modes the semantics and invariant tests run under. *)
+let eager a = Mode.Stm (Point.v (Point.Eager Stm_core.Config.Incremental) a)
+let strong = eager Point.Strong
+let weak = eager Point.Weak
+let mvcc = Mode.Stm (Point.v (Point.Mvcc Stm_core.Config.Serializable) Point.Strong)
+
 let with_store ~mode f =
-  let cfg = Kv.config mode in
+  let cfg = Mode.config mode in
   let result, _stats =
     Stm_core.Stm.run ~cfg (fun () ->
         let t =
@@ -244,7 +254,7 @@ let kv_semantics mode () =
    side of an insert brackets the oids the insert took. *)
 let oid_index_matches_reference () =
   let shards = 4 and keys = 40 in
-  with_store ~mode:Kv.Strong (fun t ->
+  with_store ~mode:strong (fun t ->
       let expect = Hashtbl.create 64 in
       for s = 0 to shards - 1 do
         Hashtbl.replace expect (1 + s) (None, Some s);
@@ -339,7 +349,7 @@ let oid_index_under_churn () =
   let first_insert = first_entry + p.Engine.keys in
   let shard_of =
     let shards = ref [||] in
-    with_store ~mode:Kv.Strong (fun t ->
+    with_store ~mode:strong (fun t ->
         shards := Array.init (first_insert * 4) (Kv.shard_of_key t));
     fun k -> !shards.(k)
   in
@@ -382,18 +392,18 @@ let invariants_all_profiles () =
           in
           let r = Engine.run p in
           check_bool
-            (profile.Profile.pname ^ "/" ^ Kv.mode_to_string mode
+            (profile.Profile.pname ^ "/" ^ Mode.name mode
            ^ " completed")
             true r.Engine.r_completed;
           Alcotest.(check (list string))
-            (profile.Profile.pname ^ "/" ^ Kv.mode_to_string mode
+            (profile.Profile.pname ^ "/" ^ Mode.name mode
            ^ " invariants")
             [] r.Engine.r_invariants;
           check_int
             (profile.Profile.pname ^ " runs every op")
             (p.Engine.clients * p.Engine.ops_per_client)
             r.Engine.r_total_ops)
-        [ Kv.Strong; Kv.Weak; Kv.Lock; Kv.Mvcc ])
+        [ strong; weak; Mode.Locks; mvcc ])
     Profile.all
 
 (* ------------------------------------------------------------------ *)
@@ -403,26 +413,35 @@ let invariants_all_profiles () =
 let anomaly_params mode =
   { Engine.default with Engine.profile = Profile.anomaly; mode }
 
+(* Locks and the strong and dea points (13 modes) are held to exactness;
+   the weak and quiesce points (10) are expected to lose updates. *)
+let isolated_modes, unisolated_modes = List.partition Mode.isolated Mode.all
+
 let weak_loses_updates () =
-  let r = Engine.run (anomaly_params Kv.Weak) in
-  check_bool "completed" true r.Engine.r_completed;
-  match r.Engine.r_deviation with
-  | None -> Alcotest.fail "anomaly profile must report a deviation"
-  | Some d ->
-      check_bool
-        (Printf.sprintf "weak atomicity drifted (deviation %d)" d)
-        true (d <> 0)
+  check_int "unisolated modes" 10 (List.length unisolated_modes);
+  List.iter
+    (fun mode ->
+      let r = Engine.run (anomaly_params mode) in
+      check_bool "completed" true r.Engine.r_completed;
+      match r.Engine.r_deviation with
+      | None -> Alcotest.fail "anomaly profile must report a deviation"
+      | Some d ->
+          check_bool
+            (Printf.sprintf "%s drifted (deviation %d)" (Mode.name mode) d)
+            true (d <> 0))
+    unisolated_modes
 
 let strong_exact () =
+  check_int "isolated modes" 13 (List.length isolated_modes);
   List.iter
     (fun mode ->
       let r = Engine.run (anomaly_params mode) in
       check_bool "completed" true r.Engine.r_completed;
       Alcotest.(check (option int))
-        (Kv.mode_to_string mode ^ " deviation")
+        (Mode.name mode ^ " deviation")
         (Some 0) r.Engine.r_deviation;
       check_bool "increments happened" true (r.Engine.r_increments > 0))
-    [ Kv.Strong; Kv.Lock; Kv.Mvcc ]
+    isolated_modes
 
 (* ------------------------------------------------------------------ *)
 (* Scaling and barrier overhead                                        *)
@@ -443,7 +462,7 @@ let shard_scaling () =
 
 let barrier_overhead () =
   let run mode = Engine.run { Engine.default with Engine.mode } in
-  let rs = run Kv.Strong and rw = run Kv.Weak in
+  let rs = run strong and rw = run weak in
   let ls = Engine.nontxn_mean_latency rs
   and lw = Engine.nontxn_mean_latency rw in
   check_bool
@@ -466,20 +485,23 @@ let oracle_certifies_strong () =
       match r.Engine.r_verdict with
       | Some Stm_check.History.Serializable -> ()
       | Some v ->
-          Alcotest.failf "%s-mode store traffic rejected: %a"
-            (Kv.mode_to_string mode) Stm_check.History.pp_verdict v
+          Alcotest.failf "%s store traffic rejected: %a" (Mode.name mode)
+            Stm_check.History.pp_verdict v
       | None -> Alcotest.fail "record run must produce a verdict")
-    [ Kv.Strong; Kv.Lock; Kv.Mvcc ]
+    isolated_modes
 
 let oracle_rejects_weak () =
-  let r = Engine.run (record_params Kv.Weak) in
-  check_bool "completed" true r.Engine.r_completed;
-  match r.Engine.r_verdict with
-  | Some (Stm_check.History.Anomalous _) -> ()
-  | Some v ->
-      Alcotest.failf "weak-mode mixed traffic came back %a"
-        Stm_check.History.pp_verdict v
-  | None -> Alcotest.fail "record run must produce a verdict"
+  List.iter
+    (fun mode ->
+      let r = Engine.run (record_params mode) in
+      check_bool "completed" true r.Engine.r_completed;
+      match r.Engine.r_verdict with
+      | Some (Stm_check.History.Anomalous _) -> ()
+      | Some v ->
+          Alcotest.failf "%s mixed traffic came back %a" (Mode.name mode)
+            Stm_check.History.pp_verdict v
+      | None -> Alcotest.fail "record run must produce a verdict")
+    unisolated_modes
 
 let record_rejects_structural () =
   Alcotest.check_raises "churn cannot be recorded"
@@ -521,10 +543,10 @@ let suite =
           keydist_shared_space;
         case "keydist: a remembered space draws as a fresh one"
           keydist_remembered_space;
-        case "kv: semantics (strong)" (kv_semantics Kv.Strong);
-        case "kv: semantics (weak)" (kv_semantics Kv.Weak);
-        case "kv: semantics (lock)" (kv_semantics Kv.Lock);
-        case "kv: semantics (mvcc)" (kv_semantics Kv.Mvcc);
+        case "kv: semantics (strong)" (kv_semantics strong);
+        case "kv: semantics (weak)" (kv_semantics weak);
+        case "kv: semantics (lock)" (kv_semantics Mode.Locks);
+        case "kv: semantics (mvcc)" (kv_semantics mvcc);
         case "kv: dense oid index = reference map" oid_index_matches_reference;
         case "kv: dense oid index under concurrent churn" oid_index_under_churn;
         case "engine: deterministic per seed" engine_deterministic;
