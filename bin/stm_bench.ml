@@ -598,11 +598,12 @@ let diag_gated c =
 
 (* Each backend (and validation scheme) ratchets against its own
    checked-in baseline; an explicit --baseline overrides the choice. *)
-let default_baseline backend =
-  match (backend, Stm_core.Point.validation backend) with
-  | Stm_core.Point.Mvcc _, _ -> "bench/baseline-mvcc.json"
-  | _, Stm_core.Config.Timestamp -> "bench/baseline-timestamp.json"
-  | _, Stm_core.Config.Incremental -> "bench/baseline.json"
+let default_baseline = function
+  | Stm_core.Point.Eager Stm_core.Config.Incremental -> "bench/baseline.json"
+  | Stm_core.Point.Eager Stm_core.Config.Timestamp -> "bench/baseline-timestamp.json"
+  | Stm_core.Point.Lazy Stm_core.Config.Incremental -> "bench/baseline-lazy.json"
+  | Stm_core.Point.Lazy Stm_core.Config.Timestamp -> "bench/baseline-lazy-timestamp.json"
+  | Stm_core.Point.Mvcc _ -> "bench/baseline-mvcc.json"
 
 let run_perf quick backend out baseline threshold diag_gate =
   let baseline = Option.value baseline ~default:(default_baseline backend) in

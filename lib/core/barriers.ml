@@ -5,11 +5,43 @@ module Mvcc = Stm_mvcc.Mvcc
    here runs inside a simulation (see [Sched.reg]). *)
 let[@inline] tick n = Sched.(reg.clock <- reg.clock + n)
 
+(* [Trace.enabled_at] and [Trace.enabled] without the call: one load of
+   the level word and a compare (the ranks are [Trace.eff]'s). *)
+let[@inline] debug_on () = !Trace.eff = 0
+
+(* [Heap]'s field and transaction-record accessors without the calls:
+   the match on [Footprint.sink] (the DPOR explorer's access report),
+   then the load or store, in [Heap]'s order. *)
+let[@inline] report oid kind =
+  match !Footprint.sink with None -> () | Some f -> f oid kind
+
+let[@inline] heap_get (o : Heap.obj) i =
+  report o.Heap.oid Footprint.Read;
+  o.Heap.fields.(i)
+
+let[@inline] heap_set (o : Heap.obj) i v =
+  report o.Heap.oid Footprint.Write;
+  o.Heap.fields.(i) <- v
+
+let[@inline] txrec_peek (o : Heap.obj) = Atomic.get o.Heap.txrec
+
+let[@inline] txrec_get (o : Heap.obj) =
+  report o.Heap.oid Footprint.Read;
+  Atomic.get o.Heap.txrec
+
+let[@inline] txrec_set (o : Heap.obj) w =
+  report o.Heap.oid Footprint.Write;
+  Atomic.set o.Heap.txrec w
+
+let[@inline] txrec_cas (o : Heap.obj) old w =
+  report o.Heap.oid Footprint.Write;
+  Atomic.compare_and_set o.Heap.txrec old w
+
 (* Every emission sits next to the [Stats] increment it mirrors, so the
    per-site profiler's column sums reproduce the global counters exactly
    (checked by the test suite). *)
 let emit_barrier op path =
-  if Trace.enabled_at Trace.Debug then
+  if debug_on () then
     Trace.emit
       (Trace.Barrier { tid = Sched.reg.tid; site = Site.current (); op; path })
 
@@ -18,7 +50,7 @@ let emit_barrier op path =
    spin-wait re-reads; iterations that leave the loop report a plain
    read. *)
 let observe_blocked ~attempt oid =
-  if attempt > 0 then Footprint.spin_read oid else Footprint.read oid
+  report oid (if attempt > 0 then Footprint.Spin_read else Footprint.Read)
 
 (* The barrier retry loops are top-level functions rather than local
    closures: a closure over the barrier's arguments would be allocated on
@@ -29,18 +61,18 @@ let rec read_loop (cfg : Config.t) (stats : Stats.t) (obj : Heap.obj) fld
   (* mov ecx, [TxRec] — whether this iteration will block is a
      function of [w1] alone, so the observation is classified here,
      in its own segment (the branch point is two yields away) *)
-  let w1 = Heap.txrec_peek obj in
+  let w1 = txrec_peek obj in
   let blocked =
     (not (cfg.dea && cfg.read_privacy_check && Txrec.is_private w1))
     && (not (Txrec.readable_bit w1)
        || (cfg.detect_nontxn_races && not (Txrec.btr_acquirable w1)))
   in
   if blocked then observe_blocked ~attempt obj.Heap.oid
-  else Footprint.read obj.Heap.oid;
+  else report obj.Heap.oid Footprint.Read;
   tick cost.Cost.plain_load;
   Sched.yield ();
   (* mov eax, [addr] *)
-  let v = Heap.get obj fld in
+  let v = heap_get obj fld in
   tick cost.Cost.plain_load;
   Sched.yield ();
   (* cmp ecx, -1 ; jeq readDone   (optional DEA fast path) *)
@@ -63,7 +95,7 @@ let rec read_loop (cfg : Config.t) (stats : Stats.t) (obj : Heap.obj) fld
   end
   else begin
     (* cmp ecx, [TxRec] ; jne readConflict *)
-    let w2 = Heap.txrec_get obj in
+    let w2 = txrec_get obj in
     tick cost.Cost.plain_load;
     if w2 <> w1 then begin
       Conflict.handle cfg stats ~attempt ~writer:false obj;
@@ -82,7 +114,7 @@ let read (cfg : Config.t) (stats : Stats.t) (obj : Heap.obj) fld =
 let rec read_ordering_loop (cfg : Config.t) (stats : Stats.t)
     (obj : Heap.obj) fld attempt =
   let cost = cfg.cost in
-  let w = Heap.txrec_peek obj in
+  let w = txrec_peek obj in
   tick cost.Cost.plain_load;
   if not (Txrec.readable_bit w) then begin
     observe_blocked ~attempt obj.Heap.oid;
@@ -90,9 +122,9 @@ let rec read_ordering_loop (cfg : Config.t) (stats : Stats.t)
     read_ordering_loop cfg stats obj fld (attempt + 1)
   end
   else begin
-    Footprint.read obj.Heap.oid;
+    report obj.Heap.oid Footprint.Read;
     Sched.yield ();
-    let v = Heap.get obj fld in
+    let v = heap_get obj fld in
     tick cost.Cost.plain_load;
     v
   end
@@ -110,22 +142,22 @@ let read_ordering (cfg : Config.t) (stats : Stats.t) (obj : Heap.obj) fld =
 let rec acquire_loop op (cfg : Config.t) (stats : Stats.t) (obj : Heap.obj)
     attempt =
   let cost = cfg.cost in
-  let w = Heap.txrec_peek obj in
+  let w = txrec_peek obj in
   tick cost.Cost.plain_load;
   (* cmp [TxRec], -1 ; jeq privateWrite *)
   if cfg.dea && Txrec.is_private w then begin
-    Footprint.read obj.Heap.oid;
+    report obj.Heap.oid Footprint.Read;
     stats.Stats.barrier_private_hits <- stats.Stats.barrier_private_hits + 1;
     emit_barrier op Trace.Path_private;
     w
   end
   else if Txrec.btr_acquirable w then begin
-    Footprint.read obj.Heap.oid;
+    report obj.Heap.oid Footprint.Read;
     (* lock btr [TxRec], 0 *)
     stats.Stats.atomic_ops <- stats.Stats.atomic_ops + 1;
     tick cost.Cost.atomic_rmw;
     Sched.yield ();
-    if Heap.txrec_cas obj w (w - 1) then w - 1
+    if txrec_cas obj w (w - 1) then w - 1
     else acquire_loop op cfg stats obj attempt
   end
   else begin
@@ -141,7 +173,7 @@ let acquire_anon ?(op = Trace.Op_write) cfg stats obj =
 let release_anon (cfg : Config.t) (obj : Heap.obj) w =
   if not (Txrec.is_private w) then begin
     (* add [TxRec], 9 *)
-    Heap.txrec_set obj (w + Txrec.release_delta);
+    txrec_set obj (w + Txrec.release_delta);
     tick cfg.cost.Cost.plain_store
   end
 
@@ -154,7 +186,7 @@ let write ~gvc (cfg : Config.t) (stats : Stats.t) (obj : Heap.obj) fld v =
   let w = acquire_anon cfg stats obj in
   if Txrec.is_private w then begin
     (* privateWrite: mov [addr], val *)
-    Heap.set obj fld v;
+    heap_set obj fld v;
     tick cost.Cost.plain_store
   end
   else begin
@@ -163,7 +195,7 @@ let write ~gvc (cfg : Config.t) (stats : Stats.t) (obj : Heap.obj) fld v =
     if cfg.dea then Dea.publish_value stats cost v;
     Sched.yield ();
     (* mov [addr], val *)
-    Heap.set obj fld v;
+    heap_set obj fld v;
     tick cost.Cost.plain_store;
     Sched.yield ();
     (* under timestamp validation a strong non-transactional store is a
@@ -191,7 +223,7 @@ let read_latest (cfg : Config.t) (stats : Stats.t) (obj : Heap.obj) fld =
   else emit_barrier Trace.Op_read Trace.Path_fired;
   tick cost.Cost.barrier_entry;
   Sched.yield ();
-  let v = Heap.get obj fld in
+  let v = heap_get obj fld in
   tick cost.Cost.plain_load;
   v
 
@@ -209,13 +241,13 @@ let write_versioned (cfg : Config.t) (stats : Stats.t) mv (obj : Heap.obj) fld
   if cfg.dea && Dea.is_private obj then begin
     stats.Stats.barrier_private_hits <- stats.Stats.barrier_private_hits + 1;
     emit_barrier Trace.Op_write Trace.Path_private;
-    Heap.set obj fld v;
+    heap_set obj fld v;
     tick cost.Cost.plain_store
   end
   else begin
     if cfg.dea then Dea.publish_value stats cost v;
     Sched.yield ();
     Mvcc.install ~tid:Sched.reg.tid mv obj ~ts:(Mvcc.advance mv);
-    Heap.set obj fld v;
+    heap_set obj fld v;
     tick cost.Cost.plain_store
   end

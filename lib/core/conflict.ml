@@ -1,5 +1,10 @@
 open Stm_runtime
 
+(* [Trace.enabled_at] and [Trace.enabled] without the call: one load of
+   the level word and a compare (the ranks are [Trace.eff]'s). *)
+let[@inline] debug_on () = !Trace.eff = 0
+let[@inline] tracing () = !Trace.eff < 3
+
 exception
   Isolation_violation of { cls : string; oid : int; writer : bool }
 
@@ -12,7 +17,7 @@ let jittered_delay cost ~attempt =
 let backoff (cfg : Config.t) (stats : Stats.t) ~attempt ~writer ~delay
     (obj : Heap.obj) =
   stats.Stats.conflicts <- stats.Stats.conflicts + 1;
-  if Trace.enabled () then
+  if tracing () then
     Trace.emit
       (Trace.Conflict
          {
@@ -27,7 +32,7 @@ let backoff (cfg : Config.t) (stats : Stats.t) ~attempt ~writer ~delay
       raise (Isolation_violation { cls = obj.Heap.cls; oid = obj.Heap.oid; writer })
   | Config.Backoff ->
       stats.Stats.backoff_cycles <- stats.Stats.backoff_cycles + delay;
-      if Trace.enabled_at Trace.Debug then
+      if debug_on () then
         Trace.emit
           (Trace.Backoff
              {

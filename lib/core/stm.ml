@@ -5,6 +5,27 @@ open Stm_runtime
    keeps [Sched.tick]: outside a run it raises [Not_in_simulation]. *)
 let[@inline] tick n = Sched.(reg.clock <- reg.clock + n)
 
+(* [Trace.enabled_at] and [Trace.enabled] without the call: one load of
+   the level word and a compare (the ranks are [Trace.eff]'s). *)
+let[@inline] debug_on () = !Trace.eff = 0
+let[@inline] history_on () = !Trace.eff <= 1
+
+(* [Heap]'s field and transaction-record accessors without the calls:
+   the match on [Footprint.sink] (the DPOR explorer's access report),
+   then the load or store, in [Heap]'s order. *)
+let[@inline] report oid kind =
+  match !Footprint.sink with None -> () | Some f -> f oid kind
+
+let[@inline] heap_get (o : Heap.obj) i =
+  report o.Heap.oid Footprint.Read;
+  o.Heap.fields.(i)
+
+let[@inline] heap_set (o : Heap.obj) i v =
+  report o.Heap.oid Footprint.Write;
+  o.Heap.fields.(i) <- v
+
+let[@inline] txrec_peek (o : Heap.obj) = Atomic.get o.Heap.txrec
+
 exception Not_installed
 exception Retry_outside_transaction
 exception Starved of { attempts : int }
@@ -102,7 +123,7 @@ let publish obj =
    [Access] events is the memory-visibility order the serializability
    oracle reconstructs. *)
 let emit_nontxn_access (obj : Heap.obj) fld value ~write =
-  if Trace.enabled_at Trace.History then
+  if history_on () then
     Trace.emit
       (Trace.Access
          {
@@ -127,7 +148,7 @@ let nontxn_read sys (obj : Heap.obj) fld =
          real multiprocessor *)
       Sched.yield ();
       tick cfg.cost.Cost.plain_load;
-      Heap.get obj fld
+      heap_get obj fld
     end
   in
   emit_nontxn_access obj fld v ~write:false;
@@ -148,7 +169,7 @@ let nontxn_write sys (obj : Heap.obj) fld v =
        heap never publish: objects are born public in that mode. *)
     Sched.yield ();
     tick cfg.cost.Cost.plain_store;
-    Heap.set obj fld v
+    heap_set obj fld v
   end;
   emit_nontxn_access obj fld v ~write:true
 
@@ -165,7 +186,7 @@ let write obj fld v =
   else nontxn_write sys obj fld v
 
 let emit_elided op =
-  if Trace.enabled_at Trace.Debug then
+  if debug_on () then
     Trace.emit
       (Trace.Barrier
          {
@@ -183,7 +204,7 @@ let read_nobarrier obj fld =
     emit_elided Trace.Op_read;
     Sched.yield ();
     tick (Txn.cfg sys.ctx).cost.Cost.plain_load;
-    let v = Heap.get obj fld in
+    let v = heap_get obj fld in
     emit_nontxn_access obj fld v ~write:false;
     v
   end
@@ -203,7 +224,7 @@ let write_nobarrier obj fld v =
       Dea.publish_value (Txn.stats sys.ctx) cfg.cost v;
     Sched.yield ();
     tick cfg.cost.Cost.plain_store;
-    Heap.set obj fld v;
+    heap_set obj fld v;
     emit_nontxn_access obj fld v ~write:true
   end
 
@@ -218,7 +239,7 @@ let backoff_wait sys slot attempt =
   let delay = Stm_cm.Cm.restart_delay (Txn.cm sys.ctx) slot ~attempt in
   (Txn.stats sys.ctx).Stats.backoff_cycles <-
     (Txn.stats sys.ctx).Stats.backoff_cycles + delay;
-  if Trace.enabled_at Trace.Debug then
+  if debug_on () then
     Trace.emit (Trace.Backoff { tid; attempt; delay });
   Sched.pause delay
 
@@ -247,13 +268,13 @@ let wait_for_change cfg snap =
                      words: a change is a newer installed version *)
                   Heap.version_ts_peek obj <> ver
               | Config.Eager | Config.Lazy ->
-                  Heap.txrec_peek obj <> Txrec.shared ver)
+                  txrec_peek obj <> Txrec.shared ver)
             snap
         in
         List.iter
           (fun ((obj : Heap.obj), _) ->
-            if hit || !checks = 0 then Footprint.read obj.Heap.oid
-            else Footprint.spin_read obj.Heap.oid)
+            if hit || !checks = 0 then report obj.Heap.oid Footprint.Read
+            else report obj.Heap.oid Footprint.Spin_read)
           snap;
         incr checks;
         hit

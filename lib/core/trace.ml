@@ -64,8 +64,8 @@ let event_level = function
 (* The subscriber set, in subscription order. Levels compare as ranks,
    [Debug] 0, [History] 1 and [Info] 2: a subscriber of rank [k] takes
    the events of rank [k] and above. [eff] caches the minimum rank over the set
-   ([closed] when it is empty), so [enabled_at] is one load and one
-   compare on the access paths. *)
+   ([closed] when it is empty), so a level test is one load and one
+   compare; the access paths make it inline (see the interface). *)
 type sub = { rank : int; deliver : event -> unit }
 
 let rank = function Debug -> 0 | History -> 1 | Info -> 2

@@ -13,10 +13,11 @@
 
     {b Guard before building the event.} Every emitter in the library is
     written [if Trace.enabled_at lvl then Trace.emit (Ev ...)], with
-    [lvl] the event's {!event_level} ({!enabled} for [Info] events): the
-    event is built only when some subscriber takes its level. The bus
-    caches the minimum level over its subscribers, so the guard is one
-    load and one compare: an
+    [lvl] the event's {!event_level} ({!enabled} for [Info] events), or
+    with the same test made inline over {!eff}: the event is built only
+    when some subscriber takes its level. The bus caches the minimum
+    level over its subscribers, so the guard is one load and one
+    compare: an
     access with no subscriber - or with only [Info] subscribers, for the
     [Debug] and [History] events - allocates nothing; the test suite
     checks that a barrier or transactional access allocates less than
@@ -161,6 +162,16 @@ val enabled : unit -> bool
 
 val enabled_at : level -> bool
 (** Whether some subscriber accepts events of this level. *)
+
+val eff : int ref
+(** The level word: the lowest rank any subscriber takes, where [Debug]
+    is 0, [History] 1 and [Info] 2, and 3 when there is no subscriber.
+    So [enabled_at Debug] is [!eff = 0], [enabled_at History] is
+    [!eff <= 1], and [enabled ()] (as [enabled_at Info]) is [!eff < 3].
+    The modules on the per-access path make these tests inline over
+    this word instead of calling {!enabled_at}, as they charge cycles
+    over [Stm_runtime.Sched.reg]. Read it, never write it: the
+    subscriber functions above keep it. *)
 
 val string_of_cause : abort_cause -> string
 val string_of_op : barrier_op -> string

@@ -5,6 +5,40 @@ module Mvcc = Stm_mvcc.Mvcc
    here runs inside a simulation (see [Sched.reg]). *)
 let[@inline] tick n = Sched.(reg.clock <- reg.clock + n)
 
+(* [Trace.enabled_at] and [Trace.enabled] without the call: one load of
+   the level word and a compare (the ranks are [Trace.eff]'s). *)
+let[@inline] debug_on () = !Trace.eff = 0
+let[@inline] history_on () = !Trace.eff <= 1
+let[@inline] tracing () = !Trace.eff < 3
+
+(* [Heap]'s field and transaction-record accessors without the calls:
+   the match on [Footprint.sink] (the DPOR explorer's access report),
+   then the load or store, in [Heap]'s order. *)
+let[@inline] report oid kind =
+  match !Footprint.sink with None -> () | Some f -> f oid kind
+
+let[@inline] heap_get (o : Heap.obj) i =
+  report o.Heap.oid Footprint.Read;
+  o.Heap.fields.(i)
+
+let[@inline] heap_set (o : Heap.obj) i v =
+  report o.Heap.oid Footprint.Write;
+  o.Heap.fields.(i) <- v
+
+let[@inline] txrec_peek (o : Heap.obj) = Atomic.get o.Heap.txrec
+
+let[@inline] txrec_get (o : Heap.obj) =
+  report o.Heap.oid Footprint.Read;
+  Atomic.get o.Heap.txrec
+
+let[@inline] txrec_set (o : Heap.obj) w =
+  report o.Heap.oid Footprint.Write;
+  Atomic.set o.Heap.txrec w
+
+let[@inline] txrec_cas (o : Heap.obj) old w =
+  report o.Heap.oid Footprint.Write;
+  Atomic.compare_and_set o.Heap.txrec old w
+
 exception Abort_txn
 exception Retry_request
 exception Open_nest_conflict
@@ -18,7 +52,7 @@ exception Open_nest_conflict
    same exit, so it is reported as {!Stm_runtime.Footprint.Spin_read}.
    Iterations that leave the loop always report a plain read. *)
 let observe_blocked ~attempt oid =
-  if attempt > 0 then Footprint.spin_read oid else Footprint.read oid
+  report oid (if attempt > 0 then Footprint.Spin_read else Footprint.Read)
 
 (* A transaction descriptor. Descriptors and their indexes/logs are pooled
    per context and recycled across attempts (clear-don't-reallocate): an
@@ -374,7 +408,7 @@ let begin_txn ctx ~parent ~slot =
      begins renames them without changing any decision — so the counter
      is only a dependency when the policy compares txids or ages. *)
   if Stm_cm.Policy.order_sensitive ctx.cfg.cm then
-    Footprint.write Footprint.oid_txid;
+    report Footprint.oid_txid Footprint.Write;
   ctx.next_id <- ctx.next_id + 1;
   tick ctx.cfg.cost.Cost.txn_begin;
   let part = if ctx.cfg.quiescence then Some (Quiesce.register ctx.q) else None in
@@ -400,12 +434,12 @@ let begin_txn ctx ~parent ~slot =
   t.last_oid <- -1;
   t.last_aggr <- -1;
   t.last_aggr_tid <- -1;
-  Footprint.write (Footprint.flag_oid ctx.next_id);
+  report (Footprint.flag_oid ctx.next_id) Footprint.Write;
   Int_index.replace ctx.registry ctx.next_id t;
   t.slot <-
     Stm_cm.Cm.on_begin ctx.cm slot ~tid:Sched.reg.tid ~txid:ctx.next_id
       ~now:Sched.reg.clock;
-  if Trace.enabled () then
+  if tracing () then
     Trace.emit
       (Trace.Txn_begin { txid = ctx.next_id; tid = Sched.reg.tid });
   t
@@ -498,7 +532,7 @@ let rec sv_entries_from ctx t i =
   ||
   let obj = t.read_objs.(i) in
   let ver = t.read_vers.(i) in
-  let w = Heap.txrec_get obj in
+  let w = txrec_get obj in
   let entry_ok =
     match Txrec.tag w with
     | Txrec.Tag_shared -> Txrec.version w = ver
@@ -579,7 +613,7 @@ let validate ctx t =
           sv_entries_ok ctx t
         end
   in
-  if Trace.enabled_at Trace.Debug then
+  if debug_on () then
     Trace.emit (Trace.Validation { txid = t.txid; tid = Sched.reg.tid; ok });
   ok
 
@@ -601,7 +635,7 @@ let extend_rv ctx t =
   end
 
 let check_wounded t =
-  Footprint.read (Footprint.flag_oid t.txid);
+  report (Footprint.flag_oid t.txid) Footprint.Read;
   if t.killed then begin
     t.abort_cause <- Trace.Cause_wounded;
     raise Abort_txn
@@ -610,14 +644,14 @@ let check_wounded t =
 (* Apply a Wound decision: mark the victim's flag; the victim notices it
    at its next pause or validation point and aborts. Idempotent. *)
 let wound ctx ~victim ~by =
-  Footprint.write (Footprint.flag_oid victim);
+  report (Footprint.flag_oid victim) Footprint.Write;
   let d = Int_index.find ctx.registry victim in
   if d != none && not d.killed then begin
     d.killed <- true;
     d.killed_by <- by;
     d.killed_by_tid <- Sched.reg.tid;
     ctx.stats.Stats.wounds <- ctx.stats.Stats.wounds + 1;
-    if Trace.enabled () then
+    if tracing () then
       Trace.emit (Trace.Txn_wound { victim; by })
   end
 
@@ -655,9 +689,9 @@ let cm_resolve ctx t ~attempt ~writer obj =
      them the granule is skipped — reporting it would make every
      conflict resolution race with every other. *)
   if Stm_cm.Policy.order_sensitive ctx.cfg.cm then
-    Footprint.write Footprint.oid_cm;
+    report Footprint.oid_cm Footprint.Write;
   observe_blocked ~attempt obj.Heap.oid;
-  let w = Heap.txrec_peek obj in
+  let w = txrec_peek obj in
   (* -1 for an anonymous owner, as [decide] takes it *)
   let owner = if Txrec.is_exclusive w then Txrec.owner w else -1 in
   let od = if owner >= 0 then Int_index.find ctx.registry owner else none in
@@ -669,7 +703,7 @@ let cm_resolve ctx t ~attempt ~writer obj =
       ~txid:t.txid ~tid:Sched.reg.tid ~attempt ~work:t.naccesses
   in
   let delay = Stm_cm.Cm.delay ctx.cm in
-  if Trace.enabled_at Trace.Debug then
+  if debug_on () then
     Trace.emit
       (Trace.Cm_decision
          {
@@ -708,7 +742,7 @@ let save_undo ctx t (obj : Heap.obj) fld =
     let i = t.nundo in
     let buf = slot_buffer t.undo_buf i len in
     for j = 0 to len - 1 do
-      buf.(j) <- Heap.get obj (base + j)
+      buf.(j) <- heap_get obj (base + j)
     done;
     t.undo_obj.(i) <- obj;
     t.undo_base.(i) <- base;
@@ -723,15 +757,15 @@ let save_undo ctx t (obj : Heap.obj) fld =
    allocated on every access. *)
 let rec acquire_loop ctx t expect (obj : Heap.obj) attempt =
   let cost = ctx.cfg.cost in
-  let w = Heap.txrec_peek obj in
+  let w = txrec_peek obj in
   tick cost.Cost.plain_load;
   match Txrec.tag w with
   | Txrec.Tag_exclusive when Txrec.owner w = t.txid ->
-      Footprint.read obj.Heap.oid;
+      report obj.Heap.oid Footprint.Read;
       t.owned_prior.(Int_index.find t.owned obj.Heap.oid)
   | Txrec.Tag_shared -> (
       let ver = Txrec.version w in
-      Footprint.read obj.Heap.oid;
+      report obj.Heap.oid Footprint.Read;
       (match expect with
       | Some e when e <> ver ->
           (* a lazily buffered record changed version before commit-time
@@ -745,7 +779,7 @@ let rec acquire_loop ctx t expect (obj : Heap.obj) attempt =
       ctx.stats.Stats.atomic_ops <- ctx.stats.Stats.atomic_ops + 1;
       tick cost.Cost.atomic_rmw;
       Sched.yield ();
-      if Heap.txrec_cas obj w (Txrec.exclusive t.txid)
+      if txrec_cas obj w (Txrec.exclusive t.txid)
       then begin
         ensure_owned_capacity t;
         Int_index.replace t.owned obj.Heap.oid t.nowned;
@@ -757,7 +791,7 @@ let rec acquire_loop ctx t expect (obj : Heap.obj) attempt =
       end
       else acquire_loop ctx t expect obj attempt)
   | Txrec.Tag_exclusive when ancestor_owns t w ->
-      Footprint.read obj.Heap.oid;
+      report obj.Heap.oid Footprint.Read;
       raise Open_nest_conflict
   | Txrec.Tag_exclusive | Txrec.Tag_exclusive_anon ->
       observe_blocked ~attempt obj.Heap.oid;
@@ -766,7 +800,7 @@ let rec acquire_loop ctx t expect (obj : Heap.obj) attempt =
   | Txrec.Tag_private ->
       (* The object was private when the caller checked and is being
          published concurrently - retry the whole access. *)
-      Footprint.read obj.Heap.oid;
+      report obj.Heap.oid Footprint.Read;
       acquire_loop ctx t expect obj attempt
 
 (* Acquire exclusive ownership of [obj]'s record for this transaction
@@ -790,45 +824,45 @@ let eager_write ctx t (obj : Heap.obj) fld v =
     (* private object: no synchronization, but the undo log still records
        old values so that an abort rolls them back *)
     save_undo ctx t obj fld;
-    Heap.set obj fld v;
+    heap_set obj fld v;
     tick cost.Cost.plain_store
   end
   else begin
     ignore (acquire ctx t obj);
     save_undo ctx t obj fld;
     publish_on_store ctx v;
-    Heap.set obj fld v;
+    heap_set obj fld v;
     tick cost.Cost.plain_store;
     Sched.yield ()
   end
 
 let rec eager_read_loop ctx t (obj : Heap.obj) fld attempt =
   let cost = ctx.cfg.cost in
-  let w = Heap.txrec_peek obj in
+  let w = txrec_peek obj in
   tick cost.Cost.plain_load;
   match Txrec.tag w with
   | Txrec.Tag_private ->
-      Footprint.read obj.Heap.oid;
-      let v = Heap.get obj fld in
+      report obj.Heap.oid Footprint.Read;
+      let v = heap_get obj fld in
       tick cost.Cost.plain_load;
       v
   | Txrec.Tag_exclusive when Txrec.owner w = t.txid ->
-      Footprint.read obj.Heap.oid;
-      let v = Heap.get obj fld in
+      report obj.Heap.oid Footprint.Read;
+      let v = heap_get obj fld in
       tick cost.Cost.plain_load;
       v
   | Txrec.Tag_shared ->
       let ver = Txrec.version w in
-      Footprint.read obj.Heap.oid;
+      report obj.Heap.oid Footprint.Read;
       note_read t obj ver;
       if timestamped ctx && Heap.version_ts obj > t.rv then
         (* stamped by a commit newer than our read timestamp: extend
            [rv] (or abort) before using the value *)
         extend_rv ctx t;
       Sched.yield ();
-      let v = Heap.get obj fld in
+      let v = heap_get obj fld in
       tick cost.Cost.plain_load;
-      if timestamped ctx && Heap.txrec_get obj <> Txrec.shared ver
+      if timestamped ctx && txrec_get obj <> Txrec.shared ver
       then
         (* the record moved across the preemption point inside the read:
            the value may be newer than [rv] without rv-consistency —
@@ -838,7 +872,7 @@ let rec eager_read_loop ctx t (obj : Heap.obj) fld attempt =
         eager_read_loop ctx t obj fld attempt
       else v
   | Txrec.Tag_exclusive when ancestor_owns t w ->
-      Footprint.read obj.Heap.oid;
+      report obj.Heap.oid Footprint.Read;
       raise Open_nest_conflict
   | Txrec.Tag_exclusive | Txrec.Tag_exclusive_anon ->
       observe_blocked ~attempt obj.Heap.oid;
@@ -855,20 +889,20 @@ let eager_read ctx t obj fld = eager_read_loop ctx t obj fld 0
    private object), entered in the read set. A top-level retry loop like
    [eager_read_loop], so opening a slot allocates no closure. *)
 let rec lazy_observe ctx t (obj : Heap.obj) attempt =
-  let w = Heap.txrec_peek obj in
+  let w = txrec_peek obj in
   tick ctx.cfg.cost.Cost.plain_load;
   match Txrec.tag w with
   | Txrec.Tag_shared ->
       let ver = Txrec.version w in
-      Footprint.read obj.Heap.oid;
+      report obj.Heap.oid Footprint.Read;
       note_read t obj ver;
       if timestamped ctx && Heap.version_ts obj > t.rv then extend_rv ctx t;
       ver
   | Txrec.Tag_private ->
-      Footprint.read obj.Heap.oid;
+      report obj.Heap.oid Footprint.Read;
       -1
   | Txrec.Tag_exclusive when ancestor_owns t w ->
-      Footprint.read obj.Heap.oid;
+      report obj.Heap.oid Footprint.Read;
       raise Open_nest_conflict
   | Txrec.Tag_exclusive | Txrec.Tag_exclusive_anon ->
       observe_blocked ~attempt obj.Heap.oid;
@@ -894,7 +928,7 @@ let lazy_slot ctx t (obj : Heap.obj) fld =
     let i = t.nwbuf in
     let buf = slot_buffer t.wbuf_buf i len in
     for j = 0 to len - 1 do
-      buf.(j) <- Heap.get obj (base + j)
+      buf.(j) <- heap_get obj (base + j)
     done;
     tick (cost.Cost.plain_load * len);
     t.wbuf_obj.(i) <- obj;
@@ -930,7 +964,7 @@ let lazy_read ctx t (obj : Heap.obj) fld =
    means the bounded chain no longer retains a version old enough:
    abort snapshot-too-old (the only way an mvcc reader aborts). *)
 let mvcc_read_field ctx t (obj : Heap.obj) fld =
-  if Heap.version_ts obj <= t.snap then Heap.get obj fld
+  if Heap.version_ts obj <= t.snap then heap_get obj fld
   else
     match Mvcc.read ctx.mv obj fld ~snap:t.snap with
     | Some v -> v
@@ -953,7 +987,7 @@ let mvcc_read ctx t (obj : Heap.obj) fld =
     t.wbuf_buf.(i).(fld - base)
   end
   else if ctx.cfg.dea && Dea.is_private obj then begin
-    let v = Heap.get obj fld in
+    let v = heap_get obj fld in
     tick cost.Cost.plain_load;
     v
   end
@@ -985,7 +1019,7 @@ let mvcc_slot ctx t (obj : Heap.obj) fld =
     let buf = slot_buffer t.wbuf_buf i len in
     for j = 0 to len - 1 do
       buf.(j) <-
-        (if priv then Heap.get obj (base + j)
+        (if priv then heap_get obj (base + j)
          else mvcc_read_field ctx t obj (base + j))
     done;
     tick (cost.Cost.plain_load * len);
@@ -1014,7 +1048,7 @@ let mvcc_end_snapshot ctx t =
 (* ------------------------------------------------------------------ *)
 
 let emit_txn_access op =
-  if Trace.enabled_at Trace.Debug then
+  if debug_on () then
     Trace.emit
       (Trace.Barrier
          {
@@ -1025,7 +1059,7 @@ let emit_txn_access op =
          })
 
 let emit_access ~txid (obj : Heap.obj) fld value ~write =
-  if Trace.enabled_at Trace.History then
+  if history_on () then
     Trace.emit
       (Trace.Access
          { tid = Sched.reg.tid; txid; oid = obj.Heap.oid; fld; value; write })
@@ -1062,12 +1096,12 @@ let release_all ctx t =
   let cost = ctx.cfg.cost in
   for i = t.nowned - 1 downto 0 do
     if t.cts >= 0 then Heap.set_version_ts t.owned_obj.(i) t.cts;
-    Heap.txrec_set t.owned_obj.(i) (Txrec.shared (t.owned_prior.(i) + 1));
+    txrec_set t.owned_obj.(i) (Txrec.shared (t.owned_prior.(i) + 1));
     tick cost.Cost.txn_per_write
   done
 
 let emit_serialized t =
-  if Trace.enabled_at Trace.History then
+  if history_on () then
     Trace.emit (Trace.Txn_serialized { txid = t.txid; tid = Sched.reg.tid })
 
 let commit ctx t =
@@ -1091,7 +1125,7 @@ let commit ctx t =
         match t.part with
         | Some p ->
             ctx.stats.Stats.quiesce_waits <- ctx.stats.Stats.quiesce_waits + 1;
-            if Trace.enabled () then
+            if tracing () then
               Trace.emit (Trace.Quiesce_wait { txid = t.txid });
             Quiesce.mark_consistent ctx.q p;
             Quiesce.commit_epoch_wait ctx.q p
@@ -1154,7 +1188,7 @@ let commit ctx t =
         for j = 0 to t.wbuf_len.(i) - 1 do
           Sched.yield ();
           publish_on_store ctx buf.(j);
-          Heap.set obj (base + j) buf.(j);
+          heap_set obj (base + j) buf.(j);
           tick cost.Cost.plain_store
         done
       done;
@@ -1211,15 +1245,15 @@ let commit ctx t =
           Mvcc.install ~txid:t.txid ~tid:Sched.reg.tid ctx.mv obj ~ts;
         for j = 0 to t.wbuf_len.(i) - 1 do
           publish_on_store ctx buf.(j);
-          Heap.set obj (base + j) buf.(j);
+          heap_set obj (base + j) buf.(j);
           tick cost.Cost.plain_store
         done
       done;
       mvcc_end_snapshot ctx t);
   deregister ctx t;
-  Footprint.write (Footprint.flag_oid t.txid);
+  report (Footprint.flag_oid t.txid) Footprint.Write;
   Int_index.remove ctx.registry t.txid;
-  if Trace.enabled () then
+  if tracing () then
     Trace.emit
       (Trace.Txn_commit
          {
@@ -1243,14 +1277,14 @@ let abort ctx t =
     let base = t.undo_base.(i) in
     let buf = t.undo_buf.(i) in
     for j = 0 to t.undo_len.(i) - 1 do
-      Heap.set obj (base + j) buf.(j);
+      heap_set obj (base + j) buf.(j);
       tick cost.Cost.plain_store;
       Sched.yield ()
     done
   done;
   release_all ctx t;
   deregister ctx t;
-  Footprint.write (Footprint.flag_oid t.txid);
+  report (Footprint.flag_oid t.txid) Footprint.Write;
   Int_index.remove ctx.registry t.txid;
   Stm_cm.Cm.on_abort t.slot ~wounded:t.killed ~work:t.naccesses;
   let cause = if t.killed then Trace.Cause_wounded else t.abort_cause in
@@ -1266,7 +1300,7 @@ let abort ctx t =
         (t.last_aggr, t.last_aggr_tid, t.last_oid)
     | Trace.Cause_retry | Trace.Cause_exn -> (-1, -1, -1)
   in
-  if Trace.enabled () then
+  if tracing () then
     Trace.emit
       (Trace.Txn_abort
          {

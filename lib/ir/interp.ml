@@ -5,6 +5,24 @@ open Stm_core
    here runs inside a simulation (see [Sched.reg]). *)
 let[@inline] tick n = Sched.(reg.clock <- reg.clock + n)
 
+(* [Trace.enabled_at] and [Trace.enabled] without the call: one load of
+   the level word and a compare (the ranks are [Trace.eff]'s). *)
+let[@inline] tracing () = !Trace.eff < 3
+
+(* [Heap]'s field accessors without the calls: the match on
+   [Footprint.sink] (the DPOR explorer's access report), then the load
+   or store, in [Heap]'s order. *)
+let[@inline] report oid kind =
+  match !Footprint.sink with None -> () | Some f -> f oid kind
+
+let[@inline] heap_get (o : Heap.obj) i =
+  report o.Heap.oid Footprint.Read;
+  o.Heap.fields.(i)
+
+let[@inline] heap_set (o : Heap.obj) i v =
+  report o.Heap.oid Footprint.Write;
+  o.Heap.fields.(i) <- v
+
 exception Interp_error of string
 
 type outcome = {
@@ -219,7 +237,7 @@ let enter_site a =
       Hashtbl.replace tbl a.site
         (1 + Option.value ~default:0 (Hashtbl.find_opt tbl a.site))
   | None -> ());
-  if Trace.enabled () then Site.set a.site
+  if tracing () then Site.set a.site
 
 (* Release the aggregation hold if the group is exhausted. *)
 let agg_step frame (a : agg) =
@@ -240,7 +258,7 @@ let load_general a frame o fld =
          so the open-for-read barrier (version log + validation entry)
          can be elided - but only under weak atomicity *)
       tick cfg.cost.Cost.plain_load;
-      Heap.get o fld
+      heap_get o fld
     end
     else Stm.read o fld
   else
@@ -248,7 +266,7 @@ let load_general a frame o fld =
     | Some a when a.a_obj == o ->
         (* covered by an aggregated acquire: plain load *)
         tick cfg.cost.Cost.plain_load;
-        let v = Heap.get o fld in
+        let v = heap_get o fld in
         agg_step frame a;
         v
     | Some _ | None -> (
@@ -257,7 +275,7 @@ let load_general a frame o fld =
         | P_agg n ->
             let w = Barriers.acquire_anon ~op:Trace.Op_read cfg (Stm.stats ()) o in
             tick cfg.cost.Cost.plain_load;
-            let v = Heap.get o fld in
+            let v = heap_get o fld in
             if n > 1 then frame.agg <- Some { a_obj = o; a_word = w; a_left = n - 1 }
             else Barriers.release_anon cfg o w;
             v
@@ -279,7 +297,7 @@ let store_general a frame o fld v =
         if cfg.dea && not (Txrec.is_private a.a_word) then
           Dea.publish_value (Stm.stats ()) cfg.cost v;
         tick cfg.cost.Cost.plain_store;
-        Heap.set o fld v;
+        heap_set o fld v;
         agg_step frame a
     | Some _ | None -> (
         match a.plan.p_nontxn with
@@ -289,7 +307,7 @@ let store_general a frame o fld v =
             if cfg.dea && not (Txrec.is_private w) then
               Dea.publish_value (Stm.stats ()) cfg.cost v;
             tick cfg.cost.Cost.plain_store;
-            Heap.set o fld v;
+            heap_set o fld v;
             if n > 1 then frame.agg <- Some { a_obj = o; a_word = w; a_left = n - 1 }
             else Barriers.release_anon cfg o w
         | P_auto -> Stm.write o fld v)
@@ -304,6 +322,23 @@ let store a frame o fld v =
 (* ------------------------------------------------------------------ *)
 (* Compilation and execution                                           *)
 (* ------------------------------------------------------------------ *)
+
+(* Compare-and-branch fusion. A lowered loop test is three instructions,
+   [d1 := a cmp b; d2 := !d1; if d2 goto t], and the closure at its head
+   runs all three. Before the second and the third it charges the [alu]
+   tick and counts the instruction exactly as [run_range] does before
+   the first, so no tick moves and no count changes. The [Not] and the
+   [If] read the bools just written and cannot fail; the compare raises
+   its own errors at its own point, with the head alone counted. *)
+let[@inline] branch_rest ex alu fr d1 d2 target skip c =
+  fr.regs.(d1) <- vbool c;
+  tick alu;
+  ex.instrs <- ex.instrs + 1;
+  let c = not c in
+  fr.regs.(d2) <- vbool c;
+  tick alu;
+  ex.instrs <- ex.instrs + 1;
+  if c then target else skip
 
 let bad_builtin name = err "builtin %s: bad arguments" name
 
@@ -469,7 +504,18 @@ and compile ex k pc (ins : Ir.instr) : frame -> int =
       fun fr ->
         fr.regs.(d) <- vbool (not (bool_of "not" (get fr s)));
         next
-  | Ir.Binop (d, op, a, b) -> compile_binop d op (opnd a) (opnd b) next
+  | Ir.Binop (d1, op, a, b) -> (
+      (* the head of a compare-and-branch triple runs all three; the
+         closures of the [Not] and the [If] stay for jumps into it *)
+      let body = k.meth.Ir.body in
+      let triple = pc + 2 < Array.length body in
+      match
+        ( (if triple then body.(pc + 1) else Ir.Nop),
+          if triple then body.(pc + 2) else Ir.Nop )
+      with
+      | Ir.Unop (d2, Ir.Not, Ir.Reg r1), Ir.If (Ir.Reg r2, target) when r1 = d1 && r2 = d2 ->
+          compile_branch ex pc d1 op (opnd a) (opnd b) d2 target
+      | _ -> compile_binop d1 op (opnd a) (opnd b) next)
   | Ir.New { dst; cls; site = _ } ->
       let defaults = ref None in
       fun fr ->
@@ -486,7 +532,7 @@ and compile ex k pc (ins : Ir.instr) : frame -> int =
         (* typed default values; the object is thread-local at birth so
            raw stores are race-free *)
         for i = 0 to Array.length defaults - 1 do
-          Heap.set o i defaults.(i)
+          heap_set o i defaults.(i)
         done;
         fr.regs.(dst) <- Heap.Vref o;
         next
@@ -796,6 +842,38 @@ and compile_binop d op a b next : frame -> int =
         fr.regs.(d) <- vbool (bool_of "||" (get fr a) || bool_of "||" (get fr b));
         next
 
+(* The compare-and-branch triple at [pc], as one closure (see
+   [branch_rest]); an operator that is not a compare keeps its own
+   closure. Right operand first, as in [compile_binop]. *)
+and compile_branch ex pc d1 op a b d2 target : frame -> int =
+  let alu = ex.cfg.cost.Cost.alu and skip = pc + 3 in
+  match op with
+  | Ir.Lt ->
+      fun fr ->
+        let y = int_of "binop" (get fr b) in
+        branch_rest ex alu fr d1 d2 target skip (int_of "binop" (get fr a) < y)
+  | Ir.Le ->
+      fun fr ->
+        let y = int_of "binop" (get fr b) in
+        branch_rest ex alu fr d1 d2 target skip (int_of "binop" (get fr a) <= y)
+  | Ir.Gt ->
+      fun fr ->
+        let y = int_of "binop" (get fr b) in
+        branch_rest ex alu fr d1 d2 target skip (int_of "binop" (get fr a) > y)
+  | Ir.Ge ->
+      fun fr ->
+        let y = int_of "binop" (get fr b) in
+        branch_rest ex alu fr d1 d2 target skip (int_of "binop" (get fr a) >= y)
+  | Ir.Eq ->
+      fun fr ->
+        branch_rest ex alu fr d1 d2 target skip (Heap.value_equal (get fr a) (get fr b))
+  | Ir.Ne ->
+      fun fr ->
+        branch_rest ex alu fr d1 d2 target skip
+          (not (Heap.value_equal (get fr a) (get fr b)))
+  | Ir.Add | Ir.Sub | Ir.Mul | Ir.Div | Ir.Mod | Ir.And | Ir.Or ->
+      compile_binop d1 op a b (pc + 1)
+
 (* ------------------------------------------------------------------ *)
 (* Program startup                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -809,8 +887,8 @@ let init_statics ex =
         List.iteri
           (fun i (f : Ir.field) ->
             match f.Ir.f_init with
-            | Some c -> Heap.set o i (value_of_const c)
-            | None -> Heap.set o i (default_value f.Ir.fty))
+            | Some c -> heap_set o i (value_of_const c)
+            | None -> heap_set o i (default_value f.Ir.fty))
           sfields;
         Hashtbl.replace ex.statics cname o
       end)

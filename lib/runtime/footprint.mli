@@ -33,6 +33,14 @@ val set_sink : (int -> kind -> unit) option -> unit
     dereference per heap access with a single owner, the explorer, which
     installs it around each schedule and clears it on every exit. *)
 
+val sink : (int -> kind -> unit) option ref
+(** The installed sink, as {!set_sink} left it. The modules on the
+    per-access path match it inline instead of calling {!read} or
+    {!write} (and the [Heap] accessors that call them), as they charge
+    cycles over [Sched.reg]: [match !sink with None -> () | Some f -> f
+    oid kind], before the load or store it reports. Read it, never
+    write it. *)
+
 val read : int -> unit
 (** Report a read of [oid] by the running thread. *)
 

@@ -96,24 +96,7 @@ let set o i v =
 
 let nfields o = Array.length o.fields
 
-(* Transaction-record accesses report against the object's own oid: the
-   txrec word orders with the fields it guards, so folding both into one
-   granule is the accurate conflict relation, not just a safe
-   over-approximation. *)
-
 let txrec_peek o = Atomic.get o.txrec
-
-let txrec_get o =
-  Footprint.read o.oid;
-  Atomic.get o.txrec
-
-let txrec_set o w =
-  Footprint.write o.oid;
-  Atomic.set o.txrec w
-
-let txrec_cas o old w =
-  Footprint.write o.oid;
-  Atomic.compare_and_set o.txrec old w
 
 (* ------------------------------------------------------------------ *)
 (* Version chains (mvcc backend)                                       *)

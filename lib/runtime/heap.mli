@@ -54,34 +54,30 @@ val dummy : obj
     of objects; never a real heap object, never synchronized on. *)
 
 val get : obj -> int -> value
-(** Raw field load — no barrier, no cost. The STM builds barriers on top. *)
+(** Raw field load — no barrier, no cost — reported to {!Footprint} as
+    a read of the object. The STM builds barriers on top. The modules
+    on the per-access path do the same report and load inline (see
+    {!Footprint.sink}). *)
 
 val set : obj -> int -> value -> unit
-(** Raw field store. *)
+(** Raw field store, reported as a write of the object. *)
 
 val nfields : obj -> int
 
 (** {2 Transaction-record accesses}
 
-    Footprint-reporting wrappers around the [txrec] atomic. The word is
-    reported against the object's own oid: it orders with the fields it
-    guards, so both live in one conflict granule. All barrier-layer and
-    STM-internal txrec traffic goes through these so the DPOR explorer
-    sees it (see {!Footprint}). *)
-
-val txrec_get : obj -> int
-val txrec_set : obj -> int -> unit
+    The barrier layer and the STM read and write the [txrec] atomic
+    directly, with an inline {!Footprint} report: the word is reported
+    against the object's own oid, since it orders with the fields it
+    guards and so both live in one conflict granule. A compare-and-set
+    reports a write whether or not it succeeds (a failed acquire still
+    raced with the holder). *)
 
 val txrec_peek : obj -> int
 (** Raw [txrec] load with no footprint report. For conflict-retry
     loops that classify the observation themselves: a blocked retry
     reports {!Stm_runtime.Footprint.spin_read}, any other iteration a
     plain read (see {!Stm_runtime.Footprint.kind}). *)
-
-val txrec_cas : obj -> int -> int -> bool
-(** [txrec_cas o old w] compare-and-sets the record from [old] to [w];
-    reported as a write whether or not it succeeds (a failed acquire
-    still raced with the holder). *)
 
 (** {2 Version chains (mvcc backend)}
 

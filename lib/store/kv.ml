@@ -2,6 +2,20 @@ open Stm_runtime
 module Stm = Stm_core.Stm
 module Mode = Stm_core.Mode
 
+(* [Heap]'s field accessors without the calls: the match on
+   [Footprint.sink] (the DPOR explorer's access report), then the load
+   or store, in [Heap]'s order. *)
+let[@inline] report oid kind =
+  match !Footprint.sink with None -> () | Some f -> f oid kind
+
+let[@inline] heap_get (o : Heap.obj) i =
+  report o.Heap.oid Footprint.Read;
+  o.Heap.fields.(i)
+
+let[@inline] heap_set (o : Heap.obj) i v =
+  report o.Heap.oid Footprint.Write;
+  o.Heap.fields.(i) <- v
+
 (* Entry object layout: field 0 = key, field 1 = next link,
    fields 2 .. 2+value_size-1 = value words. *)
 let fld_key = 0
@@ -64,8 +78,8 @@ let create ?(buckets = 64) ?(value_size = 4) ~mode ~shards ~cost () =
   let headers =
     Array.init shards (fun _ ->
         let o = Stm.alloc_public ~cls:"StoreHeader" 2 in
-        Heap.set o fld_seqno (Heap.Vint 0);
-        Heap.set o fld_count (Heap.Vint 0);
+        heap_set o fld_seqno (Heap.Vint 0);
+        heap_set o fld_count (Heap.Vint 0);
         o)
   in
   let locks =
@@ -180,21 +194,21 @@ let preload t ~keys ~value =
     let sh = shard_of_key t k and b = bucket_of_key t k in
     let e = Heap.alloc ~cls:"StoreEntry" (fld_val + t.value_size) in
     register_entry t e k sh;
-    Heap.set e fld_key (Heap.Vint k);
-    Heap.set e fld_next (Heap.get t.tables.(sh) b);
+    heap_set e fld_key (Heap.Vint k);
+    heap_set e fld_next (heap_get t.tables.(sh) b);
     let v = Heap.Vint (value k) in
     for i = 0 to t.value_size - 1 do
-      Heap.set e (fld_val + i) v
+      heap_set e (fld_val + i) v
     done;
-    Heap.set t.tables.(sh) b (Heap.Vref e);
+    heap_set t.tables.(sh) b (Heap.Vref e);
     counts.(sh) <- counts.(sh) + 1
   done;
   Array.iteri
     (fun sh n ->
       let h = t.headers.(sh) in
-      match Heap.get h fld_count with
-      | Heap.Vint c -> Heap.set h fld_count (Heap.Vint (c + n))
-      | _ -> Heap.set h fld_count (Heap.Vint n))
+      match heap_get h fld_count with
+      | Heap.Vint c -> heap_set h fld_count (Heap.Vint (c + n))
+      | _ -> heap_set h fld_count (Heap.Vint n))
     counts
 
 (* ------------------------------------------------------------------ *)
@@ -325,7 +339,7 @@ let scan t k0 ~len =
 (* Post-run inspection                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let raw_int o f = match Heap.get o f with Heap.Vint n -> n | _ -> 0
+let raw_int o f = match heap_get o f with Heap.Vint n -> n | _ -> 0
 
 let fold t ~init ~f =
   let acc = ref init in
@@ -335,10 +349,10 @@ let fold t ~init ~f =
         match v with
         | Heap.Vref e ->
             acc := f !acc (raw_int e fld_key) (raw_int e fld_val);
-            walk (Heap.get e fld_next)
+            walk (heap_get e fld_next)
         | _ -> ()
       in
-      walk (Heap.get t.tables.(s) b)
+      walk (heap_get t.tables.(s) b)
     done
   done;
   !acc
@@ -369,11 +383,11 @@ let check_invariants t =
               if not (Int_index.add seen k) then
                 viol "key %d duplicated in shard %d" k s;
               incr count;
-              walk (Heap.get e fld_next)
+              walk (heap_get e fld_next)
             end
         | _ -> ()
       in
-      walk (Heap.get t.tables.(s) b)
+      walk (heap_get t.tables.(s) b)
     done;
     let declared = raw_int t.headers.(s) fld_count in
     if declared <> !count then

@@ -908,6 +908,35 @@ let trace_off_is_silent () =
   (* and an unguarded emit reaches no one and does not fail *)
   Trace.emit (Trace.Txn_begin { txid = 0; tid = 0 })
 
+(* The modules on the access path test levels inline over [Trace.eff]
+   ([!eff = 0] for Debug, [<= 1] for History, [< 3] for any); those
+   tests must agree with [enabled_at] under every subscriber set. *)
+let trace_level_word () =
+  let ignore_ev _ = () in
+  let agree what =
+    check_bool (what ^ ": Debug") (Trace.enabled_at Trace.Debug) (!Trace.eff = 0);
+    check_bool (what ^ ": History") (Trace.enabled_at Trace.History) (!Trace.eff <= 1);
+    check_bool (what ^ ": Info") (Trace.enabled_at Trace.Info) (!Trace.eff < 3);
+    check_bool (what ^ ": any") (Trace.enabled ()) (!Trace.eff < 3)
+  in
+  agree "none";
+  List.iter
+    (fun (name, levels) ->
+      Trace.with_sinks
+        (List.map (fun l -> (l, ignore_ev)) levels)
+        (fun () ->
+          agree name;
+          Trace.with_sinks [ (Trace.Info, ignore_ev) ] (fun () -> agree (name ^ " + Info"))))
+    [
+      ("Info", [ Trace.Info ]);
+      ("History", [ Trace.History ]);
+      ("Debug", [ Trace.Debug ]);
+      ("Info, History", [ Trace.Info; Trace.History ]);
+      ("History, Debug", [ Trace.History; Trace.Debug ]);
+    ];
+  agree "none again";
+  check_int "no subscriber" 3 !Trace.eff
+
 (* With no sink installed, the per-access path allocates nothing: no
    trace payload, no retry-loop closure, no transaction-table lookup
    result, no scheduler round trip for a lone thread. [Gc.minor_words]
@@ -1222,6 +1251,7 @@ let suite =
         [
           case "events emitted" trace_events_emitted;
           case "off is silent and free" trace_off_is_silent;
+          case "level word agrees with enabled_at" trace_level_word;
           case "off allocates nothing per access" trace_off_allocation_free;
           case "recycled descriptor's sets allocate nothing"
             descriptor_sets_reuse;

@@ -94,7 +94,7 @@ class Main { static void main() {
   check_int "cycles" 409 out.Interp.result.Stm_runtime.Sched.makespan
 
 (* Methods built directly in IR, as a JIT pass could leave them. *)
-let hand_built_main body =
+let hand_built_main ?(nregs = 1) body =
   let prog = Ir.create_program () in
   Ir.add_class prog
     {
@@ -109,9 +109,9 @@ let hand_built_main body =
             m_static = true;
             params = [];
             ret = Ir.Tvoid;
-            nregs = 1;
+            nregs;
             body;
-            reg_names = [| "x" |];
+            reg_names = Array.init nregs (Printf.sprintf "r%d");
           };
         ];
     };
@@ -145,6 +145,83 @@ let interp_return_in_atomic () =
       [| Ir.AtomicBegin 2; Ir.Ret None; Ir.AtomicEnd; Ir.Ret None |]
   in
   expect_error out "return out of atomic block"
+
+let interp_stray_atomic_end () =
+  let out = hand_built_main [| Ir.AtomicEnd; Ir.Ret None |] in
+  expect_error out "stray atomic-end";
+  check_int "one instruction" 1 out.Interp.instrs
+
+(* Compare-and-branch triples, [d1 := a cmp b; d2 := !d1; if d2 goto t],
+   run as one closure at the compare. The expected prints, counts and
+   makespans are the unfused interpreter's: one instruction and one ALU
+   cycle each, the registers written as by three separate closures. *)
+
+(* A [Goto] into the [Not] of the triple: the first test runs from the
+   [Not] with [d1] preset, later ones from the compare. The final prints
+   show both registers of the last test. *)
+let interp_goto_into_fused_not () =
+  let out =
+    hand_built_main ~nregs:3
+      [|
+        Ir.Move (0, Ir.Cint 0);
+        Ir.Move (1, Ir.Cbool true);
+        Ir.Goto 4;
+        Ir.Binop (1, Ir.Lt, Ir.Reg 0, Ir.Cint 3);
+        Ir.Unop (2, Ir.Not, Ir.Reg 1);
+        Ir.If (Ir.Reg 2, 9);
+        Ir.Print (Ir.Reg 0);
+        Ir.Binop (0, Ir.Add, Ir.Reg 0, Ir.Cint 1);
+        Ir.Goto 3;
+        Ir.Print (Ir.Reg 1);
+        Ir.Print (Ir.Reg 2);
+        Ir.Ret None;
+      |]
+  in
+  Alcotest.(check (list string)) "prints" [ "0"; "1"; "2"; "false"; "true" ] out.Interp.prints;
+  check_int "instructions" 26 out.Interp.instrs;
+  check_int "makespan" 26 out.Interp.result.Stm_runtime.Sched.makespan
+
+(* An [If] into the [If] of the triple, with [d2] preset; the compare is
+   [Ne], the polymorphic one. *)
+let interp_if_into_fused_if () =
+  let out =
+    hand_built_main ~nregs:4
+      [|
+        Ir.Move (0, Ir.Cint 0);
+        Ir.Move (2, Ir.Cbool false);
+        Ir.Move (3, Ir.Cbool true);
+        Ir.If (Ir.Reg 3, 6);
+        Ir.Binop (1, Ir.Ne, Ir.Reg 0, Ir.Cint 2);
+        Ir.Unop (2, Ir.Not, Ir.Reg 1);
+        Ir.If (Ir.Reg 2, 10);
+        Ir.Print (Ir.Reg 0);
+        Ir.Binop (0, Ir.Add, Ir.Reg 0, Ir.Cint 1);
+        Ir.Goto 4;
+        Ir.Print (Ir.Reg 1);
+        Ir.Ret None;
+      |]
+  in
+  Alcotest.(check (list string)) "prints" [ "0"; "1"; "false" ] out.Interp.prints;
+  check_int "instructions" 19 out.Interp.instrs;
+  check_int "makespan" 19 out.Interp.result.Stm_runtime.Sched.makespan
+
+(* A fused compare on a bool raises the compare's own error, with only
+   the instructions up to the compare counted. *)
+let interp_fused_compare_type_error () =
+  let out =
+    hand_built_main ~nregs:3
+      [|
+        Ir.Move (0, Ir.Cbool true);
+        Ir.Binop (1, Ir.Lt, Ir.Reg 0, Ir.Cint 3);
+        Ir.Unop (2, Ir.Not, Ir.Reg 1);
+        Ir.If (Ir.Reg 2, 5);
+        Ir.Print (Ir.Reg 1);
+        Ir.Ret None;
+      |]
+  in
+  expect_error out "binop: expected int, got true";
+  Alcotest.(check (list string)) "no prints" [] out.Interp.prints;
+  check_int "instructions" 2 out.Interp.instrs
 
 (* The same explorer instance run under strong, weak and strong again:
    each run compiles for the configuration the explorer installed, so
@@ -365,11 +442,15 @@ let suite =
         case "assert failure" interp_assert_failure;
         case "fell off the end" interp_fell_off_the_end;
         case "return in atomic block" interp_return_in_atomic;
+        case "stray atomic-end" interp_stray_atomic_end;
+        case "fused compare on a bool" interp_fused_compare_type_error;
         case "unknown static method" interp_unknown_static_method;
       ] );
     ( "interp:execution",
       [
         case "instruction counting" interp_instr_count;
+        case "goto into a fused not" interp_goto_into_fused_not;
+        case "if into a fused if" interp_if_into_fused_if;
         case "polymorphic call site" interp_polymorphic_call_site;
         case "explorer instance reconfigured" interp_explorer_instance_reconfigured;
         case "makespan positive" interp_makespan_positive;

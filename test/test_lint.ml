@@ -217,6 +217,75 @@ let scanner_cases () =
         let s = \"min max compare (* List.mem\" and q = {|max|} and ch = '\"'\n\
         let a' = x_max and t = Atomic.compare_and_set")
 
+(* The modules on the per-access path make no call to read one word:
+   they test the trace level word and match the footprint sink inline
+   ([Trace.eff], [Footprint.sink]), as they charge cycles over
+   [Sched.reg]. Under the dev profile's [-opaque] nothing is inlined
+   across modules, so each of these is a real call on every simulated
+   access. This scans those modules for the out-of-line versions. *)
+
+let access_path =
+  under
+    [
+      "lib/core/barriers.ml";
+      "lib/core/txn.ml";
+      "lib/core/stm.ml";
+      "lib/core/dea.ml";
+      "lib/core/conflict.ml";
+      "lib/ir/interp.ml";
+      "lib/store/kv.ml";
+    ]
+
+let out_of_line =
+  [ "Heap.get"; "Heap.set"; "Footprint.read"; "Footprint.write"; "Trace.enabled"; "Trace.enabled_at" ]
+
+(* Every out-of-line call in [src], with its line; a library prefix
+   ([Stm_runtime.Heap.get]) is dropped. *)
+let out_of_line_calls src =
+  List.filter_map
+    (fun (line, before, path, _) ->
+      let path =
+        match String.split_on_char '.' path with
+        | lib :: (_ :: _ :: _ as rest) when String.starts_with ~prefix:"Stm_" lib ->
+            String.concat "." rest
+        | _ -> path
+      in
+      if
+        before <> '.'
+        && (List.exists (String.equal path) out_of_line
+           || String.starts_with ~prefix:"Heap.txrec_" path)
+      then Some (line, path)
+      else None)
+    (paths src)
+
+let no_out_of_line_access () =
+  let offences =
+    List.concat_map
+      (fun f ->
+        List.map (fun (l, p) -> Printf.sprintf "%s:%d: %s" f l p) (out_of_line_calls (read_file f)))
+      access_path
+  in
+  Alcotest.(check (list string)) "out-of-line calls on the access path" [] offences
+
+let out_of_line_cases () =
+  let flagged src = List.map snd (out_of_line_calls src) in
+  Alcotest.(check (list string))
+    "flags"
+    [ "Heap.get"; "Heap.set"; "Heap.txrec_peek"; "Trace.enabled_at"; "Footprint.read"; "Trace.enabled" ]
+    (flagged
+       "let v = Heap.get o 0\n\
+        let () = Stm_runtime.Heap.set o 0 v\n\
+        let w = Heap.txrec_peek o\n\
+        let () = if Trace.enabled_at Trace.Debug then Footprint.read 3\n\
+        let t = Stm_core.Trace.enabled ()");
+  Alcotest.(check (list string))
+    "lets through" []
+    (flagged
+       "(* Heap.get o 0 (* Trace.enabled () *) *)\n\
+        let s = \"Footprint.write 3\" and q = {|Heap.set o 0 v|}\n\
+        let o = obj.Heap.oid and n = Heap.nfields o and v = Heap.get_x\n\
+        let r = !Footprint.sink and e = !Trace.eff")
+
 (* Every [val] a [lib/**/*.mli] exports must have a user outside its
    module: a use, outside comments and strings, in a [.ml]/[.mli] of
    [lib], [bin], [bench] or [test] other than the module's own two
@@ -475,6 +544,9 @@ let suite =
         Alcotest.test_case "no polymorphic compare on hot paths" `Quick
           no_polymorphic_compare;
         Alcotest.test_case "scanner flags and skips" `Quick scanner_cases;
+        Alcotest.test_case "no out-of-line trace or footprint calls on the access path" `Quick
+          no_out_of_line_access;
+        Alcotest.test_case "access-path scanner flags and skips" `Quick out_of_line_cases;
         Alcotest.test_case "every exported value has a user outside its module" `Quick
           unused_exports;
         Alcotest.test_case "export scanner finds vals and skips the rest" `Quick
