@@ -719,10 +719,13 @@ let perf_cmd =
               ~doc:
                 "Baseline report to ratchet against (same schema as \
                  $(b,--out); refresh it by pointing $(b,--out) here). \
-                 Defaults to $(b,bench/baseline.json), \
-                 $(b,bench/baseline-mvcc.json) under $(b,--backend mvcc), or \
-                 $(b,bench/baseline-timestamp.json) under $(b,--backend \
-                 eager-ts) and $(b,lazy-ts). Missing file skips the check.")
+                 Defaults to the backend's own file: \
+                 $(b,bench/baseline.json) (eager), \
+                 $(b,bench/baseline-timestamp.json) (eager-ts), \
+                 $(b,bench/baseline-lazy.json) (lazy), \
+                 $(b,bench/baseline-lazy-timestamp.json) (lazy-ts) or \
+                 $(b,bench/baseline-mvcc.json) (mvcc). Missing file skips \
+                 the check.")
       $ Arg.(
           value & opt float 25.0
           & info [ "threshold" ] ~docv:"PCT"

@@ -1,12 +1,8 @@
 (** Execute fuzz programs on the real STM and collect their histories.
 
-    A History-level trace subscriber turns the runtime's
-    {!Stm_core.Trace.Access} and {!Stm_core.Trace.Txn_serialized} events
-    into a {!History.history}:
-    one node per committed transaction (stamped at its serialization
-    point) and per non-transactional unit access (stamped at its
-    linearization point). Aborted attempts are dropped; values observed
-    from them have no committed writer and surface as dirty reads.
+    A {!Collector} turns the runtime's History-level trace events into
+    a {!History.history} over the program's cells, roots and boxes, one
+    logical thread per program thread.
 
     Every entry point subscribes its collector with
     {!Stm_core.Trace.with_sinks} for the duration of the call, alongside

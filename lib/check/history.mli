@@ -1,7 +1,7 @@
 (** Serializability oracle over committed-access histories.
 
     A history is built from the runtime's trace stream (see
-    {!Exec}): one node per committed transaction and per
+    {!Collector}): one node per committed transaction and per
     non-transactional unit access, stamped at its linearization point.
     Occurrence-unique write tokens (see {!Prog}) make the reads-from
     relation exact, so conflict serializability is decidable from the
@@ -77,8 +77,8 @@ val split_accs : (loc * value * bool) list -> (loc * value) list * (loc * value)
     program order with duplicates kept, except reads of a location the
     node has already written (they observe its own pending store, not
     another node's version); writes hold the last value per location,
-    in the program order of those last writes. The history collectors
-    all build nodes with it. *)
+    in the program order of those last writes. {!Collector} builds
+    every node with it. *)
 
 val certified : history -> bool
 (** The stamp-order certificate: replaying the nodes in stamp order, every

@@ -29,9 +29,9 @@
 
     The [stm_run --trace] CLI subscribes a printer; [--trace-out],
     [--profile-barriers] and [--metrics-out] subscribe the {!Stm_obs}
-    recorder, per-site profiler and metrics; the fuzz history collector
-    and the store oracle subscribe at [History]; tests subscribe
-    collecting functions. *)
+    recorder, per-site profiler and metrics; the history collector
+    ([Stm_check.Collector], for fuzz runs and the store audit)
+    subscribes at [History]; tests subscribe collecting functions. *)
 
 (** Event verbosity, from most to least verbose. [Debug] events are
     per-access diagnostics (barrier executions, backoffs, validations,

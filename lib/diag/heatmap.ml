@@ -1,23 +1,21 @@
 open Stm_core
 open Stm_obs
 
-(* Per-granule contention accounting. The table is the PR-4 oid-set
-   idiom - open addressing, Fibonacci hashing, linear probing, capacity
-   a power of two kept at most half full - so charging one conflict or
-   abort to a granule is O(1) with no allocation on the event path. All
-   ranking and site mapping happens at report time. *)
+(* Per-granule contention accounting: one counter record per granule in
+   an Int_index keyed by oid, so charging one conflict or abort to a
+   granule is O(1) and allocates only at the granule's first charge.
+   All ranking and site mapping happens at report time. *)
 
-(* Per-cell counters live in parallel int arrays indexed by the probe
-   slot; [keys] holds the oid, [used] marks live slots. *)
+type counters = {
+  mutable c_read : int;
+  mutable c_write : int;
+  mutable c_aborts : int;
+  mutable c_wounds : int;
+  mutable c_wasted : int;  (* abort latency charged to this granule *)
+}
+
 type t = {
-  mutable keys : int array;
-  mutable used : bool array;
-  mutable read_conflicts : int array;
-  mutable write_conflicts : int array;
-  mutable aborts : int array;
-  mutable wounds : int array;
-  mutable wasted : int array;  (* abort latency charged to this granule *)
-  mutable live : int;
+  granules : counters Stm_runtime.Int_index.t;
   (* (oid, site) -> conflict count, for mapping hot granules back to the
      source sites that fight over them. Only touched on Conflict events
      (Info level, per contention episode - not per access). *)
@@ -25,78 +23,24 @@ type t = {
   mutable total_conflicts : int;
 }
 
-let hash oid mask = (oid * 0x9E3779B1) land mask
+let no_counters = { c_read = 0; c_write = 0; c_aborts = 0; c_wounds = 0; c_wasted = 0 }
 
 let create () =
   {
-    keys = Array.make 64 0;
-    used = Array.make 64 false;
-    read_conflicts = Array.make 64 0;
-    write_conflicts = Array.make 64 0;
-    aborts = Array.make 64 0;
-    wounds = Array.make 64 0;
-    wasted = Array.make 64 0;
-    live = 0;
+    granules = Stm_runtime.Int_index.create no_counters;
     site_counts = Hashtbl.create 64;
     total_conflicts = 0;
   }
 
-(* Find the slot for [oid], inserting an empty cell if absent. Growing
-   happens before the probe, so an insert never lands in a table more
-   than half full. *)
-let rec slot t oid =
-  if 2 * (t.live + 1) > Array.length t.keys then grow t;
-  let mask = Array.length t.keys - 1 in
-  let i = ref (hash oid mask) in
-  let found = ref (-1) in
-  while !found < 0 do
-    if not t.used.(!i) then begin
-      t.used.(!i) <- true;
-      t.keys.(!i) <- oid;
-      t.live <- t.live + 1;
-      found := !i
-    end
-    else if t.keys.(!i) = oid then found := !i
-    else i := (!i + 1) land mask
-  done;
-  !found
-
-and grow t =
-  let old_keys = t.keys
-  and old_used = t.used
-  and old_rc = t.read_conflicts
-  and old_wc = t.write_conflicts
-  and old_ab = t.aborts
-  and old_wo = t.wounds
-  and old_wa = t.wasted in
-  let cap = 2 * Array.length old_keys in
-  t.keys <- Array.make cap 0;
-  t.used <- Array.make cap false;
-  t.read_conflicts <- Array.make cap 0;
-  t.write_conflicts <- Array.make cap 0;
-  t.aborts <- Array.make cap 0;
-  t.wounds <- Array.make cap 0;
-  t.wasted <- Array.make cap 0;
-  t.live <- 0;
-  let mask = cap - 1 in
-  Array.iteri
-    (fun i live ->
-      if live then begin
-        let oid = old_keys.(i) in
-        let j = ref (hash oid mask) in
-        while t.used.(!j) do
-          j := (!j + 1) land mask
-        done;
-        t.used.(!j) <- true;
-        t.keys.(!j) <- oid;
-        t.read_conflicts.(!j) <- old_rc.(i);
-        t.write_conflicts.(!j) <- old_wc.(i);
-        t.aborts.(!j) <- old_ab.(i);
-        t.wounds.(!j) <- old_wo.(i);
-        t.wasted.(!j) <- old_wa.(i);
-        t.live <- t.live + 1
-      end)
-    old_used
+(* The granule's counters, created at its first charge. *)
+let granule t oid =
+  let c = Stm_runtime.Int_index.find t.granules oid in
+  if c != no_counters then c
+  else begin
+    let c = { c_read = 0; c_write = 0; c_aborts = 0; c_wounds = 0; c_wasted = 0 } in
+    Stm_runtime.Int_index.replace t.granules oid c;
+    c
+  end
 
 let bump_site t ~oid ~site =
   match Hashtbl.find_opt t.site_counts (oid, site) with
@@ -106,16 +50,15 @@ let bump_site t ~oid ~site =
 let handle t (ev : Trace.event) =
   match ev with
   | Trace.Conflict { oid; writer; site; _ } ->
-      let i = slot t oid in
-      if writer then t.write_conflicts.(i) <- t.write_conflicts.(i) + 1
-      else t.read_conflicts.(i) <- t.read_conflicts.(i) + 1;
+      let c = granule t oid in
+      if writer then c.c_write <- c.c_write + 1 else c.c_read <- c.c_read + 1;
       t.total_conflicts <- t.total_conflicts + 1;
       bump_site t ~oid ~site
   | Trace.Txn_abort { oid; latency; wounded; _ } when oid >= 0 ->
-      let i = slot t oid in
-      t.aborts.(i) <- t.aborts.(i) + 1;
-      if wounded then t.wounds.(i) <- t.wounds.(i) + 1;
-      t.wasted.(i) <- t.wasted.(i) + max 0 latency
+      let c = granule t oid in
+      c.c_aborts <- c.c_aborts + 1;
+      if wounded then c.c_wounds <- c.c_wounds + 1;
+      c.c_wasted <- c.c_wasted + max 0 latency
   | _ -> ()
 
 type cell = {
@@ -142,31 +85,25 @@ let sites_of t oid =
          if n1 <> n2 then compare n2 n1 else compare s1 s2)
 
 let cells t =
-  let acc = ref [] in
-  Array.iteri
-    (fun i live ->
-      if live then
-        acc :=
-          {
-            oid = t.keys.(i);
-            read_conflicts = t.read_conflicts.(i);
-            write_conflicts = t.write_conflicts.(i);
-            aborts = t.aborts.(i);
-            wounds = t.wounds.(i);
-            wasted = t.wasted.(i);
-            sites = sites_of t t.keys.(i);
-          }
-          :: !acc)
-    t.used;
-  List.sort
-    (fun a b ->
-      if heat a <> heat b then compare (heat b) (heat a)
-      else compare a.oid b.oid)
-    !acc
+  Stm_runtime.Int_index.fold
+    (fun oid c acc ->
+      {
+        oid;
+        read_conflicts = c.c_read;
+        write_conflicts = c.c_write;
+        aborts = c.c_aborts;
+        wounds = c.c_wounds;
+        wasted = c.c_wasted;
+        sites = sites_of t oid;
+      }
+      :: acc)
+    t.granules []
+  |> List.sort (fun a b ->
+         if heat a <> heat b then compare (heat b) (heat a) else compare a.oid b.oid)
 
 let top t ~k = List.filteri (fun i _ -> i < k) (cells t)
 let total_conflicts t = t.total_conflicts
-let distinct_granules t = t.live
+let distinct_granules t = Stm_runtime.Int_index.length t.granules
 
 let site_label resolve site =
   if site < 0 then "(api)"
@@ -201,15 +138,15 @@ let to_json ?(resolve = fun _ -> None) ?(k = 10) t =
   Json.Obj
     [
       ("total_conflicts", Json.Int t.total_conflicts);
-      ("distinct_granules", Json.Int t.live);
+      ("distinct_granules", Json.Int (distinct_granules t));
       ("top", Json.List (List.map (cell_json resolve) (top t ~k)));
     ]
 
 let pp ?(resolve = fun _ -> None) ?(k = 10) ppf t =
-  if t.live = 0 then Fmt.pf ppf "no contention recorded@."
+  if distinct_granules t = 0 then Fmt.pf ppf "no contention recorded@."
   else begin
     Fmt.pf ppf "contention heatmap: %d conflicts over %d granules@."
-      t.total_conflicts t.live;
+      t.total_conflicts (distinct_granules t);
     List.iter
       (fun c ->
         Fmt.pf ppf "  @%-6d heat=%-5d conflicts=%d(r%d/w%d) aborts=%d%s wasted=%d@."

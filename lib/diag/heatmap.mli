@@ -2,10 +2,10 @@
 
     Charges every {!Stm_core.Trace.Conflict} episode and every
     attributed {!Stm_core.Trace.Txn_abort} ([oid >= 0]) to the contended
-    granule in O(1) with no allocation on the event path — the cell
-    table is the open-addressed Fibonacci-hashed oid table the core's
-    read-set index uses. Ranking, site mapping, and rendering happen
-    only at report time. *)
+    granule in O(1): a granule's counters are one record in a
+    {!Stm_runtime.Int_index} keyed by oid, allocated at its first
+    charge. Ranking, site mapping, and rendering happen only at report
+    time. *)
 
 type t
 

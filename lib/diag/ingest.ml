@@ -22,14 +22,8 @@ type result = {
    (site ids are small non-negative ints from the IR). *)
 let intern_base = 1_000_000
 
-let cause_of_string = function
-  | "conflict" -> Some Trace.Cause_conflict
-  | "validation" -> Some Trace.Cause_validation
-  | "stale-lock" -> Some Trace.Cause_stale_lock
-  | "wounded" -> Some Trace.Cause_wounded
-  | "retry" -> Some Trace.Cause_retry
-  | "exception" -> Some Trace.Cause_exn
-  | _ -> None
+let cause_of_string s =
+  List.find_opt (fun c -> String.equal (Trace.string_of_cause c) s) Metrics.all_causes
 
 let op_of_string = function
   | "read" -> Some Trace.Op_read

@@ -4,6 +4,8 @@ module Trace = Stm_core.Trace
 module Config = Stm_core.Config
 module Mode = Stm_core.Mode
 module Point = Stm_core.Point
+module History = Stm_check.History
+module Collector = Stm_check.Collector
 
 type params = {
   mode : Mode.t;
@@ -79,7 +81,7 @@ type report = {
   r_invariants : string list;
   r_increments : int;
   r_deviation : int option;
-  r_verdict : Stm_check.History.verdict option;
+  r_verdict : History.verdict option;
   r_resolve_oid : int -> (int * int) option;
 }
 
@@ -101,7 +103,7 @@ type ctx = {
   mutable increments : int;
   mutable invariants : string list;
   mutable final_sum : int;
-  mutable final_kvs : (int * int) list;
+  mutable final_kvs : (History.loc * History.value) list;  (** record mode *)
 }
 
 let store_of ctx = Option.get ctx.store
@@ -228,7 +230,10 @@ let client_body ctx c ~op_rng ~key_rng () =
 (* Main body                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let main ctx oracle () =
+(* Record mode preloads each key with a token of its own. *)
+let preload_value p k = if p.record then k + 1 else 0
+
+let main ctx col () =
   let p = ctx.p in
   let cost = (Stm.config ()).Config.cost in
   let store =
@@ -236,13 +241,8 @@ let main ctx oracle () =
       ~shards:p.shards ~cost ()
   in
   ctx.store <- Some store;
-  let preload_value k = if p.record then k + 1 else 0 in
-  Kv.preload store ~keys:p.keys ~value:preload_value;
-  Option.iter
-    (fun o ->
-      Oracle.set_init o (List.init p.keys (fun k -> (k, preload_value k)));
-      Oracle.set_enabled o true)
-    oracle;
+  Kv.preload store ~keys:p.keys ~value:(preload_value p);
+  Option.iter (fun c -> Collector.set_enabled c true) col;
   let master = Det_rng.create p.seed in
   let clients =
     List.init p.clients (fun c ->
@@ -259,12 +259,13 @@ let main ctx oracle () =
       clients
   in
   List.iter Sched.join tids;
-  Option.iter (fun o -> Oracle.set_enabled o false) oracle;
+  Option.iter (fun c -> Collector.set_enabled c false) col;
   ctx.invariants <- Kv.check_invariants store;
   ctx.final_sum <- Kv.fold store ~init:0 ~f:(fun acc _ v -> acc + v);
-  if Option.is_some oracle then
+  if Option.is_some col then
     ctx.final_kvs <-
-      List.rev (Kv.fold store ~init:[] ~f:(fun acc k v -> (k, v) :: acc))
+      List.rev
+        (Kv.fold store ~init:[] ~f:(fun acc k v -> (History.Cell k, History.Vi v) :: acc))
 
 (* ------------------------------------------------------------------ *)
 (* Runner                                                              *)
@@ -292,12 +293,19 @@ let run p =
       final_kvs = [];
     }
   in
-  let oracle =
+  let cfg = config p in
+  (* The audit judges the data the store serves: only an entry's first
+     value word is recorded, at its key; chain links, shard headers and
+     the payload mirror words are structural. *)
+  let col =
     if p.record then
       Some
-        (Oracle.create
-           ~lookup:(fun oid -> Option.bind ctx.store (fun s -> Kv.key_of_oid s oid))
-           ())
+        (Collector.create ~cfg
+           ~loc:(fun oid fld ->
+             match Option.bind ctx.store (fun s -> Kv.key_of_oid s oid) with
+             | Some key when fld = Kv.fld_val -> History.Cell key
+             | _ -> Collector.no_loc)
+           ~value:(function Heap.Vint n -> History.Vi n | _ -> Collector.no_value))
     else None
   in
   let count_shard_abort = function
@@ -310,26 +318,26 @@ let run p =
   Trace.with_sinks
     ((Trace.Info, Stm_obs.Metrics.handle metrics)
     :: (Trace.Info, count_shard_abort)
-    :: Option.fold oracle ~none:[] ~some:(fun o ->
-           [ (Trace.History, Oracle.on_event o) ]))
+    :: Option.fold col ~none:[] ~some:(fun c ->
+           [ (Trace.History, Collector.on_event c) ]))
     (fun () ->
       let result, stats =
-        Stm.run ~policy:Sched.Min_clock ~max_steps:p.fuel ~cfg:(config p)
-          (main ctx oracle)
+        Stm.run ~policy:Sched.Min_clock ~max_steps:p.fuel ~cfg (main ctx col)
       in
       let completed =
         result.Sched.status = Sched.Completed && result.Sched.exns = []
       in
       let verdict =
-        match oracle with
+        match col with
         | None -> None
-        | Some o ->
-            if not completed then
-              Some (Stm_check.History.Inconclusive "run did not complete")
-            else begin
-              Oracle.set_final o ctx.final_kvs;
-              Some (Oracle.check o)
-            end
+        | Some _ when not completed -> Some (History.Inconclusive "run did not complete")
+        | Some c -> (
+            let init =
+              List.init p.keys (fun k -> (History.Cell k, History.Vi (preload_value p k)))
+            in
+            match History.check_graph (Collector.history c ~init ~final:ctx.final_kvs) with
+            | None -> Some History.Serializable
+            | Some a -> Some (History.Anomalous a))
       in
       let total_ops =
         List.fold_left (fun n (_, a) -> n + a.a_ops) 0 ctx.accs
@@ -464,7 +472,7 @@ let to_json r =
         Json.List (List.map (fun s -> Json.Str s) r.r_invariants) );
       ( "oracle",
         match r.r_verdict with
-        | Some v -> Stm_check.History.verdict_to_json v
+        | Some v -> History.verdict_to_json v
         | None -> Json.Null );
       ("metrics", Metrics.to_json ~stats:r.r_stats r.r_metrics);
     ]
@@ -496,7 +504,7 @@ let pp_report ppf r =
         r.r_increments
   | None -> ());
   (match r.r_verdict with
-  | Some v -> Fmt.pf ppf "  oracle: %a@." Stm_check.History.pp_verdict v
+  | Some v -> Fmt.pf ppf "  oracle: %a@." History.pp_verdict v
   | None -> ());
   (match r.r_invariants with
   | [] -> Fmt.pf ppf "  invariants: ok@,@]"

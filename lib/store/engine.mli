@@ -16,10 +16,19 @@
     histograms) is embedded in the JSON report ([stm-store/1]).
 
     [record] mode additionally rewrites every stored value to a
-    globally-unique token and runs the {!Oracle} collector, so the
-    run's verdict under {!Stm_check.History.check_graph} is part of the
-    report — the store's differential check against the
-    serializability oracle. *)
+    globally-unique token and subscribes the {!Stm_check.Collector},
+    so the run's verdict under {!Stm_check.History.check_graph} is part
+    of the report — the store's differential check against the
+    serializability oracle. The audit judges the {e data} the store
+    serves: only an entry's first value word ({!Kv.fld_val}) is
+    recorded, at [History.Cell key]; chain links, shard headers and the
+    payload mirror words are projected out, and a transaction that
+    touched only them leaves no node. Because every put/rmw attempt
+    writes a token of its own, the reads-from relation is exact and
+    [check_graph] is decisive: a weak-atomicity run whose mixed traffic
+    raced shows up as a dirty read, a conflict-graph cycle or a
+    final-state mismatch; a strong-atomicity run comes back
+    serializable. *)
 
 open Stm_runtime
 
@@ -78,8 +87,8 @@ type report = {
 
 val run : params -> report
 (** Execute one run. The report's metrics and per-shard abort counts are
-    {!Stm_core.Trace} subscribers at [Info], and the [record] oracle one
-    at [History]; a caller that wants the event stream too (the diag
+    {!Stm_core.Trace} subscribers at [Info], and the [record] mode's
+    history collector one at [History]; a caller that wants the event stream too (the diag
     pipeline, a trace recorder) wraps the call in
     {!Stm_core.Trace.with_sinks}, and the report's counters are the
     same with or without it. *)

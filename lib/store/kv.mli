@@ -129,6 +129,10 @@ val check_invariants : t -> string list
     transactions (or under the shard lock) — so a violation means the
     STM itself miscompiled an update. *)
 
+val fld_val : int
+(** Field index of an entry object's first value word, the one {!get}
+    returns. *)
+
 val key_of_oid : t -> int -> int option
 (** Map an entry object id back to its key (the diag heatmap's hot
     granules become hot keys through this). Entries allocated by

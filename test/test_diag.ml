@@ -213,6 +213,19 @@ let jsonl_roundtrip () =
       check_int "unattributed oid" (-1) oid
   | _ -> Alcotest.fail "expected the unattributed abort"
 
+let jsonl_every_cause_roundtrip () =
+  let entries =
+    List.mapi
+      (fun i cause -> entry ~ts:i ~step:i ~tid:1 (abort ~txid:i ~tid:1 ~cause ()))
+      Metrics.all_causes
+  in
+  let buf = Buffer.create 256 in
+  Export.to_jsonl buf entries;
+  let r = Ingest.of_string (Buffer.contents buf) in
+  check_int "every cause parsed" (List.length Metrics.all_causes) r.Ingest.parsed;
+  check_int "none skipped" 0 r.Ingest.skipped;
+  check_bool "causes identical after round trip" true (r.Ingest.entries = entries)
+
 let jsonl_resolved_sites_roundtrip () =
   (* sites exported as resolved source labels re-intern on ingest and
      re-export to the identical line *)
@@ -531,6 +544,7 @@ let suite =
         case "jsonl round trip keeps attribution" jsonl_roundtrip;
         case "jsonl round trip re-interns sites" jsonl_resolved_sites_roundtrip;
         case "jsonl ingest skips garbage" jsonl_skips_garbage;
+        case "jsonl round trip of every abort cause" jsonl_every_cause_roundtrip;
         case "chrome export carries attribution" chrome_carries_attribution;
         case "heatmap accounting" heatmap_accounting;
         case "heatmap table growth" heatmap_grows;
