@@ -395,6 +395,9 @@ let check_invariants t =
   done;
   List.rev !viols
 
+let table t s = t.tables.(s)
+let header t s = t.headers.(s)
+
 let code_of_oid t oid =
   if oid >= 0 && oid < Array.length t.oid_shard then t.oid_shard.(oid) else -1
 

@@ -129,6 +129,16 @@ val check_invariants : t -> string list
     transactions (or under the shard lock) — so a violation means the
     STM itself miscompiled an update. *)
 
+val table : t -> int -> Heap.obj
+(** Shard [s]'s bucket table: field [b] is the head of bucket [b]'s
+    chain ([Vnull] when empty). An entry's field 0 is its key and field
+    1 the next link. For audits and for tests that corrupt a store on
+    purpose through raw {!Stm_runtime.Heap.set}. *)
+
+val header : t -> int -> Heap.obj
+(** Shard [s]'s header: field 0 the commit seqno, field 1 the entry
+    count {!check_invariants} compares with the reachable entries. *)
+
 val fld_val : int
 (** Field index of an entry object's first value word, the one {!get}
     returns. *)

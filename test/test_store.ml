@@ -294,6 +294,97 @@ let oid_index_matches_reference () =
       done)
 
 (* ------------------------------------------------------------------ *)
+(* The audit catches every violation class                             *)
+(* ------------------------------------------------------------------ *)
+
+(* [Kv] entry layout: field 0 the key, field 1 the next link; a shard
+   header's field 1 is its entry count. *)
+let key_of e = match Heap.get e 0 with Heap.Vint k -> k | _ -> -1
+
+let chain t s b =
+  let rec walk acc = function
+    | Heap.Vref e -> walk (e :: acc) (Heap.get e 1)
+    | _ -> List.rev acc
+  in
+  walk [] (Heap.get (Kv.table t s) b)
+
+let buckets_of t s =
+  let n = Heap.nfields (Kv.table t s) in
+  List.init n (fun b -> (b, chain t s b))
+
+let audit_keys = 50
+
+(* Corrupt a freshly preloaded store (4 shards, 8 buckets, 50 keys) with
+   raw heap stores, then audit it: [corrupt] returns the violations it
+   expects, in the audit's order (shard, bucket, chain). *)
+let audit_catches corrupt () =
+  with_store ~mode:strong (fun t ->
+      Kv.preload t ~keys:audit_keys ~value:Fun.id;
+      Alcotest.(check (list string)) "clean before" [] (Kv.check_invariants t);
+      let expected = corrupt t in
+      Alcotest.(check (list string)) "violations" expected (Kv.check_invariants t))
+
+(* Two entries of one chain: the head takes the second's key, so the
+   key sits in its own bucket twice. *)
+let corrupt_duplicate t =
+  let s, e1, e2 =
+    List.find_map
+      (fun s ->
+        List.find_map
+          (function _, e1 :: e2 :: _ -> Some (s, e1, e2) | _ -> None)
+          (buckets_of t s))
+      [ 0; 1; 2; 3 ]
+    |> Option.get
+  in
+  Heap.set e1 0 (Heap.Vint (key_of e2));
+  [ Printf.sprintf "key %d duplicated in shard %d" (key_of e2) s ]
+
+(* A chain head takes a key that is not stored and hashes to another
+   shard. *)
+let corrupt_misplaced t =
+  let b, e =
+    List.find_map (function b, e :: _ -> Some (b, e) | _, [] -> None) (buckets_of t 0)
+    |> Option.get
+  in
+  let k = ref audit_keys in
+  while Kv.shard_of_key t !k = 0 do incr k done;
+  Heap.set e 0 (Heap.Vint !k);
+  [ Printf.sprintf "key %d misplaced in shard 0 bucket %d" !k b ]
+
+(* A chain head links to itself. The walk revisits it (a duplicate of
+   its key at every step) until it has taken more steps than entries
+   were ever linked, then gives up on the bucket: the rest of the chain
+   goes unseen, and the shard's reachable count is off. *)
+let corrupt_cycle t =
+  let s = 1 in
+  let in_shard = List.fold_left (fun n (_, c) -> n + List.length c) 0 (buckets_of t s) in
+  let b, c = List.find (fun (_, c) -> List.length c >= 2) (buckets_of t s) in
+  let e = List.hd c in
+  Heap.set e 1 (Heap.Vref e);
+  let bound = 1 + audit_keys in
+  List.init (bound - 1) (fun _ -> Printf.sprintf "key %d duplicated in shard %d" (key_of e) s)
+  @ [
+      Printf.sprintf "shard %d bucket %d: chain cycle" s b;
+      Printf.sprintf "shard %d header count %d but %d entries reachable" s in_shard
+        (in_shard - List.length c + bound);
+    ]
+
+(* Shard 0 holds a misplaced key and a header count one too high,
+   shard 3 a count one too low: the messages come in shard order, and
+   within a shard the chain's before the count's. *)
+let corrupt_counts t =
+  let bump s d =
+    let h = Kv.header t s in
+    let n = match Heap.get h 1 with Heap.Vint n -> n | _ -> 0 in
+    Heap.set h 1 (Heap.Vint (n + d));
+    Printf.sprintf "shard %d header count %d but %d entries reachable" s (n + d) n
+  in
+  let low = bump 3 (-1) in
+  let high = bump 0 1 in
+  let misplaced = corrupt_misplaced t in
+  misplaced @ [ high; low ]
+
+(* ------------------------------------------------------------------ *)
 (* Engine: determinism, invariants across profiles                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -549,6 +640,11 @@ let suite =
         case "kv: semantics (mvcc)" (kv_semantics mvcc);
         case "kv: dense oid index = reference map" oid_index_matches_reference;
         case "kv: dense oid index under concurrent churn" oid_index_under_churn;
+        case "kv: audit reports a duplicated key" (audit_catches corrupt_duplicate);
+        case "kv: audit reports a misplaced key" (audit_catches corrupt_misplaced);
+        case "kv: audit reports a chain cycle" (audit_catches corrupt_cycle);
+        case "kv: audit reports header counts in shard order"
+          (audit_catches corrupt_counts);
         case "engine: deterministic per seed" engine_deterministic;
         case "engine: invariants across all profiles and modes"
           invariants_all_profiles;
