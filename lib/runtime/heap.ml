@@ -39,6 +39,16 @@ let fresh_oid () =
   incr counter;
   !counter
 
+let last_oid () = !counter
+
+let reissue o fields =
+  if o.oid <> !counter + 1 then invalid_arg "Heap.reissue: not the next oid";
+  ignore (fresh_oid () : int);
+  Atomic.set o.txrec shared_txrec0;
+  o.vts <- 0;
+  o.past <- [];
+  Array.blit fields 0 o.fields 0 (Array.length o.fields)
+
 let alloc ?(txrec = shared_txrec0) ~cls n =
   {
     oid = fresh_oid ();

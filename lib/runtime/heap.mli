@@ -49,6 +49,25 @@ val alloc_array : ?txrec:int -> int -> value -> obj
 val alloc_statics : ?txrec:int -> cls:string -> int -> obj
 (** Statics holder for class [cls]; always public. *)
 
+(** {2 Reissuing a kept object}
+
+    A structure every run rebuilds identically (the store's preloaded
+    image) can keep its objects from one run to the next and hand them
+    out again instead of allocating new ones. Reissuing the objects in
+    oid order, starting where the run's counter stood when they were
+    first allocated, gives them the oids, the transaction records and
+    the fields a fresh allocation and initialisation would. *)
+
+val last_oid : unit -> int
+(** The oid the last allocation of this run took (0 before the first). *)
+
+val reissue : obj -> value array -> unit
+(** [reissue o fields] allocates [o] again: it takes the next oid, which
+    must be [o]'s own ([Invalid_argument] otherwise), reported to
+    {!Footprint} as an allocation; resets the transaction record to
+    {!shared_txrec0}, the version stamp to 0 and the version chain to
+    empty; and copies [fields] (of [o]'s length) into [o]'s fields. *)
+
 val dummy : obj
 (** Sentinel object (oid [-1], no fields) for pre-sizing growable arrays
     of objects; never a real heap object, never synchronized on. *)

@@ -40,7 +40,8 @@ type thread = {
   mutable starter : (unit -> unit) option;
       (* body not yet started; scheduler starts it under its own handler *)
   mutable cont : Cont.t;
-      (* where a started thread resumes; [Cont.none] while it runs *)
+      (* where a parked thread resumes; [Cont.none] until it first
+         parks, then its last continuation, spent while it runs *)
   mutable joiners : tid list;
 }
 
@@ -369,10 +370,10 @@ let rec loop e h =
         t.starter <- None;
         match_with body () h
     | None ->
-        (* an empty slot raises Continuation_already_resumed here *)
-        let k = t.cont in
-        t.cont <- Cont.none;
-        continue k ());
+        (* The slot keeps the continuation after this resume: spent, it
+           raises Continuation_already_resumed as [Cont.none] would, so
+           clearing it would be a store for nothing. *)
+        continue t.cont ());
     loop e h
   end
 
@@ -444,21 +445,6 @@ let spawn ?(name = "thread") body =
   let e = get_engine () in
   (new_thread e name body).tid
 
-(* Under [Min_clock] a yield whose pick would be the yielding thread
-   itself - nothing runnable, or its (clock, tid) strictly below the heap
-   top - is decided here without the effect round trip: the step is still
-   counted (and fuel still spent), exactly as the loop would count its
-   pop of the thread it just pushed. Both functions are inlined: the
-   other policies then pay one tag test for the check before the call to
-   [yield_pick] (out of line, the check costs the explorer's [Controlled]
-   runs several percent). *)
-let[@inline] keeps_processor e =
-  match e.policy with
-  | Min_clock ->
-      e.steps < e.max_steps
-      && below_top e reg.clock reg.tid
-  | Random _ | Controlled _ -> false
-
 (* Under [Controlled] and [Random] the loop's pick is taken at the yield
    itself, on the same inputs: the yielding thread counts as ready, as
    it would once the effect handler re-queued it, and fuel is checked
@@ -489,8 +475,22 @@ let[@inline never] yield_pick e =
         end
     | Min_clock -> perform Yield
 
+(* A yield is decided in one match on the policy. Under [Min_clock] a
+   yield whose pick would be the yielding thread itself - nothing
+   runnable, or its (clock, tid) strictly below the heap top - keeps the
+   processor without the effect round trip: the step is still counted
+   (and fuel still spent), exactly as the loop would count its pop of
+   the thread it just pushed; any other yield performs [Yield] at once.
+   The other policies take their pick in [yield_pick], out of line (the
+   inlined pick costs the explorer's [Controlled] runs several
+   percent). *)
 let[@inline] yield_engine e =
-  if keeps_processor e then e.steps <- e.steps + 1 else yield_pick e
+  match e.policy with
+  | Min_clock ->
+      if e.steps < e.max_steps && below_top e reg.clock reg.tid then
+        e.steps <- e.steps + 1
+      else perform Yield
+  | Random _ | Controlled _ -> yield_pick e
 
 let yield () =
   match !engine with None -> raise Not_in_simulation | Some e -> yield_engine e

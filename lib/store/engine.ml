@@ -238,10 +238,9 @@ let main ctx col () =
   let cost = (Stm.config ()).Config.cost in
   let store =
     Kv.create ~buckets:p.buckets ~value_size:p.value_size ~mode:p.mode
-      ~shards:p.shards ~cost ()
+      ~shards:p.shards ~keys:p.keys ~value:(preload_value p) ~cost ()
   in
   ctx.store <- Some store;
-  Kv.preload store ~keys:p.keys ~value:(preload_value p);
   Option.iter (fun c -> Collector.set_enabled c true) col;
   let master = Det_rng.create p.seed in
   let clients =

@@ -26,6 +26,18 @@ let fld_val = 2
 let fld_seqno = 0
 let fld_count = 1
 
+(* The audit's key set, kept from call to call: key [k] was seen in the
+   shard under audit iff [stamp.(k) = epoch], and each shard of each
+   audit takes a fresh epoch, so starting a shard writes nothing. The
+   array covers the keys from 0 to the largest ever linked ([key_max]
+   below), up to a few times the entries ever linked, so a sparse key
+   space cannot blow it up; any other key goes to [overflow]. *)
+type audit = {
+  mutable stamp : int array;
+  mutable epoch : int;
+  overflow : unit Int_index.t;
+}
+
 type t = {
   mode : Mode.t;
   shards : int;
@@ -37,6 +49,8 @@ type t = {
   mutable oid_shard : int array;
   mutable oid_key : int array;
   mutable entries : int;  (** entries ever linked, aborted inserts too *)
+  mutable key_max : int;  (** the largest key ever linked, -1 before any *)
+  audit : audit;
 }
 (* [oid_shard] and [oid_key] are a dense index on object ids, grown on
    demand; oids restart at 1 in every [Stm.run], so the index is as long
@@ -68,10 +82,61 @@ let register t oid code =
   end;
   t.oid_shard.(oid) <- code
 
-let create ?(buckets = 64) ?(value_size = 4) ~mode ~shards ~cost () =
-  if shards <= 0 then invalid_arg "Kv.create: shards must be positive";
-  if buckets <= 0 then invalid_arg "Kv.create: buckets must be positive";
-  if value_size <= 0 then invalid_arg "Kv.create: value_size must be positive";
+let register_entry t e k sh =
+  register t e.Heap.oid (t.shards + sh);
+  t.oid_key.(e.Heap.oid) <- k;
+  t.entries <- t.entries + 1;
+  if k > t.key_max then t.key_max <- k
+
+(* ------------------------------------------------------------------ *)
+(* Creation: a fresh build, or the kept image reissued                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Every store run builds the same preloaded store, and at 1,024 keys
+   that is over a thousand heap objects. The last build is kept as an
+   image: its objects in oid order (the shard tables, the headers, then
+   the entries by key), the fields the preload left in them, and the oid
+   index as it stood. A run of the same shape starting at the same oid
+   reissues the objects (see [Heap.reissue]) instead: the same oids, the
+   same clock charges and the same fields, so nothing the run computes
+   can tell the two apart. *)
+type image = {
+  i_locks : bool;
+  i_shards : int;
+  i_buckets : int;
+  i_value_size : int;
+  i_values : int array;  (** key [k]'s preload value *)
+  i_base : int;  (** [Heap.last_oid ()] before the build *)
+  i_tables : Heap.obj array;
+  i_headers : Heap.obj array;
+  i_objs : Heap.obj array;  (** tables, headers, entries: oid order *)
+  i_fields : Heap.value array array;  (** [i_objs]' post-preload fields *)
+  i_oid_shard : int array;
+  i_oid_key : int array;
+  i_audit : audit;
+}
+
+let kept : image option ref = ref None
+
+let rec same_values (a : int array) b i =
+  i >= Array.length a || (a.(i) = b.(i) && same_values a b (i + 1))
+
+let is_locks = function Mode.Locks -> true | Mode.Stm _ -> false
+
+(* A build reports field stores to [Footprint]'s sink and a reissue does
+   not, so a run with a sink installed (the DPOR explorer's) builds. *)
+let reusable i ~mode ~shards ~buckets ~value_size ~values =
+  i.i_locks = is_locks mode
+  && i.i_shards = shards && i.i_buckets = buckets
+  && i.i_value_size = value_size
+  && Array.length i.i_values = Array.length values
+  && same_values i.i_values values 0
+  && i.i_base = Heap.last_oid ()
+  && not (Footprint.active ())
+
+let build ~mode ~shards ~buckets ~value_size ~values ~locks =
+  let base = Heap.last_oid () in
+  (* [Stm.alloc_public] charges [cost.alloc] for each table and header *)
   let tables =
     Array.init shards (fun _ -> Stm.alloc_public ~cls:"StoreTable" buckets)
   in
@@ -81,13 +146,6 @@ let create ?(buckets = 64) ?(value_size = 4) ~mode ~shards ~cost () =
         heap_set o fld_seqno (Heap.Vint 0);
         heap_set o fld_count (Heap.Vint 0);
         o)
-  in
-  let locks =
-    match mode with
-    | Mode.Locks ->
-        Array.init shards (fun s ->
-            Sim_mutex.create ~name:(Printf.sprintf "shard-%d" s) cost)
-    | Mode.Stm _ -> [||]
   in
   let t =
     {
@@ -101,11 +159,93 @@ let create ?(buckets = 64) ?(value_size = 4) ~mode ~shards ~cost () =
       oid_shard = [||];
       oid_key = [||];
       entries = 0;
+      key_max = -1;
+      audit = { stamp = [||]; epoch = 0; overflow = Int_index.create () };
     }
   in
   Array.iteri (fun s o -> register t o.Heap.oid s) tables;
   Array.iteri (fun s o -> register t o.Heap.oid s) headers;
+  (* The preload: raw heap stores, no barriers, no cost, no trace
+     events, so the measured window starts on a loaded store. *)
+  let counts = Array.make shards 0 in
+  let entries =
+    Array.mapi
+      (fun k v ->
+        let sh = shard_of_key t k and b = bucket_of_key t k in
+        let e = Heap.alloc ~cls:"StoreEntry" (fld_val + value_size) in
+        register_entry t e k sh;
+        heap_set e fld_key (Heap.Vint k);
+        heap_set e fld_next (heap_get tables.(sh) b);
+        let v = Heap.Vint v in
+        for i = 0 to value_size - 1 do
+          heap_set e (fld_val + i) v
+        done;
+        heap_set tables.(sh) b (Heap.Vref e);
+        counts.(sh) <- counts.(sh) + 1;
+        e)
+      values
+  in
+  Array.iteri (fun sh n -> heap_set headers.(sh) fld_count (Heap.Vint n)) counts;
+  let objs = Array.concat [ tables; headers; entries ] in
+  kept :=
+    Some
+      {
+        i_locks = is_locks mode;
+        i_shards = shards;
+        i_buckets = buckets;
+        i_value_size = value_size;
+        i_values = values;
+        i_base = base;
+        i_tables = tables;
+        i_headers = headers;
+        i_objs = objs;
+        i_fields = Array.map (fun (o : Heap.obj) -> Array.copy o.Heap.fields) objs;
+        i_oid_shard = Array.copy t.oid_shard;
+        i_oid_key = Array.copy t.oid_key;
+        i_audit = t.audit;
+      };
   t
+
+let reissue i ~mode ~locks =
+  let alloc = (Stm.config ()).Stm_core.Config.cost.Cost.alloc in
+  let charged = 2 * i.i_shards in
+  Array.iteri
+    (fun j o ->
+      if j < charged then Sched.tick alloc;
+      Heap.reissue o i.i_fields.(j))
+    i.i_objs;
+  {
+    mode;
+    shards = i.i_shards;
+    buckets = i.i_buckets;
+    value_size = i.i_value_size;
+    tables = i.i_tables;
+    headers = i.i_headers;
+    locks;
+    oid_shard = Array.copy i.i_oid_shard;
+    oid_key = Array.copy i.i_oid_key;
+    entries = Array.length i.i_values;
+    key_max = Array.length i.i_values - 1;
+    audit = i.i_audit;
+  }
+
+let create ?(buckets = 64) ?(value_size = 4) ~mode ~shards ~keys ~value ~cost () =
+  if shards <= 0 then invalid_arg "Kv.create: shards must be positive";
+  if buckets <= 0 then invalid_arg "Kv.create: buckets must be positive";
+  if value_size <= 0 then invalid_arg "Kv.create: value_size must be positive";
+  if keys < 0 then invalid_arg "Kv.create: keys must be non-negative";
+  let values = Array.init keys value in
+  let locks =
+    match mode with
+    | Mode.Locks ->
+        Array.init shards (fun s ->
+            Sim_mutex.create ~name:(Printf.sprintf "shard-%d" s) cost)
+    | Mode.Stm _ -> [||]
+  in
+  match !kept with
+  | Some i when reusable i ~mode ~shards ~buckets ~value_size ~values ->
+      reissue i ~mode ~locks
+  | Some _ | None -> build ~mode ~shards ~buckets ~value_size ~values ~locks
 
 (* Mode-sensitive access path: the lock baseline runs on the
    barrier-elided accesses (the paper's "Synch" series has no STM
@@ -154,11 +294,6 @@ let nontxn t sh f =
   | Mode.Stm _ -> f ()
   | Mode.Locks -> Sim_mutex.with_lock t.locks.(sh) f
 
-let register_entry t e k sh =
-  register t e.Heap.oid (t.shards + sh);
-  t.oid_key.(e.Heap.oid) <- k;
-  t.entries <- t.entries + 1
-
 let find t k =
   let sh = shard_of_key t k and b = bucket_of_key t k in
   let rec walk v =
@@ -183,33 +318,6 @@ let bump_seqno t sh =
 let adjust_count t sh d =
   let h = t.headers.(sh) in
   wr t h fld_count (Stm.vint (Stm.to_int (rd t h fld_count) + d))
-
-(* ------------------------------------------------------------------ *)
-(* Preload                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let preload t ~keys ~value =
-  let counts = Array.make t.shards 0 in
-  for k = 0 to keys - 1 do
-    let sh = shard_of_key t k and b = bucket_of_key t k in
-    let e = Heap.alloc ~cls:"StoreEntry" (fld_val + t.value_size) in
-    register_entry t e k sh;
-    heap_set e fld_key (Heap.Vint k);
-    heap_set e fld_next (heap_get t.tables.(sh) b);
-    let v = Heap.Vint (value k) in
-    for i = 0 to t.value_size - 1 do
-      heap_set e (fld_val + i) v
-    done;
-    heap_set t.tables.(sh) b (Heap.Vref e);
-    counts.(sh) <- counts.(sh) + 1
-  done;
-  Array.iteri
-    (fun sh n ->
-      let h = t.headers.(sh) in
-      match heap_get h fld_count with
-      | Heap.Vint c -> heap_set h fld_count (Heap.Vint (c + n))
-      | _ -> heap_set h fld_count (Heap.Vint n))
-    counts
 
 (* ------------------------------------------------------------------ *)
 (* Operations                                                          *)
@@ -364,9 +472,23 @@ let check_invariants t =
   let viol fmt = Printf.ksprintf (fun s -> viols := s :: !viols) fmt in
   (* a chain longer than every entry ever linked must be a cycle *)
   let chain_bound = 1 + t.entries in
-  let seen = Int_index.create () in
+  let a = t.audit in
+  let span = 1 + Int.min t.key_max ((4 * t.entries) + 1023) in
+  if Array.length a.stamp < span then a.stamp <- Array.make span 0;
+  let stamp = a.stamp in
+  (* [k]'s first sighting in the shard under audit *)
+  let first k =
+    if k >= 0 && k < Array.length stamp then
+      if stamp.(k) = a.epoch then false
+      else begin
+        stamp.(k) <- a.epoch;
+        true
+      end
+    else Int_index.add a.overflow k
+  in
   for s = 0 to t.shards - 1 do
-    Int_index.clear seen;
+    a.epoch <- a.epoch + 1;
+    Int_index.clear a.overflow;
     let count = ref 0 in
     for b = 0 to t.buckets - 1 do
       let steps = ref 0 in
@@ -380,8 +502,7 @@ let check_invariants t =
               let k = raw_int e fld_key in
               if shard_of_key t k <> s || bucket_of_key t k <> b then
                 viol "key %d misplaced in shard %d bucket %d" k s b;
-              if not (Int_index.add seen k) then
-                viol "key %d duplicated in shard %d" k s;
+              if not (first k) then viol "key %d duplicated in shard %d" k s;
               incr count;
               walk (heap_get e fld_next)
             end

@@ -51,21 +51,37 @@ val create :
   ?value_size:int ->
   mode:Stm_core.Mode.t ->
   shards:int ->
+  keys:int ->
+  value:(int -> int) ->
   cost:Cost.t ->
   unit ->
   t
-(** Allocate the shard tables and headers (and, in [Locks] mode, the
-    shard mutexes). [buckets] is per shard (default 64); [value_size]
-    (default 4) is the number of heap words a value occupies — writes
-    touch all of them, models payload size. [cost] prices the lock
-    operations of [Locks] mode (pass the run configuration's cost
-    model). *)
+(** A store preloaded with keys [0 .. keys-1], key [k] holding
+    [value k]: the shard tables and headers (and, in [Locks] mode, the
+    shard mutexes), then one entry per key. [buckets] is per shard
+    (default 64); [value_size] (default 4) is the number of heap words
+    a value occupies — writes touch all of them, models payload size.
+    [cost] prices the lock operations of [Locks] mode (pass the run
+    configuration's cost model).
 
-val preload : t -> keys:int -> value:(int -> int) -> unit
-(** Populate keys [0 .. keys-1] with [value k] via raw heap stores —
-    no barriers, no cost, no trace events — so setup is free and the
-    measured window sees a fully-loaded store. Call once, before any
-    concurrent traffic. *)
+    Each table and header is charged the configuration's allocation
+    cost, as {!Stm_core.Stm.alloc_public} charges it; the entries are
+    written through raw heap stores — no barriers, no cost, no trace
+    events — so setup is free and the measured window sees a fully
+    loaded store.
+
+    {b The kept image.} The last store built is kept: its objects, the
+    fields the preload left in them, and its oid maps. A later [create]
+    with the same [shards], [buckets], [value_size], preload values and
+    [Locks]-or-STM mode, whose run's oid counter stands where the kept
+    build's started and that has no {!Stm_runtime.Footprint} sink
+    installed, reissues those objects ({!Stm_runtime.Heap.reissue})
+    instead of allocating new ones: the same oids, the same clock
+    charges, the same fields, fresh transaction records and version
+    chains, fresh shard mutexes. A run cannot tell it from a build. Any
+    other [create] builds, and its store becomes the kept image. So a
+    store is valid until the next [create] that reissues its image: a
+    caller keeps no store across runs. *)
 
 (** {1 Operations}
 
@@ -124,7 +140,11 @@ val check_invariants : t -> string list
 (** Structural integrity sweep: every entry hashes to the shard and
     bucket its chain belongs to, no shard holds a key twice, chains are
     acyclic, and each shard header's entry count equals the entries
-    actually reachable. Returns human-readable violations ([] = ok).
+    actually reachable. Returns human-readable violations ([] = ok), in
+    shard, bucket and chain order, each shard's count last. The
+    duplicate check marks keys in a key-indexed stamp array that every
+    sweep of the store (and of a store reissued from its image) reuses:
+    no table to build or clear per sweep or per shard.
     Holds in every mode — structure is only ever mutated inside
     transactions (or under the shard lock) — so a violation means the
     STM itself miscompiled an update. *)

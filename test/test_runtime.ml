@@ -1558,6 +1558,43 @@ let sched_empty_slot () =
         Effect.Deep.continue Cont.none ())
   done
 
+(* The scheduler leaves a resumed continuation in its thread's slot. A
+   fiber parks twice; resuming the first park's slot runs it to the
+   second, and resuming that slot again fails as the empty one does,
+   without running the fiber: the second park's slot still resumes it. *)
+type _ Effect.t += Park_twice : unit Effect.t
+
+let sched_resumed_slot () =
+  let slot : Cont.t ref = ref Cont.none and steps = ref 0 in
+  Effect.Deep.match_with
+    (fun () ->
+      incr steps;
+      Effect.perform Park_twice;
+      incr steps;
+      Effect.perform Park_twice;
+      incr steps)
+    ()
+    {
+      retc = Fun.id;
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Park_twice -> Some (fun (k : (a, unit) Effect.Deep.continuation) -> slot := k)
+          | _ -> None);
+    };
+  check_int "parked once" 1 !steps;
+  let first = !slot in
+  Effect.Deep.continue first ();
+  check_int "resumed to the second park" 2 !steps;
+  for _ = 1 to 2 do
+    Alcotest.check_raises "resume the resumed slot"
+      Effect.Continuation_already_resumed (fun () -> Effect.Deep.continue first ())
+  done;
+  check_int "the fiber did not run" 2 !steps;
+  Effect.Deep.continue !slot ();
+  check_int "the second park's slot resumes it" 3 !steps
+
 let suite =
   suite
   @ [
@@ -1579,6 +1616,8 @@ let suite =
             case "deadlock with suspended threads" sched_deadlock_suspended;
             case "exception from a thread body" sched_body_exception;
             case "an empty continuation slot never resumes" sched_empty_slot;
+            case "a resumed continuation slot never resumes again"
+              sched_resumed_slot;
           ] );
       ( "runtime:sched-yield-pick",
         List.map QCheck_alcotest.to_alcotest yield_pick_qcheck

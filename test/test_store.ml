@@ -198,12 +198,12 @@ let strong = eager Point.Strong
 let weak = eager Point.Weak
 let mvcc = Mode.Stm (Point.v (Point.Mvcc Stm_core.Config.Serializable) Point.Strong)
 
-let with_store ~mode f =
+let with_store ~mode ?(keys = 0) ?(value = Fun.id) f =
   let cfg = Mode.config mode in
   let result, _stats =
     Stm_core.Stm.run ~cfg (fun () ->
         let t =
-          Kv.create ~buckets:8 ~value_size:2 ~mode ~shards:4
+          Kv.create ~buckets:8 ~value_size:2 ~mode ~shards:4 ~keys ~value
             ~cost:cfg.Stm_core.Config.cost ()
         in
         f t)
@@ -215,8 +215,7 @@ let with_store ~mode f =
   check_bool "completed" true (result.Sched.status = Sched.Completed)
 
 let kv_semantics mode () =
-  with_store ~mode (fun t ->
-      Kv.preload t ~keys:50 ~value:(fun k -> k * 10);
+  with_store ~mode ~keys:50 ~value:(fun k -> k * 10) (fun t ->
       check_int "entry_count" 50 (Kv.entry_count t);
       Alcotest.(check (option int)) "get 7" (Some 70) (Kv.get t 7);
       Alcotest.(check (option int)) "get absent" None (Kv.get t 50);
@@ -250,23 +249,24 @@ let kv_semantics mode () =
    entry - preloaded, inserted, or deleted since - to its key and shard,
    and every other oid to nothing. The expected map is built here from
    allocation order: oids count up from 1 in every run, the store's
-   tables and headers come first, and a probe object allocated on each
-   side of an insert brackets the oids the insert took. *)
+   tables and headers come first, then its entries by key, and a probe
+   object allocated on each side of an insert brackets the oids the
+   insert took. *)
 let oid_index_matches_reference () =
   let shards = 4 and keys = 40 in
-  with_store ~mode:strong (fun t ->
+  with_store ~mode:strong ~keys (fun t ->
       let expect = Hashtbl.create 64 in
       for s = 0 to shards - 1 do
         Hashtbl.replace expect (1 + s) (None, Some s);
         Hashtbl.replace expect (1 + shards + s) (None, Some s)
       done;
-      let probe () = (Heap.alloc ~cls:"Probe" 0).Heap.oid in
-      let p0 = probe () in
-      check_int "tables and headers take the first oids" ((2 * shards) + 1) p0;
-      Kv.preload t ~keys ~value:Fun.id;
       for k = 0 to keys - 1 do
-        Hashtbl.replace expect (p0 + 1 + k) (Some k, Some (Kv.shard_of_key t k))
+        Hashtbl.replace expect ((2 * shards) + 1 + k) (Some k, Some (Kv.shard_of_key t k))
       done;
+      let probe () = (Heap.alloc ~cls:"Probe" 0).Heap.oid in
+      check_int "tables, headers and entries take the first oids"
+        ((2 * shards) + keys + 1)
+        (probe ());
       let inserting k f =
         let a = probe () in
         f ();
@@ -318,8 +318,7 @@ let audit_keys = 50
    raw heap stores, then audit it: [corrupt] returns the violations it
    expects, in the audit's order (shard, bucket, chain). *)
 let audit_catches corrupt () =
-  with_store ~mode:strong (fun t ->
-      Kv.preload t ~keys:audit_keys ~value:Fun.id;
+  with_store ~mode:strong ~keys:audit_keys (fun t ->
       Alcotest.(check (list string)) "clean before" [] (Kv.check_invariants t);
       let expected = corrupt t in
       Alcotest.(check (list string)) "violations" expected (Kv.check_invariants t))
@@ -621,6 +620,140 @@ let doomed_txn_fault_retries () =
   check_bool "completed" true r.Engine.r_completed;
   Alcotest.(check (list string)) "invariants" [] r.Engine.r_invariants
 
+(* ------------------------------------------------------------------ *)
+(* The kept store image                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The engine's preload values: a token per key in record mode. *)
+let preload_value p k = if p.Engine.record then k + 1 else 0
+
+(* A store of [p]'s shape, created as the engine creates it. *)
+let engine_create p =
+  Kv.create ~buckets:p.Engine.buckets ~value_size:p.Engine.value_size
+    ~mode:p.Engine.mode ~shards:p.Engine.shards ~keys:p.Engine.keys
+    ~value:(preload_value p)
+    ~cost:(Stm_core.Stm.config ()).Stm_core.Config.cost ()
+
+(* [f] on [engine_create p], in a run of its own. *)
+let engine_store p f =
+  let out = ref None in
+  let result, _ =
+    Stm_core.Stm.run ~cfg:(Mode.config p.Engine.mode) (fun () ->
+        out := Some (f (engine_create p)))
+  in
+  check_bool "store run completed" true
+    (result.Sched.status = Sched.Completed && result.Sched.exns = []);
+  Option.get !out
+
+let kept_facets r =
+  ( deterministic_facets r,
+    r.Engine.r_invariants,
+    Option.map
+      (fun v -> Stm_obs.Json.to_string (Stm_check.History.verdict_to_json v))
+      r.Engine.r_verdict )
+
+(* Groups of runs of one store shape each, back to back: each group's
+   first run reissues an image the group's shape built, every later one
+   the image its predecessor's traffic left behind (inserts and deletes,
+   version chains, locked and versioned transaction records). Every run
+   reports what the same run reports on a freshly built store; after
+   each group the image is still the one the group started with, and
+   reissued it audits clean, with exactly the preloaded keys and
+   values. *)
+let kept_image_same_runs () =
+  let base = small Engine.default in
+  let eager_ts = Mode.Stm (Point.v (Point.Eager Stm_core.Config.Timestamp) Point.Strong) in
+  let run profile mode seed p = { p with Engine.profile; mode; seed } in
+  let groups =
+    [
+      [
+        run Profile.churn eager_ts 1 base;
+        run Profile.write_heavy eager_ts 2 base;
+        run Profile.read_heavy mvcc 3 base;
+        run Profile.churn mvcc 4 base;
+        run Profile.write_heavy strong 5 base;
+      ];
+      [ run Profile.write_heavy Mode.Locks 6 base; run Profile.churn Mode.Locks 7 base ];
+      List.map
+        (fun (profile, mode, seed) -> { (run profile mode seed base) with Engine.record = true })
+        [
+          (Profile.anomaly, mvcc, 8);
+          (Profile.read_heavy, mvcc, 9);
+          (Profile.batch_mix, eager_ts, 10);
+        ];
+      List.map
+        (fun (profile, mode, seed) -> run profile mode seed { base with Engine.keys = 200 })
+        [ (Profile.read_heavy, eager_ts, 11); (Profile.churn, eager_ts, 12) ];
+    ]
+  in
+  let name p =
+    Printf.sprintf "%s/%s%s, %d keys, seed %d" p.Engine.profile.Profile.pname
+      (Mode.name p.Engine.mode)
+      (if p.Engine.record then " recorded" else "")
+      p.Engine.keys p.Engine.seed
+  in
+  (* each reference run follows a store of another shape, so it builds *)
+  let fresh p =
+    with_store ~mode:strong ~keys:1 ignore;
+    kept_facets (Engine.run p)
+  in
+  let expected = List.map (List.map (fun p -> (p, fresh p))) groups in
+  List.iter
+    (fun group ->
+      let p0, _ = List.hd group in
+      let kept = engine_store p0 (fun t -> Kv.table t 0) in
+      List.iter
+        (fun (p, want) ->
+          let r = Engine.run p in
+          check_bool (name p ^ ": completed") true r.Engine.r_completed;
+          check_bool (name p ^ ": as on a fresh store") true (kept_facets r = want))
+        group;
+      engine_store p0 (fun t ->
+          check_bool (name p0 ^ ": the image was kept") true (Kv.table t 0 == kept);
+          for s = 0 to p0.Engine.shards - 1 do
+            List.iter
+              (fun (o : Heap.obj) ->
+                check_bool
+                  (Printf.sprintf "%s: oid %d reissued unversioned and public" (name p0)
+                     o.Heap.oid)
+                  true
+                  (Heap.txrec_peek o = Heap.shared_txrec0
+                  && Heap.version_ts_peek o = 0
+                  && Heap.chain_length o = 1))
+              ((Kv.table t s :: Kv.header t s :: List.concat_map snd (buckets_of t s)))
+          done;
+          Alcotest.(check (list string)) (name p0 ^ ": reissued clean") [] (Kv.check_invariants t);
+          Alcotest.(check (list (pair int int)))
+            (name p0 ^ ": the preloaded keys and values")
+            (List.init p0.Engine.keys (fun k -> (k, preload_value p0 k)))
+            (List.sort Stdlib.compare (Kv.fold t ~init:[] ~f:(fun acc k v -> (k, v) :: acc)))))
+    expected
+
+(* What a store is built afresh for: a [Footprint] sink (a build reports
+   its field stores, a reissue does not), a run whose oid counter is not
+   where the image's build started, and another shape. *)
+let kept_image_rebuilds () =
+  let p = small Engine.default in
+  let table t = Kv.table t 0 in
+  let kept = engine_store p table in
+  check_bool "same shape: reissued" true (engine_store p table == kept);
+  let reports = ref 0 in
+  Footprint.set_sink (Some (fun _ _ -> incr reports));
+  let sunk =
+    Fun.protect
+      ~finally:(fun () -> Footprint.set_sink None)
+      (fun () -> engine_store p table)
+  in
+  check_bool "with a sink: built" true (sunk != kept && !reports > 0);
+  check_bool "that build is kept" true (engine_store p table == sunk);
+  engine_store p (fun t ->
+      check_bool "a second store in one run: built" true
+        (table (engine_create p) != table t));
+  let kept = engine_store p table in
+  check_bool "another shape: built" true
+    (engine_store { p with Engine.buckets = p.Engine.buckets + 1 } table != kept);
+  check_bool "and back: built again" true (engine_store p table != kept)
+
 let suite =
   [
     ( "store",
@@ -659,5 +792,7 @@ let suite =
           record_rejects_structural;
         case "engine: doomed transaction fault retries (write-heavy, seed 3)"
           doomed_txn_fault_retries;
+        case "kv: a reissued image runs as a fresh store" kept_image_same_runs;
+        case "kv: what builds a store afresh" kept_image_rebuilds;
       ] );
   ]
