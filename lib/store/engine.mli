@@ -91,7 +91,13 @@ val run : params -> report
     history collector one at [History]; a caller that wants the event stream too (the diag
     pipeline, a trace recorder) wraps the call in
     {!Stm_core.Trace.with_sinks}, and the report's counters are the
-    same with or without it. *)
+    same with or without it.
+
+    The store is the first thing a run allocates, through {!Kv.create}
+    with [keys], [buckets], [value_size], [shards] and [mode], and a
+    token per key in [record] mode (0 otherwise). Back-to-back runs of
+    one shape therefore reuse the kept store image instead of building
+    the store again; the report is the same either way. *)
 
 val nontxn_mean_latency : report -> float
 (** Mean simulated cycles per non-transactional operation

@@ -144,7 +144,6 @@ let build ~mode ~shards ~buckets ~value_size ~values ~locks =
     Array.init shards (fun _ ->
         let o = Stm.alloc_public ~cls:"StoreHeader" 2 in
         heap_set o fld_seqno (Heap.Vint 0);
-        heap_set o fld_count (Heap.Vint 0);
         o)
   in
   let t =

@@ -634,15 +634,16 @@ let engine_create p =
     ~value:(preload_value p)
     ~cost:(Stm_core.Stm.config ()).Stm_core.Config.cost ()
 
-(* [f] on [engine_create p], in a run of its own. *)
+(* [f] on [engine_create p], in a run of its own; a check that fails
+   inside the run fails the test with its own message. *)
 let engine_store p f =
   let out = ref None in
   let result, _ =
     Stm_core.Stm.run ~cfg:(Mode.config p.Engine.mode) (fun () ->
         out := Some (f (engine_create p)))
   in
-  check_bool "store run completed" true
-    (result.Sched.status = Sched.Completed && result.Sched.exns = []);
+  List.iter (fun (_, e) -> raise e) result.Sched.exns;
+  check_bool "store run completed" true (result.Sched.status = Sched.Completed);
   Option.get !out
 
 let kept_facets r =
