@@ -721,7 +721,7 @@ let kept_image_same_runs () =
                   (Heap.txrec_peek o = Heap.shared_txrec0
                   && Heap.version_ts_peek o = 0
                   && Heap.chain_length o = 1))
-              ((Kv.table t s :: Kv.header t s :: List.concat_map snd (buckets_of t s)))
+              (Kv.table t s :: Kv.header t s :: List.concat_map snd (buckets_of t s))
           done;
           Alcotest.(check (list string)) (name p0 ^ ": reissued clean") [] (Kv.check_invariants t);
           Alcotest.(check (list (pair int int)))
