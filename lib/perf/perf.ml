@@ -188,10 +188,13 @@ let sched_switch () =
          in
          List.iter Stm_runtime.Sched.join ts))
 
-(* The floor under [sched/switch]: bare perform/continue round trips
+(* A reference beside [sched/switch]: bare perform/continue round trips
    through one handler with preallocated closures, the continuation kept
-   in a mutable slot - what any effect-based scheduler pays per switch.
-   Reported per round trip. *)
+   in a mutable slot, and each perform's handler returning to a loop
+   that resumes the slot - a scheduler loop with no scheduling in it.
+   [Sched] resumes the next thread from inside the handler, in tail
+   position, and skips that return, so [sched/switch] can read below
+   this. Reported per round trip. *)
 type _ Effect.t += Floor_yield : unit Effect.t
 
 let floor_yields = 8_000

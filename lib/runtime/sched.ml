@@ -24,7 +24,7 @@ type tstate = Runnable | Running | Suspended | Done
 type register = { mutable clock : int; mutable tid : tid }
 
 (* The running thread's clock and tid. During a run it always describes
-   [e.current]: the loop loads it at switch-in, and the handlers store
+   [e.current]: [next] loads it at switch-in, and the handler stores
    the clock back into the thread record at switch-out (yield, suspend,
    return, raise). So the Running thread's [clock] field is stale and
    the register holds its clock; every other thread's clock is in its
@@ -81,10 +81,10 @@ type engine = {
   mutable exns : (tid * exn) list;
   mutable fuel_out : bool;
   mutable pending : int;
-      (* >= 0: the loop's next pick was taken at a yield (see
-         [yield_pick]); it is this tid unless [pending_exn] is set. Only
-         the [Controlled] and [Random] picks look at it, so the
-         [Min_clock] loop pays nothing for it. *)
+      (* >= 0: [next]'s pick was taken at a yield (see [yield_pick]);
+         it is this tid unless [pending_exn] is set. Only the
+         [Controlled] and [Random] picks look at it, so a [Min_clock]
+         switch pays nothing for it. *)
   mutable pending_exn : (exn * Printexc.raw_backtrace) option;
       (* what that pick raised, re-raised by [pick] so that it escapes
          [run] rather than the yielding thread's body *)
@@ -256,47 +256,9 @@ let finish e t =
     t.joiners;
   t.joiners <- []
 
-(* The engine's one effect handler, under which every thread body runs.
-   The thread that performs, returns or raises is always [e.current],
-   and [effc] hands out the same two closures on every perform, so a
-   context switch allocates only the runtime's continuation. A yielding
-   thread is marked Runnable without a heap push (see [engine]). *)
-let handler e =
-  let on_yield =
-    Some
-      (fun k ->
-        let t = e.current in
-        save_reg t;
-        t.cont <- k;
-        t.state <- Runnable;
-        e.nrunnable <- e.nrunnable + 1)
-  and on_suspend =
-    Some
-      (fun k ->
-        let t = e.current in
-        save_reg t;
-        t.cont <- k;
-        t.state <- Suspended;
-        e.ready_stale <- true)
-  in
-  {
-    retc =
-      (fun () ->
-        save_reg e.current;
-        finish e e.current);
-    exnc =
-      (fun ex ->
-        save_reg e.current;
-        e.exns <- (e.current.tid, ex) :: e.exns;
-        finish e e.current);
-    effc =
-      (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
-        match eff with Yield -> on_yield | Suspend -> on_suspend | _ -> None);
-  }
-
-(* Every thread the loop may pick: the Runnable ones, plus the Running
-   one when the pick is taken at its yield (in the loop nothing is
-   Running, and a yielding thread is Runnable again). *)
+(* Every thread [next] may pick: the Runnable ones, plus the Running
+   one when the pick is taken at its yield (when [next] picks nothing
+   is Running, and a yielding thread is Runnable again). *)
 let ready t = match t.state with Runnable | Running -> true | Suspended | Done -> false
 
 (* Ascending list of ready tids (the [Controlled] callback contract),
@@ -332,7 +294,7 @@ let choose_checked e choose current =
     invalid_arg "Sched.Controlled: chose a non-runnable thread";
   tid
 
-(* The pick [yield_pick] took for the loop: a thread, or what the pick
+(* The pick [yield_pick] took for [next]: a thread, or what the pick
    raised. *)
 let take_pending e =
   let t = e.by_tid.(e.pending) in
@@ -356,7 +318,21 @@ let pick e =
       if e.pending >= 0 then take_pending e
       else thread_of e (choose_checked e choose e.current.tid)
 
-let rec loop e h =
+(* One scheduling step, and the effect handler under which every thread
+   body runs. The handler is built once per process and reaches the
+   running engine through [engine], so a run allocates none of it, and
+   [effc] hands out the same two closures on every perform, so a switch
+   allocates only the runtime's continuation. The
+   thread that performs, returns or raises is always [e.current]; the
+   handler saves its state and ends with [next e] in tail position,
+   which resumes (or starts) the picked thread in tail position too. So
+   the processor passes from the parked thread straight to the next
+   one: no loop takes it back in between, and the stack stays flat
+   however many switches a run makes. When fuel runs out or nothing is
+   runnable, [next] returns, and so does [run]'s one call of it; what
+   [pick] raises unwinds to [run] the same way. A yielding thread is
+   marked Runnable without a heap push (see [engine]). *)
+let rec next e =
   if e.steps >= e.max_steps then e.fuel_out <- true
   else if e.nrunnable > 0 then begin
     let t = pick e in
@@ -365,17 +341,58 @@ let rec loop e h =
     load_reg t;
     t.state <- Running;
     e.nrunnable <- e.nrunnable - 1;
-    (match t.starter with
+    match t.starter with
     | Some body ->
         t.starter <- None;
-        match_with body () h
+        match_with body () handler
     | None ->
         (* The slot keeps the continuation after this resume: spent, it
            raises Continuation_already_resumed as [Cont.none] would, so
            clearing it would be a store for nothing. *)
-        continue t.cont ());
-    loop e h
+        continue t.cont ()
   end
+
+and handler =
+  {
+    retc =
+      (fun () ->
+        let e = get_engine () in
+        save_reg e.current;
+        finish e e.current;
+        next e);
+    exnc =
+      (fun ex ->
+        let e = get_engine () in
+        save_reg e.current;
+        e.exns <- (e.current.tid, ex) :: e.exns;
+        finish e e.current;
+        next e);
+    effc =
+      (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
+        match eff with Yield -> on_yield | Suspend -> on_suspend | _ -> None);
+  }
+
+and on_yield : ((unit, unit) continuation -> unit) option =
+  Some
+    (fun k ->
+      let e = get_engine () in
+      let t = e.current in
+      save_reg t;
+      t.cont <- k;
+      t.state <- Runnable;
+      e.nrunnable <- e.nrunnable + 1;
+      next e)
+
+and on_suspend : ((unit, unit) continuation -> unit) option =
+  Some
+    (fun k ->
+      let e = get_engine () in
+      let t = e.current in
+      save_reg t;
+      t.cont <- k;
+      t.state <- Suspended;
+      e.ready_stale <- true;
+      next e)
 
 let run ?(max_steps = 10_000_000) ?(policy = Min_clock) main =
   if !engine <> None then invalid_arg "Sched.run: simulations cannot nest";
@@ -419,7 +436,7 @@ let run ?(max_steps = 10_000_000) ?(policy = Min_clock) main =
     reg.clock <- 0;
     reg.tid <- -1
   in
-  (try loop e (handler e)
+  (try next e
    with ex ->
      finalize ();
      raise ex);
@@ -445,12 +462,12 @@ let spawn ?(name = "thread") body =
   let e = get_engine () in
   (new_thread e name body).tid
 
-(* Under [Controlled] and [Random] the loop's pick is taken at the yield
+(* Under [Controlled] and [Random] [next]'s pick is taken at the yield
    itself, on the same inputs: the yielding thread counts as ready, as
    it would once the effect handler re-queued it, and fuel is checked
-   first, as the loop checks it. A pick of the yielding thread only
+   first, as [next] checks it. A pick of the yielding thread only
    counts the step; any other pick (or whatever the pick raised) is left
-   in [pending] for the loop, which the yield then enters. *)
+   in [pending] for [next], which the yield's handler then enters. *)
 let[@inline never] yield_pick e =
   if e.steps >= e.max_steps then perform Yield
   else
@@ -479,7 +496,7 @@ let[@inline never] yield_pick e =
    yield whose pick would be the yielding thread itself - nothing
    runnable, or its (clock, tid) strictly below the heap top - keeps the
    processor without the effect round trip: the step is still counted
-   (and fuel still spent), exactly as the loop would count its pop of
+   (and fuel still spent), exactly as [next] would count its pop of
    the thread it just pushed; any other yield performs [Yield] at once.
    The other policies take their pick in [yield_pick], out of line (the
    inlined pick costs the explorer's [Controlled] runs several

@@ -1004,6 +1004,58 @@ let sched_choose_non_runnable () =
              Sched.yield ())));
   check_bool "engine released" false (Sched.running ())
 
+(* Picks taken inside the effect handler, where the switch happens. In
+   each program [choose] keeps the highest ready tid, and its call
+   [k + 1] is the handler's pick after [current] suspended in a join,
+   returned or raised; [ready] is what it is then offered. That pick
+   raises, or picks [stale], a thread that is suspended or finished:
+   either escapes [run] from the handler, leaves no engine behind and
+   does the same again on a second run. *)
+let sched_handler_pick_fails (k, current, ready, stale, prog) () =
+  let attempt f =
+    let calls = ref 0 and seen = ref (-1, []) in
+    let choose current ready =
+      incr calls;
+      if !calls <= k then List.nth ready (List.length ready - 1)
+      else begin
+        seen := (current, ready);
+        f ()
+      end
+    in
+    let outcome =
+      match Sched.run ~policy:(Sched.Controlled choose) prog with
+      | _ -> "completed"
+      | exception ex -> Printexc.to_string ex
+    in
+    check_bool "engine released" false (Sched.running ());
+    check_int "register reads no thread" (-1) Sched.(reg.tid);
+    (!calls, !seen, outcome)
+  in
+  let outcome_t = Alcotest.(triple int (pair int (list int)) string) in
+  List.iter
+    (fun (what, f, ex) ->
+      let first = attempt f in
+      Alcotest.check outcome_t what (k + 1, (current, ready), Printexc.to_string ex) first;
+      Alcotest.check outcome_t (what ^ ", run again") first (attempt f))
+    [
+      ("raise", (fun () -> raise Choose_failed), Choose_failed);
+      ( "non-runnable",
+        (fun () -> stale),
+        Invalid_argument "Sched.Controlled: chose a non-runnable thread" );
+    ]
+
+let pick_after_suspend = (1, 0, [ 1 ], 0, fun () -> Sched.join (Sched.spawn ignore))
+
+let pick_after_exit body =
+  ( 2,
+    1,
+    [ 0 ],
+    1,
+    fun () ->
+      let w = Sched.spawn body in
+      Sched.yield ();
+      Sched.join w )
+
 (* ------------------------------------------------------------------ *)
 (* Min_clock against an effect-path model: switching yields, clock     *)
 (* ties, pause, fuel and exceptions from thread bodies                 *)
@@ -1624,6 +1676,12 @@ let suite =
         @ [
             case "an exception from choose escapes run" sched_choose_raises;
             case "a non-runnable choice escapes run" sched_choose_non_runnable;
+            case "a failed pick after a suspend escapes run"
+              (sched_handler_pick_fails pick_after_suspend);
+            case "a failed pick after a return escapes run"
+              (sched_handler_pick_fails (pick_after_exit ignore));
+            case "a failed pick after a raise escapes run"
+              (sched_handler_pick_fails (pick_after_exit (fun () -> raise Exit)));
             case "a kept Controlled decision allocates nothing"
               controlled_keep_allocation_free;
           ]
